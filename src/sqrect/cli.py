@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import SqrectError
+from .errors import ParseError, SqrectError
 from .exactnum import format_number, parse_number
 from .pet import Param, Point, code_orbit, islands
 from .cfrac import expand, param_to_x, x_to_param, natural_extension_check
@@ -28,19 +28,36 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _number(text: str):
+    try:
+        return parse_number(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed number {text!r}: {exc}") from exc
+
+
 def parse_param(text: str) -> Param:
+    """Parse 'theta,eps' or 'x=...'. Malformed text raises ParseError; a
+    well-formed value outside the parameter domain raises ValueError."""
     text = text.strip()
     if text.startswith("x="):
-        return x_to_param(parse_number(text[2:]))
+        return x_to_param(_number(text[2:]))
     if "," not in text:
-        raise ValueError(f"parameter must be 'theta,eps' or 'x=...': {text!r}")
+        raise ParseError(f"parameter must be 'theta,eps' or 'x=...': {text!r}")
     theta_s, eps_s = text.rsplit(",", 1)
-    return Param(parse_number(theta_s), int(eps_s))
+    theta = _number(theta_s)
+    try:
+        eps = int(eps_s)
+    except ValueError as exc:
+        raise ParseError(f"eps must be an integer: {eps_s!r}") from exc
+    return Param(theta, eps)
 
 
 def parse_point(text: str) -> Point:
-    xs, ys = text.strip().split(",")
-    return Point(parse_number(xs), parse_number(ys))
+    """Parse 'x,y'; malformed text raises ParseError."""
+    parts = text.strip().split(",")
+    if len(parts) != 2:
+        raise ParseError(f"point must be 'x,y': {text!r}")
+    return Point(_number(parts[0]), _number(parts[1]))
 
 
 # -- command handlers: return (payload dict, csv rows, text lines) -------
@@ -127,10 +144,14 @@ def _cmd_sturmian(args):
 
 
 def _cmd_tower(args):
-    from .words import tower_stats
+    from .words import default_prefix_len, tower_stats
 
     p = parse_param(args.param)
-    ts = tower_stats(p, args.depth or 5, args.prefix_len)
+    l = args.depth or 5
+    prefix_len = args.prefix_len
+    if prefix_len is None:
+        prefix_len = default_prefix_len(p, l)
+    ts = tower_stats(p, l, prefix_len)
     payload = {
         "l": ts.l,
         "N_a": ts.N_a,
@@ -312,7 +333,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("tower", help="block counts and measures at depth l")
     sp.add_argument("--param", required=True)
-    sp.add_argument("--prefix-len", type=int, default=200_000)
+    sp.add_argument("--prefix-len", type=int, default=None,
+                    help="letters of the limit word to decompose (default: "
+                    "200 per unit of the depth-l matrix entry sum, at least "
+                    "200000)")
     common(sp)
 
     sp = sub.add_parser("lyapunov", help="Monte-Carlo exponent estimates")
@@ -388,7 +412,7 @@ def main(argv=None) -> int:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return 2
+        return 1 if isinstance(exc, ParseError) else 2
     _emit(args, payload, csv_rows, text_lines)
     _write_manifest(args)
     return 0

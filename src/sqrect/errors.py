@@ -5,6 +5,10 @@ class SqrectError(Exception):
     """Base class for all domain errors."""
 
 
+class ParseError(ValueError):
+    """Malformed input text: a usage error, not a domain error."""
+
+
 class MixedSurdFields(SqrectError):
     """Arithmetic between surds over different square-free radicands."""
 

@@ -14,7 +14,7 @@ from .errors import Degenerate, DegenerateFit, DepthMismatch
 from .exactnum import make_surd
 from .pet import Param
 from .renorm import renorm_step, return_times
-from .words import tower_stats
+from .words import default_prefix_len, tower_stats
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,20 @@ def _as_arrays(pieces):
     return x, y, w, h
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a 1-D array in increasing order. Sorts `a` in
+    place, so pass a temporary. A sort plus an adjacent-difference mask:
+    np.unique may take a hash path that is many times slower."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _box_codes(arrays, r: float, stride: int) -> np.ndarray:
-    """Deduplicated grid-cell codes ix*stride+iy met by the rectangles."""
+    """Grid-cell codes ix*stride+iy met by the rectangles, deduplicated by
+    sorting, so they come out strictly increasing."""
     x, y, w, h = arrays[:4]
     eps = 1e-12
     ix0 = np.floor((x + eps) / r).astype(np.int64)
@@ -212,14 +224,14 @@ def _box_codes(arrays, r: float, stride: int) -> np.ndarray:
     iy0 = np.floor((y + eps) / r).astype(np.int64)
     iy1 = np.floor((y + h - eps) / r).astype(np.int64)
     parts = []
-    span_x = int((ix1 - ix0).max()) + 1
-    span_y = int((iy1 - iy0).max()) + 1
+    span_x = int((ix1 - ix0).max(initial=0)) + 1
+    span_y = int((iy1 - iy0).max(initial=0)) + 1
     for dx in range(span_x):
         cx = np.minimum(ix0 + dx, ix1)
         for dy in range(span_y):
             cy = np.minimum(iy0 + dy, iy1)
             parts.append(cx * stride + cy)
-    return np.unique(np.concatenate(parts))
+    return _sorted_unique(np.concatenate(parts))
 
 
 def _grid_stride(r: float) -> int:
@@ -233,20 +245,23 @@ def box_count(pieces, r: float) -> int:
         raise ValueError("box side must be positive")
     arrays = _as_arrays(pieces)
     stride = _grid_stride(r)
-    seen = None
+    seen = np.empty(0, dtype=np.int64)
     chunk = 1 << 22
     for lo in range(0, arrays[0].size, chunk):
         part = tuple(a[lo : lo + chunk] for a in arrays)
         codes = _box_codes(part, r, stride)
-        seen = codes if seen is None else np.union1d(seen, codes)
+        if seen.size:
+            codes = _sorted_unique(np.concatenate([seen, codes]))
+        seen = codes
     return int(seen.size)
 
 
 def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     """Box count of a deep cover at a renormalization fixed point, without
     materializing the cover: subtrees rooted at the depth-base_l pieces are
-    expanded chunk by chunk and their grid codes deduplicated through
-    value-partitioned buckets."""
+    expanded chunk by chunk. Each chunk's grid codes come out sorted, so
+    they split by value into buckets with searchsorted; each bucket is then
+    deduplicated by sorting."""
     if renorm_step(p) != p:
         raise Degenerate("deep streaming requires a fixed parameter")
     if l <= base_l:
@@ -270,7 +285,7 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     total = 0
     for parts in buckets:
         if parts:
-            total += int(np.unique(np.concatenate(parts)).size)
+            total += int(_sorted_unique(np.concatenate(parts)).size)
             parts.clear()
     return total
 
@@ -344,11 +359,7 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
         growth *= max(return_times(q))
     # the depth-l cover has one piece per letter of the index-(l-1) matrix
     # product, so the piece masses come from the index-(l-1) tower
-    from .lyap import cocycle_product
-
-    M, _ = cocycle_product(p, l - 1)
-    block_sum = M.m11 + M.m12 + M.m21 + M.m22
-    ts = tower_stats(p, l - 1, prefix_len=max(200_000, 200 * block_sum))
+    ts = tower_stats(p, l - 1, prefix_len=default_prefix_len(p, l - 1))
     alpha, beta = ts.alpha, ts.beta
     rng = np.random.default_rng(points)
     # centers of full-depth pieces, drawn from a few expanded subtrees

@@ -58,13 +58,24 @@ class Image:
 
     # -- drawing ---------------------------------------------------------
 
+    def pixel_bounds(self, x0, x1, y0, y1):
+        """Half-open column range [c0, c1) and row range [r0, r1) of the
+        pixels whose centers lie in [x0, x1) x [y0, y1), clipped to the
+        image. Takes float scalars or arrays alike."""
+        s = self.scale
+        c0 = np.maximum(np.ceil(x0 * s - 0.5).astype(np.int64), 0)
+        c1 = np.minimum(np.ceil(x1 * s - 0.5).astype(np.int64), self.width)
+        r0 = np.maximum(np.floor((1.0 - y1) * s - 0.5).astype(np.int64) + 1, 0)
+        r1 = np.minimum(
+            np.floor((1.0 - y0) * s - 0.5).astype(np.int64) + 1, self.height
+        )
+        return c0, c1, r0, r1
+
     def fill_rect(self, x, y, w, h, color) -> None:
         """Color every pixel whose center lies in [x,x+w) x [y,y+h)."""
-        s = self.scale
-        c0 = max(int(math.ceil(float(x) * s - 0.5)), 0)
-        c1 = min(int(math.ceil(float(x + w) * s - 0.5)), self.width)
-        r0 = max(int(math.floor((1.0 - float(y + h)) * s - 0.5)) + 1, 0)
-        r1 = min(int(math.floor((1.0 - float(y)) * s - 0.5)) + 1, self.height)
+        c0, c1, r0, r1 = self.pixel_bounds(
+            float(x), float(x + w), float(y), float(y + h)
+        )
         if c0 < c1 and r0 < r1:
             self.pixels[r0:r1, c0:c1] = color
 
@@ -161,9 +172,22 @@ def render_cover(p: Param, l: int, px: int) -> Image:
 
     img = Image.for_domain(float(p.width), px)
     x, y, w, h, sq = cover_arrays(p, l)
-    for i in range(x.size):
-        color = PALETTE["cover_square"] if sq[i] else PALETTE["cover_rectangle"]
-        img.fill_rect(x[i], y[i], w[i], h[i], color)
+    c0, c1, r0, r1 = img.pixel_bounds(x, x + w, y, y + h)
+    ncols = np.maximum(c1 - c0, 0)
+    npix = ncols * np.maximum(r1 - r0, 0)
+    # one entry per (piece, covered pixel), pieces in paint order
+    piece = np.repeat(np.arange(x.size), npix)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(npix) - npix, npix)
+    nc = ncols[piece]
+    flat = (r0[piece] + k // nc) * img.width + c0[piece] + k % nc
+    # the last piece painted over a pixel owns it, as in a fill_rect loop
+    owner = np.full(img.width * img.height, -1, dtype=np.int64)
+    np.maximum.at(owner, flat, piece)
+    painted = np.flatnonzero(owner >= 0)
+    colors = np.array(
+        [PALETTE["cover_rectangle"], PALETTE["cover_square"]], dtype=np.uint8
+    )
+    img.pixels.reshape(-1, 3)[painted] = colors[sq[owner[painted]].astype(np.intp)]
     return img
 
 

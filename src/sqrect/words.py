@@ -172,6 +172,15 @@ def _block_words(p, l: int) -> tuple[Word, Word]:
     return wa, wb
 
 
+def default_prefix_len(p, l: int) -> int:
+    """A prefix length for tower_stats that spans at least 200 depth-l
+    blocks: 200 times the entry sum of the depth-l cocycle matrix."""
+    from .lyap import cocycle_product
+
+    M, _ = cocycle_product(p, l)
+    return max(200_000, 200 * (M.m11 + M.m12 + M.m21 + M.m22))
+
+
 def tower_stats(p, l: int, prefix_len: int) -> TowerStats:
     """Column sums of the depth-l cocycle matrix and empirical block measures.
 

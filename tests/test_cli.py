@@ -45,6 +45,21 @@ class TestExitCodes:
         obj = json.loads(err)
         assert "error" in obj and "message" in obj
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--param", "1/3,abc"],
+            ["expand", "--param", "sqrt(2,-1"],
+            ["expand", "--param", "x=1/0"],
+            ["expand", "--param", "nonsense"],
+            ["orbit", "--param", "sqrt(2)-1,-1", "--point", "1/3"],
+        ],
+    )
+    def test_malformed_input_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "expand", "--param", "3/8,-1")
         assert code == 0 and err == ""
@@ -109,6 +124,14 @@ class TestCommands:
         )
         payload = json.loads(out)
         assert payload["N"] == payload["N_a"] + payload["N_b"]
+
+    def test_tower_readme_example(self, capsys):
+        code, out, _ = run(
+            capsys, "tower", "--param", "sqrt(2)-1,-1", "--depth", "5"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["l"] == 5 and payload["N"] == payload["N_a"] + payload["N_b"]
 
     def test_lyapunov_seeded(self, capsys):
         argv = ["lyapunov", "--seed", "11", "--trials", "30", "--l", "200"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sqrect.errors import Degenerate, DegenerateFit, DepthMismatch
 from sqrect.exactnum import make_surd
@@ -9,6 +10,8 @@ from sqrect.pet import Param
 from sqrect.renorm import cover, incidence_matrix, ratio, renorm_step
 from sqrect.lyap import cocycle_product
 from sqrect.fractal import (
+    _box_codes,
+    _grid_stride,
     box_count,
     box_count_deep,
     box_dimension,
@@ -132,6 +135,26 @@ class TestCoverArrays:
             assert arrays[0].size == sum(M.apply((1, 1)))
 
 
+# rectangles (x, y, w, h); w and h up to 0.6 span several cells at r >= 0.02
+RECT = st.tuples(
+    st.floats(0, 1.4), st.floats(0, 1), st.floats(1e-6, 0.6), st.floats(1e-6, 0.6)
+)
+
+
+def _brute_force_cells(rects, r):
+    """Grid cells (ix, iy) met by the rectangles, one rectangle at a time,
+    with box_count's 1e-12 inset of the rectangle edges."""
+    eps = 1e-12
+    cells = set()
+    for x, y, w, h in rects:
+        for ix in range(math.floor((x + eps) / r), math.floor((x + w - eps) / r) + 1):
+            for iy in range(
+                math.floor((y + eps) / r), math.floor((y + h - eps) / r) + 1
+            ):
+                cells.add((ix, iy))
+    return cells
+
+
 class TestBoxCount:
     def test_unit_square_oracle(self):
         square = (
@@ -152,6 +175,28 @@ class TestBoxCount:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             box_count(cover_arrays(Param(SQRT2M1, -1), 2), 0.0)
+
+    def test_no_pieces_count_zero(self):
+        assert box_count([], 0.1) == 0
+        assert box_count(tuple(np.empty(0) for _ in range(5)), 0.1) == 0
+
+    @given(
+        rects=st.lists(RECT, min_size=1, max_size=30).flatmap(
+            lambda rs: st.lists(st.sampled_from(rs), max_size=5).map(
+                lambda dups: rs + dups
+            )
+        ),
+        r=st.floats(0.02, 0.5),
+    )
+    def test_matches_brute_force_cells(self, rects, r):
+        arrays = tuple(np.array(col) for col in zip(*rects))
+        assert box_count(arrays, r) == len(_brute_force_cells(rects, r))
+
+    def test_codes_strictly_increasing(self):
+        p = Param(SQRT2M1, -1)
+        for l, r in ((3, 0.05), (6, radius_sequence(p, 6)[5])):
+            codes = _box_codes(cover_arrays(p, l), r, _grid_stride(r))
+            assert codes.size > 1 and np.all(np.diff(codes) > 0)
 
     def test_deep_streaming_agrees_with_direct(self):
         p = Param(SQRT2M1, -1)

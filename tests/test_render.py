@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqrect.exactnum import make_surd
+from sqrect.fractal import cover_arrays, selfsimilar_parameter
 from sqrect.pet import Param
 from sqrect.render import (
     PALETTE,
@@ -164,7 +165,33 @@ class TestIslands:
         assert pixel_set_distance(lo, half, island_color(0)) <= 1.5
 
 
+def _paint_cover_by_fill_rect(p, l, px):
+    """Reference painter: one fill_rect per cover piece, in cover order."""
+    img = Image.for_domain(float(p.width), px)
+    x, y, w, h, sq = cover_arrays(p, l)
+    for i in range(x.size):
+        color = PALETTE["cover_square"] if sq[i] else PALETTE["cover_rectangle"]
+        img.fill_rect(x[i], y[i], w[i], h[i], color)
+    return img
+
+
+# both families at n = 1..3, and the silver mean at every depth up to 8;
+# depths stop where the reference painter's loop gets slow
+COVER_CASES = [
+    pytest.param(selfsimilar_parameter(family, n), l, id=f"{family}{n}-l{l}")
+    for family in ("minus", "plus")
+    for n in (1, 2, 3)
+    for l in (2, 3)
+] + [pytest.param(Param(SQRT2M1, -1), l, id=f"silver-l{l}") for l in range(2, 9)]
+
+
 class TestCover:
+    @pytest.mark.parametrize("px", [64, 128, 500, 1000])
+    @pytest.mark.parametrize("p, l", COVER_CASES)
+    def test_matches_fill_rect_loop(self, p, l, px):
+        expected = _paint_cover_by_fill_rect(p, l, px).to_p6()
+        assert render_cover(p, l, px).to_p6() == expected
+
     def test_cover_nests_inside_coarser_cover(self):
         p = Param(SQRT2M1, -1)
         coarse = render_cover(p, 2, 128)
