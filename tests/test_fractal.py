@@ -147,11 +147,9 @@ def _brute_force_cells(rects, r):
     eps = 1e-12
     cells = set()
     for x, y, w, h in rects:
-        for ix in range(math.floor((x + eps) / r), math.floor((x + w - eps) / r) + 1):
-            for iy in range(
-                math.floor((y + eps) / r), math.floor((y + h - eps) / r) + 1
-            ):
-                cells.add((ix, iy))
+        xs = range(math.floor((x + eps) / r), math.floor((x + w - eps) / r) + 1)
+        ys = range(math.floor((y + eps) / r), math.floor((y + h - eps) / r) + 1)
+        cells.update((ix, iy) for ix in xs for iy in ys)
     return cells
 
 

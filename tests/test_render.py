@@ -165,10 +165,10 @@ class TestIslands:
         assert pixel_set_distance(lo, half, island_color(0)) <= 1.5
 
 
-def _paint_cover_by_fill_rect(p, l, px):
-    """Reference painter: one fill_rect per cover piece, in cover order."""
+def _paint_by_fill_rect(p, pieces, px):
+    """Reference painter: one fill_rect per piece, in order."""
     img = Image.for_domain(float(p.width), px)
-    x, y, w, h, sq = cover_arrays(p, l)
+    x, y, w, h, sq = pieces
     for i in range(x.size):
         color = PALETTE["cover_square"] if sq[i] else PALETTE["cover_rectangle"]
         img.fill_rect(x[i], y[i], w[i], h[i], color)
@@ -189,8 +189,27 @@ class TestCover:
     @pytest.mark.parametrize("px", [64, 128, 500, 1000])
     @pytest.mark.parametrize("p, l", COVER_CASES)
     def test_matches_fill_rect_loop(self, p, l, px):
-        expected = _paint_cover_by_fill_rect(p, l, px).to_p6()
+        expected = _paint_by_fill_rect(p, cover_arrays(p, l), px).to_p6()
         assert render_cover(p, l, px).to_p6() == expected
+
+    def test_overlaps_go_to_the_last_piece(self, monkeypatch):
+        # cover pieces never share a pixel, so overlaps and clipping at the
+        # image edge are checked on random rectangles instead
+        import sqrect.fractal
+
+        rng = np.random.default_rng(5)
+        n = 300
+        pieces = (
+            rng.uniform(-0.3, 1.5, n),
+            rng.uniform(-0.3, 1.0, n),
+            rng.uniform(0.0, 0.4, n),
+            rng.uniform(0.0, 0.4, n),
+            rng.random(n) < 0.5,
+        )
+        monkeypatch.setattr(sqrect.fractal, "cover_arrays", lambda p, l: pieces)
+        p = Param(SQRT2M1, -1)
+        expected = _paint_by_fill_rect(p, pieces, 128).to_p6()
+        assert render_cover(p, 1, 128).to_p6() == expected
 
     def test_cover_nests_inside_coarser_cover(self):
         p = Param(SQRT2M1, -1)
