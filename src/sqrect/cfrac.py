@@ -13,8 +13,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
-from scipy.special import digamma
-
 from .errors import Terminal
 from .exactnum import Number, is_exact, nfloor
 from .pet import Param
@@ -240,6 +238,9 @@ def _pair_sum(alpha: float, beta: float, n_min: int, parity: int, cutoff: int) -
     Enumerates up to `cutoff` terms and closes the remainder with digamma
     values, so the result is exact up to rounding.
     """
+    # imported here so that importing the package does not load scipy.special
+    from scipy.special import digamma
+
     n = n_min if n_min % 2 == parity else n_min + 1
     total = 0.0
     direct_end = n + 2 * min(cutoff, 20_000)

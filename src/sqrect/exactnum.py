@@ -25,8 +25,17 @@ Number = Union[int, Fraction, "Surd", float]
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
+# Trial division past _SMALL_PRIMES runs up to the square root of what is
+# left, so the cofactor is capped to keep construction from input bounded.
+_MAX_COFACTOR = 10**12
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s**2 * f and f square-free."""
+    """Return (s, f) with n = s**2 * f and f square-free.
+
+    Raises ValueError when n is not positive, or when the cofactor left
+    after removing _SMALL_PRIMES exceeds 10**12 (too costly to factor).
+    """
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, f = 1, 1
@@ -39,9 +48,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         if n % p == 0:
             n //= p
             f *= p
+    if n > _MAX_COFACTOR:
+        raise ValueError(
+            f"radicand too large: cofactor {n} exceeds {_MAX_COFACTOR}"
+        )
     # remaining n has no small square factors; check for a large square
     p = 49
-    while p * p <= n:  # pragma: no cover - only for huge radicands
+    while p * p <= n:
         if n % p == 0:
             while n % (p * p) == 0:
                 n //= p * p
@@ -62,6 +75,15 @@ def _sqrt_int_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:
     lo = Fraction(n, 1 << bits)
     hi = Fraction(n + 1, 1 << bits)
     return lo, hi
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and square-free d >= 2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if b > 0:
+        return 1 if a >= 0 or b * b * d > a * a else -1
+    return -1 if a <= 0 or b * b * d > a * a else 1
 
 
 class Surd:
@@ -87,7 +109,7 @@ class Surd:
         s, f = squarefree_decompose(n)
         if f == 1:
             return s
-        return make_surd(0, s, 1, f)
+        return Surd(0, s, 1, f)
 
     def conjugate(self) -> "Surd":
         return Surd(self.p, -self.q, self.r, self.d)
@@ -95,15 +117,7 @@ class Surd:
     # -- sign, compare, float -------------------------------------------
 
     def sign(self) -> int:
-        p, q, d = self.p, self.q, self.d
-        if q > 0:
-            if p >= 0:
-                return 1
-            return 1 if q * q * d > p * p else -1
-        # q < 0 by invariant
-        if p <= 0:
-            return -1
-        return 1 if p * p > q * q * d else -1
+        return _sign(self.p, self.q, self.d)
 
     def __bool__(self) -> bool:
         return True  # q != 0 means never zero
@@ -118,10 +132,11 @@ class Surd:
         )
 
     def __float__(self) -> float:
-        # evaluate through an exact rational enclosure: naive float
-        # arithmetic amplifies rounding when p and q*sqrt(d) nearly cancel
-        lo, hi = self.interval(64)
-        return float((lo + hi) / 2)
+        # the midpoint of interval(64) as one correctly rounded int
+        # division: naive float arithmetic amplifies rounding when p and
+        # q*sqrt(d) nearly cancel
+        n = math.isqrt(self.d << 128)
+        return ((self.p << 65) + self.q * (2 * n + 1)) / (self.r << 65)
 
     def _diff_sign(self, other: Number) -> int:
         """Sign of self - other for an exact operand."""
@@ -138,10 +153,12 @@ class Surd:
                 if bhi < alo:
                     return 1
                 bits *= 2
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff.sign()
-        return (diff > 0) - (diff < 0)
+        co = self._coerce(other)
+        if co is None:
+            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+        p2, q2, r2 = co
+        # both denominators are positive, so scaling by r*r2 keeps the sign
+        return _sign(self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
@@ -181,13 +198,11 @@ class Surd:
         return self._diff_sign(other) >= 0
 
     def __floor__(self) -> int:
-        n = math.floor(float(self))
-        # verify exactly; float estimate can be off by one near integers
-        while self._diff_sign(n) < 0:
-            n -= 1
-        while self._diff_sign(n + 1) >= 0:
-            n += 1
-        return n
+        # q*sqrt(d) is irrational and lies strictly between m and m + 1
+        m = math.isqrt(self.q * self.q * self.d)
+        if self.q < 0:
+            m = -m - 1
+        return (self.p + m) // self.r
 
     def __abs__(self):
         return self if self.sign() > 0 else -self
@@ -217,7 +232,7 @@ class Surd:
         if co is None:
             return NotImplemented
         p2, q2, r2 = co
-        return make_surd(
+        return _canon(
             self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
         )
 
@@ -244,7 +259,7 @@ class Surd:
             return NotImplemented
         p2, q2, r2 = co
         d = self.d
-        return make_surd(
+        return _canon(
             self.p * p2 + self.q * q2 * d,
             self.p * q2 + self.q * p2,
             self.r * r2,
@@ -256,7 +271,7 @@ class Surd:
     def _inverse(self) -> "Surd":
         # 1/((p+q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d)
         norm = self.p * self.p - self.q * self.q * self.d
-        return make_surd(self.r * self.p, -self.r * self.q, norm, self.d)
+        return _canon(self.r * self.p, -self.r * self.q, norm, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, float):
@@ -272,11 +287,11 @@ class Surd:
         if isinstance(other, int):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return make_surd(self.p, self.q, self.r * other, self.d)
+            return _canon(self.p, self.q, self.r * other, self.d)
         if isinstance(other, Fraction):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return make_surd(
+            return _canon(
                 self.p * other.denominator,
                 self.q * other.denominator,
                 self.r * other.numerator,
@@ -311,25 +326,33 @@ class Surd:
         return body if self.r == 1 else f"({body})/{self.r}"
 
 
-def make_surd(p: int, q: int, r: int, d: int) -> Exact:
-    """Build (p + q*sqrt(d))/r in canonical form, demoting to Fraction/int."""
+def _canon(p: int, q: int, r: int, d: int) -> Exact:
+    """Canonical (p + q*sqrt(d))/r for a d that is already square-free,
+    d >= 2, demoting to Fraction/int when q == 0."""
     if r == 0:
         raise ZeroDivisionError("division by zero")
-    s, f = squarefree_decompose(d)
-    q *= s
-    d = f
-    if q == 0 or d == 1:
-        # d == 1 folds sqrt into the rational part
-        frac = Fraction(p + (q if d == 1 else 0), r)
+    if q == 0:
+        frac = Fraction(p, r)
         return frac.numerator if frac.denominator == 1 else frac
     if r < 0:
         p, q, r = -p, -q, -r
-    g = math.gcd(math.gcd(abs(p), abs(q)), r)
+    g = math.gcd(p, q, r)
     if g > 1:
         p //= g
         q //= g
         r //= g
     return Surd(p, q, r, d)
+
+
+def make_surd(p: int, q: int, r: int, d: int) -> Exact:
+    """Build (p + q*sqrt(d))/r in canonical form, demoting to Fraction/int."""
+    if r == 0:
+        raise ZeroDivisionError("division by zero")
+    s, f = squarefree_decompose(d)
+    if f == 1:
+        # a square radicand folds sqrt into the rational part
+        return _canon(p + q * s, 0, r, 1)
+    return _canon(p, q * s, r, f)
 
 
 # -- generic helpers -----------------------------------------------------
@@ -359,10 +382,6 @@ def compare(a: Number, b: Number) -> int:
     return (a > b) - (a < b)
 
 
-def to_float(x: Number) -> float:
-    return float(x)
-
-
 def eval_interval(x: Number, bits: int = 128) -> tuple[Fraction, Fraction]:
     """Rational enclosure of an exact scalar."""
     if isinstance(x, Surd):
@@ -372,12 +391,6 @@ def eval_interval(x: Number, bits: int = 128) -> tuple[Fraction, Fraction]:
         return f, f
     f = Fraction(x)
     return f, f
-
-
-def as_fraction(x: Number) -> Fraction:
-    if isinstance(x, Surd):
-        raise ValueError("surd is not rational")
-    return Fraction(x)
 
 
 # -- parser --------------------------------------------------------------

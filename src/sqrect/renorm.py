@@ -132,11 +132,18 @@ def return_times(p: Param) -> tuple[int, int]:
 
 
 def first_return(p: Param, z: Point) -> tuple[Point, int]:
-    c_ind, r_ind = induction_zone(p)
+    return _first_return(p, z, induction_zone(p), return_times(p))
+
+
+def _first_return(
+    p: Param, z: Point, zone: tuple[Rect, Rect], times: tuple[int, int]
+) -> tuple[Point, int]:
+    """first_return with the zone and return times of p precomputed."""
+    c_ind, r_ind = zone
     if c_ind.contains(z):
-        k = return_times(p)[0]
+        k = times[0]
     elif r_ind.contains(z):
-        k = return_times(p)[1]
+        k = times[1]
     else:
         raise NotInZone(f"({z.x}, {z.y}) not in the induction zone")
     w = z
@@ -177,6 +184,7 @@ def induction_verify(
     """Check that the similitude conjugates the first-return map to the
     renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z)."""
     q = renorm_step(p)
+    zone, times = induction_zone(p), return_times(p)
     exact = is_exact(p.theta)
     rng = random.Random(seed)
     resampled = 0
@@ -186,7 +194,7 @@ def induction_verify(
         z1 = _random_domain_point(q, rng, exact)
         try:
             z = similitude_apply(p, z1, "inv")
-            w, _ = first_return(p, z)
+            w, _ = _first_return(p, z, zone, times)
             lhs = similitude_apply(p, w, "fwd")
             rhs = step(q, z1)
         except OnDiscontinuity:
@@ -283,6 +291,7 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
         pieces = pieces[:1]
     for q in reversed(params[:-1]):
         k_c, k_r = return_times(q)
+        ratio_q = ratio(q)
         nxt = []
         for piece in pieces:
             # the return time depends on which induction zone the pulled
@@ -290,7 +299,7 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
             # of x=1, under the rectangle otherwise
             r = psi_inverse_rect(q, piece.rect)
             k = k_c if piece.rect.x + piece.rect.w <= 1 else k_r
-            contraction = piece.ratio / ratio(q)
+            contraction = piece.ratio / ratio_q
             for i in range(k):
                 nxt.append(CoverPiece(r, piece.shape, contraction, i))
                 if i < k - 1:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqrect
 from sqrect.cli import main, parse_param, parse_point
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
@@ -11,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, timeout):
+    """Run a fresh interpreter that imports this checkout of sqrect."""
+    src = str(Path(sqrect.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
 
 
 class TestArgumentParsing:
@@ -63,6 +79,25 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "expand", "--param", "3/8,-1")
         assert code == 0 and err == ""
+
+    def test_huge_radicand_fails_fast(self):
+        # trial division up to the square root of this radicand would not
+        # finish; a fresh process bounds the wall time of a regression
+        proc = run_python(
+            "-m", "sqrect.cli", "expand", "--param",
+            "sqrt(1000000000000000000000000000057)/2000000000000000,-1",
+            timeout=2,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "ParseError"
+
+
+def test_cli_import_skips_scipy_special():
+    proc = run_python(
+        "-c", "import sys, sqrect.cli; print('scipy.special' in sys.modules)",
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 class TestExpand:

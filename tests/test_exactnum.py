@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from sqrect.errors import MixedSurdFields
 from sqrect.exactnum import (
     Surd,
+    _canon,
     compare,
     eval_interval,
     make_surd,
@@ -184,3 +185,116 @@ def test_inverse_roundtrip(x):
 def test_rational_ops_match_fraction(q):
     x = q + make_surd(0, 1, 1, 2) - make_surd(0, 1, 1, 2)
     assert x == q
+
+
+# -- the integer-only same-field kernel against the pre-kernel code ---------
+
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30]
+# fundamental units u + v*sqrt(d) of norm +-1
+UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1), 6: (5, 2), 7: (8, 3), 10: (3, 1)}
+big_ints = st.integers(-(2**200), 2**200)
+
+
+def floor_oracle(x):
+    """Floor by refining the rational enclosure until it holds no integer."""
+    bits = 64
+    while True:
+        lo, hi = x.interval(bits)
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+        bits *= 2
+
+
+def diff_sign_oracle(a, b):
+    """Sign of a - b for a, b in Q(sqrt(d)), through make_surd."""
+    (p1, q1, r1), (p2, q2, r2), d = _triple(a), _triple(b), a.d
+    diff = make_surd(p1 * r2 - p2 * r1, q1 * r2 - q2 * r1, r1 * r2, d)
+    if not isinstance(diff, Surd):
+        return (diff > 0) - (diff < 0)
+    p, q = diff.p, diff.q
+    if q > 0:
+        if p >= 0:
+            return 1
+        return 1 if q * q * d > p * p else -1
+    if p <= 0:
+        return -1
+    return 1 if p * p > q * q * d else -1
+
+
+def _triple(x):
+    if isinstance(x, Surd):
+        return x.p, x.q, x.r
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
+@st.composite
+def near_integer_surds(draw):
+    """k + s*(u_n - v_n*sqrt(d))/r for a unit power u_n + v_n*sqrt(d) above
+    2**41, so the value lies within 2**-41 of the integer k; q < 0 when
+    s = 1."""
+    d = draw(st.sampled_from(sorted(UNITS)))
+    u, v = UNITS[d]
+    un, vn = u, v
+    for _ in range(draw(st.integers(0, 40))):
+        un, vn = un * u + d * vn * v, un * v + vn * u
+    while un < 2**41:
+        un, vn = un * u + d * vn * v, un * v + vn * u
+    k = draw(st.integers(-(10**6), 10**6))
+    s = draw(st.sampled_from([1, -1]))
+    r = draw(st.integers(1, 1000))
+    return make_surd(k * r + s * un, -s * vn, r, d)
+
+
+general_surds = st.builds(
+    make_surd, big_ints, big_ints, st.integers(1, 2**200), st.sampled_from(SQUAREFREE)
+).filter(lambda x: isinstance(x, Surd))
+kernel_surds = st.one_of(
+    general_surds,
+    near_integer_surds(),
+    surds.filter(lambda x: isinstance(x, Surd)),
+)
+
+
+@given(kernel_surds)
+def test_float_is_interval_midpoint(x):
+    lo, hi = x.interval(64)
+    assert float(x).hex() == float((lo + hi) / 2).hex()
+
+
+@given(kernel_surds)
+def test_floor_matches_refinement(x):
+    assert math.floor(x) == floor_oracle(x)
+    assert math.floor(-x) == floor_oracle(-x)
+
+
+@given(kernel_surds, st.data())
+def test_compare_matches_difference_sign(a, data):
+    b = data.draw(
+        st.one_of(
+            st.just(a),
+            st.builds(lambda p, q, r: make_surd(p, q, r, a.d), big_ints, big_ints,
+                      st.integers(1, 2**200)),
+            st.builds(lambda t: a + t, st.fractions(max_denominator=2**60)),
+            st.just(Fraction(math.floor(a))),
+            st.just(math.floor(a) + 1),
+        )
+    )
+    assert compare(a, b) == diff_sign_oracle(a, b)
+    if isinstance(b, Surd):
+        assert compare(b, a) == -diff_sign_oracle(a, b)
+
+
+@given(
+    st.integers(-(2**80), 2**80),
+    st.one_of(st.just(0), st.integers(-(2**80), 2**80)),
+    st.integers(-(2**80), 2**80).filter(lambda r: r != 0),
+    st.integers(1, 10**6),
+    st.sampled_from(SQUAREFREE),
+)
+def test_canon_matches_make_surd(p, q, r, g, d):
+    args = (p * g, q * g, r * g, d)
+    fast, slow = _canon(*args), make_surd(*args)
+    assert type(fast) is type(slow) and fast == slow
+    if isinstance(slow, Surd):
+        assert (fast.p, fast.q, fast.r, fast.d) == (slow.p, slow.q, slow.r, slow.d)
