@@ -11,13 +11,12 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import Terminal
 from .exactnum import Number, is_exact, nfloor
 from .pet import Param
-from .renorm import Mat2
-from .words import Substitution, Word
+from .renorm import FAMILIES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2, slow_image
+from .words import Substitution
 
 LN6 = math.log(6)
 
@@ -38,32 +37,26 @@ def _terminal(x: Number) -> bool:
     return x == 0 or x == 1 or x == 2
 
 
+def _slow_branch(x: Number) -> tuple[BranchFamily, int, Number]:
+    """(family, branch index n, 1/gap(x)) of the slow map's branch at x:
+    a unit branch below 1, else a right branch."""
+    if _terminal(x):
+        raise Terminal(f"map undefined at x = {x}")
+    fam = UNIT if x < 1 else RIGHT
+    inv = 1 / fam.gap(x)
+    return fam, nfloor(inv), inv
+
+
 def branch_data(x: Number) -> tuple[int, int, Mat2]:
     """(branch index n, side sign, Moebius matrix A with S(x) = A.x)."""
-    if _terminal(x):
-        raise Terminal(f"no branch at x = {x}")
-    if x < 1:
-        n = nfloor(1 / x)
-        np_ = n % 2
-        return n, -1, Mat2(np_ - n, 1, 1, 0)
-    # right branches are left-closed in x: x = 2 - 1/n starts branch n,
-    # mirroring the right-closed left branches through the fold x -> 2-x
-    n = nfloor(1 / (2 - x))
-    np_ = n % 2
-    return n, 1, Mat2(n - np_, 1 + 2 * (np_ - n), -1, 2)
+    fam, n, _ = _slow_branch(x)
+    return n, -1 if fam is UNIT else 1, Mat2(*fam.A(n))
 
 
 def s_interval(x: Number) -> Number:
     """One step of the parameter map in interval coordinates."""
-    if _terminal(x):
-        raise Terminal(f"map undefined at x = {x}")
-    if x < 1:
-        inv = 1 / x
-        n = nfloor(inv)
-        return inv - n + (n % 2)
-    inv = 1 / (2 - x)
-    n = nfloor(inv)
-    return inv - n + (n % 2)
+    _, n, inv = _slow_branch(x)
+    return slow_image(inv, n)
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,6 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
 # -- folded map ----------------------------------------------------------
 
 
-def fold(x: Number) -> Number:
-    return x if x <= 1 else 2 - x
-
-
 def q_map(x: Number) -> Number:
     if x == 0:
         raise Terminal("map undefined at 0")
@@ -130,57 +119,34 @@ def q_map(x: Number) -> Number:
 
 @dataclass(frozen=True)
 class AccelStep:
-    m: int
+    m: int  # slow-map steps taken
     y: Number
     A_bold: Mat2
     r_bold: Number
-    sigma_factory: Callable[[], Substitution] = field(compare=False, repr=False)
-    M_bold: Mat2 = field(default=None)
+    M_bold: Mat2
+    family: BranchFamily = field(repr=False)
+    n: int
 
     @cached_property
     def sigma_bold(self) -> Substitution:
         # built on demand: the letter images have length ~ branch index,
         # which can be astronomical for orbits close to the interval ends
-        return self.sigma_factory()
-
-
-def _sub_minus(n: int) -> Substitution:
-    return Substitution(Word("ab" + "aab" * (n - 1)), Word("aab"))
-
-
-def _sub_plus(n: int) -> Substitution:
-    return Substitution(Word("a" + "aab" * (n - 1)), Word("aab"))
-
-
-def _sub_middle(n: int) -> Substitution:
-    return Substitution(Word("a"), Word("a" * (2 * (n - 1)) + "b"))
+        return self.family.sigma(self.n)
 
 
 def accel(x: Number) -> AccelStep:
     """One step of the accelerated map: first exit from (1, 3/2)."""
-    if _terminal(x):
-        raise Terminal(f"map undefined at x = {x}")
-    if x < 1:
-        n, _, A = branch_data(x)
+    fam, n, inv = _slow_branch(x)
+    if fam is UNIT or n > 1:
         return AccelStep(
-            1, s_interval(x), A, 1 / x, lambda n=n: _sub_minus(n), Mat2(2 * n - 1, 2, n, 1)
+            1, slow_image(inv, n), Mat2(*fam.A(n)), inv, Mat2(*fam.M(n)), fam, n
         )
-    if x > 1 and x < Fraction(3, 2):
-        n = nfloor(1 / (x - 1))
-        if is_exact(x) and 1 / (x - 1) == n:
-            # x = 1 + 1/n is the right end of the branch indexed n
-            pass
-        m = n - 1
-        y = x
-        for _ in range(m):
-            y = s_interval(y)
-        A = Mat2(2 - n, n - 1, 1 - n, n)
-        return AccelStep(
-            m, y, A, 1 / (n - (n - 1) * x), lambda n=n: _sub_middle(n), Mat2(1, 2 * (n - 1), 0, 1)
-        )
-    n, _, A = branch_data(x)
+    # x in (1, 3/2), where the slow map takes right branch 1 until the orbit
+    # leaves: middle branch n takes it n - 1 times in one Moebius step
+    n = nfloor(1 / MIDDLE.gap(x))
+    A = Mat2(*MIDDLE.A(n))
     return AccelStep(
-        1, s_interval(x), A, 1 / (2 - x), lambda n=n: _sub_plus(n), Mat2(2 * n - 1, 2, n - 1, 1)
+        n - 1, A.mobius(x), A, 1 / (A.m21 * x + A.m22), Mat2(*MIDDLE.M(n)), MIDDLE, n
     )
 
 
@@ -212,21 +178,6 @@ def density(which: str, x) -> float:
             return 1 / x
         return 1 / (x - 1)
     raise ValueError("which must be 'nu' or 'bold_nu'")
-
-
-def sample_bold_nu(rng: random.Random) -> float:
-    """Draw from the normalized accelerated invariant measure by exact
-    piecewise inverse CDF."""
-    u = rng.random() * LN6
-    ln2 = math.log(2)
-    if u < ln2:
-        return 2 ** (u / ln2) - 1
-    u -= ln2
-    ln32 = math.log(1.5)
-    if u < ln32:
-        return 1.5 ** (u / ln32)
-    u -= ln32
-    return 1 + 0.5 * 2 ** (u / ln2)
 
 
 # -- transfer operator residuals -----------------------------------------
@@ -290,6 +241,7 @@ def transfer_residual(which: str, y: float, branch_cutoff: int = 10**6,
 
 def _generic_branch_sum(which: str, dens, y: float, n_terms: int = 20_000) -> float:
     """Direct branch enumeration for an arbitrary candidate density."""
+    # the inverse branches stay written out: from adj(A(n)) they round differently
     parity = 0 if y < 1 else 1
     t = y if y < 1 else y - 1
     total = 0.0
@@ -440,16 +392,16 @@ def _disjointness_check(rng: random.Random, count: int) -> tuple[int, int]:
             n_need = max(n_need, int(1 / abs(y1)) + 3)
         if y1 < -1:
             n_need = max(n_need, int(-y1 / (-y1 - 1)) + 3)
-        for A, lo, hi in _inverse_branches(n_need):
-            det = A.det()
-            inv = Mat2(A.m22 * det, -A.m12 * det, -A.m21 * det, A.m11 * det)
-            denom = inv.m21 * x1 + inv.m22
+        for (a11, a12, a21, a22), lo, hi in _inverse_branches(n_need):
+            det = a11 * a22 - a12 * a21
+            i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
+            denom = i21 * x1 + i22
             if denom == 0:
                 continue
-            x0 = (inv.m11 * x1 + inv.m12) / denom
+            x0 = (i11 * x1 + i12) / denom
             if not (lo < x0 <= hi):
                 continue
-            y0 = _mobius_y(inv, y1)
+            y0 = _mobius_y(Mat2(i11, i12, i21, i22), y1)
             if in_theta_domain(x0, y0):
                 hits += 1
         if hits == 1:
@@ -458,18 +410,10 @@ def _disjointness_check(rng: random.Random, count: int) -> tuple[int, int]:
 
 
 def _inverse_branches(n_max: int = 80):
-    """Branch matrices of the accelerated map with their domains."""
-    out = []
-    for n in range(1, n_max):
-        np_ = n % 2
-        out.append((Mat2(np_ - n, 1, 1, 0), 1.0 / (n + 1), 1.0 / n))
-    for n in range(2, n_max):
-        out.append(
-            (Mat2(2 - n, n - 1, 1 - n, n), 1 + 1.0 / (n + 1), 1 + 1.0 / n)
-        )
-    for n in range(2, n_max):
-        np_ = n % 2
-        out.append(
-            (Mat2(n - np_, 1 + 2 * (np_ - n), -1, 2), 2 - 1.0 / n, 2 - 1.0 / (n + 1))
-        )
-    return out
+    """Moebius matrix entries of the accelerated branches n < n_max of each
+    family, with the ends of their domains."""
+    return [
+        (fam.A(n), *fam.ends(n))
+        for fam in FAMILIES
+        for n in range(fam.first, n_max)
+    ]

@@ -304,8 +304,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (all commands fit in one)")
 
     sp = sub.add_parser("expand", help="S-expansion of a parameter")
     sp.add_argument("--param", required=True)
@@ -408,7 +406,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, csv_rows, text_lines = HANDLERS[args.command](args)
-    except (SqrectError, ValueError) as exc:
+    # a float orbit can land on a pole of a branch map: a domain error too
+    except (SqrectError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

@@ -59,7 +59,3 @@ class DepthMismatch(SqrectError):
 
 class DegenerateFit(SqrectError):
     """Least-squares fit quality below the acceptance threshold."""
-
-
-class SamplerFailure(SqrectError):
-    """The invariant-measure sampler could not produce a draw."""

@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, DegenerateFit, DepthMismatch
+from .cfrac import param_to_x
 from .exactnum import make_surd
-from .pet import Param
+from .lyap import cocycle_walk
+from .pet import Param, psi_inverse
 from .renorm import renorm_step, return_times
 from .words import default_prefix_len, tower_stats
 
@@ -78,24 +80,11 @@ def dimension_table(n_max: int = 5) -> list[str]:
 def _orbit_logs(p: Param, l: int):
     """Per-depth ln N (total entry sum of the matrix product) and ln R
     (accumulated log contraction) along the accelerated orbit."""
-    from .cfrac import accel, param_to_x
-
-    x = param_to_x(p)
-    u1 = u2 = 1.0
-    log_norm = 0.0
     ln_R = 0.0
     out = []
-    for _ in range(l):
-        st = accel(x)
-        F = st.M_bold
-        u1, u2 = u1 * F.m11 + u2 * F.m21, u1 * F.m12 + u2 * F.m22
-        s = u1 + u2
-        log_norm += math.log(s)
-        u1 /= s
-        u2 /= s
+    for st, log_norm in cocycle_walk(param_to_x(p), l):
         ln_R += math.log(float(st.r_bold))
         out.append((log_norm, ln_R))
-        x = st.y
     return out
 
 
@@ -136,11 +125,7 @@ def _cover_level(q: Param, arrays):
     eps = q.eps
     k_c, k_r = return_times(q)
     from_square = x + w <= 1.0 + 1e-9
-    if eps == -1:
-        x, y, w, h = th * y, th * x, th * h, th * w
-    else:
-        s = 1.0 - th
-        x, y, w, h = s * x, th + s * y, s * w, s * h
+    x, y, w, h = psi_inverse(th, eps, x, y, w, h)
     outs = []
     for mask, k in ((from_square, k_c), (~from_square, k_r)):
         xs, ys, ws, hs, ss = x[mask], y[mask], w[mask], h[mask], sq[mask]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cfrac import LN6, accel, param_to_x
 from .pet import Param
-from .renorm import Mat2
+from .renorm import MIDDLE, RIGHT, UNIT, Mat2, slow_image
 
 MASTER_SEED = 0x5EED
 
@@ -59,24 +59,29 @@ def cocycle_product(p: Param, l: int) -> tuple[Mat2, float]:
     applied to (1,1), accumulated with per-step renormalization of a float
     row vector so the log stays finite for any depth.
     """
-    return cocycle_product_x(param_to_x(p), l)
-
-
-def cocycle_product_x(x, l: int) -> tuple[Mat2, float]:
     M = Mat2.identity()
+    log_norm = 0.0
+    for st, log_norm in cocycle_walk(param_to_x(p), l + 1):
+        M = M @ st.M_bold
+    return M, log_norm
+
+
+def cocycle_walk(x, steps: int):
+    """Yield each of `steps` accelerated steps from x with the running ln of
+    the l1-norm of (1,1) times the product of their matrices, kept in a
+    float row vector renormalized at every step."""
     u1 = u2 = 1.0
     log_norm = 0.0
-    for _ in range(l + 1):
+    for _ in range(steps):
         st = accel(x)  # Terminal propagates
         F = st.M_bold
-        M = M @ F
         u1, u2 = u1 * F.m11 + u2 * F.m21, u1 * F.m12 + u2 * F.m22
         s = u1 + u2
         log_norm += math.log(s)
         u1 /= s
         u2 /= s
+        yield st, log_norm
         x = st.y
-    return M, log_norm
 
 
 def contraction(M: Mat2) -> float:
@@ -124,45 +129,23 @@ def _vector_step(x, u1, u2, log_norm, lnR):
     """One accelerated step applied to every lane, updating the
     renormalized row vectors and both log accumulators in place."""
     left = x < 1.0
-    midd = (x >= 1.0) & (x < 1.5)
-    right = x >= 1.5
-
-    m11 = np.ones_like(x)
-    m12 = np.ones_like(x)
-    m21 = np.zeros_like(x)
-    m22 = np.ones_like(x)
-    lnr = np.zeros_like(x)
-    x1 = x.copy()
-
-    xl = x[left]
-    n = np.floor(1.0 / xl)
-    m11[left] = 2 * n - 1
-    m12[left] = 2.0
-    m21[left] = n
-    m22[left] = 1.0
-    lnr[left] = -np.log(xl)
-    x1[left] = 1.0 / xl - n + (n % 2)
-
-    e = x[midd] - 1.0
-    k = np.floor(1.0 / e)
-    # k - (k-1)x and (2-k)x + k-1 cancel catastrophically for large k;
-    # the forms below are stable in e = x - 1
-    den = np.maximum(1.0 - (k - 1) * e, 1e-300)
-    m11[midd] = 1.0
-    m12[midd] = 2 * (k - 1)
-    m21[midd] = 0.0
-    m22[midd] = 1.0
-    lnr[midd] = -np.log(den)
-    x1[midd] = (1.0 - (k - 2) * e) / den
-
-    xr = x[right]
-    n = np.floor(1.0 / (2.0 - xr))
-    m11[right] = 2 * n - 1
-    m12[right] = 2.0
-    m21[right] = n - 1
-    m22[right] = 1.0
-    lnr[right] = -np.log(2.0 - xr)
-    x1[right] = 1.0 / (2.0 - xr) - n + (n % 2)
+    right = x >= RIGHT.ends(RIGHT.first)[0]
+    midd = ~(left | right)
+    m11, m12, m21, m22, lnr, x1 = (np.empty_like(x) for _ in range(6))
+    for fam, mask in ((UNIT, left), (MIDDLE, midd), (RIGHT, right)):
+        gap = fam.gap(x[mask])
+        inv = 1.0 / gap
+        n = np.floor(inv)
+        m11[mask], m12[mask], m21[mask], m22[mask] = fam.M(n)
+        if fam is MIDDLE:
+            # A(n).x and its denominator n - (n-1)x cancel catastrophically
+            # for large n; these forms in the gap e = x - 1 are stable
+            den = np.maximum(1.0 - (n - 1) * gap, 1e-300)
+            x1[mask] = (1.0 - (n - 2) * gap) / den
+        else:
+            den = gap
+            x1[mask] = slow_image(inv, n)
+        lnr[mask] = -np.log(den)
 
     v1 = u1 * m11 + u2 * m21
     v2 = u1 * m12 + u2 * m22
@@ -228,16 +211,33 @@ def _mass_right(n: np.ndarray) -> np.ndarray:
     return np.log(n * n / ((n - 1.0) * (n + 1.0)))
 
 
+def _matrix(fam, n: np.ndarray) -> tuple:
+    """Cocycle matrix entries of branches n, each an array of n's shape."""
+    return tuple(np.broadcast_to(np.asarray(m, dtype=float), n.shape) for m in fam.M(n))
+
+
+def _log_max_row_sum(fam, n: np.ndarray) -> np.ndarray:
+    m11, m12, _, _ = fam.M(n)  # the first row has the larger sum
+    return np.log(m11 + m12)
+
+
+def _f(m11, m12, m21, m22):
+    """The super-multiplicative function f(M) = sqrt(m11 m22) + sqrt(m12 m21)."""
+    return np.sqrt(m11 * m22) + np.sqrt(m12 * m21)
+
+
 def integral_ln_M(terms: int) -> SeriesValue:
     """Integral of ln of the max row sum of the accelerated matrix against
-    the un-normalized invariant density, as three branch series."""
+    the un-normalized invariant density, as three branch series (a middle
+    branch has the invariant mass of the unit branch of the same index)."""
     if terms < 10:
         raise ValueError("terms must be at least 10")
-    n = np.arange(1.0, terms + 1)
-    s1 = float(np.sum(np.log(2 * n + 1) * _mass_unit(n)))
-    k = np.arange(2.0, terms + 1)
-    s2 = float(np.sum(np.log(2 * k - 1) * _mass_unit(k)))
-    s3 = float(np.sum(np.log(2 * k + 1) * _mass_right(k)))
+    n = np.arange(UNIT.first, terms + 1.0)
+    s1 = float(np.sum(_log_max_row_sum(UNIT, n) * _mass_unit(n)))
+    k = np.arange(MIDDLE.first, terms + 1.0)
+    s2 = float(np.sum(_log_max_row_sum(MIDDLE, k) * _mass_unit(k)))
+    k = np.arange(RIGHT.first, terms + 1.0)
+    s3 = float(np.sum(_log_max_row_sum(RIGHT, k) * _mass_right(k)))
     tail = 3 * _log_tail(3.0, terms)
     return SeriesValue(s1 + s2 + s3, tail, terms)
 
@@ -246,7 +246,7 @@ def _middle_lnr_branch_sum(terms: int) -> tuple[float, float]:
     """Sum over middle branches of the integral of ln of the expansion
     ratio, each branch integrated exactly via the geometric expansion of
     1/(k - t) in t/k with a certified truncation error."""
-    k = np.arange(2.0, terms + 1)
+    k = np.arange(MIDDLE.first, terms + 1.0)
     a = 1.0 / k  # branch image of the ratio variable: t in [a, b]
     b = 2.0 / (k + 1.0)
     total = 0.0
@@ -296,16 +296,10 @@ def lower_bound_f(terms: int, depth: int = 2) -> SeriesValue:
     if terms < 10:
         raise ValueError("terms must be at least 10")
     if depth == 1:
-        n = np.arange(1.0, terms + 1)
-        s1 = float(
-            np.sum(np.log(np.sqrt(2 * n - 1) + np.sqrt(2 * n)) * _mass_unit(n))
-        )
-        k = np.arange(2.0, terms + 1)
-        s3 = float(
-            np.sum(
-                np.log(np.sqrt(2 * k - 1) + np.sqrt(2 * k - 2)) * _mass_right(k)
-            )
-        )
+        n = np.arange(UNIT.first, terms + 1.0)
+        s1 = float(np.sum(np.log(_f(*UNIT.M(n))) * _mass_unit(n)))
+        k = np.arange(RIGHT.first, terms + 1.0)
+        s3 = float(np.sum(np.log(_f(*RIGHT.M(k))) * _mass_right(k)))
         tail = 2 * _log_tail(3.0, terms)
         return SeriesValue(s1 + s3, tail, terms)
     if depth != 2:
@@ -313,23 +307,11 @@ def lower_bound_f(terms: int, depth: int = 2) -> SeriesValue:
     return _lower_bound_f_pairs(max(int(math.isqrt(terms)), 10))
 
 
-# branch tables for the pair series: (family, index range) with the branch
-# matrix entries, domain endpoints, and inverse Moebius coefficients
-
-
-def _succ_table(which: str, N: int):
-    """Successor data on one piece: domain endpoints and matrix entries."""
-    if which == "unit":
-        n = np.arange(1.0, N + 1)
-        lo, hi = 1 / (n + 1), 1 / n
-        return lo, hi, (2 * n - 1, 2 * n**0, n, n**0)
-    if which == "mid":
-        k = np.arange(2.0, N + 1)
-        lo, hi = 1 + 1 / (k + 1), 1 + 1 / k
-        return lo, hi, (k**0, 2 * (k - 1), 0 * k, k**0)
-    k = np.arange(2.0, N + 1)
-    lo, hi = 2 - 1 / k, 2 - 1 / (k + 1)
-    return lo, hi, (2 * k - 1, 2 * k**0, k - 1, k**0)
+def _succ_table(fam, N: int):
+    """Successor data on one family: domain ends and matrix entries."""
+    n = np.arange(fam.first, N + 1.0)
+    lo, hi = fam.ends(n)
+    return lo, hi, _matrix(fam, n)
 
 
 def _pair_block(pred_inv, F, M1, succ) -> float:
@@ -345,8 +327,7 @@ def _pair_block(pred_inv, F, M1, succ) -> float:
     c12 = a11 * b12 + a12 * b22
     c21 = a21 * b11 + a22 * b21
     c22 = a21 * b12 + a22 * b22
-    f = np.sqrt(c11 * c22) + np.sqrt(c12 * c21)
-    return float(np.sum(np.log(f) * w))
+    return float(np.sum(np.log(_f(c11, c12, c21, c22)) * w))
 
 
 def _lower_bound_f_pairs(N: int) -> SeriesValue:
@@ -354,16 +335,18 @@ def _lower_bound_f_pairs(N: int) -> SeriesValue:
     F_mid = np.log
     F_right = lambda x: np.log(x - 1)  # noqa: E731
 
-    succ_u = _succ_table("unit", N)
-    succ_m = _succ_table("mid", N)
-    succ_r = _succ_table("right", N)
+    succ_u = _succ_table(UNIT, N)
+    succ_m = _succ_table(MIDDLE, N)
+    succ_r = _succ_table(RIGHT, N)
 
+    # The predecessor maps below stay written out: deriving them from
+    # adj(A(n)) moves the last bit of lower_bound_f(10_000).
     total = 0.0
     # left predecessors: even digits return to the unit piece, odd ones
     # land anywhere in (1,2)
-    n = np.arange(1.0, N + 1)
+    n = np.arange(UNIT.first, N + 1.0)
     npar = n % 2
-    M1 = (2 * n - 1, 2 * n**0, n, n**0)
+    M1 = _matrix(UNIT, n)
     even, odd = npar == 0, npar == 1
 
     def sub(M, mask):
@@ -380,16 +363,16 @@ def _lower_bound_f_pairs(N: int) -> SeriesValue:
         )
 
     # middle predecessors always exit into (3/2,2)
-    k = np.arange(2.0, N + 1)[:, None]
-    M1 = (k[:, 0] ** 0, 2 * (k[:, 0] - 1), 0 * k[:, 0], k[:, 0] ** 0)
+    k = np.arange(MIDDLE.first, N + 1.0)[:, None]
+    M1 = _matrix(MIDDLE, k[:, 0])
     total += _pair_block(
         lambda x1: (k * x1 + 1 - k) / ((k - 1) * x1 + 2 - k), F_mid, M1, succ_r
     )
 
     # right predecessors mirror the left ones
-    m = np.arange(2.0, N + 1)
+    m = np.arange(RIGHT.first, N + 1.0)
     mpar = m % 2
-    M1 = (2 * m - 1, 2 * m**0, m - 1, m**0)
+    M1 = _matrix(RIGHT, m)
     even, odd = mpar == 0, mpar == 1
     shift = (m - mpar)[even]
     total += _pair_block(

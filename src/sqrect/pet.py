@@ -210,15 +210,20 @@ def _seed_orbits(p: Param) -> list[Orbit]:
     return [Orbit(Rect(0, 0, th, th), Word("ab"), 2)]
 
 
-def _psi_inverse_rect(p: Param, r: Rect) -> Rect:
-    """Pull a rectangle of the renormalized domain back into this one."""
-    th = p.theta
-    if p.eps == -1:
+def psi_inverse(theta, eps: int, x, y, w=0, h=0):
+    """psi^-1 pulls the rectangle (x, y, w, h) of the renormalized domain
+    back into this one; a point when w = h = 0. theta and the coordinates
+    may be exact numbers or floats, the coordinates also numpy arrays."""
+    if eps == -1:
         # psi(x, y) = (y, x)/theta; inverse (x, y) -> (theta*y, theta*x)
-        return Rect(th * r.y, th * r.x, th * r.h, th * r.w)
+        return theta * y, theta * x, theta * h, theta * w
     # psi(x, y) = (x, y - theta)/(1 - theta)
-    s = 1 - th
-    return Rect(s * r.x, th + s * r.y, s * r.w, s * r.h)
+    s = 1 - theta
+    return s * x, theta + s * y, s * w, s * h
+
+
+def psi_inverse_rect(p: Param, r: Rect) -> Rect:
+    return Rect(*psi_inverse(p.theta, p.eps, r.x, r.y, r.w, r.h))
 
 
 def _orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
@@ -249,7 +254,7 @@ def _orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
         for o in orbits:
             ca, cb = o.code.counts()
             period = (M.m11 + M.m21) * ca + (M.m12 + M.m22) * cb
-            lifted.append(Orbit(_psi_inverse_rect(q, o.rect), sigma(o.code), period))
+            lifted.append(Orbit(psi_inverse_rect(q, o.rect), sigma(o.code), period))
         orbits = lifted
     return orbits
 

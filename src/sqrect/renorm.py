@@ -1,16 +1,17 @@
-"""Renormalization of the exchange map: the parameter map S, similitudes,
-induction zones, first-return maps, substitutions, incidence matrices and
-depth-l covers of the aperiodic set."""
+"""Renormalization of the exchange map: the branch table of the accelerated
+map, the parameter map S, similitudes, induction zones, first-return maps,
+substitutions, incidence matrices and depth-l covers of the aperiodic set."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import Degenerate, NotInZone, OnDiscontinuity, Terminal
 from .exactnum import Number, format_number, is_exact, nfloor
-from .pet import Param, Point, Rect, step
+from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
 from .words import Substitution, Word
 
 
@@ -44,9 +45,6 @@ class Mat2:
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def column_sums(self) -> tuple[int, int]:
-        return self.m11 + self.m21, self.m12 + self.m22
-
     def norm1_of(self, v: tuple[int, int]) -> int:
         a, b = self.apply(v)
         return abs(a) + abs(b)
@@ -60,12 +58,76 @@ class Mat2:
             k >>= 1
         return result
 
-    def rows(self) -> list[list[int]]:
-        return [[self.m11, self.m12], [self.m21, self.m22]]
-
     def mobius(self, x: Number) -> Number:
         """Action (m11*x + m12)/(m21*x + m22)."""
         return (self.m11 * x + self.m12) / (self.m21 * x + self.m22)
+
+
+# -- the branch table of the accelerated map -----------------------------
+
+
+@dataclass(frozen=True)
+class BranchFamily:
+    """One family of branches of the accelerated map, indexed by n >= first.
+
+    `gap(x)` is the distance from x to the end where the family's branches
+    accumulate; the branch index is n = floor(1/gap(x)). `A(n)` gives the
+    entries (m11, m12, m21, m22) of the Moebius matrix (branch n maps x to
+    A(n).x), `M(n)` those of the cocycle matrix, `ends(n)` the ends of the
+    domain of branch n, and `sigma(n)` its substitution. All but `sigma` are
+    plain arithmetic, so they take exact numbers and Python ints as well as
+    numpy float arrays.
+
+    On unit and right branches the Moebius denominator is the gap itself,
+    and A(n).x = 1/gap(x) - n + n % 2: see `slow_image`.
+    """
+
+    first: int
+    gap: Callable
+    A: Callable
+    M: Callable
+    ends: Callable
+    sigma: Callable
+
+
+# x in (0, 1): branch n on (1/(n+1), 1/n]
+UNIT = BranchFamily(
+    first=1,
+    gap=lambda x: x,
+    A=lambda n: (n % 2 - n, 1, 1, 0),
+    M=lambda n: (2 * n - 1, 2, n, 1),
+    ends=lambda n: (1 / (n + 1), 1 / n),
+    sigma=lambda n: Substitution(Word("ab" + "aab" * (n - 1)), Word("aab")),
+)
+# x in (1, 3/2): branch n on (1 + 1/(n+1), 1 + 1/n] is right branch 1 taken
+# n - 1 times, so A, M and sigma are those of right branch 1 to the n - 1
+MIDDLE = BranchFamily(
+    first=2,
+    gap=lambda x: x - 1,
+    A=lambda n: (2 - n, n - 1, 1 - n, n),
+    M=lambda n: (1, 2 * (n - 1), 0, 1),
+    ends=lambda n: (1 + 1 / (n + 1), 1 + 1 / n),
+    sigma=lambda n: Substitution(Word("a"), Word("a" * (2 * (n - 1)) + "b")),
+)
+# x in [3/2, 2): branch n on [2 - 1/n, 2 - 1/(n+1)), left-closed so that it
+# mirrors the unit branches through x -> 2 - x; the slow map also takes the
+# right branch 1 on (1, 3/2)
+RIGHT = BranchFamily(
+    first=2,
+    gap=lambda x: 2 - x,
+    A=lambda n: (n - n % 2, 1 + 2 * (n % 2 - n), -1, 2),
+    M=lambda n: (2 * n - 1, 2, n - 1, 1),
+    ends=lambda n: (2 - 1 / n, 2 - 1 / (n + 1)),
+    sigma=lambda n: Substitution(Word("a" + "aab" * (n - 1)), Word("aab")),
+)
+FAMILIES = (UNIT, MIDDLE, RIGHT)
+
+
+def slow_image(inv, n):
+    """A(n).x on unit or right branch n, from inv = 1/gap(x): the fractional
+    part of inv, plus 1 when n is odd. Float callers keep this form rather
+    than A(n).mobius(x), which rounds differently."""
+    return inv - n + n % 2
 
 
 # -- parameter map -------------------------------------------------------
@@ -102,17 +164,9 @@ def similitude_apply(p: Param, z: Point, direction: str = "fwd") -> Point:
         s = 1 - th
         return Point(z.x / s, (z.y - th) / s)
     if direction == "inv":
-        if p.eps == -1:
-            return Point(th * z.y, th * z.x)
-        s = 1 - th
-        return Point(s * z.x, th + s * z.y)
+        x, y, _, _ = psi_inverse(th, p.eps, z.x, z.y)
+        return Point(x, y)
     raise ValueError("direction must be 'fwd' or 'inv'")
-
-
-def psi_inverse_rect(p: Param, r: Rect) -> Rect:
-    from .pet import _psi_inverse_rect
-
-    return _psi_inverse_rect(p, r)
 
 
 def induction_zone(p: Param) -> tuple[Rect, Rect]:
@@ -212,19 +266,18 @@ def induction_verify(
 # -- substitutions and matrices ------------------------------------------
 
 
+def _family(p: Param) -> BranchFamily:
+    """The slow map's family at p: theta is the unit gap when eps = -1 and
+    1 - theta the right gap when eps = +1, so n_omega(p) is the branch."""
+    return UNIT if p.eps == -1 else RIGHT
+
+
 def substitution(p: Param) -> Substitution:
-    n = n_omega(p)
-    block = "aab" * (n - 1)
-    if p.eps == -1:
-        return Substitution(Word("ab" + block), Word("aab"))
-    return Substitution(Word("a" + block), Word("aab"))
+    return _family(p).sigma(n_omega(p))
 
 
 def incidence_matrix(p: Param) -> Mat2:
-    n = n_omega(p)
-    if p.eps == -1:
-        return Mat2(2 * n - 1, 2, n, 1)
-    return Mat2(2 * n - 1, 2, n - 1, 1)
+    return Mat2(*_family(p).M(n_omega(p)))
 
 
 def period_sequence(p: Param, k: int) -> list[int]:

@@ -60,9 +60,6 @@ class Word:
         i %= max(len(self._s), 1)
         return Word(self._s[i:] + self._s[:i])
 
-    def is_periodic_with(self, k: int) -> bool:
-        return all(self._s[i] == self._s[i % k] for i in range(len(self._s)))
-
 
 @dataclass(frozen=True)
 class Substitution:
@@ -84,13 +81,6 @@ class Substitution:
         a_in_a, b_in_a = self.image_a.counts()
         a_in_b, b_in_b = self.image_b.counts()
         return a_in_a, a_in_b, b_in_a, b_in_b
-
-
-IDENTITY = Substitution(Word("a"), Word("b"))
-
-
-def apply(s: Substitution, w: Word) -> Word:
-    return s(w)
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -119,57 +109,16 @@ class TowerStats:
         return f"{self.l},{self.N_a},{self.N_b},{self.N},{self.alpha!r},{self.beta!r}"
 
 
-def _accel_substitutions(p, depth: int) -> list[Substitution]:
-    from .cfrac import accel, param_to_x
-
-    subs = []
-    x = param_to_x(p)
-    for _ in range(depth):
-        step = accel(x)
-        subs.append(step.sigma_bold)
-        x = step.y
-    return subs
-
-
-def limit_word(p, length: int, depth: int | None = None) -> Word:
+def limit_word(p, length: int) -> Word:
     """Length-`length` prefix of the limit word of the substitution sequence.
 
     The word is the limit of sigma_0 ∘ ... ∘ sigma_l applied to `a`,
     using the accelerated substitution at each expansion step; every
     image of `a` starts with `a`, so prefixes stabilize.
     """
-    from .cfrac import accel, param_to_x
+    from .cfrac import param_to_x
 
-    x = param_to_x(p)
-    if depth is None:
-        depth = 4 * length  # safety cap; growth makes far fewer needed
-    subs = []
-    grew = 0
-    for _ in range(depth):
-        step = accel(x)  # raises Terminal at rational ends
-        subs.append(step.sigma_bold)
-        x = step.y
-        # enough depth once the innermost seed expands past `length`
-        w = Word("a")
-        for s in reversed(subs):
-            w = s(w)
-            if len(w) >= length:
-                break
-        if len(w) >= length:
-            return w[:length]
-        if len(w) == grew:
-            continue
-        grew = len(w)
-    raise Terminal(f"expansion too short to generate {length} letters")
-
-
-def _block_words(p, l: int) -> tuple[Word, Word]:
-    """Depth-l images of a and b under the composed accelerated substitution."""
-    subs = _accel_substitutions(p, l)
-    wa, wb = Word("a"), Word("b")
-    for s in reversed(subs):
-        wa, wb = s(wa), s(wb)
-    return wa, wb
+    return limit_word_x(param_to_x(p), length)
 
 
 def default_prefix_len(p, l: int) -> int:
@@ -227,13 +176,16 @@ def limit_word_x(x, length: int) -> Word:
     from .cfrac import accel
 
     subs = []
-    for _ in range(4 * length):
-        step = accel(x)
+    for _ in range(4 * length):  # safety cap; growth makes far fewer needed
+        step = accel(x)  # raises Terminal at rational ends
         subs.append(step.sigma_bold)
         x = step.y
+        # enough depth once the innermost seed expands past `length`
         w = Word("a")
         for s in reversed(subs):
             w = s(w)
+            # stops before sigma_0: the returned word is a prefix of
+            # sigma_j ∘ ... (a) for some j > 0, a known defect
             if len(w) >= length:
                 break
         if len(w) >= length:

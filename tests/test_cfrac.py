@@ -1,7 +1,7 @@
 import math
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,11 +22,13 @@ from sqrect.cfrac import (
     param_to_x,
     q_map,
     s_interval,
-    sample_bold_nu,
     transfer_residual,
     x_to_param,
 )
+from sqrect.lyap import _sample_x
 from sqrect.pet import Param
+from sqrect.renorm import MIDDLE, RIGHT, Mat2, incidence_matrix, substitution
+from sqrect.words import compose
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -126,7 +128,12 @@ class TestAcceleration:
         y = x
         for _ in range(max(st_.m, 1)):
             y = s_interval(y)
-        assert y == st_.y
+        if 1 < x < Fraction(3, 2) and 1 / (x - 1) == int(1 / (x - 1)):
+            # x = 1 + 1/n ends middle branch n: the slow orbit passes 3/2
+            # onto 0, the branch's Moebius map sends x to 2; both are terminal
+            assert (y, st_.y) == (0, 2)
+        else:
+            assert y == st_.y
 
     @given(exact_xs)
     def test_image_leaves_parabolic_zone(self, x):
@@ -157,6 +164,29 @@ class TestAcceleration:
         assert len(accel_orbit(SQRT2M1, 7)) == 7
 
 
+class TestBranchTable:
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_middle_is_right_one_to_the_k_minus_one(self, k):
+        assert Mat2(*MIDDLE.A(k)) == Mat2(*RIGHT.A(1)) ** (k - 1)
+        assert Mat2(*MIDDLE.M(k)) == Mat2(*RIGHT.M(1)) ** (k - 1)
+        sigma = RIGHT.sigma(1)
+        for _ in range(k - 2):
+            sigma = compose(sigma, RIGHT.sigma(1))
+        assert MIDDLE.sigma(k) == sigma
+
+    @given(
+        st.fractions(min_value=0, max_value=Fraction(96, 97), max_denominator=97),
+        st.sampled_from([-1, 1]),
+    )
+    def test_renorm_rows_are_accel_rows(self, theta, eps):
+        p = Param(theta, eps)
+        x = param_to_x(p)
+        assume(theta != 0 and not 1 < x < Fraction(3, 2))
+        st_ = accel(x)
+        assert incidence_matrix(p) == st_.M_bold
+        assert substitution(p) == st_.sigma_bold
+
+
 class TestDensities:
     @pytest.mark.parametrize("which", ["nu", "bold_nu"])
     @pytest.mark.parametrize("y", [0.17, 0.5, 0.83, 1.21, 1.47, 1.63, 1.9])
@@ -179,8 +209,7 @@ class TestDensities:
         assert total == pytest.approx(math.log(6), abs=1e-6)
 
     def test_sampler_matches_mass(self):
-        rng = random.Random(5)
-        draws = [sample_bold_nu(rng) for _ in range(20000)]
+        draws = _sample_x(np.random.default_rng(5), 20000)
         frac_low = sum(1 for v in draws if v <= 1) / len(draws)
         assert frac_low == pytest.approx(math.log(2) / math.log(6), abs=0.02)
         assert all(0 < v < 2 for v in draws)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,23 @@ class TestExitCodes:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "ParseError"
+
+    def test_middle_branch_end_fails_fast(self):
+        # x = 1 + 1/10^9 ends middle branch 10^9, whose step lands on 2; a
+        # step used to cost one slow-map iteration per unit of the index
+        proc = run_python(
+            "-m", "sqrect.cli", "dimension", "--param", "1/1000000000,1",
+            "--depth", "5", timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "Terminal"
+
+    def test_float_near_one_finishes(self):
+        proc = run_python(
+            "-m", "sqrect.cli", "dimension", "--param", "0.000000001,1",
+            "--depth", "5", timeout=2,
+        )
+        assert proc.returncode in (0, 2)
 
 
 def test_cli_import_skips_scipy_special():
@@ -258,3 +276,18 @@ class TestOutFiles:
         manifest = json.loads((tmp_path / "expand.json.manifest.json").read_text())
         assert manifest["command"] == "expand"
         assert manifest["seed"] is None
+
+
+def _readme_commands() -> list[str]:
+    """The `sqrect ...` lines of the README's CLI code block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line for line in lines if line.startswith("sqrect ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0, err

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -9,8 +10,10 @@ from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 from sqrect.renorm import Mat2
 from sqrect.cfrac import accel, density
+from sqrect.fractal import dimension_estimate, selfsimilar_parameter
 from sqrect.lyap import (
     MASTER_SEED,
+    _vector_step,
     birkhoff_estimate,
     cocycle_product,
     contraction,
@@ -92,6 +95,43 @@ class TestCocycleProduct:
         a1, _ = limit_direction(p, 10)
         a2, _ = limit_direction(p, 40)
         assert abs(a1 - a2) < 1e-8
+
+
+class TestVectorStep:
+    def test_lanes_match_scalar_accel(self):
+        x = np.random.default_rng(3).uniform(1e-3, 2 - 1e-3, 4000)
+        # branch indices up to 1000, and no lane next to a branch end, where
+        # the lanes and the scalar map may round to different branches
+        inv = 1 / np.where(x < 1, x, np.where(x < 1.5, x - 1, 2 - x))
+        x = x[(inv < 1000) & (np.abs(inv - np.round(inv)) > 1e-6)]
+        rows = []
+        for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):
+            log_norm, lnR = np.zeros_like(x), np.zeros_like(x)
+            y, v1, v2 = _vector_step(
+                x, np.full_like(x, u1), np.full_like(x, u2), log_norm, lnR
+            )
+            rows.append((v1, v2, log_norm))
+        for i, xi in enumerate(x):
+            st_ = accel(float(xi))
+            F = st_.M_bold
+            matrix_rows = ((F.m11, F.m12), (F.m21, F.m22))
+            for (v1, v2, log_norm), (a, b) in zip(rows, matrix_rows):
+                assert (v1[i], v2[i]) == (a / (a + b), b / (a + b))
+                assert log_norm[i] == math.log(a + b)
+            assert y[i] == pytest.approx(st_.y, abs=1e-9)
+            # lnR accumulates ln r_bold = -ln(A21 x + A22)
+            assert lnR[i] == pytest.approx(math.log(st_.r_bold), abs=1e-9)
+
+
+class TestPinnedOutputs:
+    def test_bench_reference_bits(self):
+        # values of bench/reference/*.json: a refactor must keep every bit
+        assert repr(lower_bound_f(10_000).value) == "2.577436104147107"
+        est = birkhoff_estimate(904876487, 200, 2000)
+        assert repr(est.lambda_hat) == "3.1759154616767966"
+        p = selfsimilar_parameter("minus", 1)
+        assert repr(cocycle_product(p, 50)[1]) == "74.26432575308104"
+        assert repr(dimension_estimate(p, 50).value) == "1.6524364094947066"
 
 
 class TestContraction:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqrect.cfrac import accel, param_to_x
 from sqrect.errors import PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
@@ -119,6 +120,31 @@ class TestLimitWord:
         for _ in range(4):
             expanded = s(expanded)
         assert str(expanded)[:25] == str(w)
+
+
+def full_composition_prefix(p, length):
+    """Prefix of sigma_0 ∘ ... ∘ sigma_k (a), composing all factors."""
+    x, subs = param_to_x(p), []
+    while True:
+        st_ = accel(x)
+        subs.append(st_.sigma_bold)
+        x = st_.y
+        w = Word("a")
+        for s in reversed(subs):
+            w = s(w)
+        if len(w) >= length:
+            return w[:length]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="limit_word stops composing before sigma_0 (known defect)",
+)
+def test_limit_word_starts_with_sigma0():
+    p = Param(make_surd(-13, 4, 4, 13), -1)
+    oracle = full_composition_prefix(p, 1000)
+    assert str(oracle).startswith("abaab")  # sigma_0(a)
+    assert limit_word(p, 1000) == oracle
 
 
 class TestTowerStats:
