@@ -47,10 +47,13 @@ def _slow_branch(x: Number) -> tuple[BranchFamily, int, Number]:
     return fam, nfloor(inv), inv
 
 
+def _digit(fam: BranchFamily, n: int) -> tuple[int, int, Mat2]:
+    return n, -1 if fam is UNIT else 1, Mat2(*fam.A(n))
+
+
 def branch_data(x: Number) -> tuple[int, int, Mat2]:
     """(branch index n, side sign, Moebius matrix A with S(x) = A.x)."""
-    fam, n, _ = _slow_branch(x)
-    return n, -1 if fam is UNIT else 1, Mat2(*fam.A(n))
+    return _digit(*_slow_branch(x)[:2])
 
 
 def s_interval(x: Number) -> Number:
@@ -96,9 +99,9 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
                 i = seen[x]
                 return Expansion(steps, "periodic", i, k - i)
             seen[x] = k
-        n, eps, A = branch_data(x)
-        steps.append(Digit(n, eps, A))
-        x = s_interval(x)
+        fam, n, inv = _slow_branch(x)
+        steps.append(Digit(*_digit(fam, n)))
+        x = slow_image(inv, n)
     return Expansion(steps, "truncated")
 
 

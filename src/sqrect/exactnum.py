@@ -111,9 +111,6 @@ class Surd:
             return s
         return Surd(0, s, 1, f)
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.p, -self.q, self.r, self.d)
-
     # -- sign, compare, float -------------------------------------------
 
     def sign(self) -> int:

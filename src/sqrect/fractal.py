@@ -10,12 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, DegenerateFit, DepthMismatch
+from .errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
 from .pet import Param, psi_inverse
-from .renorm import renorm_step, return_times
+from .renorm import (
+    cover_seed, param_chain, piece_count, rect_branch, renorm_step, substitution
+)
 from .words import default_prefix_len, tower_stats
 
 
@@ -116,66 +118,53 @@ def radius_sequence(p: Param, l: int) -> list[float]:
 # -- covers as flat arrays -----------------------------------------------
 
 
-def _cover_level(q: Param, arrays):
-    """One pull-back-and-spread level of the cover recursion: pieces are
-    mapped through the inverse similitude and copied along the return
-    orbit, with the return time chosen by which side of x=1 they were on."""
-    x, y, w, h, sq = arrays
-    th = float(q.theta)
-    eps = q.eps
-    k_c, k_r = return_times(q)
-    from_square = x + w <= 1.0 + 1e-9
-    x, y, w, h = psi_inverse(th, eps, x, y, w, h)
-    outs = []
-    for mask, k in ((from_square, k_c), (~from_square, k_r)):
-        xs, ys, ws, hs, ss = x[mask], y[mask], w[mask], h[mask], sq[mask]
-        if xs.size == 0:
-            continue
-        for i in range(k):
-            outs.append((xs, ys, ws, hs, ss))
-            if i == k - 1:
-                break
-            in_sq = xs + ws <= 1.0 + 1e-9
-            top = ys + hs
-            nx = np.where(in_sq, 1 + th - top, xs - 1)
-            if eps == -1:
-                ny = np.where(in_sq, xs, 1 - top)
-            else:
-                ny = np.where(in_sq, 1 - (xs + ws), 1 - top)
-            nw = np.where(in_sq, hs, ws)
-            nh = np.where(in_sq, ws, hs)
-            xs, ys, ws, hs = nx, ny, nw, nh
-    return tuple(
-        np.concatenate([o[i] for o in outs]) for i in range(5)
-    )
-
-
-def _cover_seed(params):
-    th_l = float(params[-1].theta)
-    arrays = (
-        np.array([0.0, 1.0]),
-        np.array([0.0, 0.0]),
-        np.array([1.0, th_l]),
-        np.array([1.0, 1.0]),
-        np.array([True, False]),
-    )
-    if th_l == 0:
-        arrays = tuple(a[:1] for a in arrays)
-    return arrays
+PIECE_BUDGET = 1 << 24  # float cover pieces, about 0.6 GB of arrays
 
 
 def _fold(qs, arrays):
+    """`renorm.cover_level` for each q of qs, deepest first, on arrays
+    (x, y, w, h, is_square, letter == 'a'): the pieces of letter L go out
+    together, step by step of their return orbit, and at step i all take
+    the branch sigma_q(L)[i]. Each group is written into its output slice."""
     for q in reversed(qs):
-        arrays = _cover_level(q, arrays)
+        x, y, w, h, sq, side = arrays
+        th = float(q.theta)
+        sigma = substitution(q)
+        x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
+        groups = ((str(sigma.image_a), side), (str(sigma.image_b), ~side))
+        size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
+        arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
+        hi = 0
+        for word, mask in groups:
+            rect, s = tuple(a[mask] for a in (x, y, w, h)), sq[mask]
+            for i, letter in enumerate(word):
+                if i:
+                    rect = rect_branch(th, q.eps, word[i - 1], *rect)
+                lo, hi = hi, hi + s.size
+                for o, a in zip(arrays, (*rect, s, letter == "a")):
+                    o[lo:hi] = a
     return arrays
+
+
+def _check_budget(params) -> None:
+    n = piece_count(params)
+    if n > PIECE_BUDGET:
+        raise NotTerminated(f"{n} cover pieces, above the budget of {PIECE_BUDGET}")
+
+
+def _cover(params):
+    """The cover over params as arrays (x, y, w, h, is_square, letter == 'a'),
+    after a check of its piece count against PIECE_BUDGET."""
+    _check_budget(params)
+    seed = cover_seed(float(params[-1].theta))
+    rects = np.array([r for r, _ in seed], dtype=float).T
+    letters = np.array([letter == "a" for _, letter in seed])
+    return _fold(params[:-1], (*rects, letters, letters))
 
 
 def cover_arrays(p: Param, l: int):
     """Depth-l cover as float arrays (x, y, w, h, is_square)."""
-    params = [p]
-    for _ in range(l):
-        params.append(renorm_step(params[-1]))
-    return _fold(params[:-1], _cover_seed(params))
+    return _cover(param_chain(p, l))[:5]
 
 
 def _as_arrays(pieces):
@@ -251,7 +240,7 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
         raise Degenerate("deep streaming requires a fixed parameter")
     if l <= base_l:
         return box_count(cover_arrays(p, l), r)
-    arrays = cover_arrays(p, base_l)
+    arrays = _cover(param_chain(p, base_l))
     stride = _grid_stride(r)
     n_buckets = 256
     shift = max(int(stride * stride // n_buckets), 1)
@@ -259,8 +248,7 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     chunk = 60_000
     for lo in range(0, arrays[0].size, chunk):
         part = tuple(a[lo : lo + chunk] for a in arrays)
-        for _ in range(l - base_l):
-            part = _cover_level(p, part)
+        part = _fold([p] * (l - base_l), part)
         codes = _box_codes(part, r, stride)
         idx = np.minimum(codes // shift, n_buckets - 1)
         bounds = np.searchsorted(idx, np.arange(n_buckets + 1))
@@ -297,14 +285,9 @@ def slope_fit(radii, counts) -> DimensionReport:
 
 def box_dimension(p: Param, l_min: int = 4, l_max: int = 10) -> DimensionReport:
     """Slope of the box counts of depth-l covers at their natural radii."""
-    radii = radius_sequence(p, l_max)
-    rs, cs = [], []
-    for l in range(l_min, l_max + 1):
-        arrays = cover_arrays(p, l)
-        r = radii[l - 1]
-        rs.append(r)
-        cs.append(box_count(arrays, r))
-    report = slope_fit(rs, cs)
+    radii = radius_sequence(p, l_max)[l_min - 1 :]
+    counts = [box_count(cover_arrays(p, l), r) for l, r in enumerate(radii, l_min)]
+    report = slope_fit(radii, counts)
     return DimensionReport(
         "box_count", report.value, {**report.diagnostics, "l_max": l_max}
     )
@@ -330,18 +313,17 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
     use = [r for r in radii if r > seq[l - 1]]
     if not use:
         raise DepthMismatch("no radius coarser than the deepest cover level")
-    params = [p]
-    for _ in range(l):
-        params.append(renorm_step(params[-1]))
+    params = param_chain(p, l)
+    _check_budget(params)
     # the cover at depth l can be huge; materialize only the deepest base_l
     # levels and push the remaining pull-backs chunk by chunk, since each
     # piece expands independently of the others
     base_l = min(l, 8)
-    base = _fold(params[l - base_l : l], _cover_seed(params))
+    base = _cover(params[l - base_l :])
     rest = params[: l - base_l]
     growth = 1
-    for q in rest:
-        growth *= max(return_times(q))
+    for sigma in map(substitution, rest):
+        growth *= max(len(sigma.image_a), len(sigma.image_b))
     # the depth-l cover has one piece per letter of the index-(l-1) matrix
     # product, so the piece masses come from the index-(l-1) tower
     ts = tower_stats(p, l - 1, prefix_len=default_prefix_len(p, l - 1))
@@ -356,7 +338,7 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
     mu = np.zeros((cx.size, len(use)))
     chunk = max(1, 2_000_000 // growth)
     for lo in range(0, base[0].size, chunk):
-        x, y, w, h, sq = _fold(rest, tuple(a[lo : lo + chunk] for a in base))
+        x, y, w, h, sq, _ = _fold(rest, tuple(a[lo : lo + chunk] for a in base))
         mass = np.where(sq, alpha, beta)
         for i in range(cx.size):
             for j, r in enumerate(use):

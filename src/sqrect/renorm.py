@@ -213,9 +213,6 @@ class VerifyReport:
     max_error: float
     exact: bool
 
-    def passed(self, tol: float) -> bool:
-        return self.max_error <= (0.0 if self.exact else tol)
-
 
 def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
     """Random point of X_{theta(q)}, rational coordinates in exact mode."""
@@ -312,50 +309,69 @@ class CoverPiece:
         )
 
 
-def step_rect(p: Param, r: Rect) -> Rect:
-    """Image of an axis-parallel rectangle lying inside one branch."""
-    th = p.theta
-    x1, y1 = r.x + r.w, r.y + r.h
-    if x1 <= 1:
-        if p.eps == -1:
-            return Rect(1 + th - y1, r.x, r.h, r.w)
-        return Rect(1 + th - y1, 1 - x1, r.h, r.w)
-    if r.x >= 1:
-        return Rect(r.x - 1, 1 - y1, r.w, r.h)
-    raise OnDiscontinuity("rectangle straddles the branch boundary")
+def rect_branch(theta, eps: int, letter: str, x, y, w, h):
+    """Image (x, y, w, h) of a rectangle under one step of the map, for a
+    rectangle inside the square (letter 'a') or the rectangle ('b'). Exact
+    numbers and numpy float arrays alike."""
+    if letter == "b":
+        return x - 1, 1 - (y + h), w, h
+    return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
+
+
+def param_chain(p: Param, l: int) -> list[Param]:
+    """[p, S(p), ..., S^l(p)]: the parameters a depth-l cover is built over."""
+    params = [p]
+    for _ in range(l):
+        params.append(renorm_step(params[-1]))
+    return params
+
+
+def cover_seed(theta) -> list[tuple[tuple, str]]:
+    """Depth-0 cover as ((x, y, w, h), letter) rows: the square ('a') and the
+    rectangle R_theta ('b'), which is empty at theta = 0."""
+    seed = [((0, 0, 1, 1), "a"), ((1, 0, theta, 1), "b")]
+    return seed if theta != 0 else seed[:1]
+
+
+def piece_count(params: list[Param]) -> int:
+    """Pieces of the cover built over params: the seed's letter counts
+    pushed through the incidence matrices, ||M_0...M_{l-1} v||_1."""
+    v = (1, len(cover_seed(params[-1].theta)) - 1)
+    for q in reversed(params[:-1]):
+        v = incidence_matrix(q).apply(v)
+    return sum(v)
+
+
+def cover_level(q: Param, pieces: list[tuple[CoverPiece, str]]):
+    """One level of the cover recursion on (piece, letter) pairs, the letter
+    being the side, square 'a' or rectangle 'b', that the piece lies in. Each
+    piece is pulled back through the similitude and spread along its return
+    orbit: at step i it lies on side sigma_q(letter)[i] and takes its branch."""
+    sigma = substitution(q)
+    images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
+    ratio_q = ratio(q)
+    out = []
+    for piece, letter in pieces:
+        rect = piece.rect
+        r = psi_inverse(q.theta, q.eps, rect.x, rect.y, rect.w, rect.h)
+        contraction = piece.ratio / ratio_q
+        word = images[letter]
+        for i, side in enumerate(word):
+            if i:
+                r = rect_branch(q.theta, q.eps, word[i - 1], *r)
+            out.append((CoverPiece(Rect(*r), piece.shape, contraction, i), side))
+    return out
 
 
 def cover(p: Param, l: int) -> list[CoverPiece]:
     """Depth-l cover of the aperiodic set by similitude images of the
-    square and of the renormalized rectangle.
-
-    Depth 0 is [C, R_theta]; each level pulls the previous cover back
-    through the similitude and spreads it along the return orbit.
-    """
-    params = [p]
-    for _ in range(l):
-        params.append(renorm_step(params[-1]))
-    deepest = params[-1]
+    square and of the renormalized rectangle, piece by piece in orbit
+    order. Depth 0 is [C, R_theta]; each level is a `cover_level`."""
+    params = param_chain(p, l)
     pieces = [
-        CoverPiece(Rect(0, 0, 1, 1), "C", 1, 0),
-        CoverPiece(Rect(1, 0, deepest.theta, 1), "R", 1, 0),
+        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1, 0), letter)
+        for r, letter in cover_seed(params[-1].theta)
     ]
-    if deepest.theta == 0:
-        pieces = pieces[:1]
     for q in reversed(params[:-1]):
-        k_c, k_r = return_times(q)
-        ratio_q = ratio(q)
-        nxt = []
-        for piece in pieces:
-            # the return time depends on which induction zone the pulled
-            # back piece sits in: under the square if the piece was left
-            # of x=1, under the rectangle otherwise
-            r = psi_inverse_rect(q, piece.rect)
-            k = k_c if piece.rect.x + piece.rect.w <= 1 else k_r
-            contraction = piece.ratio / ratio_q
-            for i in range(k):
-                nxt.append(CoverPiece(r, piece.shape, contraction, i))
-                if i < k - 1:
-                    r = step_rect(q, r)
-        pieces = nxt
-    return pieces
+        pieces = cover_level(q, pieces)
+    return [piece for piece, _ in pieces]

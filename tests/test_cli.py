@@ -102,6 +102,18 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "Terminal"
 
+    def test_cover_above_piece_budget_fails_fast(self, tmp_path):
+        # the depth-12 silver-mean cover has 63M pieces, about 2.5 GB of
+        # float arrays; its count is known before anything is allocated
+        out = tmp_path / "cover.ppm"
+        proc = run_python(
+            "-m", "sqrect.cli", "render", "cover", "--param", "sqrt(2)-1,-1",
+            "--depth", "12", "--out", str(out), timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+        assert not out.exists()
+
     def test_float_near_one_finishes(self):
         proc = run_python(
             "-m", "sqrect.cli", "dimension", "--param", "0.000000001,1",

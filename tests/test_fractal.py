@@ -1,15 +1,24 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqrect.errors import Degenerate, DegenerateFit, DepthMismatch
+from sqrect.errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
-from sqrect.renorm import cover, incidence_matrix, ratio, renorm_step
+from sqrect.renorm import (
+    cover,
+    incidence_matrix,
+    param_chain,
+    piece_count,
+    ratio,
+    renorm_step,
+)
 from sqrect.lyap import cocycle_product
 from sqrect.fractal import (
+    PIECE_BUDGET,
     _box_codes,
     _grid_stride,
     box_count,
@@ -127,6 +136,35 @@ class TestCoverArrays:
             )
             assert np.allclose(np.array(got), np.array(exact), atol=1e-9)
 
+    def test_terminal_seed_matches_exact(self):
+        # 3/8 renormalizes to 0 in three steps, so the depth-3 cover grows
+        # from the square alone; the float pieces, shapes included, agree
+        # with the exact ones at every depth
+        p = Param(Fraction(3, 8), -1)
+        for l in range(4):
+            x, y, w, h, sq = cover_arrays(p, l)
+            # sort on rounded keys so float noise cannot reorder near-ties
+            key = lambda t: tuple(round(float(v), 9) for v in t)
+            exact = sorted(
+                (
+                    (float(c.rect.x), float(c.rect.y), float(c.rect.w),
+                     float(c.rect.h), c.shape == "C")
+                    for c in cover(p, l)
+                ),
+                key=key,
+            )
+            got = sorted(zip(x, y, w, h, sq), key=key)
+            assert len(got) == len(exact) == piece_count(param_chain(p, l))
+            assert [g[4] for g in got] == [e[4] for e in exact]
+            assert np.allclose(np.array(got), np.array(exact), atol=1e-12)
+
+    def test_piece_budget(self):
+        p = Param(SQRT2M1, -1)
+        assert piece_count(param_chain(p, 11)) <= PIECE_BUDGET
+        assert piece_count(param_chain(p, 12)) == 63_245_986
+        with pytest.raises(NotTerminated):
+            cover_arrays(p, 12)
+
     def test_piece_count_follows_cocycle(self):
         p = Param(SQRT3M1, 1)
         for l in (1, 2, 4, 6):
@@ -204,8 +242,6 @@ class TestBoxCount:
         )
 
     def test_deep_requires_fixed_parameter(self):
-        from fractions import Fraction
-
         with pytest.raises(Degenerate):
             box_count_deep(Param(Fraction(3, 8), -1), 5, 0.01, base_l=1)
 
@@ -245,6 +281,15 @@ class TestLocalScaling:
         assert rep.value >= 1.55
         assert rep.value <= 1.638 + 0.15
         assert rep.diagnostics["points"] == 20
+
+    def test_depth_twenty_exceeds_piece_budget(self):
+        # radius 1e-7 needs the depth-20 cover, about 6.6e12 pieces: refused
+        # before any cover or tower is built
+        p = Param(SQRT2M1, -1)
+        assert radius_sequence(p, 19)[-1] > 1e-7 / 2
+        assert piece_count(param_chain(p, 20)) > PIECE_BUDGET
+        with pytest.raises(NotTerminated):
+            local_scaling(p, points=3, radii=[1e-7])
 
     def test_radii_too_fine(self):
         with pytest.raises(DepthMismatch):

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sqrect.errors import NotInZone, OnDiscontinuity, Terminal
-from sqrect.exactnum import make_surd
-from sqrect.pet import Param, Point, code_orbit, islands
+from sqrect.exactnum import make_surd, parse_number
+from sqrect.pet import Param, Point, Rect, code_orbit, islands
 from sqrect.renorm import (
+    CoverPiece,
     Mat2,
     cover,
+    cover_level,
+    cover_seed,
     first_return,
     incidence_matrix,
     induction_verify,
     induction_zone,
     n_omega,
+    param_chain,
     period_sequence,
+    piece_count,
     ratio,
     renorm_step,
     return_times,
@@ -240,6 +245,55 @@ class TestCover:
                 c.rect.area() for c in cells if c.orbit_period < ps[l]
             )
             assert float(cover_area + isl_area - (1 + p.theta)) == 0.0
+
+    @pytest.mark.parametrize("theta, eps", [
+        *((f"-{n}+sqrt({n * n + 1})", -1) for n in (1, 2, 3)),
+        *((f"-{n}+sqrt({n * (n + 2)})", 1) for n in (1, 2, 3)),
+        ("(-13+4*sqrt(13))/4", -1),
+        ("(sqrt(7)-1)/3", 1),
+    ])
+    def test_carried_letter_is_geometric_side(self, theta, eps):
+        # the letters come from the substitutions alone; the exact geometry
+        # must agree at every level: 'a' pieces lie in the square, 'b'
+        # pieces in the rectangle
+        p = Param(parse_number(theta), eps)
+        l = 1
+        while piece_count(param_chain(p, l + 1)) <= 500:
+            l += 1
+        params = param_chain(p, l)
+        pieces = [
+            (CoverPiece(Rect(*r), "CR"[letter == "b"], 1, 0), letter)
+            for r, letter in cover_seed(params[-1].theta)
+        ]
+        checked = 0
+        for q in reversed(params[:-1]):
+            pieces = cover_level(q, pieces)
+            for piece, letter in pieces:
+                r = piece.rect
+                assert (r.x + r.w <= 1) if letter == "a" else (r.x >= 1)
+            checked += len(pieces)
+        assert l >= 2 and checked == sum(
+            piece_count(params[i:]) for i in range(l)
+        )
+
+    def test_terminal_seed_drops_rectangle(self):
+        # 3/8 -> 2/3 -> 1/2 -> 0: the depth-3 cover grows from the square
+        # alone, and the area identity still holds exactly at every depth
+        p = Param(Fraction(3, 8), -1)
+        assert [q.theta for q in param_chain(p, 3)] == [
+            Fraction(3, 8), Fraction(2, 3), Fraction(1, 2), 0
+        ]
+        assert cover_seed(0) == [((0, 0, 1, 1), "a")]
+        ps = period_sequence(p, 4)
+        cells = islands(p, max_period=ps[3] - 1)
+        for l, n in enumerate((2, 8, 21, 37)):
+            pieces = cover(p, l)
+            assert len(pieces) == piece_count(param_chain(p, l)) == n
+            cover_area = sum(c.rect.w * c.rect.h for c in pieces)
+            isl_area = sum(
+                c.rect.area() for c in cells if c.orbit_period < ps[l]
+            )
+            assert cover_area + isl_area == 1 + p.theta
 
     def test_ratio_matches_depth(self):
         p = Param(SQRT2M1, -1)
