@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import Terminal
 from .exactnum import Number, is_exact, nfloor
 from .pet import Param
@@ -288,14 +290,13 @@ def in_theta_domain(x: float, y: float) -> bool:
     over (1,3/2), and on (-oo,-1] u [0,oo) over (3/2,2); the last fiber is
     forced by the images of the accelerated middle branches and is exactly
     what makes dx dy/(1+xy)^2 integrate to the marginal 1/(x-1) there.
+    Takes floats or numpy arrays (elementwise).
     """
-    if 0 <= x <= 1:
-        return 0 <= y <= 1
-    if 1 <= x <= 1.5:
-        return y >= 0
-    if 1.5 <= x <= 2:
-        return y >= 0 or y <= -1
-    return False
+    return (
+        ((0 <= x) & (x <= 1) & (0 <= y) & (y <= 1))
+        | ((1 < x) & (x <= 1.5) & (y >= 0))
+        | ((1.5 < x) & (x <= 2) & ((y >= 0) | (y <= -1)))
+    )
 
 
 @dataclass(frozen=True)
@@ -374,8 +375,10 @@ def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtRepo
 
 def _disjointness_check(rng: random.Random, count: int) -> tuple[int, int]:
     """Image points should have exactly one inverse-branch preimage in the
-    domain: the branch images partition it."""
-    checked = ok = 0
+    domain: the branch images partition it. Returns (points checked, points
+    with exactly one preimage) over `count` draws; `_preimage_hits` counts
+    the preimages of all points at once."""
+    x1s, y1s = [], []
     for _ in range(count):
         x, y = _sample_theta_domain(rng)
         if _terminal(x):
@@ -384,39 +387,71 @@ def _disjointness_check(rng: random.Random, count: int) -> tuple[int, int]:
             x1, y1 = natext_step(x, y)
         except (Terminal, ZeroDivisionError):
             continue
-        if not in_theta_domain(x1, y1):
-            continue
-        checked += 1
-        hits = 0
-        # the branch index of the unique preimage grows like 1/|y1| (and,
-        # for the middle family, like y1/(y1+1) as y1 approaches -1)
-        n_need = 80
-        if y1 != 0:
-            n_need = max(n_need, int(1 / abs(y1)) + 3)
-        if y1 < -1:
-            n_need = max(n_need, int(-y1 / (-y1 - 1)) + 3)
-        for (a11, a12, a21, a22), lo, hi in _inverse_branches(n_need):
-            det = a11 * a22 - a12 * a21
-            i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
+        if in_theta_domain(x1, y1):
+            x1s.append(x1)
+            y1s.append(y1)
+    hits = _preimage_hits(np.array(x1s), np.array(y1s))
+    return len(x1s), int(np.count_nonzero(hits == 1))
+
+
+NATEXT_MIN_BRANCHES = 80  # candidate branches n < 80 of each family, at least
+NATEXT_CHUNK = 1 << 14  # branch indices per pass beyond those
+
+
+def _branches_needed(y1: float) -> int:
+    """Candidate branches n < n_need of each family hold every preimage of a
+    point with past coordinate y1: the branch index of the unique preimage
+    grows like 1/|y1| (and, for the middle family, like y1/(y1+1) as y1
+    approaches -1)."""
+    n_need = NATEXT_MIN_BRANCHES
+    if y1 != 0:
+        n_need = max(n_need, int(1 / abs(y1)) + 3)
+    if y1 < -1:
+        n_need = max(n_need, int(-y1 / (-y1 - 1)) + 3)
+    return n_need
+
+
+def _preimage_hits(x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Per image point (x1, y1): the number of candidate branches, n < n_need
+    of each family (`_branches_needed`), whose inverse sends it to a point
+    of the domain inside the branch's own domain.
+
+    All points share one 2-D pass over the branches n < NATEXT_MIN_BRANCHES;
+    a point that needs more runs alone over the rest in passes of
+    NATEXT_CHUNK branch indices, so memory does not grow with n_need."""
+    hits = _branch_hits(x1[:, None], y1[:, None], 0, NATEXT_MIN_BRANCHES)
+    for i, y in enumerate(y1):
+        n_need = _branches_needed(float(y))
+        point = x1[i : i + 1, None], y1[i : i + 1, None]
+        for lo in range(NATEXT_MIN_BRANCHES, n_need, NATEXT_CHUNK):
+            hits[i] += _branch_hits(*point, lo, min(lo + NATEXT_CHUNK, n_need))[0]
+    return hits
+
+
+def _branch_hits(x1: np.ndarray, y1: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Hits of the points (x1, y1), columns, over the branches lo <= n < hi
+    of each family. The arithmetic is the scalar one, operation by
+    operation: the inverse of A(n) from its adjugate and determinant in
+    int64 (exact for n below 3e9), x0 = inverse.x1, the test
+    left < x0 <= right against the ends of the branch's domain, and
+    y0 = _mobius_y(inverse, y1) on the branches that pass it, where a zero
+    projective denominator raises ZeroDivisionError as the scalar one does."""
+    hits = np.zeros(x1.shape[0], dtype=np.int64)
+    for fam in FAMILIES:
+        n = np.arange(max(lo, fam.first), hi)
+        a11, a12, a21, a22 = fam.A(n)
+        det = a11 * a22 - a12 * a21
+        i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
+        with np.errstate(divide="ignore", invalid="ignore"):
             denom = i21 * x1 + i22
-            if denom == 0:
-                continue
             x0 = (i11 * x1 + i12) / denom
-            if not (lo < x0 <= hi):
-                continue
-            y0 = _mobius_y(Mat2(i11, i12, i21, i22), y1)
-            if in_theta_domain(x0, y0):
-                hits += 1
-        if hits == 1:
-            ok += 1
-    return checked, ok
-
-
-def _inverse_branches(n_max: int = 80):
-    """Moebius matrix entries of the accelerated branches n < n_max of each
-    family, with the ends of their domains."""
-    return [
-        (fam.A(n), *fam.ends(n))
-        for fam in FAMILIES
-        for n in range(fam.first, n_max)
-    ]
+        left, right = fam.ends(n)
+        rows, cols = np.nonzero((denom != 0) & (left < x0) & (x0 <= right))
+        # _mobius_y: -1/y as (-1 : y), through the inverse, then -q/p
+        p = i11[cols] * -1.0 + i12[cols] * y1[rows, 0]
+        q = i21[cols] * -1.0 + i22[cols] * y1[rows, 0]
+        if np.any(p == 0):
+            raise ZeroDivisionError("float division by zero")
+        inside = in_theta_domain(x0[rows, cols], -q / p)
+        hits += np.bincount(rows[inside], minlength=hits.size)
+    return hits

@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
+from .errors import Degenerate, DegenerateFit, DepthMismatch
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
 from .pet import Param, psi_inverse
 from .renorm import (
-    cover_seed, param_chain, piece_count, rect_branch, renorm_step, substitution
+    check_budget, cover_seed, param_chain, rect_branch, renorm_step, substitution
 )
 from .words import default_prefix_len, tower_stats
 
@@ -146,16 +146,10 @@ def _fold(qs, arrays):
     return arrays
 
 
-def _check_budget(params) -> None:
-    n = piece_count(params)
-    if n > PIECE_BUDGET:
-        raise NotTerminated(f"{n} cover pieces, above the budget of {PIECE_BUDGET}")
-
-
 def _cover(params):
     """The cover over params as arrays (x, y, w, h, is_square, letter == 'a'),
     after a check of its piece count against PIECE_BUDGET."""
-    _check_budget(params)
+    check_budget(params, PIECE_BUDGET)
     seed = cover_seed(float(params[-1].theta))
     rects = np.array([r for r, _ in seed], dtype=float).T
     letters = np.array([letter == "a" for _, letter in seed])
@@ -314,7 +308,7 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
     if not use:
         raise DepthMismatch("no radius coarser than the deepest cover level")
     params = param_chain(p, l)
-    _check_budget(params)
+    check_budget(params, PIECE_BUDGET)
     # the cover at depth l can be huge; materialize only the deepest base_l
     # levels and push the remaining pull-backs chunk by chunk, since each
     # piece expands independently of the others

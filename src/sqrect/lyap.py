@@ -242,33 +242,62 @@ def integral_ln_M(terms: int) -> SeriesValue:
     return SeriesValue(s1 + s2 + s3, tail, terms)
 
 
-def _middle_lnr_branch_sum(terms: int) -> tuple[float, float]:
-    """Sum over middle branches of the integral of ln of the expansion
-    ratio, each branch integrated exactly via the geometric expansion of
-    1/(k - t) in t/k with a certified truncation error."""
-    k = np.arange(MIDDLE.first, terms + 1.0)
-    a = 1.0 / k  # branch image of the ratio variable: t in [a, b]
-    b = 2.0 / (k + 1.0)
-    total = 0.0
-    jmax = 60
+EXPANSION_TERMS = 60  # terms of the geometric expansion per middle branch
 
-    def prim(t, j):
+
+def _geometric_remainder(k, a, b, j: int):
+    """Certified bound for the terms j, j+1, ... of branch k's expansion:
+    on [a, b] each t^i / k^(i+1) is at most q^i / k with q = b/k, and
+    -ln t is at most -ln a."""
+    q = b / k
+    return (1.0 / k) * (q**j / (1 - q)) * (-np.log(a)) * (b - a)
+
+
+def _middle_lnr_branches(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per middle branch k = 2..terms: the integral of -ln t / (k - t) over
+    t in [a, b] = [1/k, 2/(k+1)], from the first EXPANSION_TERMS terms of the
+    geometric expansion of 1/(k - t) in t/k, and the certified bound on the
+    terms left out.
+
+    Lane k stops taking terms at the first j where the bound on its terms
+    j, j+1, ... falls below a quarter ulp of its sum: each of those terms,
+    rounding included, is then under half an ulp and leaves the sum as it
+    is, so every lane ends bit-identical to one that takes all the terms.
+    (The bound is carried from j to j + 1 by one product with q; its few
+    roundings are far inside the factor of 2 the quarter ulp leaves.) The
+    terms shrink with k, so the lanes still taking terms are a prefix
+    (dead lanes inside it keep taking terms, which changes nothing). Both
+    arrays stay at full length, so that the caller's pairwise np.sum adds
+    in the same order."""
+    k = np.arange(MIDDLE.first, terms + 1.0)
+    a = 1.0 / k
+    b = 2.0 / (k + 1.0)
+    q = b / k
+    ln_a, ln_b = np.log(a), np.log(b)
+
+    def prim(t, ln_t, j):
         # integral of -t^j ln t
-        return t ** (j + 1) * (-(j + 1) * np.log(t) + 1) / (j + 1) ** 2
+        return t ** (j + 1) * (-(j + 1) * ln_t + 1) / (j + 1) ** 2
 
     acc = np.zeros_like(k)
     scale = 1.0 / k
-    for j in range(jmax):
-        acc += scale * (prim(b, j) - prim(a, j))
-        scale /= k
-    total = float(np.sum(acc))
-    # truncation: remaining terms bounded by a geometric series in b/k
-    q = b / k
-    per_branch = (1.0 / k) * (q**jmax / (1 - q)) * (-np.log(a)) * (b - a)
-    trunc = float(np.sum(per_branch))
-    # tail over k > terms: ln r <= ln k on the branch, mass <= 1/k^2
-    tail = _log_tail(1.0, terms) + trunc
-    return total, tail
+    rem = _geometric_remainder(k, a, b, 0)  # bound on the terms j, j+1, ...
+    live = k.size
+    for j in range(EXPANSION_TERMS):
+        kept = np.flatnonzero(rem[:live] >= np.spacing(acc[:live]) / 4)
+        if not kept.size:
+            break
+        live = kept[-1] + 1
+        h = slice(live)
+        acc[h] += scale[h] * (prim(b[h], ln_b[h], j) - prim(a[h], ln_a[h], j))
+        scale[h] /= k[h]
+        rem[h] *= q[h]
+    # q**EXPANSION_TERMS underflows to +0 once q = b/k < 2**-18, and q falls
+    # with k, so only that head of the bounds can be nonzero
+    head = np.count_nonzero(q >= 2.0**-18)
+    trunc = np.zeros_like(k)
+    trunc[:head] = _geometric_remainder(k[:head], a[:head], b[:head], EXPANSION_TERMS)
+    return acc, trunc
 
 
 def integral_ln_r(terms: int) -> SeriesValue:
@@ -279,8 +308,10 @@ def integral_ln_r(terms: int) -> SeriesValue:
         raise ValueError("terms must be at least 10")
     first = math.pi**2 / 12
     third = math.log(2) ** 2 / 2 + math.pi**2 / 12
-    mid, tail = _middle_lnr_branch_sum(terms)
-    return SeriesValue(first + mid + third, tail, terms)
+    mid, trunc = _middle_lnr_branches(terms)
+    # tail over k > terms: ln r <= ln k on the branch, mass <= 1/k^2
+    tail = _log_tail(1.0, terms) + float(np.sum(trunc))
+    return SeriesValue(first + float(np.sum(mid)) + third, tail, terms)
 
 
 def lower_bound_f(terms: int, depth: int = 2) -> SeriesValue:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import Degenerate, NotInZone, OnDiscontinuity, Terminal
+from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, format_number, is_exact, nfloor
 from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
 from .words import Substitution, Word
@@ -342,6 +342,20 @@ def piece_count(params: list[Param]) -> int:
     return sum(v)
 
 
+# exact CoverPieces take 0.43-0.49 KB each once built and 0.60-0.66 KB at
+# the peak of `cover` (tracemalloc, 11k-46k pieces at three surd parameters),
+# so this budget is about the 0.6 GB that the float budget's arrays take
+EXACT_PIECE_BUDGET = 1 << 20
+
+
+def check_budget(params: list[Param], budget: int) -> None:
+    """Raise NotTerminated, before anything is allocated, when the cover
+    over params has more than `budget` pieces."""
+    n = piece_count(params)
+    if n > budget:
+        raise NotTerminated(f"{n} cover pieces, above the budget of {budget}")
+
+
 def cover_level(q: Param, pieces: list[tuple[CoverPiece, str]]):
     """One level of the cover recursion on (piece, letter) pairs, the letter
     being the side, square 'a' or rectangle 'b', that the piece lies in. Each
@@ -366,8 +380,10 @@ def cover_level(q: Param, pieces: list[tuple[CoverPiece, str]]):
 def cover(p: Param, l: int) -> list[CoverPiece]:
     """Depth-l cover of the aperiodic set by similitude images of the
     square and of the renormalized rectangle, piece by piece in orbit
-    order. Depth 0 is [C, R_theta]; each level is a `cover_level`."""
+    order. Depth 0 is [C, R_theta]; each level is a `cover_level`. Covers
+    above EXACT_PIECE_BUDGET pieces raise NotTerminated."""
     params = param_chain(p, l)
+    check_budget(params, EXACT_PIECE_BUDGET)
     pieces = [
         (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1, 0), letter)
         for r, letter in cover_seed(params[-1].theta)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sqrect.errors import Terminal
 from sqrect.exactnum import make_surd
+from sqrect import cfrac
 from sqrect.cfrac import (
+    NATEXT_CHUNK,
+    NATEXT_MIN_BRANCHES,
+    _branches_needed,
+    _preimage_hits,
     accel,
     accel_orbit,
     branch_data,
@@ -27,7 +34,9 @@ from sqrect.cfrac import (
 )
 from sqrect.lyap import _sample_x
 from sqrect.pet import Param
-from sqrect.renorm import MIDDLE, RIGHT, Mat2, incidence_matrix, substitution
+from sqrect.renorm import (
+    FAMILIES, MIDDLE, RIGHT, Mat2, incidence_matrix, substitution,
+)
 from sqrect.words import compose
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -100,21 +109,23 @@ class TestExpand:
     def test_rationals_terminate(self, x):
         assert expand(x, max_steps=5000).status == "finite"
 
-    @given(
-        st.integers(1, 12),
-        st.integers(1, 12),
-        st.integers(1, 6),
-        st.sampled_from([2, 3, 5, 7]),
-    )
-    @settings(max_examples=30)
-    def test_surds_eventually_periodic(self, p, q, r, d):
-        x = make_surd(-p, q, r, d)
-        k = math.floor(x)
-        x = x - k  # reduce into [0,2)
-        assume(not isinstance(x, (int, Fraction)))
-        assume(0 < x < 2 and x != 1)
-        e = expand(x, max_steps=200)
-        assert e.status == "periodic"
+    def test_surds_eventually_periodic(self):
+        # the whole grid p, q in 1..12, r in 1..6, d in {2, 3, 5, 7}, not a
+        # sample of it: 49 of its points need more than 200 steps, and the
+        # longest period, 390 at (1, 12, 6, 3), is pinned so that a change
+        # in `expand` shows
+        periods = {}
+        for p, q, r, d in itertools.product(
+            range(1, 13), range(1, 13), range(1, 7), (2, 3, 5, 7)
+        ):
+            x = make_surd(-p, q, r, d)
+            x = x - math.floor(x)  # reduce into [0, 1)
+            assert not isinstance(x, (int, Fraction)) and 0 < x < 1
+            e = expand(x, max_steps=1000)
+            assert e.status == "periodic", (p, q, r, d)
+            periods[p, q, r, d] = (e.preperiod, e.period)
+        assert max(period for _, period in periods.values()) == 390
+        assert periods[1, 12, 6, 3] == (0, 390)
 
     def test_truncation_status(self):
         e = expand(math.pi - 3, max_steps=10)
@@ -247,6 +258,128 @@ class TestNaturalExtension:
         assert rep.stayed == rep.samples
         assert rep.fiber_square_ok and rep.fiber_middle_ok
         assert rep.disjoint_ok == rep.disjoint_checked
+
+    def test_domain_membership_on_arrays(self):
+        # the elementwise form against the scalar one, boundaries included
+        xs = [-0.1, 0.0, 0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 2.1, math.nan]
+        ys = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, math.nan]
+        x, y = (a.ravel() for a in np.meshgrid(xs, ys))
+        want = [_reference_in_domain(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert in_theta_domain(x, y).tolist() == want
+
+
+def _reference_in_domain(x: float, y: float) -> bool:
+    """`in_theta_domain` as it was written for scalars alone."""
+    if 0 <= x <= 1:
+        return 0 <= y <= 1
+    if 1 <= x <= 1.5:
+        return y >= 0
+    if 1.5 <= x <= 2:
+        return y >= 0 or y <= -1
+    return False
+
+
+def _candidates(n_need: int) -> list:
+    """(A(n), left end, right end) of the branches n < n_need of each family."""
+    return [
+        (fam.A(n), *fam.ends(n)) for fam in FAMILIES for n in range(fam.first, n_need)
+    ]
+
+
+_CANDIDATES_80 = _candidates(80)
+
+
+def _reference_hits(x1: float, y1: float) -> int:
+    """The scalar candidate loop that `cfrac._preimage_hits` replaced: every
+    branch n < n_need of each family, inverted in Python ints, and the past
+    coordinate for each branch whose domain holds the preimage."""
+    n_need = 80
+    if y1 != 0:
+        n_need = max(n_need, int(1 / abs(y1)) + 3)
+    if y1 < -1:
+        n_need = max(n_need, int(-y1 / (-y1 - 1)) + 3)
+
+    hits = 0
+    table = _CANDIDATES_80 if n_need == 80 else _candidates(n_need)
+    for (a11, a12, a21, a22), lo, hi in table:
+        det = a11 * a22 - a12 * a21
+        i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
+        denom = i21 * x1 + i22
+        if denom == 0:
+            continue
+        x0 = (i11 * x1 + i12) / denom
+        if not (lo < x0 <= hi):
+            continue
+        # _mobius_y(Mat2(i11, i12, i21, i22), y1), written out
+        p, q = i11 * -1.0 + i12 * y1, i21 * -1.0 + i22 * y1
+        if _reference_in_domain(x0, -q / p):
+            hits += 1
+    return hits
+
+
+def _image_points(monkeypatch, seed: int, samples: int = 2000):
+    """The x1, y1 that natural_extension_check(samples, seed) hands to the
+    disjointness kernel, with the kernel's per-point hit counts, as lists."""
+    seen = []
+
+    def record(x1, y1):
+        hits = _preimage_hits(x1, y1)
+        seen.append((x1, y1, hits))
+        return hits
+
+    monkeypatch.setattr(cfrac, "_preimage_hits", record)
+    natural_extension_check(samples, seed)
+    [(x1, y1, hits)] = seen
+    return x1.tolist(), y1.tolist(), hits.tolist()
+
+
+class TestDisjointnessKernel:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_hits_match_scalar_loop(self, monkeypatch, seed):
+        x1, y1, hits = _image_points(monkeypatch, seed)
+        assert len(hits) == 1000
+        assert hits == [_reference_hits(x, y) for x, y in zip(x1, y1)]
+
+    def test_worst_point_of_heavy_seed(self, monkeypatch):
+        x1, y1, hits = _image_points(monkeypatch, 885180465)
+        i = max(range(len(y1)), key=lambda i: _branches_needed(y1[i]))
+        assert _branches_needed(y1[i]) == 112_130  # spans several chunks
+        assert hits[i] == _reference_hits(x1[i], y1[i]) == 1
+
+    @pytest.mark.parametrize("n", [
+        NATEXT_MIN_BRANCHES - 1,
+        NATEXT_MIN_BRANCHES,
+        NATEXT_MIN_BRANCHES + NATEXT_CHUNK - 1,
+        NATEXT_MIN_BRANCHES + NATEXT_CHUNK,
+    ])
+    def test_preimage_at_pass_boundary(self, n):
+        # a point on unit branch n: its image needs about n branches, and
+        # its one preimage lies on either side of a boundary between passes
+        x1, y1 = natext_step(1 / (n + 0.5), 0.5)
+        assert n < _branches_needed(y1) <= n + 4
+        got = _preimage_hits(np.array([x1]), np.array([y1]))
+        assert got.tolist() == [_reference_hits(x1, y1)] == [1]
+
+    def test_zero_projective_denominator_raises(self):
+        # y1 = 0: the inverse of unit branch 2 sends (-1 : 0) to p = 0
+        with pytest.raises(ZeroDivisionError):
+            _reference_hits(0.5, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            _preimage_hits(np.array([0.5]), np.array([0.0]))
+
+    def test_memory_does_not_grow_with_branches(self):
+        y1 = 1 / 1_999_997
+        assert _branches_needed(y1) == 2_000_000
+        tracemalloc.start()
+        try:
+            hits = _preimage_hits(np.array([0.5]), np.array([y1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits.tolist() == [1]
+        # a pass over NATEXT_CHUNK branch indices peaks at about 2.4 MiB;
+        # all 2 million branches of a family at once take 16 MB per array
+        assert peak < 8 * 2**20
 
 
 class TestFoldedMap:

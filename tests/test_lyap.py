@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import spence
 
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
@@ -13,6 +14,8 @@ from sqrect.cfrac import accel, density
 from sqrect.fractal import dimension_estimate, selfsimilar_parameter
 from sqrect.lyap import (
     MASTER_SEED,
+    EXPANSION_TERMS,
+    _middle_lnr_branches,
     _vector_step,
     birkhoff_estimate,
     cocycle_product,
@@ -278,6 +281,66 @@ class TestSeriesAgainstQuadrature:
                 assert lo - 1e-9 <= accel(xm).y <= hi + 1e-9
                 total += f_ln(M1 @ M2) * mass
         assert series == pytest.approx(total / 2, abs=1e-6)
+
+
+
+def _reference_branches(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The middle-branch loop before its per-lane cut-off: all
+    EXPANSION_TERMS terms of the geometric expansion on every lane, and the
+    truncation bound from q**EXPANSION_TERMS on every lane."""
+    k = np.arange(2, terms + 1.0)
+    a, b = 1.0 / k, 2.0 / (k + 1.0)
+
+    def prim(t, j):
+        return t ** (j + 1) * (-(j + 1) * np.log(t) + 1) / (j + 1) ** 2
+
+    acc = np.zeros_like(k)
+    scale = 1.0 / k
+    for j in range(EXPANSION_TERMS):
+        acc += scale * (prim(b, j) - prim(a, j))
+        scale /= k
+    q = b / k
+    trunc = (1.0 / k) * (q**EXPANSION_TERMS / (1 - q)) * (-np.log(a)) * (b - a)
+    return acc, trunc
+
+
+class TestMiddleBranchSeries:
+    def test_lanes_match_full_loop(self):
+        acc, trunc = _middle_lnr_branches(40_000)
+        ref_acc, ref_trunc = _reference_branches(40_000)
+        assert np.array_equal(acc, ref_acc)
+        assert np.array_equal(trunc, ref_trunc)
+
+    def test_branches_against_dilogarithm(self):
+        # the integral of -ln t/(k - t) over [a, b] is F(b) - F(a) with
+        # F(t) = ln k ln(1 - t/k) - spence(t/k), spence(z) = Li2(1 - z).
+        # Each F value is good to a few ulps of its size, near pi^2/6, while
+        # the branch integral is near ln k/k^2, so the difference is good to
+        # about 16 eps (|F(a)| + |F(b)|): 9e-10 relative at k = 2000.
+        k = np.arange(2, 2001.0)
+        acc, trunc = _middle_lnr_branches(2000)
+
+        def F(t):
+            return np.log(k) * np.log1p(-t / k) - spence(t / k)
+
+        fa, fb = F(1.0 / k), F(2.0 / (k + 1.0))
+        tol = trunc + 16 * np.finfo(float).eps * (np.abs(fa) + np.abs(fb))
+        assert np.all(np.abs(acc - (fb - fa)) <= tol)
+
+    def test_pinned_bits(self):
+        # captured before the per-lane cut-off: it must keep every bit
+        pinned = {
+            10: (2.2030152817452624, 0.3302585092994046),
+            400: (2.450941735566966, 0.017478661367769953),
+            10_000: (2.466418829943388, 0.0010210340371976183),
+            40_000: (2.467120851455588, 0.0002899158683274018),
+            100_000: (2.4672798356495846, 0.00012512925464970229),
+            300_000: (2.4673570163335965, 4.537179251212779e-05),
+            2_000_000: (2.467393539095995, 7.75432886926211e-06),
+        }
+        for terms, want in pinned.items():
+            sv = integral_ln_r(terms)
+            assert repr((sv.value, sv.tail_bound)) == repr(want)
 
 
 class TestSeriesValues:

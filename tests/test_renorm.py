@@ -1,13 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sqrect.errors import NotInZone, OnDiscontinuity, Terminal
+from sqrect.errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, Point, Rect, code_orbit, islands
 from sqrect.renorm import (
+    EXACT_PIECE_BUDGET,
     CoverPiece,
     Mat2,
     cover,
@@ -294,6 +296,16 @@ class TestCover:
                 c.rect.area() for c in cells if c.orbit_period < ps[l]
             )
             assert cover_area + isl_area == 1 + p.theta
+
+    def test_exact_cover_above_budget_fails_fast(self):
+        # depth 12 of the silver mean has 63,245,986 pieces, about 40 GB as
+        # exact CoverPieces: refused from the piece count alone
+        p = Param(SQRT2M1, -1)
+        assert piece_count(param_chain(p, 12)) > EXACT_PIECE_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(NotTerminated):
+            cover(p, 12)
+        assert time.perf_counter() - start < 2.0
 
     def test_ratio_matches_depth(self):
         p = Param(SQRT2M1, -1)
