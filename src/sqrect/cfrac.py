@@ -17,7 +17,10 @@ import numpy as np
 from .errors import Terminal
 from .exactnum import Number, is_exact, nfloor
 from .pet import Param
-from .renorm import FAMILIES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2, slow_image
+from .renorm import (
+    FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
+    family_coefficients, odd, slow_image,
+)
 from .words import Substitution
 
 LN6 = math.log(6)
@@ -283,6 +286,44 @@ def natext_step(x: float, y: float) -> tuple[float, float]:
     return float(st.A_bold.mobius(x)), _mobius_y(st.A_bold, y)
 
 
+# Rows (slope, parity, const) by entries (gap, a11, a12, a21, a22) by
+# FAMILIES: the gap and the Moebius matrix of each family, from the table
+_NATEXT_COEFFICIENTS = np.concatenate(
+    [family_coefficients(name, with_parity=True) for name in ("gap", "A")], axis=1
+)
+
+
+def natext_steps(x: np.ndarray, y: np.ndarray):
+    """`natext_step` on arrays of points: (x1, y1, ok), where ok is False on
+    the points that `natural_extension_check` skips: x outside (0, 2), x = 1,
+    or a zero Moebius denominator, where the scalar step raises
+    ZeroDivisionError. Elsewhere x1 and y1 are the scalar values, bit for bit.
+
+    The branch is the one `accel` takes: a unit branch below 1, a middle one
+    on [1, 3/2) and a right one from 3/2 on. (`accel` goes to the middle
+    family where the slow map takes right branch 1, and in floats that is
+    x < 3/2 exactly: there 1/(2 - x) rounds below 2.) Its A(n) comes from
+    `family_coefficients`. Its entries are integers that float arithmetic
+    holds exactly: below 2**53 in magnitude, or, on unit branches beyond
+    that, an even n itself. So every product and sum rounds as the scalar
+    one does with Python ints."""
+    f = FAMILY_EDGES.searchsorted(x, "right")
+    slope, par, const = _NATEXT_COEFFICIENTS.take(f, axis=2)
+    gap = slope[0] * x + const[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # on the skipped points only: x = 0 and the zero denominators
+        n = np.floor(1.0 / gap)
+        a11, a12, a21, a22 = slope[1:] * n + par[1:] * odd(n) + const[1:]
+        den = a21 * x + a22
+        x1 = (a11 * x + a12) / den
+        # _mobius_y: -1/y as (-1 : y) through A, then -q/p
+        p = a11 * -1.0 + a12 * y
+        q = a21 * -1.0 + a22 * y
+        y1 = -q / p
+    ok = (0 < x) & (x < 2) & (x != 1) & (den != 0) & (p != 0)
+    return x1, y1, ok
+
+
 def in_theta_domain(x: float, y: float) -> bool:
     """Invariant domain of the two-sided accelerated map.
 
@@ -345,21 +386,35 @@ def fiber_integral_right(x: Fraction) -> Fraction:
     return 1 / (x * (x - 1)) + 1 / x
 
 
+NATEXT_BATCH = 1 << 14  # sample points drawn and stepped together
+
+
+def _natext_batch(rng: random.Random, count: int):
+    """`count` points drawn one at a time by `_sample_theta_domain`, in
+    order, and stepped together: (x1, y1, ok) as `natext_steps` gives them."""
+    points = np.array([_sample_theta_domain(rng) for _ in range(count)], dtype=float)
+    x, y = points.reshape(count, 2).T
+    return natext_steps(x, y)
+
+
 def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtReport:
+    """Steps `samples` points of the invariant domain and counts those that
+    stay in it; then checks the fiber integrals and, on 1000 more draws, that
+    the branch images are disjoint.
+
+    Points are drawn one at a time from random.Random(seed) and stepped in
+    batches. A point the step skips is made up by a later draw, as in a
+    loop over single points: each batch draws only the samples still
+    missing, so the disjointness check starts from the same rng state."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = random.Random(seed)
     stayed = 0
     done = 0
     while done < samples:
-        x, y = _sample_theta_domain(rng)
-        if _terminal(x) or not (0 < x < 2):
-            continue
-        try:
-            x1, y1 = natext_step(x, y)
-        except (Terminal, ZeroDivisionError):
-            continue
-        done += 1
-        if in_theta_domain(x1, y1):
-            stayed += 1
+        x1, y1, ok = _natext_batch(rng, min(samples - done, NATEXT_BATCH))
+        done += int(np.count_nonzero(ok))
+        stayed += int(np.count_nonzero(ok & in_theta_domain(x1, y1)))
     sq = all(
         fiber_integral_square(Fraction(k, 10)) == Fraction(1, 1) / (1 + Fraction(k, 10))
         for k in range(1, 10)
@@ -376,22 +431,12 @@ def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtRepo
 def _disjointness_check(rng: random.Random, count: int) -> tuple[int, int]:
     """Image points should have exactly one inverse-branch preimage in the
     domain: the branch images partition it. Returns (points checked, points
-    with exactly one preimage) over `count` draws; `_preimage_hits` counts
-    the preimages of all points at once."""
-    x1s, y1s = [], []
-    for _ in range(count):
-        x, y = _sample_theta_domain(rng)
-        if _terminal(x):
-            continue
-        try:
-            x1, y1 = natext_step(x, y)
-        except (Terminal, ZeroDivisionError):
-            continue
-        if in_theta_domain(x1, y1):
-            x1s.append(x1)
-            y1s.append(y1)
-    hits = _preimage_hits(np.array(x1s), np.array(y1s))
-    return len(x1s), int(np.count_nonzero(hits == 1))
+    with exactly one preimage) over the images of `count` draws that stay in
+    the domain; `_preimage_hits` counts the preimages of all points at once."""
+    x1, y1, ok = _natext_batch(rng, count)
+    keep = ok & in_theta_domain(x1, y1)
+    hits = _preimage_hits(x1[keep], y1[keep])
+    return int(np.count_nonzero(keep)), int(np.count_nonzero(hits == 1))
 
 
 NATEXT_MIN_BRANCHES = 80  # candidate branches n < 80 of each family, at least

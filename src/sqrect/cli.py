@@ -60,12 +60,17 @@ def parse_point(text: str) -> Point:
     return Point(_number(parts[0]), _number(parts[1]))
 
 
+def _given(value, default):
+    """A flag's value as given, an explicit 0 included; `default` if absent."""
+    return default if value is None else value
+
+
 # -- command handlers: return (payload dict, csv rows, text lines) -------
 
 
 def _cmd_expand(args):
     x = param_to_x(parse_param(args.param))
-    e = expand(x, max_steps=args.depth or 1000)
+    e = expand(x, max_steps=_given(args.depth, 1000))
     payload = json.loads(e.to_json())
     csv = ["step,n,eps"] + [
         f"{i},{d.n},{d.eps}" for i, d in enumerate(e.steps)
@@ -80,7 +85,7 @@ def _cmd_expand(args):
 def _cmd_orbit(args):
     p = parse_param(args.param)
     z = parse_point(args.point)
-    n = args.depth or 100
+    n = _given(args.depth, 100)
     word = code_orbit(p, z, n)
     payload = {"param": str(p), "coding": str(word), "length": len(word)}
     return payload, ["coding", str(word)], [str(word)]
@@ -109,7 +114,7 @@ def _cmd_induction_check(args):
 
     p = parse_param(args.param)
     rep = induction_verify(
-        p, samples=args.trials or 10_000, seed=args.seed or 0
+        p, samples=_given(args.trials, 10_000), seed=_given(args.seed, 0)
     )
     payload = {
         "param": str(p),
@@ -147,7 +152,7 @@ def _cmd_tower(args):
     from .words import default_prefix_len, tower_stats
 
     p = parse_param(args.param)
-    l = args.depth or 5
+    l = _given(args.depth, 5)
     prefix_len = args.prefix_len
     if prefix_len is None:
         prefix_len = default_prefix_len(p, l)
@@ -168,8 +173,8 @@ def _cmd_lyapunov(args):
 
     est = birkhoff_estimate(
         seed=MASTER_SEED if args.seed is None else args.seed,
-        trials=args.trials or 1000,
-        l=args.depth or 10_000,
+        trials=_given(args.trials, 1000),
+        l=_given(args.depth, 10_000),
     )
     payload = {
         "lambda_hat": est.lambda_hat,
@@ -215,15 +220,15 @@ def _cmd_dimension(args):
     from .fractal import dimension_estimate, dimension_table, selfsimilar_dimension
 
     if args.table:
-        rows = dimension_table(args.n or 5)
+        rows = dimension_table(_given(args.n, 5))
         payload = {"table": rows[1:]}
         return payload, rows, rows
     if args.family:
-        rep = selfsimilar_dimension(args.family, args.n or 1)
+        rep = selfsimilar_dimension(args.family, _given(args.n, 1))
     else:
         if not args.param:
             raise ValueError("dimension needs --table, --family or --param")
-        rep = dimension_estimate(parse_param(args.param), args.depth or 50)
+        rep = dimension_estimate(parse_param(args.param), _given(args.depth, 50))
     payload = json.loads(rep.to_json())
     csv = ["method,value", f"{rep.method},{rep.value!r}"]
     return payload, csv, [f"{rep.method} {rep.value:.6f}"]
@@ -235,14 +240,14 @@ def _cmd_render(args):
     if args.out is None:
         raise ValueError("render requires --out")
     p = parse_param(args.param)
-    px = args.px or 1000
+    px = _given(args.px, 1000)
     if args.kind == "discontinuities":
-        img = render_discontinuities(p, args.depth or 20, px)
+        img = render_discontinuities(p, _given(args.depth, 20), px)
     elif args.kind == "islands":
-        periods = [int(t) for t in (args.periods or "1,5,21").split(",")]
+        periods = [int(t) for t in _given(args.periods, "1,5,21").split(",")]
         img = render_islands(p, periods, px)
     else:
-        img = render_cover(p, args.depth or 6, px)
+        img = render_cover(p, _given(args.depth, 6), px)
     if args.palette == "mono":
         px16 = img.pixels.astype("u2")
         lum = (px16[..., 0] * 299 + px16[..., 1] * 587 + px16[..., 2] * 114) // 1000
@@ -260,7 +265,7 @@ def _cmd_render(args):
 
 def _cmd_natext_check(args):
     rep = natural_extension_check(
-        samples=args.trials or 100_000, seed=args.seed or 0
+        samples=_given(args.trials, 100_000), seed=_given(args.seed, 0)
     )
     payload = {
         "samples": rep.samples,

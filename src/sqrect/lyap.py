@@ -10,8 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import LN6, accel, param_to_x
+from .errors import NotTerminated
 from .pet import Param
-from .renorm import MIDDLE, RIGHT, UNIT, Mat2, slow_image
+from .renorm import (
+    FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, Mat2, family_coefficients, slow_image,
+)
 
 MASTER_SEED = 0x5EED
 
@@ -119,40 +122,61 @@ def _sample_x(rng: np.random.Generator, trials: int) -> np.ndarray:
 def _sanitize(x: np.ndarray) -> np.ndarray:
     """Keep lanes strictly inside the branch intervals; float round-off can
     park an iterate exactly on an endpoint where the next digit blows up."""
-    np.clip(x, 1e-12, 2 - 1e-12, out=x)
+    np.maximum(x, 1e-12, out=x)
+    np.minimum(x, 2 - 1e-12, out=x)
     x[np.abs(x - 1.0) < 1e-12] = 1.0 + 1e-12
     x[np.abs(x - 1.5) < 1e-15] = 1.5 + 1e-14
     return x
 
 
+# Rows (slope, const) by entries (gap, m11, m12, m21, m22) by FAMILIES: the
+# gap and the cocycle matrix of each family, read off the branch table
+_STEP_COEFFICIENTS = np.concatenate(
+    [family_coefficients(name) for name in ("gap", "M")], axis=1
+)
+_MIDDLE = FAMILIES.index(MIDDLE)
+
+
 def _vector_step(x, u1, u2, log_norm, lnR):
     """One accelerated step applied to every lane, updating the
-    renormalized row vectors and both log accumulators in place."""
-    left = x < 1.0
-    right = x >= RIGHT.ends(RIGHT.first)[0]
-    midd = ~(left | right)
-    m11, m12, m21, m22, lnr, x1 = (np.empty_like(x) for _ in range(6))
-    for fam, mask in ((UNIT, left), (MIDDLE, midd), (RIGHT, right)):
-        gap = fam.gap(x[mask])
-        inv = 1.0 / gap
-        n = np.floor(inv)
-        m11[mask], m12[mask], m21[mask], m22[mask] = fam.M(n)
-        if fam is MIDDLE:
-            # A(n).x and its denominator n - (n-1)x cancel catastrophically
-            # for large n; these forms in the gap e = x - 1 are stable
-            den = np.maximum(1.0 - (n - 1) * gap, 1e-300)
-            x1[mask] = (1.0 - (n - 2) * gap) / den
-        else:
-            den = gap
-            x1[mask] = slow_image(inv, n)
-        lnr[mask] = -np.log(den)
+    renormalized row vectors and both log accumulators in place.
 
-    v1 = u1 * m11 + u2 * m21
-    v2 = u1 * m12 + u2 * m22
-    s = v1 + v2
+    All lanes go through one pass, whatever their family. The family index f
+    of each lane comes from FAMILY_EDGES, and its coefficient rows (a, b)
+    from `family_coefficients`, read once off the branch table: gap(x) is
+    a[0] x + b[0], and the entries of M(n) are a[1:] n + b[1:]. The result
+    is bit for bit that of each family's own formulas on its own lanes. The
+    coefficients are small integers, so a[0] x + b[0] rounds once, as x,
+    x - 1 and 2 - x do. The entries of M(n) are integers below 2**53 (n is
+    at most 1e12 on sanitized lanes), which float arithmetic holds exactly.
+    The middle and slow images are both taken on every lane, and np.where
+    keeps the family's own. On the other lanes the middle formula stays
+    finite, so no lane raises a floating-point warning: its denominator is
+    clamped to 1e-300, and its numerator lies in (0, 2]."""
+    f = FAMILY_EDGES.searchsorted(x, "right")
+    a, b = _STEP_COEFFICIENTS.take(f, axis=2)
+    gap = a[0] * x + b[0]
+    inv = 1.0 / gap
+    n = np.floor(inv)
+    M = a[1:] * n + b[1:]  # rows m11, m12, m21, m22
+    # A(n).x and its denominator n - (n-1)x cancel catastrophically on the
+    # middle branches for large n; these forms in the gap e = x - 1 are stable
+    mid_den = np.maximum(1.0 - (n - 1) * gap, 1e-300)
+    mid_x1 = (1.0 - (n - 2) * gap) / mid_den
+    middle = f == _MIDDLE
+    x1 = np.where(middle, mid_x1, slow_image(inv, n))
+    lnR -= np.log(np.where(middle, mid_den, gap))
+
+    v = u1 * M[:2] + u2 * M[2:]  # the row (u1, u2) times M
+    s = v[0] + v[1]
     log_norm += np.log(s)
-    lnR += lnr
-    return _sanitize(x1), v1 / s, v2 / s
+    v /= s
+    return _sanitize(x1), v[0], v[1]
+
+
+# Monte-Carlo lanes per estimate: tracemalloc puts the peak of
+# birkhoff_estimate at 249 bytes per lane, so this is about 0.6 GB
+LANE_BUDGET = 2_400_000
 
 
 def birkhoff_estimate(
@@ -163,6 +187,10 @@ def birkhoff_estimate(
     ln 6 so they estimate the un-normalized integrals."""
     if trials < 1 or l < 1:
         raise ValueError("trials and l must be positive")
+    if trials > LANE_BUDGET:
+        raise NotTerminated(
+            f"{trials} lanes exceed the budget of {LANE_BUDGET} (about 0.6 GB)"
+        )
     rng = np.random.default_rng(seed)
     x = _sanitize(_sample_x(rng, trials))
     u1 = np.ones(trials)

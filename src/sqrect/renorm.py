@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, format_number, is_exact, nfloor
 from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
@@ -121,13 +123,50 @@ RIGHT = BranchFamily(
     sigma=lambda n: Substitution(Word("a" + "aab" * (n - 1)), Word("aab")),
 )
 FAMILIES = (UNIT, MIDDLE, RIGHT)
+# the lower ends of the middle and right families: for a float array x,
+# np.searchsorted(FAMILY_EDGES, x, "right") is the index in FAMILIES of the
+# family holding each x (x < 1, 1 <= x < 3/2, x >= 3/2)
+FAMILY_EDGES = np.array([UNIT.ends(UNIT.first)[1], RIGHT.ends(RIGHT.first)[0]])
+
+
+def family_coefficients(name: str, with_parity: bool = False) -> np.ndarray:
+    """Coefficients of the table function `name` ("gap", "A" or "M") of all
+    three families, for float kernels that step lanes of every family at
+    once: an array c of shape (terms, entries, len(FAMILIES)) with
+
+        FAMILIES[f].<name>(t)[i] = c[0, i, f] t + c[-1, i, f],
+
+    plus c[1, i, f] (t % 2) when `with_parity` is set. The coefficients are
+    read off the table at t = 0, 1, 2 in Python ints and checked at t = 3, 4
+    and 5; a function of another shape raises ValueError."""
+    rows = []
+    for fam in FAMILIES:
+        fn = getattr(fam, name)
+        g = [v if isinstance(v, tuple) else (v,) for v in map(fn, range(6))]
+        slope = [(b - a) // 2 for a, b in zip(g[0], g[2])]
+        par = [b - s - a for a, b, s in zip(g[0], g[1], slope)]
+        fits = all(
+            g[t] == tuple(s * t + q * (t % 2) + a for s, q, a in zip(slope, par, g[0]))
+            for t in (3, 4, 5)
+        )
+        if not fits or (any(par) and not with_parity):
+            raise ValueError(f"{name} of the branch table is not of the affine form")
+        rows.append((slope, par, g[0]) if with_parity else (slope, g[0]))
+    return np.array(rows, dtype=float).transpose(1, 2, 0)
+
+
+def odd(n):
+    """n % 2 of branch indices n >= 0: 1 where n is odd. On float arrays it
+    is np.fmod, which gives the same values as % there at a quarter of the
+    cost."""
+    return np.fmod(n, 2) if isinstance(n, np.ndarray) else n % 2
 
 
 def slow_image(inv, n):
     """A(n).x on unit or right branch n, from inv = 1/gap(x): the fractional
     part of inv, plus 1 when n is odd. Float callers keep this form rather
     than A(n).mobius(x), which rounds differently."""
-    return inv - n + n % 2
+    return inv - n + odd(n)
 
 
 # -- parameter map -------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from sqrect.errors import Terminal
 from sqrect.exactnum import make_surd
 from sqrect import cfrac
 from sqrect.cfrac import (
+    NATEXT_BATCH,
     NATEXT_CHUNK,
     NATEXT_MIN_BRANCHES,
     _branches_needed,
@@ -25,6 +27,7 @@ from sqrect.cfrac import (
     fiber_integral_square,
     in_theta_domain,
     natext_step,
+    natext_steps,
     natural_extension_check,
     param_to_x,
     q_map,
@@ -380,6 +383,119 @@ class TestDisjointnessKernel:
         # a pass over NATEXT_CHUNK branch indices peaks at about 2.4 MiB;
         # all 2 million branches of a family at once take 16 MB per array
         assert peak < 8 * 2**20
+
+
+def _reference_natext(samples: int, seed: int):
+    """The scalar loop that `natural_extension_check` batched, one point at a
+    time: (samples, stayed, state of the rng after the last draw)."""
+    rng = random.Random(seed)
+    done = stayed = 0
+    while done < samples:
+        x, y = cfrac._sample_theta_domain(rng)
+        if x in (0, 1, 2) or not 0 < x < 2:
+            continue
+        try:
+            x1, y1 = natext_step(x, y)
+        except (Terminal, ZeroDivisionError):
+            continue
+        done += 1
+        stayed += bool(in_theta_domain(x1, y1))
+    return done, stayed, rng.getstate()
+
+
+def _batched_natext(monkeypatch, samples: int, seed: int):
+    """natural_extension_check's report, and its (samples, stayed) with the
+    state of the rng that it hands on to the disjointness check."""
+    states = []
+    check = cfrac._disjointness_check
+
+    def record(rng, count):
+        states.append(rng.getstate())
+        return check(rng, count)
+
+    monkeypatch.setattr(cfrac, "_disjointness_check", record)
+    rep = natural_extension_check(samples, seed)
+    return rep, (rep.samples, rep.stayed, states[0])
+
+
+# reports of natural_extension_check as the scalar sample loop gave them
+NATEXT_REPORT = (
+    "NatExtReport(samples={}, stayed={}, fiber_square_ok=True,"
+    " fiber_middle_ok=True, disjoint_checked=1000, disjoint_ok=1000)"
+)
+
+
+class TestNatextKernel:
+    def test_steps_match_scalar(self):
+        rng = random.Random(5)
+        points = [cfrac._sample_theta_domain(rng) for _ in range(10_000)]
+        points += [
+            (0.0, 0.5), (1.0, 0.5), (2.0, 0.5), (-0.5, 0.5),  # off the domain
+            (0.75, 0.0),  # unit branch 1 sends (-1 : 0) to p = 0
+            (2.0**-53, 0.3), (1e-300, 0.5),  # unit branches n >= 2**53
+            (1 + 2.0**-52, 0.3),  # middle branch 2**52: (1 - n) x + n rounds to 0
+            (2 - 2.0**-52, 0.4), (2 - 2.0**-52, -3.0),
+            (1.5, 0.2), (math.nextafter(1.5, 0), 0.2), (1.25, 7.0), (4 / 3, 1.0),
+        ]
+        x, y = np.array(points).T
+        x1, y1, ok = natext_steps(x, y)
+        skipped = 0
+        for i, (a, b) in enumerate(points):
+            try:
+                if a in (0, 1, 2) or not 0 < a < 2:
+                    raise Terminal("skipped by natural_extension_check")
+                want = natext_step(a, b)
+            except (Terminal, ZeroDivisionError):
+                skipped += 1
+                assert not ok[i]
+            else:
+                assert ok[i] and (x1[i], y1[i]) == want
+        assert skipped == 6
+
+    @pytest.mark.parametrize("seed", [*range(10), 885180465])
+    def test_reports_match_scalar_loop(self, monkeypatch, seed):
+        rep, got = _batched_natext(monkeypatch, 2000, seed)
+        assert got == _reference_natext(2000, seed)
+        assert repr(rep) == NATEXT_REPORT.format(2000, 2000)
+
+    def test_cli_default_report(self, monkeypatch):
+        rep, got = _batched_natext(monkeypatch, 100_000, 1)
+        assert got == _reference_natext(100_000, 1)
+        assert repr(rep) == NATEXT_REPORT.format(100_000, 100_000)
+
+    def test_redraws_across_batches(self, monkeypatch):
+        # points the step skips, made up by later draws, across a batch end
+        draw = cfrac._sample_theta_domain
+
+        def with_skips(rng):
+            x, y = draw(rng)
+            k = int(x * 1e6)
+            if k % 97 == 0:
+                return 1.0, y  # Terminal
+            if k % 89 == 0:
+                return 0.75, 0.0  # ZeroDivisionError
+            return x, y
+
+        monkeypatch.setattr(cfrac, "_sample_theta_domain", with_skips)
+        batches = []
+        steps = cfrac.natext_steps
+
+        def count(x, y):
+            batches.append(x.size)
+            return steps(x, y)
+
+        monkeypatch.setattr(cfrac, "natext_steps", count)
+        samples = NATEXT_BATCH + 10
+        _, got = _batched_natext(monkeypatch, samples, 3)
+        assert got == _reference_natext(samples, 3)
+        assert got[:2] == (samples, samples)
+        # a full batch, at least two rounds of redraws, the disjointness draws
+        assert batches[0] == NATEXT_BATCH and len(batches) >= 4
+        assert batches[-1] == 1000
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError):
+            natural_extension_check(0)
 
 
 class TestFoldedMap:

@@ -1,8 +1,10 @@
+import importlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,64 @@ class TestExitCodes:
             "--depth", "5", timeout=2,
         )
         assert proc.returncode in (0, 2)
+
+
+SILVER = "sqrt(2)-1,-1"
+# every flag whose default is not 0, given as 0: (argv, module and name of the
+# library function that gets the flag, and its position or keyword there)
+ZERO_FLAGS = [
+    (["expand", "--param", SILVER, "--depth", "0"],
+     "sqrect.cli", "expand", "max_steps"),
+    (["orbit", "--param", SILVER, "--point", "1/3,2/7", "--depth", "0"],
+     "sqrect.cli", "code_orbit", 2),
+    (["induction-check", "--param", SILVER, "--trials", "0"],
+     "sqrect.renorm", "induction_verify", "samples"),
+    (["tower", "--param", SILVER, "--depth", "0"], "sqrect.words", "tower_stats", 1),
+    (["lyapunov", "--trials", "0", "--l", "5"],
+     "sqrect.lyap", "birkhoff_estimate", "trials"),
+    (["lyapunov", "--trials", "5", "--l", "0"],
+     "sqrect.lyap", "birkhoff_estimate", "l"),
+    (["dimension", "--table", "--n", "0"], "sqrect.fractal", "dimension_table", 0),
+    (["dimension", "--family", "minus", "--n", "0"],
+     "sqrect.fractal", "selfsimilar_dimension", 1),
+    (["dimension", "--param", SILVER, "--depth", "0"],
+     "sqrect.fractal", "dimension_estimate", 1),
+    (["render", "discontinuities", "--param", SILVER, "--px", "0"],
+     "sqrect.render", "render_discontinuities", 2),
+    (["render", "discontinuities", "--param", SILVER, "--depth", "0", "--px", "64"],
+     "sqrect.render", "render_discontinuities", 1),
+    (["render", "cover", "--param", SILVER, "--depth", "0", "--px", "64"],
+     "sqrect.render", "render_cover", 1),
+    (["natext-check", "--trials", "0"],
+     "sqrect.cli", "natural_extension_check", "samples"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, arg", ZERO_FLAGS, ids=[" ".join(f[0]) for f in ZERO_FLAGS]
+)
+def test_explicit_zero_is_not_the_default(argv, module, name, arg, capsys,
+                                          tmp_path, monkeypatch):
+    # the library gets the 0: it rejects it with its own check (exit 2) or
+    # runs with it, and never with the flag's default
+    mod = importlib.import_module(module)
+    real, seen = getattr(mod, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs[arg] if isinstance(arg, str) else args[arg])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, spy)
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(tmp_path / "figure.ppm")]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert seen == [0]
+    if code == 2:
+        assert out == "" and json.loads(err)["error"] == "ValueError"
+    else:
+        assert code == 0 and err == ""
 
 
 def test_cli_import_skips_scipy_special():

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +9,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import spence
 
+from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
-from sqrect.renorm import Mat2
+from sqrect.renorm import MIDDLE, RIGHT, UNIT, Mat2, slow_image
 from sqrect.cfrac import accel, density
 from sqrect.fractal import dimension_estimate, selfsimilar_parameter
 from sqrect.lyap import (
     MASTER_SEED,
     EXPANSION_TERMS,
+    LANE_BUDGET,
     _middle_lnr_branches,
+    _sample_x,
+    _sanitize,
     _vector_step,
     birkhoff_estimate,
     cocycle_product,
@@ -124,6 +130,105 @@ class TestVectorStep:
             assert y[i] == pytest.approx(st_.y, abs=1e-9)
             # lnR accumulates ln r_bold = -ln(A21 x + A22)
             assert lnR[i] == pytest.approx(math.log(st_.r_bold), abs=1e-9)
+
+
+def _reference_sanitize(x):
+    """`lyap._sanitize` as it was written with np.clip."""
+    np.clip(x, 1e-12, 2 - 1e-12, out=x)
+    x[np.abs(x - 1.0) < 1e-12] = 1.0 + 1e-12
+    x[np.abs(x - 1.5) < 1e-15] = 1.5 + 1e-14
+    return x
+
+
+def _reference_step(x, u1, u2, log_norm, lnR):
+    """The masked `lyap._vector_step` that the one-pass kernel replaced: a
+    boolean-mask gather of each family's lanes, its own formulas on them,
+    and a masked scatter of the results."""
+    left = x < 1.0
+    right = x >= RIGHT.ends(RIGHT.first)[0]
+    midd = ~(left | right)
+    m11, m12, m21, m22, lnr, x1 = (np.empty_like(x) for _ in range(6))
+    for fam, mask in ((UNIT, left), (MIDDLE, midd), (RIGHT, right)):
+        gap = fam.gap(x[mask])
+        inv = 1.0 / gap
+        n = np.floor(inv)
+        m11[mask], m12[mask], m21[mask], m22[mask] = fam.M(n)
+        if fam is MIDDLE:
+            den = np.maximum(1.0 - (n - 1) * gap, 1e-300)
+            x1[mask] = (1.0 - (n - 2) * gap) / den
+        else:
+            den = gap
+            x1[mask] = slow_image(inv, n)
+        lnr[mask] = -np.log(den)
+    v1 = u1 * m11 + u2 * m21
+    v2 = u1 * m12 + u2 * m22
+    s = v1 + v2
+    log_norm += np.log(s)
+    lnR += lnr
+    return _reference_sanitize(x1), v1 / s, v2 / s
+
+
+# lanes on and next to the branch ends, where a family or a digit could
+# flip: the first step takes them as they are, later ones sanitized
+EDGE_LANES = [
+    e for n in (2, 3, 7, 1000, 10**6) for e in (1 / n, 1 + 1 / n, 2 - 1 / n)
+] + [
+    1.5, math.nextafter(1.5, 0), math.nextafter(1.5, 2),
+    1 - 1e-12, 1 + 1e-12, 1e-12, 2 - 1e-12,
+]
+
+
+class TestOnePassKernel:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lanes_match_masked_reference(self, seed):
+        x = np.concatenate([_sample_x(np.random.default_rng(seed), 200), EDGE_LANES])
+        ones, zeros = np.ones(x.size), np.zeros(x.size)
+        lanes = [[x.copy(), ones, ones, zeros.copy(), zeros.copy()] for _ in range(2)]
+        for _ in range(300):
+            for state, step in zip(lanes, (_vector_step, _reference_step)):
+                state[:3] = step(*state)
+            for got, want in zip(*lanes):
+                assert np.array_equal(got, want)
+
+    def test_sanitize_matches_clip(self):
+        x = np.array([
+            -1.0, 0.0, 1e-13, 1e-12, 0.5, 1 - 1e-12, math.nextafter(1.0, 0), 1.0,
+            math.nextafter(1.0, 2), 1 + 1e-12, 1.5 - 1e-15, 1.5, 1.5 + 1e-15,
+            1.5 + 1e-14, 2 - 1e-12, 2.0, 3.0, math.inf, -math.inf, math.nan,
+        ])
+        want = _reference_sanitize(x.copy())
+        assert np.array_equal(_sanitize(x.copy()), want, equal_nan=True)
+
+    def test_pinned_estimates(self):
+        # captured from the masked kernel: the one-pass kernel keeps every bit
+        est = birkhoff_estimate(MASTER_SEED, 1000, 10_000)  # criterion 07
+        assert repr(est) == (
+            "CocycleEstimate(lambda_hat=3.177764760828581, lnR_hat=2.467662401158322,"
+            " s_hat=1.287763171873485, l=10000, trials=1000, seed=24301,"
+            " stderr_lambda=0.0005966001727006189, stderr_lnR=0.0005414130720197999,"
+            " stderr_s=6.319976759344419e-05)"
+        )
+        est = birkhoff_estimate(904876487, 200, 2000)  # a bench float op
+        assert repr(est) == (
+            "CocycleEstimate(lambda_hat=3.1759154616767966, lnR_hat=2.46592407241324,"
+            " s_hat=1.2879210261201328, l=2000, trials=200, seed=904876487,"
+            " stderr_lambda=0.0032035887475716854, stderr_lnR=0.002892100362883748,"
+            " stderr_s=0.0003235169739257244)"
+        )
+
+    def test_lanes_above_budget_fail_fast(self):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(NotTerminated):
+                birkhoff_estimate(trials=2**40, l=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 2**20  # nothing lane-sized was allocated
+        with pytest.raises(NotTerminated):
+            birkhoff_estimate(trials=LANE_BUDGET + 1, l=1)
 
 
 class TestPinnedOutputs:

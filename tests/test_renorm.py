@@ -1,5 +1,7 @@
 import random
 import time
+
+import numpy as np
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,14 @@ from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, Point, Rect, code_orbit, islands
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
+    FAMILIES,
+    FAMILY_EDGES,
     CoverPiece,
     Mat2,
     cover,
     cover_level,
     cover_seed,
+    family_coefficients,
     first_return,
     incidence_matrix,
     induction_verify,
@@ -40,6 +45,32 @@ params = st.builds(
     ),
     st.sampled_from([-1, 1]),
 )
+
+
+class TestFamilyCoefficients:
+    @pytest.mark.parametrize(
+        "name, with_parity", [("gap", False), ("M", False), ("A", True)]
+    )
+    def test_reproduces_the_table(self, name, with_parity):
+        # in Python ints, at indices up to 2**51 as well as small ones
+        slope, *par, const = family_coefficients(name, with_parity).astype(int).tolist()
+        for f, fam in enumerate(FAMILIES):
+            for t in (0, 1, 2, 5, 6, 999, 1000, 2**40 + 1, 2**51):
+                want = getattr(fam, name)(t)
+                got = [
+                    s[f] * t + (par[0][i][f] * (t % 2) if par else 0) + c[f]
+                    for i, (s, c) in enumerate(zip(slope, const))
+                ]
+                assert got == list(want if isinstance(want, tuple) else (want,))
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            family_coefficients("A")  # A has a term in n % 2
+
+    def test_edges_index_the_families(self):
+        below_1, below_3_2 = np.nextafter(1.0, 0), np.nextafter(1.5, 0)
+        x = np.array([0.25, below_1, 1.0, 1.25, below_3_2, 1.5, 1.9])
+        assert FAMILY_EDGES.searchsorted(x, "right").tolist() == [0, 0, 1, 1, 1, 2, 2]
 
 
 class TestParameterMap:
