@@ -137,6 +137,9 @@ def _cmd_sturmian(args):
     length = args.length
     w = limit_word(p, length)
     n_max = args.n_max
+    if n_max < 1:
+        # no counted length would make an empty certificate
+        raise ValueError(f"--n-max must be at least 1, got {n_max}")
     counts = {n: complexity(w, n) for n in range(1, n_max + 1)}
     payload = {
         "param": str(p),

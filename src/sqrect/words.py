@@ -4,18 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PrefixTooShort, Terminal, WindowTooShort
 
 
 class Word:
     """Immutable finite word over the alphabet {a, b}."""
 
-    __slots__ = ("_s",)
+    # _factors caches complexity's refinement; it is not part of the value
+    __slots__ = ("_s", "_factors")
 
     def __init__(self, letters: str = ""):
         if letters.strip("ab"):
             raise ValueError("word letters must be 'a' or 'b'")
         self._s = letters
+        self._factors = None
 
     def __len__(self) -> int:
         return len(self._s)
@@ -89,11 +93,38 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 
 
 def complexity(w: Word, n: int) -> int:
-    """Number of distinct length-n factors of w."""
+    """Number of distinct length-n factors of w.
+
+    The factors are counted by refining classes: two length-m factors are
+    equal iff their length-(m-1) prefixes are and their last letters are,
+    so the class ids of length m are the ranks of class(m-1)*2 + letter.
+    The ranks come from a table of the keys present, without a sort, and
+    the count is the number of classes. Class ids stay below |w|, so no
+    length overflows. `w` keeps the classes of the longest length computed
+    so far and the count at every shorter length: a first call at n costs
+    O(n*|w|) over all lengths up to n, a later one at or below a computed
+    length reads a list, and memory is O(|w|).
+    """
+    if n < 0:
+        raise ValueError(f"factor length must be >= 0, got {n}")
     if len(w) < 20 * n:
         raise WindowTooShort(f"need |w| >= {20 * n} for factor length {n}")
-    s = str(w)
-    return len({s[i : i + n] for i in range(len(s) - n + 1)})
+    if w._factors is None:
+        bits = np.frombuffer(w._s.encode(), dtype=np.uint8) == ord("b")
+        # length 0: the empty word is the one factor, at each of |w|+1 places
+        w._factors = bits, np.zeros(len(w) + 1, dtype=np.intp), [1]
+    bits, classes, counts = w._factors
+    if n >= len(counts):
+        counts = list(counts)  # the cache changes whole or not at all
+        for m in range(len(counts), n + 1):
+            keys = classes[:-1] * 2 + bits[m - 1 :]
+            seen = np.zeros(2 * counts[-1], dtype=bool)
+            seen[keys] = True
+            rank = np.cumsum(seen) - 1
+            classes = rank[keys]
+            counts.append(int(rank[-1]) + 1)
+        w._factors = bits, classes, counts
+    return counts[n]
 
 
 @dataclass(frozen=True)

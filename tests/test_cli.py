@@ -79,6 +79,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_sturmian_without_a_counted_length_is_two(self, capsys, n_max):
+        # no factor count would back the "sturmian": true certificate
+        code, out, err = run(
+            capsys, "sturmian", "--param", "sqrt(2)-1,-1", "--n-max", n_max
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "expand", "--param", "3/8,-1")
         assert code == 0 and err == ""

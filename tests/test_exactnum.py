@@ -1,13 +1,17 @@
+import contextlib
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sqrect.errors import MixedSurdFields
 from sqrect.exactnum import (
     Surd,
     _canon,
+    _sign,
     compare,
     eval_interval,
     make_surd,
@@ -298,3 +302,194 @@ def test_canon_matches_make_surd(p, q, r, g, d):
     assert type(fast) is type(slow) and fast == slow
     if isinstance(slow, Surd):
         assert (fast.p, fast.q, fast.r, fast.d) == (slow.p, slow.q, slow.r, slow.d)
+
+
+# -- operand dispatch by exact type against the isinstance-only code --------
+#
+# The methods below are the dispatch as it was before the exact-type fast
+# path: one isinstance chain, and subtraction through a negated operand.
+# `isinstance_dispatch()` puts them on Surd for the length of a block.
+
+
+def _old_coerce(self, other):
+    if isinstance(other, bool):
+        return None
+    if isinstance(other, int):
+        return other, 0, 1
+    if isinstance(other, Fraction):
+        return other.numerator, 0, other.denominator
+    if isinstance(other, Surd):
+        if other.d != self.d:
+            raise MixedSurdFields(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
+        return other.p, other.q, other.r
+    return None
+
+
+def _old_diff_sign(self, other):
+    if isinstance(other, Surd) and other.d != self.d:
+        bits = 64
+        while True:
+            alo, ahi = self.interval(bits)
+            blo, bhi = other.interval(bits)
+            if ahi < blo:
+                return -1
+            if bhi < alo:
+                return 1
+            bits *= 2
+    co = self._coerce(other)
+    if co is None:
+        raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+    p2, q2, r2 = co
+    return _sign(self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.d)
+
+
+def _old_add(self, other):
+    if isinstance(other, float):
+        return float(self) + other
+    co = self._coerce(other)
+    if co is None:
+        return NotImplemented
+    p2, q2, r2 = co
+    return _canon(
+        self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
+    )
+
+
+def _old_sub(self, other):
+    if isinstance(other, float):
+        return float(self) - other
+    return self + (-other)
+
+
+def _old_rsub(self, other):
+    if isinstance(other, float):
+        return other - float(self)
+    return (-self) + other
+
+
+def _old_mul(self, other):
+    if isinstance(other, float):
+        return float(self) * other
+    co = self._coerce(other)
+    if co is None:
+        return NotImplemented
+    p2, q2, r2 = co
+    d = self.d
+    return _canon(self.p * p2 + self.q * q2 * d, self.p * q2 + self.q * p2, self.r * r2, d)
+
+
+def _old_order(holds):
+    def method(self, other):
+        if isinstance(other, float):
+            return holds(float(self), other)
+        return holds(self._diff_sign(other), 0)
+
+    return method
+
+
+ISINSTANCE_DISPATCH = {
+    "_coerce": _old_coerce,
+    "_diff_sign": _old_diff_sign,
+    "__add__": _old_add,
+    "__radd__": _old_add,
+    "__sub__": _old_sub,
+    "__rsub__": _old_rsub,
+    "__mul__": _old_mul,
+    "__rmul__": _old_mul,
+    "__lt__": _old_order(operator.lt),
+    "__le__": _old_order(operator.le),
+    "__gt__": _old_order(operator.gt),
+    "__ge__": _old_order(operator.ge),
+}
+
+
+@contextlib.contextmanager
+def isinstance_dispatch():
+    saved = {name: Surd.__dict__[name] for name in ISINSTANCE_DISPATCH}
+    try:
+        for name, method in ISINSTANCE_DISPATCH.items():
+            setattr(Surd, name, method)
+        yield
+    finally:
+        for name, method in saved.items():
+            setattr(Surd, name, method)
+
+
+class IntSub(int):
+    pass
+
+
+class FractionSub(Fraction):
+    pass
+
+
+def outcome(op, a, b):
+    """(type of the result, result), or (type of the exception, None)."""
+    try:
+        value = op(a, b)
+    except Exception as exc:
+        return type(exc), None
+    return type(value), value
+
+
+DISPATCH_OPS = [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+]
+sqrt2_surds = st.builds(
+    lambda p, q, r: make_surd(p, q, r, 2),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70).filter(lambda q: q != 0),
+    st.integers(1, 2**40),
+)
+plain_floats = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+plain_fractions = st.fractions(max_denominator=10**9)
+operands = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    plain_fractions,
+    st.integers(-(2**70), 2**70).map(IntSub),
+    plain_fractions.map(lambda f: FractionSub(f.numerator, f.denominator)),
+    plain_floats,
+    plain_floats.map(np.float64),
+    sqrt2_surds,
+    st.builds(lambda p, q, d: make_surd(p, q, 1, d), st.integers(-9, 9),
+              st.integers(1, 9), st.sampled_from([3, 5])),
+)
+ROOT2 = make_surd(-1, 1, 1, 2)
+
+
+@settings(max_examples=300)
+@given(sqrt2_surds, operands)
+@example(ROOT2, 0)
+@example(ROOT2, True)
+@example(ROOT2, False)
+@example(ROOT2, Fraction(0))
+@example(ROOT2, IntSub(3))
+@example(ROOT2, FractionSub(-2, 7))
+@example(ROOT2, 0.5)
+@example(ROOT2, math.nan)
+@example(ROOT2, np.float64(-0.25))
+@example(ROOT2, np.float64(math.nan))
+@example(ROOT2, ROOT2)
+@example(ROOT2, make_surd(1, 1, 1, 3))
+def test_dispatch_matches_isinstance_chain(s, other):
+    for op in DISPATCH_OPS:
+        for a, b in ((s, other), (other, s)):
+            got_type, got = outcome(op, a, b)
+            with isinstance_dispatch():
+                want_type, want = outcome(op, a, b)
+            assert got_type is want_type, (op.__name__, a, b)
+            assert got == want or (got != got and want != want), (op.__name__, a, b)
+
+
+def test_reference_dispatch_is_restored():
+    with isinstance_dispatch():
+        assert Surd._coerce is _old_coerce
+    assert Surd._coerce is not _old_coerce
+    assert ROOT2 - True == ROOT2 - 1  # a bool negates to an int, as before
+    with pytest.raises(TypeError):
+        ROOT2 + True

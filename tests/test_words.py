@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,13 @@ from sqrect.words import (
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
+SURD_FAMILIES = [
+    (SQRT2M1, -1),
+    (SQRT3M1, 1),
+    (make_surd(-2, 1, 1, 5), -1),
+    (make_surd(-1, 1, 2, 3), -1),
+    (make_surd(-3, 1, 1, 10), -1),
+]
 
 words = st.text(alphabet="ab", max_size=30).map(Word)
 substitutions = st.builds(
@@ -77,29 +85,82 @@ class TestSubstitution:
         assert s(w).counts() == (m11 * na + m12 * nb, m21 * na + m22 * nb)
 
 
+def factor_count(w: Word, n: int) -> int:
+    """Distinct length-n factors of w, one slice per position."""
+    s = str(w)
+    return len({s[i : i + n] for i in range(len(s) - n + 1)})
+
+
+def random_word(rng: random.Random, length: int) -> Word:
+    return Word("".join(rng.choice("ab") for _ in range(length)))
+
+
 class TestComplexity:
+    """The refined, cached counts against slicing every factor."""
+
     def test_needs_long_window(self):
         with pytest.raises(WindowTooShort):
             complexity(Word("ab" * 3), 2)
 
     def test_periodic_word(self):
-        assert complexity(Word("a" * 500), 4) == 1
-        assert complexity(Word("ab" * 500), 4) == 2
+        for letters, count in (("a", 1), ("ab", 2)):
+            w = Word(letters * 1000)
+            for n in range(1, len(w) // 20 + 1):
+                assert complexity(w, n) == factor_count(w, n) == count
 
-    @pytest.mark.parametrize(
-        "theta,eps",
-        [
-            (SQRT2M1, -1),
-            (SQRT3M1, 1),
-            (make_surd(-2, 1, 1, 5), -1),
-            (make_surd(-1, 1, 2, 3), -1),
-            (make_surd(-3, 1, 1, 10), -1),
-        ],
-    )
+    @pytest.mark.parametrize("theta,eps", SURD_FAMILIES)
     def test_limit_words_are_sturmian(self, theta, eps):
         w = limit_word(Param(theta, eps), 2000)
-        for n in (1, 2, 3, 5, 10, 25, 50):
-            assert complexity(w, n) == n + 1
+        for n in range(101):
+            assert complexity(w, n) == factor_count(w, n) == n + 1
+
+    def test_negative_length_rejected(self):
+        w = Word("ab" * 50)
+        for n in (-1, -3):
+            with pytest.raises(ValueError):
+                complexity(w, n)
+
+    def test_length_zero_is_one(self):
+        assert complexity(Word(""), 0) == 1
+        assert complexity(Word("ab" * 50), 0) == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_words(self, seed):
+        rng = random.Random(seed)
+        w = random_word(rng, rng.randint(0, 1500))
+        for n in range(len(w) // 20 + 1):
+            assert complexity(w, n) == factor_count(w, n)
+
+    def test_lengths_past_62(self):
+        # class ids, not packed letters: no length overflows
+        w = random_word(random.Random(62), 20 * 130)
+        for n in (61, 62, 63, 64, 65, 100, 129, 130):
+            assert complexity(w, n) == factor_count(w, n)
+
+    def test_calls_out_of_order(self):
+        w = random_word(random.Random(7), 2000)
+        for n in (80, 3, 40, 80, 100, 0, 99, 1):
+            assert complexity(w, n) == factor_count(w, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 50])
+    def test_window_exactly_20n(self, n):
+        w = random_word(random.Random(n), 20 * n)
+        assert complexity(w, n) == factor_count(w, n)
+        with pytest.raises(WindowTooShort):
+            complexity(w, n + 1)
+        shorter = w[:-1]
+        with pytest.raises(WindowTooShort):
+            complexity(shorter, n)
+
+    def test_cache_leaves_value_alone(self):
+        s = str(random_word(random.Random(3), 1000))
+        cached, fresh = Word(s), Word(s)
+        complexity(cached, 50)
+        assert cached == fresh and cached == s
+        assert hash(cached) == hash(fresh) == hash(s)
+        assert {fresh: 1}[cached] == 1
+        assert cached[:10] == fresh[:10]
+        assert complexity(fresh, 50) == complexity(cached, 50)
 
 
 class TestLimitWord:
