@@ -134,12 +134,12 @@ def _cmd_sturmian(args):
     from .words import complexity, limit_word
 
     p = parse_param(args.param)
-    length = args.length
-    w = limit_word(p, length)
     n_max = args.n_max
     if n_max < 1:
         # no counted length would make an empty certificate
         raise ValueError(f"--n-max must be at least 1, got {n_max}")
+    length = args.length
+    w = limit_word(p, length)
     counts = {n: complexity(w, n) for n in range(1, n_max + 1)}
     payload = {
         "param": str(p),

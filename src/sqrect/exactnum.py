@@ -135,11 +135,8 @@ class Surd:
         n = math.isqrt(self.d << 128)
         return ((self.p << 65) + self.q * (2 * n + 1)) / (self.r << 65)
 
-    def _diff_sign(self, other: Number) -> int | None:
-        """Sign of self - other for an exact operand; None for a float,
-        which the comparisons compare as a float."""
-        if type(other) is float:
-            return None
+    def _diff_sign(self, other: Number) -> int:
+        """Sign of self - other for an exact operand."""
         if isinstance(other, Surd) and other.d != self.d:
             # distinct square-free radicands: values can only coincide if
             # both are rational, which the invariant excludes, so interval
@@ -155,8 +152,6 @@ class Surd:
                 bits *= 2
         co = self._coerce(other)
         if co is None:
-            if isinstance(other, float):
-                return None
             raise TypeError(f"cannot compare Surd with {type(other).__name__}")
         p2, q2, r2 = co
         # both denominators are positive, so scaling by r*r2 keeps the sign
@@ -180,20 +175,24 @@ class Surd:
         return hash((self.p, self.q, self.r, self.d))
 
     def __lt__(self, other):
-        sign = self._diff_sign(other)
-        return float(self) < other if sign is None else sign < 0
+        if isinstance(other, float):
+            return float(self) < other
+        return self._diff_sign(other) < 0
 
     def __le__(self, other):
-        sign = self._diff_sign(other)
-        return float(self) <= other if sign is None else sign <= 0
+        if isinstance(other, float):
+            return float(self) <= other
+        return self._diff_sign(other) <= 0
 
     def __gt__(self, other):
-        sign = self._diff_sign(other)
-        return float(self) > other if sign is None else sign > 0
+        if isinstance(other, float):
+            return float(self) > other
+        return self._diff_sign(other) > 0
 
     def __ge__(self, other):
-        sign = self._diff_sign(other)
-        return float(self) >= other if sign is None else sign >= 0
+        if isinstance(other, float):
+            return float(self) >= other
+        return self._diff_sign(other) >= 0
 
     def __floor__(self) -> int:
         # q*sqrt(d) is irrational and lies strictly between m and m + 1
@@ -207,42 +206,32 @@ class Surd:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _mixed(self, other: "Surd") -> MixedSurdFields:
-        return MixedSurdFields(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
-
     def _coerce(self, other) -> tuple[int, int, int] | None:
         """Express an exact operand over (num_p, num_q, den) in this field;
         None for a bool or a non-exact operand."""
-        # The exact types first: isinstance against Fraction is an ABC
-        # check, slower than the integer arithmetic it guards.
-        t = type(other)
-        if t is Surd:
+        # Surd first: it is the usual operand, and isinstance against
+        # Fraction, an ABC check, is slow for any operand that is not a
+        # Fraction.
+        if isinstance(other, Surd):
             if other.d != self.d:
-                raise self._mixed(other)
+                raise MixedSurdFields(
+                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
+                )
             return other.p, other.q, other.r
-        if t is int:
-            return other, 0, 1
-        if t is Fraction:
-            return other.numerator, 0, other.denominator
-        # bool, subclasses and everything else
         if isinstance(other, bool):
             return None
         if isinstance(other, int):
             return other, 0, 1
         if isinstance(other, Fraction):
             return other.numerator, 0, other.denominator
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise self._mixed(other)
-            return other.p, other.q, other.r
         return None
 
     def __add__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             return float(self) + other
         co = self._coerce(other)
         if co is None:
-            return float(self) + other if isinstance(other, float) else NotImplemented
+            return NotImplemented
         p2, q2, r2 = co
         return _canon(
             self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
@@ -254,12 +243,10 @@ class Surd:
         return Surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             return float(self) - other
         co = self._coerce(other)
         if co is None:
-            if isinstance(other, float):
-                return float(self) - other
             return self + (-other)  # a bool negates to an int
         p2, q2, r2 = co
         return _canon(
@@ -267,12 +254,10 @@ class Surd:
         )
 
     def __rsub__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             return other - float(self)
         co = self._coerce(other)
         if co is None:
-            if isinstance(other, float):
-                return other - float(self)
             return (-self) + other
         p2, q2, r2 = co
         return _canon(
@@ -280,11 +265,11 @@ class Surd:
         )
 
     def __mul__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             return float(self) * other
         co = self._coerce(other)
         if co is None:
-            return float(self) * other if isinstance(other, float) else NotImplemented
+            return NotImplemented
         p2, q2, r2 = co
         d = self.d
         return _canon(
@@ -306,7 +291,9 @@ class Surd:
             return float(self) / other
         if isinstance(other, Surd):
             if other.d != self.d:
-                raise self._mixed(other)
+                raise MixedSurdFields(
+                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
+                )
             return self * other._inverse()
         if isinstance(other, bool):
             return NotImplemented

@@ -92,6 +92,18 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
     return Substitution(s1(s2.image_a), s1(s2.image_b))
 
 
+def _refine(classes: np.ndarray, last: np.ndarray, count: int):
+    """The class ids and the count of the factors one letter longer: the
+    ranks of class*2 + last letter among the keys present."""
+    keys = np.multiply(classes[:-1], 2, dtype=np.intp)  # intp indexes uncast
+    keys += last
+    seen = np.zeros(2 * count, dtype=bool)
+    seen[keys] = True
+    rank = np.cumsum(seen, dtype=classes.dtype)
+    rank -= 1
+    return rank[keys], int(rank[-1]) + 1
+
+
 def complexity(w: Word, n: int) -> int:
     """Number of distinct length-n factors of w.
 
@@ -99,11 +111,14 @@ def complexity(w: Word, n: int) -> int:
     equal iff their length-(m-1) prefixes are and their last letters are,
     so the class ids of length m are the ranks of class(m-1)*2 + letter.
     The ranks come from a table of the keys present, without a sort, and
-    the count is the number of classes. Class ids stay below |w|, so no
-    length overflows. `w` keeps the classes of the longest length computed
-    so far and the count at every shorter length: a first call at n costs
-    O(n*|w|) over all lengths up to n, a later one at or below a computed
-    length reads a list, and memory is O(|w|).
+    the count is the number of classes. Ids are at most |w|, so int32
+    holds them for any |w| below 2**31 - 1 (int64 above). `w` keeps the
+    classes of the longest length computed so far and the count at every
+    shorter length: a first call at n costs O(n*|w|) over all lengths up
+    to n, and a later one at or below a computed length reads a list.
+    The cache holds 5 bytes per letter (a bool and an int32 id). A step
+    adds 8-byte keys, the next ids and a table of 10 bytes per distinct
+    factor, so a Sturmian prefix peaks near 17 bytes per letter.
     """
     if n < 0:
         raise ValueError(f"factor length must be >= 0, got {n}")
@@ -111,18 +126,14 @@ def complexity(w: Word, n: int) -> int:
         raise WindowTooShort(f"need |w| >= {20 * n} for factor length {n}")
     if w._factors is None:
         bits = np.frombuffer(w._s.encode(), dtype=np.uint8) == ord("b")
+        ids = np.int32 if len(w) < 2**31 - 1 else np.int64
         # length 0: the empty word is the one factor, at each of |w|+1 places
-        w._factors = bits, np.zeros(len(w) + 1, dtype=np.intp), [1]
+        w._factors = bits, np.zeros(len(w) + 1, dtype=ids), [1]
     bits, classes, counts = w._factors
-    if n >= len(counts):
-        counts = list(counts)  # the cache changes whole or not at all
-        for m in range(len(counts), n + 1):
-            keys = classes[:-1] * 2 + bits[m - 1 :]
-            seen = np.zeros(2 * counts[-1], dtype=bool)
-            seen[keys] = True
-            rank = np.cumsum(seen) - 1
-            classes = rank[keys]
-            counts.append(int(rank[-1]) + 1)
+    for m in range(len(counts), n + 1):
+        classes, count = _refine(classes, bits[m - 1 :], counts[-1])
+        counts = [*counts, count]
+        # the cache moves one whole length at a time, freeing the old ids
         w._factors = bits, classes, counts
     return counts[n]
 

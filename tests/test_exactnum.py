@@ -304,10 +304,11 @@ def test_canon_matches_make_surd(p, q, r, g, d):
         assert (fast.p, fast.q, fast.r, fast.d) == (slow.p, slow.q, slow.r, slow.d)
 
 
-# -- operand dispatch by exact type against the isinstance-only code --------
+# -- operand dispatch against the old isinstance order ----------------------
 #
-# The methods below are the dispatch as it was before the exact-type fast
-# path: one isinstance chain, and subtraction through a negated operand.
+# The methods below are the dispatch as it was before Surd moved to the
+# front of the isinstance chain and subtraction computed directly: Surd
+# tested last, and subtraction through a negated operand.
 # `isinstance_dispatch()` puts them on Surd for the length of a block.
 
 

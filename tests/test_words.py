@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,18 @@ class TestComplexity:
         assert {fresh: 1}[cached] == 1
         assert cached[:10] == fresh[:10]
         assert complexity(fresh, 50) == complexity(cached, 50)
+
+    def test_memory_per_letter(self):
+        # int32 ids and the cache moving one length at a time: about 17
+        # bytes per letter at the peak, 5 kept (intp ids took about 25)
+        w = limit_word(Param(SQRT2M1, -1), 200_000)
+        tracemalloc.start()
+        try:
+            complexity(w, 50)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * len(w) and kept < 6 * len(w)
 
 
 class TestLimitWord:
