@@ -217,6 +217,8 @@ def limit_word_x(x, length: int) -> Word:
     """Limit-word prefix for a parameter given in interval form."""
     from .cfrac import accel
 
+    if length < 1:
+        raise ValueError(f"prefix length must be at least 1, got {length}")
     subs = []
     for _ in range(4 * length):  # safety cap; growth makes far fewer needed
         step = accel(x)  # raises Terminal at rational ends

@@ -88,6 +88,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_sturmian_without_a_positive_length_is_two(self, capsys, length):
+        # a surd's expansion never terminates: the length itself is wrong
+        code, out, err = run(
+            capsys, "sturmian", "--param", "sqrt(2)-1,-1", "--length", length
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "expand", "--param", "3/8,-1")
         assert code == 0 and err == ""

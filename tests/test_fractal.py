@@ -17,10 +17,14 @@ from sqrect.renorm import (
     renorm_step,
 )
 from sqrect.lyap import cocycle_product
+from sqrect import fractal
 from sqrect.fractal import (
     PIECE_BUDGET,
     _box_codes,
-    _grid_stride,
+    _compact,
+    _cover,
+    _fold,
+    _window,
     box_count,
     box_count_deep,
     box_dimension,
@@ -173,10 +177,15 @@ class TestCoverArrays:
             assert arrays[0].size == sum(M.apply((1, 1)))
 
 
-# rectangles (x, y, w, h); w and h up to 0.6 span several cells at r >= 0.02
+# rectangles (x, y, w, h) on both sides of the axes; w and h up to 0.6
+# span several cells at r >= 0.02
 RECT = st.tuples(
-    st.floats(0, 1.4), st.floats(0, 1), st.floats(1e-6, 0.6), st.floats(1e-6, 0.6)
+    st.floats(-3, 3), st.floats(-3, 3), st.floats(1e-6, 0.6), st.floats(1e-6, 0.6)
 )
+
+
+def _columns(rects):
+    return tuple(np.array(col, dtype=float) for col in zip(*rects))
 
 
 def _brute_force_cells(rects, r):
@@ -228,11 +237,80 @@ class TestBoxCount:
         arrays = tuple(np.array(col) for col in zip(*rects))
         assert box_count(arrays, r) == len(_brute_force_cells(rects, r))
 
+    @pytest.mark.parametrize(
+        "rects",
+        [
+            [(0.1, 3.6, 0.01, 0.01), (0.6, 0.1, 0.01, 0.01)],
+            [(0.6, -0.4, 0.01, 0.01), (0.1, 3.2, 0.01, 0.01)],
+        ],
+    )
+    def test_disjoint_squares_far_from_the_unit_square(self, rects):
+        # cells in different columns whose row offsets differ by a column
+        # height of a grid sized to the domain: each must be its own box
+        assert box_count(_columns(rects), 0.5) == 2
+        assert len(_brute_force_cells(rects, 0.5)) == 2
+
+    def test_rectangles_thinner_than_the_inset_meet_no_cell(self):
+        rects = [(0.3, 0.3, 1e-13, 0.2), (0.3, 0.6, 0.2, 1e-13), (0.7, 0.7, 0.1, 0.1)]
+        assert box_count(_columns(rects), 0.05) == 4 == len(
+            _brute_force_cells(rects, 0.05)
+        )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e30])
+    def test_rejects_rectangles_beyond_exact_cell_indices(self, bad):
+        rects = [(0.0, 0.0, 0.1, 0.1), (bad, 0.0, 0.1, 0.1)]
+        with pytest.raises(ValueError):
+            box_count(_columns(rects), 0.1)
+
+    def test_rejects_a_window_of_two_to_the_63_cells(self):
+        # cell indices up to 10**14 are exact, but the window is 10**28 cells
+        rects = [(0.0, 0.0, 1.0, 1.0), (1e14, 1e14, 1.0, 1.0)]
+        with pytest.raises(ValueError):
+            box_count(_columns(rects), 1.0)
+
+    def test_code_dtype_follows_the_window(self):
+        small = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-4)
+        large = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-5)
+        assert (small.nx * small.ny, small.dtype) == (10**8, np.uint32)
+        assert (large.nx * large.ny, large.dtype) == (10**10, np.int64)
+
     def test_codes_strictly_increasing(self):
         p = Param(SQRT2M1, -1)
         for l, r in ((3, 0.05), (6, radius_sequence(p, 6)[5])):
-            codes = _box_codes(cover_arrays(p, l), r, _grid_stride(r))
-            assert codes.size > 1 and np.all(np.diff(codes) > 0)
+            arrays = cover_arrays(p, l)
+            codes = _compact(np.sort(_box_codes(arrays, r, _window(arrays, r))))
+            assert codes.size > 1 and np.all(np.diff(codes.astype(np.int64)) > 0)
+
+    @given(rects=st.lists(RECT, min_size=1, max_size=30), r=st.floats(0.02, 0.5))
+    def test_one_code_per_rectangle_and_cell(self, rects, r):
+        arrays = _columns(rects)
+        window = _window(arrays, r)
+        codes = _box_codes(arrays, r, window).astype(np.int64)
+        ix, iy = np.divmod(codes, window.ny)
+        pairs = sorted(zip((ix + window.ix).tolist(), (iy + window.iy).tolist()))
+        assert pairs == sorted(
+            cell for rect in rects for cell in _brute_force_cells([rect], r)
+        )
+        # the window is the smallest that holds every cell
+        xs, ys = zip(*pairs)
+        assert (window.ix, window.iy) == (min(xs), min(ys))
+        assert (window.nx, window.ny) == (max(xs) + 1 - min(xs), max(ys) + 1 - min(ys))
+
+    def test_chunked_merge_matches_one_chunk(self, monkeypatch):
+        p = Param(SQRT2M1, -1)
+        rng = np.random.default_rng(9)
+        corners, sides = rng.uniform(-3, 3, (2, 500)), rng.uniform(1e-3, 0.3, (2, 500))
+        arrays = tuple(
+            np.concatenate(pair)
+            for pair in zip(cover_arrays(p, 6), (*corners, *sides))
+        )
+        for r in (radius_sequence(p, 6)[5], 0.01):
+            one_chunk = box_count(arrays, r)
+            with monkeypatch.context() as m:
+                m.setattr(fractal, "BOX_CHUNK", 1000)
+                chunked = box_count(arrays, r)
+            rects = zip(*(a.tolist() for a in arrays))
+            assert chunked == one_chunk == len(_brute_force_cells(rects, r))
 
     def test_deep_streaming_agrees_with_direct(self):
         p = Param(SQRT2M1, -1)
@@ -240,6 +318,52 @@ class TestBoxCount:
         assert box_count_deep(p, 6, r, base_l=3) == box_count(
             cover_arrays(p, 6), r
         )
+
+    @pytest.mark.parametrize(
+        "family, n, l, base_l, deep_pieces",
+        [
+            ("plus", 2, 5, 2, fractal.DEEP_PIECES),
+            ("plus", 2, 5, 2, 1000),
+            ("minus", 1, 6, 3, 1000),
+        ],
+    )
+    def test_deep_streaming_agrees_with_direct_in_chunks(
+        self, monkeypatch, family, n, l, base_l, deep_pieces
+    ):
+        # 1000 pieces a chunk expands one base piece of plus 2 at a time
+        p = selfsimilar_parameter(family, n)
+        r = radius_sequence(p, l)[l - 1]
+        monkeypatch.setattr(fractal, "DEEP_PIECES", deep_pieces)
+        assert box_count_deep(p, l, r, base_l=base_l) == box_count(
+            cover_arrays(p, l), r
+        )
+
+    @pytest.mark.parametrize(
+        "family, n, l, base_l", [("minus", 1, 7, 4), ("plus", 2, 5, 3)]
+    )
+    def test_deep_chunks_lie_inside_the_base_window(self, family, n, l, base_l):
+        # the window of the base cover, not widened, holds every subtree
+        p = selfsimilar_parameter(family, n)
+        base = _cover(param_chain(p, base_l))
+        for r in (radius_sequence(p, l)[l - 1], 0.003):
+            window = _window(base, r)
+            for lo in range(0, base[0].size, 50):
+                part = _fold([p] * (l - base_l), tuple(a[lo : lo + 50] for a in base))
+                assert window.holds(_window(part, r))
+
+    def test_deep_rejects_a_subtree_outside_its_window(self, monkeypatch):
+        p = Param(SQRT2M1, -1)
+        folds = []
+
+        def shifted(qs, arrays):
+            x, *rest = _fold(qs, arrays)
+            folds.append(qs)
+            # the first fold builds the base cover; move the subtrees
+            return (x + 0.5 if len(folds) > 1 else x, *rest)
+
+        monkeypatch.setattr(fractal, "_fold", shifted)
+        with pytest.raises(RuntimeError):
+            box_count_deep(p, 6, radius_sequence(p, 6)[5], base_l=3)
 
     def test_deep_requires_fixed_parameter(self):
         with pytest.raises(Degenerate):

@@ -186,6 +186,13 @@ class TestLimitWord:
     def test_requested_length(self):
         assert len(limit_word(Param(SQRT2M1, -1), 333)) == 333
 
+    @pytest.mark.parametrize("theta", [SQRT2M1, Fraction(3, 8)])
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_nonpositive_length_rejected_before_expanding(self, theta, length):
+        # a ValueError, not the Terminal of a rational parameter's expansion
+        with pytest.raises(ValueError):
+            limit_word(Param(theta, -1), length)
+
     def test_silver_mean_prefix(self):
         # fixed substitution a -> abaab, b -> aab applied to a
         w = limit_word(Param(SQRT2M1, -1), 25)
