@@ -5,7 +5,6 @@ natural extension."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -80,16 +79,6 @@ class Expansion:
     status: str  # finite | periodic | truncated
     preperiod: int = 0
     period: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "digits": [{"n": d.n, "eps": d.eps} for d in self.steps],
-                "status": self.status,
-                "preperiod": self.preperiod,
-                "period": self.period,
-            }
-        )
 
 
 def expand(x: Number, max_steps: int = 1000) -> Expansion:

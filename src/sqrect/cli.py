@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple
 
 from . import __version__
 from .errors import ParseError, SqrectError
@@ -65,48 +66,57 @@ def _given(value, default):
     return default if value is None else value
 
 
-# -- command handlers: return (payload dict, csv rows, text lines) -------
+# -- command handlers: return (report, csv rows, text lines) -------------
+# The report is a library dataclass or a plain mapping; JSON is written from
+# its fields, in order. The first csv row is the header.
+
+
+def _table(report) -> list:
+    """A dataclass as a one-record csv table: field names, then values."""
+    fields = asdict(report)
+    return [list(fields), list(fields.values())]
 
 
 def _cmd_expand(args):
     x = param_to_x(parse_param(args.param))
     e = expand(x, max_steps=_given(args.depth, 1000))
-    payload = json.loads(e.to_json())
-    csv = ["step,n,eps"] + [
-        f"{i},{d.n},{d.eps}" for i, d in enumerate(e.steps)
-    ]
+    report = {
+        "digits": [{"n": d.n, "eps": d.eps} for d in e.steps],
+        "status": e.status,
+        "preperiod": e.preperiod,
+        "period": e.period,
+    }
+    rows = [("step", "n", "eps"), *((i, d.n, d.eps) for i, d in enumerate(e.steps))]
     text = [
         f"status {e.status} preperiod {e.preperiod} period {e.period}",
         " ".join(f"({d.n},{d.eps:+d})" for d in e.steps),
     ]
-    return payload, csv, text
+    return report, rows, text
 
 
 def _cmd_orbit(args):
     p = parse_param(args.param)
     z = parse_point(args.point)
-    n = _given(args.depth, 100)
-    word = code_orbit(p, z, n)
-    payload = {"param": str(p), "coding": str(word), "length": len(word)}
-    return payload, ["coding", str(word)], [str(word)]
+    word = str(code_orbit(p, z, _given(args.depth, 100)))
+    report = {"param": str(p), "coding": word, "length": len(word)}
+    return report, [("coding",), (word,)], [word]
 
 
 def _cmd_islands(args):
     p = parse_param(args.param)
     cells = islands(p, max_period=args.max_period)
-    total = sum(float(c.rect.area()) for c in cells)
-    payload = {
-        "param": str(p),
-        "count": len(cells),
-        "total_area": total,
-        "cells": [c.serialize() for c in cells],
-    }
-    csv = ["x,y,w,period"] + [
-        f"{format_number(c.rect.x)},{format_number(c.rect.y)},"
-        f"{format_number(c.rect.w)},{c.orbit_period}"
+    rows = [
+        (*map(format_number, (c.rect.x, c.rect.y, c.rect.w)), c.orbit_period)
         for c in cells
     ]
-    return payload, csv, payload["cells"]
+    lines = [f"CELL {x} {y} {w} {n} {c.code_period}" for (x, y, w, n), c in zip(rows, cells)]
+    report = {
+        "param": str(p),
+        "count": len(cells),
+        "total_area": sum(float(c.rect.area()) for c in cells),
+        "cells": lines,
+    }
+    return report, [("x", "y", "w", "period"), *rows], lines
 
 
 def _cmd_induction_check(args):
@@ -116,18 +126,8 @@ def _cmd_induction_check(args):
     rep = induction_verify(
         p, samples=_given(args.trials, 10_000), seed=_given(args.seed, 0)
     )
-    payload = {
-        "param": str(p),
-        "samples": rep.samples,
-        "resampled": rep.resampled,
-        "max_error": rep.max_error,
-        "exact": rep.exact,
-    }
-    csv = [
-        "samples,resampled,max_error,exact",
-        f"{rep.samples},{rep.resampled},{rep.max_error!r},{rep.exact}",
-    ]
-    return payload, csv, [f"max_error {rep.max_error!r} exact {rep.exact}"]
+    text = [f"max_error {rep.max_error!r} exact {rep.exact}"]
+    return {"param": str(p), **asdict(rep)}, _table(rep), text
 
 
 def _cmd_sturmian(args):
@@ -138,17 +138,15 @@ def _cmd_sturmian(args):
     if n_max < 1:
         # no counted length would make an empty certificate
         raise ValueError(f"--n-max must be at least 1, got {n_max}")
-    length = args.length
-    w = limit_word(p, length)
+    w = limit_word(p, args.length)
     counts = {n: complexity(w, n) for n in range(1, n_max + 1)}
-    payload = {
+    report = {
         "param": str(p),
         "prefix": str(w),
         "factor_counts": counts,
         "sturmian": all(c == n + 1 for n, c in counts.items()),
     }
-    csv = ["n,factors"] + [f"{n},{c}" for n, c in counts.items()]
-    return payload, csv, [str(w)]
+    return report, [("n", "factors"), *counts.items()], [report["prefix"]]
 
 
 def _cmd_tower(args):
@@ -160,15 +158,7 @@ def _cmd_tower(args):
     if prefix_len is None:
         prefix_len = default_prefix_len(p, l)
     ts = tower_stats(p, l, prefix_len)
-    payload = {
-        "l": ts.l,
-        "N_a": ts.N_a,
-        "N_b": ts.N_b,
-        "N": ts.N,
-        "alpha": ts.alpha,
-        "beta": ts.beta,
-    }
-    return payload, ["l,N_a,N_b,N,alpha,beta", ts.csv_row()], [str(ts)]
+    return ts, _table(ts), [str(ts)]
 
 
 def _cmd_lyapunov(args):
@@ -179,62 +169,52 @@ def _cmd_lyapunov(args):
         trials=_given(args.trials, 1000),
         l=_given(args.depth, 10_000),
     )
-    payload = {
-        "lambda_hat": est.lambda_hat,
-        "lnR_hat": est.lnR_hat,
-        "s_hat": est.s_hat,
-        "stderr_lambda": est.stderr_lambda,
-        "stderr_lnR": est.stderr_lnR,
-        "stderr_s": est.stderr_s,
-        "l": est.l,
-        "trials": est.trials,
-        "seed": est.seed,
-    }
-    csv = ["quantity,value,stderr,l,trials,seed"] + est.csv_rows()
-    text = [
-        f"lambda {est.lambda_hat:.6f} +- {est.stderr_lambda:.6f}",
-        f"lnR    {est.lnR_hat:.6f} +- {est.stderr_lnR:.6f}",
-        f"s      {est.s_hat:.6f} +- {est.stderr_s:.6f}",
+    # not CocycleEstimate's field order: the estimates, their errors, the run
+    report = {k: getattr(est, k) for k in (
+        "lambda_hat", "lnR_hat", "s_hat", "stderr_lambda", "stderr_lnR",
+        "stderr_s", "l", "trials", "seed",
+    )}
+    rows = [("quantity", "value", "stderr", "l", "trials", "seed")] + [
+        (q, report[f"{q}_hat"], report[f"stderr_{q}"], est.l, est.trials, est.seed)
+        for q in ("lambda", "lnR", "s")
     ]
-    return payload, csv, text
+    text = [f"{q:<6} {value:.6f} +- {se:.6f}" for q, value, se, *_ in rows[1:]]
+    return report, rows, text
 
 
 def _cmd_integrals(args):
     from .lyap import integral_ln_M, integral_ln_r, lower_bound_f
 
     terms = args.terms
-    vals = {
+    report = {
         "ln_M": integral_ln_M(terms),
         "ln_r": integral_ln_r(terms),
         "f_lower_bound": lower_bound_f(terms),
     }
-    payload = {
-        k: {"value": v.value, "tail_bound": v.tail_bound, "terms": v.terms}
-        for k, v in vals.items()
-    }
-    csv = ["integral,value,tail_bound,terms"] + [
-        f"{k},{v.csv_row()}" for k, v in vals.items()
+    rows = [("integral", "value", "tail_bound", "terms")] + [
+        (k, *astuple(v)) for k, v in report.items()
     ]
-    text = [f"{k} = {v.value:.6f} (tail <= {v.tail_bound:.2e})" for k, v in vals.items()]
-    return payload, csv, text
+    text = [
+        f"{k} = {v.value:.6f} (tail <= {v.tail_bound:.2e})" for k, v in report.items()
+    ]
+    return report, rows, text
 
 
 def _cmd_dimension(args):
     from .fractal import dimension_estimate, dimension_table, selfsimilar_dimension
 
     if args.table:
-        rows = dimension_table(_given(args.n, 5))
-        payload = {"table": rows[1:]}
-        return payload, rows, rows
+        lines = dimension_table(_given(args.n, 5))
+        return {"table": lines[1:]}, [line.split(",") for line in lines], lines
     if args.family:
         rep = selfsimilar_dimension(args.family, _given(args.n, 1))
     else:
         if not args.param:
             raise ValueError("dimension needs --table, --family or --param")
         rep = dimension_estimate(parse_param(args.param), _given(args.depth, 50))
-    payload = json.loads(rep.to_json())
-    csv = ["method,value", f"{rep.method},{rep.value!r}"]
-    return payload, csv, [f"{rep.method} {rep.value:.6f}"]
+    report = {"method": rep.method, "value": rep.value, **rep.diagnostics}
+    rows = [("method", "value"), (rep.method, rep.value)]
+    return report, rows, [f"{rep.method} {rep.value:.6f}"]
 
 
 def _cmd_render(args):
@@ -256,34 +236,21 @@ def _cmd_render(args):
         lum = (px16[..., 0] * 299 + px16[..., 1] * 587 + px16[..., 2] * 114) // 1000
         img.pixels[:] = lum.astype("u1")[..., None]
     img.save(args.out, compress=args.compress)
-    payload = {
+    report = {
         "out": args.out,
         "width": img.width,
         "height": img.height,
         "kind": args.kind,
         "palette": args.palette,
     }
-    return payload, [f"out,{args.out}"], [f"wrote {args.out}"]
+    return report, [("out", args.out)], [f"wrote {args.out}"]
 
 
 def _cmd_natext_check(args):
     rep = natural_extension_check(
         samples=_given(args.trials, 100_000), seed=_given(args.seed, 0)
     )
-    payload = {
-        "samples": rep.samples,
-        "stayed": rep.stayed,
-        "fiber_square_ok": rep.fiber_square_ok,
-        "fiber_middle_ok": rep.fiber_middle_ok,
-        "disjoint_checked": rep.disjoint_checked,
-        "disjoint_ok": rep.disjoint_ok,
-    }
-    csv = [
-        "samples,stayed,fiber_square_ok,fiber_middle_ok,disjoint_checked,disjoint_ok",
-        f"{rep.samples},{rep.stayed},{rep.fiber_square_ok},"
-        f"{rep.fiber_middle_ok},{rep.disjoint_checked},{rep.disjoint_ok}",
-    ]
-    return payload, csv, [f"stayed {rep.stayed}/{rep.samples}"]
+    return rep, _table(rep), [f"stayed {rep.stayed}/{rep.samples}"]
 
 
 HANDLERS = {
@@ -375,13 +342,16 @@ def build_parser() -> _Parser:
     return top
 
 
-def _emit(args, payload, csv_rows, text_lines) -> None:
+def _emit(args, report, rows, text) -> None:
+    """Write a handler's result in the chosen format: JSON from the report's
+    fields (a dataclass's with `asdict`), csv one line per row (str of a
+    float is its repr), or the text lines."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2)
+        out = json.dumps(report, indent=2, default=asdict)
     elif args.format == "csv":
-        out = "\n".join(csv_rows)
+        out = "\n".join(",".join(map(str, row)) for row in rows)
     else:
-        out = "\n".join(text_lines)
+        out = "\n".join(text)
     dest = getattr(args, "out", None)
     if dest is not None and args.command != "render":
         with open(dest, "w") as fh:
@@ -413,14 +383,14 @@ def _write_manifest(args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, csv_rows, text_lines = HANDLERS[args.command](args)
+        report, rows, text = HANDLERS[args.command](args)
     # a float orbit can land on a pole of a branch map: a domain error too
     except (SqrectError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1 if isinstance(exc, ParseError) else 2
-    _emit(args, payload, csv_rows, text_lines)
+    _emit(args, report, rows, text)
     _write_manifest(args)
     return 0
 

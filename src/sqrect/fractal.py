@@ -4,7 +4,6 @@ counting over depth-l covers, and local measure scaling certificates."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -27,11 +26,6 @@ class DimensionReport:
     method: str  # closed_form | ratio_sequence | box_count | local_scaling
     value: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"method": self.method, "value": self.value, **self.diagnostics}
-        )
 
 
 # -- closed forms --------------------------------------------------------

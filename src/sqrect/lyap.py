@@ -31,25 +31,12 @@ class CocycleEstimate:
     stderr_lnR: float
     stderr_s: float
 
-    def csv_rows(self) -> list[str]:
-        return [
-            f"lambda,{self.lambda_hat!r},{self.stderr_lambda!r},"
-            f"{self.l},{self.trials},{self.seed}",
-            f"lnR,{self.lnR_hat!r},{self.stderr_lnR!r},"
-            f"{self.l},{self.trials},{self.seed}",
-            f"s,{self.s_hat!r},{self.stderr_s!r},"
-            f"{self.l},{self.trials},{self.seed}",
-        ]
-
 
 @dataclass(frozen=True)
 class SeriesValue:
     value: float
     tail_bound: float
     terms: int
-
-    def csv_row(self) -> str:
-        return f"{self.value!r},{self.tail_bound!r},{self.terms}"
 
 
 # -- cocycle products ----------------------------------------------------

@@ -75,12 +75,6 @@ class Segment:
             return Point(self.x + self.length, self.y)
         return Point(self.x, self.y + self.length)
 
-    def serialize(self) -> str:
-        return (
-            f"SEG {format_number(self.x)} {format_number(self.y)} "
-            f"{format_number(self.length)} {self.orientation}"
-        )
-
 
 def _half(v: Number) -> Number:
     from fractions import Fraction
@@ -115,12 +109,6 @@ class Cell:
     rect: Rect
     code_period: Word
     orbit_period: int
-
-    def serialize(self) -> str:
-        return (
-            f"CELL {format_number(self.rect.x)} {format_number(self.rect.y)} "
-            f"{format_number(self.rect.w)} {self.orbit_period} {self.code_period}"
-        )
 
 
 # -- the map -------------------------------------------------------------

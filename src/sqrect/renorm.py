@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
-from .exactnum import Number, format_number, is_exact, nfloor
+from .exactnum import Number, is_exact, nfloor
 from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
 from .words import Substitution, Word
 
@@ -339,13 +339,6 @@ class CoverPiece:
     shape: str  # 'C' or 'R'
     ratio: Number  # linear contraction applied to the model shape
     orbit_index: int
-
-    def serialize(self) -> str:
-        return (
-            f"PIECE shape={self.shape} {format_number(self.ratio)} "
-            f"{format_number(self.rect.x)} {format_number(self.rect.y)} "
-            f"{self.orbit_index}"
-        )
 
 
 def rect_branch(theta, eps: int, letter: str, x, y, w, h):

@@ -147,9 +147,6 @@ class TowerStats:
     alpha: float
     beta: float
 
-    def csv_row(self) -> str:
-        return f"{self.l},{self.N_a},{self.N_b},{self.N},{self.alpha!r},{self.beta!r}"
-
 
 def limit_word(p, length: int) -> Word:
     """Length-`length` prefix of the limit word of the substitution sequence.
