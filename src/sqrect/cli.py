@@ -61,6 +61,14 @@ def parse_point(text: str) -> Point:
     return Point(_number(parts[0]), _number(parts[1]))
 
 
+def parse_periods(text: str) -> list[int]:
+    """Parse a comma list of integers; malformed text raises ParseError."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"periods must be comma-separated integers: {text!r}") from exc
+
+
 def _given(value, default):
     """A flag's value as given, an explicit 0 included; `default` if absent."""
     return default if value is None else value
@@ -109,7 +117,9 @@ def _cmd_islands(args):
         (*map(format_number, (c.rect.x, c.rect.y, c.rect.w)), c.orbit_period)
         for c in cells
     ]
-    lines = [f"CELL {x} {y} {w} {n} {c.code_period}" for (x, y, w, n), c in zip(rows, cells)]
+    lines = [
+        f"CELL {x} {y} {w} {n} {c.code_period}" for (x, y, w, n), c in zip(rows, cells)
+    ]
     report = {
         "param": str(p),
         "count": len(cells),
@@ -227,8 +237,7 @@ def _cmd_render(args):
     if args.kind == "discontinuities":
         img = render_discontinuities(p, _given(args.depth, 20), px)
     elif args.kind == "islands":
-        periods = [int(t) for t in _given(args.periods, "1,5,21").split(",")]
-        img = render_islands(p, periods, px)
+        img = render_islands(p, parse_periods(_given(args.periods, "1,5,21")), px)
     else:
         img = render_cover(p, _given(args.depth, 6), px)
     if args.palette == "mono":

@@ -42,7 +42,8 @@ class NotInZone(SqrectError):
 
 
 class NotTerminated(SqrectError):
-    """An enumeration exceeded its iteration cap."""
+    """An enumeration exceeded its iteration cap, or an input its memory
+    budget."""
 
 
 class WindowTooShort(SqrectError):

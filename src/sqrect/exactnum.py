@@ -412,12 +412,17 @@ def eval_interval(x: Number, bits: int = 128) -> tuple[Fraction, Fraction]:
 #           term   := factor (('*'|'/') factor)*
 #           factor := '-' factor | atom
 #           atom   := INT | FLOAT | 'sqrt' '(' expr ')' | '(' expr ')'
+#
+# Each open parenthesis costs four stack frames of the recursive descent, so
+# nesting is bounded well inside Python's recursion limit.
+
+MAX_NESTING = 100
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.toks: list[str] = []
-        i, n = 0, len(text)
+        i, n, depth = 0, len(text), 0
         while i < n:
             c = text[i]
             if c.isspace():
@@ -425,6 +430,9 @@ class _Tokens:
             elif c in "+-*/()":
                 self.toks.append(c)
                 i += 1
+                depth += (c == "(") - (c == ")")
+                if depth > MAX_NESTING:
+                    raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
             elif c.isdigit() or c == ".":
                 j = i
                 while j < n and (text[j].isdigit() or text[j] == "."):
@@ -481,10 +489,12 @@ def _parse_term(tk: _Tokens) -> Number:
 
 
 def _parse_factor(tk: _Tokens) -> Number:
-    if tk.peek() == "-":
+    negate = False
+    while tk.peek() == "-":  # a loop, not a recursion: '---x' nests nothing
         tk.next()
-        return -_parse_factor(tk)
-    return _parse_atom(tk)
+        negate = not negate
+    val = _parse_atom(tk)
+    return -val if negate else val
 
 
 def _parse_atom(tk: _Tokens) -> Number:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotTerminated
 from .pet import Param, discontinuity_segments, islands
+
+# Bytes of one image (3 per pixel), checked before it is allocated. A render
+# peaks at up to about 62 bytes per pixel (render_cover of a depth-0 cover,
+# by tracemalloc), so this is about 0.6 GB at the peak: px 3,760 at the
+# silver mean.
+RASTER_BUDGET = 30_000_000
 
 PALETTE = {
     "background": (255, 255, 255),
@@ -41,6 +48,13 @@ class Image:
     def for_domain(world_width: float, px: int) -> "Image":
         if px < 64:
             raise ValueError("px must be at least 64")
+        # a row alone above the budget is refused before px meets a float
+        rows = max(round(px / float(world_width)), 1) if px <= RASTER_BUDGET else px
+        if 3 * px * rows > RASTER_BUDGET:
+            raise NotTerminated(
+                f"a {px} x {rows} image exceeds the budget of {RASTER_BUDGET} "
+                "bytes (about 0.6 GB at the render's peak)"
+            )
         scale = px / float(world_width)
         height = max(int(round(scale)), 1)
         pixels = np.empty((height, px, 3), dtype=np.uint8)

@@ -273,6 +273,9 @@ def induction_verify(
 ) -> VerifyReport:
     """Check that the similitude conjugates the first-return map to the
     renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z)."""
+    if samples < 1:
+        # no sample would make an empty certificate of exactness
+        raise ValueError(f"samples must be at least 1, got {samples}")
     q = renorm_step(p)
     zone, times = induction_zone(p), return_times(p)
     exact = is_exact(p.theta)

@@ -6,7 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrefixTooShort, Terminal, WindowTooShort
+from .errors import NotTerminated, PrefixTooShort, Terminal, WindowTooShort
+
+# Letters of a limit-word prefix, checked before anything is expanded. The
+# factor counts peak at about 17 bytes per letter, so this is about 0.6 GB.
+LETTER_BUDGET = 1 << 25
 
 
 class Word:
@@ -176,6 +180,8 @@ def tower_stats(p, l: int, prefix_len: int) -> TowerStats:
     a generated prefix of the limit word, decomposed along block boundaries
     known from generation.
     """
+    if l < 0:
+        raise ValueError(f"depth must be at least 0, got {l}")
     # block lengths are the column sums of the depth-l cocycle matrix;
     # the blocks themselves are never needed, and can be astronomically long
     from .lyap import cocycle_product
@@ -216,6 +222,10 @@ def limit_word_x(x, length: int) -> Word:
 
     if length < 1:
         raise ValueError(f"prefix length must be at least 1, got {length}")
+    if length > LETTER_BUDGET:
+        raise NotTerminated(
+            f"{length} letters exceed the budget of {LETTER_BUDGET} (about 0.6 GB)"
+        )
     subs = []
     for _ in range(4 * length):  # safety cap; growth makes far fewer needed
         step = accel(x)  # raises Terminal at rational ends

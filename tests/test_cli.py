@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqrect
 from sqrect.cli import main, parse_param, parse_point
@@ -72,6 +73,11 @@ class TestExitCodes:
             ["expand", "--param", "x=1/0"],
             ["expand", "--param", "nonsense"],
             ["orbit", "--param", "sqrt(2)-1,-1", "--point", "1/3"],
+            ["expand", "--param", "(" * 3000 + "1/3" + ")" * 3000 + ",-1"],
+            ["render", "islands", "--param", "sqrt(2)-1,-1", "--periods", "a",
+             "--out", "never-written.ppm"],
+            ["render", "islands", "--param", "sqrt(2)-1,-1", "--periods", "1,,5",
+             "--out", "never-written.ppm"],
         ],
     )
     def test_malformed_input_is_one(self, capsys, argv):
@@ -94,6 +100,27 @@ class TestExitCodes:
         code, out, err = run(
             capsys, "sturmian", "--param", "sqrt(2)-1,-1", "--length", length
         )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["induction-check", "--param", "sqrt(2)-1,-1", "--trials", "-1"],
+            ["induction-check", "--param", "sqrt(2)-1,-1", "--trials", "0"],
+            ["tower", "--param", "sqrt(2)-1,-1", "--depth", "-1"],
+        ],
+    )
+    def test_vacuous_certificate_is_two(self, capsys, argv):
+        # no sample, or a negative depth, would certify nothing
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_long_sign_run_parses(self, capsys):
+        # 3001 signs: -1/3, outside the domain, where it once overflowed the
+        # parser's stack
+        code, out, err = run(capsys, "expand", "--param=" + "-" * 3001 + "1/3,-1")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
 
@@ -133,6 +160,28 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
         assert not out.exists()
+
+    def test_raster_above_budget_fails_fast(self, tmp_path):
+        # 10^6 px wide is a 2 TB image: refused before it is allocated
+        out = tmp_path / "x.ppm"
+        proc = run_python(
+            "-m", "sqrect.cli", "render", "cover", "--param", "sqrt(2)-1,-1",
+            "--depth", "1", "--px", "1000000", "--out", str(out), timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+        assert not out.exists()
+        assert not (tmp_path / "x.ppm.manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sturmian", "--param", "sqrt(2)-1,-1", "--length", "1000000000000"],
+        ["tower", "--param", "sqrt(2)-1,-1", "--depth", "3",
+         "--prefix-len", "1000000000000000"],
+    ])
+    def test_word_above_letter_budget_fails_fast(self, argv):
+        proc = run_python("-m", "sqrect.cli", *argv, timeout=2)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
     def test_float_near_one_finishes(self):
         proc = run_python(
@@ -198,6 +247,21 @@ def test_explicit_zero_is_not_the_default(argv, module, name, arg, capsys,
         assert out == "" and json.loads(err)["error"] == "ValueError"
     else:
         assert code == 0 and err == ""
+
+
+# text that is almost a parameter or a point, and text of any kind
+NEAR_SYNTAX = st.text(alphabet="0123456789.+-*/() sqrtx=,", max_size=40)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.one_of(NEAR_SYNTAX, st.text(max_size=40)))
+def test_fuzzed_text_parses_or_raises_value_error(text):
+    # ParseError is a ValueError, and so is a value outside the domain
+    for parse in (parse_param, parse_point):
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def test_cli_import_skips_scipy_special():

@@ -15,6 +15,7 @@ from sqrect.exactnum import (
     compare,
     eval_interval,
     make_surd,
+    MAX_NESTING,
     nfloor,
     parse_number,
     squarefree_decompose,
@@ -136,6 +137,25 @@ class TestParser:
         for bad in ["", "3/", "sqrt(2", "sqrt(-1)", "1 2", "x"]:
             with pytest.raises(ValueError):
                 parse_number(bad)
+
+    def test_nesting_is_bounded(self):
+        # each parenthesis is a level of recursive descent: past the bound
+        # the text is refused before it is parsed, not with RecursionError
+        deep = "(" * MAX_NESTING + "sqrt(2)" + ")" * MAX_NESTING
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_number(deep)
+        ok = "(" * (MAX_NESTING - 1) + "sqrt(2)" + ")" * (MAX_NESTING - 1)
+        assert parse_number(ok) == make_surd(0, 1, 1, 2)
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_number("(" * 3000 + "1/3" + ")" * 3000)
+
+    @pytest.mark.parametrize("n", [1, 2, 3000, 3001])
+    def test_unary_minus_chain(self, n):
+        # a run of signs is a loop, not a recursion
+        assert parse_number("-" * n + "1/3") == Fraction((-1) ** n, 3)
+        assert parse_number("2*" + "-" * n + "(sqrt(2))") == make_surd(
+            0, 2 * (-1) ** n, 1, 2
+        )
 
 
 # -- property tests ------------------------------------------------------

@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.fractal import cover_arrays, selfsimilar_parameter
 from sqrect.pet import Param
 from sqrect.render import (
     PALETTE,
+    RASTER_BUDGET,
     Image,
     island_color,
     pixel_set_distance,
@@ -26,6 +28,16 @@ class TestImage:
     def test_min_size_enforced(self):
         with pytest.raises(ValueError):
             Image.for_domain(1.5, 32)
+
+    def test_raster_budget_checked_before_allocating(self):
+        # a 2-wide world: px/2 rows of px pixels, 3 bytes each
+        px = math.isqrt(2 * RASTER_BUDGET // 3)
+        px -= px % 2
+        assert 3 * px * (px // 2) <= RASTER_BUDGET < 3 * (px + 2) * (px // 2 + 1)
+        assert Image.for_domain(2.0, px).pixels.nbytes <= RASTER_BUDGET
+        for wide in (px + 2, 10**6, 10**400):
+            with pytest.raises(NotTerminated):
+                Image.for_domain(2.0, wide)
 
     def test_aspect_preserved(self):
         img = Image.for_domain(1.5, 300)

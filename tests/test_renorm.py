@@ -167,6 +167,12 @@ class TestInductionVerify:
         rep = induction_verify(Param(Fraction(2, 7), 1), samples=300, seed=3)
         assert rep.max_error == 0.0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        # exactness certified from no sample would be vacuous
+        with pytest.raises(ValueError):
+            induction_verify(Param(SQRT2M1, -1), samples=samples)
+
 
 class TestSubstitutionMatrix:
     @given(params)

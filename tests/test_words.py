@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqrect.cfrac import accel, param_to_x
-from sqrect.errors import PrefixTooShort, WindowTooShort
+from sqrect.errors import NotTerminated, PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 from sqrect.words import (
+    LETTER_BUDGET,
     Substitution,
     Word,
     complexity,
@@ -193,6 +195,13 @@ class TestLimitWord:
         with pytest.raises(ValueError):
             limit_word(Param(theta, -1), length)
 
+    @pytest.mark.parametrize("length", [LETTER_BUDGET + 1, 10**12])
+    def test_length_above_budget_rejected_before_expanding(self, length):
+        t0 = time.perf_counter()
+        with pytest.raises(NotTerminated):
+            limit_word(Param(SQRT2M1, -1), length)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_silver_mean_prefix(self):
         # fixed substitution a -> abaab, b -> aab applied to a
         w = limit_word(Param(SQRT2M1, -1), 25)
@@ -247,6 +256,15 @@ class TestTowerStats:
     def test_prefix_too_short(self):
         with pytest.raises(PrefixTooShort):
             tower_stats(Param(SQRT2M1, -1), 6, 2_000)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            tower_stats(Param(SQRT2M1, -1), -1, 100_000)
+
+    def test_prefix_above_letter_budget_rejected(self):
+        # the prefix's depth-l coding is a limit word of its own
+        with pytest.raises(NotTerminated):
+            tower_stats(Param(SQRT2M1, -1), 3, 10**15)
 
     def test_measures_positive(self):
         ts = tower_stats(Param(SQRT3M1, 1), 3, 300_000)
