@@ -282,71 +282,69 @@ def build_parser() -> _Parser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
+    def command(name, help, *flags, under=sub):
+        """A subcommand with --format, --out and those of --seed, --depth and
+        --trials in flags: only the flags its handler reads."""
+        sp = under.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=int, default=None)
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--out", default=None)
+        return sp
 
-    sp = sub.add_parser("expand", help="S-expansion of a parameter")
+    sp = command("expand", "S-expansion of a parameter", "depth")
     sp.add_argument("--param", required=True)
-    common(sp)
 
-    sp = sub.add_parser("orbit", help="coding of a point orbit")
+    sp = command("orbit", "coding of a point orbit", "depth")
     sp.add_argument("--param", required=True)
     sp.add_argument("--point", required=True, help='"x,y"')
-    common(sp)
 
-    sp = sub.add_parser("islands", help="periodic cells up to a period")
+    sp = command("islands", "periodic cells up to a period")
     sp.add_argument("--param", required=True)
     sp.add_argument("--max-period", type=int, default=21)
-    common(sp)
 
-    sp = sub.add_parser("induction-check", help="renormalization conjugacy check")
+    sp = command("induction-check", "renormalization conjugacy check",
+                 "seed", "trials")
     sp.add_argument("--param", required=True)
-    common(sp)
 
-    sp = sub.add_parser("sturmian", help="limit word prefix and factor counts")
+    sp = command("sturmian", "limit word prefix and factor counts")
     sp.add_argument("--param", required=True)
     sp.add_argument("--length", type=int, default=1000)
     sp.add_argument("--n-max", type=int, default=50)
-    common(sp)
 
-    sp = sub.add_parser("tower", help="block counts and measures at depth l")
+    sp = command("tower", "block counts and measures at depth l", "depth")
     sp.add_argument("--param", required=True)
     sp.add_argument("--prefix-len", type=int, default=None,
                     help="letters of the limit word to decompose (default: "
                     "200 per unit of the depth-l matrix entry sum, at least "
                     "200000)")
-    common(sp)
 
-    sp = sub.add_parser("lyapunov", help="Monte-Carlo exponent estimates")
+    sp = command("lyapunov", "Monte-Carlo exponent estimates", "seed", "trials")
     sp.add_argument("--l", dest="depth", type=int, default=None)
-    common(sp)
 
-    sp = sub.add_parser("integrals", help="certified series values")
+    sp = command("integrals", "certified series values")
     sp.add_argument("--terms", type=int, default=2_000_000)
-    common(sp)
 
-    sp = sub.add_parser("dimension", help="Hausdorff dimension reports")
-    sp.add_argument("--family", choices=("minus", "plus"), default=None)
+    sp = command("dimension", "Hausdorff dimension reports", "depth")
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--param", default=None)
-    sp.add_argument("--table", action="store_true")
-    common(sp)
+    selector = sp.add_mutually_exclusive_group()
+    selector.add_argument("--table", action="store_true")
+    selector.add_argument("--family", choices=("minus", "plus"), default=None)
+    selector.add_argument("--param", default=None)
 
-    sp = sub.add_parser("render", help="rasterize a figure to a P6 pixmap")
-    sp.add_argument("kind", choices=("discontinuities", "islands", "cover"))
-    sp.add_argument("--param", required=True)
-    sp.add_argument("--px", type=int, default=1000)
-    sp.add_argument("--periods", default=None, help="comma list for islands")
-    sp.add_argument("--palette", choices=("default", "mono"), default="default")
-    sp.add_argument("--compress", action="store_true")
-    common(sp)
+    render = sub.add_parser("render", help="rasterize a figure to a P6 pixmap")
+    kinds = render.add_subparsers(dest="kind", required=True)
+    for kind, flags in (("discontinuities", ["depth"]), ("islands", []),
+                        ("cover", ["depth"])):
+        sp = command(kind, f"the {kind} figure", *flags, under=kinds)
+        sp.add_argument("--param", required=True)
+        sp.add_argument("--px", type=int, default=1000)
+        sp.add_argument("--palette", choices=("default", "mono"), default="default")
+        sp.add_argument("--compress", action="store_true")
+        if kind == "islands":
+            sp.add_argument("--periods", default=None, help="comma list of periods")
 
-    sp = sub.add_parser("natext-check", help="natural-extension domain check")
-    common(sp)
+    command("natext-check", "natural-extension domain check", "seed", "trials")
 
     return top
 
@@ -361,17 +359,15 @@ def _emit(args, report, rows, text) -> None:
         out = "\n".join(",".join(map(str, row)) for row in rows)
     else:
         out = "\n".join(text)
-    dest = getattr(args, "out", None)
-    if dest is not None and args.command != "render":
-        with open(dest, "w") as fh:
+    if args.out is not None and args.command != "render":
+        with open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:
         print(out)
 
 
 def _write_manifest(args) -> None:
-    dest = getattr(args, "out", None)
-    if dest is None:
+    if args.out is None:
         return
     flags = {
         k: v
@@ -381,10 +377,10 @@ def _write_manifest(args) -> None:
     manifest = {
         "version": __version__,
         "command": args.command,
-        "seed": getattr(args, "seed", None),
+        "seed": flags.get("seed"),
         "flags": flags,
     }
-    with open(f"{dest}.manifest.json", "w") as fh:
+    with open(f"{args.out}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 

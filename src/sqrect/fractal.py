@@ -156,19 +156,9 @@ def cover_arrays(p: Param, l: int):
     return _cover(param_chain(p, l))[:5]
 
 
-def _as_arrays(pieces):
-    if isinstance(pieces, tuple):
-        return pieces[:4]
-    x = np.array([float(c.rect.x) for c in pieces])
-    y = np.array([float(c.rect.y) for c in pieces])
-    w = np.array([float(c.rect.w) for c in pieces])
-    h = np.array([float(c.rect.h) for c in pieces])
-    return x, y, w, h
-
-
 BOX_CHUNK = 1 << 22  # pieces coded at once by box_count
 DEEP_PIECES = 1 << 18  # at most this many pieces expanded at once by box_count_deep
-DEEP_BUCKETS = 256  # code ranges that box_count_deep sorts one at a time
+DEEP_BUCKETS = 256  # code ranges that _count_chunks sorts one at a time
 
 
 class _Window(NamedTuple):
@@ -276,71 +266,32 @@ def _compact(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def box_count(pieces, r: float) -> int:
-    """Number of side-r grid boxes meeting at least one rectangle, computed
-    from the rectangle extents. Exact for any finite rectangles, wherever
-    they lie; ValueError if a cell index reaches 2**51 or the rectangles
-    span 2**63 cells or more.
-
-    A box is coded by its place in the window of cells the rectangles span
-    (`_Window`): uint32 below 2**32 cells, else int64. Each rectangle emits
-    one code per cell it meets; the codes are sorted in place and their
-    distinct values counted. Above BOX_CHUNK pieces, each chunk's distinct
-    codes are merged into those of the chunks before. Beyond the pieces, a
-    call holds 32 bytes per piece of cell ranges while it takes first cells
-    and spans, then 12 bytes per piece of those and the codes: at a cover's
-    natural radius, about 3.6 uint32 codes per piece, the peak is about 45
-    bytes per piece."""
-    if r <= 0:
-        raise ValueError("box side must be positive")
-    arrays = _as_arrays(pieces)
-    n = arrays[0].size
-    if n == 0:
-        return 0
-    window = _window(arrays, r)
-    if n <= BOX_CHUNK:
-        codes = _box_codes(arrays, r, window)
-        codes.sort()
-        return _distinct(codes)
-    seen = np.empty(0, window.dtype)
-    for lo in range(0, n, BOX_CHUNK):
-        codes = _box_codes(tuple(a[lo : lo + BOX_CHUNK] for a in arrays), r, window)
-        codes.sort()
-        # two sorted runs: the stable sort (timsort) merges them in linear time
-        seen = np.concatenate([seen, _compact(codes)])
-        seen.sort(kind="stable")
-        seen = _compact(seen)
-    return int(seen.size)
+def _subtrees(params, base, budget: int):
+    """The pieces of base pulled back through params (deepest first), in
+    chunks of budget // growth base pieces, where growth is the product of
+    the longest substitution images: each chunk holds at most about budget
+    pieces, since every piece expands independently of the others."""
+    growth = 1
+    for sigma in map(substitution, params):
+        growth *= max(len(sigma.image_a), len(sigma.image_b))
+    chunk = max(1, budget // growth)
+    for lo in range(0, base[0].size, chunk):
+        yield _fold(params, tuple(a[lo : lo + chunk] for a in base))
 
 
-def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
-    """Box count of a deep cover at a renormalization fixed point, without
-    materializing the cover: the subtrees of the depth-base_l pieces are
-    expanded at most DEEP_PIECES pieces at a time. Their cells are coded in
-    the window of the base cover, whose pieces contain their subtrees,
-    widened by one cell for the rounding of the pulled-back edges. Each
-    chunk's distinct codes split by value into DEEP_BUCKETS code ranges,
-    and each range is sorted and counted on its own. What is kept costs
+def _count_chunks(chunks, r: float, window: _Window) -> int:
+    """Number of side-r boxes met by the rectangles of all chunks, each
+    coded in window: a chunk's distinct codes split by value into
+    DEEP_BUCKETS code ranges, and each range is sorted and counted on its
+    own. RuntimeError if a chunk leaves the window. What is kept costs
     about 4 bytes per box (8 above 2**32 cells), plus a box's code again
     for each further chunk that meets it."""
-    if r <= 0:
-        raise ValueError("box side must be positive")
-    if renorm_step(p) != p:
-        raise Degenerate("deep streaming requires a fixed parameter")
-    if l <= base_l:
-        return box_count(cover_arrays(p, l), r)
-    base = _cover(param_chain(p, base_l))
-    window = _window(base, r, pad=1)
     width = -(-window.nx * window.ny // DEEP_BUCKETS)
     edges = (np.arange(1, DEEP_BUCKETS) * width).astype(window.dtype)
     buckets: list[list[np.ndarray]] = [[] for _ in range(DEEP_BUCKETS)]
-    sigma = substitution(p)
-    growth = max(len(sigma.image_a), len(sigma.image_b)) ** (l - base_l)
-    chunk = max(1, DEEP_PIECES // growth)
-    for lo in range(0, base[0].size, chunk):
-        part = _fold([p] * (l - base_l), tuple(a[lo : lo + chunk] for a in base))
+    for part in chunks:
         if not window.holds(_window(part, r)):
-            raise RuntimeError("a subtree left the cell window of the base cover")
+            raise RuntimeError("a chunk left the cell window of the count")
         codes = _box_codes(part, r, window)
         codes.sort()
         codes = _compact(codes)
@@ -355,6 +306,56 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
             codes.sort()
             total += _distinct(codes)
     return total
+
+
+def box_count(arrays, r: float) -> int:
+    """Number of side-r grid boxes meeting at least one of the rectangles
+    (x, y, w, h, ...) of arrays, computed from their extents. Exact for
+    any finite rectangles, wherever they lie; ValueError if a cell index
+    reaches 2**51 or the rectangles span 2**63 cells or more.
+
+    A box is coded by its place in the window of cells the rectangles span
+    (`_Window`): uint32 below 2**32 cells, else int64. Each rectangle emits
+    one code per cell it meets; the codes are sorted in place and their
+    distinct values counted. Above BOX_CHUNK pieces, the chunks are counted
+    together by code range (`_count_chunks`). Beyond the pieces, a call
+    holds 32 bytes per piece of cell ranges while it takes first cells and
+    spans, then 12 bytes per piece of those and the codes: at a cover's
+    natural radius, about 3.6 uint32 codes per piece, the peak is about 45
+    bytes per piece."""
+    if r <= 0:
+        raise ValueError("box side must be positive")
+    arrays = arrays[:4]
+    n = arrays[0].size
+    if n == 0:
+        return 0
+    window = _window(arrays, r)
+    if n <= BOX_CHUNK:
+        codes = _box_codes(arrays, r, window)
+        codes.sort()
+        return _distinct(codes)
+    chunks = (tuple(a[lo : lo + BOX_CHUNK] for a in arrays)
+              for lo in range(0, n, BOX_CHUNK))
+    return _count_chunks(chunks, r, window)
+
+
+def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
+    """Box count of a deep cover at a renormalization fixed point, without
+    materializing the cover: the subtrees of the depth-base_l pieces are
+    expanded at most DEEP_PIECES pieces at a time (`_subtrees`) and
+    counted together by code range (`_count_chunks`). Their cells are
+    coded in the window of the base cover, whose pieces contain their
+    subtrees, widened by one cell for the rounding of the pulled-back
+    edges."""
+    if r <= 0:
+        raise ValueError("box side must be positive")
+    if renorm_step(p) != p:
+        raise Degenerate("deep streaming requires a fixed parameter")
+    if l <= base_l:
+        return box_count(cover_arrays(p, l), r)
+    base = _cover(param_chain(p, base_l))
+    chunks = _subtrees([p] * (l - base_l), base, DEEP_PIECES)
+    return _count_chunks(chunks, r, _window(base, r, pad=1))
 
 
 def slope_fit(radii, counts) -> DimensionReport:
@@ -410,14 +411,10 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
     params = param_chain(p, l)
     check_budget(params, PIECE_BUDGET)
     # the cover at depth l can be huge; materialize only the deepest base_l
-    # levels and push the remaining pull-backs chunk by chunk, since each
-    # piece expands independently of the others
+    # levels and stream the remaining pull-backs through `_subtrees`
     base_l = min(l, 8)
     base = _cover(params[l - base_l :])
     rest = params[: l - base_l]
-    growth = 1
-    for sigma in map(substitution, rest):
-        growth *= max(len(sigma.image_a), len(sigma.image_b))
     # the depth-l cover has one piece per letter of the index-(l-1) matrix
     # product, so the piece masses come from the index-(l-1) tower
     ts = tower_stats(p, l - 1, prefix_len=default_prefix_len(p, l - 1))
@@ -430,9 +427,7 @@ def local_scaling(p: Param, points: int, radii) -> DimensionReport:
     cx = deep[0][cidx] + deep[2][cidx] / 2
     cy = deep[1][cidx] + deep[3][cidx] / 2
     mu = np.zeros((cx.size, len(use)))
-    chunk = max(1, 2_000_000 // growth)
-    for lo in range(0, base[0].size, chunk):
-        x, y, w, h, sq, _ = _fold(rest, tuple(a[lo : lo + chunk] for a in base))
+    for x, y, w, h, sq, _ in _subtrees(rest, base, 2_000_000):
         mass = np.where(sq, alpha, beta)
         for i in range(cx.size):
             for j, r in enumerate(use):

@@ -241,12 +241,24 @@ def _f(m11, m12, m21, m22):
     return np.sqrt(m11 * m22) + np.sqrt(m12 * m21)
 
 
+# series terms: tracemalloc puts the peak at 48, 104 and 80 bytes per term
+# (integral_ln_M, integral_ln_r, lower_bound_f), so this is about 0.52 GB
+TERM_BUDGET = 5_000_000
+
+
+def _check_terms(terms: int) -> None:
+    """ValueError below 10 terms, NotTerminated above TERM_BUDGET."""
+    if terms < 10:
+        raise ValueError("terms must be at least 10")
+    if terms > TERM_BUDGET:
+        raise NotTerminated(f"{terms} terms exceed the budget of {TERM_BUDGET}")
+
+
 def integral_ln_M(terms: int) -> SeriesValue:
     """Integral of ln of the max row sum of the accelerated matrix against
     the un-normalized invariant density, as three branch series (a middle
     branch has the invariant mass of the unit branch of the same index)."""
-    if terms < 10:
-        raise ValueError("terms must be at least 10")
+    _check_terms(terms)
     n = np.arange(UNIT.first, terms + 1.0)
     s1 = float(np.sum(_log_max_row_sum(UNIT, n) * _mass_unit(n)))
     k = np.arange(MIDDLE.first, terms + 1.0)
@@ -319,8 +331,7 @@ def integral_ln_r(terms: int) -> SeriesValue:
     """Integral of ln of the expansion ratio against the un-normalized
     invariant density: pi^2/12 from the unit interval, a certified branch
     series from the middle, and (ln 2)^2/2 + pi^2/12 from the right piece."""
-    if terms < 10:
-        raise ValueError("terms must be at least 10")
+    _check_terms(terms)
     first = math.pi**2 / 12
     third = math.log(2) ** 2 / 2 + math.pi**2 / 12
     mid, trunc = _middle_lnr_branches(terms)
@@ -339,8 +350,7 @@ def lower_bound_f(terms: int, depth: int = 2) -> SeriesValue:
     which are strictly positive; truncation only drops nonnegative terms,
     so the partial sum stays a certified lower bound.
     """
-    if terms < 10:
-        raise ValueError("terms must be at least 10")
+    _check_terms(terms)
     if depth == 1:
         n = np.arange(UNIT.first, terms + 1.0)
         s1 = float(np.sum(np.log(_f(*UNIT.M(n))) * _mass_unit(n)))

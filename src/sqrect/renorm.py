@@ -268,9 +268,7 @@ def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
             return Point(x, y)
 
 
-def induction_verify(
-    p: Param, samples: int = 10_000, tol: float = 1e-9, seed: int = 0
-) -> VerifyReport:
+def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyReport:
     """Check that the similitude conjugates the first-return map to the
     renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z)."""
     if samples < 1:

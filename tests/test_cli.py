@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sqrect
+from sqrect import cli
 from sqrect.cli import main, parse_param, parse_point
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
@@ -117,6 +119,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--param", "x=3/8", "--seed", "3"],
+            ["integrals", "--depth", "5"],
+            ["lyapunov", "--depth", "5"],
+            ["render", "islands", "--param", "sqrt(2)-1,-1", "--depth", "9",
+             "--out", "never-written.ppm"],
+            ["render", "cover", "--param", "sqrt(2)-1,-1", "--periods", "1,5",
+             "--out", "never-written.ppm"],
+            ["dimension", "--table", "--family", "plus"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_one(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1 and list(tmp_path.iterdir()) == []
+
     def test_long_sign_run_parses(self, capsys):
         # 3001 signs: -1/3, outside the domain, where it once overflowed the
         # parser's stack
@@ -180,6 +203,14 @@ class TestExitCodes:
     ])
     def test_word_above_letter_budget_fails_fast(self, argv):
         proc = run_python("-m", "sqrect.cli", *argv, timeout=2)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
+    def test_series_above_term_budget_fails_fast(self):
+        # 10^12 terms are 7.28 TiB of arange: refused before it is allocated
+        proc = run_python(
+            "-m", "sqrect.cli", "integrals", "--terms", "1000000000000", timeout=2
+        )
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
@@ -247,6 +278,56 @@ def test_explicit_zero_is_not_the_default(argv, module, name, arg, capsys,
         assert out == "" and json.loads(err)["error"] == "ValueError"
     else:
         assert code == 0 and err == ""
+
+
+def _subcommands(parser, path=()):
+    """(path, parser) of every subcommand and render kind."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from _subcommands(sp, (*path, name))
+
+
+def _attributes_read(argv) -> set:
+    """Names read off the parsed arguments by the handler, _emit and
+    _write_manifest of one run."""
+    reads = set()
+
+    class Logged(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Logged())
+    reads.clear()  # argparse's own reads while parsing
+    report, rows, text = cli.HANDLERS[args.command](args)
+    cli._emit(args, report, rows, text)
+    cli._write_manifest(args)
+    return reads
+
+
+def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
+    # over the golden cases, each subcommand's handler reads every flag it
+    # declares: a flag it accepted and then ignored would change nothing
+    from test_golden import COMMANDS
+
+    monkeypatch.chdir(tmp_path)
+    read = {}
+    for _, argv in COMMANDS:
+        path = tuple(argv[:2]) if argv[0] == "render" else (argv[0],)
+        read.setdefault(path, set()).update(_attributes_read(argv))
+    leaves = dict(_subcommands(cli.build_parser()))
+    assert sorted(read) == sorted(leaves)
+    unread = {
+        " ".join(path): sorted(
+            a.dest for a in sp._actions
+            if a.option_strings and a.dest != "help" and a.dest not in read[path]
+        )
+        for path, sp in leaves.items()
+    }
+    assert unread == {name: [] for name in unread}
 
 
 # text that is almost a parameter or a point, and text of any kind

@@ -222,7 +222,6 @@ class TestBoxCount:
             box_count(cover_arrays(Param(SQRT2M1, -1), 2), 0.0)
 
     def test_no_pieces_count_zero(self):
-        assert box_count([], 0.1) == 0
         assert box_count(tuple(np.empty(0) for _ in range(5)), 0.1) == 0
 
     @given(

@@ -19,6 +19,7 @@ from sqrect.lyap import (
     MASTER_SEED,
     EXPANSION_TERMS,
     LANE_BUDGET,
+    TERM_BUDGET,
     _middle_lnr_branches,
     _sample_x,
     _sanitize,
@@ -478,6 +479,18 @@ class TestSeriesValues:
             integral_ln_M(5)
         with pytest.raises(ValueError):
             lower_bound_f(1000, depth=3)
+
+    @pytest.mark.parametrize("series", [integral_ln_M, integral_ln_r, lower_bound_f])
+    @pytest.mark.parametrize("terms", [TERM_BUDGET + 1, 10**12])
+    def test_terms_above_budget_rejected_before_allocating(self, series, terms):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotTerminated):
+                series(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSlowDivergence:
