@@ -180,30 +180,36 @@ def density(which: str, x) -> float:
 # -- transfer operator residuals -----------------------------------------
 
 
-def _pair_sum(alpha: float, beta: float, n_min: int, parity: int, cutoff: int) -> float:
+PAIR_TERMS = 20_000  # terms of each pair sum added before its digamma tail
+
+
+def _pair_sum(alpha: float, beta: float, n_min: int, parity: int) -> float:
     """Sum of 1/(n+alpha) - 1/(n+beta) over n >= n_min with n % 2 == parity.
 
-    Enumerates up to `cutoff` terms and closes the remainder with digamma
-    values, so the result is exact up to rounding.
+    Adds the first PAIR_TERMS terms directly and closes the remainder with
+    digamma values, so the result is exact up to rounding. The direct terms
+    are summed left to right by np.add.accumulate, each rounded as the
+    scalar expression rounds it (every n < 2**53 converts exactly), so the
+    sum is bit for bit that of a term-by-term loop; np.sum, which sums
+    pairwise, would change the last bits.
     """
     # imported here so that importing the package does not load scipy.special
     from scipy.special import digamma
 
     n = n_min if n_min % 2 == parity else n_min + 1
-    total = 0.0
-    direct_end = n + 2 * min(cutoff, 20_000)
-    while n < direct_end:
-        total += 1.0 / (n + alpha) - 1.0 / (n + beta)
-        n += 2
-    m0 = (n - parity) // 2  # tail starts at n = 2*m0 + parity
+    if n + alpha == 0 or n + beta == 0:
+        # alpha, beta >= -1 here: only the first term can have a zero pole
+        raise ZeroDivisionError("float division by zero")
+    k = np.arange(n, n + 2 * PAIR_TERMS, 2)
+    total = np.add.accumulate(1.0 / (k + alpha) - 1.0 / (k + beta))[-1]
+    m0 = (n - parity) // 2 + PAIR_TERMS  # tail starts at n = 2*m0 + parity
     total += 0.5 * (
         digamma(m0 + (parity + beta) / 2) - digamma(m0 + (parity + alpha) / 2)
     )
     return total
 
 
-def transfer_residual(which: str, y: float, branch_cutoff: int = 10**6,
-                      test_density=None) -> float:
+def transfer_residual(which: str, y: float, test_density=None) -> float:
     """|sum over inverse branches of density/|map'| - density(y)|.
 
     `test_density` substitutes an alternative density (negative controls);
@@ -216,16 +222,16 @@ def transfer_residual(which: str, y: float, branch_cutoff: int = 10**6,
         if test_density is None:
             # left branches x=1/(t+n): weight 1/((t+n)(t+n+1));
             # right branches x=2-1/(t+n): weight 1/((t+n-1)(t+n))
-            total = _pair_sum(t, t + 1, 1, parity, branch_cutoff)
-            total += _pair_sum(t - 1, t, 1, parity, branch_cutoff)
+            total = _pair_sum(t, t + 1, 1, parity)
+            total += _pair_sum(t - 1, t, 1, parity)
         else:
             total = _generic_branch_sum("nu", dens, y)
         return abs(total - dens(y))
     if which == "bold_nu":
         if test_density is None:
-            total = _pair_sum(t, t + 1, 1, parity, branch_cutoff)
+            total = _pair_sum(t, t + 1, 1, parity)
             # right branches: weight 1/((t+n-1)(t+n)), n >= 2
-            total += _pair_sum(t - 1, t, 2, parity, branch_cutoff)
+            total += _pair_sum(t - 1, t, 2, parity)
             if y > 1.5:
                 # middle branches telescope: sum_{n>=2} of
                 # 1/((n(y-1)+1)(n(y-1)-y+2)) = 1/(y(y-1))

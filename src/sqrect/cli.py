@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a command refuses a flag it does not take under its own usage;
+        # argparse would hand it up to the top-level parser
+        args, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
 
 def _number(text: str):
     try:
@@ -213,6 +221,11 @@ def _cmd_integrals(args):
 def _cmd_dimension(args):
     from .fractal import dimension_estimate, dimension_table, selfsimilar_dimension
 
+    # --n counts the self-similar members, --depth the renormalization steps
+    if (args.table or args.family) and args.depth is not None:
+        raise ParseError("--depth is read only with --param")
+    if args.param and args.n is not None:
+        raise ParseError("--n is read only with --table or --family")
     if args.table:
         lines = dimension_table(_given(args.n, 5))
         return {"table": lines[1:]}, [line.split(",") for line in lines], lines

@@ -164,6 +164,12 @@ def _vector_step(x, u1, u2, log_norm, lnR):
 # Monte-Carlo lanes per estimate: tracemalloc puts the peak of
 # birkhoff_estimate at 249 bytes per lane, so this is about 0.6 GB
 LANE_BUDGET = 2_400_000
+# Steps and lane-steps per estimate. On a 2-core VM a step costs about 22 us
+# of numpy dispatch plus 55-165 ns per lane: the slowest run both budgets
+# admit, 200 lanes of 10**6 steps, takes about 33 s, and the default 1000
+# lanes of 10,000 steps take 0.8 s
+STEP_BUDGET = 1_000_000
+LANE_STEP_BUDGET = 200_000_000
 
 
 def birkhoff_estimate(
@@ -177,6 +183,11 @@ def birkhoff_estimate(
     if trials > LANE_BUDGET:
         raise NotTerminated(
             f"{trials} lanes exceed the budget of {LANE_BUDGET} (about 0.6 GB)"
+        )
+    if l > STEP_BUDGET or trials * l > LANE_STEP_BUDGET:
+        raise NotTerminated(
+            f"{trials} lanes of {l} steps exceed the budget of {STEP_BUDGET}"
+            f" steps and {LANE_STEP_BUDGET} lane-steps"
         )
     rng = np.random.default_rng(seed)
     x = _sanitize(_sample_x(rng, trials))

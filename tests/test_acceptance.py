@@ -263,7 +263,7 @@ def test_criterion_09_densities():
     points = [y if abs(y - 1.0) > 0.04 else y + 0.05 for y in points]
     for which in ("nu", "bold_nu"):
         for y in points:
-            assert transfer_residual(which, y, branch_cutoff=10**6) <= 1e-8
+            assert transfer_residual(which, y) <= 1e-8
     for y in (0.3, 0.7, 1.45, 1.8):
         assert transfer_residual("bold_nu", y, test_density=lambda x: 1.0) > 1e-2
     for k in range(1, 20):

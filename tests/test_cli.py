@@ -130,15 +130,37 @@ class TestExitCodes:
             ["render", "cover", "--param", "sqrt(2)-1,-1", "--periods", "1,5",
              "--out", "never-written.ppm"],
             ["dimension", "--table", "--family", "plus"],
+            # dimension's selectors each read only one of --n and --depth
+            ["dimension", "--table", "--depth", "9", "--out", "never-written"],
+            ["dimension", "--family", "plus", "--n", "2", "--depth", "3"],
+            ["dimension", "--param", "sqrt(2)-1,-1", "--n", "7", "--depth", "20",
+             "--out", "never-written"],
         ],
     )
     def test_flag_the_command_does_not_read_is_one(
         self, capsys, tmp_path, monkeypatch, argv
     ):
+        # refused by the parser (SystemExit) or by the handler (JSON error)
         monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        else:
+            assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        assert code == 1 and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["integrals", "--depth", "5"], "usage: sqrect integrals "),
+        (["render", "cover", "--param", "sqrt(2)-1,-1", "--periods", "3"],
+         "usage: sqrect render cover "),
+    ])
+    def test_unread_flag_shows_the_command_usage(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as e:
             main(argv)
-        assert e.value.code == 1 and list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert e.value.code == 1 and err.startswith(usage)
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_long_sign_run_parses(self, capsys):
         # 3001 signs: -1/3, outside the domain, where it once overflowed the
@@ -210,6 +232,15 @@ class TestExitCodes:
         # 10^12 terms are 7.28 TiB of arange: refused before it is allocated
         proc = run_python(
             "-m", "sqrect.cli", "integrals", "--terms", "1000000000000", timeout=2
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
+    def test_lyapunov_above_step_budget_fails_fast(self):
+        # one lane of 10^12 steps is about 250 days of numpy dispatch
+        proc = run_python(
+            "-m", "sqrect.cli", "lyapunov", "--trials", "1", "--l",
+            "1000000000000", timeout=2,
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"

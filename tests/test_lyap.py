@@ -19,6 +19,8 @@ from sqrect.lyap import (
     MASTER_SEED,
     EXPANSION_TERMS,
     LANE_BUDGET,
+    LANE_STEP_BUDGET,
+    STEP_BUDGET,
     TERM_BUDGET,
     _middle_lnr_branches,
     _sample_x,
@@ -230,6 +232,18 @@ class TestOnePassKernel:
         assert peak < 2**20  # nothing lane-sized was allocated
         with pytest.raises(NotTerminated):
             birkhoff_estimate(trials=LANE_BUDGET + 1, l=1)
+
+    @pytest.mark.parametrize("trials, l", [
+        (1, STEP_BUDGET + 1),
+        (1, 10**12),
+        (LANE_STEP_BUDGET // 1000 + 1, 1000),
+        (LANE_BUDGET, LANE_STEP_BUDGET // LANE_BUDGET + 1),
+    ])
+    def test_steps_above_budget_fail_fast(self, trials, l):
+        t0 = time.perf_counter()
+        with pytest.raises(NotTerminated):
+            birkhoff_estimate(trials=trials, l=l)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPinnedOutputs:
