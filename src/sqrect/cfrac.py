@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Terminal
-from .exactnum import Number, is_exact, nfloor
+from .exactnum import Number, is_exact
 from .pet import Param
 from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
@@ -48,16 +48,17 @@ def _slow_branch(x: Number) -> tuple[BranchFamily, int, Number]:
         raise Terminal(f"map undefined at x = {x}")
     fam = UNIT if x < 1 else RIGHT
     inv = 1 / fam.gap(x)
-    return fam, nfloor(inv), inv
+    return fam, math.floor(inv), inv
 
 
-def _digit(fam: BranchFamily, n: int) -> tuple[int, int, Mat2]:
-    return n, -1 if fam is UNIT else 1, Mat2(*fam.A(n))
+def _digit(fam: BranchFamily, n: int) -> Digit:
+    return Digit(n, -1 if fam is UNIT else 1)
 
 
 def branch_data(x: Number) -> tuple[int, int, Mat2]:
     """(branch index n, side sign, Moebius matrix A with S(x) = A.x)."""
-    return _digit(*_slow_branch(x)[:2])
+    fam, n, _ = _slow_branch(x)
+    return n, _digit(fam, n).eps, Mat2(*fam.A(n))
 
 
 def s_interval(x: Number) -> Number:
@@ -70,7 +71,6 @@ def s_interval(x: Number) -> Number:
 class Digit:
     n: int
     eps: int
-    matrix: Mat2
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
                 return Expansion(steps, "periodic", i, k - i)
             seen[x] = k
         fam, n, inv = _slow_branch(x)
-        steps.append(Digit(*_digit(fam, n)))
+        steps.append(_digit(fam, n))
         x = slow_image(inv, n)
     return Expansion(steps, "truncated")
 
@@ -106,7 +106,7 @@ def q_map(x: Number) -> Number:
     if x == 0:
         raise Terminal("map undefined at 0")
     inv = 1 / x
-    n = nfloor(inv)
+    n = math.floor(inv)
     frac = inv - n
     return frac if n % 2 == 0 else 1 - frac
 
@@ -140,7 +140,7 @@ def accel(x: Number) -> AccelStep:
         )
     # x in (1, 3/2), where the slow map takes right branch 1 until the orbit
     # leaves: middle branch n takes it n - 1 times in one Moebius step
-    n = nfloor(1 / MIDDLE.gap(x))
+    n = math.floor(1 / MIDDLE.gap(x))
     A = Mat2(*MIDDLE.A(n))
     return AccelStep(
         n - 1, A.mobius(x), A, 1 / (A.m21 * x + A.m22), Mat2(*MIDDLE.M(n)), MIDDLE, n

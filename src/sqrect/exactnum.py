@@ -375,17 +375,6 @@ def is_exact(x: Number) -> bool:
     return not isinstance(x, float)
 
 
-def sign(x: Number) -> int:
-    if isinstance(x, Surd):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def nfloor(x: Number) -> int:
-    """Exact floor for any scalar."""
-    return math.floor(x)
-
-
 def compare(a: Number, b: Number) -> int:
     """-1, 0 or +1 as a <, ==, > b."""
     if isinstance(a, Surd) and not isinstance(b, float):

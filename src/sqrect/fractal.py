@@ -16,7 +16,8 @@ from .exactnum import make_surd
 from .lyap import cocycle_walk
 from .pet import Param, psi_inverse
 from .renorm import (
-    check_budget, cover_seed, param_chain, rect_branch, renorm_step, substitution
+    check_budget, cover_seed, param_chain, rect_branch, renorm_step, return_times,
+    substitution,
 )
 from .words import default_prefix_len, tower_stats
 
@@ -269,11 +270,10 @@ def _compact(a: np.ndarray) -> np.ndarray:
 def _subtrees(params, base, budget: int):
     """The pieces of base pulled back through params (deepest first), in
     chunks of budget // growth base pieces, where growth is the product of
-    the longest substitution images: each chunk holds at most about budget
-    pieces, since every piece expands independently of the others."""
-    growth = 1
-    for sigma in map(substitution, params):
-        growth *= max(len(sigma.image_a), len(sigma.image_b))
+    the longest return times (the lengths of the substitution images): each
+    chunk holds at most about budget pieces, since every piece expands
+    independently of the others."""
+    growth = math.prod(max(return_times(q)) for q in params)
     chunk = max(1, budget // growth)
     for lo in range(0, base[0].size, chunk):
         yield _fold(params, tuple(a[lo : lo + chunk] for a in base))

@@ -237,14 +237,13 @@ def _mass_right(n: np.ndarray) -> np.ndarray:
     return np.log(n * n / ((n - 1.0) * (n + 1.0)))
 
 
+# a middle branch has the invariant mass of the unit branch of the same index
+_MASS = {UNIT: _mass_unit, MIDDLE: _mass_unit, RIGHT: _mass_right}
+
+
 def _matrix(fam, n: np.ndarray) -> tuple:
     """Cocycle matrix entries of branches n, each an array of n's shape."""
     return tuple(np.broadcast_to(np.asarray(m, dtype=float), n.shape) for m in fam.M(n))
-
-
-def _log_max_row_sum(fam, n: np.ndarray) -> np.ndarray:
-    m11, m12, _, _ = fam.M(n)  # the first row has the larger sum
-    return np.log(m11 + m12)
 
 
 def _f(m11, m12, m21, m22):
@@ -267,17 +266,14 @@ def _check_terms(terms: int) -> None:
 
 def integral_ln_M(terms: int) -> SeriesValue:
     """Integral of ln of the max row sum of the accelerated matrix against
-    the un-normalized invariant density, as three branch series (a middle
-    branch has the invariant mass of the unit branch of the same index)."""
+    the un-normalized invariant density, as one branch series per family."""
     _check_terms(terms)
-    n = np.arange(UNIT.first, terms + 1.0)
-    s1 = float(np.sum(_log_max_row_sum(UNIT, n) * _mass_unit(n)))
-    k = np.arange(MIDDLE.first, terms + 1.0)
-    s2 = float(np.sum(_log_max_row_sum(MIDDLE, k) * _mass_unit(k)))
-    k = np.arange(RIGHT.first, terms + 1.0)
-    s3 = float(np.sum(_log_max_row_sum(RIGHT, k) * _mass_right(k)))
-    tail = 3 * _log_tail(3.0, terms)
-    return SeriesValue(s1 + s2 + s3, tail, terms)
+    total = 0.0
+    for fam in FAMILIES:
+        n = np.arange(fam.first, terms + 1.0)
+        m11, m12, _, _ = fam.M(n)  # the first row has the larger sum
+        total += float(np.sum(np.log(m11 + m12) * _MASS[fam](n)))
+    return SeriesValue(total, len(FAMILIES) * _log_tail(3.0, terms), terms)
 
 
 EXPANSION_TERMS = 60  # terms of the geometric expansion per middle branch
@@ -351,43 +347,29 @@ def integral_ln_r(terms: int) -> SeriesValue:
     return SeriesValue(first + float(np.sum(mid)) + third, tail, terms)
 
 
-def lower_bound_f(terms: int, depth: int = 2) -> SeriesValue:
-    """Lower bound for the top Lyapunov integral via the super-
-    multiplicative function f(M) = sqrt(m11 m22) + sqrt(m12 m21).
-
-    depth=1 evaluates f on the single-step matrices: the middle branches
-    have an off-diagonal zero there and contribute ln 1 = 0, which makes
-    the bound weak.  depth=2 evaluates (1/2) ln f on two-step products,
-    which are strictly positive; truncation only drops nonnegative terms,
-    so the partial sum stays a certified lower bound.
-    """
-    _check_terms(terms)
-    if depth == 1:
-        n = np.arange(UNIT.first, terms + 1.0)
-        s1 = float(np.sum(np.log(_f(*UNIT.M(n))) * _mass_unit(n)))
-        k = np.arange(RIGHT.first, terms + 1.0)
-        s3 = float(np.sum(np.log(_f(*RIGHT.M(k))) * _mass_right(k)))
-        tail = 2 * _log_tail(3.0, terms)
-        return SeriesValue(s1 + s3, tail, terms)
-    if depth != 2:
-        raise ValueError("depth must be 1 or 2")
-    return _lower_bound_f_pairs(max(int(math.isqrt(terms)), 10))
+# Per predecessor family: the CDF of the invariant density on it, its inverse
+# branch x0 = pred(c, x1) from the image x1, and the successor families of its
+# branches. Unit and right branches are split by parity: even ones return to
+# the unit piece with c = n, odd ones land anywhere in (1,2) with c = n - 1.
+# Middle branches (parity None, c = n) always exit into (3/2,2). The maps stay
+# written out: deriving them from adj(A(n)) moves the last bit of
+# lower_bound_f(10_000).
+_BY_PARITY = ((0, (UNIT,)), (1, (MIDDLE, RIGHT)))
+_PREDECESSORS = (
+    (UNIT, np.log1p, lambda c, x1: 1 / (x1 + c), _BY_PARITY),
+    (MIDDLE, np.log, lambda c, x1: (c * x1 + 1 - c) / ((c - 1) * x1 + 2 - c),
+     ((None, (RIGHT,)),)),
+    (RIGHT, lambda x: np.log(x - 1),
+     lambda c, x1: (2 * x1 + 2 * c - 1) / (x1 + c), _BY_PARITY),
+)
 
 
-def _succ_table(fam, N: int):
-    """Successor data on one family: domain ends and matrix entries."""
-    n = np.arange(fam.first, N + 1.0)
-    lo, hi = fam.ends(n)
-    return lo, hi, _matrix(fam, n)
-
-
-def _pair_block(pred_inv, F, M1, succ) -> float:
+def _pair_block(pred, c, F, M1, succ) -> float:
     """Sum of ln f(M1 M2) weighted by the invariant mass of the two-step
-    cylinder, for one predecessor family against one successor table."""
+    cylinder, for predecessor branches (column c) against one successor
+    table."""
     lo2, hi2, M2 = succ
-    x0a = pred_inv(lo2[None, :])
-    x0b = pred_inv(hi2[None, :])
-    w = np.abs(F(x0b) - F(x0a))
+    w = np.abs(F(pred(c, hi2[None, :])) - F(pred(c, lo2[None, :])))
     a11, a12, a21, a22 = (m[:, None] for m in M1)
     b11, b12, b21, b22 = (m[None, :] for m in M2)
     c11 = a11 * b11 + a12 * b21
@@ -397,66 +379,31 @@ def _pair_block(pred_inv, F, M1, succ) -> float:
     return float(np.sum(np.log(_f(c11, c12, c21, c22)) * w))
 
 
-def _lower_bound_f_pairs(N: int) -> SeriesValue:
-    F_unit = np.log1p
-    F_mid = np.log
-    F_right = lambda x: np.log(x - 1)  # noqa: E731
-
-    succ_u = _succ_table(UNIT, N)
-    succ_m = _succ_table(MIDDLE, N)
-    succ_r = _succ_table(RIGHT, N)
-
-    # The predecessor maps below stay written out: deriving them from
-    # adj(A(n)) moves the last bit of lower_bound_f(10_000).
+def lower_bound_f(terms: int) -> SeriesValue:
+    """Lower bound for the top Lyapunov integral via the super-
+    multiplicative function f(M) = sqrt(m11 m22) + sqrt(m12 m21), as
+    (1/2) ln f on the two-step products M1 M2 over the first N = sqrt(terms)
+    branches of each family, weighted by the invariant mass of their
+    cylinders. The products are strictly positive (one-step middle matrices
+    have an off-diagonal zero), and truncation only drops nonnegative terms,
+    so the partial sum stays a certified lower bound."""
+    _check_terms(terms)
+    N = max(int(math.isqrt(terms)), 10)
+    succ = {}
+    for fam in FAMILIES:
+        n = np.arange(fam.first, N + 1.0)
+        succ[fam] = (*fam.ends(n), _matrix(fam, n))
     total = 0.0
-    # left predecessors: even digits return to the unit piece, odd ones
-    # land anywhere in (1,2)
-    n = np.arange(UNIT.first, N + 1.0)
-    npar = n % 2
-    M1 = _matrix(UNIT, n)
-    even, odd = npar == 0, npar == 1
-
-    def sub(M, mask):
-        return tuple(m[mask] for m in M)
-
-    shift = (n - npar)[even]
-    total += _pair_block(
-        lambda x1: 1 / (x1 + shift[:, None]), F_unit, sub(M1, even), succ_u
-    )
-    shift = (n - npar)[odd]
-    for succ in (succ_m, succ_r):
-        total += _pair_block(
-            lambda x1: 1 / (x1 + shift[:, None]), F_unit, sub(M1, odd), succ
-        )
-
-    # middle predecessors always exit into (3/2,2)
-    k = np.arange(MIDDLE.first, N + 1.0)[:, None]
-    M1 = _matrix(MIDDLE, k[:, 0])
-    total += _pair_block(
-        lambda x1: (k * x1 + 1 - k) / ((k - 1) * x1 + 2 - k), F_mid, M1, succ_r
-    )
-
-    # right predecessors mirror the left ones
-    m = np.arange(RIGHT.first, N + 1.0)
-    mpar = m % 2
-    M1 = _matrix(RIGHT, m)
-    even, odd = mpar == 0, mpar == 1
-    shift = (m - mpar)[even]
-    total += _pair_block(
-        lambda x1: (2 * x1 + 2 * shift[:, None] - 1) / (x1 + shift[:, None]),
-        F_right,
-        sub(M1, even),
-        succ_u,
-    )
-    shift = (m - mpar)[odd]
-    for succ in (succ_m, succ_r):
-        total += _pair_block(
-            lambda x1: (2 * x1 + 2 * shift[:, None] - 1) / (x1 + shift[:, None]),
-            F_right,
-            sub(M1, odd),
-            succ,
-        )
-
+    for fam, F, pred, splits in _PREDECESSORS:
+        n = np.arange(fam.first, N + 1.0)
+        M1 = _matrix(fam, n)
+        for parity, targets in splits:
+            rows = slice(None) if parity is None else n % 2 == parity
+            c = (n[rows] - (parity or 0))[:, None]
+            for target in targets:
+                total += _pair_block(
+                    pred, c, F, tuple(m[rows] for m in M1), succ[target]
+                )
     # one-sided truncation: omitted cylinders contribute >= 0, and at most
     # (ln 4 + ln|M1| + ln|M2|) x their mass; both factors give a series
     # tail of the usual ln(cN)/N shape

@@ -96,10 +96,8 @@ class Rect:
     def area(self) -> Number:
         return self.w * self.h
 
-    def contains(self, z: Point, closed: bool = True) -> bool:
-        if closed:
-            return self.x <= z.x <= self.x + self.w and self.y <= z.y <= self.y + self.h
-        return self.x < z.x < self.x + self.w and self.y < z.y < self.y + self.h
+    def contains(self, z: Point) -> bool:
+        return self.x <= z.x <= self.x + self.w and self.y <= z.y <= self.y + self.h
 
 
 @dataclass(frozen=True)
@@ -114,17 +112,13 @@ class Cell:
 # -- the map -------------------------------------------------------------
 
 
-def _in_open(lo, v, hi) -> bool:
-    return lo < v < hi
-
-
 def step(p: Param, z: Point) -> Point:
     th = p.theta
     x, y = z.x, z.y
-    if _in_open(0, y, 1):
-        if _in_open(0, x, 1):
+    if 0 < y < 1:
+        if 0 < x < 1:
             return Point(1 + th - y, p.f(x))
-        if _in_open(1, x, 1 + th):
+        if 1 < x < 1 + th:
             return Point(x - 1, 1 - y)
     if 0 <= x <= 1 + th and 0 <= y <= 1:
         raise OnDiscontinuity(f"({x}, {y}) lies on the discontinuity set")
@@ -134,10 +128,10 @@ def step(p: Param, z: Point) -> Point:
 def step_inverse(p: Param, z: Point) -> Point:
     th = p.theta
     x, y = z.x, z.y
-    if _in_open(0, y, 1):
-        if _in_open(th, x, 1 + th):
+    if 0 < y < 1:
+        if th < x < 1 + th:
             return Point(p.f(y), 1 + th - x)
-        if _in_open(0, x, th):
+        if 0 < x < th:
             return Point(x + 1, 1 - y)
     if 0 <= x <= 1 + th and 0 <= y <= 1:
         raise OnDiscontinuity(f"({x}, {y}) lies on the image partition boundary")

@@ -4,6 +4,7 @@ substitutions, incidence matrices and depth-l covers of the aperiodic set."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
-from .exactnum import Number, is_exact, nfloor
+from .exactnum import Number, is_exact
 from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
 from .words import Substitution, Word
 
@@ -46,10 +47,6 @@ class Mat2:
 
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def norm1_of(self, v: tuple[int, int]) -> int:
-        a, b = self.apply(v)
-        return abs(a) + abs(b)
 
     def __pow__(self, k: int) -> "Mat2":
         result, base = Mat2.identity(), self
@@ -176,7 +173,7 @@ def n_omega(p: Param) -> int:
     f = p.f(p.theta)
     if f == 0:
         raise Degenerate("f(theta) = 0")
-    return nfloor(1 / f)
+    return math.floor(1 / f)
 
 
 def renorm_step(p: Param) -> Param:
@@ -217,11 +214,10 @@ def induction_zone(p: Param) -> tuple[Rect, Rect]:
 
 
 def return_times(p: Param) -> tuple[int, int]:
-    """(return time on C^ind, return time on R^ind)."""
-    n = n_omega(p)
-    if p.eps == -1:
-        return 3 * (n - 1) + 2, 3
-    return 3 * (n - 1) + 1, 3
+    """(return time on C^ind, return time on R^ind): the lengths of the
+    substitution images, the column sums of the incidence matrix."""
+    M = incidence_matrix(p)
+    return M.m11 + M.m21, M.m12 + M.m22
 
 
 def first_return(p: Param, z: Point) -> tuple[Point, int]:
@@ -324,7 +320,7 @@ def period_sequence(p: Param, k: int) -> list[int]:
     q = p
     for i in range(k):
         seed = (1, 0) if q.eps == -1 else (1, 1)
-        out.append(M.norm1_of(seed))
+        out.append(sum(M.apply(seed)))
         if i < k - 1:
             M = M @ incidence_matrix(q)
             q = renorm_step(q)  # Terminal propagates
@@ -339,7 +335,6 @@ class CoverPiece:
     rect: Rect
     shape: str  # 'C' or 'R'
     ratio: Number  # linear contraction applied to the model shape
-    orbit_index: int
 
 
 def rect_branch(theta, eps: int, letter: str, x, y, w, h):
@@ -406,7 +401,7 @@ def cover_level(q: Param, pieces: list[tuple[CoverPiece, str]]):
         for i, side in enumerate(word):
             if i:
                 r = rect_branch(q.theta, q.eps, word[i - 1], *r)
-            out.append((CoverPiece(Rect(*r), piece.shape, contraction, i), side))
+            out.append((CoverPiece(Rect(*r), piece.shape, contraction), side))
     return out
 
 
@@ -418,7 +413,7 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
     params = param_chain(p, l)
     check_budget(params, EXACT_PIECE_BUDGET)
     pieces = [
-        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1, 0), letter)
+        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1), letter)
         for r, letter in cover_seed(params[-1].theta)
     ]
     for q in reversed(params[:-1]):

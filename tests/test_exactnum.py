@@ -16,7 +16,6 @@ from sqrect.exactnum import (
     eval_interval,
     make_surd,
     MAX_NESTING,
-    nfloor,
     parse_number,
     squarefree_decompose,
 )
@@ -84,18 +83,18 @@ class TestArithmetic:
 
 class TestOrder:
     def test_floor_rational(self):
-        assert nfloor(Fraction(8, 3)) == 2
+        assert math.floor(Fraction(8, 3)) == 2
 
     def test_floor_surd(self):
-        assert nfloor(surd2(1, 1)) == 2  # sqrt(2)+1
-        assert nfloor(surd2(-1, 1)) == 0
+        assert math.floor(surd2(1, 1)) == 2  # sqrt(2)+1
+        assert math.floor(surd2(-1, 1)) == 0
 
     def test_floor_near_integer(self):
         # (sqrt(2))^2 appears only via exact cancellation; check a surd
         # sitting just below an integer
         s = make_surd(-1, 1, 1000000, 2)  # tiny positive
-        assert nfloor(s) == 0
-        assert nfloor(-s) == -1
+        assert math.floor(s) == 0
+        assert math.floor(-s) == -1
 
     def test_compare_same_field(self):
         assert compare(surd2(-1, 1), Fraction(1, 2)) == -1
@@ -180,7 +179,7 @@ def test_float_matches_interval(x):
 
 @given(surds.filter(lambda x: isinstance(x, Surd)))
 def test_floor_bracket(x):
-    n = nfloor(x)
+    n = math.floor(x)
     assert compare(n, x) <= 0 < compare(n + 1, x)
 
 

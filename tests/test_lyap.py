@@ -341,7 +341,7 @@ class TestSeriesAgainstQuadrature:
 
     def test_lower_bound_f_oracle(self):
         N = 30
-        series = lower_bound_f(N * N, depth=2).value
+        series = lower_bound_f(N * N).value
 
         def f_ln(M: Mat2) -> float:
             return math.log(
@@ -476,11 +476,6 @@ class TestSeriesValues:
         sv = lower_bound_f(2_000_000)
         assert sv.value >= 2.66
 
-    def test_depth_one_is_weaker(self):
-        weak = lower_bound_f(200_000, depth=1)
-        strong = lower_bound_f(200_000, depth=2)
-        assert weak.value < strong.value
-
     def test_values_monotone_in_terms(self):
         assert integral_ln_M(4000).value > integral_ln_M(400).value
         assert lower_bound_f(4000).value > lower_bound_f(400).value
@@ -492,7 +487,7 @@ class TestSeriesValues:
         with pytest.raises(ValueError):
             integral_ln_M(5)
         with pytest.raises(ValueError):
-            lower_bound_f(1000, depth=3)
+            lower_bound_f(5)
 
     @pytest.mark.parametrize("series", [integral_ln_M, integral_ln_r, lower_bound_f])
     @pytest.mark.parametrize("terms", [TERM_BUDGET + 1, 10**12])

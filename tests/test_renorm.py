@@ -301,7 +301,7 @@ class TestCover:
             l += 1
         params = param_chain(p, l)
         pieces = [
-            (CoverPiece(Rect(*r), "CR"[letter == "b"], 1, 0), letter)
+            (CoverPiece(Rect(*r), "CR"[letter == "b"], 1), letter)
             for r, letter in cover_seed(params[-1].theta)
         ]
         checked = 0
