@@ -45,15 +45,17 @@ def selfsimilar_parameter(family: str, n: int) -> Param:
 
 def selfsimilar_dimension(family: str, n: int) -> DimensionReport:
     """Dimension at the self-similar parameters: ratio of the log of the
-    Perron eigenvalue of the fixed matrix to the log of the contraction."""
+    Perron eigenvalue of the fixed matrix to the log of the contraction.
+    The contraction is written without a difference of near-equal terms,
+    which would cancel at large n."""
     if n < 1:
         raise ValueError("n must be positive")
     if family == "minus":
         growth = 2 * n + math.sqrt(4 * n * n + 1)
-        ratio = math.sqrt(n * n + 1) - n
+        ratio = 1 / (math.sqrt(n * n + 1) + n)
     elif family == "plus":
         growth = 2 * n + 1 + 2 * math.sqrt(n * (n + 1))
-        ratio = n + 1 - math.sqrt(n * (n + 2))
+        ratio = 1 / (n + 1 + math.sqrt(n * (n + 2)))
     else:
         raise ValueError("family must be 'minus' or 'plus'")
     return DimensionReport(

@@ -70,6 +70,20 @@ class TestClosedForms:
             1.637938, abs=1e-6
         )
 
+    @pytest.mark.parametrize("family", ["minus", "plus"])
+    @pytest.mark.parametrize("n", [10**4, 10**7, 10**8])
+    def test_ratio_matches_exact_surd_at_large_n(self, family, n):
+        # the contraction is the surd a + b sqrt(d), here from 256 bits of
+        # sqrt(d); written as a difference of near-equal floats it kept 4
+        # digits at n = 10^7 and rounded to 0 at n = 10^8
+        a, b, d = (-n, 1, n * n + 1) if family == "minus" else (n + 1, -1, n * (n + 2))
+        root = math.isqrt(d << 512)  # floor(sqrt(d) * 2**256)
+        exact = float(Fraction((a << 256) + b * root, 1 << 256))
+        rep = selfsimilar_dimension(family, n)
+        assert rep.diagnostics["ratio"] == pytest.approx(exact, rel=1e-15)
+        growth = rep.diagnostics["growth"]
+        assert rep.value == pytest.approx(-math.log(growth) / math.log(exact), rel=1e-14)
+
     def test_dimensions_decrease_toward_one(self):
         for family in ("minus", "plus"):
             vals = [selfsimilar_dimension(family, n).value for n in range(1, 30)]
