@@ -257,7 +257,7 @@ def _cmd_render(args):
         px16 = img.pixels.astype("u2")
         lum = (px16[..., 0] * 299 + px16[..., 1] * 587 + px16[..., 2] * 114) // 1000
         img.pixels[:] = lum.astype("u1")[..., None]
-    img.save(args.out, compress=args.compress)
+    img.save(args.out)
     report = {
         "out": args.out,
         "width": img.width,
@@ -353,7 +353,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--param", required=True)
         sp.add_argument("--px", type=int, default=1000)
         sp.add_argument("--palette", choices=("default", "mono"), default="default")
-        sp.add_argument("--compress", action="store_true")
         if kind == "islands":
             sp.add_argument("--periods", default=None, help="comma list of periods")
 

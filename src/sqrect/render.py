@@ -122,9 +122,10 @@ class Image:
         header = f"P6\n{self.width} {self.height}\n255\n".encode()
         return header + self.pixels.tobytes()
 
-    def save(self, path: str, compress: bool = False) -> None:
+    def save(self, path: str) -> None:
+        """Write the P6 image, gzipped when the path ends in .gz."""
         data = self.to_p6()
-        if compress or str(path).endswith(".gz"):
+        if str(path).endswith(".gz"):
             # fixed mtime and no embedded filename keep the bytes
             # independent of when and where the image is written
             with open(path, "wb") as raw:
