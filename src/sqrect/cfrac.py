@@ -213,8 +213,12 @@ def transfer_residual(which: str, y: float, test_density=None) -> float:
     """|sum over inverse branches of density/|map'| - density(y)|.
 
     `test_density` substitutes an alternative density (negative controls);
-    the default closed-form densities use certified digamma tails.
+    the default closed-form densities use certified digamma tails. Both
+    densities jump at y = 1, where the branch sums take the right-hand
+    limit (a pole for 'nu'), so y = 1 is refused with ValueError.
     """
+    if y == 1:
+        raise ValueError("the densities jump at y = 1; the residual is undefined")
     dens = test_density or (lambda t: density(which, t))
     parity = 0 if y < 1 else 1
     t = y if y < 1 else y - 1

@@ -241,6 +241,14 @@ class TestDensities:
                         continue
                     assert cfrac._pair_sum(*args) == expected, args
 
+    @pytest.mark.parametrize("which", ["nu", "bold_nu"])
+    @pytest.mark.parametrize("test_density", [None, lambda x: 1.0])
+    def test_residual_refused_at_the_jump(self, which, test_density):
+        # both densities jump at y = 1: 'nu' raised ZeroDivisionError there,
+        # and 'bold_nu' returned 0.5
+        with pytest.raises(ValueError):
+            transfer_residual(which, 1.0, test_density)
+
     @pytest.mark.parametrize("y", [0.3, 0.7, 1.45, 1.8])
     def test_uniform_negative_control(self, y):
         res = transfer_residual("bold_nu", y, test_density=lambda x: 1.0)

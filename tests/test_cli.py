@@ -236,6 +236,20 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
+    def test_dimension_table_above_row_budget_fails_fast(self):
+        # 2 * 10^12 rows: refused before the first one is formatted
+        proc = run_python(
+            "-m", "sqrect.cli", "dimension", "--table", "--n", "1000000000000",
+            timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
+    def test_dimension_family_at_large_n(self, capsys):
+        # the closed-form ratio no longer cancels to 0 at n = 10^8
+        code, out, _ = run(capsys, "dimension", "--family", "minus", "--n", "100000000")
+        assert code == 0 and 1 < json.loads(out)["value"] < 1.04
+
     def test_lyapunov_above_step_budget_fails_fast(self):
         # one lane of 10^12 steps is about 250 days of numpy dispatch
         proc = run_python(

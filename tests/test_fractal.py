@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,16 @@ class TestClosedForms:
             selfsimilar_dimension("other", 1)
         with pytest.raises(ValueError):
             selfsimilar_parameter("other", 1)
+
+    def test_table_size_checked_before_the_first_row(self):
+        with pytest.raises(ValueError):
+            dimension_table(0)
+        t0 = time.perf_counter()
+        with pytest.raises(NotTerminated):
+            dimension_table(fractal.TABLE_ROW_BUDGET // 2 + 1)
+        with pytest.raises(NotTerminated):
+            dimension_table(10**12)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_table_rows(self):
         rows = dimension_table(5)
