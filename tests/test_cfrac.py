@@ -244,8 +244,8 @@ class TestDensities:
     @pytest.mark.parametrize("which", ["nu", "bold_nu"])
     @pytest.mark.parametrize("test_density", [None, lambda x: 1.0])
     def test_residual_refused_at_the_jump(self, which, test_density):
-        # both densities jump at y = 1: 'nu' raised ZeroDivisionError there,
-        # and 'bold_nu' returned 0.5
+        # both densities jump at y = 1, where the branch sums would take the
+        # right-hand limit, a pole for 'nu'
         with pytest.raises(ValueError):
             transfer_residual(which, 1.0, test_density)
 

@@ -246,7 +246,7 @@ class TestExitCodes:
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
     def test_dimension_family_at_large_n(self, capsys):
-        # the closed-form ratio no longer cancels to 0 at n = 10^8
+        # a contraction written as sqrt(n*n + 1) - n would round to 0 here
         code, out, _ = run(capsys, "dimension", "--family", "minus", "--n", "100000000")
         assert code == 0 and 1 < json.loads(out)["value"] < 1.04
 

@@ -75,8 +75,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [10**4, 10**7, 10**8])
     def test_ratio_matches_exact_surd_at_large_n(self, family, n):
         # the contraction is the surd a + b sqrt(d), here from 256 bits of
-        # sqrt(d); written as a difference of near-equal floats it kept 4
-        # digits at n = 10^7 and rounded to 0 at n = 10^8
+        # sqrt(d); a float a + b sqrt(d) cancels to 4 digits at n = 10^7 and
+        # to 0 at n = 10^8
         a, b, d = (-n, 1, n * n + 1) if family == "minus" else (n + 1, -1, n * (n + 2))
         root = math.isqrt(d << 512)  # floor(sqrt(d) * 2**256)
         exact = float(Fraction((a << 256) + b * root, 1 << 256))
