@@ -9,6 +9,12 @@ A :class:`Surd` stores ``(p + q*sqrt(d)) / r`` with integers
 ``p, q, r``, ``gcd(p, q, r) == 1``, ``r > 0``, ``q != 0`` and ``d``
 square-free, ``d >= 2``.  This representation is canonical, so equality
 is structural and hashing works.
+
+The operators take an ``int`` and a Surd of the same field on direct
+paths, and every other operand through ``Surd._coerce``.  The int paths
+rest on the invariant: gcd(p + k*r, q, r) = gcd(p, q, r) = 1, so s + k,
+s - k and k - s are canonical without a gcd, and gcd(k*p, k*q, r) =
+gcd(k, r), so s*k divides out only that.
 """
 
 from __future__ import annotations
@@ -137,7 +143,14 @@ class Surd:
 
     def _diff_sign(self, other: Number) -> int:
         """Sign of self - other for an exact operand."""
-        if isinstance(other, Surd) and other.d != self.d:
+        if type(other) is Surd:
+            if other.d == self.d:
+                # both denominators are positive, so scaling by r*r2 keeps
+                # the sign
+                r2 = other.r
+                return _sign(
+                    self.p * r2 - other.p * self.r, self.q * r2 - other.q * self.r, self.d
+                )
             # distinct square-free radicands: values can only coincide if
             # both are rational, which the invariant excludes, so interval
             # refinement terminates.
@@ -153,9 +166,8 @@ class Surd:
         co = self._coerce(other)
         if co is None:
             raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        p2, q2, r2 = co
-        # both denominators are positive, so scaling by r*r2 keeps the sign
-        return _sign(self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.d)
+        p2, r2 = co
+        return _sign(self.p * r2 - p2 * self.r, self.q * r2, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
@@ -174,22 +186,32 @@ class Surd:
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.r, self.d))
 
+    # an int k compares through the sign of (p - k*r) + q*sqrt(d)
+
     def __lt__(self, other):
+        if type(other) is int:
+            return _sign(self.p - other * self.r, self.q, self.d) < 0
         if isinstance(other, float):
             return float(self) < other
         return self._diff_sign(other) < 0
 
     def __le__(self, other):
+        if type(other) is int:
+            return _sign(self.p - other * self.r, self.q, self.d) <= 0
         if isinstance(other, float):
             return float(self) <= other
         return self._diff_sign(other) <= 0
 
     def __gt__(self, other):
+        if type(other) is int:
+            return _sign(self.p - other * self.r, self.q, self.d) > 0
         if isinstance(other, float):
             return float(self) > other
         return self._diff_sign(other) > 0
 
     def __ge__(self, other):
+        if type(other) is int:
+            return _sign(self.p - other * self.r, self.q, self.d) >= 0
         if isinstance(other, float):
             return float(self) >= other
         return self._diff_sign(other) >= 0
@@ -206,36 +228,36 @@ class Surd:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other) -> tuple[int, int, int] | None:
-        """Express an exact operand over (num_p, num_q, den) in this field;
-        None for a bool or a non-exact operand."""
-        # Surd first: it is the usual operand, and isinstance against
-        # Fraction, an ABC check, is slow for any operand that is not a
-        # Fraction.
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise MixedSurdFields(
-                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-                )
-            return other.p, other.q, other.r
+    def _coerce(self, other) -> tuple[int, int] | None:
+        """(numerator, denominator) of a rational operand that the direct
+        paths for an int and a Surd of this field did not take; None for a
+        bool or a non-exact operand."""
         if isinstance(other, bool):
             return None
         if isinstance(other, int):
-            return other, 0, 1
+            return other, 1
         if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
+            return other.numerator, other.denominator
         return None
 
     def __add__(self, other):
+        if type(other) is int:
+            return Surd(self.p + other * self.r, self.q, self.r, self.d)
+        if type(other) is Surd:
+            if other.d != self.d:
+                raise _mixed(self, other)
+            r2 = other.r
+            return _canon(
+                self.p * r2 + other.p * self.r, self.q * r2 + other.q * self.r,
+                self.r * r2, self.d,
+            )
         if isinstance(other, float):
             return float(self) + other
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        p2, q2, r2 = co
-        return _canon(
-            self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
-        )
+        p2, r2 = co
+        return _canon(self.p * r2 + p2 * self.r, self.q * r2, self.r * r2, self.d)
 
     __radd__ = __add__
 
@@ -243,41 +265,56 @@ class Surd:
         return Surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
+        if type(other) is int:
+            return Surd(self.p - other * self.r, self.q, self.r, self.d)
+        if type(other) is Surd:
+            if other.d != self.d:
+                raise _mixed(self, other)
+            r2 = other.r
+            return _canon(
+                self.p * r2 - other.p * self.r, self.q * r2 - other.q * self.r,
+                self.r * r2, self.d,
+            )
         if isinstance(other, float):
             return float(self) - other
         co = self._coerce(other)
         if co is None:
             return self + (-other)  # a bool negates to an int
-        p2, q2, r2 = co
-        return _canon(
-            self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.r * r2, self.d
-        )
+        p2, r2 = co
+        return _canon(self.p * r2 - p2 * self.r, self.q * r2, self.r * r2, self.d)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return Surd(other * self.r - self.p, -self.q, self.r, self.d)
         if isinstance(other, float):
             return other - float(self)
         co = self._coerce(other)
         if co is None:
             return (-self) + other
-        p2, q2, r2 = co
-        return _canon(
-            p2 * self.r - self.p * r2, q2 * self.r - self.q * r2, self.r * r2, self.d
-        )
+        p2, r2 = co
+        return _canon(p2 * self.r - self.p * r2, -self.q * r2, self.r * r2, self.d)
 
     def __mul__(self, other):
+        if type(other) is int:
+            if other == 0:
+                return 0
+            g = math.gcd(other, self.r)
+            return Surd(self.p * other // g, self.q * other // g, self.r // g, self.d)
+        if type(other) is Surd:
+            if other.d != self.d:
+                raise _mixed(self, other)
+            p2, q2 = other.p, other.q
+            return _canon(
+                self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2,
+                self.r * other.r, self.d,
+            )
         if isinstance(other, float):
             return float(self) * other
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        p2, q2, r2 = co
-        d = self.d
-        return _canon(
-            self.p * p2 + self.q * q2 * d,
-            self.p * q2 + self.q * p2,
-            self.r * r2,
-            d,
-        )
+        p2, r2 = co
+        return _canon(self.p * p2, self.q * p2, self.r * r2, self.d)
 
     __rmul__ = __mul__
 
@@ -287,32 +324,27 @@ class Surd:
         return _canon(self.r * self.p, -self.r * self.q, norm, self.d)
 
     def __truediv__(self, other):
+        if type(other) is Surd:
+            if other.d != self.d:
+                raise _mixed(self, other)
+            # r2 (p + q sqrt d)(p2 - q2 sqrt d) / (r (p2^2 - q2^2 d))
+            p, q, d = self.p, self.q, self.d
+            p2, q2, r2 = other.p, other.q, other.r
+            return _canon(
+                r2 * (p * p2 - q * q2 * d), r2 * (q * p2 - p * q2),
+                self.r * (p2 * p2 - q2 * q2 * d), d,
+            )
         if isinstance(other, float):
             return float(self) / other
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise MixedSurdFields(
-                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-                )
-            return self * other._inverse()
-        if isinstance(other, bool):
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return _canon(self.p, self.q, self.r * other, self.d)
-        if isinstance(other, Fraction):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return _canon(
-                self.p * other.denominator,
-                self.q * other.denominator,
-                self.r * other.numerator,
-                self.d,
-            )
-        return NotImplemented
+        p2, r2 = co
+        return _canon(self.p * r2, self.q * r2, self.r * p2, self.d)  # p2 = 0 raises
 
     def __rtruediv__(self, other):
+        if type(other) is int and other == 1:
+            return self._inverse()
         if isinstance(other, float):
             return other / float(self)
         return self._inverse() * other
@@ -339,15 +371,19 @@ class Surd:
         return body if self.r == 1 else f"({body})/{self.r}"
 
 
+def _mixed(a: Surd, b: Surd) -> MixedSurdFields:
+    return MixedSurdFields(f"cannot combine sqrt({a.d}) with sqrt({b.d})")
+
+
 def _canon(p: int, q: int, r: int, d: int) -> Exact:
     """Canonical (p + q*sqrt(d))/r for a d that is already square-free,
     d >= 2, demoting to Fraction/int when q == 0."""
-    if r == 0:
-        raise ZeroDivisionError("division by zero")
-    if q == 0:
-        frac = Fraction(p, r)
-        return frac.numerator if frac.denominator == 1 else frac
-    if r < 0:
+    if not q or r <= 0:
+        if r == 0:
+            raise ZeroDivisionError("division by zero")
+        if q == 0:
+            frac = Fraction(p, r)
+            return frac.numerator if frac.denominator == 1 else frac
         p, q, r = -p, -q, -r
     g = math.gcd(p, q, r)
     if g > 1:
@@ -373,26 +409,6 @@ def make_surd(p: int, q: int, r: int, d: int) -> Exact:
 
 def is_exact(x: Number) -> bool:
     return not isinstance(x, float)
-
-
-def compare(a: Number, b: Number) -> int:
-    """-1, 0 or +1 as a <, ==, > b."""
-    if isinstance(a, Surd) and not isinstance(b, float):
-        return a._diff_sign(b)
-    if isinstance(b, Surd) and not isinstance(a, float):
-        return -b._diff_sign(a)
-    return (a > b) - (a < b)
-
-
-def eval_interval(x: Number, bits: int = 128) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of an exact scalar."""
-    if isinstance(x, Surd):
-        return x.interval(bits)
-    if isinstance(x, float):
-        f = Fraction(x)
-        return f, f
-    f = Fraction(x)
-    return f, f
 
 
 # -- parser --------------------------------------------------------------

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sqrect.errors import MixedSurdFields
 from sqrect.exactnum import (
     Surd,
     _canon,
     _sign,
-    compare,
-    eval_interval,
     make_surd,
     MAX_NESTING,
     parse_number,
@@ -97,13 +95,14 @@ class TestOrder:
         assert math.floor(-s) == -1
 
     def test_compare_same_field(self):
-        assert compare(surd2(-1, 1), Fraction(1, 2)) == -1
-        assert compare(surd2(0, 1), 1) == 1
+        assert surd2(-1, 1) < Fraction(1, 2)
+        assert surd2(0, 1) > 1
+        assert 1 < surd2(0, 1) and Fraction(1, 2) > surd2(-1, 1)
 
     def test_compare_mixed_fields(self):
         r2 = make_surd(0, 1, 1, 2)
         r3 = make_surd(0, 1, 1, 3)
-        assert compare(r2, r3) == -1
+        assert r2 < r3 and r3 > r2
         assert r2 < r3 < 2
 
     def test_equality_structural(self):
@@ -173,14 +172,14 @@ surds = st.builds(
 
 @given(surds)
 def test_float_matches_interval(x):
-    lo, hi = eval_interval(x, 128)
+    lo, hi = x.interval(128)
     assert abs(float(x) - float((lo + hi) / 2)) <= 1e-15 * max(1.0, abs(float(x)))
 
 
 @given(surds.filter(lambda x: isinstance(x, Surd)))
 def test_floor_bracket(x):
     n = math.floor(x)
-    assert compare(n, x) <= 0 < compare(n + 1, x)
+    assert n < x < n + 1
 
 
 @given(
@@ -252,11 +251,12 @@ def _triple(x):
 
 
 @st.composite
-def near_integer_surds(draw):
+def near_integer_surds(draw, d=None):
     """k + s*(u_n - v_n*sqrt(d))/r for a unit power u_n + v_n*sqrt(d) above
     2**41, so the value lies within 2**-41 of the integer k; q < 0 when
-    s = 1."""
-    d = draw(st.sampled_from(sorted(UNITS)))
+    s = 1. d is drawn from UNITS unless given."""
+    if d is None:
+        d = draw(st.sampled_from(sorted(UNITS)))
     u, v = UNITS[d]
     un, vn = u, v
     for _ in range(draw(st.integers(0, 40))):
@@ -303,9 +303,8 @@ def test_compare_matches_difference_sign(a, data):
             st.just(math.floor(a) + 1),
         )
     )
-    assert compare(a, b) == diff_sign_oracle(a, b)
-    if isinstance(b, Surd):
-        assert compare(b, a) == -diff_sign_oracle(a, b)
+    assert (a > b) - (a < b) == diff_sign_oracle(a, b)
+    assert (b > a) - (b < a) == -diff_sign_oracle(a, b)
 
 
 @given(
@@ -327,8 +326,10 @@ def test_canon_matches_make_surd(p, q, r, g, d):
 #
 # The methods below are the dispatch as it was before Surd moved to the
 # front of the isinstance chain and subtraction computed directly: Surd
-# tested last, and subtraction through a negated operand.
-# `isinstance_dispatch()` puts them on Surd for the length of a block.
+# tested last, and subtraction through a negated operand. Division is as it
+# was before int and Surd operands took direct paths: a Surd divisor through
+# its inverse and a product. `isinstance_dispatch()` puts them on Surd for
+# the length of a block.
 
 
 def _old_coerce(self, other):
@@ -398,6 +399,39 @@ def _old_mul(self, other):
     return _canon(self.p * p2 + self.q * q2 * d, self.p * q2 + self.q * p2, self.r * r2, d)
 
 
+def _old_truediv(self, other):
+    if isinstance(other, float):
+        return float(self) / other
+    if isinstance(other, Surd):
+        if other.d != self.d:
+            raise MixedSurdFields(
+                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
+            )
+        return self * other._inverse()
+    if isinstance(other, bool):
+        return NotImplemented
+    if isinstance(other, int):
+        if other == 0:
+            raise ZeroDivisionError("division by zero")
+        return _canon(self.p, self.q, self.r * other, self.d)
+    if isinstance(other, Fraction):
+        if other == 0:
+            raise ZeroDivisionError("division by zero")
+        return _canon(
+            self.p * other.denominator,
+            self.q * other.denominator,
+            self.r * other.numerator,
+            self.d,
+        )
+    return NotImplemented
+
+
+def _old_rtruediv(self, other):
+    if isinstance(other, float):
+        return other / float(self)
+    return self._inverse() * other
+
+
 def _old_order(holds):
     def method(self, other):
         if isinstance(other, float):
@@ -416,6 +450,8 @@ ISINSTANCE_DISPATCH = {
     "__rsub__": _old_rsub,
     "__mul__": _old_mul,
     "__rmul__": _old_mul,
+    "__truediv__": _old_truediv,
+    "__rtruediv__": _old_rtruediv,
     "__lt__": _old_order(operator.lt),
     "__le__": _old_order(operator.le),
     "__gt__": _old_order(operator.gt),
@@ -444,11 +480,14 @@ class FractionSub(Fraction):
 
 
 def outcome(op, a, b):
-    """(type of the result, result), or (type of the exception, None)."""
+    """(type of the result, result), with a Surd result as its (p, q, r, d);
+    or (type of the exception, None)."""
     try:
         value = op(a, b)
     except Exception as exc:
         return type(exc), None
+    if type(value) is Surd:
+        return Surd, (value.p, value.q, value.r, value.d)
     return type(value), value
 
 
@@ -467,8 +506,11 @@ plain_floats = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
 )
 plain_fractions = st.fractions(max_denominator=10**9)
+UNIT_INTS = (0, 1, -1)
 operands = st.one_of(
     st.integers(-(2**70), 2**70),
+    st.sampled_from(UNIT_INTS),
+    big_ints,
     st.booleans(),
     plain_fractions,
     st.integers(-(2**70), 2**70).map(IntSub),
@@ -480,30 +522,38 @@ operands = st.one_of(
               st.integers(1, 9), st.sampled_from([3, 5])),
 )
 ROOT2 = make_surd(-1, 1, 1, 2)
+FIXED_OPERANDS = [
+    True, False, Fraction(0), Fraction(1), IntSub(3), IntSub(0), FractionSub(-2, 7),
+    0.5, math.nan, np.float64(-0.25), np.float64(math.nan), ROOT2,
+    make_surd(1, 1, 1, 3), 2**200, -(2**200),
+]
+
+
+def same_field(s):
+    """Surds of the field of s: big coefficients, near-integer values when
+    the field has a listed unit, and s itself."""
+    field = st.builds(lambda p, q, r: make_surd(p, q, r, s.d), big_ints, big_ints,
+                      st.integers(1, 2**200))
+    if s.d in UNITS:
+        field = st.one_of(field, near_integer_surds(s.d))
+    return st.one_of(field, st.just(s)).filter(lambda x: isinstance(x, Surd))
 
 
 @settings(max_examples=300)
-@given(sqrt2_surds, operands)
-@example(ROOT2, 0)
-@example(ROOT2, True)
-@example(ROOT2, False)
-@example(ROOT2, Fraction(0))
-@example(ROOT2, IntSub(3))
-@example(ROOT2, FractionSub(-2, 7))
-@example(ROOT2, 0.5)
-@example(ROOT2, math.nan)
-@example(ROOT2, np.float64(-0.25))
-@example(ROOT2, np.float64(math.nan))
-@example(ROOT2, ROOT2)
-@example(ROOT2, make_surd(1, 1, 1, 3))
-def test_dispatch_matches_isinstance_chain(s, other):
-    for op in DISPATCH_OPS:
-        for a, b in ((s, other), (other, s)):
-            got_type, got = outcome(op, a, b)
-            with isinstance_dispatch():
-                want_type, want = outcome(op, a, b)
-            assert got_type is want_type, (op.__name__, a, b)
-            assert got == want or (got != got and want != want), (op.__name__, a, b)
+@given(st.one_of(st.just(ROOT2), sqrt2_surds, kernel_surds), st.data())
+def test_dispatch_matches_isinstance_chain(s, data):
+    """Each operator, in both operand orders, gives what the isinstance
+    dispatch gives: the same type and (p, q, r, d), or the same exception.
+    Every example also takes 0, 1 and -1 and FIXED_OPERANDS."""
+    drawn = data.draw(st.one_of(operands, same_field(s)))
+    for other in [drawn, *UNIT_INTS, *FIXED_OPERANDS]:
+        for op in DISPATCH_OPS:
+            for a, b in ((s, other), (other, s)):
+                got_type, got = outcome(op, a, b)
+                with isinstance_dispatch():
+                    want_type, want = outcome(op, a, b)
+                assert got_type is want_type, (op.__name__, a, b)
+                assert got == want or (got != got and want != want), (op.__name__, a, b)
 
 
 def test_reference_dispatch_is_restored():
