@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Terminal
+from .errors import NotTerminated, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param
 from .renorm import (
@@ -396,6 +396,12 @@ def _natext_batch(rng: random.Random, count: int):
     return natext_steps(x, y)
 
 
+# Samples per natural-extension check: a sample costs about 0.85 us on a
+# 2-core VM (10**6 take 0.83 s), so the budget is about 25 s of stepping;
+# memory is bounded by NATEXT_BATCH
+NATEXT_SAMPLE_BUDGET = 30_000_000
+
+
 def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtReport:
     """Steps `samples` points of the invariant domain and counts those that
     stay in it; then checks the fiber integrals and, on 1000 more draws, that
@@ -404,9 +410,14 @@ def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtRepo
     Points are drawn one at a time from random.Random(seed) and stepped in
     batches. A point the step skips is made up by a later draw, as in a
     loop over single points: each batch draws only the samples still
-    missing, so the disjointness check starts from the same rng state."""
+    missing, so the disjointness check starts from the same rng state.
+    Raises NotTerminated, before the first batch, above NATEXT_SAMPLE_BUDGET."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if samples > NATEXT_SAMPLE_BUDGET:
+        raise NotTerminated(
+            f"{samples} samples exceed the budget of {NATEXT_SAMPLE_BUDGET}"
+        )
     rng = random.Random(seed)
     stayed = 0
     done = 0

@@ -264,14 +264,29 @@ def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
             return Point(x, y)
 
 
+# Map steps per induction check, counted as samples times the longer return
+# time. A counted step costs 1.4-12 us on a 2-core VM; exact parameters at
+# short return times cost most, since the similitude and the renormalized
+# step weigh on each sample. 10**6 samples at sqrt(2)-1, eps = +1 (return
+# times 1 and 3) took 28 s; the dearest admitted check takes about 36 s
+VERIFY_STEP_BUDGET = 3_000_000
+
+
 def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyReport:
     """Check that the similitude conjugates the first-return map to the
-    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z)."""
+    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z). Raises
+    NotTerminated, before the first sample, above VERIFY_STEP_BUDGET."""
     if samples < 1:
         # no sample would make an empty certificate of exactness
         raise ValueError(f"samples must be at least 1, got {samples}")
+    times = return_times(p)
+    if samples * max(times) > VERIFY_STEP_BUDGET:
+        raise NotTerminated(
+            f"{samples} samples of return time up to {max(times)} exceed the"
+            f" budget of {VERIFY_STEP_BUDGET} steps"
+        )
     q = renorm_step(p)
-    zone, times = induction_zone(p), return_times(p)
+    zone = induction_zone(p)
     exact = is_exact(p.theta)
     rng = random.Random(seed)
     resampled = 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sqrect.errors import Terminal
+from sqrect.errors import NotTerminated, Terminal
 from sqrect.exactnum import make_surd
 from sqrect import cfrac
 from sqrect.cfrac import (
@@ -303,6 +303,18 @@ class TestNaturalExtension:
         assert rep.stayed == rep.samples
         assert rep.fiber_square_ok and rep.fiber_middle_ok
         assert rep.disjoint_ok == rep.disjoint_checked
+
+    def test_samples_above_budget_fail_before_the_first_batch(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "NATEXT_SAMPLE_BUDGET", 3000)
+        assert natural_extension_check(samples=3000, seed=2).samples == 3000
+
+        def no_batch(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(cfrac, "_natext_batch", no_batch)
+        for samples in (3001, 10**12):
+            with pytest.raises(NotTerminated):
+                natural_extension_check(samples=samples)
 
     def test_domain_membership_on_arrays(self):
         # the elementwise form against the scalar one, boundaries included

@@ -259,6 +259,17 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
+    @pytest.mark.parametrize("argv", [
+        # one sample of return time about 3 * 10^9 steps
+        ["induction-check", "--param", "1/1000000000,-1", "--trials", "1"],
+        ["induction-check", "--param", "sqrt(2)-1,-1", "--trials", "1000000000000"],
+        ["natext-check", "--trials", "1000000000000"],
+    ])
+    def test_check_above_work_budget_fails_fast(self, argv):
+        proc = run_python("-m", "sqrect.cli", *argv, timeout=2)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
     def test_float_near_one_finishes(self):
         proc = run_python(
             "-m", "sqrect.cli", "dimension", "--param", "0.000000001,1",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sqrect import renorm
 from sqrect.errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, Point, Rect, code_orbit, islands
@@ -172,6 +173,23 @@ class TestInductionVerify:
         # exactness certified from no sample would be vacuous
         with pytest.raises(ValueError):
             induction_verify(Param(SQRT2M1, -1), samples=samples)
+
+    @pytest.mark.parametrize("p,samples", [
+        (Param(Fraction(1, 10**9), -1), 1),  # return time about 3 * 10^9
+        (Param(SQRT2M1, -1), 10**12),
+    ])
+    def test_steps_above_budget_fail_fast(self, p, samples):
+        t0 = time.perf_counter()
+        with pytest.raises(NotTerminated):
+            induction_verify(p, samples=samples)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_step_budget_counts_the_longer_return_time(self, monkeypatch):
+        # return times (5, 3) at the silver mean: 10 samples are 50 steps
+        monkeypatch.setattr(renorm, "VERIFY_STEP_BUDGET", 50)
+        assert induction_verify(Param(SQRT2M1, -1), samples=10).max_error == 0.0
+        with pytest.raises(NotTerminated):
+            induction_verify(Param(SQRT2M1, -1), samples=11)
 
 
 class TestSubstitutionMatrix:
