@@ -279,14 +279,13 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     if samples < 1:
         # no sample would make an empty certificate of exactness
         raise ValueError(f"samples must be at least 1, got {samples}")
-    times = return_times(p)
+    q = renorm_step(p)
+    zone, times = induction_zone(p), return_times(p)
     if samples * max(times) > VERIFY_STEP_BUDGET:
         raise NotTerminated(
             f"{samples} samples of return time up to {max(times)} exceed the"
             f" budget of {VERIFY_STEP_BUDGET} steps"
         )
-    q = renorm_step(p)
-    zone = induction_zone(p)
     exact = is_exact(p.theta)
     rng = random.Random(seed)
     resampled = 0

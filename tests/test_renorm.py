@@ -174,22 +174,14 @@ class TestInductionVerify:
         with pytest.raises(ValueError):
             induction_verify(Param(SQRT2M1, -1), samples=samples)
 
-    @pytest.mark.parametrize("p,samples", [
-        (Param(Fraction(1, 10**9), -1), 1),  # return time about 3 * 10^9
-        (Param(SQRT2M1, -1), 10**12),
-    ])
-    def test_steps_above_budget_fail_fast(self, p, samples):
-        t0 = time.perf_counter()
-        with pytest.raises(NotTerminated):
-            induction_verify(p, samples=samples)
-        assert time.perf_counter() - t0 < 1.0
-
     def test_step_budget_counts_the_longer_return_time(self, monkeypatch):
         # return times (5, 3) at the silver mean: 10 samples are 50 steps
         monkeypatch.setattr(renorm, "VERIFY_STEP_BUDGET", 50)
         assert induction_verify(Param(SQRT2M1, -1), samples=10).max_error == 0.0
         with pytest.raises(NotTerminated):
             induction_verify(Param(SQRT2M1, -1), samples=11)
+        with pytest.raises(NotTerminated):  # return time about 3 * 10^9
+            induction_verify(Param(Fraction(1, 10**9), -1), samples=1)
 
 
 class TestSubstitutionMatrix:
