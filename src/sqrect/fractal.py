@@ -14,10 +14,9 @@ from .errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
-from .pet import Param, psi_inverse
+from .pet import Param
 from .renorm import (
-    check_budget, cover_seed, param_chain, rect_branch, renorm_step, return_times,
-    substitution,
+    check_budget, cover_level, cover_seed, param_chain, renorm_step, return_times,
 )
 from .words import default_prefix_len, tower_stats
 
@@ -134,26 +133,25 @@ PIECE_BUDGET = 1 << 24  # float cover pieces, about 0.6 GB of arrays
 
 def _fold(qs, arrays):
     """`renorm.cover_level` for each q of qs, deepest first, on arrays
-    (x, y, w, h, is_square, letter == 'a'): the pieces of letter L go out
-    together, step by step of their return orbit, and at step i all take
-    the branch sigma_q(L)[i]. Each group is written into its output slice."""
+    (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks
+    go out letter by letter, step by step of their return orbit, each step
+    into its output slice."""
     for q in reversed(qs):
-        x, y, w, h, sq, side = arrays
-        th = float(q.theta)
-        sigma = substitution(q)
-        x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
-        groups = ((str(sigma.image_a), side), (str(sigma.image_b), ~side))
-        size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
-        arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
+        *rect, sq, side = arrays
+        blocks = [
+            (tuple(a[m] for a in rect), sq[m], letter)
+            for m, letter in ((side, "a"), (~side, "b"))
+        ]
+        n_a, n_b = (s.size for _, s, _ in blocks)
+        t_a, t_b = return_times(q)
+        dtypes = [a.dtype for a in arrays]
+        del rect, sq, side  # release the inputs before the output is allocated
+        arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
         hi = 0
-        for word, mask in groups:
-            rect, s = tuple(a[mask] for a in (x, y, w, h)), sq[mask]
-            for i, letter in enumerate(word):
-                if i:
-                    rect = rect_branch(th, q.eps, word[i - 1], *rect)
-                lo, hi = hi, hi + s.size
-                for o, a in zip(arrays, (*rect, s, letter == "a")):
-                    o[lo:hi] = a
+        for r, s, letter in cover_level(q, float(q.theta), blocks):
+            lo, hi = hi, hi + s.size
+            for o, a in zip(arrays, (*r, s, letter == "a")):
+                o[lo:hi] = a
     return arrays
 
 

@@ -180,16 +180,15 @@ class Orbit:
 
     rect: Rect
     code: Word  # coding along the orbit, starting at the representative
-    period: int
 
 
 def _seed_orbits(p: Param) -> list[Orbit]:
     th = p.theta
     if th == 0:
-        return [Orbit(Rect(0, 0, 1, 1), Word("a"), 1)]
+        return [Orbit(Rect(0, 0, 1, 1), Word("a"))]
     if p.eps == -1:
-        return [Orbit(Rect(th, th, 1 - th, 1 - th), Word("a"), 1)]
-    return [Orbit(Rect(0, 0, th, th), Word("ab"), 2)]
+        return [Orbit(Rect(th, th, 1 - th, 1 - th), Word("a"))]
+    return [Orbit(Rect(0, 0, th, th), Word("ab"))]
 
 
 def psi_inverse(theta, eps: int, x, y, w=0, h=0):
@@ -209,34 +208,29 @@ def psi_inverse_rect(p: Param, r: Rect) -> Rect:
 
 
 def _orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
-    from .renorm import incidence_matrix, renorm_step, substitution
+    from .renorm import Mat2, incidence_matrix, renorm_step, substitution
 
     # depth of renormalization needed: any orbit pulled up from depth l
     # has period at least ||M_0 ... M_{l-1} (1,0)^t||_1
     params = [p]
+    M = Mat2.identity()
     while True:
         if len(params) > cap:
             raise NotTerminated("renormalization depth cap exceeded")
         last = params[-1]
         if last.theta == 0:
             break
-        va, vb = 1, 0
-        for q in reversed(params):
-            M = incidence_matrix(q)
-            va, vb = M.m11 * va + M.m12 * vb, M.m21 * va + M.m22 * vb
-        if va + vb > max_period:
+        M = M @ incidence_matrix(last)
+        if M.m11 + M.m21 > max_period:
             break
         params.append(renorm_step(last))
 
     orbits = _seed_orbits(params[-1])
     for q in reversed(params[:-1]):
         sigma = substitution(q)
-        M = incidence_matrix(q)
         lifted = _seed_orbits(q)
         for o in orbits:
-            ca, cb = o.code.counts()
-            period = (M.m11 + M.m21) * ca + (M.m12 + M.m22) * cb
-            lifted.append(Orbit(psi_inverse_rect(q, o.rect), sigma(o.code), period))
+            lifted.append(Orbit(psi_inverse_rect(q, o.rect), sigma(o.code)))
         orbits = lifted
     return orbits
 
@@ -245,12 +239,13 @@ def _unfold(p: Param, o: Orbit) -> list[Cell]:
     cells = []
     z = o.rect.center
     half = _half(o.rect.w)
-    for i in range(o.period):
+    period = len(o.code)
+    for i in range(period):
         cells.append(
             Cell(
                 Rect(z.x - half, z.y - half, o.rect.w, o.rect.h),
                 o.code.rotate(i),
-                o.period,
+                period,
             )
         )
         z = step(p, z)
@@ -265,7 +260,7 @@ def islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
         raise ValueError("island enumeration needs an exact parameter")
     out = []
     for o in _orbits(p, max_period, cap):
-        if o.period <= max_period:
+        if len(o.code) <= max_period:
             out.extend(_unfold(p, o))
         if len(out) > cap:
             raise NotTerminated("cell count cap exceeded")

@@ -192,17 +192,18 @@ def ratio(p: Param) -> Number:
     return 1 / f
 
 
-def similitude_apply(p: Param, z: Point, direction: str = "fwd") -> Point:
+def similitude(p: Param, z: Point) -> Point:
+    """psi, from the induction zone of p onto the domain of S(p)."""
     th = p.theta
-    if direction == "fwd":
-        if p.eps == -1:
-            return Point(z.y / th, z.x / th)
-        s = 1 - th
-        return Point(z.x / s, (z.y - th) / s)
-    if direction == "inv":
-        x, y, _, _ = psi_inverse(th, p.eps, z.x, z.y)
-        return Point(x, y)
-    raise ValueError("direction must be 'fwd' or 'inv'")
+    if p.eps == -1:
+        return Point(z.y / th, z.x / th)
+    s = 1 - th
+    return Point(z.x / s, (z.y - th) / s)
+
+
+def similitude_inverse(p: Param, z: Point) -> Point:
+    """psi^-1: the point form of `pet.psi_inverse`."""
+    return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
 
 
 def induction_zone(p: Param) -> tuple[Rect, Rect]:
@@ -294,17 +295,14 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     while done < samples:
         z1 = _random_domain_point(q, rng, exact)
         try:
-            z = similitude_apply(p, z1, "inv")
+            z = similitude_inverse(p, z1)
             w, _ = _first_return(p, z, zone, times)
-            lhs = similitude_apply(p, w, "fwd")
+            lhs = similitude(p, w)
             rhs = step(q, z1)
         except OnDiscontinuity:
             resampled += 1
             continue
-        if exact:
-            if lhs != rhs:
-                max_err = max(max_err, lhs.dist_max(rhs))
-        else:
+        if lhs != rhs:  # equal float points are at distance 0 anyway
             max_err = max(max_err, lhs.dist_max(rhs))
         done += 1
     return VerifyReport(samples, resampled, max_err, exact)
@@ -384,8 +382,8 @@ def piece_count(params: list[Param]) -> int:
     return sum(v)
 
 
-# exact CoverPieces take 0.43-0.49 KB each once built and 0.60-0.66 KB at
-# the peak of `cover` (tracemalloc, 11k-46k pieces at three surd parameters),
+# exact CoverPieces take 0.40-0.50 KB each once built and 0.53-0.63 KB at
+# the peak of `cover` (tracemalloc, 27k-67k pieces at four surd parameters),
 # so this budget is about the 0.6 GB that the float budget's arrays take
 EXACT_PIECE_BUDGET = 1 << 20
 
@@ -398,38 +396,39 @@ def check_budget(params: list[Param], budget: int) -> None:
         raise NotTerminated(f"{n} cover pieces, above the budget of {budget}")
 
 
-def cover_level(q: Param, pieces: list[tuple[CoverPiece, str]]):
-    """One level of the cover recursion on (piece, letter) pairs, the letter
-    being the side, square 'a' or rectangle 'b', that the piece lies in. Each
-    piece is pulled back through the similitude and spread along its return
-    orbit: at step i it lies on side sigma_q(letter)[i] and takes its branch."""
+def cover_level(q: Param, theta, blocks):
+    """One level of the cover recursion. A block (rect, shape, letter) is
+    one piece in exact numbers, or all pieces of one letter as numpy float
+    arrays; the letter is the side, square 'a' or rectangle 'b', that its
+    pieces lie in, and theta is q.theta in the block's scalar type. Each
+    block is pulled back through the similitude and spread along its return
+    orbit: at step i it lies on side sigma_q(letter)[i], yielded as
+    (rect, shape, side), and takes that side's branch."""
     sigma = substitution(q)
     images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
-    ratio_q = ratio(q)
-    out = []
-    for piece, letter in pieces:
-        rect = piece.rect
-        r = psi_inverse(q.theta, q.eps, rect.x, rect.y, rect.w, rect.h)
-        contraction = piece.ratio / ratio_q
+    for r, shape, letter in blocks:
+        r = psi_inverse(theta, q.eps, *r)
         word = images[letter]
         for i, side in enumerate(word):
             if i:
-                r = rect_branch(q.theta, q.eps, word[i - 1], *r)
-            out.append((CoverPiece(Rect(*r), piece.shape, contraction), side))
-    return out
+                r = rect_branch(theta, q.eps, word[i - 1], *r)
+            yield r, shape, side
 
 
 def cover(p: Param, l: int) -> list[CoverPiece]:
     """Depth-l cover of the aperiodic set by similitude images of the
     square and of the renormalized rectangle, piece by piece in orbit
-    order. Depth 0 is [C, R_theta]; each level is a `cover_level`. Covers
-    above EXACT_PIECE_BUDGET pieces raise NotTerminated."""
+    order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
+    one-piece blocks. Covers above EXACT_PIECE_BUDGET pieces raise
+    NotTerminated."""
     params = param_chain(p, l)
     check_budget(params, EXACT_PIECE_BUDGET)
-    pieces = [
-        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1), letter)
+    blocks = [
+        (r, "C" if letter == "a" else "R", letter)
         for r, letter in cover_seed(params[-1].theta)
     ]
+    contraction = 1
     for q in reversed(params[:-1]):
-        pieces = cover_level(q, pieces)
-    return [piece for piece, _ in pieces]
+        blocks = list(cover_level(q, q.theta, blocks))
+        contraction = contraction / ratio(q)
+    return [CoverPiece(Rect(*r), shape, contraction) for r, shape, _ in blocks]

@@ -16,7 +16,7 @@ from sqrect.renorm import (
     induction_verify,
     period_sequence,
     renorm_step,
-    similitude_apply,
+    similitude_inverse,
     substitution,
 )
 from sqrect.cfrac import (
@@ -149,7 +149,7 @@ def test_criterion_04_commutation():
             )
             if z1.x == 1:
                 continue
-            z = similitude_apply(p, z1, "inv")
+            z = similitude_inverse(p, z1)
             try:
                 w_up = code_orbit(p, z, 1400)
                 w_dn = code_orbit(q, z1, 1000)

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqrect.errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
-from sqrect.exactnum import make_surd
-from sqrect.pet import Param
+from sqrect.exactnum import make_surd, parse_number
+from sqrect.pet import Param, psi_inverse
 from sqrect.renorm import (
     cover,
+    cover_seed,
     incidence_matrix,
     param_chain,
     piece_count,
     ratio,
+    rect_branch,
     renorm_step,
+    substitution,
 )
 from sqrect.lyap import cocycle_product
 from sqrect import fractal
@@ -144,6 +147,39 @@ class TestRatioSequenceEstimator:
             assert val == pytest.approx(r ** (-l), rel=1e-9)
 
 
+FOLD_PARAMS = [
+    *((f"-{n}+sqrt({n * n + 1})", -1) for n in (1, 2, 3)),
+    *((f"-{n}+sqrt({n * (n + 2)})", 1) for n in (1, 2, 3)),
+    ("(-13+4*sqrt(13))/4", -1),
+    ("(sqrt(7)-1)/3", 1),
+    ("3/8", -1),
+    (0.3183098861837907, 1),
+]
+
+
+# The float cover level as it was written beside `renorm.cover_level`, on
+# whole arrays, letter by letter: the oracle of `_fold`'s arrays and order.
+def _oracle_fold(qs, arrays):
+    for q in reversed(qs):
+        x, y, w, h, sq, side = arrays
+        th = float(q.theta)
+        sigma = substitution(q)
+        x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
+        groups = ((str(sigma.image_a), side), (str(sigma.image_b), ~side))
+        size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
+        arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
+        hi = 0
+        for word, mask in groups:
+            rect, s = tuple(a[mask] for a in (x, y, w, h)), sq[mask]
+            for i, letter in enumerate(word):
+                if i:
+                    rect = rect_branch(th, q.eps, word[i - 1], *rect)
+                lo, hi = hi, hi + s.size
+                for o, a in zip(arrays, (*rect, s, letter == "a")):
+                    o[lo:hi] = a
+    return arrays
+
+
 class TestCoverArrays:
     def test_matches_exact_cover(self):
         p = Param(SQRT2M1, -1)
@@ -186,6 +222,26 @@ class TestCoverArrays:
             assert len(got) == len(exact) == piece_count(param_chain(p, l))
             assert [g[4] for g in got] == [e[4] for e in exact]
             assert np.allclose(np.array(got), np.array(exact), atol=1e-12)
+
+    @pytest.mark.parametrize("theta, eps", FOLD_PARAMS)
+    def test_matches_letter_major_fold(self, theta, eps):
+        # all six arrays, dtype and bits, at every depth up to about 10**5
+        # pieces
+        p = Param(parse_number(theta) if isinstance(theta, str) else theta, eps)
+        l = 0
+        while True:
+            params = param_chain(p, l)
+            seed = cover_seed(float(params[-1].theta))
+            rects = np.array([r for r, _ in seed], dtype=float).T
+            letters = np.array([letter == "a" for _, letter in seed])
+            want = _oracle_fold(params[:-1], (*rects, letters, letters))
+            got = _cover(params)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            if params[-1].theta == 0 or piece_count(param_chain(p, l + 1)) > 10**5:
+                break
+            l += 1
+        assert l >= 3
 
     def test_piece_budget(self):
         p = Param(SQRT2M1, -1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sqrect.errors import NotTerminated, OnDiscontinuity, OutOfDomain
-from sqrect.exactnum import make_surd
+from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import (
     Param,
     Point,
@@ -140,6 +140,31 @@ class TestIslands:
     def test_periods_at_silver_mean(self):
         cells = islands(Param(SQRT2M1, -1), max_period=21)
         assert sorted(set(c.orbit_period for c in cells)) == [1, 5, 21]
+
+    @pytest.mark.parametrize("theta, eps", [
+        ("-2+sqrt(5)", -1),
+        ("-1+sqrt(3)", 1),
+        ("(-13+4*sqrt(13))/4", -1),
+        ("(sqrt(7)-1)/3", 1),
+        ("3/8", -1),
+    ])
+    def test_a_deeper_search_finds_no_other_cell(self, theta, eps):
+        # the search stops once every deeper orbit is longer than
+        # max_period; one made for longer periods finds the same short cells
+        p = Param(parse_number(theta), eps)
+        deep = islands(p, max_period=300)
+
+        def cells(max_period):
+            return sorted(
+                (c.orbit_period, str(c.code_period), c.rect)
+                for c in deep if c.orbit_period <= max_period
+            )
+
+        for max_period in (1, 2, 5, 13, 21, 60):
+            assert cells(max_period) == sorted(
+                (c.orbit_period, str(c.code_period), c.rect)
+                for c in islands(p, max_period)
+            )
 
     def test_center_period_matches(self):
         for cell in islands(Param(SQRT2M1, -1), max_period=5):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sqrect import renorm
 from sqrect.errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from sqrect.exactnum import make_surd, parse_number
-from sqrect.pet import Param, Point, Rect, code_orbit, islands
+from sqrect.pet import Param, Point, Rect, code_orbit, islands, psi_inverse
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
     FAMILIES,
@@ -30,9 +30,11 @@ from sqrect.renorm import (
     period_sequence,
     piece_count,
     ratio,
+    rect_branch,
     renorm_step,
     return_times,
-    similitude_apply,
+    similitude,
+    similitude_inverse,
     substitution,
 )
 
@@ -110,13 +112,13 @@ class TestSimilitude:
     @given(params)
     def test_roundtrip(self, p):
         z = Point(Fraction(1, 3), Fraction(2, 7))
-        assert similitude_apply(p, similitude_apply(p, z, "inv"), "fwd") == z
+        assert similitude(p, similitude_inverse(p, z)) == z
 
     @given(params)
     def test_contraction_factor(self, p):
         assume(p.f(p.theta) != 0)
-        a = similitude_apply(p, Point(0, 0), "inv")
-        b = similitude_apply(p, Point(1, 1), "inv")
+        a = similitude_inverse(p, Point(0, 0))
+        b = similitude_inverse(p, Point(1, 1))
         r = ratio(p)
         assert abs(float(b.x - a.x)) * float(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -238,7 +240,7 @@ class TestCodingCommutation:
             )
             if z1.x == 1:
                 continue
-            z = similitude_apply(p, z1, "inv")
+            z = similitude_inverse(p, z1)
             try:
                 w_up = code_orbit(p, z, 400)
                 w_dn = code_orbit(q, z1, 200)
@@ -248,6 +250,63 @@ class TestCodingCommutation:
             n = min(len(img), 300)
             assert str(img)[:n] == str(w_up)[:n]
             done += 1
+
+
+COVER_PARAMS = [
+    *((f"-{n}+sqrt({n * n + 1})", -1) for n in (1, 2, 3)),
+    *((f"-{n}+sqrt({n * (n + 2)})", 1) for n in (1, 2, 3)),
+    ("(-13+4*sqrt(13))/4", -1),
+    ("(sqrt(7)-1)/3", 1),
+]
+
+
+def _depth_within(p, pieces):
+    """The deepest cover of p with at most `pieces` pieces, short of the
+    depth where p renormalizes to 0."""
+    l = 1
+    while param_chain(p, l)[-1].theta != 0 and (
+        piece_count(param_chain(p, l + 1)) <= pieces
+    ):
+        l += 1
+    return l
+
+
+# The cover recursion as it was written piece by piece, a CoverPiece and a
+# division per piece and level: the oracle of `cover`'s pieces and order.
+def _oracle_cover_level(q, pieces):
+    sigma = substitution(q)
+    images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
+    ratio_q = ratio(q)
+    out = []
+    for piece, letter in pieces:
+        rect = piece.rect
+        r = psi_inverse(q.theta, q.eps, rect.x, rect.y, rect.w, rect.h)
+        contraction = piece.ratio / ratio_q
+        word = images[letter]
+        for i, side in enumerate(word):
+            if i:
+                r = rect_branch(q.theta, q.eps, word[i - 1], *r)
+            out.append((CoverPiece(Rect(*r), piece.shape, contraction), side))
+    return out
+
+
+def _oracle_cover(p, l):
+    params = param_chain(p, l)
+    pieces = [
+        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1), letter)
+        for r, letter in cover_seed(params[-1].theta)
+    ]
+    for q in reversed(params[:-1]):
+        pieces = _oracle_cover_level(q, pieces)
+    return [piece for piece, _ in pieces]
+
+
+def _assert_same_cover(got, want):
+    def fields(c):
+        r = c.rect
+        return [(type(v), v) for v in (r.x, r.y, r.w, r.h, c.ratio)], c.shape
+
+    assert [fields(c) for c in got] == [fields(c) for c in want]
 
 
 class TestCover:
@@ -295,35 +354,36 @@ class TestCover:
             )
             assert float(cover_area + isl_area - (1 + p.theta)) == 0.0
 
-    @pytest.mark.parametrize("theta, eps", [
-        *((f"-{n}+sqrt({n * n + 1})", -1) for n in (1, 2, 3)),
-        *((f"-{n}+sqrt({n * (n + 2)})", 1) for n in (1, 2, 3)),
-        ("(-13+4*sqrt(13))/4", -1),
-        ("(sqrt(7)-1)/3", 1),
-    ])
+    @pytest.mark.parametrize("theta, eps", COVER_PARAMS)
     def test_carried_letter_is_geometric_side(self, theta, eps):
         # the letters come from the substitutions alone; the exact geometry
         # must agree at every level: 'a' pieces lie in the square, 'b'
         # pieces in the rectangle
         p = Param(parse_number(theta), eps)
-        l = 1
-        while piece_count(param_chain(p, l + 1)) <= 500:
-            l += 1
+        l = _depth_within(p, 500)
         params = param_chain(p, l)
-        pieces = [
-            (CoverPiece(Rect(*r), "CR"[letter == "b"], 1), letter)
+        blocks = [
+            (r, "CR"[letter == "b"], letter)
             for r, letter in cover_seed(params[-1].theta)
         ]
         checked = 0
         for q in reversed(params[:-1]):
-            pieces = cover_level(q, pieces)
-            for piece, letter in pieces:
-                r = piece.rect
-                assert (r.x + r.w <= 1) if letter == "a" else (r.x >= 1)
-            checked += len(pieces)
+            blocks = list(cover_level(q, q.theta, blocks))
+            for (x, _, w, _), _, letter in blocks:
+                assert (x + w <= 1) if letter == "a" else (x >= 1)
+            checked += len(blocks)
         assert l >= 2 and checked == sum(
             piece_count(params[i:]) for i in range(l)
         )
+
+    @pytest.mark.parametrize("theta, eps", [*COVER_PARAMS, ("3/8", -1)])
+    def test_matches_piecewise_recursion(self, theta, eps):
+        # every piece, in orbit order, with the scalar type of each
+        # coordinate and of the contraction; 3/8 renormalizes to 0 at
+        # depth 3
+        p = Param(parse_number(theta), eps)
+        for l in range(_depth_within(p, 500) + 1):
+            _assert_same_cover(cover(p, l), _oracle_cover(p, l))
 
     def test_terminal_seed_drops_rectangle(self):
         # 3/8 -> 2/3 -> 1/2 -> 0: the depth-3 cover grows from the square
