@@ -14,7 +14,7 @@ with f(x) = x for eps = -1 and f(x) = 1 - x for eps = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import groupby
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
 from .exactnum import Number, format_number, is_exact
@@ -125,24 +125,6 @@ def step(p: Param, z: Point) -> Point:
     raise OutOfDomain(f"({x}, {y}) outside the domain")
 
 
-def step_inverse(p: Param, z: Point) -> Point:
-    th = p.theta
-    x, y = z.x, z.y
-    if 0 < y < 1:
-        if th < x < 1 + th:
-            return Point(p.f(y), 1 + th - x)
-        if 0 < x < th:
-            return Point(x + 1, 1 - y)
-    if 0 <= x <= 1 + th and 0 <= y <= 1:
-        raise OnDiscontinuity(f"({x}, {y}) lies on the image partition boundary")
-    raise OutOfDomain(f"({x}, {y}) outside the domain")
-
-
-def sym(p: Param, z: Point) -> Point:
-    """The reversing symmetry: conjugates the map to its inverse."""
-    return Point(1 + p.theta - z.x, p.f(z.y))
-
-
 def code_letter(z: Point) -> str:
     if z.x == 1:
         raise OnDiscontinuity("x = 1 is uncoded")
@@ -161,34 +143,7 @@ def code_orbit(p: Param, z: Point, n: int) -> Word:
     return Word("".join(letters))
 
 
-def detect_period(p: Param, z: Point, max_n: int) -> Optional[int]:
-    exact = is_exact(z.x) and is_exact(z.y) and is_exact(p.theta)
-    w = z
-    for k in range(1, max_n + 1):
-        w = step(p, w)
-        if (w == z) if exact else (w.dist_max(z) <= 1e-12):
-            return k
-    return None
-
-
 # -- periodic islands ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """One periodic orbit of cells, by a representative square."""
-
-    rect: Rect
-    code: Word  # coding along the orbit, starting at the representative
-
-
-def _seed_orbits(p: Param) -> list[Orbit]:
-    th = p.theta
-    if th == 0:
-        return [Orbit(Rect(0, 0, 1, 1), Word("a"))]
-    if p.eps == -1:
-        return [Orbit(Rect(th, th, 1 - th, 1 - th), Word("a"))]
-    return [Orbit(Rect(0, 0, th, th), Word("ab"))]
 
 
 def psi_inverse(theta, eps: int, x, y, w=0, h=0):
@@ -203,67 +158,65 @@ def psi_inverse(theta, eps: int, x, y, w=0, h=0):
     return s * x, theta + s * y, s * w, s * h
 
 
-def psi_inverse_rect(p: Param, r: Rect) -> Rect:
-    return Rect(*psi_inverse(p.theta, p.eps, r.x, r.y, r.w, r.h))
+def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
+    """The shortest orbit at q as ((x, y, w, h), letter) rows in orbit
+    order. Its origin is 0 in theta's arithmetic: a Fraction at a rational
+    theta, int 0 included, like every other coordinate there."""
+    from .renorm import rect_branch
 
-
-def _orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
-    from .renorm import Mat2, incidence_matrix, renorm_step, substitution
-
-    # depth of renormalization needed: any orbit pulled up from depth l
-    # has period at least ||M_0 ... M_{l-1} (1,0)^t||_1
-    params = [p]
-    M = Mat2.identity()
-    while True:
-        if len(params) > cap:
-            raise NotTerminated("renormalization depth cap exceeded")
-        last = params[-1]
-        if last.theta == 0:
-            break
-        M = M @ incidence_matrix(last)
-        if M.m11 + M.m21 > max_period:
-            break
-        params.append(renorm_step(last))
-
-    orbits = _seed_orbits(params[-1])
-    for q in reversed(params[:-1]):
-        sigma = substitution(q)
-        lifted = _seed_orbits(q)
-        for o in orbits:
-            lifted.append(Orbit(psi_inverse_rect(q, o.rect), sigma(o.code)))
-        orbits = lifted
-    return orbits
-
-
-def _unfold(p: Param, o: Orbit) -> list[Cell]:
-    cells = []
-    z = o.rect.center
-    half = _half(o.rect.w)
-    period = len(o.code)
-    for i in range(period):
-        cells.append(
-            Cell(
-                Rect(z.x - half, z.y - half, o.rect.w, o.rect.h),
-                o.code.rotate(i),
-                period,
-            )
-        )
-        z = step(p, z)
-    if z != o.rect.center:
-        raise NotTerminated("orbit did not close up at its computed period")
-    return cells
+    th, o = q.theta, _half(q.theta) - _half(q.theta)
+    if th == 0:
+        return [((o, o, 1, 1), "a")]
+    if q.eps == -1:
+        return [((th, th, 1 - th, 1 - th), "a")]
+    return [((o, o, th, th), "a"), (rect_branch(th, 1, "a", o, o, th, th), "b")]
 
 
 def islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
-    """All periodic cells of period <= max_period, for exact theta."""
+    """All periodic cells of period <= max_period, for exact theta, orbit by
+    orbit in order of depth. The orbit of depth k is the seed orbit of
+    S^k(p) pulled back through `renorm.cover_level`. Its period, the 1-norm
+    of M_0...M_{k-1} v for the seed's letter counts v, is known first, so
+    more than `cap` cells raise NotTerminated before any is made."""
+    from .renorm import Mat2, cover_level, incidence_matrix, renorm_step
+
     if not is_exact(p.theta):
         raise ValueError("island enumeration needs an exact parameter")
+    # depth of renormalization needed: any orbit pulled up from depth l
+    # has period at least ||M_0 ... M_{l-1} (1,0)^t||_1
+    params, M, seeds, total = [p], Mat2.identity(), {}, 0
+    while True:
+        if len(params) > cap:
+            raise NotTerminated("renormalization depth cap exceeded")
+        q = params[-1]
+        cells = _seed_cells(q)
+        period = sum(M.apply((1, len(cells) - 1)))
+        if period <= max_period:
+            seeds[len(params) - 1] = cells
+            total += period
+        if q.theta == 0:
+            break
+        M = M @ incidence_matrix(q)
+        if M.m11 + M.m21 > max_period:
+            break
+        params.append(renorm_step(q))
+    if total > cap:
+        raise NotTerminated(f"{total} cells, above the cap of {cap}")
+
+    blocks = []  # (rect, depth of its orbit, side), lifted from the deepest level
+    for k in reversed(range(len(params))):
+        if blocks:
+            blocks = list(cover_level(params[k], params[k].theta, blocks))
+        blocks = [(r, k, side) for r, side in seeds.get(k, ())] + blocks
     out = []
-    for o in _orbits(p, max_period, cap):
-        if len(o.code) <= max_period:
-            out.extend(_unfold(p, o))
-        if len(out) > cap:
-            raise NotTerminated("cell count cap exceeded")
+    for _, orbit in groupby(blocks, key=lambda block: block[1]):
+        coords, _, sides = zip(*orbit)
+        rects = [Rect(*r) for r in coords]
+        # the cells come from rect_branch; one exact step checks the closure
+        if step(p, rects[-1].center) != rects[0].center:
+            raise NotTerminated("orbit did not close up at its computed period")
+        code = Word("".join(sides))
+        out.extend(Cell(r, code.rotate(i), len(rects)) for i, r in enumerate(rects))
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, is_exact
-from .pet import Param, Point, Rect, psi_inverse, psi_inverse_rect, step
+from .pet import Param, Point, Rect, psi_inverse, step
 from .words import Substitution, Word
 
 
@@ -209,8 +209,8 @@ def similitude_inverse(p: Param, z: Point) -> Point:
 def induction_zone(p: Param) -> tuple[Rect, Rect]:
     q = renorm_step(p)  # raises Terminal -> report as Degenerate
     th1 = q.theta
-    c_ind = psi_inverse_rect(p, Rect(0, 0, 1, 1))
-    r_ind = psi_inverse_rect(p, Rect(1, 0, th1, 1))
+    c_ind = Rect(*psi_inverse(p.theta, p.eps, 0, 0, 1, 1))
+    r_ind = Rect(*psi_inverse(p.theta, p.eps, 1, 0, th1, 1))
     return c_ind, r_ind
 
 
@@ -397,22 +397,23 @@ def check_budget(params: list[Param], budget: int) -> None:
 
 
 def cover_level(q: Param, theta, blocks):
-    """One level of the cover recursion. A block (rect, shape, letter) is
+    """One level of the cover recursion. A block (rect, tag, letter) is
     one piece in exact numbers, or all pieces of one letter as numpy float
     arrays; the letter is the side, square 'a' or rectangle 'b', that its
-    pieces lie in, and theta is q.theta in the block's scalar type. Each
-    block is pulled back through the similitude and spread along its return
-    orbit: at step i it lies on side sigma_q(letter)[i], yielded as
-    (rect, shape, side), and takes that side's branch."""
+    pieces lie in, theta is q.theta in the block's scalar type, and the tag
+    (the piece shape of covers, the orbit depth of `pet.islands`) is carried
+    untouched. Each block is pulled back through the similitude and spread
+    along its return orbit: at step i it lies on side sigma_q(letter)[i],
+    yielded as (rect, tag, side), and takes that side's branch."""
     sigma = substitution(q)
     images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
-    for r, shape, letter in blocks:
+    for r, tag, letter in blocks:
         r = psi_inverse(theta, q.eps, *r)
         word = images[letter]
         for i, side in enumerate(word):
             if i:
                 r = rect_branch(theta, q.eps, word[i - 1], *r)
-            yield r, shape, side
+            yield r, tag, side
 
 
 def cover(p: Param, l: int) -> list[CoverPiece]:

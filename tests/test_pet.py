@@ -1,27 +1,146 @@
+import itertools
 import math
+import time
+import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sqrect import renorm
 from sqrect.errors import NotTerminated, OnDiscontinuity, OutOfDomain
-from sqrect.exactnum import make_surd, parse_number
+from sqrect.exactnum import is_exact, make_surd, parse_number
 from sqrect.pet import (
+    Cell,
     Param,
     Point,
     Rect,
+    _half,
     boundary_segments,
     code_orbit,
-    detect_period,
     discontinuity_segments,
     islands,
+    psi_inverse,
     step,
-    step_inverse,
-    sym,
 )
+from sqrect.renorm import Mat2, incidence_matrix, renorm_step, substitution
+from sqrect.words import Word
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
+
+
+# -- the inverse map, the reversing symmetry and a period finder ----------
+
+
+def step_inverse(p: Param, z: Point) -> Point:
+    th = p.theta
+    x, y = z.x, z.y
+    if 0 < y < 1:
+        if th < x < 1 + th:
+            return Point(p.f(y), 1 + th - x)
+        if 0 < x < th:
+            return Point(x + 1, 1 - y)
+    if 0 <= x <= 1 + th and 0 <= y <= 1:
+        raise OnDiscontinuity(f"({x}, {y}) lies on the image partition boundary")
+    raise OutOfDomain(f"({x}, {y}) outside the domain")
+
+
+def sym(p: Param, z: Point) -> Point:
+    """The reversing symmetry: conjugates the map to its inverse."""
+    return Point(1 + p.theta - z.x, p.f(z.y))
+
+
+def detect_period(p: Param, z: Point, max_n: int) -> Optional[int]:
+    exact = is_exact(z.x) and is_exact(z.y) and is_exact(p.theta)
+    w = z
+    for k in range(1, max_n + 1):
+        w = step(p, w)
+        if (w == z) if exact else (w.dist_max(z) <= 1e-12):
+            return k
+    return None
+
+
+# -- the island recursion written by orbits, as an oracle for `islands` ---
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """One periodic orbit of cells, by a representative square."""
+
+    rect: Rect
+    code: Word  # coding along the orbit, starting at the representative
+
+
+def _oracle_seed_orbits(p: Param) -> list[Orbit]:
+    th = p.theta
+    if th == 0:
+        return [Orbit(Rect(0, 0, 1, 1), Word("a"))]
+    if p.eps == -1:
+        return [Orbit(Rect(th, th, 1 - th, 1 - th), Word("a"))]
+    return [Orbit(Rect(0, 0, th, th), Word("ab"))]
+
+
+def _oracle_orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
+    params = [p]
+    M = Mat2.identity()
+    while True:
+        if len(params) > cap:
+            raise NotTerminated("renormalization depth cap exceeded")
+        last = params[-1]
+        if last.theta == 0:
+            break
+        M = M @ incidence_matrix(last)
+        if M.m11 + M.m21 > max_period:
+            break
+        params.append(renorm_step(last))
+
+    orbits = _oracle_seed_orbits(params[-1])
+    for q in reversed(params[:-1]):
+        sigma = substitution(q)
+        lifted = _oracle_seed_orbits(q)
+        for o in orbits:
+            r = o.rect
+            rect = Rect(*psi_inverse(q.theta, q.eps, r.x, r.y, r.w, r.h))
+            lifted.append(Orbit(rect, sigma(o.code)))
+        orbits = lifted
+    return orbits
+
+
+def _oracle_unfold(p: Param, o: Orbit) -> list[Cell]:
+    """The cells of an orbit by exact steps of the map from its
+    representative's centre, which must come back after the period."""
+    cells = []
+    z = o.rect.center
+    half = _half(o.rect.w)
+    period = len(o.code)
+    for i in range(period):
+        cells.append(
+            Cell(
+                Rect(z.x - half, z.y - half, o.rect.w, o.rect.h),
+                o.code.rotate(i),
+                period,
+            )
+        )
+        z = step(p, z)
+    if z != o.rect.center:
+        raise NotTerminated("orbit did not close up at its computed period")
+    return cells
+
+
+def oracle_islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
+    """`islands` by orbit representatives: each level's seed square is
+    lifted alone through psi^-1 with its code through sigma, and its cells
+    are unfolded at the top by exact steps."""
+    out = []
+    for o in _oracle_orbits(p, max_period, cap):
+        if len(o.code) <= max_period:
+            out.extend(_oracle_unfold(p, o))
+        if len(out) > cap:
+            raise NotTerminated("cell count cap exceeded")
+    return out
 
 params = st.builds(
     Param,
@@ -121,6 +240,28 @@ class TestCoding:
         assert exc.value.step == 0
 
 
+ISLAND_PARAMS = [
+    ("-1+sqrt(2)", -1),
+    ("-1+sqrt(3)", 1),
+    ("(sqrt(7)-1)/3", 1),
+    ("(-13+4*sqrt(13))/4", -1),
+    ("3/8", -1),
+    ("3/8", 1),
+    ("(-1+sqrt(5))/2", -1),
+    ("(-1+sqrt(5))/2", 1),
+]
+
+
+def assert_same_cells(cells, expected):
+    """Equal cells in the same order, each rect coordinate of the same
+    type too, so that the CLI prints them alike."""
+    assert cells == expected
+    for c, e in zip(cells, expected):
+        assert [type(v) for v in vars(c.rect).values()] == [
+            type(v) for v in vars(e.rect).values()
+        ]
+
+
 class TestIslands:
     def test_period_one_seed_geometry(self):
         p = Param(SQRT2M1, -1)
@@ -202,6 +343,59 @@ class TestIslands:
     def test_cap_raises(self):
         with pytest.raises(NotTerminated):
             islands(Param(SQRT2M1, -1), max_period=10**6, cap=50)
+
+    def test_cap_admits_exactly_cap_cells(self):
+        p = Param(SQRT2M1, -1)
+        n = len(islands(p, max_period=21))
+        assert len(islands(p, max_period=21, cap=n)) == n
+        with pytest.raises(NotTerminated, match=f"{n} cells"):
+            islands(p, max_period=21, cap=n - 1)
+
+    def test_over_cap_refused_before_any_cell(self):
+        # one orbit of period 29,999: unfolded with a rotated code per cell
+        # it took 13 s and 900 MB before the cap was seen; the periods are
+        # known from the matrix products, so the refusal comes first
+        p = Param(Fraction(1, 10**4), -1)
+        islands(p, max_period=1)  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(NotTerminated, match="30000 cells"):
+                islands(p, max_period=10**5)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("theta, eps", ISLAND_PARAMS)
+    def test_matches_orbit_oracle(self, theta, eps):
+        p = Param(parse_number(theta), eps)
+        for max_period in (0, 1, 2, 5, 21, 100, 500):
+            assert_same_cells(islands(p, max_period), oracle_islands(p, max_period))
+
+    def test_matches_orbit_oracle_on_surd_grid(self):
+        # every 35th point of test_cfrac's surd grid, alternating eps, at
+        # the CLI's default max period
+        grid = itertools.product(range(1, 13), range(1, 13), range(1, 7), (2, 3, 5, 7))
+        for i, (a, b, c, d) in enumerate(itertools.islice(grid, 0, None, 35)):
+            x = make_surd(-a, b, c, d)
+            p = Param(x - math.floor(x), (-1, 1)[i % 2])
+            assert_same_cells(islands(p, 21), oracle_islands(p, 21))
+
+    def test_orbit_that_does_not_close_raises(self, monkeypatch):
+        # a lift whose square-branch images drift: the cells still come out,
+        # but the last one no longer maps onto the first
+        branch = renorm.rect_branch
+
+        def drifting(theta, eps, letter, x, y, w, h):
+            x, y, w, h = branch(theta, eps, letter, x, y, w, h)
+            return (x + Fraction(1, 10**6) if letter == "a" else x), y, w, h
+
+        monkeypatch.setattr(renorm, "rect_branch", drifting)
+        with pytest.raises(NotTerminated, match="did not close"):
+            islands(Param(SQRT2M1, -1), max_period=5)
 
 
 class TestSegments:
