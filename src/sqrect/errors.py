@@ -53,10 +53,3 @@ class WindowTooShort(SqrectError):
 class PrefixTooShort(SqrectError):
     """Generated prefix decomposes into too few blocks."""
 
-
-class DepthMismatch(SqrectError):
-    """Cover depth and tower-measure depth disagree."""
-
-
-class DegenerateFit(SqrectError):
-    """Least-squares fit quality below the acceptance threshold."""

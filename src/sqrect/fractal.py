@@ -1,6 +1,6 @@
 """Hausdorff-dimension computations: closed forms at the self-similar
-parameters, the matrix-growth/contraction-ratio estimator, analytic box
-counting over depth-l covers, and local measure scaling certificates."""
+parameters, the matrix-growth/contraction-ratio estimator and analytic box
+counting over depth-l covers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
+from .errors import Degenerate, NotTerminated
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
@@ -18,12 +18,11 @@ from .pet import Param
 from .renorm import (
     check_budget, cover_level, cover_seed, param_chain, renorm_step, return_times,
 )
-from .words import default_prefix_len, tower_stats
 
 
 @dataclass(frozen=True)
 class DimensionReport:
-    method: str  # closed_form | ratio_sequence | box_count | local_scaling
+    method: str  # closed_form | ratio_sequence
     value: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -369,96 +368,3 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     base = _cover(param_chain(p, base_l))
     chunks = _subtrees([p] * (l - base_l), base, DEEP_PIECES)
     return _count_chunks(chunks, r, _window(base, r, pad=1))
-
-
-def slope_fit(radii, counts) -> DimensionReport:
-    """Least-squares slope of ln count against -ln r."""
-    lx = -np.log(np.asarray(radii, dtype=float))
-    ly = np.log(np.asarray(counts, dtype=float))
-    if lx.size < 2:
-        raise DegenerateFit("need at least two radii")
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    if r2 < 0.99:
-        raise DegenerateFit(f"R^2 = {r2:.4f} below 0.99")
-    return DimensionReport(
-        "box_count",
-        float(slope),
-        {"r_squared": r2, "points": int(lx.size), "intercept": float(intercept)},
-    )
-
-
-def box_dimension(p: Param, l_min: int = 4, l_max: int = 10) -> DimensionReport:
-    """Slope of the box counts of depth-l covers at their natural radii."""
-    radii = radius_sequence(p, l_max)[l_min - 1 :]
-    counts = [box_count(cover_arrays(p, l), r) for l, r in enumerate(radii, l_min)]
-    report = slope_fit(radii, counts)
-    return DimensionReport(
-        "box_count", report.value, {**report.diagnostics, "l_max": l_max}
-    )
-
-
-# -- local measure scaling -----------------------------------------------
-
-
-def local_scaling(p: Param, points: int, radii) -> DimensionReport:
-    """Frostman-style certificate: ln of the measure of a ball over ln of
-    its radius at cover-piece centers, with the depth-l pieces carrying
-    masses alpha (square pieces) and beta (rectangle pieces)."""
-    radii = [float(r) for r in radii]
-    if not radii or points < 1:
-        raise ValueError("need at least one point and one radius")
-    # match the cover depth to the smallest radius
-    l = 1
-    seq = radius_sequence(p, 24)
-    while l < len(seq) and seq[l - 1] > min(radii) / 2:
-        l += 1
-    if seq[l - 1] > min(radii) / 2:
-        raise DepthMismatch("radii finer than the deepest available cover")
-    use = [r for r in radii if r > seq[l - 1]]
-    if not use:
-        raise DepthMismatch("no radius coarser than the deepest cover level")
-    params = param_chain(p, l)
-    check_budget(params, PIECE_BUDGET)
-    # the cover at depth l can be huge; materialize only the deepest base_l
-    # levels and stream the remaining pull-backs through `_subtrees`
-    base_l = min(l, 8)
-    base = _cover(params[l - base_l :])
-    rest = params[: l - base_l]
-    # the depth-l cover has one piece per letter of the index-(l-1) matrix
-    # product, so the piece masses come from the index-(l-1) tower
-    ts = tower_stats(p, l - 1, prefix_len=default_prefix_len(p, l - 1))
-    alpha, beta = ts.alpha, ts.beta
-    rng = np.random.default_rng(points)
-    # centers of full-depth pieces, drawn from a few expanded subtrees
-    idx = rng.choice(base[0].size, size=min(points, base[0].size), replace=False)
-    deep = _fold(rest, tuple(a[idx] for a in base))
-    cidx = rng.choice(deep[0].size, size=min(points, deep[0].size), replace=False)
-    cx = deep[0][cidx] + deep[2][cidx] / 2
-    cy = deep[1][cidx] + deep[3][cidx] / 2
-    mu = np.zeros((cx.size, len(use)))
-    for x, y, w, h, sq, _ in _subtrees(rest, base, 2_000_000):
-        mass = np.where(sq, alpha, beta)
-        for i in range(cx.size):
-            for j, r in enumerate(use):
-                hit = (
-                    (x < cx[i] + r)
-                    & (x + w > cx[i] - r)
-                    & (y < cy[i] + r)
-                    & (y + h > cy[i] - r)
-                )
-                mu[i, j] += float(mass[hit].sum())
-    ests = np.log(mu) / np.log(2 * np.asarray(use))
-    return DimensionReport(
-        "local_scaling",
-        float(ests.min()),
-        {
-            "points": int(cx.size),
-            "radii": len(use),
-            "mean": float(ests.mean()),
-            "depth": l,
-        },
-    )

@@ -83,13 +83,6 @@ def contraction(M: Mat2) -> float:
     return math.tanh(0.25 * abs(math.log(M.m11 * M.m22 / (M.m12 * M.m21))))
 
 
-def limit_direction(p: Param, l: int) -> tuple[float, float]:
-    """Direction of the depth-l product applied to (1,1), summing to 1."""
-    M, _ = cocycle_product(p, l)
-    a, b = M.apply((1, 1))
-    return a / (a + b), b / (a + b)
-
-
 # -- Monte-Carlo estimation ----------------------------------------------
 
 

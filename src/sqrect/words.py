@@ -242,12 +242,3 @@ def limit_word_x(x, length: int) -> Word:
         if len(w) >= length:
             return w[:length]
     raise Terminal(f"expansion too short to generate {length} letters")
-
-
-def letter_frequency(p, l: int) -> float:
-    """Depth-l approximation of the frequency of `a` in the limit word."""
-    from .lyap import cocycle_product
-
-    M, _ = cocycle_product(p, l)
-    va = M.m11 + M.m21  # M (1,0)^t entries summed
-    return M.m11 / va if va else 0.0

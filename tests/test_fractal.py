@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqrect.errors import Degenerate, DegenerateFit, DepthMismatch, NotTerminated
+from sqrect.errors import Degenerate, NotTerminated
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, psi_inverse
 from sqrect.renorm import (
@@ -31,15 +31,12 @@ from sqrect.fractal import (
     _window,
     box_count,
     box_count_deep,
-    box_dimension,
     cover_arrays,
     dimension_estimate,
     dimension_table,
-    local_scaling,
     radius_sequence,
     selfsimilar_dimension,
     selfsimilar_parameter,
-    slope_fit,
 )
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -448,59 +445,3 @@ class TestBoxCount:
     def test_deep_requires_fixed_parameter(self):
         with pytest.raises(Degenerate):
             box_count_deep(Param(Fraction(3, 8), -1), 5, 0.01, base_l=1)
-
-
-class TestSlopeFit:
-    def test_recovers_power_law(self):
-        radii = [2.0 ** -k for k in range(3, 10)]
-        counts = [r ** -1.5 for r in radii]
-        rep = slope_fit(radii, counts)
-        assert rep.value == pytest.approx(1.5, abs=1e-12)
-        assert rep.diagnostics["r_squared"] >= 0.99
-
-    def test_single_point_rejected(self):
-        with pytest.raises(DegenerateFit):
-            slope_fit([0.5], [10])
-
-    def test_noise_rejected(self):
-        rng = np.random.default_rng(0)
-        radii = [2.0 ** -k for k in range(3, 10)]
-        counts = rng.integers(10, 1000, size=len(radii))
-        with pytest.raises(DegenerateFit):
-            slope_fit(radii, counts)
-
-
-class TestBoxDimension:
-    def test_silver_mean_slope(self):
-        rep = box_dimension(Param(SQRT2M1, -1), l_min=4, l_max=9)
-        assert rep.value == pytest.approx(1.638, abs=0.05)
-        assert rep.diagnostics["r_squared"] >= 0.99
-
-
-class TestLocalScaling:
-    def test_silver_mean_certificate(self):
-        rep = local_scaling(
-            Param(SQRT2M1, -1), points=20, radii=[0.02, 0.01, 0.005]
-        )
-        assert rep.value >= 1.55
-        assert rep.value <= 1.638 + 0.15
-        assert rep.diagnostics["points"] == 20
-
-    def test_depth_twenty_exceeds_piece_budget(self):
-        # radius 1e-7 needs the depth-20 cover, about 6.6e12 pieces: refused
-        # before any cover or tower is built
-        p = Param(SQRT2M1, -1)
-        assert radius_sequence(p, 19)[-1] > 1e-7 / 2
-        assert piece_count(param_chain(p, 20)) > PIECE_BUDGET
-        with pytest.raises(NotTerminated):
-            local_scaling(p, points=3, radii=[1e-7])
-
-    def test_radii_too_fine(self):
-        with pytest.raises(DepthMismatch):
-            local_scaling(Param(SQRT2M1, -1), points=5, radii=[1e-12])
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            local_scaling(Param(SQRT2M1, -1), points=0, radii=[0.1])
-        with pytest.raises(ValueError):
-            local_scaling(Param(SQRT2M1, -1), points=5, radii=[])

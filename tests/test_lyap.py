@@ -32,7 +32,6 @@ from sqrect.lyap import (
     divergence_profile,
     integral_ln_M,
     integral_ln_r,
-    limit_direction,
     lower_bound_f,
     slow_norm_integral,
 )
@@ -97,16 +96,6 @@ class TestCocycleProduct:
         n_prev = sum(M2.apply((1, 1)))
         assert n_prev <= n_a <= n_all
         assert n_b <= n_all
-
-    def test_limit_direction_is_probability_vector(self):
-        a, b = limit_direction(Param(SQRT2M1, -1), 30)
-        assert a > 0 and b > 0 and a + b == pytest.approx(1.0, abs=1e-15)
-
-    def test_limit_direction_converges(self):
-        p = Param(SQRT2M1, -1)
-        a1, _ = limit_direction(p, 10)
-        a2, _ = limit_direction(p, 40)
-        assert abs(a1 - a2) < 1e-8
 
 
 class TestVectorStep:

@@ -16,7 +16,6 @@ from sqrect.words import (
     Word,
     complexity,
     compose,
-    letter_frequency,
     limit_word,
     tower_stats,
 )
@@ -269,16 +268,3 @@ class TestTowerStats:
     def test_measures_positive(self):
         ts = tower_stats(Param(SQRT3M1, 1), 3, 300_000)
         assert ts.alpha > 0 and ts.beta > 0
-
-
-class TestLetterFrequency:
-    def test_matches_empirical_frequency(self):
-        p = Param(SQRT2M1, -1)
-        w = limit_word(p, 50_000)
-        na, nb = w.counts()
-        assert letter_frequency(p, 30) == pytest.approx(na / len(w), abs=1e-3)
-
-    def test_between_half_and_one(self):
-        for th, eps in ((SQRT2M1, -1), (SQRT3M1, 1)):
-            f = letter_frequency(Param(th, eps), 25)
-            assert 0.5 < f < 1
