@@ -15,9 +15,7 @@ from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
 from .pet import Param
-from .renorm import (
-    check_budget, cover_level, cover_seed, param_chain, renorm_step, return_times,
-)
+from .renorm import Level, check_budget, cover_level, cover_seed, descend
 
 
 @dataclass(frozen=True)
@@ -130,43 +128,43 @@ def radius_sequence(p: Param, l: int) -> list[float]:
 PIECE_BUDGET = 1 << 24  # float cover pieces, about 0.6 GB of arrays
 
 
-def _fold(qs, arrays):
-    """`renorm.cover_level` for each q of qs, deepest first, on arrays
+def _fold(levels, arrays):
+    """`renorm.cover_level` for each of levels, deepest first, on arrays
     (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks
     go out letter by letter, step by step of their return orbit, each step
     into its output slice."""
-    for q in reversed(qs):
+    for level in reversed(levels):
         *rect, sq, side = arrays
         blocks = [
             (tuple(a[m] for a in rect), sq[m], letter)
             for m, letter in ((side, "a"), (~side, "b"))
         ]
         n_a, n_b = (s.size for _, s, _ in blocks)
-        t_a, t_b = return_times(q)
+        t_a, t_b = level.times
         dtypes = [a.dtype for a in arrays]
         del rect, sq, side  # release the inputs before the output is allocated
         arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
         hi = 0
-        for r, s, letter in cover_level(q, float(q.theta), blocks):
+        for r, s, letter in cover_level(level, float(level.q.theta), blocks):
             lo, hi = hi, hi + s.size
             for o, a in zip(arrays, (*r, s, letter == "a")):
                 o[lo:hi] = a
     return arrays
 
 
-def _cover(params):
-    """The cover over params as arrays (x, y, w, h, is_square, letter == 'a'),
-    after a check of its piece count against PIECE_BUDGET."""
-    check_budget(params, PIECE_BUDGET)
-    seed = cover_seed(float(params[-1].theta))
+def _cover(levels, q):
+    """The cover over levels down to q as arrays (x, y, w, h, is_square,
+    letter == 'a'), after a check of its piece count against PIECE_BUDGET."""
+    check_budget(levels, q, PIECE_BUDGET)
+    seed = cover_seed(float(q.theta))
     rects = np.array([r for r, _ in seed], dtype=float).T
     letters = np.array([letter == "a" for _, letter in seed])
-    return _fold(params[:-1], (*rects, letters, letters))
+    return _fold(levels, (*rects, letters, letters))
 
 
 def cover_arrays(p: Param, l: int):
     """Depth-l cover as float arrays (x, y, w, h, is_square)."""
-    return _cover(param_chain(p, l))[:5]
+    return _cover(*descend(p, l))[:5]
 
 
 BOX_CHUNK = 1 << 22  # pieces coded at once by box_count
@@ -279,16 +277,16 @@ def _compact(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _subtrees(params, base, budget: int):
-    """The pieces of base pulled back through params (deepest first), in
+def _subtrees(levels, base, budget: int):
+    """The pieces of base pulled back through levels (deepest first), in
     chunks of budget // growth base pieces, where growth is the product of
     the longest return times (the lengths of the substitution images): each
     chunk holds at most about budget pieces, since every piece expands
     independently of the others."""
-    growth = math.prod(max(return_times(q)) for q in params)
+    growth = math.prod(max(level.times) for level in levels)
     chunk = max(1, budget // growth)
     for lo in range(0, base[0].size, chunk):
-        yield _fold(params, tuple(a[lo : lo + chunk] for a in base))
+        yield _fold(levels, tuple(a[lo : lo + chunk] for a in base))
 
 
 def _count_chunks(chunks, r: float, window: _Window) -> int:
@@ -353,18 +351,19 @@ def box_count(arrays, r: float) -> int:
 
 def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     """Box count of a deep cover at a renormalization fixed point, without
-    materializing the cover: the subtrees of the depth-base_l pieces are
-    expanded at most DEEP_PIECES pieces at a time (`_subtrees`) and
-    counted together by code range (`_count_chunks`). Their cells are
-    coded in the window of the base cover, whose pieces contain their
-    subtrees, widened by one cell for the rounding of the pulled-back
-    edges."""
+    materializing the cover: one level, reused at every depth. The
+    subtrees of the depth-base_l pieces are expanded at most DEEP_PIECES
+    pieces at a time (`_subtrees`) and counted together by code range
+    (`_count_chunks`). Their cells are coded in the window of the base
+    cover, whose pieces contain their subtrees, widened by one cell for
+    the rounding of the pulled-back edges."""
     if r <= 0:
         raise ValueError("box side must be positive")
-    if renorm_step(p) != p:
+    level = Level(p)
+    if level.next != p:
         raise Degenerate("deep streaming requires a fixed parameter")
+    base = _cover([level] * min(l, base_l), p)
     if l <= base_l:
-        return box_count(cover_arrays(p, l), r)
-    base = _cover(param_chain(p, base_l))
-    chunks = _subtrees([p] * (l - base_l), base, DEEP_PIECES)
+        return box_count(base, r)
+    chunks = _subtrees([level] * (l - base_l), base, DEEP_PIECES)
     return _count_chunks(chunks, r, _window(base, r, pad=1))

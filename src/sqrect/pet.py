@@ -160,8 +160,9 @@ def psi_inverse(theta, eps: int, x, y, w=0, h=0):
 
 def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
     """The shortest orbit at q as ((x, y, w, h), letter) rows in orbit
-    order. Its origin is 0 in theta's arithmetic: a Fraction at a rational
-    theta, int 0 included, like every other coordinate there."""
+    order, with the letters `renorm.seed_periods` counts. Its origin is 0
+    in theta's arithmetic: a Fraction at a rational theta, int 0 included,
+    like every other coordinate there."""
     from .renorm import rect_branch
 
     th, o = q.theta, _half(q.theta) - _half(q.theta)
@@ -175,38 +176,32 @@ def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
 def islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
     """All periodic cells of period <= max_period, for exact theta, orbit by
     orbit in order of depth. The orbit of depth k is the seed orbit of
-    S^k(p) pulled back through `renorm.cover_level`. Its period, the 1-norm
-    of M_0...M_{k-1} v for the seed's letter counts v, is known first, so
-    more than `cap` cells raise NotTerminated before any is made."""
-    from .renorm import Mat2, cover_level, incidence_matrix, renorm_step
+    S^k(p) pulled back through `renorm.cover_level`. Its period comes from
+    `renorm.seed_periods` first, so more than `cap` cells raise
+    NotTerminated before any is made."""
+    from .renorm import cover_level, seed_periods
 
     if not is_exact(p.theta):
         raise ValueError("island enumeration needs an exact parameter")
-    # depth of renormalization needed: any orbit pulled up from depth l
-    # has period at least ||M_0 ... M_{l-1} (1,0)^t||_1
-    params, M, seeds, total = [p], Mat2.identity(), {}, 0
-    while True:
-        if len(params) > cap:
+    # depth of renormalization needed: any orbit pulled up from below level
+    # k has period at least ||M_0 ... M_k (1,0)^t||_1
+    levels, seeds, total = [], {}, 0
+    for k, (q, period, level, M) in enumerate(seed_periods(p)):
+        if k >= cap:
             raise NotTerminated("renormalization depth cap exceeded")
-        q = params[-1]
-        cells = _seed_cells(q)
-        period = sum(M.apply((1, len(cells) - 1)))
         if period <= max_period:
-            seeds[len(params) - 1] = cells
+            seeds[k] = _seed_cells(q)
             total += period
-        if q.theta == 0:
+        if level is None or M.m11 + M.m21 > max_period:
             break
-        M = M @ incidence_matrix(q)
-        if M.m11 + M.m21 > max_period:
-            break
-        params.append(renorm_step(q))
+        levels.append(level)
     if total > cap:
         raise NotTerminated(f"{total} cells, above the cap of {cap}")
 
     blocks = []  # (rect, depth of its orbit, side), lifted from the deepest level
-    for k in reversed(range(len(params))):
+    for k in reversed(range(len(levels) + 1)):
         if blocks:
-            blocks = list(cover_level(params[k], params[k].theta, blocks))
+            blocks = list(cover_level(levels[k], levels[k].q.theta, blocks))
         blocks = [(r, k, side) for r, side in seeds.get(k, ())] + blocks
     out = []
     for _, orbit in groupby(blocks, key=lambda block: block[1]):

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
+from .errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param, Point, Rect, psi_inverse, step
 from .words import Substitution, Word
@@ -166,30 +168,73 @@ def slow_image(inv, n):
     return inv - n + odd(n)
 
 
-# -- parameter map -------------------------------------------------------
+# -- the renormalization chain -------------------------------------------
 
 
-def n_omega(p: Param) -> int:
-    f = p.f(p.theta)
-    if f == 0:
-        raise Degenerate("f(theta) = 0")
-    return math.floor(1 / f)
+@dataclass(frozen=True)
+class Level:
+    """One level of the renormalization chain, worked out once: q, the
+    ratio 1/f(theta) > 1 of its similitude, the branch n = floor(ratio) of
+    the slow map's family at q (unit where theta is the unit gap, eps = -1;
+    right where 1 - theta is, eps = +1), the incidence matrix M(n), the
+    return times (M's column sums, the lengths of sigma's images) and the
+    next parameter S(q). Terminal at theta = 0, where S is undefined."""
+
+    q: Param
+    ratio: Number = field(init=False)
+    n: int = field(init=False)
+    family: BranchFamily = field(init=False, repr=False)
+    M: Mat2 = field(init=False)
+    times: tuple[int, int] = field(init=False)
+    next: Param = field(init=False)
+
+    def __post_init__(self):
+        q = self.q
+        if q.theta == 0:
+            raise Terminal("renormalization undefined at theta = 0")
+        ratio = 1 / q.f(q.theta)
+        n, family = math.floor(ratio), UNIT if q.eps == -1 else RIGHT
+        M = Mat2(*family.M(n))
+        # a frozen record's derived fields, set as cached_property sets values
+        vars(self).update(
+            ratio=ratio, n=n, family=family, M=M,
+            times=(M.m11 + M.m21, M.m12 + M.m22),
+            next=Param(ratio - n, -1 if n % 2 == 0 else 1),
+        )
+
+    @cached_property
+    def sigma(self) -> Substitution:
+        # built on demand: its images have about 3n letters
+        return self.family.sigma(self.n)
+
+    @cached_property
+    def zone(self) -> tuple[Rect, Rect]:
+        """(C^ind, R^ind): psi^-1 of the square and the rectangle of S(q)."""
+        th, eps = self.q.theta, self.q.eps
+        c_ind = Rect(*psi_inverse(th, eps, 0, 0, 1, 1))
+        return c_ind, Rect(*psi_inverse(th, eps, 1, 0, self.next.theta, 1))
+
+
+def chain(p: Param) -> Iterator[Level]:
+    """The levels of p, S(p), S^2(p), ... on demand; Terminal at theta = 0."""
+    while True:
+        level = Level(p)
+        yield level
+        p = level.next
+
+
+def descend(p: Param, l: int) -> tuple[list[Level], Param]:
+    """The first l levels of the chain of p, and S^l(p) below them."""
+    levels = list(islice(chain(p), l))
+    return levels, levels[-1].next if levels else p
 
 
 def renorm_step(p: Param) -> Param:
-    if p.theta == 0:
-        raise Terminal("renormalization undefined at theta = 0")
-    n = n_omega(p)
-    theta1 = 1 / p.f(p.theta) - n
-    return Param(theta1, -1 if n % 2 == 0 else 1)
+    return Level(p).next
 
 
-def ratio(p: Param) -> Number:
-    """Expansion ratio of the similitude, 1/f(theta) > 1."""
-    f = p.f(p.theta)
-    if f == 0:
-        raise Degenerate("f(theta) = 0")
-    return 1 / f
+def incidence_matrix(p: Param) -> Mat2:
+    return Level(p).M
 
 
 def similitude(p: Param, z: Point) -> Point:
@@ -206,40 +251,16 @@ def similitude_inverse(p: Param, z: Point) -> Point:
     return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
 
 
-def induction_zone(p: Param) -> tuple[Rect, Rect]:
-    q = renorm_step(p)  # raises Terminal -> report as Degenerate
-    th1 = q.theta
-    c_ind = Rect(*psi_inverse(p.theta, p.eps, 0, 0, 1, 1))
-    r_ind = Rect(*psi_inverse(p.theta, p.eps, 1, 0, th1, 1))
-    return c_ind, r_ind
-
-
-def return_times(p: Param) -> tuple[int, int]:
-    """(return time on C^ind, return time on R^ind): the lengths of the
-    substitution images, the column sums of the incidence matrix."""
-    M = incidence_matrix(p)
-    return M.m11 + M.m21, M.m12 + M.m22
-
-
-def first_return(p: Param, z: Point) -> tuple[Point, int]:
-    return _first_return(p, z, induction_zone(p), return_times(p))
-
-
-def _first_return(
-    p: Param, z: Point, zone: tuple[Rect, Rect], times: tuple[int, int]
-) -> tuple[Point, int]:
-    """first_return with the zone and return times of p precomputed."""
-    c_ind, r_ind = zone
-    if c_ind.contains(z):
-        k = times[0]
-    elif r_ind.contains(z):
-        k = times[1]
+def first_return(level: Level, z: Point) -> tuple[Point, int]:
+    """T_ind(z), the first return to the induction zone, and its time."""
+    for rect, k in zip(level.zone, level.times):
+        if rect.contains(z):
+            break
     else:
         raise NotInZone(f"({z.x}, {z.y}) not in the induction zone")
-    w = z
     for _ in range(k):
-        w = step(p, w)
-    return w, k
+        z = step(level.q, z)
+    return z, k
 
 
 @dataclass(frozen=True)
@@ -280,11 +301,11 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     if samples < 1:
         # no sample would make an empty certificate of exactness
         raise ValueError(f"samples must be at least 1, got {samples}")
-    q = renorm_step(p)
-    zone, times = induction_zone(p), return_times(p)
-    if samples * max(times) > VERIFY_STEP_BUDGET:
+    level = Level(p)
+    q, longest = level.next, max(level.times)
+    if samples * longest > VERIFY_STEP_BUDGET:
         raise NotTerminated(
-            f"{samples} samples of return time up to {max(times)} exceed the"
+            f"{samples} samples of return time up to {longest} exceed the"
             f" budget of {VERIFY_STEP_BUDGET} steps"
         )
     exact = is_exact(p.theta)
@@ -296,7 +317,7 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
         z1 = _random_domain_point(q, rng, exact)
         try:
             z = similitude_inverse(p, z1)
-            w, _ = _first_return(p, z, zone, times)
+            w, _ = first_return(level, z)
             lhs = similitude(p, w)
             rhs = step(q, z1)
         except OnDiscontinuity:
@@ -308,35 +329,29 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     return VerifyReport(samples, resampled, max_err, exact)
 
 
-# -- substitutions and matrices ------------------------------------------
+# -- island periods ------------------------------------------------------
 
 
-def _family(p: Param) -> BranchFamily:
-    """The slow map's family at p: theta is the unit gap when eps = -1 and
-    1 - theta the right gap when eps = +1, so n_omega(p) is the branch."""
-    return UNIT if p.eps == -1 else RIGHT
-
-
-def substitution(p: Param) -> Substitution:
-    return _family(p).sigma(n_omega(p))
-
-
-def incidence_matrix(p: Param) -> Mat2:
-    return Mat2(*_family(p).M(n_omega(p)))
+def seed_periods(p: Param):
+    """For q = S^k(p), k = 0, 1, ...: (q, period, level, M) with q's Level,
+    M = M_0...M_k and the period at p of q's shortest orbit
+    (`pet._seed_cells`): ||M_0...M_{k-1} v||_1 for its letter counts v, the
+    square alone (1, 0) where eps = -1 or theta = 0, else the square and its
+    image (1, 1). At theta = 0 level and M are None; past it, Terminal."""
+    levels, M, q = chain(p), Mat2.identity(), p
+    while True:
+        period = sum(M.apply((1, 0) if q.eps == -1 or q.theta == 0 else (1, 1)))
+        if q.theta == 0:
+            yield q, period, None, None
+        level = next(levels)
+        M = M @ level.M
+        yield q, period, level, M
+        q = level.next
 
 
 def period_sequence(p: Param, k: int) -> list[int]:
-    """Periods of the depth-i island orbits: ||M_1...M_{i-1} k_i||_1."""
-    out = []
-    M = Mat2.identity()
-    q = p
-    for i in range(k):
-        seed = (1, 0) if q.eps == -1 else (1, 1)
-        out.append(sum(M.apply(seed)))
-        if i < k - 1:
-            M = M @ incidence_matrix(q)
-            q = renorm_step(q)  # Terminal propagates
-    return out
+    """Periods of the island orbits of depth 0..k-1 (`seed_periods`)."""
+    return [period for _, period, _, _ in islice(seed_periods(p), k)]
 
 
 # -- covers --------------------------------------------------------------
@@ -358,14 +373,6 @@ def rect_branch(theta, eps: int, letter: str, x, y, w, h):
     return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
 
 
-def param_chain(p: Param, l: int) -> list[Param]:
-    """[p, S(p), ..., S^l(p)]: the parameters a depth-l cover is built over."""
-    params = [p]
-    for _ in range(l):
-        params.append(renorm_step(params[-1]))
-    return params
-
-
 def cover_seed(theta) -> list[tuple[tuple, str]]:
     """Depth-0 cover as ((x, y, w, h), letter) rows: the square ('a') and the
     rectangle R_theta ('b'), which is empty at theta = 0."""
@@ -373,12 +380,12 @@ def cover_seed(theta) -> list[tuple[tuple, str]]:
     return seed if theta != 0 else seed[:1]
 
 
-def piece_count(params: list[Param]) -> int:
-    """Pieces of the cover built over params: the seed's letter counts
-    pushed through the incidence matrices, ||M_0...M_{l-1} v||_1."""
-    v = (1, len(cover_seed(params[-1].theta)) - 1)
-    for q in reversed(params[:-1]):
-        v = incidence_matrix(q).apply(v)
+def piece_count(levels: list[Level], q: Param) -> int:
+    """Pieces of the cover built over levels down to q: the seed's letter
+    counts pushed through the incidence matrices, ||M_0...M_{l-1} v||_1."""
+    v = (1, len(cover_seed(q.theta)) - 1)
+    for level in reversed(levels):
+        v = level.M.apply(v)
     return sum(v)
 
 
@@ -388,31 +395,31 @@ def piece_count(params: list[Param]) -> int:
 EXACT_PIECE_BUDGET = 1 << 20
 
 
-def check_budget(params: list[Param], budget: int) -> None:
+def check_budget(levels: list[Level], q: Param, budget: int) -> None:
     """Raise NotTerminated, before anything is allocated, when the cover
-    over params has more than `budget` pieces."""
-    n = piece_count(params)
+    over levels down to q has more than `budget` pieces."""
+    n = piece_count(levels, q)
     if n > budget:
         raise NotTerminated(f"{n} cover pieces, above the budget of {budget}")
 
 
-def cover_level(q: Param, theta, blocks):
+def cover_level(level: Level, theta, blocks):
     """One level of the cover recursion. A block (rect, tag, letter) is
     one piece in exact numbers, or all pieces of one letter as numpy float
     arrays; the letter is the side, square 'a' or rectangle 'b', that its
-    pieces lie in, theta is q.theta in the block's scalar type, and the tag
-    (the piece shape of covers, the orbit depth of `pet.islands`) is carried
-    untouched. Each block is pulled back through the similitude and spread
-    along its return orbit: at step i it lies on side sigma_q(letter)[i],
-    yielded as (rect, tag, side), and takes that side's branch."""
-    sigma = substitution(q)
+    pieces lie in, theta is level.q.theta in the block's scalar type, and
+    the tag (the piece shape of covers, the orbit depth of `pet.islands`)
+    is carried untouched. Each block is pulled back through the similitude
+    and spread along its return orbit: at step i it lies on side
+    sigma(letter)[i], yielded as (rect, tag, side), and takes its branch."""
+    eps, sigma = level.q.eps, level.sigma
     images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
     for r, tag, letter in blocks:
-        r = psi_inverse(theta, q.eps, *r)
+        r = psi_inverse(theta, eps, *r)
         word = images[letter]
         for i, side in enumerate(word):
             if i:
-                r = rect_branch(theta, q.eps, word[i - 1], *r)
+                r = rect_branch(theta, eps, word[i - 1], *r)
             yield r, tag, side
 
 
@@ -422,14 +429,11 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
     order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
     one-piece blocks. Covers above EXACT_PIECE_BUDGET pieces raise
     NotTerminated."""
-    params = param_chain(p, l)
-    check_budget(params, EXACT_PIECE_BUDGET)
-    blocks = [
-        (r, "C" if letter == "a" else "R", letter)
-        for r, letter in cover_seed(params[-1].theta)
-    ]
+    levels, q = descend(p, l)
+    check_budget(levels, q, EXACT_PIECE_BUDGET)
+    blocks = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
     contraction = 1
-    for q in reversed(params[:-1]):
-        blocks = list(cover_level(q, q.theta, blocks))
-        contraction = contraction / ratio(q)
+    for level in reversed(levels):
+        blocks = list(cover_level(level, level.q.theta, blocks))
+        contraction = contraction / level.ratio
     return [CoverPiece(Rect(*r), shape, contraction) for r, shape, _ in blocks]

@@ -12,12 +12,11 @@ from scipy.integrate import quad
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param, Point, code_orbit, islands
 from sqrect.renorm import (
+    Level,
     incidence_matrix,
     induction_verify,
     period_sequence,
-    renorm_step,
     similitude_inverse,
-    substitution,
 )
 from sqrect.cfrac import (
     density,
@@ -139,8 +138,8 @@ def test_criterion_04_commutation():
     ]
     rng = random.Random(11)
     for p in test_params:
-        q = renorm_step(p)
-        sigma = substitution(p)
+        level = Level(p)
+        q, sigma = level.next, level.sigma
         done = 0
         while done < 1:
             z1 = Point(
@@ -283,7 +282,7 @@ def test_criterion_10_structural():
             continue
         M = incidence_matrix(p)
         assert M.det() == p.eps
-        assert substitution(p).abelianization() == (M.m11, M.m12, M.m21, M.m22)
+        assert Level(p).sigma.abelianization() == (M.m11, M.m12, M.m21, M.m22)
     p = Param(SQRT2M1, -1)
     for l in (2, 4, 6):
         M, _ = cocycle_product(p, l)

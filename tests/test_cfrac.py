@@ -38,7 +38,7 @@ from sqrect.cfrac import (
 from sqrect.lyap import _sample_x
 from sqrect.pet import Param
 from sqrect.renorm import (
-    FAMILIES, MIDDLE, RIGHT, Mat2, incidence_matrix, substitution,
+    FAMILIES, MIDDLE, RIGHT, Level, Mat2, incidence_matrix,
 )
 from sqrect.words import compose
 
@@ -198,7 +198,7 @@ class TestBranchTable:
         assume(theta != 0 and not 1 < x < Fraction(3, 2))
         st_ = accel(x)
         assert incidence_matrix(p) == st_.M_bold
-        assert substitution(p) == st_.sigma_bold
+        assert Level(p).sigma == st_.sigma_bold
 
 
 class TestDensities:

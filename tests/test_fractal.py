@@ -10,15 +10,16 @@ from sqrect.errors import Degenerate, NotTerminated
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, psi_inverse
 from sqrect.renorm import (
+    RIGHT,
+    UNIT,
+    Level,
     cover,
     cover_seed,
+    descend,
     incidence_matrix,
-    param_chain,
     piece_count,
-    ratio,
     rect_branch,
     renorm_step,
-    substitution,
 )
 from sqrect.lyap import cocycle_product
 from sqrect import fractal
@@ -56,7 +57,7 @@ class TestClosedForms:
         p = selfsimilar_parameter(family, n)
         M = incidence_matrix(p)
         lam = max(abs(np.linalg.eigvals([[M.m11, M.m12], [M.m21, M.m22]])))
-        oracle = math.log(lam) / math.log(float(ratio(p)))
+        oracle = math.log(lam) / math.log(float(Level(p).ratio))
         assert selfsimilar_dimension(family, n).value == pytest.approx(
             oracle, abs=1e-12
         )
@@ -139,7 +140,7 @@ class TestRatioSequenceEstimator:
     def test_radius_sequence_decreasing_and_geometric(self):
         seq = radius_sequence(Param(SQRT2M1, -1), 12)
         assert all(b < a for a, b in zip(seq, seq[1:]))
-        r = float(ratio(Param(SQRT2M1, -1)))
+        r = float(Level(Param(SQRT2M1, -1)).ratio)
         for l, val in enumerate(seq, start=1):
             assert val == pytest.approx(r ** (-l), rel=1e-9)
 
@@ -152,6 +153,25 @@ FOLD_PARAMS = [
     ("3/8", -1),
     (0.3183098861837907, 1),
 ]
+
+
+# The parameter chain and substitutions as they were written before
+# `renorm.Level`, each working out f(theta) and 1/f again.
+def n_omega(p):
+    return math.floor(1 / p.f(p.theta))
+
+
+def substitution(p):
+    return (UNIT if p.eps == -1 else RIGHT).sigma(n_omega(p))
+
+
+def param_chain(p, l):
+    params = [p]
+    for _ in range(l):
+        q = params[-1]
+        n = n_omega(q)
+        params.append(Param(1 / q.f(q.theta) - n, -1 if n % 2 == 0 else 1))
+    return params
 
 
 # The float cover level as it was written beside `renorm.cover_level`, on
@@ -216,7 +236,7 @@ class TestCoverArrays:
                 key=key,
             )
             got = sorted(zip(x, y, w, h, sq), key=key)
-            assert len(got) == len(exact) == piece_count(param_chain(p, l))
+            assert len(got) == len(exact) == piece_count(*descend(p, l))
             assert [g[4] for g in got] == [e[4] for e in exact]
             assert np.allclose(np.array(got), np.array(exact), atol=1e-12)
 
@@ -232,18 +252,18 @@ class TestCoverArrays:
             rects = np.array([r for r, _ in seed], dtype=float).T
             letters = np.array([letter == "a" for _, letter in seed])
             want = _oracle_fold(params[:-1], (*rects, letters, letters))
-            got = _cover(params)
+            got = _cover(*descend(p, l))
             assert [a.dtype for a in got] == [a.dtype for a in want]
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            if params[-1].theta == 0 or piece_count(param_chain(p, l + 1)) > 10**5:
+            if params[-1].theta == 0 or piece_count(*descend(p, l + 1)) > 10**5:
                 break
             l += 1
         assert l >= 3
 
     def test_piece_budget(self):
         p = Param(SQRT2M1, -1)
-        assert piece_count(param_chain(p, 11)) <= PIECE_BUDGET
-        assert piece_count(param_chain(p, 12)) == 63_245_986
+        assert piece_count(*descend(p, 11)) <= PIECE_BUDGET
+        assert piece_count(*descend(p, 12)) == 63_245_986
         with pytest.raises(NotTerminated):
             cover_arrays(p, 12)
 
@@ -421,11 +441,13 @@ class TestBoxCount:
     def test_deep_chunks_lie_inside_the_base_window(self, family, n, l, base_l):
         # the window of the base cover, not widened, holds every subtree
         p = selfsimilar_parameter(family, n)
-        base = _cover(param_chain(p, base_l))
+        base = _cover(*descend(p, base_l))
         for r in (radius_sequence(p, l)[l - 1], 0.003):
             window = _window(base, r)
             for lo in range(0, base[0].size, 50):
-                part = _fold([p] * (l - base_l), tuple(a[lo : lo + 50] for a in base))
+                part = _fold(
+                    [Level(p)] * (l - base_l), tuple(a[lo : lo + 50] for a in base)
+                )
                 assert window.holds(_window(part, r))
 
     def test_deep_rejects_a_subtree_outside_its_window(self, monkeypatch):

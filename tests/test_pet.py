@@ -25,7 +25,7 @@ from sqrect.pet import (
     psi_inverse,
     step,
 )
-from sqrect.renorm import Mat2, incidence_matrix, renorm_step, substitution
+from sqrect.renorm import RIGHT, UNIT, Mat2
 from sqrect.words import Word
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -64,6 +64,24 @@ def detect_period(p: Param, z: Point, max_n: int) -> Optional[int]:
 
 
 # -- the island recursion written by orbits, as an oracle for `islands` ---
+
+
+# the parameter map as it was written before `renorm.Level`
+def n_omega(p: Param) -> int:
+    return math.floor(1 / p.f(p.theta))
+
+
+def incidence_matrix(p: Param) -> Mat2:
+    return Mat2(*(UNIT if p.eps == -1 else RIGHT).M(n_omega(p)))
+
+
+def substitution(p: Param):
+    return (UNIT if p.eps == -1 else RIGHT).sigma(n_omega(p))
+
+
+def renorm_step(p: Param) -> Param:
+    n = n_omega(p)
+    return Param(1 / p.f(p.theta) - n, -1 if n % 2 == 0 else 1)
 
 
 @dataclass(frozen=True)

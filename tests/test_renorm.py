@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -7,35 +8,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sqrect import renorm
-from sqrect.errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
+from sqrect import fractal, renorm
+from sqrect.fractal import box_count_deep, cover_arrays
+from sqrect.errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param, Point, Rect, code_orbit, islands, psi_inverse
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
     FAMILIES,
     FAMILY_EDGES,
+    RIGHT,
+    UNIT,
     CoverPiece,
+    Level,
     Mat2,
     cover,
     cover_level,
     cover_seed,
+    descend,
     family_coefficients,
     first_return,
     incidence_matrix,
     induction_verify,
-    induction_zone,
-    n_omega,
-    param_chain,
     period_sequence,
     piece_count,
-    ratio,
     rect_branch,
     renorm_step,
-    return_times,
     similitude,
     similitude_inverse,
-    substitution,
 )
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -99,7 +99,7 @@ class TestParameterMap:
     @given(params)
     def test_ratio_expands(self, p):
         assume(p.f(p.theta) != 0)
-        assert ratio(p) > 1
+        assert Level(p).ratio > 1
 
     @given(params)
     def test_next_theta_in_range(self, p):
@@ -119,12 +119,12 @@ class TestSimilitude:
         assume(p.f(p.theta) != 0)
         a = similitude_inverse(p, Point(0, 0))
         b = similitude_inverse(p, Point(1, 1))
-        r = ratio(p)
+        r = Level(p).ratio
         assert abs(float(b.x - a.x)) * float(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_zone_inside_domain(self):
         p = Param(SQRT2M1, -1)
-        c_ind, r_ind = induction_zone(p)
+        c_ind, r_ind = Level(p).zone
         for rect in (c_ind, r_ind):
             assert 0 <= float(rect.x) and float(rect.x + rect.w) <= float(p.width)
             assert 0 <= float(rect.y) and float(rect.y + rect.h) <= 1
@@ -132,27 +132,27 @@ class TestSimilitude:
 
 class TestFirstReturn:
     def test_return_times_match_digit(self):
-        p = Param(SQRT2M1, -1)  # n = 2
-        assert n_omega(p) == 2
-        assert return_times(p) == (5, 3)
+        level = Level(Param(SQRT2M1, -1))  # n = 2
+        assert level.n == 2
+        assert level.times == (5, 3)
 
     def test_plus_return_times(self):
-        p = Param(SQRT3M1, 1)  # n = 3 in the plus family
-        assert return_times(p) == (3 * (n_omega(p) - 1) + 1, 3)
+        level = Level(Param(SQRT3M1, 1))  # n = 3 in the plus family
+        assert level.times == (3 * (level.n - 1) + 1, 3)
 
     def test_outside_zone_raises(self):
-        p = Param(SQRT2M1, -1)
+        level = Level(Param(SQRT2M1, -1))
         with pytest.raises(NotInZone):
-            first_return(p, Point(Fraction(99, 100), Fraction(99, 100)))
+            first_return(level, Point(Fraction(99, 100), Fraction(99, 100)))
 
     def test_return_lands_in_zone(self):
-        p = Param(SQRT2M1, -1)
-        c_ind, r_ind = induction_zone(p)
+        level = Level(Param(SQRT2M1, -1))
+        c_ind, r_ind = level.zone
         z = Point(
             c_ind.x + c_ind.w / 3,
             c_ind.y + c_ind.h / 3,
         )
-        w, k = first_return(p, z)
+        w, k = first_return(level, z)
         assert k == 5
         assert c_ind.contains(w) or r_ind.contains(w)
 
@@ -190,7 +190,7 @@ class TestSubstitutionMatrix:
     @given(params)
     def test_abelianization_is_incidence(self, p):
         assume(p.f(p.theta) != 0)
-        assert substitution(p).abelianization() == (
+        assert Level(p).sigma.abelianization() == (
             incidence_matrix(p).m11,
             incidence_matrix(p).m12,
             incidence_matrix(p).m21,
@@ -213,13 +213,31 @@ class TestSubstitutionMatrix:
 
     @given(params, st.integers(2, 6))
     def test_period_sequence_monotone(self, p, k):
-        from sqrect.errors import Degenerate
-
         try:
             ps = period_sequence(p, k)
         except (Terminal, Degenerate):
             assume(False)
         assert ps == sorted(ps)
+
+
+    @pytest.mark.parametrize("theta, eps", [
+        ("1/3", -1), ("2/5", 1), ("5/13", -1), ("0", 1),
+        *((theta, eps) for theta in ("3/8", "2/5", "5/13") for eps in (-1, 1)),
+    ])
+    def test_period_sequence_matches_island_periods(self, theta, eps):
+        # run down to theta = 0, where the shortest orbit is the unit square
+        # alone at either eps
+        p = Param(parse_number(theta), eps)
+        k = 1
+        while True:
+            try:
+                period_sequence(p, k + 1)
+            except Terminal:
+                break
+            k += 1
+        ps = period_sequence(p, k)
+        cells = islands(p, max_period=ps[-1])
+        assert ps == sorted({c.orbit_period for c in cells})
 
 
 class TestCodingCommutation:
@@ -229,8 +247,8 @@ class TestCodingCommutation:
     )
     def test_substitution_commutes_with_coding(self, theta, eps):
         p = Param(theta, eps)
-        q = renorm_step(p)
-        sigma = substitution(p)
+        level = Level(p)
+        q, sigma = level.next, level.sigma
         rng = random.Random(7)
         done = 0
         while done < 3:
@@ -264,11 +282,40 @@ def _depth_within(p, pieces):
     """The deepest cover of p with at most `pieces` pieces, short of the
     depth where p renormalizes to 0."""
     l = 1
-    while param_chain(p, l)[-1].theta != 0 and (
-        piece_count(param_chain(p, l + 1)) <= pieces
-    ):
+    while descend(p, l)[1].theta != 0 and piece_count(*descend(p, l + 1)) <= pieces:
         l += 1
     return l
+
+
+# The parameter map as it was written before `Level`, one helper per
+# quantity, each working out f(theta) and 1/f again.
+def n_omega(p):
+    f = p.f(p.theta)
+    if f == 0:
+        raise Degenerate("f(theta) = 0")
+    return math.floor(1 / f)
+
+
+def ratio(p):
+    f = p.f(p.theta)
+    if f == 0:
+        raise Degenerate("f(theta) = 0")
+    return 1 / f
+
+
+def substitution(p):
+    return (UNIT if p.eps == -1 else RIGHT).sigma(n_omega(p))
+
+
+def param_chain(p, l):
+    params = [p]
+    for _ in range(l):
+        q = params[-1]
+        if q.theta == 0:
+            raise Terminal("renormalization undefined at theta = 0")
+        n = n_omega(q)
+        params.append(Param(1 / q.f(q.theta) - n, -1 if n % 2 == 0 else 1))
+    return params
 
 
 # The cover recursion as it was written piece by piece, a CoverPiece and a
@@ -361,19 +408,19 @@ class TestCover:
         # pieces in the rectangle
         p = Param(parse_number(theta), eps)
         l = _depth_within(p, 500)
-        params = param_chain(p, l)
+        levels, last = descend(p, l)
         blocks = [
             (r, "CR"[letter == "b"], letter)
-            for r, letter in cover_seed(params[-1].theta)
+            for r, letter in cover_seed(last.theta)
         ]
         checked = 0
-        for q in reversed(params[:-1]):
-            blocks = list(cover_level(q, q.theta, blocks))
+        for level in reversed(levels):
+            blocks = list(cover_level(level, level.q.theta, blocks))
             for (x, _, w, _), _, letter in blocks:
                 assert (x + w <= 1) if letter == "a" else (x >= 1)
             checked += len(blocks)
         assert l >= 2 and checked == sum(
-            piece_count(params[i:]) for i in range(l)
+            piece_count(levels[i:], last) for i in range(l)
         )
 
     @pytest.mark.parametrize("theta, eps", [*COVER_PARAMS, ("3/8", -1)])
@@ -389,7 +436,8 @@ class TestCover:
         # 3/8 -> 2/3 -> 1/2 -> 0: the depth-3 cover grows from the square
         # alone, and the area identity still holds exactly at every depth
         p = Param(Fraction(3, 8), -1)
-        assert [q.theta for q in param_chain(p, 3)] == [
+        levels, last = descend(p, 3)
+        assert [level.q.theta for level in levels] + [last.theta] == [
             Fraction(3, 8), Fraction(2, 3), Fraction(1, 2), 0
         ]
         assert cover_seed(0) == [((0, 0, 1, 1), "a")]
@@ -397,7 +445,7 @@ class TestCover:
         cells = islands(p, max_period=ps[3] - 1)
         for l, n in enumerate((2, 8, 21, 37)):
             pieces = cover(p, l)
-            assert len(pieces) == piece_count(param_chain(p, l)) == n
+            assert len(pieces) == piece_count(*descend(p, l)) == n
             cover_area = sum(c.rect.w * c.rect.h for c in pieces)
             isl_area = sum(
                 c.rect.area() for c in cells if c.orbit_period < ps[l]
@@ -408,7 +456,7 @@ class TestCover:
         # depth 12 of the silver mean has 63,245,986 pieces, about 40 GB as
         # exact CoverPieces: refused from the piece count alone
         p = Param(SQRT2M1, -1)
-        assert piece_count(param_chain(p, 12)) > EXACT_PIECE_BUDGET
+        assert piece_count(*descend(p, 12)) > EXACT_PIECE_BUDGET
         start = time.perf_counter()
         with pytest.raises(NotTerminated):
             cover(p, 12)
@@ -416,6 +464,74 @@ class TestCover:
 
     def test_ratio_matches_depth(self):
         p = Param(SQRT2M1, -1)
-        r = ratio(p)
+        r = Level(p).ratio
         for c in cover(p, 2):
             assert c.ratio * r * r == 1
+
+
+class TestChain:
+    """Each level of the chain is worked out once per public call: one
+    `Level` per parameter walked, and one in all at a fixed point."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        post_init = Level.__post_init__
+
+        def counting(level):
+            made.append(level.q)
+            post_init(level)
+
+        monkeypatch.setattr(Level, "__post_init__", counting)
+        return made
+
+    def test_cover(self, built):
+        cover(Param(SQRT2M1, -1), 8)
+        assert len(built) == 8
+
+    def test_cover_arrays(self, built):
+        cover_arrays(Param(SQRT2M1, -1), 9)
+        assert len(built) == 9
+
+    def test_box_count_deep_reuses_one_level(self, built, monkeypatch):
+        # 1000 pieces a chunk: 33 chunks, none of which works out a level
+        monkeypatch.setattr(fractal, "DEEP_PIECES", 1000)
+        p = Param(SQRT2M1, -1)
+        box_count_deep(p, 8, 1e-3, base_l=4)
+        assert built == [p]
+
+    @pytest.mark.parametrize("theta, eps, max_period", [
+        ("1/100", 1, 40), ("-1+sqrt(2)", -1, 500), ("5/13", -1, 100),
+    ])
+    def test_islands(self, built, theta, eps, max_period):
+        # the search walks down to the first level whose product bounds every
+        # deeper period above max_period, or to theta = 0
+        p = Param(parse_number(theta), eps)
+        walked, M = param_chain(p, 0), Mat2.identity()
+        while walked[-1].theta != 0:
+            q = walked[-1]
+            M = M @ Mat2(*(UNIT if q.eps == -1 else RIGHT).M(n_omega(q)))
+            if M.m11 + M.m21 > max_period:
+                break
+            walked = param_chain(p, len(walked))
+        islands(p, max_period)
+        assert built == [q for q in walked if q.theta != 0]
+
+    def test_period_sequence(self, built):
+        period_sequence(Param(Fraction(5, 13), -1), 4)
+        assert built == param_chain(Param(Fraction(5, 13), -1), 2)
+
+    def test_induction_verify(self, built):
+        induction_verify(Param(SQRT2M1, -1), samples=20)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: cover(Param(Fraction(3, 8), -1), 5),
+        lambda: cover_arrays(Param(Fraction(3, 8), -1), 4),
+        lambda: induction_verify(Param(0, -1), samples=1),
+        lambda: induction_verify(Param(0, 1), samples=1),
+    ])
+    def test_terminal_where_the_chain_reaches_zero(self, call):
+        # 3/8 -> 2/3 -> 1/2 -> 0: no level below depth 3
+        with pytest.raises(Terminal):
+            call()
