@@ -102,11 +102,17 @@ class Rect:
 
 @dataclass(frozen=True)
 class Cell:
-    """A periodic island: a square of constant coding."""
+    """A periodic island: a square of constant coding. The cells of one
+    orbit share its code, each from its own offset."""
 
     rect: Rect
-    code_period: Word
+    code: Word
+    offset: int
     orbit_period: int
+
+    @property
+    def code_period(self) -> Word:
+        return self.code.rotate(self.offset)
 
 
 # -- the map -------------------------------------------------------------
@@ -211,7 +217,7 @@ def islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
         if step(p, rects[-1].center) != rects[0].center:
             raise NotTerminated("orbit did not close up at its computed period")
         code = Word("".join(sides))
-        out.extend(Cell(r, code.rotate(i), len(rects)) for i, r in enumerate(rects))
+        out.extend(Cell(r, code, i, len(rects)) for i, r in enumerate(rects))
     return out
 
 

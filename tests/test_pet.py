@@ -138,7 +138,8 @@ def _oracle_unfold(p: Param, o: Orbit) -> list[Cell]:
         cells.append(
             Cell(
                 Rect(z.x - half, z.y - half, o.rect.w, o.rect.h),
-                o.code.rotate(i),
+                o.code,
+                i,
                 period,
             )
         )
@@ -386,6 +387,21 @@ class TestIslands:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert elapsed < 0.1
+
+    def test_cells_of_an_orbit_share_its_code(self):
+        # one orbit of 9,998 cells plus the fixed square: with a rotated copy
+        # of the code per cell it peaked at 101 MiB
+        p = Param(Fraction(1, 3333), -1)
+        islands(p, max_period=1)  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            cells = islands(p, max_period=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.orbit_period for c in cells[:2]] == [1, 9_998]
+        assert all(c.code is cells[1].code for c in cells[1:])
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("theta, eps", ISLAND_PARAMS)
     def test_matches_orbit_oracle(self, theta, eps):
