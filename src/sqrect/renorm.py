@@ -225,7 +225,7 @@ def chain(p: Param) -> Iterator[Level]:
 
 def descend(p: Param, l: int) -> tuple[list[Level], Param]:
     """The first l levels of the chain of p, and S^l(p) below them."""
-    levels = list(islice(chain(p), l))
+    levels = list(islice(chain(p), max(l, 0)))  # a negative depth is depth 0
     return levels, levels[-1].next if levels else p
 
 
@@ -351,7 +351,7 @@ def seed_periods(p: Param):
 
 def period_sequence(p: Param, k: int) -> list[int]:
     """Periods of the island orbits of depth 0..k-1 (`seed_periods`)."""
-    return [period for _, period, _, _ in islice(seed_periods(p), k)]
+    return [period for _, period, _, _ in islice(seed_periods(p), max(k, 0))]
 
 
 # -- covers --------------------------------------------------------------

@@ -525,6 +525,14 @@ class TestChain:
         induction_verify(Param(SQRT2M1, -1), samples=20)
         assert len(built) == 1
 
+    def test_negative_depth_is_depth_zero(self, built):
+        p = Param(SQRT2M1, -1)
+        _assert_same_cover(cover(p, -1), cover(p, 0))
+        assert all(
+            np.array_equal(a, b) for a, b in zip(cover_arrays(p, -2), cover_arrays(p, 0))
+        )
+        assert period_sequence(p, -1) == [] and built == []
+
     @pytest.mark.parametrize("call", [
         lambda: cover(Param(Fraction(3, 8), -1), 5),
         lambda: cover_arrays(Param(Fraction(3, 8), -1), 4),
