@@ -1,6 +1,6 @@
 """Renormalization of the exchange map: the branch table of the accelerated
-map, the parameter map S, similitudes, induction zones, first-return maps,
-substitutions, incidence matrices and depth-l covers of the aperiodic set."""
+map, the chain of the parameter map S level by level, similitudes,
+first-return maps, island periods and depth-l covers of the aperiodic set."""
 
 from __future__ import annotations
 
