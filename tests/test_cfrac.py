@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from sqrect.cfrac import (
     transfer_residual,
     x_to_param,
 )
+from sqrect.fractal import dimension_estimate
 from sqrect.lyap import _sample_x
 from sqrect.pet import Param
 from sqrect.renorm import (
@@ -133,6 +135,35 @@ class TestExpand:
     def test_truncation_status(self):
         e = expand(math.pi - 3, max_steps=10)
         assert e.status == "truncated" and len(e.steps) == 10
+
+
+def _pin(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestFloatPins:
+    # float orbits spread an ulp of difference into every later digit, so
+    # these pins hold the interval form's float operations bit for bit
+    P = Param(0.2718281828459045, 1)
+
+    def test_expand_at_eps_plus_one(self):
+        e = expand(param_to_x(self.P), max_steps=150)
+        assert e.status == "truncated" and len(e.steps) == 150
+        head = " ".join(f"{d.n}{d.eps:+d}" for d in e.steps[:6])
+        assert head == "1+1 1+1 2+1 2-1 8-1 1-1"
+        assert _pin(e) == "0992696e8418a4f1"
+
+    def test_accel_orbit_with_middle_steps(self):
+        orbit = accel_orbit(param_to_x(self.P), 40)
+        assert sum(st.family is MIDDLE for st in orbit) == 11
+        assert sum(st.m for st in orbit) == 72
+        assert repr(orbit[-1].y) == "1.6988602718630672"
+        assert _pin(orbit) == "5a5d7fa3a15d7453"
+
+    def test_dimension_estimate(self):
+        rep = dimension_estimate(self.P, 50)
+        assert repr(rep.value) == "1.3161839722582829"
+        assert repr(rep.diagnostics["spread"]) == "0.00456558061958745"
 
 
 class TestAcceleration:
