@@ -1,7 +1,9 @@
-"""Interval form of the renormalization on (0,2): expansions, the folded
-map, the accelerated map with its matrices, invariant densities, a sampler
-for the finite invariant measure, transfer-operator residuals and the
-natural extension."""
+"""Interval form of the renormalization on (0,2): expansions, which walk
+the chain of `renorm.Level`s through x, the accelerated map, which takes
+its unit and right branches from those levels and groups the runs of right
+branch 1 into middle branches, its one walk `accel_walk`, invariant
+densities, a sampler for the finite invariant measure, transfer-operator
+residuals and the natural extension."""
 
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -17,8 +21,8 @@ from .errors import NotTerminated, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param
 from .renorm import (
-    FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
-    family_coefficients, odd, slow_image,
+    FAMILIES, FAMILY_EDGES, MIDDLE, UNIT, BranchFamily, Level, Mat2,
+    family_coefficients, odd,
 )
 from .words import Substitution
 
@@ -37,34 +41,13 @@ def x_to_param(x: Number) -> Param:
     return Param(x - 1, 1)
 
 
-def _terminal(x: Number) -> bool:
-    return x == 0 or x == 1 or x == 2
-
-
-def _slow_branch(x: Number) -> tuple[BranchFamily, int, Number]:
-    """(family, branch index n, 1/gap(x)) of the slow map's branch at x:
-    a unit branch below 1, else a right branch."""
-    if _terminal(x):
-        raise Terminal(f"map undefined at x = {x}")
-    fam = UNIT if x < 1 else RIGHT
-    inv = 1 / fam.gap(x)
-    return fam, math.floor(inv), inv
-
-
-def _digit(fam: BranchFamily, n: int) -> Digit:
-    return Digit(n, -1 if fam is UNIT else 1)
-
-
-def branch_data(x: Number) -> tuple[int, int, Mat2]:
-    """(branch index n, side sign, Moebius matrix A with S(x) = A.x)."""
-    fam, n, _ = _slow_branch(x)
-    return n, _digit(fam, n).eps, Mat2(*fam.A(n))
-
-
-def s_interval(x: Number) -> Number:
-    """One step of the parameter map in interval coordinates."""
-    _, n, inv = _slow_branch(x)
-    return slow_image(inv, n)
+def _level(x: Number) -> Level:
+    """The chain's level at x. Terminal at x = 0 and 1, where theta = 0,
+    and at x = 2: a float image can round up to it, and the end 1 + 1/n of
+    middle branch n lands on it."""
+    if x == 2:
+        raise Terminal("map undefined at x = 2")
+    return Level(x_to_param(x))
 
 
 @dataclass(frozen=True)
@@ -82,33 +65,25 @@ class Expansion:
 
 
 def expand(x: Number, max_steps: int = 1000) -> Expansion:
+    """The chain's levels in interval form: x, then param_to_x of each
+    level's S(q). The walk goes through x at every step, so a float x + 1
+    rounds as the interval form rounds it."""
     exact = is_exact(x)
     seen: dict = {}
     steps: list[Digit] = []
     for k in range(max_steps):
-        if _terminal(x):
-            return Expansion(steps, "finite")
         if exact:
             if x in seen:
                 i = seen[x]
                 return Expansion(steps, "periodic", i, k - i)
             seen[x] = k
-        fam, n, inv = _slow_branch(x)
-        steps.append(_digit(fam, n))
-        x = slow_image(inv, n)
+        try:
+            level = _level(x)
+        except Terminal:
+            return Expansion(steps, "finite")
+        steps.append(Digit(level.n, level.q.eps))
+        x = param_to_x(level.next)
     return Expansion(steps, "truncated")
-
-
-# -- folded map ----------------------------------------------------------
-
-
-def q_map(x: Number) -> Number:
-    if x == 0:
-        raise Terminal("map undefined at 0")
-    inv = 1 / x
-    n = math.floor(inv)
-    frac = inv - n
-    return frac if n % 2 == 0 else 1 - frac
 
 
 # -- acceleration --------------------------------------------------------
@@ -132,14 +107,14 @@ class AccelStep:
 
 
 def accel(x: Number) -> AccelStep:
-    """One step of the accelerated map: first exit from (1, 3/2)."""
-    fam, n, inv = _slow_branch(x)
+    """One step of the accelerated map: the chain's level at x, except on
+    (1, 3/2), where the level is right branch 1 until the orbit leaves and
+    middle branch n takes it n - 1 times in one Moebius step."""
+    level = _level(x)
+    fam, n = level.family, level.n
     if fam is UNIT or n > 1:
-        return AccelStep(
-            1, slow_image(inv, n), Mat2(*fam.A(n)), inv, Mat2(*fam.M(n)), fam, n
-        )
-    # x in (1, 3/2), where the slow map takes right branch 1 until the orbit
-    # leaves: middle branch n takes it n - 1 times in one Moebius step
+        y = param_to_x(level.next)
+        return AccelStep(1, y, Mat2(*fam.A(n)), level.ratio, level.M, fam, n)
     n = math.floor(1 / MIDDLE.gap(x))
     A = Mat2(*MIDDLE.A(n))
     return AccelStep(
@@ -147,13 +122,17 @@ def accel(x: Number) -> AccelStep:
     )
 
 
-def accel_orbit(x: Number, l: int) -> list[AccelStep]:
-    out = []
-    for _ in range(l):
+def accel_walk(x: Number) -> Iterator[AccelStep]:
+    """The accelerated steps of the orbit of x, on demand; Terminal where
+    the orbit ends."""
+    while True:
         st = accel(x)
-        out.append(st)
+        yield st
         x = st.y
-    return out
+
+
+def accel_orbit(x: Number, l: int) -> list[AccelStep]:
+    return list(islice(accel_walk(x), max(l, 0)))
 
 
 # -- invariant densities -------------------------------------------------

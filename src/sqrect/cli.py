@@ -168,14 +168,9 @@ def _cmd_sturmian(args):
 
 
 def _cmd_tower(args):
-    from .words import default_prefix_len, tower_stats
+    from .words import tower_stats
 
-    p = parse_param(args.param)
-    l = _given(args.depth, 5)
-    prefix_len = args.prefix_len
-    if prefix_len is None:
-        prefix_len = default_prefix_len(p, l)
-    ts = tower_stats(p, l, prefix_len)
+    ts = tower_stats(parse_param(args.param), _given(args.depth, 5), args.prefix_len)
     return ts, _table(ts), [str(ts)]
 
 

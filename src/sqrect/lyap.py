@@ -1,15 +1,16 @@
 """Cocycle products along the accelerated expansion, Monte-Carlo Lyapunov
-estimates, certified series values of the associated integrals, Birkhoff
-contraction coefficients and limit directions."""
+estimates, certified series values of the associated integrals and Birkhoff
+contraction coefficients."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .cfrac import LN6, accel, param_to_x
+from .cfrac import LN6, accel_walk, param_to_x
 from .errors import NotTerminated
 from .pet import Param
 from .renorm import (
@@ -56,14 +57,26 @@ def cocycle_product(p: Param, l: int) -> tuple[Mat2, float]:
     return M, log_norm
 
 
+# Accelerated steps per walk. An exact matrix product gains a few bits a
+# step, so its steps cost more the deeper they are: on a 2-core VM the
+# silver mean's cocycle_product takes 7.8 s at 10**5 steps and 30 s at
+# 2 * 10**5, as tower_stats does; dimension_estimate, which keeps no exact
+# product, takes 3.9 s there
+ACCEL_STEP_BUDGET = 200_000
+
+
 def cocycle_walk(x, steps: int):
     """Yield each of `steps` accelerated steps from x with the running ln of
     the l1-norm of (1,1) times the product of their matrices, kept in a
-    float row vector renormalized at every step."""
+    float row vector renormalized at every step. Raises NotTerminated,
+    before the first step, above ACCEL_STEP_BUDGET steps."""
+    if steps > ACCEL_STEP_BUDGET:
+        raise NotTerminated(
+            f"{steps} accelerated steps exceed the budget of {ACCEL_STEP_BUDGET}"
+        )
     u1 = u2 = 1.0
     log_norm = 0.0
-    for _ in range(steps):
-        st = accel(x)  # Terminal propagates
+    for st in islice(accel_walk(x), max(steps, 0)):  # Terminal propagates
         F = st.M_bold
         u1, u2 = u1 * F.m11 + u2 * F.m21, u1 * F.m12 + u2 * F.m22
         s = u1 + u2
@@ -71,7 +84,6 @@ def cocycle_walk(x, steps: int):
         u1 /= s
         u2 /= s
         yield st, log_norm
-        x = st.y
 
 
 def contraction(M: Mat2) -> float:

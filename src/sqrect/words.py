@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -164,39 +165,32 @@ def limit_word(p, length: int) -> Word:
     return limit_word_x(param_to_x(p), length)
 
 
-def default_prefix_len(p, l: int) -> int:
-    """A prefix length for tower_stats that spans at least 200 depth-l
-    blocks: 200 times the entry sum of the depth-l cocycle matrix."""
-    from .lyap import cocycle_product
-
-    M, _ = cocycle_product(p, l)
-    return max(200_000, 200 * (M.m11 + M.m12 + M.m21 + M.m22))
-
-
-def tower_stats(p, l: int, prefix_len: int) -> TowerStats:
+def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
     """Column sums of the depth-l cocycle matrix and empirical block measures.
 
     alpha (beta) is the count of depth-l a-blocks (b-blocks) per letter in
     a generated prefix of the limit word, decomposed along block boundaries
-    known from generation.
+    known from generation. The prefix spans `prefix_len` letters, by default
+    at least 200 depth-l blocks: 200 times the entry sum of the matrix.
     """
     if l < 0:
         raise ValueError(f"depth must be at least 0, got {l}")
     # block lengths are the column sums of the depth-l cocycle matrix;
     # the blocks themselves are never needed, and can be astronomically long
-    from .lyap import cocycle_product
+    from .cfrac import param_to_x
+    from .lyap import cocycle_walk
+    from .renorm import Mat2
 
-    M, _ = cocycle_product(p, l)
+    M = Mat2.identity()
+    for st, _ in cocycle_walk(param_to_x(p), l + 1):  # factors 0..l
+        M = M @ st.M_bold
     N_a, N_b = M.m11 + M.m21, M.m12 + M.m22
     N = N_a + N_b
+    if prefix_len is None:
+        prefix_len = max(200_000, 200 * N)
     # decompose a prefix of the limit word into depth-l blocks: the level-l
     # coding is itself a limit word of the shifted parameter sequence
-    from .cfrac import accel, param_to_x
-
-    x = param_to_x(p)
-    for _ in range(l + 1):  # the depth-l product composes factors 0..l
-        x = accel(x).y
-    deep = limit_word_x(x, max(prefix_len // min(N_a, N_b) + 2, 200))
+    deep = limit_word_x(st.y, max(prefix_len // min(N_a, N_b) + 2, 200))
     blocks_a = blocks_b = letters = 0
     for c in deep:
         if letters >= prefix_len:
@@ -218,7 +212,7 @@ def tower_stats(p, l: int, prefix_len: int) -> TowerStats:
 
 def limit_word_x(x, length: int) -> Word:
     """Limit-word prefix for a parameter given in interval form."""
-    from .cfrac import accel
+    from .cfrac import accel_walk
 
     if length < 1:
         raise ValueError(f"prefix length must be at least 1, got {length}")
@@ -227,10 +221,10 @@ def limit_word_x(x, length: int) -> Word:
             f"{length} letters exceed the budget of {LETTER_BUDGET} (about 0.6 GB)"
         )
     subs = []
-    for _ in range(4 * length):  # safety cap; growth makes far fewer needed
-        step = accel(x)  # raises Terminal at rational ends
+    # safety cap; growth makes far fewer needed. accel_walk raises Terminal
+    # at rational ends
+    for step in islice(accel_walk(x), 4 * length):
         subs.append(step.sigma_bold)
-        x = step.y
         # enough depth once the innermost seed expands past `length`
         w = Word("a")
         for s in reversed(subs):

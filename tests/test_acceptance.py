@@ -25,7 +25,6 @@ from sqrect.cfrac import (
     fiber_integral_square,
     natural_extension_check,
     param_to_x,
-    s_interval,
     transfer_residual,
     x_to_param,
 )
@@ -52,6 +51,7 @@ from sqrect.render import (
     render_discontinuities,
     render_islands,
 )
+from test_cfrac import s_interval  # the slow-map oracle
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from sqrect.cfrac import (
     _preimage_hits,
     accel,
     accel_orbit,
-    branch_data,
+    accel_walk,
     density,
     expand,
     fiber_integral_halfline,
@@ -31,8 +34,6 @@ from sqrect.cfrac import (
     natext_steps,
     natural_extension_check,
     param_to_x,
-    q_map,
-    s_interval,
     transfer_residual,
     x_to_param,
 )
@@ -40,7 +41,7 @@ from sqrect.fractal import dimension_estimate
 from sqrect.lyap import _sample_x
 from sqrect.pet import Param
 from sqrect.renorm import (
-    FAMILIES, MIDDLE, RIGHT, Level, Mat2, incidence_matrix,
+    FAMILIES, MIDDLE, RIGHT, UNIT, Level, Mat2, incidence_matrix, slow_image,
 )
 from sqrect.words import compose
 
@@ -50,6 +51,24 @@ SQRT3M1 = make_surd(-1, 1, 1, 3)
 exact_xs = st.fractions(
     min_value=Fraction(1, 97), max_value=Fraction(193, 97), max_denominator=97
 ).filter(lambda q: q not in (0, 1, 2))
+float_xs = st.floats(min_value=2.0**-1000, max_value=2, exclude_max=True)
+
+
+def slow_branch(x):
+    """(family, branch index n, 1/gap(x)) of the slow map's branch at x,
+    read off the branch table: a unit branch below 1, else a right branch.
+    An oracle for the chain's levels, which it does not use."""
+    if x in (0, 1, 2):
+        raise Terminal(f"map undefined at x = {x}")
+    fam = UNIT if x < 1 else RIGHT
+    inv = 1 / fam.gap(x)
+    return fam, math.floor(inv), inv
+
+
+def s_interval(x):
+    """One step of the slow map in interval coordinates (`slow_branch`)."""
+    _, n, inv = slow_branch(x)
+    return slow_image(inv, n)
 
 
 class TestCoordinates:
@@ -67,8 +86,8 @@ class TestCoordinates:
 class TestSlowMap:
     @given(exact_xs)
     def test_branch_matrix_is_mobius_action(self, x):
-        n, side, A = branch_data(x)
-        assert A.mobius(x) == s_interval(x)
+        fam, n, _ = slow_branch(x)
+        assert Mat2(*fam.A(n)).mobius(x) == s_interval(x)
 
     @given(exact_xs)
     def test_image_in_interval(self, x):
@@ -135,6 +154,18 @@ class TestExpand:
     def test_truncation_status(self):
         e = expand(math.pi - 3, max_steps=10)
         assert e.status == "truncated" and len(e.steps) == 10
+
+    @given(st.one_of(exact_xs, float_xs))
+    @settings(max_examples=300)
+    def test_digits_are_slow_branches(self, x):
+        # the chain's levels against the oracle, floats bit for bit
+        e = expand(x, max_steps=80)
+        for d in e.steps:
+            fam, n, _ = slow_branch(x)
+            assert (d.n, d.eps) == (n, -1 if fam is UNIT else 1)
+            x = s_interval(x)
+        if e.status == "finite":
+            assert x in (0, 1, 2)
 
 
 def _pin(obj) -> str:
@@ -205,8 +236,40 @@ class TestAcceleration:
         with pytest.raises(Terminal):
             accel(Fraction(1))
 
+    @given(float_xs)
+    @settings(max_examples=300)
+    def test_float_steps_outside_middle_are_slow_steps(self, x):
+        # bit for bit: the same operations as the oracle's slow step
+        try:
+            for st_ in islice(accel_walk(x), 60):
+                if st_.family is not MIDDLE:
+                    fam, n, inv = slow_branch(x)
+                    assert (st_.family, st_.n, st_.r_bold, st_.y) == (
+                        fam, n, inv, s_interval(x)
+                    )
+                    assert st_.M_bold == Mat2(*fam.M(n))
+                x = st_.y
+        except Terminal:
+            assert x in (0, 1, 2)  # float orbits can end on an interval end
+        except ZeroDivisionError:
+            assert 1 < x < 1.5  # middle branch n >= 2**52: (1 - n) x + n can be 0
+
     def test_orbit_length(self):
         assert len(accel_orbit(SQRT2M1, 7)) == 7
+        assert accel_orbit(SQRT2M1, -1) == []
+
+
+def test_only_cfrac_calls_accel():
+    # every other module reads the accelerated map through one walk,
+    # cfrac.accel_walk, so no second loop over its steps can drift from it
+    callers = {
+        path.stem
+        for path in Path(cfrac.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "accel"
+    }
+    assert callers == {"cfrac"}
 
 
 class TestBranchTable:
@@ -581,6 +644,16 @@ class TestNatextKernel:
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError):
             natural_extension_check(0)
+
+
+def q_map(x):
+    """The folded map: 1/x mod 1, reflected on odd branches."""
+    if x == 0:
+        raise Terminal("map undefined at 0")
+    inv = 1 / x
+    n = math.floor(inv)
+    frac = inv - n
+    return frac if n % 2 == 0 else 1 - frac
 
 
 class TestFoldedMap:

@@ -228,6 +228,16 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
+    @pytest.mark.parametrize("command", ["dimension", "tower"])
+    def test_depth_above_step_budget_fails_fast(self, command):
+        # 10^9 accelerated steps would run for hours
+        proc = run_python(
+            "-m", "sqrect.cli", command, "--param", "sqrt(2)-1,-1",
+            "--depth", "1000000000", timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
     def test_series_above_term_budget_fails_fast(self):
         # 10^12 terms are 7.28 TiB of arange: refused before it is allocated
         proc = run_python(

@@ -13,9 +13,12 @@ from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 from sqrect.renorm import MIDDLE, RIGHT, UNIT, Mat2, slow_image
+from sqrect import cfrac
 from sqrect.cfrac import accel, density
 from sqrect.fractal import dimension_estimate, selfsimilar_parameter
+from sqrect.words import tower_stats
 from sqrect.lyap import (
+    ACCEL_STEP_BUDGET,
     MASTER_SEED,
     EXPANSION_TERMS,
     LANE_BUDGET,
@@ -74,6 +77,20 @@ class TestCocycleProduct:
     def test_no_overflow_at_great_depth(self):
         _, log_norm = cocycle_product(Param(SQRT2M1, -1), 100_000)
         assert math.isfinite(log_norm) and log_norm > 100_000
+
+    @pytest.mark.parametrize("walk", [
+        lambda steps: cocycle_product(Param(SQRT2M1, -1), steps - 1),
+        lambda steps: dimension_estimate(Param(SQRT2M1, -1), steps),
+        lambda steps: tower_stats(Param(SQRT2M1, -1), steps - 1),
+    ], ids=["cocycle_product", "dimension_estimate", "tower_stats"])
+    def test_walk_above_step_budget_fails_fast(self, walk, monkeypatch):
+        # refused before the first step; the depth above takes 100,001
+        assert ACCEL_STEP_BUDGET >= 100_001
+        steps = []
+        monkeypatch.setattr(cfrac, "accel", steps.append)
+        with pytest.raises(NotTerminated):
+            walk(ACCEL_STEP_BUDGET + 1)
+        assert steps == []
 
     @pytest.mark.parametrize(
         "theta,eps",

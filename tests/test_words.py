@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqrect import cfrac
 from sqrect.cfrac import accel, param_to_x
 from sqrect.errors import NotTerminated, PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
@@ -268,3 +270,21 @@ class TestTowerStats:
     def test_measures_positive(self):
         ts = tower_stats(Param(SQRT3M1, 1), 3, 300_000)
         assert ts.alpha > 0 and ts.beta > 0
+
+    def test_default_prefix_spans_200_blocks(self):
+        p = Param(SQRT2M1, -1)
+        ts = tower_stats(p, 5)
+        assert ts == tower_stats(p, 5, max(200_000, 200 * ts.N))
+
+    def test_walks_the_orbit_once(self, monkeypatch):
+        # the matrix, the default prefix and the depth-(l + 1) point come
+        # from one walk, and the limit word below it walks on from there:
+        # every accelerated step is taken at the next point of one orbit
+        seen = []
+        step = cfrac.accel
+        monkeypatch.setattr(cfrac, "accel", lambda x: seen.append(x) or step(x))
+        x = make_surd(-1, 12, 6, 3)  # its slow expansion has period 390
+        x -= math.floor(x)
+        tower_stats(Param(x, -1), 4)
+        assert len(seen) > 5
+        assert seen == [x, *(step(y).y for y in seen[:-1])]
