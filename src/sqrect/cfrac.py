@@ -65,9 +65,9 @@ class Expansion:
 
 
 def expand(x: Number, max_steps: int = 1000) -> Expansion:
-    """The chain's levels in interval form: x, then param_to_x of each
-    level's S(q). The walk goes through x at every step, so a float x + 1
-    rounds as the interval form rounds it."""
+    """The digits (n, eps) of the chain's levels, walked in interval form:
+    from x to param_to_x of its level's S(q). A float walk keeps the
+    rounding of theta + 1 at every step, which walking S(q) would skip."""
     exact = is_exact(x)
     seen: dict = {}
     steps: list[Digit] = []
