@@ -93,7 +93,6 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
 class AccelStep:
     m: int  # slow-map steps taken
     y: Number
-    A_bold: Mat2
     r_bold: Number
     M_bold: Mat2
     family: BranchFamily = field(repr=False)
@@ -114,11 +113,12 @@ def accel(x: Number) -> AccelStep:
     fam, n = level.family, level.n
     if fam is UNIT or n > 1:
         y = param_to_x(level.next)
-        return AccelStep(1, y, Mat2(*fam.A(n)), level.ratio, level.M, fam, n)
+        return AccelStep(1, y, level.ratio, level.M, fam, n)
     n = math.floor(1 / MIDDLE.gap(x))
-    A = Mat2(*MIDDLE.A(n))
+    a11, a12, a21, a22 = MIDDLE.A(n)
+    den = a21 * x + a22
     return AccelStep(
-        n - 1, A.mobius(x), A, 1 / (A.m21 * x + A.m22), Mat2(*MIDDLE.M(n)), MIDDLE, n
+        n - 1, (a11 * x + a12) / den, 1 / den, Mat2(*MIDDLE.M(n)), MIDDLE, n
     )
 
 
@@ -188,63 +188,32 @@ def _pair_sum(alpha: float, beta: float, n_min: int, parity: int) -> float:
     return total
 
 
-def transfer_residual(which: str, y: float, test_density=None) -> float:
-    """|sum over inverse branches of density/|map'| - density(y)|.
-
-    `test_density` substitutes an alternative density (negative controls);
-    the default closed-form densities use certified digamma tails. Both
-    densities jump at y = 1, where the branch sums take the right-hand
-    limit (a pole for 'nu'), so y = 1 is refused with ValueError.
+def transfer_residual(which: str, y: float) -> float:
+    """|sum over inverse branches of density/|map'| - density(y)|, with
+    certified digamma tails. Both densities jump at y = 1, where the branch
+    sums take the right-hand limit (a pole for 'nu'), so y = 1 is refused
+    with ValueError.
     """
     if y == 1:
         raise ValueError("the densities jump at y = 1; the residual is undefined")
-    dens = test_density or (lambda t: density(which, t))
     parity = 0 if y < 1 else 1
     t = y if y < 1 else y - 1
     if which == "nu":
-        if test_density is None:
-            # left branches x=1/(t+n): weight 1/((t+n)(t+n+1));
-            # right branches x=2-1/(t+n): weight 1/((t+n-1)(t+n))
-            total = _pair_sum(t, t + 1, 1, parity)
-            total += _pair_sum(t - 1, t, 1, parity)
-        else:
-            total = _generic_branch_sum("nu", dens, y)
-        return abs(total - dens(y))
-    if which == "bold_nu":
-        if test_density is None:
-            total = _pair_sum(t, t + 1, 1, parity)
-            # right branches: weight 1/((t+n-1)(t+n)), n >= 2
-            total += _pair_sum(t - 1, t, 2, parity)
-            if y > 1.5:
-                # middle branches telescope: sum_{n>=2} of
-                # 1/((n(y-1)+1)(n(y-1)-y+2)) = 1/(y(y-1))
-                total += 1.0 / (y * (y - 1))
-        else:
-            total = _generic_branch_sum("bold_nu", dens, y)
-        return abs(total - dens(y))
-    raise ValueError("which must be 'nu' or 'bold_nu'")
-
-
-def _generic_branch_sum(which: str, dens, y: float, n_terms: int = 20_000) -> float:
-    """Direct branch enumeration for an arbitrary candidate density."""
-    # the inverse branches stay written out: from adj(A(n)) they round differently
-    parity = 0 if y < 1 else 1
-    t = y if y < 1 else y - 1
-    total = 0.0
-    n = 2 if parity == 0 else 1
-    while n < n_terms:
-        x = 1.0 / (t + n)
-        total += x * x * dens(x)
-        if which == "nu" or n >= 2:
-            x = 2.0 - 1.0 / (t + n)
-            total += (2.0 - x) ** 2 * dens(x)
-        n += 2
-    if which == "bold_nu" and y > 1.5:
-        for n in range(2, n_terms):
-            d = y * (n - 1) - n + 2
-            x = (y * n - n + 1) / d
-            total += dens(x) / (d * d)
-    return total
+        # left branches x=1/(t+n): weight 1/((t+n)(t+n+1));
+        # right branches x=2-1/(t+n): weight 1/((t+n-1)(t+n))
+        total = _pair_sum(t, t + 1, 1, parity)
+        total += _pair_sum(t - 1, t, 1, parity)
+    elif which == "bold_nu":
+        total = _pair_sum(t, t + 1, 1, parity)
+        # right branches: weight 1/((t+n-1)(t+n)), n >= 2
+        total += _pair_sum(t - 1, t, 2, parity)
+        if y > 1.5:
+            # middle branches telescope: sum_{n>=2} of
+            # 1/((n(y-1)+1)(n(y-1)-y+2)) = 1/(y(y-1))
+            total += 1.0 / (y * (y - 1))
+    else:
+        raise ValueError("which must be 'nu' or 'bold_nu'")
+    return abs(total - density(which, y))
 
 
 # -- natural extension ---------------------------------------------------
@@ -261,7 +230,8 @@ def _mobius_y(A: Mat2, y: float) -> float:
 
 def natext_step(x: float, y: float) -> tuple[float, float]:
     st = accel(x)
-    return float(st.A_bold.mobius(x)), _mobius_y(st.A_bold, y)
+    A = Mat2(*st.family.A(st.n))
+    return float(A.mobius(x)), _mobius_y(A, y)
 
 
 # Rows (slope, parity, const) by entries (gap, a11, a12, a21, a22) by

@@ -1,6 +1,5 @@
 """Cocycle products along the accelerated expansion, Monte-Carlo Lyapunov
-estimates, certified series values of the associated integrals and Birkhoff
-contraction coefficients."""
+estimates and certified series values of the associated integrals."""
 
 from __future__ import annotations
 
@@ -84,15 +83,6 @@ def cocycle_walk(x, steps: int):
         u1 /= s
         u2 /= s
         yield st, log_norm
-
-
-def contraction(M: Mat2) -> float:
-    """Birkhoff contraction coefficient of a nonnegative matrix in the
-    Hilbert projective metric: tanh of a quarter of |ln| of the
-    cross-ratio of the entries; 1 when some entry vanishes."""
-    if min(M.m11, M.m12, M.m21, M.m22) <= 0:
-        return 1.0
-    return math.tanh(0.25 * abs(math.log(M.m11 * M.m22 / (M.m12 * M.m21))))
 
 
 # -- Monte-Carlo estimation ----------------------------------------------
@@ -415,23 +405,3 @@ def lower_bound_f(terms: int) -> SeriesValue:
     tail = 3 * _log_tail(3.0, N) + 2 * LN6 * math.log(4.0) / N
     return SeriesValue(total / 2, tail, N * N)
 
-
-# -- non-integrability of the slow cocycle -------------------------------
-
-
-def slow_norm_integral(delta: float) -> float:
-    """Integral of ln of the l1 matrix norm of the slow-step matrix against
-    the slow invariant density over (1+delta, 3/2).
-
-    The slow matrix there is constant with column sums 1 and 3, and the
-    density is 1/(x-1), so the value is ln 3 * ln(1/(2 delta)): it diverges
-    as delta -> 0, which is why the acceleration is needed."""
-    if not 0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2]")
-    return math.log(3) * math.log(1 / (2 * delta))
-
-
-def divergence_profile(k_max: int = 30) -> list[float]:
-    """Truncated integrals at delta = 2^-k, k = 1..k_max: strictly
-    increasing and unbounded."""
-    return [slow_norm_integral(2.0**-k) for k in range(1, k_max + 1)]

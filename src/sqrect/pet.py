@@ -137,7 +137,19 @@ def code_letter(z: Point) -> str:
     return "a" if z.x < 1 else "b"
 
 
+# Letters of an orbit coding. On a 2-core VM an exact step at the silver
+# mean costs 6-8 us (the full budget took 23 s) and a float one about 2 us;
+# the coding peaks at 9 bytes per letter (tracemalloc), 36 MB at the budget
+ORBIT_STEP_BUDGET = 4_000_000
+
+
 def code_orbit(p: Param, z: Point, n: int) -> Word:
+    """The first n letters of the coding of z's orbit. Raises NotTerminated,
+    before the first step, above ORBIT_STEP_BUDGET letters."""
+    if n > ORBIT_STEP_BUDGET:
+        raise NotTerminated(
+            f"{n} orbit steps exceed the budget of {ORBIT_STEP_BUDGET}"
+        )
     letters = []
     for k in range(n):
         try:

@@ -9,7 +9,6 @@ byte-identical images.
 from __future__ import annotations
 
 import gzip
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,6 @@ class Image:
     def to_pixel(self, x: float, y: float) -> tuple[float, float]:
         """World point -> fractional (col, row); pixel centers at integers."""
         return x * self.scale - 0.5, (1.0 - y) * self.scale - 0.5
-
-    def to_world(self, col: float, row: float) -> tuple[float, float]:
-        return (col + 0.5) / self.scale, 1.0 - (row + 0.5) / self.scale
 
     # -- drawing ---------------------------------------------------------
 
@@ -205,23 +201,3 @@ def render_cover(p: Param, l: int, px: int) -> Image:
     img.pixels.reshape(-1, 3)[painted] = colors[sq[owner[painted]].astype(np.intp)]
     return img
 
-
-def pixel_set_distance(a: Image, b: Image, color=None) -> float:
-    """Symmetric Hausdorff distance in pixels between the sets of pixels
-    holding `color` (default: any non-background pixel) in the two images."""
-    from scipy.ndimage import distance_transform_edt
-
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError("images must have identical dimensions")
-
-    def mask(img: Image) -> np.ndarray:
-        if color is None:
-            return np.any(img.pixels != PALETTE["background"], axis=2)
-        return np.all(img.pixels == color, axis=2)
-
-    ma, mb = mask(a), mask(b)
-    if not ma.any() or not mb.any():
-        return math.inf if ma.any() != mb.any() else 0.0
-    da = distance_transform_edt(~ma)
-    db = distance_transform_edt(~mb)
-    return float(max(db[ma].max(), da[mb].max()))

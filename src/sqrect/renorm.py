@@ -48,9 +48,6 @@ class Mat2:
             self.m21 * v[0] + self.m22 * v[1],
         )
 
-    def det(self) -> int:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     def __pow__(self, k: int) -> "Mat2":
         result, base = Mat2.identity(), self
         while k:

@@ -60,11 +60,6 @@ class Word:
     def __str__(self) -> str:
         return self._s
 
-    def counts(self) -> tuple[int, int]:
-        """(number of a's, number of b's)."""
-        na = self._s.count("a")
-        return na, len(self._s) - na
-
     def rotate(self, i: int) -> "Word":
         i %= max(len(self._s), 1)
         return Word(self._s[i:] + self._s[:i])
@@ -84,17 +79,6 @@ class Substitution:
     def __call__(self, w: Word) -> Word:
         table = {"a": str(self.image_a), "b": str(self.image_b)}
         return Word("".join(table[c] for c in w))
-
-    def abelianization(self) -> tuple[int, int, int, int]:
-        """(m11, m12, m21, m22): column j counts letters in image of letter j."""
-        a_in_a, b_in_a = self.image_a.counts()
-        a_in_b, b_in_b = self.image_b.counts()
-        return a_in_a, a_in_b, b_in_a, b_in_b
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """s1 after s2: (s1*s2)(w) = s1(s2(w))."""
-    return Substitution(s1(s2.image_a), s1(s2.image_b))
 
 
 def _refine(classes: np.ndarray, last: np.ndarray, count: int):

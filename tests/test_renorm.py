@@ -37,6 +37,7 @@ from sqrect.renorm import (
     similitude,
     similitude_inverse,
 )
+from test_words import abelianization
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -190,7 +191,7 @@ class TestSubstitutionMatrix:
     @given(params)
     def test_abelianization_is_incidence(self, p):
         assume(p.f(p.theta) != 0)
-        assert Level(p).sigma.abelianization() == (
+        assert abelianization(Level(p).sigma) == (
             incidence_matrix(p).m11,
             incidence_matrix(p).m12,
             incidence_matrix(p).m21,
@@ -200,7 +201,8 @@ class TestSubstitutionMatrix:
     @given(params)
     def test_determinant_is_eps(self, p):
         assume(p.f(p.theta) != 0)
-        assert incidence_matrix(p).det() == p.eps
+        M = incidence_matrix(p)
+        assert M.m11 * M.m22 - M.m12 * M.m21 == p.eps
 
     @given(params)
     def test_entries_nonnegative(self, p):

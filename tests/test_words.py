@@ -17,7 +17,6 @@ from sqrect.words import (
     Substitution,
     Word,
     complexity,
-    compose,
     limit_word,
     tower_stats,
 )
@@ -31,6 +30,25 @@ SURD_FAMILIES = [
     (make_surd(-1, 1, 2, 3), -1),
     (make_surd(-3, 1, 1, 10), -1),
 ]
+
+
+def counts(w: Word) -> tuple[int, int]:
+    """(number of a's, number of b's)."""
+    na = str(w).count("a")
+    return na, len(w) - na
+
+
+def abelianization(s: Substitution) -> tuple[int, int, int, int]:
+    """(m11, m12, m21, m22): column j counts letters in image of letter j."""
+    a_in_a, b_in_a = counts(s.image_a)
+    a_in_b, b_in_b = counts(s.image_b)
+    return a_in_a, a_in_b, b_in_a, b_in_b
+
+
+def compose(s1: Substitution, s2: Substitution) -> Substitution:
+    """s1 after s2: (s1*s2)(w) = s1(s2(w))."""
+    return Substitution(s1(s2.image_a), s1(s2.image_b))
+
 
 words = st.text(alphabet="ab", max_size=30).map(Word)
 substitutions = st.builds(
@@ -46,7 +64,7 @@ class TestWord:
             Word("abc")
 
     def test_counts(self):
-        assert Word("aabab").counts() == (3, 2)
+        assert counts(Word("aabab")) == (3, 2)
 
     def test_concat_and_power(self):
         assert Word("ab") + Word("ba") == Word("abba")
@@ -72,21 +90,21 @@ class TestSubstitution:
 
     @given(substitutions, substitutions)
     def test_abelianization_multiplicative(self, s1, s2):
-        a11, a12, a21, a22 = s1.abelianization()
-        b11, b12, b21, b22 = s2.abelianization()
+        a11, a12, a21, a22 = abelianization(s1)
+        b11, b12, b21, b22 = abelianization(s2)
         product = (
             a11 * b11 + a12 * b21,
             a11 * b12 + a12 * b22,
             a21 * b11 + a22 * b21,
             a21 * b12 + a22 * b22,
         )
-        assert compose(s1, s2).abelianization() == product
+        assert abelianization(compose(s1, s2)) == product
 
     @given(substitutions, words)
     def test_abelianization_counts_letters(self, s, w):
-        m11, m12, m21, m22 = s.abelianization()
-        na, nb = w.counts()
-        assert s(w).counts() == (m11 * na + m12 * nb, m21 * na + m22 * nb)
+        m11, m12, m21, m22 = abelianization(s)
+        na, nb = counts(w)
+        assert counts(s(w)) == (m11 * na + m12 * nb, m21 * na + m22 * nb)
 
 
 def factor_count(w: Word, n: int) -> int:
