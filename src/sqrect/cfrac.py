@@ -1,9 +1,9 @@
 """Interval form of the renormalization on (0,2): expansions, which walk
 the chain of `renorm.Level`s through x, the accelerated map, which takes
 its unit and right branches from those levels and groups the runs of right
-branch 1 into middle branches, its one walk `accel_walk`, invariant
-densities, a sampler for the finite invariant measure, transfer-operator
-residuals and the natural extension."""
+branch 1 into middle branches, its one walk `accel_walk` and its numpy form
+`accel_lanes`, invariant densities, a sampler for the finite invariant
+measure, transfer-operator residuals and the natural extension."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .exactnum import Number, is_exact
 from .pet import Param
 from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, UNIT, BranchFamily, Level, Mat2,
-    family_coefficients, odd,
+    family_coefficients, middle_image, odd, slow_image,
 )
 from .words import Substitution
 
@@ -108,18 +108,42 @@ class AccelStep:
 def accel(x: Number) -> AccelStep:
     """One step of the accelerated map: the chain's level at x, except on
     (1, 3/2), where the level is right branch 1 until the orbit leaves and
-    middle branch n takes it n - 1 times in one Moebius step."""
+    middle branch n takes it n - 1 times in one step (`middle_image`)."""
     level = _level(x)
     fam, n = level.family, level.n
     if fam is UNIT or n > 1:
         y = param_to_x(level.next)
         return AccelStep(1, y, level.ratio, level.M, fam, n)
-    n = math.floor(1 / MIDDLE.gap(x))
-    a11, a12, a21, a22 = MIDDLE.A(n)
-    den = a21 * x + a22
-    return AccelStep(
-        n - 1, (a11 * x + a12) / den, 1 / den, Mat2(*MIDDLE.M(n)), MIDDLE, n
-    )
+    e = MIDDLE.gap(x)
+    n = math.floor(1 / e)
+    y, den = middle_image(e, n)
+    return AccelStep(n - 1, y, 1 / den, Mat2(*MIDDLE.M(n)), MIDDLE, n)
+
+
+# Rows (slope, const) by FAMILIES of the gap, read off the branch table
+_GAP_COEFFICIENTS = family_coefficients("gap")[:, 0]
+_MIDDLE = FAMILIES.index(MIDDLE)
+
+
+def accel_lanes(x: np.ndarray):
+    """`accel` on a float array of lanes: (f, n, y, den), each lane's index
+    f in FAMILIES, branch index, image and den = 1/r_bold, bit for bit
+    where `accel` takes a step. The family comes from FAMILY_EDGES: in
+    floats, the right branch 1 that `accel` groups into the middle family is
+    exactly x < 3/2, where 1/(2 - x) rounds below 2. The gap's integer
+    coefficients make it round once, as x, x - 1 and 2 - x do. Both images
+    are taken on every lane and np.where keeps the family's own. No
+    np.errstate is set, as it would cost every Monte-Carlo step: lanes with
+    a gap of 2**-52 or more stay finite, and other callers set their own."""
+    f = FAMILY_EDGES.searchsorted(x, "right")
+    slope, const = _GAP_COEFFICIENTS.take(f, axis=1)
+    e = slope * x + const
+    inv = 1.0 / e
+    n = np.floor(inv)
+    mid_y, mid_den = middle_image(e, n)
+    middle = f == _MIDDLE
+    y = np.where(middle, mid_y, slow_image(inv, n))
+    return f, n, y, np.where(middle, mid_den, e)
 
 
 def accel_walk(x: Number) -> Iterator[AccelStep]:
@@ -230,45 +254,33 @@ def _mobius_y(A: Mat2, y: float) -> float:
 
 def natext_step(x: float, y: float) -> tuple[float, float]:
     st = accel(x)
-    A = Mat2(*st.family.A(st.n))
-    return float(A.mobius(x)), _mobius_y(A, y)
+    return st.y, _mobius_y(Mat2(*st.family.A(st.n)), y)
 
 
-# Rows (slope, parity, const) by entries (gap, a11, a12, a21, a22) by
-# FAMILIES: the gap and the Moebius matrix of each family, from the table
-_NATEXT_COEFFICIENTS = np.concatenate(
-    [family_coefficients(name, with_parity=True) for name in ("gap", "A")], axis=1
-)
+# Rows (slope, parity, const) by entries of A(n) by FAMILIES, off the table
+_NATEXT_COEFFICIENTS = family_coefficients("A", with_parity=True)
 
 
 def natext_steps(x: np.ndarray, y: np.ndarray):
     """`natext_step` on arrays of points: (x1, y1, ok), where ok is False on
     the points that `natural_extension_check` skips: x outside (0, 2), x = 1,
-    or a zero Moebius denominator, where the scalar step raises
+    or a zero projective denominator p, where the scalar step raises
     ZeroDivisionError. Elsewhere x1 and y1 are the scalar values, bit for bit.
 
-    The branch is the one `accel` takes: a unit branch below 1, a middle one
-    on [1, 3/2) and a right one from 3/2 on. (`accel` goes to the middle
-    family where the slow map takes right branch 1, and in floats that is
-    x < 3/2 exactly: there 1/(2 - x) rounds below 2.) Its A(n) comes from
-    `family_coefficients`. Its entries are integers that float arithmetic
-    holds exactly: below 2**53 in magnitude, or, on unit branches beyond
-    that, an even n itself. So every product and sum rounds as the scalar
-    one does with Python ints."""
-    f = FAMILY_EDGES.searchsorted(x, "right")
-    slope, par, const = _NATEXT_COEFFICIENTS.take(f, axis=2)
-    gap = slope[0] * x + const[0]
+    x1 is `accel_lanes`' image. The entries of A(n), which move y, are
+    integers that float arithmetic holds exactly: below 2**53 in magnitude,
+    or, on unit branches beyond that, an even n itself. So every product and
+    sum rounds as the scalar one does with Python ints."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        # on the skipped points only: x = 0 and the zero denominators
-        n = np.floor(1.0 / gap)
-        a11, a12, a21, a22 = slope[1:] * n + par[1:] * odd(n) + const[1:]
-        den = a21 * x + a22
-        x1 = (a11 * x + a12) / den
+        # on the skipped points and unit branches beyond 2**52 only
+        f, n, x1, _ = accel_lanes(x)
+        slope, par, const = _NATEXT_COEFFICIENTS.take(f, axis=2)
+        a11, a12, a21, a22 = slope * n + par * odd(n) + const
         # _mobius_y: -1/y as (-1 : y) through A, then -q/p
         p = a11 * -1.0 + a12 * y
         q = a21 * -1.0 + a22 * y
         y1 = -q / p
-    ok = (0 < x) & (x < 2) & (x != 1) & (den != 0) & (p != 0)
+    ok = (0 < x) & (x < 2) & (x != 1) & (p != 0)
     return x1, y1, ok
 
 

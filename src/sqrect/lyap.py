@@ -9,12 +9,10 @@ from itertools import islice
 
 import numpy as np
 
-from .cfrac import LN6, accel_walk, param_to_x
+from .cfrac import LN6, accel_lanes, accel_walk, param_to_x
 from .errors import NotTerminated
 from .pet import Param
-from .renorm import (
-    FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, Mat2, family_coefficients, slow_image,
-)
+from .renorm import FAMILIES, MIDDLE, RIGHT, UNIT, Mat2, family_coefficients
 
 MASTER_SEED = 0x5EED
 
@@ -111,43 +109,22 @@ def _sanitize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# Rows (slope, const) by entries (gap, m11, m12, m21, m22) by FAMILIES: the
-# gap and the cocycle matrix of each family, read off the branch table
-_STEP_COEFFICIENTS = np.concatenate(
-    [family_coefficients(name) for name in ("gap", "M")], axis=1
-)
-_MIDDLE = FAMILIES.index(MIDDLE)
+# Rows (slope, const) by entries (m11, m12, m21, m22) by FAMILIES: the
+# cocycle matrix of each family, read off the branch table
+_M_COEFFICIENTS = family_coefficients("M")
 
 
 def _vector_step(x, u1, u2, log_norm, lnR):
-    """One accelerated step applied to every lane, updating the
-    renormalized row vectors and both log accumulators in place.
-
-    All lanes go through one pass, whatever their family. The family index f
-    of each lane comes from FAMILY_EDGES, and its coefficient rows (a, b)
-    from `family_coefficients`, read once off the branch table: gap(x) is
-    a[0] x + b[0], and the entries of M(n) are a[1:] n + b[1:]. The result
-    is bit for bit that of each family's own formulas on its own lanes. The
-    coefficients are small integers, so a[0] x + b[0] rounds once, as x,
-    x - 1 and 2 - x do. The entries of M(n) are integers below 2**53 (n is
-    at most 1e12 on sanitized lanes), which float arithmetic holds exactly.
-    The middle and slow images are both taken on every lane, and np.where
-    keeps the family's own. On the other lanes the middle formula stays
-    finite, so no lane raises a floating-point warning: its denominator is
-    clamped to 1e-300, and its numerator lies in (0, 2]."""
-    f = FAMILY_EDGES.searchsorted(x, "right")
-    a, b = _STEP_COEFFICIENTS.take(f, axis=2)
-    gap = a[0] * x + b[0]
-    inv = 1.0 / gap
-    n = np.floor(inv)
-    M = a[1:] * n + b[1:]  # rows m11, m12, m21, m22
-    # A(n).x and its denominator n - (n-1)x cancel catastrophically on the
-    # middle branches for large n; these forms in the gap e = x - 1 are stable
-    mid_den = np.maximum(1.0 - (n - 1) * gap, 1e-300)
-    mid_x1 = (1.0 - (n - 2) * gap) / mid_den
-    middle = f == _MIDDLE
-    x1 = np.where(middle, mid_x1, slow_image(inv, n))
-    lnR -= np.log(np.where(middle, mid_den, gap))
+    """One accelerated step applied to every lane (`cfrac.accel_lanes`),
+    updating the renormalized row vectors and both log accumulators in
+    place. The entries of M(n) are a[f] n + b[f], with the rows (a, b) of
+    each lane's family f from `family_coefficients`: integers below 2**53
+    (n is at most 1e12 on sanitized lanes), which float arithmetic holds
+    exactly."""
+    f, n, x1, den = accel_lanes(x)
+    a, b = _M_COEFFICIENTS.take(f, axis=2)
+    M = a * n + b  # rows m11, m12, m21, m22
+    lnR -= np.log(den)
 
     v = u1 * M[:2] + u2 * M[2:]  # the row (u1, u2) times M
     s = v[0] + v[1]

@@ -57,10 +57,6 @@ class Mat2:
             k >>= 1
         return result
 
-    def mobius(self, x: Number) -> Number:
-        """Action (m11*x + m12)/(m21*x + m22)."""
-        return (self.m11 * x + self.m12) / (self.m21 * x + self.m22)
-
 
 # -- the branch table of the accelerated map -----------------------------
 
@@ -78,7 +74,7 @@ class BranchFamily:
     numpy float arrays.
 
     On unit and right branches the Moebius denominator is the gap itself,
-    and A(n).x = 1/gap(x) - n + n % 2: see `slow_image`.
+    and A(n).x = 1/gap(x) - n + n % 2 (`slow_image`; middle: `middle_image`).
     """
 
     first: int
@@ -162,8 +158,18 @@ def odd(n):
 def slow_image(inv, n):
     """A(n).x on unit or right branch n, from inv = 1/gap(x): the fractional
     part of inv, plus 1 when n is odd. Float callers keep this form rather
-    than A(n).mobius(x), which rounds differently."""
+    than the Moebius quotient, which rounds differently."""
     return inv - n + odd(n)
+
+
+def middle_image(e, n):
+    """A(n).x on middle branch n from its gap e = x - 1, and its Moebius
+    denominator (1 - n) x + n = 1 - (n - 1) e. In floats the Moebius
+    quotient cancels at large n and can divide by 0. In the gap, for a float
+    x in (1, 3/2), both terms are exact and n <= 1/e keeps the denominator
+    at e or more, so the image rounds into (3/2, 2]."""
+    den = 1 - (n - 1) * e
+    return (1 - (n - 2) * e) / den, den
 
 
 # -- the renormalization chain -------------------------------------------

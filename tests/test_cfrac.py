@@ -22,6 +22,7 @@ from sqrect.cfrac import (
     _branches_needed,
     _preimage_hits,
     accel,
+    accel_lanes,
     accel_orbit,
     accel_walk,
     density,
@@ -237,7 +238,8 @@ class TestAcceleration:
             accel(Fraction(1))
 
     @given(float_xs)
-    @example(1.0000000242678304)  # middle branch 41,206,815 lands near 7/3
+    @example(1.0000000242678304)  # middle branch 41,206,815
+    @example(1 + 2.0**-52)  # middle branch 2**52, which lands on 2
     @settings(max_examples=300)
     def test_float_steps_outside_middle_are_slow_steps(self, x):
         # bit for bit: the same operations as the oracle's slow step
@@ -252,10 +254,47 @@ class TestAcceleration:
                 x = st_.y
         except Terminal:
             assert x in (0, 1, 2)  # float orbits can end on an interval end
-        except ZeroDivisionError:
-            assert 1 < x < 1.5  # middle branch n >= 2**52: (1 - n) x + n can be 0
-        except ValueError:
-            assert not 0 <= x < 2  # a middle step of large n can cancel out of it
+
+    def test_float_middle_step_near_one(self):
+        # the Moebius denominator (1 - n) x + n rounds to 0 at this x, whose
+        # middle branch is n = 4,441,419,750,858; in the gap it is about e
+        st_ = accel(1 + 2.252e-13)
+        assert st_.family is MIDDLE and st_.n == 4_441_419_750_858
+        assert 1.5 < st_.y <= 2 and st_.r_bold > 1
+
+    def test_float_middle_step_stays_on_its_image(self):
+        # middle branch 41,206,815 maps onto (3/2, 2]; the Moebius quotient
+        # cancelled to 2.33 here
+        st_ = accel(1.0000000242678304)
+        assert st_.n == 41_206_815 and 1.5 < st_.y <= 2
+
+    def test_float_orbits_do_not_end_early(self):
+        # a seventh of the starts lie within 1e-6 above 1, for long middle
+        # runs; every orbit takes all its 30 steps
+        rng = random.Random(19)
+        for i in range(4000):
+            x = 1 + rng.random() * 1e-6 if i % 7 == 0 else rng.uniform(0, 2)
+            assert len(accel_orbit(x, 30)) == 30, x
+
+    @given(float_xs)
+    @example(1 + 2.0**-52)
+    @example(1.5)
+    @example(math.nextafter(1.5, 0))
+    @example(2 - 2.0**-52)
+    def test_lanes_are_accel(self, x):
+        # a lane steps as the scalar map does, bit for bit
+        try:
+            st_ = accel(x)
+        except Terminal:
+            return
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the middle image on unit lanes beyond 2**52, which np.where drops
+            f, n, y, den = accel_lanes(np.array([x]))
+        assert (FAMILIES[f[0]], n[0], y[0], 1 / den[0]) == (
+            st_.family, st_.n, st_.y, st_.r_bold
+        )
+        if st_.family is MIDDLE:
+            assert 1.5 < st_.y <= 2  # in the gap, the image rounds inside
 
     def test_orbit_length(self):
         assert len(accel_orbit(SQRT2M1, 7)) == 7
@@ -273,6 +312,22 @@ def test_only_cfrac_calls_accel():
         and ast.unparse(node.func).rsplit(".", 1)[-1] == "accel"
     }
     assert callers == {"cfrac"}
+
+
+def test_only_cfrac_chooses_float_branches():
+    # accel and accel_lanes hold the only branch choice on floats: no other
+    # module reads the family edges or a branch image, which renorm defines
+    names = {"FAMILY_EDGES", "slow_image", "middle_image"}
+    readers = {
+        path.stem
+        for path in Path(cfrac.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+    }
+    assert readers == {"cfrac"}
 
 
 class TestBranchTable:

@@ -302,7 +302,16 @@ class TestExitCodes:
             "-m", "sqrect.cli", "dimension", "--param", "0.000000001,1",
             "--depth", "5", timeout=2,
         )
-        assert proc.returncode in (0, 2)
+        assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_float_middle_step_at_huge_index_finishes(self):
+        # middle branch 4,441,419,750,858, where the Moebius denominator
+        # (1 - n) x + n rounds to 0
+        proc = run_python(
+            "-m", "sqrect.cli", "dimension", "--param", "0.0000000000002252,1",
+            "--depth", "3", timeout=2,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
 
 
 SILVER = "sqrt(2)-1,-1"

@@ -12,9 +12,9 @@ from scipy.special import spence
 from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
-from sqrect.renorm import MIDDLE, RIGHT, UNIT, Mat2, slow_image
+from sqrect.renorm import FAMILIES, MIDDLE, RIGHT, UNIT, Mat2, slow_image
 from sqrect import cfrac
-from sqrect.cfrac import accel, density
+from sqrect.cfrac import accel, accel_lanes, density
 from sqrect.fractal import dimension_estimate, selfsimilar_parameter
 from sqrect.words import tower_stats
 from sqrect.lyap import (
@@ -132,28 +132,35 @@ class TestCocycleProduct:
 
 class TestVectorStep:
     def test_lanes_match_scalar_accel(self):
-        x = np.random.default_rng(3).uniform(1e-3, 2 - 1e-3, 4000)
-        # branch indices up to 1000, and no lane next to a branch end, where
-        # the lanes and the scalar map may round to different branches
-        inv = 1 / np.where(x < 1, x, np.where(x < 1.5, x - 1, 2 - x))
-        x = x[(inv < 1000) & (np.abs(inv - np.round(inv)) > 1e-6)]
+        # bit for bit, on random lanes, on every branch end up to n = 1000
+        # and its neighbours, and on middle branches up to n = 2**52
+        ends = [e for fam in FAMILIES for n in range(fam.first, 1001) for e in fam.ends(n)]
+        ends += [1 + 2.0**-k for k in range(1, 53)]
+        x = np.concatenate([
+            np.random.default_rng(3).uniform(1e-3, 2 - 1e-3, 4000),
+            [math.nextafter(e, to) for e in ends for to in (0, e, 2)],
+        ])
+        x = x[x != 1]  # where accel is Terminal
+        f, n, y, den = accel_lanes(x)
         rows = []
         for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):
             log_norm, lnR = np.zeros_like(x), np.zeros_like(x)
-            y, v1, v2 = _vector_step(
+            _, v1, v2 = _vector_step(
                 x, np.full_like(x, u1), np.full_like(x, u2), log_norm, lnR
             )
             rows.append((v1, v2, log_norm))
-        for i, xi in enumerate(x):
-            st_ = accel(float(xi))
+            # lnR accumulates ln r_bold = -ln den
+            assert lnR.tolist() == (-np.log(den)).tolist()
+        for i, xi in enumerate(x.tolist()):
+            st_ = accel(xi)
+            assert (FAMILIES[f[i]], n[i], y[i], 1 / den[i]) == (
+                st_.family, st_.n, st_.y, st_.r_bold
+            )
             F = st_.M_bold
             matrix_rows = ((F.m11, F.m12), (F.m21, F.m22))
             for (v1, v2, log_norm), (a, b) in zip(rows, matrix_rows):
                 assert (v1[i], v2[i]) == (a / (a + b), b / (a + b))
-                assert log_norm[i] == math.log(a + b)
-            assert y[i] == pytest.approx(st_.y, abs=1e-9)
-            # lnR accumulates ln r_bold = -ln(A21 x + A22)
-            assert lnR[i] == pytest.approx(math.log(st_.r_bold), abs=1e-9)
+                assert log_norm[i] == np.log(float(a + b))
 
 
 def _reference_sanitize(x):
