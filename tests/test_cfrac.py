@@ -244,6 +244,7 @@ class TestAcceleration:
 
     @given(float_xs)
     @example(1.0000000242678304)  # middle branch 41,206,815
+    @example(1 + 2.252e-13)  # middle branch 4,441,419,750,858
     @example(1 + 2.0**-52)  # middle branch 2**52, which lands on 2
     @settings(max_examples=300)
     def test_float_steps_outside_middle_are_slow_steps(self, x):
@@ -260,19 +261,6 @@ class TestAcceleration:
         except Terminal:
             assert x in (0, 1, 2)  # float orbits can end on an interval end
 
-    def test_float_middle_step_near_one(self):
-        # the Moebius denominator (1 - n) x + n rounds to 0 at this x, whose
-        # middle branch is n = 4,441,419,750,858; in the gap it is about e
-        st_ = accel(1 + 2.252e-13)
-        assert st_.family is MIDDLE and st_.n == 4_441_419_750_858
-        assert 1.5 < st_.y <= 2 and st_.r_bold > 1
-
-    def test_float_middle_step_stays_on_its_image(self):
-        # middle branch 41,206,815 maps onto (3/2, 2]; the Moebius quotient
-        # cancelled to 2.33 here
-        st_ = accel(1.0000000242678304)
-        assert st_.n == 41_206_815 and 1.5 < st_.y <= 2
-
     def test_float_orbits_do_not_end_early(self):
         # a seventh of the starts lie within 1e-6 above 1, for long middle
         # runs; every orbit takes all its 30 steps
@@ -282,6 +270,10 @@ class TestAcceleration:
             assert len(accel_orbit(x, 30)) == 30, x
 
     @given(float_xs)
+    # middle branch 4,441,419,750,858: (1 - n) x + n rounds to 0 here
+    @example(1 + 2.252e-13)
+    # middle branch 41,206,815: the Moebius quotient cancels to 2.33 here
+    @example(1.0000000242678304)
     @example(1 + 2.0**-52)
     @example(1.5)
     @example(math.nextafter(1.5, 0))
