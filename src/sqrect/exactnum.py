@@ -2,8 +2,10 @@
 
 A scalar is one of ``int``, ``fractions.Fraction``, :class:`Surd` or
 ``float``.  The first three are exact and closed under field operations
-inside a single quadratic field Q(sqrt(d)); floats contaminate, i.e. any
-operation with a float operand produces a float.
+inside a single quadratic field Q(sqrt(d)).  Exact and float never mix: a
+Surd with a float operand raises TypeError (``==`` is False, as a Surd is
+irrational), so code that meets a float converts with ``float()``, once,
+where its input is read.
 
 A :class:`Surd` stores ``(p + q*sqrt(d)) / r`` with integers
 ``p, q, r``, ``gcd(p, q, r) == 1``, ``r > 0``, ``q != 0`` and ``d``
@@ -179,8 +181,6 @@ class Surd:
             )
         if isinstance(other, (int, Fraction)):
             return False  # q != 0
-        if isinstance(other, float):
-            return float(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -191,29 +191,21 @@ class Surd:
     def __lt__(self, other):
         if type(other) is int:
             return _sign(self.p - other * self.r, self.q, self.d) < 0
-        if isinstance(other, float):
-            return float(self) < other
         return self._diff_sign(other) < 0
 
     def __le__(self, other):
         if type(other) is int:
             return _sign(self.p - other * self.r, self.q, self.d) <= 0
-        if isinstance(other, float):
-            return float(self) <= other
         return self._diff_sign(other) <= 0
 
     def __gt__(self, other):
         if type(other) is int:
             return _sign(self.p - other * self.r, self.q, self.d) > 0
-        if isinstance(other, float):
-            return float(self) > other
         return self._diff_sign(other) > 0
 
     def __ge__(self, other):
         if type(other) is int:
             return _sign(self.p - other * self.r, self.q, self.d) >= 0
-        if isinstance(other, float):
-            return float(self) >= other
         return self._diff_sign(other) >= 0
 
     def __floor__(self) -> int:
@@ -231,7 +223,7 @@ class Surd:
     def _coerce(self, other) -> tuple[int, int] | None:
         """(numerator, denominator) of a rational operand that the direct
         paths for an int and a Surd of this field did not take; None for a
-        bool or a non-exact operand."""
+        bool or a non-exact operand: a float is refused, never converted."""
         if isinstance(other, bool):
             return None
         if isinstance(other, int):
@@ -251,8 +243,6 @@ class Surd:
                 self.p * r2 + other.p * self.r, self.q * r2 + other.q * self.r,
                 self.r * r2, self.d,
             )
-        if isinstance(other, float):
-            return float(self) + other
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -275,8 +265,6 @@ class Surd:
                 self.p * r2 - other.p * self.r, self.q * r2 - other.q * self.r,
                 self.r * r2, self.d,
             )
-        if isinstance(other, float):
-            return float(self) - other
         co = self._coerce(other)
         if co is None:
             return self + (-other)  # a bool negates to an int
@@ -286,8 +274,6 @@ class Surd:
     def __rsub__(self, other):
         if type(other) is int:
             return Surd(other * self.r - self.p, -self.q, self.r, self.d)
-        if isinstance(other, float):
-            return other - float(self)
         co = self._coerce(other)
         if co is None:
             return (-self) + other
@@ -308,8 +294,6 @@ class Surd:
                 self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2,
                 self.r * other.r, self.d,
             )
-        if isinstance(other, float):
-            return float(self) * other
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -334,8 +318,6 @@ class Surd:
                 r2 * (p * p2 - q * q2 * d), r2 * (q * p2 - p * q2),
                 self.r * (p2 * p2 - q2 * q2 * d), d,
             )
-        if isinstance(other, float):
-            return float(self) / other
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -345,8 +327,6 @@ class Surd:
     def __rtruediv__(self, other):
         if type(other) is int and other == 1:
             return self._inverse()
-        if isinstance(other, float):
-            return other / float(self)
         return self._inverse() * other
 
     def __pow__(self, n: int):
@@ -470,11 +450,19 @@ class _Tokens:
             raise ValueError(f"expected {t!r}, got {got!r}")
 
 
+def _operands(a: Number, b: Number) -> tuple[Number, Number]:
+    """Both operands as floats when either is one, else as they are: a
+    decimal anywhere makes the expression float from that operator on."""
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a), float(b)
+    return a, b
+
+
 def _parse_expr(tk: _Tokens) -> Number:
     val = _parse_term(tk)
     while tk.peek() in ("+", "-"):
         op = tk.next()
-        rhs = _parse_term(tk)
+        val, rhs = _operands(val, _parse_term(tk))
         val = val + rhs if op == "+" else val - rhs
     return val
 
@@ -483,7 +471,7 @@ def _parse_term(tk: _Tokens) -> Number:
     val = _parse_factor(tk)
     while tk.peek() in ("*", "/"):
         op = tk.next()
-        rhs = _parse_factor(tk)
+        val, rhs = _operands(val, _parse_factor(tk))
         if op == "*":
             val = val * rhs
         elif isinstance(val, int) and isinstance(rhs, int):
@@ -531,7 +519,8 @@ def _parse_atom(tk: _Tokens) -> Number:
 def parse_number(text: str) -> Number:
     """Parse e.g. '3/8', 'sqrt(2)-1', '(1-3+sqrt(8))/2' or '0.7071'.
 
-    Decimal literals produce floats; everything else stays exact.
+    Decimal literals produce floats, and so does every operation one of
+    them takes part in; everything else stays exact.
     """
     tk = _Tokens(text)
     val = _parse_expr(tk)

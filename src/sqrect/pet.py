@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
-from .exactnum import Number, format_number, is_exact
+from .exactnum import Number, Surd, format_number, is_exact
 from .words import Word
 
 
@@ -145,11 +145,16 @@ ORBIT_STEP_BUDGET = 4_000_000
 
 def code_orbit(p: Param, z: Point, n: int) -> Word:
     """The first n letters of the coding of z's orbit. Raises NotTerminated,
-    before the first step, above ORBIT_STEP_BUDGET letters."""
+    before the first step, above ORBIT_STEP_BUDGET letters. A float theta
+    or coordinate makes the orbit float: each surd among them is converted
+    once, here."""
     if n > ORBIT_STEP_BUDGET:
         raise NotTerminated(
             f"{n} orbit steps exceed the budget of {ORBIT_STEP_BUDGET}"
         )
+    if not all(map(is_exact, (p.theta, *z))):
+        th, x, y = (float(v) if isinstance(v, Surd) else v for v in (p.theta, *z))
+        p, z = Param(th, p.eps), Point(x, y)
     letters = []
     for k in range(n):
         try:
