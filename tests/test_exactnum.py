@@ -68,9 +68,12 @@ class TestArithmetic:
         with pytest.raises(MixedSurdFields):
             surd2(0, 1) * make_surd(0, 1, 1, 3)
 
-    def test_float_contaminates(self):
-        assert isinstance(surd2(0, 1) + 0.5, float)
-        assert isinstance(0.5 * surd2(0, 1), float)
+    def test_float_operands_are_refused(self):
+        with pytest.raises(TypeError):
+            surd2(0, 1) + 0.5
+        with pytest.raises(TypeError):
+            0.5 * surd2(0, 1)
+        assert float(surd2(0, 1)) + 0.5 == math.sqrt(2) + 0.5
 
     def test_pow(self):
         x = surd2(1, 1)
@@ -338,8 +341,9 @@ def test_canon_matches_reduction_oracle(p, q, r, g, d):
 # front of the isinstance chain and subtraction computed directly: Surd
 # tested last, and subtraction through a negated operand. Division is as it
 # was before int and Surd operands took direct paths: a Surd divisor through
-# its inverse and a product. `isinstance_dispatch()` puts them on Surd for
-# the length of a block.
+# its inverse and a product. Their float branches are gone, as Surd's are: a
+# float operand falls through to TypeError in both. `isinstance_dispatch()`
+# puts them on Surd for the length of a block.
 
 
 def _old_coerce(self, other):
@@ -375,8 +379,6 @@ def _old_diff_sign(self, other):
 
 
 def _old_add(self, other):
-    if isinstance(other, float):
-        return float(self) + other
     co = self._coerce(other)
     if co is None:
         return NotImplemented
@@ -387,20 +389,14 @@ def _old_add(self, other):
 
 
 def _old_sub(self, other):
-    if isinstance(other, float):
-        return float(self) - other
     return self + (-other)
 
 
 def _old_rsub(self, other):
-    if isinstance(other, float):
-        return other - float(self)
     return (-self) + other
 
 
 def _old_mul(self, other):
-    if isinstance(other, float):
-        return float(self) * other
     co = self._coerce(other)
     if co is None:
         return NotImplemented
@@ -410,8 +406,6 @@ def _old_mul(self, other):
 
 
 def _old_truediv(self, other):
-    if isinstance(other, float):
-        return float(self) / other
     if isinstance(other, Surd):
         if other.d != self.d:
             raise MixedSurdFields(
@@ -437,15 +431,11 @@ def _old_truediv(self, other):
 
 
 def _old_rtruediv(self, other):
-    if isinstance(other, float):
-        return other / float(self)
     return self._inverse() * other
 
 
 def _old_order(holds):
     def method(self, other):
-        if isinstance(other, float):
-            return holds(float(self), other)
         return holds(self._diff_sign(other), 0)
 
     return method
@@ -573,3 +563,26 @@ def test_reference_dispatch_is_restored():
     assert ROOT2 - True == ROOT2 - 1  # a bool negates to an int, as before
     with pytest.raises(TypeError):
         ROOT2 + True
+
+
+REFUSING_OPS = [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.le, operator.gt, operator.ge,
+]
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(st.just(ROOT2), sqrt2_surds, kernel_surds),
+    st.one_of(plain_floats, plain_floats.map(np.float64)),
+)
+def test_surd_refuses_float_operands(s, f):
+    """Exact and float never mix: every arithmetic operator and ordering
+    comparison of a Surd and a float or np.float64 raises TypeError, in both
+    operand orders; == is False and != is True, as a Surd is irrational."""
+    for op in REFUSING_OPS:
+        for a, b in ((s, f), (f, s)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for a, b in ((s, f), (f, s)):
+        assert (a == b) is False and (a != b) is True
