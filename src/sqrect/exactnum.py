@@ -77,14 +77,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-def _sqrt_int_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(d) of width 2**-bits."""
-    n = math.isqrt(d << (2 * bits))
-    lo = Fraction(n, 1 << bits)
-    hi = Fraction(n + 1, 1 << bits)
-    return lo, hi
-
-
 def _sign(a: int, b: int, d: int) -> int:
     """Sign of a + b*sqrt(d) for integers a, b and square-free d >= 2."""
     if b == 0:
@@ -128,7 +120,9 @@ class Surd:
         return True  # q != 0 means never zero
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        lo, hi = _sqrt_int_interval(self.d, bits)
+        """Rational enclosure of self, from one of sqrt(d) of width 2**-bits."""
+        n = math.isqrt(self.d << (2 * bits))
+        lo, hi = Fraction(n, 1 << bits), Fraction(n + 1, 1 << bits)
         if self.q < 0:
             lo, hi = hi, lo
         return (
@@ -174,10 +168,7 @@ class Surd:
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
             return (self.p, self.q, self.r, self.d) == (
-                other.p,
-                other.q,
-                other.r,
-                other.d,
+                other.p, other.q, other.r, other.d
             )
         if isinstance(other, (int, Fraction)):
             return False  # q != 0

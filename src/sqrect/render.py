@@ -146,9 +146,7 @@ def render_discontinuities(p: Param, depth: int, px: int) -> Image:
     img = Image.for_domain(float(p.width), px)
     _tint_domain(img, p)
     for seg in discontinuity_segments(p, depth):
-        x0, y0 = float(seg.x), float(seg.y)
-        end = seg.end
-        img.draw_segment(x0, y0, float(end.x), float(end.y), PALETTE["discontinuity"])
+        img.draw_segment(seg.x, seg.y, *seg.end, PALETTE["discontinuity"])
     return img
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import NotInZone, NotTerminated, OnDiscontinuity, Terminal
+from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param, Point, Rect, psi_inverse, step
 from .words import Substitution, Word
@@ -197,7 +197,11 @@ class Level:
         if q.theta == 0:
             raise Terminal("renormalization undefined at theta = 0")
         ratio = 1 / q.f(q.theta)
-        n, family = math.floor(ratio), UNIT if q.eps == -1 else RIGHT
+        try:
+            n = math.floor(ratio)
+        except OverflowError:  # a subnormal float theta: 1/theta is inf
+            raise Degenerate(f"1/theta overflows at theta = {q.theta!r}") from None
+        family = UNIT if q.eps == -1 else RIGHT
         M = Mat2(*family.M(n))
         # a frozen record's derived fields, set as cached_property sets values
         vars(self).update(

@@ -62,6 +62,16 @@ class TestExitCodes:
             main(["expand"])
         assert e.value.code == 1
 
+    def test_float_point_at_surd_param_of_another_field(self, capsys):
+        # a decimal coordinate makes the whole orbit float, so the surds of
+        # Q(sqrt(3)) and Q(sqrt(2)) no longer meet (once MixedSurdFields)
+        code, out, err = run(
+            capsys, "orbit", "--param", "2-sqrt(3),1", "--point", "0.25,sqrt(2)/3",
+            "--depth", "20",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["coding"] == "aaabaaabaaabaaabaaab"
+
     def test_domain_error_is_two(self, capsys):
         code, out, err = run(capsys, "expand", "--param", "5,-1")
         assert code == 2
@@ -312,6 +322,17 @@ class TestExitCodes:
             "--depth", "3", timeout=2,
         )
         assert proc.returncode == 0 and proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["dimension", "--depth", "3"], ["expand"]]
+    )
+    def test_subnormal_theta_is_two(self, capsys, argv):
+        # 1/theta overflows to inf, whose floor was an OverflowError
+        # traceback with exit 1
+        theta = "0." + "0" * 320 + "1"
+        code, out, err = run(capsys, *argv, "--param", f"{theta},-1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "Degenerate"
 
 
 SILVER = "sqrt(2)-1,-1"

@@ -134,6 +134,21 @@ class TestParser:
         x = parse_number("0.7071")
         assert isinstance(x, float) and x == 0.7071
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("sqrt(2)-0.4", "1.014213562373095"),
+            ("0.5*sqrt(2)", "0.7071067811865476"),
+            ("sqrt(8)/2.5", "1.131370849898476"),
+            ("1/3+0.1", "0.43333333333333335"),
+        ],
+    )
+    def test_decimal_makes_its_operation_float(self, text, value):
+        # the exact operand is converted once, as float(Surd) or
+        # float(Fraction), and the operation is done in floats
+        x = parse_number(text)
+        assert type(x) is float and repr(x) == value
+
     def test_errors(self):
         for bad in ["", "3/", "sqrt(2", "sqrt(-1)", "1 2", "x"]:
             with pytest.raises(ValueError):

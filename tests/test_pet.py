@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -251,6 +252,17 @@ class TestCoding:
         assert str(w)[0] == "a"
         assert set(str(w)) <= {"a", "b"}
 
+    def test_float_point_at_surd_param(self):
+        # the surd theta is converted to a float once, before the first step
+        w = code_orbit(Param(SQRT2M1, -1), Point(0.3, 0.2), 1000)
+        digest = hashlib.sha256(str(w).encode()).hexdigest()
+        assert digest.startswith("188d78595d2dd691")
+
+    def test_float_point_converts_surds_of_any_field(self):
+        theta, y = parse_number("2-sqrt(3)"), parse_number("sqrt(2)/3")
+        w = code_orbit(Param(theta, 1), Point(0.25, y), 200)
+        assert w == code_orbit(Param(float(theta), 1), Point(0.25, float(y)), 200)
+
     def test_discontinuity_records_step(self):
         p = Param(Fraction(1, 2), -1)
         # x = 1 is uncoded immediately
@@ -460,3 +472,21 @@ class TestSegments:
         deep = discontinuity_segments(p, 40)
         deeper = discontinuity_segments(p, 41)
         assert deep == deeper
+
+    def test_walk_stops_at_the_first_empty_level(self):
+        # the set at 3/8 stays at 239 segments from depth 100 on; each empty
+        # level after that once cost a loop turn, 10**9 of them here
+        p = Param(Fraction(3, 8), -1)
+        start = time.perf_counter()
+        segs = discontinuity_segments(p, 10**9)
+        assert time.perf_counter() - start < 2
+        assert len(segs) == 239 and segs == discontinuity_segments(p, 100)
+
+    def test_segment_budget(self):
+        # the silver mean adds about 5 segments a level without end
+        p = Param(SQRT2M1, -1)
+        start = time.perf_counter()
+        with pytest.raises(NotTerminated, match="discontinuity segments"):
+            discontinuity_segments(p, 10**9)
+        assert time.perf_counter() - start < 30
+        assert len(discontinuity_segments(p, 200)) == 1036
