@@ -168,7 +168,10 @@ class Surd:
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
             return (self.p, self.q, self.r, self.d) == (
-                other.p, other.q, other.r, other.d
+                other.p,
+                other.q,
+                other.r,
+                other.d,
             )
         if isinstance(other, (int, Fraction)):
             return False  # q != 0
@@ -442,8 +445,7 @@ class _Tokens:
 
 
 def _operands(a: Number, b: Number) -> tuple[Number, Number]:
-    """Both operands as floats when either is one, else as they are: a
-    decimal anywhere makes the expression float from that operator on."""
+    """Both operands as floats when either is one: they never mix."""
     if isinstance(a, float) or isinstance(b, float):
         return float(a), float(b)
     return a, b
@@ -510,8 +512,7 @@ def _parse_atom(tk: _Tokens) -> Number:
 def parse_number(text: str) -> Number:
     """Parse e.g. '3/8', 'sqrt(2)-1', '(1-3+sqrt(8))/2' or '0.7071'.
 
-    Decimal literals produce floats, and so does every operation one of
-    them takes part in; everything else stays exact.
+    Decimal literals produce floats; everything else stays exact.
     """
     tk = _Tokens(text)
     val = _parse_expr(tk)

@@ -14,7 +14,6 @@ with f(x) = x for eps = -1 and f(x) = 1 - x for eps = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
@@ -78,6 +77,8 @@ class Segment:
 
 
 def _half(v: Number) -> Number:
+    from fractions import Fraction
+
     return Fraction(v, 2) if isinstance(v, int) else v / 2
 
 
@@ -144,9 +145,8 @@ ORBIT_STEP_BUDGET = 4_000_000
 
 def code_orbit(p: Param, z: Point, n: int) -> Word:
     """The first n letters of the coding of z's orbit. Raises NotTerminated,
-    before the first step, above ORBIT_STEP_BUDGET letters. A float theta
-    or coordinate makes the orbit float: each surd among them is converted
-    once, here."""
+    before the first step, above ORBIT_STEP_BUDGET letters. A float theta or
+    coordinate makes the surds among them floats, converted once."""
     if n > ORBIT_STEP_BUDGET:
         raise NotTerminated(
             f"{n} orbit steps exceed the budget of {ORBIT_STEP_BUDGET}"
@@ -308,8 +308,6 @@ def discontinuity_segments(p: Param, depth: int) -> list[Segment]:
                     seen[t] = None
                     nxt.append(t)
         if len(seen) > SEGMENT_BUDGET:
-            raise NotTerminated(
-                f"more than {SEGMENT_BUDGET} discontinuity segments by depth {k + 1}"
-            )
+            raise NotTerminated(f"over {SEGMENT_BUDGET} segments by depth {k + 1}")
         level = nxt
     return list(seen)

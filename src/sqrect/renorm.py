@@ -198,10 +198,9 @@ class Level:
             raise Terminal("renormalization undefined at theta = 0")
         ratio = 1 / q.f(q.theta)
         try:
-            n = math.floor(ratio)
+            n, family = math.floor(ratio), UNIT if q.eps == -1 else RIGHT
         except OverflowError:  # a subnormal float theta: 1/theta is inf
             raise Degenerate(f"1/theta overflows at theta = {q.theta!r}") from None
-        family = UNIT if q.eps == -1 else RIGHT
         M = Mat2(*family.M(n))
         # a frozen record's derived fields, set as cached_property sets values
         vars(self).update(

@@ -486,7 +486,7 @@ class TestSegments:
         # the silver mean adds about 5 segments a level without end
         p = Param(SQRT2M1, -1)
         start = time.perf_counter()
-        with pytest.raises(NotTerminated, match="discontinuity segments"):
+        with pytest.raises(NotTerminated, match="segments by depth"):
             discontinuity_segments(p, 10**9)
         assert time.perf_counter() - start < 30
         assert len(discontinuity_segments(p, 200)) == 1036
