@@ -1,9 +1,9 @@
-"""Interval form of the renormalization on (0,2): expansions, which walk
-the chain of `renorm.Level`s through x, the accelerated map, which takes
-its unit and right branches from those levels and groups the runs of right
-branch 1 into middle branches, its one walk `accel_walk` and its numpy form
-`accel_lanes`, invariant densities, a sampler for the finite invariant
-measure, transfer-operator residuals and the natural extension."""
+"""Interval form of the renormalization on (0,2): expansions, whose digits
+are the slow map's branches, the accelerated map, which reads the same branch
+table and groups the runs of right branch 1 into middle branches, its one
+walk `accel_walk` and its numpy form `accel_lanes`, invariant densities, a
+sampler for the finite invariant measure, transfer-operator residuals and the
+natural extension."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotTerminated, Terminal
+from .errors import Degenerate, NotTerminated, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param
 from .renorm import (
-    FAMILIES, FAMILY_EDGES, MIDDLE, UNIT, BranchFamily, Level, Mat2,
+    FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
     family_coefficients, middle_image, odd, slow_image,
 )
 from .words import Substitution
@@ -41,13 +41,25 @@ def x_to_param(x: Number) -> Param:
     return Param(x - 1, 1)
 
 
-def _level(x: Number) -> Level:
-    """The chain's level at x. Terminal at x = 0 and 1, where theta = 0,
-    and at x = 2: a float image can round up to it, and the end 1 + 1/n of
-    middle branch n lands on it."""
-    if x == 2:
-        raise Terminal("map undefined at x = 2")
-    return Level(x_to_param(x))
+def _branch(x: Number, accelerated: bool):
+    """(family, gap, 1/gap, n) of the branch at x: unit below 1, else right,
+    or middle below 3/2 when `accelerated`. Terminal at x = 0 and 1, where
+    theta = 0, and at x = 2: a float image can round up to it, and the end
+    1 + 1/n of middle branch n lands on it; Degenerate where 1/x overflows."""
+    if not 0 <= x < 2:
+        if x == 2:
+            raise Terminal("map undefined at x = 2")
+        raise ValueError("x must lie in [0,2)")
+    if x == 0 or x == 1:
+        raise Terminal("renormalization undefined at theta = 0")
+    # 2 x < 3 is x < 3/2 in every scalar type: a float doubles exactly
+    fam = UNIT if x < 1 else MIDDLE if accelerated and 2 * x < 3 else RIGHT
+    e = fam.gap(x)
+    inv = 1 / e
+    try:
+        return fam, e, inv, math.floor(inv)
+    except OverflowError:  # a subnormal float x: 1/x is inf
+        raise Degenerate(f"1/theta overflows at theta = {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,9 +77,9 @@ class Expansion:
 
 
 def expand(x: Number, max_steps: int = 1000) -> Expansion:
-    """The digits (n, eps) of the chain's levels, walked in interval form:
-    from x to param_to_x of its level's S(q). A float walk keeps the
-    rounding of theta + 1 at every step, which walking S(q) would skip."""
+    """The digits (n, eps) of the slow map's branches along the orbit of x,
+    the chain's levels at x_to_param(x). A float walk keeps the rounding of
+    theta + 1 at every step, which walking S(q) would skip."""
     exact = is_exact(x)
     seen: dict = {}
     steps: list[Digit] = []
@@ -78,11 +90,11 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
                 return Expansion(steps, "periodic", i, k - i)
             seen[x] = k
         try:
-            level = _level(x)
+            fam, _, inv, n = _branch(x, accelerated=False)
         except Terminal:
             return Expansion(steps, "finite")
-        steps.append(Digit(level.n, level.q.eps))
-        x = param_to_x(level.next)
+        steps.append(Digit(n, -1 if fam is UNIT else 1))
+        x = slow_image(inv, n)
     return Expansion(steps, "truncated")
 
 
@@ -106,18 +118,15 @@ class AccelStep:
 
 
 def accel(x: Number) -> AccelStep:
-    """One step of the accelerated map: the chain's level at x, except on
-    (1, 3/2), where the level is right branch 1 until the orbit leaves and
-    middle branch n takes it n - 1 times in one step (`middle_image`)."""
-    level = _level(x)
-    fam, n = level.family, level.n
-    if fam is UNIT or n > 1:
-        y = param_to_x(level.next)
-        return AccelStep(1, y, level.ratio, level.M, fam, n)
-    e = MIDDLE.gap(x)
-    n = math.floor(1 / e)
-    y, den = middle_image(e, n)
-    return AccelStep(n - 1, y, 1 / den, Mat2(*MIDDLE.M(n)), MIDDLE, n)
+    """One step of the accelerated map, read off the branch table as
+    `accel_lanes` reads it: the slow step, except on (1, 3/2), where middle
+    branch n takes right branch 1 n - 1 times in one step (`middle_image`)."""
+    fam, e, inv, n = _branch(x, accelerated=True)
+    M = Mat2(*fam.M(n))
+    if fam is MIDDLE:
+        y, den = middle_image(e, n)
+        return AccelStep(n - 1, y, 1 / den, M, fam, n)
+    return AccelStep(1, slow_image(inv, n), inv, M, fam, n)
 
 
 # Rows (slope, const) by FAMILIES of the gap, read off the branch table

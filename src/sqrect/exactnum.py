@@ -445,9 +445,13 @@ class _Tokens:
 
 
 def _operands(a: Number, b: Number) -> tuple[Number, Number]:
-    """Both operands as floats when either is one: they never mix."""
+    """Both operands as floats when either is one: they never mix. An exact
+    operand beyond the float range is a ValueError."""
     if isinstance(a, float) or isinstance(b, float):
-        return float(a), float(b)
+        try:
+            return float(a), float(b)
+        except OverflowError as exc:
+            raise ValueError(f"operand beyond the float range: {exc}") from None
     return a, b
 
 

@@ -1,7 +1,7 @@
 """Renormalization of the exchange map: the branch table of the accelerated
-map, the chain of the parameter map S level by level (the one slow step,
-which `cfrac` reads in interval form), similitudes, first-return maps,
-island periods and depth-l covers of the aperiodic set."""
+map (the one slow step, which `cfrac` reads in interval form), the chain of
+the parameter map S level by level, similitudes, first-return maps, island
+periods and depth-l covers of the aperiodic set."""
 
 from __future__ import annotations
 

@@ -39,7 +39,7 @@ from sqrect.cfrac import (
     x_to_param,
 )
 from sqrect.fractal import dimension_estimate
-from sqrect.lyap import _sample_x
+from sqrect.lyap import _sample_x, cocycle_product
 from sqrect.pet import Param
 from sqrect.renorm import (
     FAMILIES, MIDDLE, RIGHT, UNIT, Level, Mat2, incidence_matrix, slow_image,
@@ -296,6 +296,64 @@ class TestAcceleration:
     def test_orbit_length(self):
         assert len(accel_orbit(SQRT2M1, 7)) == 7
         assert accel_orbit(SQRT2M1, -1) == []
+
+
+surd_xs = st.builds(
+    make_surd, st.integers(-40, 40), st.integers(-12, 12).filter(bool),
+    st.integers(1, 12), st.sampled_from([2, 3, 5, 7]),
+).map(lambda x: x - 2 * math.floor(x / 2))  # into [0, 2)
+
+
+def level_route(x):
+    """One slow step the way the chain takes it: the level of x_to_param(x)
+    and param_to_x of its next parameter. An oracle for `accel` and
+    `expand`, which read the branch table instead."""
+    level = Level(x_to_param(x))
+    return level, param_to_x(level.next)
+
+
+class TestLevelRoute:
+    @given(st.one_of(exact_xs, surd_xs, float_xs))
+    @example(SQRT2M1)
+    @example(1.0000000242678304)
+    @example(1 + 2.252e-13)
+    @example(1 + 2.0**-52)
+    @example(1.5)
+    @example(math.nextafter(1.5, 0))
+    @example(2 - 2.0**-52)
+    @settings(max_examples=300)
+    def test_accel_and_expand_take_the_level_route(self, x):
+        # along the slow orbit: expand's digits are the levels', and accel's
+        # unit and right steps are the levels' steps, floats bit for bit and
+        # exact values in type too (repr holds both)
+        e = expand(x, max_steps=60)
+        for d in e.steps:
+            level, y = level_route(x)
+            assert (d.n, d.eps) == (level.n, level.q.eps)
+            if level.family is UNIT or level.n > 1:
+                st_ = accel(x)
+                assert (st_.family, st_.n, st_.m, st_.M_bold) == (
+                    level.family, level.n, 1, level.M
+                )
+                assert repr((st_.r_bold, st_.y)) == repr((level.ratio, y))
+            x = y
+        if e.status == "finite":
+            assert x in (0, 1, 2)
+
+    def test_no_level_is_built(self, monkeypatch):
+        # accel and expand read the table; the chain's levels stay renorm's
+        built = []
+        init = Level.__post_init__
+        monkeypatch.setattr(
+            Level, "__post_init__", lambda self: built.append(init(self))
+        )
+        Level(Param(SQRT2M1, -1))
+        assert len(built) == 1  # the wrapper counts
+        accel_orbit(SQRT2M1, 200)
+        expand(SQRT2M1, 200)
+        cocycle_product(Param(SQRT2M1, -1), 50)
+        assert len(built) == 1
+        assert not hasattr(cfrac, "Level")
 
 
 def test_only_cfrac_calls_accel():

@@ -334,6 +334,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "Degenerate"
 
+    def test_huge_operand_of_a_decimal_is_one(self, capsys):
+        # float() of the huge int raised OverflowError: a traceback
+        text = "x=1" + "0" * 400 + "*0.0+1/3"
+        code, out, err = run(capsys, "expand", "--param", text)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("x", ["sqrt(2)+1" + "0" * 400, "1" + "0" * 400])
+    def test_huge_point_at_a_float_param_is_two(self, capsys, x):
+        # the surd's float conversion raised OverflowError: a traceback
+        code, out, err = run(capsys, "orbit", "--param", "0.5,-1", "--point", f"{x},1/2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "OutOfDomain"
+
 
 SILVER = "sqrt(2)-1,-1"
 # every flag whose default is not 0, given as 0: (argv, module and name of the

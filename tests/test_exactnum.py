@@ -149,6 +149,17 @@ class TestParser:
         x = parse_number(text)
         assert type(x) is float and repr(x) == value
 
+    @pytest.mark.parametrize("text", [
+        "1" + "0" * 400 + "*0.0+1/3",
+        "(sqrt(2)+1" + "0" * 400 + ")*0.0+1/3",
+        "0.5+1" + "0" * 400 + "/3",
+    ])
+    def test_operand_beyond_float_range_is_value_error(self, text):
+        # float() of a huge int or surd raises OverflowError; the parser's
+        # one conversion point turns it into the ValueError of malformed text
+        with pytest.raises(ValueError, match="beyond the float range"):
+            parse_number(text)
+
     def test_errors(self):
         for bad in ["", "3/", "sqrt(2", "sqrt(-1)", "1 2", "x"]:
             with pytest.raises(ValueError):

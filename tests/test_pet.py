@@ -10,7 +10,7 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sqrect import renorm
+from sqrect import pet, renorm
 from sqrect.errors import NotTerminated, OnDiscontinuity, OutOfDomain
 from sqrect.exactnum import is_exact, make_surd, parse_number
 from sqrect.pet import (
@@ -263,6 +263,14 @@ class TestCoding:
         w = code_orbit(Param(theta, 1), Point(0.25, y), 200)
         assert w == code_orbit(Param(float(theta), 1), Point(0.25, float(y)), 200)
 
+    def test_float_conversion_beyond_float_range_is_out_of_domain(self):
+        # a surd too large for a float lies outside the domain, as the same
+        # point written as an int does
+        huge = 10**400
+        for x in (make_surd(huge, 1, 1, 2), huge):
+            with pytest.raises(OutOfDomain):
+                code_orbit(Param(0.5, -1), Point(x, Fraction(1, 2)), 5)
+
     def test_discontinuity_records_step(self):
         p = Param(Fraction(1, 2), -1)
         # x = 1 is uncoded immediately
@@ -371,16 +379,19 @@ class TestIslands:
         with pytest.raises(ValueError):
             islands(Param(0.4142, -1), max_period=1)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(pet, "ISLAND_CELL_BUDGET", 50)
         with pytest.raises(NotTerminated):
-            islands(Param(SQRT2M1, -1), max_period=10**6, cap=50)
+            islands(Param(SQRT2M1, -1), max_period=10**6)
 
-    def test_cap_admits_exactly_cap_cells(self):
+    def test_cap_admits_exactly_cap_cells(self, monkeypatch):
         p = Param(SQRT2M1, -1)
         n = len(islands(p, max_period=21))
-        assert len(islands(p, max_period=21, cap=n)) == n
+        monkeypatch.setattr(pet, "ISLAND_CELL_BUDGET", n)
+        assert len(islands(p, max_period=21)) == n
+        monkeypatch.setattr(pet, "ISLAND_CELL_BUDGET", n - 1)
         with pytest.raises(NotTerminated, match=f"{n} cells"):
-            islands(p, max_period=21, cap=n - 1)
+            islands(p, max_period=21)
 
     def test_over_cap_refused_before_any_cell(self):
         # one orbit of period 29,999: unfolded with a rotated code per cell
