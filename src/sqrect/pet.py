@@ -13,11 +13,13 @@ with f(x) = x for eps = -1 and f(x) = 1 - x for eps = +1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
-from .exactnum import Number, Surd, format_number, is_exact
+from .exactnum import Number, Surd, _canon, _sign, format_number, is_exact
 from .words import Word
 
 
@@ -77,8 +79,6 @@ class Segment:
 
 
 def _half(v: Number) -> Number:
-    from fractions import Fraction
-
     return Fraction(v, 2) if isinstance(v, int) else v / 2
 
 
@@ -118,36 +118,85 @@ class Cell:
 # -- the map -------------------------------------------------------------
 
 
+def _lift(values) -> tuple | None:
+    """(R, d, pairs): the values as integers (a, b) meaning (a + b*sqrt(d))/R;
+    None unless they are ints, Fractions and surds of one radicand d."""
+    R, d, parts = 1, 0, []
+    for v in values:
+        if type(v) is Surd and d in (0, v.d):
+            d, part = v.d, (v.p, v.q, v.r)
+        elif type(v) is int or type(v) is Fraction:
+            part = (v.numerator, 0, v.denominator)
+        else:
+            return None
+        parts.append(part)
+        R = math.lcm(R, part[2])
+    return R, d, [(a * (R // r), b * (R // r)) for a, b, r in parts]
+
+
+def _order(u, _, v, __):
+    """Sign of u - v by comparison; nan where unordered, failing every test."""
+    return -1 if u < v else 1 if u > v else 0 if u == v else math.nan
+
+
+def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
+    """k steps of the map from z. Exact values of one field are lifted to
+    integers (a, b) over one denominator R, each branch test is the sign of
+    a + b*sqrt(d), and the point is converted back once; floats, a float
+    beside an exact value and two radicands take the loop as given, R = 1.
+    With a list `letters`, the letters of the k + 1 points are appended."""
+    th, xa, ya = p.theta, z.x, z.y
+    lift = _lift((th, xa, ya))
+    if lift:
+        R, d, ((ta, tb), (xa, xb), (ya, yb)) = lift
+        order = lambda ua, ub, va, vb: _sign(ua - va, ub - vb, d)
+        # Fraction arithmetic keeps 1 + theta - y = 1 a Fraction, surds an int
+        value = lambda a, b: _canon(a, b, R, d) if b or tb else Fraction(a, R)
+    else:
+        R, ta, tb, xb, yb, order, value = 1, th, 0, 0, 0, _order, lambda a, b: a
+    wa, wb, flip = R + ta, tb, p.eps == 1
+    for i in range(k + (letters is not None)):
+        cx = order(xa, xb, R, 0)
+        if letters is not None:
+            if cx == 0:
+                raise OnDiscontinuity("x = 1 is uncoded", step=i)
+            letters.append("a" if cx < 0 else "b")
+            if i == k:
+                break
+        if order(ya, yb, 0, 0) > 0 and order(ya, yb, R, 0) < 0:
+            if cx < 0 and order(xa, xb, 0, 0) > 0:  # the square, onto the right
+                if flip:
+                    xa, xb = R - xa, -xb
+                xa, xb, ya, yb = wa - ya, wb - yb, xa, xb
+                continue
+            if cx > 0 and order(xa, xb, wa, wb) < 0:  # the rectangle, back
+                xa, ya, yb = xa - R, R - ya, -yb
+                continue
+        x, y = value(xa, xb), value(ya, yb)
+        if 0 <= x <= 1 + th and 0 <= y <= 1:
+            raise OnDiscontinuity(
+                f"({x}, {y}) lies on the discontinuity set",
+                step=None if letters is None else i,
+            )
+        raise OutOfDomain(f"({x}, {y}) outside the domain")
+    return Point(value(xa, xb), value(ya, yb)) if k > 0 else z
+
+
 def step(p: Param, z: Point) -> Point:
-    th = p.theta
-    x, y = z.x, z.y
-    if 0 < y < 1:
-        if 0 < x < 1:
-            return Point(1 + th - y, p.f(x))
-        if 1 < x < 1 + th:
-            return Point(x - 1, 1 - y)
-    if 0 <= x <= 1 + th and 0 <= y <= 1:
-        raise OnDiscontinuity(f"({x}, {y}) lies on the discontinuity set")
-    raise OutOfDomain(f"({x}, {y}) outside the domain")
-
-
-def code_letter(z: Point) -> str:
-    if z.x == 1:
-        raise OnDiscontinuity("x = 1 is uncoded")
-    return "a" if z.x < 1 else "b"
+    return walk(p, z, 1)
 
 
 # Letters of an orbit coding. On a 2-core VM an exact step at the silver
-# mean costs 6-8 us (the full budget took 23 s) and a float one about 2 us;
-# the coding peaks at 9 bytes per letter (tracemalloc), 36 MB at the budget
+# mean costs 0.7-1.3 us (the full budget took 3.1 s) and a float one 0.4-0.8
+# us; the coding peaks at 9 bytes per letter (tracemalloc), 36 MB at the budget
 ORBIT_STEP_BUDGET = 4_000_000
 
 
 def code_orbit(p: Param, z: Point, n: int) -> Word:
-    """The first n letters of the coding of z's orbit. Raises NotTerminated,
-    before the first step, above ORBIT_STEP_BUDGET letters. A float theta or
-    coordinate makes the surds among them floats, converted once; a surd
-    beyond the float range lies outside the domain (OutOfDomain)."""
+    """The first n letters of the coding of z's orbit, read off `walk`. Raises
+    NotTerminated, before the first step, above ORBIT_STEP_BUDGET letters. A
+    float theta or coordinate makes the surds among them floats, converted
+    once; one beyond the float range lies outside the domain (OutOfDomain)."""
     if n > ORBIT_STEP_BUDGET:
         raise NotTerminated(
             f"{n} orbit steps exceed the budget of {ORBIT_STEP_BUDGET}"
@@ -159,13 +208,7 @@ def code_orbit(p: Param, z: Point, n: int) -> Word:
             raise OutOfDomain(f"({z.x}, {z.y}) outside the domain") from None
         p, z = Param(th, p.eps), Point(x, y)
     letters = []
-    for k in range(n):
-        try:
-            letters.append(code_letter(z))
-            if k < n - 1:
-                z = step(p, z)
-        except OnDiscontinuity as e:
-            raise OnDiscontinuity(str(e), step=k) from None
+    walk(p, z, n - 1, letters)
     return Word("".join(letters))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, is_exact
-from .pet import Param, Point, Rect, psi_inverse, step
+from .pet import Param, Point, Rect, psi_inverse, step, walk
 from .words import Substitution, Word
 
 
@@ -265,9 +265,7 @@ def first_return(level: Level, z: Point) -> tuple[Point, int]:
             break
     else:
         raise NotInZone(f"({z.x}, {z.y}) not in the induction zone")
-    for _ in range(k):
-        z = step(level.q, z)
-    return z, k
+    return walk(level.q, z, k), k
 
 
 @dataclass(frozen=True)
@@ -279,25 +277,26 @@ class VerifyReport:
 
 
 def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
-    """Random point of X_{theta(q)}, rational coordinates in exact mode."""
-    width = float(1 + q.theta)
+    """Random point of X_{theta(q)}; in exact mode, numerators over 2**24
+    are drawn and tested as ints, and only the accepted point is built."""
+    width, den = float(1 + q.theta), 1 << 24
+    top = width * den  # exact, as den is a power of two
     while True:
         if exact:
-            den = 1 << 24
-            x = Fraction(rng.randrange(1, int(width * den)), den)
-            y = Fraction(rng.randrange(1, den), den)
+            kx, ky = rng.randrange(1, int(top)), rng.randrange(1, den)
+            if kx < top and kx != den:
+                return Point(Fraction(kx, den), Fraction(ky, den))
         else:
-            x = rng.uniform(0, width)
-            y = rng.random()
-        if 0 < y < 1 and 0 < x < width and x != 1:
-            return Point(x, y)
+            x, y = rng.uniform(0, width), rng.random()
+            if 0 < y < 1 and 0 < x < width and x != 1:
+                return Point(x, y)
 
 
 # Map steps per induction check, counted as samples times the longer return
-# time. A counted step costs 1.4-12 us on a 2-core VM; exact parameters at
-# short return times cost most, since the similitude and the renormalized
-# step weigh on each sample. 10**6 samples at sqrt(2)-1, eps = +1 (return
-# times 1 and 3) took 28 s; the dearest admitted check takes about 36 s
+# time. A counted step costs 0.4-23 us on a 2-core VM, most at exact parameters
+# with short return times, where the draw, similitude, zone test and step of
+# each sample weigh. 10**6 samples at sqrt(2)-1, eps = +1 (return times 1 and
+# 3) took 50 s; the dearest admitted check takes about a minute
 VERIFY_STEP_BUDGET = 3_000_000
 
 

@@ -10,9 +10,9 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sqrect import pet, renorm
+from sqrect import exactnum, pet, renorm
 from sqrect.errors import NotTerminated, OnDiscontinuity, OutOfDomain
-from sqrect.exactnum import is_exact, make_surd, parse_number
+from sqrect.exactnum import Surd, is_exact, make_surd, parse_number
 from sqrect.pet import (
     Cell,
     Param,
@@ -25,6 +25,7 @@ from sqrect.pet import (
     islands,
     psi_inverse,
     step,
+    walk,
 )
 from sqrect.renorm import RIGHT, UNIT, Mat2
 from sqrect.words import Word
@@ -277,6 +278,165 @@ class TestCoding:
         with pytest.raises(OnDiscontinuity) as exc:
             code_orbit(p, Point(1, Fraction(1, 3)), 5)
         assert exc.value.step == 0
+
+
+
+# -- the map as it was stepped before `walk`: one Point per step ----------
+
+
+def old_step(p: Param, z: Point) -> Point:
+    th = p.theta
+    x, y = z.x, z.y
+    if 0 < y < 1:
+        if 0 < x < 1:
+            return Point(1 + th - y, p.f(x))
+        if 1 < x < 1 + th:
+            return Point(x - 1, 1 - y)
+    if 0 <= x <= 1 + th and 0 <= y <= 1:
+        raise OnDiscontinuity(f"({x}, {y}) lies on the discontinuity set")
+    raise OutOfDomain(f"({x}, {y}) outside the domain")
+
+
+def old_walk(p: Param, z: Point, k: int) -> Point:
+    for _ in range(k):
+        z = old_step(p, z)
+    return z
+
+
+def old_code_orbit(p: Param, z: Point, n: int) -> Word:
+    if not all(map(is_exact, (p.theta, *z))):
+        try:
+            th, x, y = (float(v) if isinstance(v, Surd) else v for v in (p.theta, *z))
+        except OverflowError:
+            raise OutOfDomain(f"({z.x}, {z.y}) outside the domain") from None
+        p, z = Param(th, p.eps), Point(x, y)
+    letters = []
+    for k in range(n):
+        try:
+            if z.x == 1:
+                raise OnDiscontinuity("x = 1 is uncoded")
+            letters.append("a" if z.x < 1 else "b")
+            if k < n - 1:
+                z = old_step(p, z)
+        except OnDiscontinuity as e:
+            raise OnDiscontinuity(str(e), step=k) from None
+    return Word("".join(letters))
+
+
+def outcome(f, *args):
+    """A result as the repr and type of each value, or an error as its type,
+    message and step."""
+    try:
+        r = f(*args)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "step", None)
+    return [(repr(v), type(v)) for v in (r if isinstance(r, Point) else [str(r)])]
+
+
+SQRT5 = make_surd(0, 1, 1, 5)
+WALK_THETAS = st.one_of(
+    st.fractions(0, Fraction(39, 40), max_denominator=40),
+    st.builds(
+        lambda t: t * SQRT2M1, st.fractions(Fraction(1, 40), 2, max_denominator=40)
+    ),
+    st.sampled_from([SQRT3M1, (SQRT5 - 1) / 2, 2 - make_surd(0, 1, 1, 3)]),
+    st.floats(0, 1, exclude_max=True),
+)
+
+
+@st.composite
+def walk_cases(draw):
+    """A parameter and a point whose coordinates are each in theta's
+    arithmetic, rational, of a second radicand, float, or on an edge."""
+    th = draw(WALK_THETAS)
+    p = Param(th, draw(st.sampled_from([-1, 1])))
+
+    def coord(top, rational_top, other_top):
+        t = Fraction(draw(st.integers(-2, 259)), 257)
+        kind = draw(st.sampled_from(["theta", "rational", "radicand", "float", "edge"]))
+        if kind == "theta":
+            return t * top
+        if kind == "rational":
+            return t * rational_top
+        if kind == "radicand":
+            return t * other_top
+        if kind == "float":
+            return float(t * rational_top)
+        return draw(st.sampled_from([0, 1, th, 1 + th, Fraction(1, 2)]))
+
+    x = coord(1 + th, 2, SQRT5)
+    y = coord(_half(1 + th), 1, SQRT5 / 3)
+    return p, Point(x, y)
+
+
+# a rational or surd 1 + theta - y = 1, a nan, and a Fraction next to a float
+# edge that the float rounds onto
+WALK_EXAMPLES = [
+    (Param(Fraction(1, 3), -1), Point(Fraction(1, 2), Fraction(1, 3))),
+    (Param(SQRT2M1, 1), Point(Fraction(1, 2), SQRT2M1)),
+    (Param(0.5, -1), Point(math.nan, Fraction(1, 2))),
+    (Param(0.5, -1), Point(Fraction(3, 2) - Fraction(1, 10**30), Fraction(1, 2))),
+    (Param(0.5, 1), Point(make_surd(1, 1, 3, 2), Fraction(1, 3))),
+    (Param(SQRT2M1, -1), Point(make_surd(2, 1, 3, 3), Fraction(1, 3))),
+]
+
+
+class TestWalk:
+    @given(walk_cases(), st.integers(0, 80))
+    @settings(max_examples=400, deadline=None)
+    def test_walk_is_the_old_step_loop(self, case, k):
+        p, z = case
+        assert outcome(walk, p, z, k) == outcome(old_walk, p, z, k)
+        assert outcome(step, p, z) == outcome(old_step, p, z)
+
+    @given(walk_cases(), st.integers(0, 80))
+    @settings(max_examples=400, deadline=None)
+    def test_code_orbit_is_the_old_step_loop(self, case, n):
+        p, z = case
+        assert outcome(code_orbit, p, z, n) == outcome(old_code_orbit, p, z, n)
+
+    @pytest.mark.parametrize("p, z", WALK_EXAMPLES)
+    def test_examples(self, p, z):
+        for k in range(4):
+            assert outcome(walk, p, z, k) == outcome(old_walk, p, z, k)
+            assert outcome(code_orbit, p, z, k) == outcome(old_code_orbit, p, z, k)
+
+    def test_canonicalisations_do_not_grow_with_the_steps(self, monkeypatch):
+        calls = []
+        canon = exactnum._canon
+
+        def counted(*args):
+            calls.append(args)
+            return canon(*args)
+
+        monkeypatch.setattr(exactnum, "_canon", counted)
+        monkeypatch.setattr(pet, "_canon", counted)
+        SQRT2M1 - Fraction(1, 3)
+        assert len(calls) == 1  # the wrapper counts
+
+        def count(f, *args):
+            calls.clear()
+            f(*args)
+            return len(calls)
+
+        p, z = Param(SQRT2M1, -1), Point(Fraction(1, 3), Fraction(2, 7))
+        assert count(code_orbit, p, z, 100) == count(code_orbit, p, z, 1000)
+        level = renorm.Level(p)
+        c_ind, r_ind = level.zone
+        assert level.times == (5, 3)
+        pulled = [
+            renorm.similitude_inverse(p, Point(Fraction(1, 3), Fraction(2, 7))),
+            renorm.similitude_inverse(p, Point(1 + _half(level.next.theta), Fraction(1, 3))),
+        ]
+        assert c_ind.contains(pulled[0]) and r_ind.contains(pulled[1])
+
+        def zone_check(w):  # first_return's own test, whose sums canonicalise
+            return next(r for r in level.zone if r.contains(w))
+
+        # x and y converted back once, after 5 steps as after 3
+        for w in pulled:
+            assert count(renorm.first_return, level, w) - count(zone_check, w) == 2
+        assert count(walk, p, z, 10) == count(walk, p, z, 1000) == 2
 
 
 ISLAND_PARAMS = [

@@ -187,6 +187,53 @@ class TestInductionVerify:
             induction_verify(Param(Fraction(1, 10**9), -1), samples=1)
 
 
+def old_random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
+    """The sample draw as it was, a Fraction per draw."""
+    width = float(1 + q.theta)
+    while True:
+        if exact:
+            den = 1 << 24
+            x = Fraction(rng.randrange(1, int(width * den)), den)
+            y = Fraction(rng.randrange(1, den), den)
+        else:
+            x = rng.uniform(0, width)
+            y = rng.random()
+        if 0 < y < 1 and 0 < x < width and x != 1:
+            return Point(x, y)
+
+
+class ScriptedRandom(random.Random):
+    """A seeded Random whose first randrange calls return set values."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+class TestRandomDomainPoint:
+    @pytest.mark.parametrize("theta", [SQRT2M1, Fraction(2, 7), 0, 0.4142135623730951])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_same_draws_and_points_as_the_old_body(self, theta, exact):
+        q = Param(theta, 1)
+        for seed in range(300):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                got = renorm._random_domain_point(q, new, exact)
+                assert repr(got) == repr(old_random_domain_point(q, old, exact))
+            assert new.getstate() == old.getstate()
+
+    def test_x_equal_to_one_is_redrawn(self):
+        # 2**24 / 2**24 = 1 is rejected by both, and the next draw taken
+        q, den = Param(SQRT2M1, -1), 1 << 24
+        got = renorm._random_domain_point(q, ScriptedRandom(5, [den, 7]), True)
+        want = old_random_domain_point(q, ScriptedRandom(5, [den, 7]), True)
+        assert repr(got) == repr(want)
+        assert got.x != 1 and got.y != Fraction(7, den)
+
+
 class TestSubstitutionMatrix:
     @given(params)
     def test_abelianization_is_incidence(self, p):
