@@ -37,10 +37,6 @@ class Degenerate(SqrectError):
     """A construction degenerates for this parameter (e.g. f(theta)=0)."""
 
 
-class NotInZone(SqrectError):
-    """Point outside the induction zone."""
-
-
 class NotTerminated(SqrectError):
     """An enumeration exceeded its iteration cap, or an input its memory
     budget."""

@@ -5,18 +5,22 @@ A scalar is one of ``int``, ``fractions.Fraction``, :class:`Surd` or
 inside a single quadratic field Q(sqrt(d)).  Exact and float never mix: a
 Surd with a float operand raises TypeError (``==`` is False, as a Surd is
 irrational), so code that meets a float converts with ``float()``, once,
-where its input is read.
+where its input is read.  Two fields never mix either: arithmetic and
+ordering of surds of two radicands raise MixedSurdFields, and ``==`` is
+False.
 
 A :class:`Surd` stores ``(p + q*sqrt(d)) / r`` with integers
 ``p, q, r``, ``gcd(p, q, r) == 1``, ``r > 0``, ``q != 0`` and ``d``
 square-free, ``d >= 2``.  This representation is canonical, so equality
 is structural and hashing works.
 
-The operators take an ``int`` and a Surd of the same field on direct
-paths, and every other operand through ``Surd._coerce``.  The int paths
-rest on the invariant: gcd(p + k*r, q, r) = gcd(p, q, r) = 1, so s + k,
-s - k and k - s are canonical without a gcd, and gcd(k*p, k*q, r) =
-gcd(k, r), so s*k divides out only that.
+Each operator takes an ``int`` on a direct path and has one formula for
+an operand of its field: a Surd of the same radicand, tested inline, or
+the ``(p, q, r)`` that ``Surd._parts`` reads off any other operand, with
+q = 0 for an int subclass or a Fraction.  The int paths rest on the
+invariant: gcd(p + k*r, q, r) = gcd(p, q, r) = 1, so s + k, s - k and
+k - s are canonical without a gcd, and gcd(k*p, k*q, r) = gcd(k, r), so
+s*k divides out only that.
 """
 
 from __future__ import annotations
@@ -111,59 +115,43 @@ class Surd:
             return s
         return Surd(0, s, 1, f)
 
-    # -- sign, compare, float -------------------------------------------
-
-    def sign(self) -> int:
-        return _sign(self.p, self.q, self.d)
-
-    def __bool__(self) -> bool:
-        return True  # q != 0 means never zero
-
-    def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of self, from one of sqrt(d) of width 2**-bits."""
-        n = math.isqrt(self.d << (2 * bits))
-        lo, hi = Fraction(n, 1 << bits), Fraction(n + 1, 1 << bits)
-        if self.q < 0:
-            lo, hi = hi, lo
-        return (
-            Fraction(self.p + self.q * lo, self.r),
-            Fraction(self.p + self.q * hi, self.r),
-        )
+    # -- compare, float -------------------------------------------------
 
     def __float__(self) -> float:
-        # the midpoint of interval(64) as one correctly rounded int
+        # n/2**64 <= sqrt(d) < (n + 1)/2**64, so (2n + 1)/2**65 is within
+        # 2**-65 of sqrt(d); the value there is one correctly rounded int
         # division: naive float arithmetic amplifies rounding when p and
         # q*sqrt(d) nearly cancel
         n = math.isqrt(self.d << 128)
         return ((self.p << 65) + self.q * (2 * n + 1)) / (self.r << 65)
 
-    def _diff_sign(self, other: Number) -> int:
-        """Sign of self - other for an exact operand."""
+    def _parts(self, other) -> tuple[int, int, int] | None:
+        """(p, q, r) of an operand that the int path and the same-field test
+        did not take: q = 0 for an int subclass or a Fraction. A Surd here
+        has another radicand and raises MixedSurdFields; a bool or a
+        non-exact operand gives None: a float is refused, never converted."""
         if type(other) is Surd:
-            if other.d == self.d:
-                # both denominators are positive, so scaling by r*r2 keeps
-                # the sign
-                r2 = other.r
-                return _sign(
-                    self.p * r2 - other.p * self.r, self.q * r2 - other.q * self.r, self.d
-                )
-            # distinct square-free radicands: values can only coincide if
-            # both are rational, which the invariant excludes, so interval
-            # refinement terminates.
-            bits = 64
-            while True:
-                alo, ahi = self.interval(bits)
-                blo, bhi = other.interval(bits)
-                if ahi < blo:
-                    return -1
-                if bhi < alo:
-                    return 1
-                bits *= 2
-        co = self._coerce(other)
-        if co is None:
+            raise MixedSurdFields(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
+        if isinstance(other, bool):
+            return None
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _diff_sign(self, other) -> int:
+        """Sign of self - other for an exact operand of this field."""
+        if type(other) is int:
+            return _sign(self.p - other * self.r, self.q, self.d)
+        if type(other) is Surd and other.d == self.d:
+            p2, q2, r2 = other.p, other.q, other.r
+        elif parts := self._parts(other):
+            p2, q2, r2 = parts
+        else:
             raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        p2, r2 = co
-        return _sign(self.p * r2 - p2 * self.r, self.q * r2, self.d)
+        # both denominators are positive, so scaling by r*r2 keeps the sign
+        return _sign(self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
@@ -180,26 +168,16 @@ class Surd:
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.r, self.d))
 
-    # an int k compares through the sign of (p - k*r) + q*sqrt(d)
-
     def __lt__(self, other):
-        if type(other) is int:
-            return _sign(self.p - other * self.r, self.q, self.d) < 0
         return self._diff_sign(other) < 0
 
     def __le__(self, other):
-        if type(other) is int:
-            return _sign(self.p - other * self.r, self.q, self.d) <= 0
         return self._diff_sign(other) <= 0
 
     def __gt__(self, other):
-        if type(other) is int:
-            return _sign(self.p - other * self.r, self.q, self.d) > 0
         return self._diff_sign(other) > 0
 
     def __ge__(self, other):
-        if type(other) is int:
-            return _sign(self.p - other * self.r, self.q, self.d) >= 0
         return self._diff_sign(other) >= 0
 
     def __floor__(self) -> int:
@@ -209,39 +187,20 @@ class Surd:
             m = -m - 1
         return (self.p + m) // self.r
 
-    def __abs__(self):
-        return self if self.sign() > 0 else -self
-
     # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other) -> tuple[int, int] | None:
-        """(numerator, denominator) of a rational operand that the direct
-        paths for an int and a Surd of this field did not take; None for a
-        bool or a non-exact operand: a float is refused, never converted."""
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, int):
-            return other, 1
-        if isinstance(other, Fraction):
-            return other.numerator, other.denominator
-        return None
 
     def __add__(self, other):
         if type(other) is int:
             return Surd(self.p + other * self.r, self.q, self.r, self.d)
-        if type(other) is Surd:
-            if other.d != self.d:
-                raise _mixed(self, other)
-            r2 = other.r
-            return _canon(
-                self.p * r2 + other.p * self.r, self.q * r2 + other.q * self.r,
-                self.r * r2, self.d,
-            )
-        co = self._coerce(other)
-        if co is None:
+        if type(other) is Surd and other.d == self.d:
+            p2, q2, r2 = other.p, other.q, other.r
+        elif parts := self._parts(other):
+            p2, q2, r2 = parts
+        else:
             return NotImplemented
-        p2, r2 = co
-        return _canon(self.p * r2 + p2 * self.r, self.q * r2, self.r * r2, self.d)
+        return _canon(
+            self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
+        )
 
     __radd__ = __add__
 
@@ -251,28 +210,26 @@ class Surd:
     def __sub__(self, other):
         if type(other) is int:
             return Surd(self.p - other * self.r, self.q, self.r, self.d)
-        if type(other) is Surd:
-            if other.d != self.d:
-                raise _mixed(self, other)
-            r2 = other.r
-            return _canon(
-                self.p * r2 - other.p * self.r, self.q * r2 - other.q * self.r,
-                self.r * r2, self.d,
-            )
-        co = self._coerce(other)
-        if co is None:
+        if type(other) is Surd and other.d == self.d:
+            p2, q2, r2 = other.p, other.q, other.r
+        elif parts := self._parts(other):
+            p2, q2, r2 = parts
+        else:
             return self + (-other)  # a bool negates to an int
-        p2, r2 = co
-        return _canon(self.p * r2 - p2 * self.r, self.q * r2, self.r * r2, self.d)
+        return _canon(
+            self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.r * r2, self.d
+        )
 
     def __rsub__(self, other):
+        # a Surd operand is taken by its own __sub__
         if type(other) is int:
             return Surd(other * self.r - self.p, -self.q, self.r, self.d)
-        co = self._coerce(other)
-        if co is None:
-            return (-self) + other
-        p2, r2 = co
-        return _canon(p2 * self.r - self.p * r2, -self.q * r2, self.r * r2, self.d)
+        if not (parts := self._parts(other)):
+            return NotImplemented
+        p2, q2, r2 = parts
+        return _canon(
+            p2 * self.r - self.p * r2, q2 * self.r - self.q * r2, self.r * r2, self.d
+        )
 
     def __mul__(self, other):
         if type(other) is int:
@@ -280,19 +237,16 @@ class Surd:
                 return 0
             g = math.gcd(other, self.r)
             return Surd(self.p * other // g, self.q * other // g, self.r // g, self.d)
-        if type(other) is Surd:
-            if other.d != self.d:
-                raise _mixed(self, other)
-            p2, q2 = other.p, other.q
-            return _canon(
-                self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2,
-                self.r * other.r, self.d,
-            )
-        co = self._coerce(other)
-        if co is None:
+        if type(other) is Surd and other.d == self.d:
+            p2, q2, r2 = other.p, other.q, other.r
+        elif parts := self._parts(other):
+            p2, q2, r2 = parts
+        else:
             return NotImplemented
-        p2, r2 = co
-        return _canon(self.p * p2, self.q * p2, self.r * r2, self.d)
+        return _canon(
+            self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2,
+            self.r * r2, self.d,
+        )
 
     __rmul__ = __mul__
 
@@ -302,21 +256,20 @@ class Surd:
         return _canon(self.r * self.p, -self.r * self.q, norm, self.d)
 
     def __truediv__(self, other):
-        if type(other) is Surd:
-            if other.d != self.d:
-                raise _mixed(self, other)
-            # r2 (p + q sqrt d)(p2 - q2 sqrt d) / (r (p2^2 - q2^2 d))
-            p, q, d = self.p, self.q, self.d
+        if type(other) is int:
+            return _canon(self.p, self.q, self.r * other, self.d)  # 0 raises
+        if type(other) is Surd and other.d == self.d:
             p2, q2, r2 = other.p, other.q, other.r
-            return _canon(
-                r2 * (p * p2 - q * q2 * d), r2 * (q * p2 - p * q2),
-                self.r * (p2 * p2 - q2 * q2 * d), d,
-            )
-        co = self._coerce(other)
-        if co is None:
+        elif parts := self._parts(other):
+            p2, q2, r2 = parts
+        else:
             return NotImplemented
-        p2, r2 = co
-        return _canon(self.p * r2, self.q * r2, self.r * p2, self.d)  # p2 = 0 raises
+        # r2 (p + q sqrt d)(p2 - q2 sqrt d) / (r (p2^2 - q2^2 d))
+        p, q, d = self.p, self.q, self.d
+        return _canon(
+            r2 * (p * p2 - q * q2 * d), r2 * (q * p2 - p * q2),
+            self.r * (p2 * p2 - q2 * q2 * d), d,
+        )
 
     def __rtruediv__(self, other):
         if type(other) is int and other == 1:
@@ -343,10 +296,6 @@ class Surd:
     def __str__(self) -> str:
         body = f"{self.p}{self.q:+}*sqrt({self.d})"
         return body if self.r == 1 else f"({body})/{self.r}"
-
-
-def _mixed(a: Surd, b: Surd) -> MixedSurdFields:
-    return MixedSurdFields(f"cannot combine sqrt({a.d}) with sqrt({b.d})")
 
 
 def _canon(p: int, q: int, r: int, d: int) -> Exact:

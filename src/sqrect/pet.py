@@ -96,9 +96,6 @@ class Rect:
     def area(self) -> Number:
         return self.w * self.h
 
-    def contains(self, z: Point) -> bool:
-        return self.x <= z.x <= self.x + self.w and self.y <= z.y <= self.y + self.h
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -143,8 +140,10 @@ def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
     """k steps of the map from z. Exact values of one field are lifted to
     integers (a, b) over one denominator R, each branch test is the sign of
     a + b*sqrt(d), and the point is converted back once; floats, a float
-    beside an exact value and two radicands take the loop as given, R = 1.
-    With a list `letters`, the letters of the k + 1 points are appended."""
+    beside an exact value and two radicands take the loop as given, R = 1,
+    where two radicands raise MixedSurdFields as they are first compared
+    or combined. With a list `letters`, the letters of the k + 1 points are
+    appended."""
     th, xa, ya = p.theta, z.x, z.y
     lift = _lift((th, xa, ya))
     if lift:

@@ -1,6 +1,6 @@
 """Renormalization of the exchange map: the branch table of the accelerated
 map (the one slow step, which `cfrac` reads in interval form), the chain of
-the parameter map S level by level, similitudes, first-return maps, island
+the parameter map S level by level, similitudes, the induction check, island
 periods and depth-l covers of the aperiodic set."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
+from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, is_exact
 from .pet import Param, Point, Rect, psi_inverse, step, walk
 from .words import Substitution, Word
@@ -214,13 +214,6 @@ class Level:
         # built on demand: its images have about 3n letters
         return self.family.sigma(self.n)
 
-    @cached_property
-    def zone(self) -> tuple[Rect, Rect]:
-        """(C^ind, R^ind): psi^-1 of the square and the rectangle of S(q)."""
-        th, eps = self.q.theta, self.q.eps
-        c_ind = Rect(*psi_inverse(th, eps, 0, 0, 1, 1))
-        return c_ind, Rect(*psi_inverse(th, eps, 1, 0, self.next.theta, 1))
-
 
 def chain(p: Param) -> Iterator[Level]:
     """The levels of p, S(p), S^2(p), ... on demand; Terminal at theta = 0."""
@@ -258,16 +251,6 @@ def similitude_inverse(p: Param, z: Point) -> Point:
     return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
 
 
-def first_return(level: Level, z: Point) -> tuple[Point, int]:
-    """T_ind(z), the first return to the induction zone, and its time."""
-    for rect, k in zip(level.zone, level.times):
-        if rect.contains(z):
-            break
-    else:
-        raise NotInZone(f"({z.x}, {z.y}) not in the induction zone")
-    return walk(level.q, z, k), k
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     samples: int
@@ -293,10 +276,10 @@ def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
 
 
 # Map steps per induction check, counted as samples times the longer return
-# time. A counted step costs 0.4-23 us on a 2-core VM, most at exact parameters
-# with short return times, where the draw, similitude, zone test and step of
-# each sample weigh. 10**6 samples at sqrt(2)-1, eps = +1 (return times 1 and
-# 3) took 50 s; the dearest admitted check takes about a minute
+# time. A counted step costs 0.5-22 us on a 2-core VM, most at exact parameters
+# with short return times, where the draw, similitude and step of each sample
+# weigh. 10**6 samples at sqrt(2)-1, eps = +1 (return times 1 and 3) took
+# 52 s; the dearest admitted check takes about a minute
 VERIFY_STEP_BUDGET = 3_000_000
 
 
@@ -322,8 +305,9 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     while done < samples:
         z1 = _random_domain_point(q, rng, exact)
         try:
-            z = similitude_inverse(p, z1)
-            w, _ = first_return(level, z)
+            # psi^-1 maps the square of S(p) onto C^ind and its rectangle
+            # onto R^ind, so z1's side gives the first-return time
+            w = walk(p, similitude_inverse(p, z1), level.times[z1.x > 1])
             lhs = similitude(p, w)
             rhs = step(q, z1)
         except OnDiscontinuity:

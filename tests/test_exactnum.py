@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sqrect.errors import MixedSurdFields
 from sqrect.exactnum import (
@@ -105,8 +105,12 @@ class TestOrder:
     def test_compare_mixed_fields(self):
         r2 = make_surd(0, 1, 1, 2)
         r3 = make_surd(0, 1, 1, 3)
-        assert r2 < r3 and r3 > r2
-        assert r2 < r3 < 2
+        for a, b in ((r2, r3), (r3, r2)):
+            with pytest.raises(MixedSurdFields):
+                a < b
+            with pytest.raises(MixedSurdFields):
+                a >= b
+        assert r2 < 2 and r3 < 2 and r2 != r3
 
     def test_equality_structural(self):
         assert surd2(-1, 1) == surd2(-1, 1)
@@ -187,6 +191,17 @@ class TestParser:
 
 # -- property tests ------------------------------------------------------
 
+
+def interval(x, bits):
+    """Rational enclosure of the Surd x, from one of sqrt(d) of width
+    2**-bits."""
+    n = math.isqrt(x.d << (2 * bits))
+    lo, hi = Fraction(n, 1 << bits), Fraction(n + 1, 1 << bits)
+    if x.q < 0:
+        lo, hi = hi, lo
+    return Fraction(x.p + x.q * lo, x.r), Fraction(x.p + x.q * hi, x.r)
+
+
 small_rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
@@ -201,7 +216,7 @@ surds = st.builds(
 
 @given(surds)
 def test_float_matches_interval(x):
-    lo, hi = x.interval(128)
+    lo, hi = interval(x, 128)
     assert abs(float(x) - float((lo + hi) / 2)) <= 1e-15 * max(1.0, abs(float(x)))
 
 
@@ -250,7 +265,7 @@ def floor_oracle(x):
     """Floor by refining the rational enclosure until it holds no integer."""
     bits = 64
     while True:
-        lo, hi = x.interval(bits)
+        lo, hi = interval(x, bits)
         if math.floor(lo) == math.floor(hi):
             return math.floor(lo)
         bits *= 2
@@ -310,7 +325,7 @@ kernel_surds = st.one_of(
 
 @given(kernel_surds)
 def test_float_is_interval_midpoint(x):
-    lo, hi = x.interval(64)
+    lo, hi = interval(x, 64)
     assert float(x).hex() == float((lo + hi) / 2).hex()
 
 
@@ -368,8 +383,11 @@ def test_canon_matches_reduction_oracle(p, q, r, g, d):
 # tested last, and subtraction through a negated operand. Division is as it
 # was before int and Surd operands took direct paths: a Surd divisor through
 # its inverse and a product. Their float branches are gone, as Surd's are: a
-# float operand falls through to TypeError in both. `isinstance_dispatch()`
-# puts them on Surd for the length of a block.
+# float operand falls through to TypeError in both. Ordering across
+# radicands raises MixedSurdFields, as arithmetic does. The methods read the
+# module-level helpers below, not Surd's private ones; `isinstance_dispatch()`
+# puts them on Surd, in place of its public operators, for the length of a
+# block.
 
 
 def _old_coerce(self, other):
@@ -386,18 +404,13 @@ def _old_coerce(self, other):
     return None
 
 
+def _old_inverse(x):
+    norm = x.p * x.p - x.q * x.q * x.d
+    return _canon(x.r * x.p, -x.r * x.q, norm, x.d)
+
+
 def _old_diff_sign(self, other):
-    if isinstance(other, Surd) and other.d != self.d:
-        bits = 64
-        while True:
-            alo, ahi = self.interval(bits)
-            blo, bhi = other.interval(bits)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            bits *= 2
-    co = self._coerce(other)
+    co = _old_coerce(self, other)
     if co is None:
         raise TypeError(f"cannot compare Surd with {type(other).__name__}")
     p2, q2, r2 = co
@@ -405,7 +418,7 @@ def _old_diff_sign(self, other):
 
 
 def _old_add(self, other):
-    co = self._coerce(other)
+    co = _old_coerce(self, other)
     if co is None:
         return NotImplemented
     p2, q2, r2 = co
@@ -423,7 +436,7 @@ def _old_rsub(self, other):
 
 
 def _old_mul(self, other):
-    co = self._coerce(other)
+    co = _old_coerce(self, other)
     if co is None:
         return NotImplemented
     p2, q2, r2 = co
@@ -437,7 +450,7 @@ def _old_truediv(self, other):
             raise MixedSurdFields(
                 f"cannot combine sqrt({self.d}) with sqrt({other.d})"
             )
-        return self * other._inverse()
+        return self * _old_inverse(other)
     if isinstance(other, bool):
         return NotImplemented
     if isinstance(other, int):
@@ -457,19 +470,17 @@ def _old_truediv(self, other):
 
 
 def _old_rtruediv(self, other):
-    return self._inverse() * other
+    return _old_inverse(self) * other
 
 
 def _old_order(holds):
     def method(self, other):
-        return holds(self._diff_sign(other), 0)
+        return holds(_old_diff_sign(self, other), 0)
 
     return method
 
 
 ISINSTANCE_DISPATCH = {
-    "_coerce": _old_coerce,
-    "_diff_sign": _old_diff_sign,
     "__add__": _old_add,
     "__radd__": _old_add,
     "__sub__": _old_sub,
@@ -584,8 +595,8 @@ def test_dispatch_matches_isinstance_chain(s, data):
 
 def test_reference_dispatch_is_restored():
     with isinstance_dispatch():
-        assert Surd._coerce is _old_coerce
-    assert Surd._coerce is not _old_coerce
+        assert Surd.__add__ is _old_add
+    assert Surd.__add__ is not _old_add
     assert ROOT2 - True == ROOT2 - 1  # a bool negates to an int, as before
     with pytest.raises(TypeError):
         ROOT2 + True
@@ -611,4 +622,25 @@ def test_surd_refuses_float_operands(s, f):
             with pytest.raises(TypeError):
                 op(a, b)
     for a, b in ((s, f), (f, s)):
+        assert (a == b) is False and (a != b) is True
+
+
+other_field_surds = st.builds(
+    make_surd, big_ints, big_ints.filter(bool), st.integers(1, 2**200),
+    st.sampled_from(SQUAREFREE),
+)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.just(ROOT2), sqrt2_surds, kernel_surds), other_field_surds)
+def test_surd_refuses_another_field(s, t):
+    """Two fields never mix: every arithmetic operator and ordering
+    comparison of surds of two radicands raises MixedSurdFields, in both
+    operand orders; == is False and != is True."""
+    assume(t.d != s.d)
+    for op in REFUSING_OPS:
+        for a, b in ((s, t), (t, s)):
+            with pytest.raises(MixedSurdFields):
+                op(a, b)
+    for a, b in ((s, t), (t, s)):
         assert (a == b) is False and (a != b) is True

@@ -422,20 +422,15 @@ class TestWalk:
         p, z = Param(SQRT2M1, -1), Point(Fraction(1, 3), Fraction(2, 7))
         assert count(code_orbit, p, z, 100) == count(code_orbit, p, z, 1000)
         level = renorm.Level(p)
-        c_ind, r_ind = level.zone
         assert level.times == (5, 3)
         pulled = [
             renorm.similitude_inverse(p, Point(Fraction(1, 3), Fraction(2, 7))),
             renorm.similitude_inverse(p, Point(1 + _half(level.next.theta), Fraction(1, 3))),
         ]
-        assert c_ind.contains(pulled[0]) and r_ind.contains(pulled[1])
-
-        def zone_check(w):  # first_return's own test, whose sums canonicalise
-            return next(r for r in level.zone if r.contains(w))
-
-        # x and y converted back once, after 5 steps as after 3
-        for w in pulled:
-            assert count(renorm.first_return, level, w) - count(zone_check, w) == 2
+        # the first returns of the square and of the rectangle: x and y
+        # converted back once, after 5 steps as after 3
+        for w, k in zip(pulled, level.times):
+            assert count(walk, p, w, k) == 2
         assert count(walk, p, z, 10) == count(walk, p, z, 1000) == 2
 
 

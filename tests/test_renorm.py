@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sqrect import fractal, renorm
 from sqrect.fractal import box_count_deep, cover_arrays
-from sqrect.errors import Degenerate, NotInZone, NotTerminated, OnDiscontinuity, Terminal
+from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
 from sqrect.exactnum import make_surd, parse_number
-from sqrect.pet import Param, Point, Rect, code_orbit, islands, psi_inverse
+from sqrect.pet import Param, Point, Rect, code_orbit, islands, psi_inverse, walk
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
     FAMILIES,
@@ -27,7 +27,6 @@ from sqrect.renorm import (
     cover_seed,
     descend,
     family_coefficients,
-    first_return,
     incidence_matrix,
     induction_verify,
     period_sequence,
@@ -125,10 +124,47 @@ class TestSimilitude:
 
     def test_zone_inside_domain(self):
         p = Param(SQRT2M1, -1)
-        c_ind, r_ind = Level(p).zone
+        c_ind, r_ind = zone(Level(p))
         for rect in (c_ind, r_ind):
             assert 0 <= float(rect.x) and float(rect.x + rect.w) <= float(p.width)
             assert 0 <= float(rect.y) and float(rect.y + rect.h) <= 1
+
+
+# -- the zone test: the oracle of induction_verify's choice of return time ---
+
+
+def zone(level):
+    """(C^ind, R^ind): psi^-1 of the square and the rectangle of S(q)."""
+    th, eps = level.q.theta, level.q.eps
+    c_ind = Rect(*psi_inverse(th, eps, 0, 0, 1, 1))
+    return c_ind, Rect(*psi_inverse(th, eps, 1, 0, level.next.theta, 1))
+
+
+def contains(rect, z):
+    return rect.x <= z.x <= rect.x + rect.w and rect.y <= z.y <= rect.y + rect.h
+
+
+def return_time(level, z):
+    """The return time of the first of (C^ind, R^ind) whose closure holds z."""
+    for rect, k in zip(zone(level), level.times):
+        if contains(rect, z):
+            return k
+    raise ValueError(f"({z.x}, {z.y}) not in the induction zone")
+
+
+def first_return(level, z):
+    """T_ind(z), the first return to the induction zone, and its time."""
+    k = return_time(level, z)
+    return walk(level.q, z, k), k
+
+
+surd_params = st.builds(
+    Param,
+    st.sampled_from([SQRT2M1, SQRT3M1, parse_number("(sqrt(5)-1)/2"),
+                     parse_number("(sqrt(7)-1)/3"), parse_number("2-sqrt(3)")]),
+    st.sampled_from([-1, 1]),
+)
+unit_fractions = st.fractions(0, 1, max_denominator=1 << 24).filter(lambda t: 0 < t < 1)
 
 
 class TestFirstReturn:
@@ -143,19 +179,35 @@ class TestFirstReturn:
 
     def test_outside_zone_raises(self):
         level = Level(Param(SQRT2M1, -1))
-        with pytest.raises(NotInZone):
+        with pytest.raises(ValueError, match="not in the induction zone"):
             first_return(level, Point(Fraction(99, 100), Fraction(99, 100)))
 
     def test_return_lands_in_zone(self):
         level = Level(Param(SQRT2M1, -1))
-        c_ind, r_ind = level.zone
+        c_ind, r_ind = zone(level)
         z = Point(
             c_ind.x + c_ind.w / 3,
             c_ind.y + c_ind.h / 3,
         )
         w, k = first_return(level, z)
         assert k == 5
-        assert c_ind.contains(w) or r_ind.contains(w)
+        assert contains(c_ind, w) or contains(r_ind, w)
+
+    @settings(max_examples=200)
+    @given(st.one_of(params, surd_params), unit_fractions, unit_fractions,
+           st.booleans(), st.integers(0, 2**32))
+    def test_drawn_side_gives_the_zone_time(self, p, s, t, rect, seed):
+        # induction_verify takes the return time from the side of the drawn
+        # point z1 in the domain of S(p); the zone test of psi^-1(z1) agrees,
+        # on drawn exact points and on those of the sampler itself
+        level = Level(p)
+        q = level.next
+        assume(q.theta != 0 or not rect)
+        z1 = Point(1 + s * q.theta if rect else s, t)
+        drawn = renorm._random_domain_point(q, random.Random(seed), True)
+        for z in (z1, drawn):
+            want = return_time(level, similitude_inverse(p, z))
+            assert level.times[z.x > 1] == want
 
 
 class TestInductionVerify:
