@@ -131,46 +131,53 @@ def _lift(values) -> tuple | None:
     return R, d, [(a * (R // r), b * (R // r)) for a, b, r in parts]
 
 
-def _order(u, _, v, __):
-    """Sign of u - v by comparison; nan where unordered, failing every test."""
-    return -1 if u < v else 1 if u > v else 0 if u == v else math.nan
+def _steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
+    """Up to k steps from (x, y) in a frame (R, d, wa, wb, flip) of pairs (a, b)
+    meaning (a + b*sqrt(d))/R, with 1 + theta as (wa, wb). Given values (R = 1,
+    d None, every b 0) are compared, never subtracted, so a huge int meets a
+    float. Returns the steps taken, fewer than k where the point left the open
+    pieces, and the point; `letters` gets their letters, k + 1 when all k are."""
+    R, d, wa, wb, flip = frame
+    for i in range(k + (letters is not None)):
+        cx = (-1 if xa < R else 1 if R < xa else 0) if not xb else _sign(xa - R, xb, d)
+        if letters is not None:
+            if xa == R and not xb:
+                raise OnDiscontinuity("x = 1 is uncoded", step=i)
+            letters.append("a" if cx < 0 else "b")
+            if i == k:
+                break
+        if (0 < ya < R) if not yb else _sign(ya, yb, d) > 0 > _sign(ya - R, yb, d):
+            if cx < 0 and (0 < xa if not xb else _sign(xa, xb, d) > 0):  # the square
+                if flip:
+                    xa, xb = R - xa, -xb
+                xa, xb, ya, yb = wa - ya, wb - yb, xa, xb  # onto the right
+                continue
+            if cx > 0 and (xa < wa if xb == wb else _sign(xa - wa, xb - wb, d) < 0):
+                xa, ya, yb = xa - R, R - ya, -yb  # the rectangle, back
+                continue
+        return i, xa, xb, ya, yb
+    return k, xa, xb, ya, yb
 
 
 def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
     """k steps of the map from z. Exact values of one field are lifted to
     integers (a, b) over one denominator R, each branch test is the sign of
     a + b*sqrt(d), and the point is converted back once; floats, a float
-    beside an exact value and two radicands take the loop as given, R = 1,
-    where two radicands raise MixedSurdFields as they are first compared
-    or combined. With a list `letters`, the letters of the k + 1 points are
-    appended."""
+    beside an exact value and two radicands take the loop (`_steps`) as
+    given, R = 1, where two radicands raise MixedSurdFields as they are
+    first compared or combined. With a list `letters`, the letters of the
+    k + 1 points are appended."""
     th, xa, ya = p.theta, z.x, z.y
     lift = _lift((th, xa, ya))
     if lift:
         R, d, ((ta, tb), (xa, xb), (ya, yb)) = lift
-        order = lambda ua, ub, va, vb: _sign(ua - va, ub - vb, d)
         # Fraction arithmetic keeps 1 + theta - y = 1 a Fraction, surds an int
         value = lambda a, b: _canon(a, b, R, d) if b or tb else Fraction(a, R)
     else:
-        R, ta, tb, xb, yb, order, value = 1, th, 0, 0, 0, _order, lambda a, b: a
-    wa, wb, flip = R + ta, tb, p.eps == 1
-    for i in range(k + (letters is not None)):
-        cx = order(xa, xb, R, 0)
-        if letters is not None:
-            if cx == 0:
-                raise OnDiscontinuity("x = 1 is uncoded", step=i)
-            letters.append("a" if cx < 0 else "b")
-            if i == k:
-                break
-        if order(ya, yb, 0, 0) > 0 and order(ya, yb, R, 0) < 0:
-            if cx < 0 and order(xa, xb, 0, 0) > 0:  # the square, onto the right
-                if flip:
-                    xa, xb = R - xa, -xb
-                xa, xb, ya, yb = wa - ya, wb - yb, xa, xb
-                continue
-            if cx > 0 and order(xa, xb, wa, wb) < 0:  # the rectangle, back
-                xa, ya, yb = xa - R, R - ya, -yb
-                continue
+        R, d, ta, tb, xb, yb, value = 1, None, th, 0, 0, 0, lambda a, b: a
+    frame = (R, d, R + ta, tb, p.eps == 1)
+    i, xa, xb, ya, yb = _steps(frame, xa, xb, ya, yb, k, letters)
+    if i < k:
         x, y = value(xa, xb), value(ya, yb)
         if 0 <= x <= 1 + th and 0 <= y <= 1:
             raise OnDiscontinuity(
@@ -224,6 +231,21 @@ def psi_inverse(theta, eps: int, x, y, w=0, h=0):
     # psi(x, y) = (x, y - theta)/(1 - theta)
     s = 1 - theta
     return s * x, theta + s * y, s * w, s * h
+
+
+def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb) -> tuple:
+    """`psi_inverse` of a point in `walk`'s integer frame: theta as (T, d,
+    ta, tb), meaning (ta + tb*sqrt(d))/T, and the point as pairs (a, b)
+    over R; the image as pairs over T*R."""
+    T, d, ta, tb = theta
+    if eps == -1:  # (theta*y, theta*x)
+        ma, mb, oa, ob, xa, xb, ya, yb = ta, tb, 0, 0, ya, yb, xa, xb
+    else:  # (s*x, theta + s*y) with s = 1 - theta
+        ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
+    return (
+        ma * xa + mb * xb * d, ma * xb + mb * xa,
+        oa + ma * ya + mb * yb * d, ob + ma * yb + mb * ya,
+    )
 
 
 def _seed_cells(q: Param) -> list[tuple[tuple, str]]:

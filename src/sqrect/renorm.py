@@ -16,8 +16,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
-from .exactnum import Number, is_exact
+from .exactnum import Number, _canon, is_exact
 from .pet import Param, Point, Rect, psi_inverse, step, walk
+from .pet import _lift, _steps, psi_inverse_ints
 from .words import Substitution, Word
 
 
@@ -259,33 +260,33 @@ class VerifyReport:
     exact: bool
 
 
-def _random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
-    """Random point of X_{theta(q)}; in exact mode, numerators over 2**24
-    are drawn and tested as ints, and only the accepted point is built."""
-    width, den = float(1 + q.theta), 1 << 24
-    top = width * den  # exact, as den is a power of two
+# Map steps per induction check, counted as samples times the longer return
+# time. A counted step costs 0.2-4.6 us on a 2-core VM, most at float parameters
+# with short return times; an exact one costs 1-2.2 us there. 10**6 samples at
+# sqrt(2)-1, eps = +1 (return times 1 and 3) took 7-9 s, and the dearest
+# admitted check, a float one at return times 1 and 3, about 14 s
+VERIFY_STEP_BUDGET = 3_000_000
+_DEN = 1 << 24  # exact draws are numerators over 2**24
+
+
+def _draw(rng: random.Random, width: float, exact: bool) -> tuple:
+    """A random point of the open domain of the given width: in exact mode
+    its numerators over 2**24, drawn and tested as ints; else floats."""
     while True:
-        if exact:
-            kx, ky = rng.randrange(1, int(top)), rng.randrange(1, den)
-            if kx < top and kx != den:
-                return Point(Fraction(kx, den), Fraction(ky, den))
+        if exact:  # width * 2**24 is exact, as 2**24 is a power of two
+            kx, ky = rng.randrange(1, int(width * _DEN)), rng.randrange(1, _DEN)
+            if kx != _DEN:
+                return kx, ky
         else:
             x, y = rng.uniform(0, width), rng.random()
             if 0 < y < 1 and 0 < x < width and x != 1:
-                return Point(x, y)
-
-
-# Map steps per induction check, counted as samples times the longer return
-# time. A counted step costs 0.5-22 us on a 2-core VM, most at exact parameters
-# with short return times, where the draw, similitude and step of each sample
-# weigh. 10**6 samples at sqrt(2)-1, eps = +1 (return times 1 and 3) took
-# 52 s; the dearest admitted check takes about a minute
-VERIFY_STEP_BUDGET = 3_000_000
+                return x, y
 
 
 def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyReport:
     """Check that the similitude conjugates the first-return map to the
-    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z). Raises
+    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z), exact draws in
+    `pet.walk`'s integer frame, a walk off the pieces again on Points. Raises
     NotTerminated, before the first sample, above VERIFY_STEP_BUDGET."""
     if samples < 1:
         # no sample would make an empty certificate of exactness
@@ -298,18 +299,34 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
             f" budget of {VERIFY_STEP_BUDGET} steps"
         )
     exact = is_exact(p.theta)
-    rng = random.Random(seed)
-    resampled = 0
-    max_err = 0.0
-    done = 0
+    if exact:  # theta(p) and theta(S(p)) lifted once, every value over F
+        R, d, ((ta, tb), (ua, ub)) = _lift((p.theta, q.theta))
+        F, theta = R * _DEN, (R, d, ta, tb)
+        fp = (F, d, F + ta * _DEN, tb * _DEN, p.eps == 1)
+        fq = (F, d, F + ua * _DEN, ub * _DEN, q.eps == 1)
+    rng, width = random.Random(seed), float(1 + q.theta)
+    resampled, max_err, done = 0, 0.0, 0
     while done < samples:
-        z1 = _random_domain_point(q, rng, exact)
+        x, y = _draw(rng, width, exact)
+        if exact:
+            k = level.times[x > _DEN]
+            i, *w = _steps(fp, *psi_inverse_ints(theta, p.eps, _DEN, x, 0, y, 0), k)
+            j, *z2 = _steps(fq, x * R, 0, y * R, 0, 1)
+            # psi is a bijection: T_ind(psi^-1 z1) against psi^-1(T_{S(p)} z1)
+            if i == k and j == 1:
+                if [a * R for a in w] != [*psi_inverse_ints(theta, p.eps, F, *z2)]:
+                    v = lambda a, b: _canon(a, b, F, d)  # a mismatch, on Points
+                    lhs = similitude(p, Point(v(*w[:2]), v(*w[2:])))
+                    max_err = max(max_err, lhs.dist_max(Point(v(*z2[:2]), v(*z2[2:]))))
+                done += 1
+                continue
+            x, y = Fraction(x, _DEN), Fraction(y, _DEN)  # off the pieces: on Points
+        z1 = Point(x, y)
         try:
             # psi^-1 maps the square of S(p) onto C^ind and its rectangle
             # onto R^ind, so z1's side gives the first-return time
             w = walk(p, similitude_inverse(p, z1), level.times[z1.x > 1])
-            lhs = similitude(p, w)
-            rhs = step(q, z1)
+            lhs, rhs = similitude(p, w), step(q, z1)
         except OnDiscontinuity:
             resampled += 1
             continue

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -432,6 +433,27 @@ class TestWalk:
         for w, k in zip(pulled, level.times):
             assert count(walk, p, w, k) == 2
         assert count(walk, p, z, 10) == count(walk, p, z, 1000) == 2
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6),
+           st.sampled_from([0, 2, 3, 5, 13]), st.sampled_from([-1, 1]),
+           st.integers(1, 1 << 24), st.lists(st.integers(-10**9, 10**9), min_size=4,
+                                            max_size=4), st.booleans())
+    def test_psi_inverse_ints_is_psi_inverse(self, ta, tb, T, d, eps, R, xy, drawn):
+        # theta (ta + tb sqrt d)/T, any sign; a draw of induction_verify, with
+        # numerators over 2**24, or a point of theta's field over R
+        theta = make_surd(ta, tb, T, d) if d else Fraction(ta, T)
+        if drawn:
+            R, (kx, ky) = 1 << 24, renorm._draw(random.Random(xy[0]), 1.5, True)
+            xy = [kx, 0, ky, 0]
+        elif not d:
+            xy[1] = xy[3] = 0
+        value = lambda a, b, den: make_surd(a, b, den, d) if d else Fraction(a, den)
+        x, y = value(xy[0], xy[1], R), value(xy[2], xy[3], R)
+        (T, _, ((ta, tb),)) = pet._lift((theta,))
+        got = pet.psi_inverse_ints((T, d, ta, tb), eps, R, *xy)
+        want = psi_inverse(theta, eps, x, y)[:2]
+        assert (value(*got[:2], T * R), value(*got[2:], T * R)) == want
 
 
 ISLAND_PARAMS = [

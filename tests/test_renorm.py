@@ -1,18 +1,22 @@
 import math
 import random
 import time
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from sqrect import fractal, renorm
+from sqrect import exactnum, fractal, pet, renorm
 from sqrect.fractal import box_count_deep, cover_arrays
 from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
-from sqrect.exactnum import make_surd, parse_number
-from sqrect.pet import Param, Point, Rect, code_orbit, islands, psi_inverse, walk
+from sqrect.exactnum import is_exact, make_surd, parse_number
+from sqrect.pet import (
+    Param, Point, Rect, code_orbit, islands, psi_inverse, step, walk,
+)
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
     FAMILIES,
@@ -204,10 +208,91 @@ class TestFirstReturn:
         q = level.next
         assume(q.theta != 0 or not rect)
         z1 = Point(1 + s * q.theta if rect else s, t)
-        drawn = renorm._random_domain_point(q, random.Random(seed), True)
+        drawn = random_domain_point(q, random.Random(seed), True)
         for z in (z1, drawn):
             want = return_time(level, similitude_inverse(p, z))
             assert level.times[z.x > 1] == want
+
+
+def random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
+    """induction_verify's draw as a Point: in exact mode, the numerators of
+    `renorm._draw` over 2**24."""
+    x, y = renorm._draw(rng, float(1 + q.theta), exact)
+    return Point(Fraction(x, 1 << 24), Fraction(y, 1 << 24)) if exact else Point(x, y)
+
+
+def old_induction_verify(p: Param, samples: int = 10_000, seed: int = 0):
+    """induction_verify as it was, every sample on Points: the oracle of the
+    integer frame. It reads renorm.Level and renorm.random when called, so
+    a test patches both alike."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    level = renorm.Level(p)
+    q, longest = level.next, max(level.times)
+    if samples * longest > renorm.VERIFY_STEP_BUDGET:
+        raise NotTerminated(
+            f"{samples} samples of return time up to {longest} exceed the"
+            f" budget of {renorm.VERIFY_STEP_BUDGET} steps"
+        )
+    exact = is_exact(p.theta)
+    rng = renorm.random.Random(seed)
+    resampled = 0
+    max_err = 0.0
+    done = 0
+    while done < samples:
+        z1 = old_random_domain_point(q, rng, exact)
+        try:
+            w = walk(p, similitude_inverse(p, z1), level.times[z1.x > 1])
+            lhs = similitude(p, w)
+            rhs = step(q, z1)
+        except OnDiscontinuity:
+            resampled += 1
+            continue
+        if lhs != rhs:
+            max_err = max(max_err, lhs.dist_max(rhs))
+        done += 1
+    return renorm.VerifyReport(samples, resampled, max_err, exact)
+
+
+class CoarseRandom(random.Random):
+    """A seeded Random whose randrange keeps multiples of 2**21 (or its
+    start): exact draws on a grid of eighths, x = 1 among them."""
+
+    def randrange(self, start, stop):
+        v = super().randrange(start, stop)
+        return max(start, v - v % (1 << 21))
+
+
+def later_times(extra):
+    """A Level whose return times are `extra` steps too long."""
+
+    class Later(Level):
+        def __post_init__(self):
+            super().__post_init__()
+            vars(self)["times"] = tuple(t + extra for t in self.times)
+
+    return Later
+
+
+def verify_outcome(f, p, samples, seed):
+    try:
+        return repr(astuple(f(p, samples, seed)))
+    except (NotTerminated, Terminal, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+verify_params = st.builds(
+    Param,
+    st.one_of(
+        st.integers(2, 12).flatmap(
+            lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den))
+        ),
+        st.sampled_from([SQRT2M1, SQRT3M1, parse_number("(sqrt(5)-1)/2"),
+                         parse_number("(sqrt(7)-1)/3"), parse_number("2-sqrt(3)"),
+                         parse_number("(sqrt(13)-3)/2"), Fraction(1, 10**9), 0]),
+    ),
+    st.sampled_from([-1, 1]),
+)
 
 
 class TestInductionVerify:
@@ -237,6 +322,62 @@ class TestInductionVerify:
             induction_verify(Param(SQRT2M1, -1), samples=11)
         with pytest.raises(NotTerminated):  # return time about 3 * 10^9
             induction_verify(Param(Fraction(1, 10**9), -1), samples=1)
+
+    @settings(max_examples=250, deadline=None)
+    @given(verify_params, st.integers(1, 60), st.integers(0, 2**32),
+           st.sampled_from([0, 0, 1, 2, 3, 5]), st.booleans())
+    @example(Param(Fraction(1, 3), 1), 200, 1, 3, True)  # 24 resampled
+    def test_frame_path_is_the_point_oracle(self, p, samples, seed, extra, coarse):
+        # reports equal field by field, errors alike; return times made too
+        # long and draws on a grid of eighths make errors and resamples
+        with pytest.MonkeyPatch.context() as mp:
+            if extra:
+                mp.setattr(renorm, "Level", later_times(extra))
+            if coarse:
+                mp.setattr(renorm, "random", SimpleNamespace(Random=CoarseRandom))
+            got = verify_outcome(induction_verify, p, samples, seed)
+            assert got == verify_outcome(old_induction_verify, p, samples, seed)
+
+    @pytest.mark.parametrize("theta, eps", [
+        (SQRT2M1, 1), (SQRT2M1, -1), (Fraction(2, 7), 1), (Fraction(3, 8), -1),
+    ])
+    def test_a_failed_conjugacy_is_seen(self, monkeypatch, theta, eps):
+        # return times one step too long break the conjugacy on every sample
+        monkeypatch.setattr(renorm, "Level", later_times(1))
+        p = Param(theta, eps)
+        rep = induction_verify(p, samples=50, seed=4)
+        assert rep.max_error > 0 and rep == old_induction_verify(p, 50, 4)
+
+    @pytest.mark.parametrize("theta, eps", [
+        (SQRT2M1, 1), (Fraction(3, 8), -1), (parse_number("(sqrt(7)-1)/3"), 1),
+    ])
+    def test_exact_samples_build_no_numbers(self, monkeypatch, theta, eps):
+        # the integer frame canonicalises and builds Fractions once per call;
+        # its denominator R of theta(p) and theta(S(p)) is 2, 24 and 3 here
+        calls = {"canon": 0, "fraction": 0}
+        canon, new = exactnum._canon, Fraction.__new__
+
+        def counted_canon(*args):
+            calls["canon"] += 1
+            return canon(*args)
+
+        def counted_new(cls, *args, **kwargs):
+            calls["fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(exactnum, "_canon", counted_canon)
+        monkeypatch.setattr(pet, "_canon", counted_canon)
+        monkeypatch.setattr(renorm, "_canon", counted_canon)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        SQRT2M1 - Fraction(1, 3)
+        assert calls == {"canon": 1, "fraction": 1}  # the wrappers count
+
+        def count(samples):
+            calls.update(canon=0, fraction=0)
+            assert induction_verify(Param(theta, eps), samples, seed=9).max_error == 0
+            return dict(calls)
+
+        assert count(200) == count(2000)
 
 
 def old_random_domain_point(q: Param, rng: random.Random, exact: bool) -> Point:
@@ -273,14 +414,14 @@ class TestRandomDomainPoint:
         for seed in range(300):
             new, old = random.Random(seed), random.Random(seed)
             for _ in range(10):
-                got = renorm._random_domain_point(q, new, exact)
+                got = random_domain_point(q, new, exact)
                 assert repr(got) == repr(old_random_domain_point(q, old, exact))
             assert new.getstate() == old.getstate()
 
     def test_x_equal_to_one_is_redrawn(self):
         # 2**24 / 2**24 = 1 is rejected by both, and the next draw taken
         q, den = Param(SQRT2M1, -1), 1 << 24
-        got = renorm._random_domain_point(q, ScriptedRandom(5, [den, 7]), True)
+        got = random_domain_point(q, ScriptedRandom(5, [den, 7]), True)
         want = old_random_domain_point(q, ScriptedRandom(5, [den, 7]), True)
         assert repr(got) == repr(want)
         assert got.x != 1 and got.y != Fraction(7, den)
