@@ -115,9 +115,11 @@ class Cell:
 # -- the map -------------------------------------------------------------
 
 
-def _lift(values) -> tuple | None:
-    """(R, d, pairs): the values as integers (a, b) meaning (a + b*sqrt(d))/R;
-    None unless they are ints, Fractions and surds of one radicand d."""
+def _lift(values) -> tuple:
+    """(R, d, pairs, exact): the values as integers (a, b) meaning
+    (a + b*sqrt(d))/R when they are ints, Fractions and surds of one
+    radicand d; else the given-values frame, each value as (v, 0) with R = 1
+    and d = 0, and exact False."""
     R, d, parts = 1, 0, []
     for v in values:
         if type(v) is Surd and d in (0, v.d):
@@ -125,19 +127,21 @@ def _lift(values) -> tuple | None:
         elif type(v) is int or type(v) is Fraction:
             part = (v.numerator, 0, v.denominator)
         else:
-            return None
+            return 1, 0, [(v, 0) for v in values], False
         parts.append(part)
         R = math.lcm(R, part[2])
-    return R, d, [(a * (R // r), b * (R // r)) for a, b, r in parts]
+    return R, d, [(a * (R // r), b * (R // r)) for a, b, r in parts], True
 
 
 def _steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
-    """Up to k steps from (x, y) in a frame (R, d, wa, wb, flip) of pairs (a, b)
-    meaning (a + b*sqrt(d))/R, with 1 + theta as (wa, wb). Given values (R = 1,
-    d None, every b 0) are compared, never subtracted, so a huge int meets a
-    float. Returns the steps taken, fewer than k where the point left the open
-    pieces, and the point; `letters` gets their letters, k + 1 when all k are."""
-    R, d, wa, wb, flip = frame
+    """k steps from (x, y) in a frame (R, d, wa, wb, flip, value) of pairs
+    (a, b) meaning (a + b*sqrt(d))/R, with 1 + theta as (wa, wb) and value(a,
+    b) the number of a pair. Given values (R = 1, d = 0, every b 0) are
+    compared, never subtracted, so a huge int meets a float. Returns the
+    point; `letters` gets its letters, k + 1 when all k steps are taken. A
+    point that leaves the open pieces earlier raises OnDiscontinuity on the
+    closed domain and OutOfDomain off it."""
+    R, d, wa, wb, flip, value = frame
     for i in range(k + (letters is not None)):
         cx = (-1 if xa < R else 1 if R < xa else 0) if not xb else _sign(xa - R, xb, d)
         if letters is not None:
@@ -155,8 +159,14 @@ def _steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
             if cx > 0 and (xa < wa if xb == wb else _sign(xa - wa, xb - wb, d) < 0):
                 xa, ya, yb = xa - R, R - ya, -yb  # the rectangle, back
                 continue
-        return i, xa, xb, ya, yb
-    return k, xa, xb, ya, yb
+        x, y = value(xa, xb), value(ya, yb)
+        if 0 <= x <= value(wa, wb) and 0 <= y <= 1:
+            raise OnDiscontinuity(
+                f"({x}, {y}) lies on the discontinuity set",
+                step=None if letters is None else i,
+            )
+        raise OutOfDomain(f"({x}, {y}) outside the domain")
+    return xa, xb, ya, yb
 
 
 def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
@@ -167,24 +177,14 @@ def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
     given, R = 1, where two radicands raise MixedSurdFields as they are
     first compared or combined. With a list `letters`, the letters of the
     k + 1 points are appended."""
-    th, xa, ya = p.theta, z.x, z.y
-    lift = _lift((th, xa, ya))
-    if lift:
-        R, d, ((ta, tb), (xa, xb), (ya, yb)) = lift
+    R, d, ((ta, tb), (xa, xb), (ya, yb)), exact = _lift((p.theta, z.x, z.y))
+    if exact:
         # Fraction arithmetic keeps 1 + theta - y = 1 a Fraction, surds an int
         value = lambda a, b: _canon(a, b, R, d) if b or tb else Fraction(a, R)
     else:
-        R, d, ta, tb, xb, yb, value = 1, None, th, 0, 0, 0, lambda a, b: a
-    frame = (R, d, R + ta, tb, p.eps == 1)
-    i, xa, xb, ya, yb = _steps(frame, xa, xb, ya, yb, k, letters)
-    if i < k:
-        x, y = value(xa, xb), value(ya, yb)
-        if 0 <= x <= 1 + th and 0 <= y <= 1:
-            raise OnDiscontinuity(
-                f"({x}, {y}) lies on the discontinuity set",
-                step=None if letters is None else i,
-            )
-        raise OutOfDomain(f"({x}, {y}) outside the domain")
+        value = lambda a, b: a
+    frame = (R, d, R + ta, tb, p.eps == 1, value)
+    xa, xb, ya, yb = _steps(frame, xa, xb, ya, yb, k, letters)
     return Point(value(xa, xb), value(ya, yb)) if k > 0 else z
 
 

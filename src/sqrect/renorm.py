@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator
@@ -16,9 +15,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
-from .exactnum import Number, _canon, is_exact
-from .pet import Param, Point, Rect, psi_inverse, step, walk
-from .pet import _lift, _steps, psi_inverse_ints
+from .exactnum import Number, _canon
+from .pet import Param, Point, Rect, _lift, _steps, psi_inverse, psi_inverse_ints
 from .words import Substitution, Word
 
 
@@ -247,11 +245,6 @@ def similitude(p: Param, z: Point) -> Point:
     return Point(z.x / s, (z.y - th) / s)
 
 
-def similitude_inverse(p: Param, z: Point) -> Point:
-    """psi^-1: the point form of `pet.psi_inverse`."""
-    return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     samples: int
@@ -261,10 +254,10 @@ class VerifyReport:
 
 
 # Map steps per induction check, counted as samples times the longer return
-# time. A counted step costs 0.2-4.6 us on a 2-core VM, most at float parameters
-# with short return times; an exact one costs 1-2.2 us there. 10**6 samples at
-# sqrt(2)-1, eps = +1 (return times 1 and 3) took 7-9 s, and the dearest
-# admitted check, a float one at return times 1 and 3, about 14 s
+# time. A counted step costs 0.2-2.5 us on a 2-core VM, exact and float alike,
+# most at short return times. 10**6 samples at sqrt(2)-1, eps = +1 (return
+# times 1 and 3) took 5.4-6.3 s, and the dearest admitted check, a float one
+# there (0.4142135623730951, +1), 6.5-8.4 s
 VERIFY_STEP_BUDGET = 3_000_000
 _DEN = 1 << 24  # exact draws are numerators over 2**24
 
@@ -285,9 +278,18 @@ def _draw(rng: random.Random, width: float, exact: bool) -> tuple:
 
 def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyReport:
     """Check that the similitude conjugates the first-return map to the
-    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z), exact draws in
-    `pet.walk`'s integer frame, a walk off the pieces again on Points. Raises
-    NotTerminated, before the first sample, above VERIFY_STEP_BUDGET."""
+    renormalized map: psi(T_ind(psi^inv(z))) = T_{S(omega)}(z), every draw in
+    `pet.walk`'s frame. Raises NotTerminated, before the first sample, above
+    VERIFY_STEP_BUDGET.
+
+    max_error is 0 at an exact parameter unless the conjugacy fails. At a
+    float one it is at most (k + 6) 2**-52 / f(theta), k the longer return
+    time, on draws whose float orbit takes the branches of the real one.
+    With u = 2**-53, a rounded result r < 2 is off by at most u and by u|r|,
+    so to first order, in the max norm: psi^-1 errs by u + 4u f(theta); each
+    of the k steps adds 2u (1 + theta and a subtraction), an isometry passing
+    earlier errors on; psi scales that by 1/f(theta) and adds 3u; theta(S(p))
+    is off by 2u/f(theta) and its step adds 2u. In all (2k + 3) u/f(theta) + 9u."""
     if samples < 1:
         # no sample would make an empty certificate of exactness
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -298,40 +300,32 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
             f"{samples} samples of return time up to {longest} exceed the"
             f" budget of {VERIFY_STEP_BUDGET} steps"
         )
-    exact = is_exact(p.theta)
-    if exact:  # theta(p) and theta(S(p)) lifted once, every value over F
-        R, d, ((ta, tb), (ua, ub)) = _lift((p.theta, q.theta))
-        F, theta = R * _DEN, (R, d, ta, tb)
-        fp = (F, d, F + ta * _DEN, tb * _DEN, p.eps == 1)
-        fq = (F, d, F + ua * _DEN, ub * _DEN, q.eps == 1)
+    # theta(p) and theta(S(p)) lifted once, with draws as numerators over
+    # D = 2**24 and every value over F; float ones as given, R = D = F = 1
+    R, d, ((ta, tb), (ua, ub)), exact = _lift((p.theta, q.theta))
+    D = _DEN if exact else 1
+    F, theta = R * D, (R, d, ta, tb)
+    value = (lambda a, b: _canon(a, b, F, d)) if exact else (lambda a, b: a)
+    fp = (F, d, F + ta * D, tb * D, p.eps == 1, value)
+    fq = (F, d, F + ua * D, ub * D, q.eps == 1, value)
     rng, width = random.Random(seed), float(1 + q.theta)
     resampled, max_err, done = 0, 0.0, 0
     while done < samples:
         x, y = _draw(rng, width, exact)
-        if exact:
-            k = level.times[x > _DEN]
-            i, *w = _steps(fp, *psi_inverse_ints(theta, p.eps, _DEN, x, 0, y, 0), k)
-            j, *z2 = _steps(fq, x * R, 0, y * R, 0, 1)
-            # psi is a bijection: T_ind(psi^-1 z1) against psi^-1(T_{S(p)} z1)
-            if i == k and j == 1:
-                if [a * R for a in w] != [*psi_inverse_ints(theta, p.eps, F, *z2)]:
-                    v = lambda a, b: _canon(a, b, F, d)  # a mismatch, on Points
-                    lhs = similitude(p, Point(v(*w[:2]), v(*w[2:])))
-                    max_err = max(max_err, lhs.dist_max(Point(v(*z2[:2]), v(*z2[2:]))))
-                done += 1
-                continue
-            x, y = Fraction(x, _DEN), Fraction(y, _DEN)  # off the pieces: on Points
-        z1 = Point(x, y)
+        # psi^-1 maps the square of S(p) onto C^ind and its rectangle onto
+        # R^ind, so the drawn side gives the first-return time
+        k = level.times[x > D]
         try:
-            # psi^-1 maps the square of S(p) onto C^ind and its rectangle
-            # onto R^ind, so z1's side gives the first-return time
-            w = walk(p, similitude_inverse(p, z1), level.times[z1.x > 1])
-            lhs, rhs = similitude(p, w), step(q, z1)
+            w = _steps(fp, *psi_inverse_ints(theta, p.eps, D, x, 0, y, 0), k)
+            z2 = _steps(fq, x * R, 0, y * R, 0, 1)
         except OnDiscontinuity:
             resampled += 1
             continue
-        if lhs != rhs:  # equal float points are at distance 0 anyway
-            max_err = max(max_err, lhs.dist_max(rhs))
+        # psi is a bijection: T_ind(psi^-1 z1) against psi^-1(T_{S(p)} z1) in
+        # integers; psi itself rounds in floats, so every float sample is measured
+        if not exact or [a * R for a in w] != [*psi_inverse_ints(theta, p.eps, F, *z2)]:
+            lhs = similitude(p, Point(value(*w[:2]), value(*w[2:])))
+            max_err = max(max_err, lhs.dist_max(Point(value(*z2[:2]), value(*z2[2:]))))
         done += 1
     return VerifyReport(samples, resampled, max_err, exact)
 

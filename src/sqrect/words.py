@@ -37,12 +37,6 @@ class Word:
             return Word(self._s[i])
         return self._s[i]
 
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self._s + other._s)
-
-    def __mul__(self, k: int) -> "Word":
-        return Word(self._s * k)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Word):
             return self._s == other._s

@@ -10,13 +10,12 @@ import pytest
 from scipy.integrate import quad
 
 from sqrect.exactnum import make_surd
-from sqrect.pet import Param, Point, code_orbit, islands
+from sqrect.pet import Param, Point, code_orbit, islands, psi_inverse
 from sqrect.renorm import (
     Level,
     incidence_matrix,
     induction_verify,
     period_sequence,
-    similitude_inverse,
 )
 from sqrect.cfrac import (
     density,
@@ -148,7 +147,7 @@ def test_criterion_04_commutation():
             )
             if z1.x == 1:
                 continue
-            z = similitude_inverse(p, z1)
+            z = Point(*psi_inverse(p.theta, p.eps, *z1)[:2])
             try:
                 w_up = code_orbit(p, z, 1400)
                 w_dn = code_orbit(q, z1, 1000)

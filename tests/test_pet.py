@@ -424,10 +424,9 @@ class TestWalk:
         assert count(code_orbit, p, z, 100) == count(code_orbit, p, z, 1000)
         level = renorm.Level(p)
         assert level.times == (5, 3)
-        pulled = [
-            renorm.similitude_inverse(p, Point(Fraction(1, 3), Fraction(2, 7))),
-            renorm.similitude_inverse(p, Point(1 + _half(level.next.theta), Fraction(1, 3))),
-        ]
+        side = 1 + _half(level.next.theta)
+        drawn = [(Fraction(1, 3), Fraction(2, 7)), (side, Fraction(1, 3))]
+        pulled = [Point(*psi_inverse(p.theta, p.eps, x, y)[:2]) for x, y in drawn]
         # the first returns of the square and of the rectangle: x and y
         # converted back once, after 5 steps as after 3
         for w, k in zip(pulled, level.times):
@@ -450,7 +449,7 @@ class TestWalk:
             xy[1] = xy[3] = 0
         value = lambda a, b, den: make_surd(a, b, den, d) if d else Fraction(a, den)
         x, y = value(xy[0], xy[1], R), value(xy[2], xy[3], R)
-        (T, _, ((ta, tb),)) = pet._lift((theta,))
+        (T, _, ((ta, tb),), _) = pet._lift((theta,))
         got = pet.psi_inverse_ints((T, d, ta, tb), eps, R, *xy)
         want = psi_inverse(theta, eps, x, y)[:2]
         assert (value(*got[:2], T * R), value(*got[2:], T * R)) == want

@@ -38,7 +38,6 @@ from sqrect.renorm import (
     rect_branch,
     renorm_step,
     similitude,
-    similitude_inverse,
 )
 from test_words import abelianization
 
@@ -116,13 +115,13 @@ class TestSimilitude:
     @given(params)
     def test_roundtrip(self, p):
         z = Point(Fraction(1, 3), Fraction(2, 7))
-        assert similitude(p, similitude_inverse(p, z)) == z
+        assert similitude(p, pull_back(p, z)) == z
 
     @given(params)
     def test_contraction_factor(self, p):
         assume(p.f(p.theta) != 0)
-        a = similitude_inverse(p, Point(0, 0))
-        b = similitude_inverse(p, Point(1, 1))
+        a = pull_back(p, Point(0, 0))
+        b = pull_back(p, Point(1, 1))
         r = Level(p).ratio
         assert abs(float(b.x - a.x)) * float(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -132,6 +131,11 @@ class TestSimilitude:
         for rect in (c_ind, r_ind):
             assert 0 <= float(rect.x) and float(rect.x + rect.w) <= float(p.width)
             assert 0 <= float(rect.y) and float(rect.y + rect.h) <= 1
+
+
+def pull_back(p: Param, z: Point) -> Point:
+    """psi^-1 of a point: the point form of `pet.psi_inverse`."""
+    return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
 
 
 # -- the zone test: the oracle of induction_verify's choice of return time ---
@@ -210,7 +214,7 @@ class TestFirstReturn:
         z1 = Point(1 + s * q.theta if rect else s, t)
         drawn = random_domain_point(q, random.Random(seed), True)
         for z in (z1, drawn):
-            want = return_time(level, similitude_inverse(p, z))
+            want = return_time(level, pull_back(p, z))
             assert level.times[z.x > 1] == want
 
 
@@ -242,7 +246,7 @@ def old_induction_verify(p: Param, samples: int = 10_000, seed: int = 0):
     while done < samples:
         z1 = old_random_domain_point(q, rng, exact)
         try:
-            w = walk(p, similitude_inverse(p, z1), level.times[z1.x > 1])
+            w = walk(p, pull_back(p, z1), level.times[z1.x > 1])
             lhs = similitude(p, w)
             rhs = step(q, z1)
         except OnDiscontinuity:
@@ -277,7 +281,7 @@ def later_times(extra):
 def verify_outcome(f, p, samples, seed):
     try:
         return repr(astuple(f(p, samples, seed)))
-    except (NotTerminated, Terminal, ValueError) as exc:
+    except (Degenerate, NotTerminated, Terminal, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -290,6 +294,10 @@ verify_params = st.builds(
         st.sampled_from([SQRT2M1, SQRT3M1, parse_number("(sqrt(5)-1)/2"),
                          parse_number("(sqrt(7)-1)/3"), parse_number("2-sqrt(3)"),
                          parse_number("(sqrt(13)-3)/2"), Fraction(1, 10**9), 0]),
+        # float parameters: dyadic ones, where draws meet edges, and the ends
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.integers(1, 7).map(lambda k: k / 8),
+        st.sampled_from([0.4142135623730951, 1e-3, 1 - 1e-3]),
     ),
     st.sampled_from([-1, 1]),
 )
@@ -327,6 +335,9 @@ class TestInductionVerify:
     @given(verify_params, st.integers(1, 60), st.integers(0, 2**32),
            st.sampled_from([0, 0, 1, 2, 3, 5]), st.booleans())
     @example(Param(Fraction(1, 3), 1), 200, 1, 3, True)  # 24 resampled
+    # psi^-1 of T_{S(p)} z1 equals T_ind(psi^-1 z1) in floats, yet psi of the
+    # latter is 2**-53 off T_{S(p)} z1: a float sample is measured all the same
+    @example(Param(0.5, 1), 1, 4049654480, 0, False)
     def test_frame_path_is_the_point_oracle(self, p, samples, seed, extra, coarse):
         # reports equal field by field, errors alike; return times made too
         # long and draws on a grid of eighths make errors and resamples
@@ -337,6 +348,35 @@ class TestInductionVerify:
                 mp.setattr(renorm, "random", SimpleNamespace(Random=CoarseRandom))
             got = verify_outcome(induction_verify, p, samples, seed)
             assert got == verify_outcome(old_induction_verify, p, samples, seed)
+
+    @pytest.mark.parametrize("theta, eps", [
+        (0.4142135623730951, 1), (0.4142135623730951, -1), (0.375, 1),
+        (SQRT2M1, 1), (Fraction(3, 8), -1),
+    ])
+    def test_one_path_for_exact_and_float(self, monkeypatch, theta, eps):
+        # float and exact draws alike run the frame loop and no Point walk
+        assert not {"walk", "step", "similitude_inverse"} & vars(renorm).keys()
+        p = Param(theta, eps)
+        want = old_induction_verify(p, 300, 5)
+
+        def refuse(*args):
+            raise AssertionError("induction_verify took a Point walk")
+
+        monkeypatch.setattr(pet, "walk", refuse)
+        monkeypatch.setattr(pet, "step", refuse)
+        assert induction_verify(p, 300, 5) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(1e-4, 1 - 1e-4), st.sampled_from([-1, 1]), st.integers(0, 2**32))
+    @example(2e-5, -1, 0)  # max_error 2.3e-7 in 2 samples, 0.14 of the bound
+    @example(0.5096815754577556, 1, 0)  # the nearest to the bound measured, 0.24 of it
+    def test_float_error_within_the_rounding_bound(self, theta, eps, seed):
+        # induction_verify's bound (k + 6) 2**-52 / f(theta); a draw above it
+        # means its derivation is wrong, not that the draw is
+        p = Param(theta, eps)
+        k = max(Level(p).times)
+        rep = induction_verify(p, max(1, min(2000, 300_000 // k)), seed)
+        assert rep.max_error <= (k + 6) * 2**-52 / p.f(theta)
 
     @pytest.mark.parametrize("theta, eps", [
         (SQRT2M1, 1), (SQRT2M1, -1), (Fraction(2, 7), 1), (Fraction(3, 8), -1),
@@ -500,7 +540,7 @@ class TestCodingCommutation:
             )
             if z1.x == 1:
                 continue
-            z = similitude_inverse(p, z1)
+            z = pull_back(p, z1)
             try:
                 w_up = code_orbit(p, z, 400)
                 w_dn = code_orbit(q, z1, 200)

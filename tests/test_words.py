@@ -66,10 +66,6 @@ class TestWord:
     def test_counts(self):
         assert counts(Word("aabab")) == (3, 2)
 
-    def test_concat_and_power(self):
-        assert Word("ab") + Word("ba") == Word("abba")
-        assert Word("ab") * 3 == Word("ababab")
-
     def test_rotate(self):
         assert Word("abb").rotate(1) == Word("bba")
         assert Word("abb").rotate(3) == Word("abb")
