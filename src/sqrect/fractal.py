@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +15,8 @@ from .errors import Degenerate, NotTerminated
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
-from .pet import Param
-from .renorm import Level, check_budget, cover_level, cover_seed, descend
+from .pet import Param, psi_inverse
+from .renorm import Level, check_budget, cover_level, cover_seed, descend, rect_branch
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,9 @@ def _fold(levels, arrays):
         del rect, sq, side  # release the inputs before the output is allocated
         arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
         hi = 0
-        for r, s, letter in cover_level(level, float(level.q.theta), blocks):
+        th, eps = float(level.q.theta), level.q.eps
+        maps = partial(psi_inverse, th, eps), partial(rect_branch, th, eps)
+        for r, s, letter in cover_level(level, *maps, blocks):
             lo, hi = hi, hi + s.size
             for o, a in zip(arrays, (*r, s, letter == "a")):
                 o[lo:hi] = a

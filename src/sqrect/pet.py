@@ -115,12 +115,12 @@ class Cell:
 # -- the map -------------------------------------------------------------
 
 
-def _lift(values) -> tuple:
+def _lift(values, R: int = 1) -> tuple:
     """(R, d, pairs, exact): the values as integers (a, b) meaning
-    (a + b*sqrt(d))/R when they are ints, Fractions and surds of one
-    radicand d; else the given-values frame, each value as (v, 0) with R = 1
-    and d = 0, and exact False."""
-    R, d, parts = 1, 0, []
+    (a + b*sqrt(d))/R, R a multiple of the given one, when they are ints,
+    Fractions and surds of one radicand d; else the given-values frame, each
+    value as (v, 0) with R = 1 and d = 0, and exact False."""
+    d, parts = 0, []
     for v in values:
         if type(v) is Surd and d in (0, v.d):
             d, part = v.d, (v.p, v.q, v.r)
@@ -233,18 +233,22 @@ def psi_inverse(theta, eps: int, x, y, w=0, h=0):
     return s * x, theta + s * y, s * w, s * h
 
 
-def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb) -> tuple:
-    """`psi_inverse` of a point in `walk`'s integer frame: theta as (T, d,
-    ta, tb), meaning (ta + tb*sqrt(d))/T, and the point as pairs (a, b)
-    over R; the image as pairs over T*R."""
+def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
+                     wa=0, wb=0, ha=0, hb=0) -> tuple:
+    """`psi_inverse` of a rectangle, or of a point, in `walk`'s integer
+    frame: theta as (T, d, ta, tb), meaning (ta + tb*sqrt(d))/T, and x, y, w
+    and h as pairs (a, b) over R; the image (x, y, w, h) as pairs over T*R."""
     T, d, ta, tb = theta
-    if eps == -1:  # (theta*y, theta*x)
-        ma, mb, oa, ob, xa, xb, ya, yb = ta, tb, 0, 0, ya, yb, xa, xb
-    else:  # (s*x, theta + s*y) with s = 1 - theta
+    if eps == -1:  # (theta*y, theta*x, theta*h, theta*w)
+        ma, mb, oa, ob = ta, tb, 0, 0
+        xa, xb, ya, yb, wa, wb, ha, hb = ya, yb, xa, xb, ha, hb, wa, wb
+    else:  # (s*x, theta + s*y, s*w, s*h) with s = 1 - theta
         ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
     return (
         ma * xa + mb * xb * d, ma * xb + mb * xa,
         oa + ma * ya + mb * yb * d, ob + ma * yb + mb * ya,
+        ma * wa + mb * wb * d, ma * wb + mb * wa,
+        ma * ha + mb * hb * d, ma * hb + mb * ha,
     )
 
 
@@ -265,18 +269,18 @@ def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
 
 # Cells of one `islands` call, and the depths it walks. Lifting costs more
 # per cell the deeper the orbit: on a 2-core VM the 9,900 cells of
-# (1/100, +1) at max period 198 take 4.6 s, and one orbit of 9,998 cells at
-# (1/3333, -1) takes 0.13 s and peaks at 5.0 MiB (tracemalloc)
+# (1/100, +1) at max period 198 take 0.5-0.9 s and peak at 10.8 MiB, and one
+# orbit of 9,998 cells at (1/3333, -1) takes 0.08 s and 4.4 MiB (tracemalloc)
 ISLAND_CELL_BUDGET = 10_000
 
 
 def islands(p: Param, max_period: int) -> list[Cell]:
     """All periodic cells of period <= max_period, for exact theta, orbit by
     orbit in order of depth. The orbit of depth k is the seed orbit of
-    S^k(p) pulled back through `renorm.cover_level`. Its period comes from
+    S^k(p) pulled back in pairs by `renorm.lift_blocks`. Its period comes from
     `renorm.seed_periods` first, so more than ISLAND_CELL_BUDGET cells raise
     NotTerminated before any is made."""
-    from .renorm import cover_level, seed_periods
+    from .renorm import lift_blocks, seed_periods
 
     if not is_exact(p.theta):
         raise ValueError("island enumeration needs an exact parameter")
@@ -287,7 +291,7 @@ def islands(p: Param, max_period: int) -> list[Cell]:
         if k >= ISLAND_CELL_BUDGET:
             raise NotTerminated("renormalization depth cap exceeded")
         if period <= max_period:
-            seeds[k] = _seed_cells(q)
+            seeds[k] = [(r, k, side) for r, side in _seed_cells(q)]
             total += period
         if level is None or M.m11 + M.m21 > max_period:
             break
@@ -295,16 +299,11 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     if total > ISLAND_CELL_BUDGET:
         raise NotTerminated(f"{total} cells, above the cap of {ISLAND_CELL_BUDGET}")
 
-    blocks = []  # (rect, depth of its orbit, side), lifted from the deepest level
-    for k in reversed(range(len(levels) + 1)):
-        if blocks:
-            blocks = list(cover_level(levels[k], levels[k].q.theta, blocks))
-        blocks = [(r, k, side) for r, side in seeds.get(k, ())] + blocks
-    out = []
-    for _, orbit in groupby(blocks, key=lambda block: block[1]):
+    out = []  # from blocks (rect, depth of its orbit, side)
+    for _, orbit in groupby(lift_blocks(levels, seeds), key=lambda block: block[1]):
         coords, _, sides = zip(*orbit)
         rects = [Rect(*r) for r in coords]
-        # the cells come from rect_branch; one exact step checks the closure
+        # the cells come from the pair steps; one exact step checks the closure
         if step(p, rects[-1].center) != rects[0].center:
             raise NotTerminated("orbit did not close up at its computed period")
         code = Word("".join(sides))

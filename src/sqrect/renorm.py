@@ -8,7 +8,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
+from functools import cache, cached_property, partial
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, _canon
-from .pet import Param, Point, Rect, _lift, _steps, psi_inverse, psi_inverse_ints
+from .pet import Param, Point, Rect, _lift, _steps, psi_inverse_ints
 from .words import Substitution, Word
 
 
@@ -304,7 +305,7 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     # D = 2**24 and every value over F; float ones as given, R = D = F = 1
     R, d, ((ta, tb), (ua, ub)), exact = _lift((p.theta, q.theta))
     D = _DEN if exact else 1
-    F, theta = R * D, (R, d, ta, tb)
+    F, pull = R * D, partial(psi_inverse_ints, (R, d, ta, tb), p.eps)
     value = (lambda a, b: _canon(a, b, F, d)) if exact else (lambda a, b: a)
     fp = (F, d, F + ta * D, tb * D, p.eps == 1, value)
     fq = (F, d, F + ua * D, ub * D, q.eps == 1, value)
@@ -316,14 +317,14 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
         # R^ind, so the drawn side gives the first-return time
         k = level.times[x > D]
         try:
-            w = _steps(fp, *psi_inverse_ints(theta, p.eps, D, x, 0, y, 0), k)
+            w = _steps(fp, *pull(D, x, 0, y, 0)[:4], k)
             z2 = _steps(fq, x * R, 0, y * R, 0, 1)
         except OnDiscontinuity:
             resampled += 1
             continue
         # psi is a bijection: T_ind(psi^-1 z1) against psi^-1(T_{S(p)} z1) in
         # integers; psi itself rounds in floats, so every float sample is measured
-        if not exact or [a * R for a in w] != [*psi_inverse_ints(theta, p.eps, F, *z2)]:
+        if not exact or [a * R for a in w] != [*pull(F, *z2)[:4]]:
             lhs = similitude(p, Point(value(*w[:2]), value(*w[2:])))
             max_err = max(max_err, lhs.dist_max(Point(value(*z2[:2]), value(*z2[2:]))))
         done += 1
@@ -374,6 +375,17 @@ def rect_branch(theta, eps: int, letter: str, x, y, w, h):
     return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
 
 
+def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha, hb):
+    """`rect_branch` in `pet.psi_inverse_ints`' frame: theta as (R, d, ta,
+    tb) and x, y, w and h as pairs (a, b), all meaning (a + b*sqrt(d))/R."""
+    R, _, ta, tb = theta
+    if letter == "b":
+        return xa - R, xb, R - (ya + ha), -(yb + hb), wa, wb, ha, hb
+    if eps == -1:
+        return R + ta - (ya + ha), tb - (yb + hb), xa, xb, ha, hb, wa, wb
+    return R + ta - (ya + ha), tb - (yb + hb), R - (xa + wa), -(xb + wb), ha, hb, wa, wb
+
+
 def cover_seed(theta) -> list[tuple[tuple, str]]:
     """Depth-0 cover as ((x, y, w, h), letter) rows: the square ('a') and the
     rectangle R_theta ('b'), which is empty at theta = 0."""
@@ -390,9 +402,9 @@ def piece_count(levels: list[Level], q: Param) -> int:
     return sum(v)
 
 
-# exact CoverPieces take 0.40-0.50 KB each once built and 0.53-0.63 KB at
-# the peak of `cover` (tracemalloc, 27k-67k pieces at four surd parameters),
-# so this budget is about the 0.6 GB that the float budget's arrays take
+# exact CoverPieces share their coordinates and take 0.21-0.23 KB each once
+# built, 0.40-0.49 KB at the peak of `cover` (tracemalloc, 27k-70k pieces at
+# four surd parameters): about 0.5 GB at this budget, near the float one's 0.6 GB
 EXACT_PIECE_BUDGET = 1 << 20
 
 
@@ -404,37 +416,63 @@ def check_budget(levels: list[Level], q: Param, budget: int) -> None:
         raise NotTerminated(f"{n} cover pieces, above the budget of {budget}")
 
 
-def cover_level(level: Level, theta, blocks):
-    """One level of the cover recursion. A block (rect, tag, letter) is
-    one piece in exact numbers, or all pieces of one letter as numpy float
-    arrays; the letter is the side, square 'a' or rectangle 'b', that its
-    pieces lie in, theta is level.q.theta in the block's scalar type, and
-    the tag (the piece shape of covers, the orbit depth of `pet.islands`)
-    is carried untouched. Each block is pulled back through the similitude
-    and spread along its return orbit: at step i it lies on side
-    sigma(letter)[i], yielded as (rect, tag, side), and takes its branch."""
-    eps, sigma = level.q.eps, level.sigma
-    images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
+def cover_level(level: Level, pull, push, blocks):
+    """One level of the cover recursion. A block (rect, tag, letter) is one
+    exact piece in pairs (`lift_blocks`), or all pieces of one letter as
+    numpy float arrays (`fractal._fold`); the letter is the side, square 'a'
+    or rectangle 'b', that its pieces lie in, and the tag (the piece shape
+    of covers, the orbit depth of `pet.islands`) is carried untouched. Each
+    block is pulled back, pull(*rect), and spread along its return orbit: at
+    step i it lies on side sigma(letter)[i], yielded as (rect, tag, side),
+    and takes its branch, push(side, *rect); pull and push are the level's
+    `psi_inverse` and `rect_branch` in the block's form."""
+    images = {"a": str(level.sigma.image_a), "b": str(level.sigma.image_b)}
     for r, tag, letter in blocks:
-        r = psi_inverse(theta, eps, *r)
+        r = pull(*r)
         word = images[letter]
         for i, side in enumerate(word):
             if i:
-                r = rect_branch(theta, eps, word[i - 1], *r)
+                r = push(word[i - 1], *r)
             yield r, tag, side
+
+
+def lift_blocks(levels: list[Level], seeds: dict) -> list:
+    """Blocks (rect, tag, letter) of exact numbers through `cover_level` up
+    to depth 0, deepest first: seeds[k], rows in the domain of S^k(p), join
+    at depth k <= len(levels). Below depth 0 a rect is pairs (a, b) meaning
+    (a + b*sqrt(d))/D, with one D per level, which each psi^-1 multiplies
+    by its theta's denominator. Each distinct pair is converted back once;
+    depth-0 seeds go out as given."""
+    blocks, D, d = [], 1, 0
+    for k, level in reversed([*enumerate(levels, 1)]):
+        if rows := seeds.get(k):  # over D, which their denominators divide
+            D, d, pairs, _ = _lift([v for r, _, _ in rows for v in r], D)
+            blocks = [(sum(pairs[4 * i : 4 * i + 4], ()), tag, letter)
+                      for i, (_, tag, letter) in enumerate(rows)] + blocks
+        if blocks:
+            T, d, ((ta, tb),), _ = _lift((level.q.theta,))
+            pull = partial(psi_inverse_ints, (T, d, ta, tb), level.q.eps, D)
+            push = partial(rect_branch_ints, (T * D, d, ta * D, tb * D), level.q.eps)
+            blocks, D = list(cover_level(level, pull, push, blocks)), T * D
+    # canonical surds; a rational theta's coordinates stay Fractions, floats floats
+    value = cache(lambda a, b: _canon(a, b, D, d) if d else a / Fraction(D))
+    return list(seeds.get(0, ())) + [
+        ((value(xa, xb), value(ya, yb), value(wa, wb), value(ha, hb)), tag, letter)
+        for (xa, xb, ya, yb, wa, wb, ha, hb), tag, letter in blocks
+    ]
 
 
 def cover(p: Param, l: int) -> list[CoverPiece]:
     """Depth-l cover of the aperiodic set by similitude images of the
     square and of the renormalized rectangle, piece by piece in orbit
     order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
-    one-piece blocks. Covers above EXACT_PIECE_BUDGET pieces raise
-    NotTerminated."""
+    one-piece blocks of integer pairs (`lift_blocks`). Covers above
+    EXACT_PIECE_BUDGET pieces raise NotTerminated."""
     levels, q = descend(p, l)
     check_budget(levels, q, EXACT_PIECE_BUDGET)
-    blocks = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
+    seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
     contraction = 1
     for level in reversed(levels):
-        blocks = list(cover_level(level, level.q.theta, blocks))
         contraction = contraction / level.ratio
+    blocks = lift_blocks(levels, {len(levels): seed})
     return [CoverPiece(Rect(*r), shape, contraction) for r, shape, _ in blocks]

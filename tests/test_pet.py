@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqrect import exactnum, pet, renorm
 from sqrect.errors import NotTerminated, OnDiscontinuity, OutOfDomain
@@ -28,7 +28,7 @@ from sqrect.pet import (
     step,
     walk,
 )
-from sqrect.renorm import RIGHT, UNIT, Mat2
+from sqrect.renorm import RIGHT, UNIT, Mat2, seed_periods
 from sqrect.words import Word
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -436,23 +436,24 @@ class TestWalk:
     @settings(max_examples=300)
     @given(st.integers(1, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6),
            st.sampled_from([0, 2, 3, 5, 13]), st.sampled_from([-1, 1]),
-           st.integers(1, 1 << 24), st.lists(st.integers(-10**9, 10**9), min_size=4,
-                                            max_size=4), st.booleans())
-    def test_psi_inverse_ints_is_psi_inverse(self, ta, tb, T, d, eps, R, xy, drawn):
+           st.integers(1, 1 << 24), st.lists(st.integers(-10**9, 10**9), min_size=8,
+                                            max_size=8), st.booleans())
+    def test_psi_inverse_ints_is_psi_inverse(self, ta, tb, T, d, eps, R, xywh, drawn):
         # theta (ta + tb sqrt d)/T, any sign; a draw of induction_verify, with
-        # numerators over 2**24, or a point of theta's field over R
+        # numerators over 2**24, as a point; or a rectangle of theta's field
+        # over R, as the cover recursion pulls back
         theta = make_surd(ta, tb, T, d) if d else Fraction(ta, T)
         if drawn:
-            R, (kx, ky) = 1 << 24, renorm._draw(random.Random(xy[0]), 1.5, True)
-            xy = [kx, 0, ky, 0]
+            R, (kx, ky) = 1 << 24, renorm._draw(random.Random(xywh[0]), 1.5, True)
+            xywh = [kx, 0, ky, 0]
         elif not d:
-            xy[1] = xy[3] = 0
+            xywh[1::2] = [0] * 4
         value = lambda a, b, den: make_surd(a, b, den, d) if d else Fraction(a, den)
-        x, y = value(xy[0], xy[1], R), value(xy[2], xy[3], R)
+        rect = [value(a, b, R) for a, b in zip(xywh[::2], xywh[1::2])]
         (T, _, ((ta, tb),), _) = pet._lift((theta,))
-        got = pet.psi_inverse_ints((T, d, ta, tb), eps, R, *xy)
-        want = psi_inverse(theta, eps, x, y)[:2]
-        assert (value(*got[:2], T * R), value(*got[2:], T * R)) == want
+        got = pet.psi_inverse_ints((T, d, ta, tb), eps, R, *xywh)
+        want = psi_inverse(theta, eps, *rect)
+        assert [value(a, b, T * R) for a, b in zip(got[::2], got[1::2])] == [*want]
 
 
 ISLAND_PARAMS = [
@@ -465,6 +466,22 @@ ISLAND_PARAMS = [
     ("(-1+sqrt(5))/2", -1),
     ("(-1+sqrt(5))/2", 1),
 ]
+
+
+@st.composite
+def exact_params(draw):
+    """Parameters of the cover and island oracle tests: rationals with
+    denominators up to 10**4, 0 included, whose chains reach theta = 0, or
+    surds (a + b sqrt(d))/c mod 1 with d square-free, d <= 30; both eps."""
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 10**4))
+        theta = Fraction(draw(st.integers(0, den - 1)), den)
+    else:
+        d = draw(st.sampled_from([d for d in range(2, 31) if d % 4 and d % 9 and d % 25]))
+        x = make_surd(draw(st.integers(-40, 40)), draw(st.integers(1, 6)) *
+                      draw(st.sampled_from([-1, 1])), draw(st.integers(1, 12)), d)
+        theta = x - math.floor(x)
+    return Param(theta, draw(st.sampled_from([-1, 1])))
 
 
 def assert_same_cells(cells, expected):
@@ -608,6 +625,24 @@ class TestIslands:
         for max_period in (0, 1, 2, 5, 21, 100, 500):
             assert_same_cells(islands(p, max_period), oracle_islands(p, max_period))
 
+    @settings(max_examples=80, deadline=None)
+    @given(exact_params(), st.integers(0, 400))
+    @example(Param(Fraction(0), -1), 5)  # theta = 0: one seed, no level
+    @example(Param(Fraction(3, 8), 1), 400)  # the chain ends at theta = 0
+    def test_matches_orbit_oracle_at_random_parameters(self, p, max_period):
+        # within 2,000 cells, each coordinate of the oracle's type. The oracle
+        # lifts every orbit's code through every level, cubic in the depth
+        # (1/n, +1 walks n levels): at most 100 levels
+        depth = next(k for k, (_, _, level, M) in enumerate(seed_periods(p))
+                     if k > 100 or level is None or M.m11 + M.m21 > max_period)
+        assume(depth <= 100)
+        try:
+            cells = islands(p, max_period)
+        except NotTerminated:
+            cells = None
+        assume(cells is not None and len(cells) <= 2_000)
+        assert_same_cells(cells, oracle_islands(p, max_period))
+
     def test_matches_orbit_oracle_on_surd_grid(self):
         # every 35th point of test_cfrac's surd grid, alternating eps, at
         # the CLI's default max period
@@ -618,17 +653,19 @@ class TestIslands:
             assert_same_cells(islands(p, 21), oracle_islands(p, 21))
 
     def test_orbit_that_does_not_close_raises(self, monkeypatch):
-        # a lift whose square-branch images drift: the cells still come out,
-        # but the last one no longer maps onto the first
-        branch = renorm.rect_branch
+        # a lift whose square-branch images drift, by 1/R in the pair step:
+        # the cells still come out, but the last one no longer maps onto the
+        # first. At the silver mean R is 1, too far a drift; here it is 3 or
+        # more, the denominator of theta
+        branch = renorm.rect_branch_ints
 
-        def drifting(theta, eps, letter, x, y, w, h):
-            x, y, w, h = branch(theta, eps, letter, x, y, w, h)
-            return (x + Fraction(1, 10**6) if letter == "a" else x), y, w, h
+        def drifting(theta, eps, letter, xa, *rest):
+            xa, *rest = branch(theta, eps, letter, xa, *rest)
+            return (xa + 1 if letter == "a" else xa), *rest
 
-        monkeypatch.setattr(renorm, "rect_branch", drifting)
+        monkeypatch.setattr(renorm, "rect_branch_ints", drifting)
         with pytest.raises(NotTerminated, match="did not close"):
-            islands(Param(SQRT2M1, -1), max_period=5)
+            islands(Param(make_surd(-1, 1, 3, 7), -1), max_period=5)
 
 
 class TestSegments:

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sqrect import exactnum, fractal, pet, renorm
 from sqrect.fractal import box_count_deep, cover_arrays
-from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
-from sqrect.exactnum import is_exact, make_surd, parse_number
+from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, OutOfDomain, Terminal
+from sqrect.exactnum import Surd, is_exact, make_surd, parse_number
 from sqrect.pet import (
     Param, Point, Rect, code_orbit, islands, psi_inverse, step, walk,
 )
@@ -33,12 +33,14 @@ from sqrect.renorm import (
     family_coefficients,
     incidence_matrix,
     induction_verify,
+    lift_blocks,
     period_sequence,
     piece_count,
     rect_branch,
     renorm_step,
     similitude,
 )
+from test_pet import assert_same_cells, exact_params, oracle_islands
 from test_words import abelianization
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -389,6 +391,38 @@ class TestInductionVerify:
         assert rep.max_error > 0 and rep == old_induction_verify(p, 50, 4)
 
     @pytest.mark.parametrize("theta, eps", [
+        (SQRT2M1, 1), (SQRT2M1, -1), (Fraction(3, 8), -1), (0.4142135623730951, 1),
+    ])
+    def test_a_draw_outside_the_domain_raises(self, monkeypatch, theta, eps):
+        # no draw of a valid parameter leaves the closed domain, so both
+        # bodies' first draw is stubbed to (1/2, 100), whose pull-back lies
+        # outside the domain of p at either eps. A body that took it for a
+        # resample would go on to real draws and return a report
+        def first(outside, real):
+            calls = []
+
+            def draw(*args):
+                calls.append(args)
+                return outside if len(calls) == 1 else real(*args)
+
+            return draw
+
+        exact = is_exact(theta)
+        monkeypatch.setattr(renorm, "_draw", first(
+            (1 << 23, 100 << 24) if exact else (0.5, 100.0), renorm._draw
+        ))
+        monkeypatch.setitem(globals(), "old_random_domain_point", first(
+            Point(Fraction(1, 2), 100) if exact else Point(0.5, 100.0),
+            old_random_domain_point,
+        ))
+        p = Param(theta, eps)
+        with pytest.raises(OutOfDomain, match="outside the domain") as got:
+            induction_verify(p, 5, 0)
+        with pytest.raises(OutOfDomain) as want:
+            old_induction_verify(p, 5, 0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("theta, eps", [
         (SQRT2M1, 1), (Fraction(3, 8), -1), (parse_number("(sqrt(7)-1)/3"), 1),
     ])
     def test_exact_samples_build_no_numbers(self, monkeypatch, theta, eps):
@@ -691,13 +725,10 @@ class TestCover:
         p = Param(parse_number(theta), eps)
         l = _depth_within(p, 500)
         levels, last = descend(p, l)
-        blocks = [
-            (r, "CR"[letter == "b"], letter)
-            for r, letter in cover_seed(last.theta)
-        ]
+        seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(last.theta)]
         checked = 0
-        for level in reversed(levels):
-            blocks = list(cover_level(level, level.q.theta, blocks))
+        for k in reversed(range(l)):  # the cover at depth k of the levels' chain
+            blocks = lift_blocks(levels[k:], {l - k: seed})
             for (x, _, w, _), _, letter in blocks:
                 assert (x + w <= 1) if letter == "a" else (x >= 1)
             checked += len(blocks)
@@ -705,14 +736,75 @@ class TestCover:
             piece_count(levels[i:], last) for i in range(l)
         )
 
-    @pytest.mark.parametrize("theta, eps", [*COVER_PARAMS, ("3/8", -1)])
+    @pytest.mark.parametrize("theta, eps", [
+        *COVER_PARAMS, ("3/8", -1), ("0.4142135623730951", 1), ("0.3", -1),
+    ])
     def test_matches_piecewise_recursion(self, theta, eps):
         # every piece, in orbit order, with the scalar type of each
         # coordinate and of the contraction; 3/8 renormalizes to 0 at
-        # depth 3
+        # depth 3. A float parameter gives the recursion's floats bit for bit
         p = Param(parse_number(theta), eps)
         for l in range(_depth_within(p, 500) + 1):
             _assert_same_cover(cover(p, l), _oracle_cover(p, l))
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_params(), st.integers(0, 30))
+    @example(Param(Fraction(0), 1), 0)
+    @example(Param(Fraction(3, 8), -1), 3)  # the depth where the chain reaches 0
+    def test_matches_piecewise_recursion_at_random_parameters(self, p, l):
+        # depth l or less: at most 2,000 pieces, down to a chain's end at
+        # theta = 0
+        depth = 0
+        while depth < l and descend(p, depth)[1].theta != 0 and (
+            piece_count(*descend(p, depth + 1)) <= 2_000
+        ):
+            depth += 1
+        _assert_same_cover(cover(p, depth), _oracle_cover(p, depth))
+
+    @pytest.mark.parametrize("theta, eps, l, max_period", [
+        ("-1+sqrt(2)", -1, 6, 500), ("(-1+sqrt(5))/2", 1, 7, 200),
+        ("(sqrt(7)-1)/3", 1, 5, 200), ("(-13+4*sqrt(13))/4", -1, 4, 500),
+    ])
+    def test_one_path_for_covers_and_islands(self, monkeypatch, theta, eps, l, max_period):
+        # the oracles' results first; then Surd arithmetic raises while
+        # lift_blocks runs, which does all the per-piece and per-cell work,
+        # and its conversions back are counted: at most one per distinct
+        # coordinate
+        p = Param(parse_number(theta), eps)
+        want = _oracle_cover(p, l), oracle_islands(p, max_period)
+        lifting, calls = [], []
+        lift, canon = renorm.lift_blocks, renorm._canon
+
+        def lift_counted(*args):
+            lifting.append(True)
+            try:
+                return lift(*args)
+            finally:
+                lifting.pop()
+
+        def canon_counted(*args):
+            calls.append(args)
+            return canon(*args)
+
+        monkeypatch.setattr(renorm, "lift_blocks", lift_counted)
+        monkeypatch.setattr(renorm, "_canon", canon_counted)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+            def refuse(*args, op=getattr(Surd, name), name=name):
+                if lifting:
+                    raise AssertionError(f"Surd.{name} in the pair lift")
+                return op(*args)
+
+            monkeypatch.setattr(Surd, name, refuse)
+        for f, arg, oracle, same in zip(
+            (cover, islands), (l, max_period), want, (_assert_same_cover, assert_same_cells)
+        ):
+            got = f(p, arg)
+            same(got, oracle)
+            rects = [c.rect for c in got]
+            distinct = {(type(v), v) for r in rects for v in astuple(r)}
+            assert 0 < len(calls) <= len(distinct) < 4 * len(rects)
+            calls.clear()
 
     def test_terminal_seed_drops_rectangle(self):
         # 3/8 -> 2/3 -> 1/2 -> 0: the depth-3 cover grows from the square
