@@ -15,8 +15,10 @@ from .errors import Degenerate, NotTerminated
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
-from .pet import Param, psi_inverse
-from .renorm import Level, check_budget, cover_level, cover_seed, descend, rect_branch
+from .pet import Param, psi_inverse_ints
+from .renorm import (
+    Level, check_budget, cover_level, cover_seed, descend, rect_branch_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -133,24 +135,26 @@ def _fold(levels, arrays):
     """`renorm.cover_level` for each of levels, deepest first, on arrays
     (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks
     go out letter by letter, step by step of their return orbit, each step
-    into its output slice."""
+    into its output slice. The blocks are pairs in the given-values frame
+    (1, 0, theta, 0), each sqrt(d) part the scalar 0."""
     for level in reversed(levels):
-        *rect, sq, side = arrays
+        x, y, w, h, sq, side = arrays
         blocks = [
-            (tuple(a[m] for a in rect), sq[m], letter)
+            ((x[m], 0, y[m], 0, w[m], 0, h[m], 0), sq[m], letter)
             for m, letter in ((side, "a"), (~side, "b"))
         ]
         n_a, n_b = (s.size for _, s, _ in blocks)
         t_a, t_b = level.times
         dtypes = [a.dtype for a in arrays]
-        del rect, sq, side  # release the inputs before the output is allocated
+        del x, y, w, h, sq, side  # release the inputs before the output is allocated
         arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
         hi = 0
-        th, eps = float(level.q.theta), level.q.eps
-        maps = partial(psi_inverse, th, eps), partial(rect_branch, th, eps)
-        for r, s, letter in cover_level(level, *maps, blocks):
+        theta, eps = (1, 0, float(level.q.theta), 0), level.q.eps
+        pull = partial(psi_inverse_ints, theta, eps, 1)
+        push = partial(rect_branch_ints, theta, eps)
+        for r, s, letter in cover_level(level, pull, push, blocks):
             lo, hi = hi, hi + s.size
-            for o, a in zip(arrays, (*r, s, letter == "a")):
+            for o, a in zip(arrays, (*r[::2], s, letter == "a")):
                 o[lo:hi] = a
     return arrays
 

@@ -221,29 +221,21 @@ def code_orbit(p: Param, z: Point, n: int) -> Word:
 # -- periodic islands ----------------------------------------------------
 
 
-def psi_inverse(theta, eps: int, x, y, w=0, h=0):
-    """psi^-1 pulls the rectangle (x, y, w, h) of the renormalized domain
-    back into this one; a point when w = h = 0. theta and the coordinates
-    may be exact numbers or floats, the coordinates also numpy arrays."""
-    if eps == -1:
-        # psi(x, y) = (y, x)/theta; inverse (x, y) -> (theta*y, theta*x)
-        return theta * y, theta * x, theta * h, theta * w
-    # psi(x, y) = (x, y - theta)/(1 - theta)
-    s = 1 - theta
-    return s * x, theta + s * y, s * w, s * h
-
-
 def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
                      wa=0, wb=0, ha=0, hb=0) -> tuple:
-    """`psi_inverse` of a rectangle, or of a point, in `walk`'s integer
-    frame: theta as (T, d, ta, tb), meaning (ta + tb*sqrt(d))/T, and x, y, w
-    and h as pairs (a, b) over R; the image (x, y, w, h) as pairs over T*R."""
+    """psi^-1 pulls the rectangle (x, y, w, h) of the renormalized domain
+    back into this one; a point when w = h = 0. In `walk`'s integer frame:
+    theta as (T, d, ta, tb), meaning (ta + tb*sqrt(d))/T, and x, y, w and h
+    as pairs (a, b) over R; the image (x, y, w, h) as pairs over T*R. Floats
+    and numpy float arrays take the given-values frame (1, 0, theta, 0)."""
     T, d, ta, tb = theta
     if eps == -1:  # (theta*y, theta*x, theta*h, theta*w)
         ma, mb, oa, ob = ta, tb, 0, 0
         xa, xb, ya, yb, wa, wb, ha, hb = ya, yb, xa, xb, ha, hb, wa, wb
     else:  # (s*x, theta + s*y, s*w, s*h) with s = 1 - theta
         ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
+    if not d:  # no sqrt(d) part, as (a + b*sqrt(0))/R is a/R
+        return ma * xa, 0, oa + ma * ya, 0, ma * wa, 0, ma * ha, 0
     return (
         ma * xa + mb * xb * d, ma * xb + mb * xa,
         oa + ma * ya + mb * yb * d, ob + ma * yb + mb * ya,
@@ -257,14 +249,13 @@ def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
     order, with the letters `renorm.seed_periods` counts. Its origin is 0
     in theta's arithmetic: a Fraction at a rational theta, int 0 included,
     like every other coordinate there."""
-    from .renorm import rect_branch
-
     th, o = q.theta, _half(q.theta) - _half(q.theta)
     if th == 0:
         return [((o, o, 1, 1), "a")]
     if q.eps == -1:
         return [((th, th, 1 - th, 1 - th), "a")]
-    return [((o, o, th, th), "a"), (rect_branch(th, 1, "a", o, o, th, th), "b")]
+    # the square's image under the map, eps = +1
+    return [((o, o, th, th), "a"), ((1 + th - (o + th), 1 - (o + th), th, th), "b")]
 
 
 # Cells of one `islands` call, and the depths it walks. Lifting costs more

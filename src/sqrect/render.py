@@ -1,9 +1,9 @@
 """Deterministic rasterization of discontinuity sets, periodic islands and
 aperiodic-set covers into binary P6 pixmaps.
 
-Filled regions use pixel-center sampling on half-open rectangles; segments
-use 1px Bresenham lines. No anti-aliasing, so identical inputs always give
-byte-identical images.
+Filled regions use pixel-center sampling on half-open rectangles; segments,
+all axis-parallel, are 1px rows or columns. No anti-aliasing, so identical
+inputs always give byte-identical images.
 """
 
 from __future__ import annotations
@@ -90,27 +90,14 @@ class Image:
             self.pixels[r0:r1, c0:c1] = color
 
     def draw_segment(self, x0, y0, x1, y1, color) -> None:
-        """1px Bresenham line between the nearest pixel centers."""
+        """The 1px row or column between the nearest pixel centers of the
+        ends of an axis-parallel segment."""
         ca, ra = self.to_pixel(float(x0), float(y0))
         cb, rb = self.to_pixel(float(x1), float(y1))
-        c, r = int(round(ca)), int(round(ra))
-        ce, re = int(round(cb)), int(round(rb))
-        dc, dr = abs(ce - c), -abs(re - r)
-        sc = 1 if c < ce else -1
-        sr = 1 if r < re else -1
-        err = dc + dr
-        while True:
-            if 0 <= r < self.height and 0 <= c < self.width:
-                self.pixels[r, c] = color
-            if c == ce and r == re:
-                return
-            e2 = 2 * err
-            if e2 >= dr:
-                err += dr
-                c += sc
-            if e2 <= dc:
-                err += dc
-                r += sr
+        c0, c1 = sorted((int(round(ca)), int(round(cb))))
+        r0, r1 = sorted((int(round(ra)), int(round(rb))))
+        # clamped at 0 at both ends: a negative index counts from the end
+        self.pixels[max(r0, 0) : max(r1 + 1, 0), max(c0, 0) : max(c1 + 1, 0)] = color
 
     # -- output ----------------------------------------------------------
 

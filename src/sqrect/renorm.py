@@ -366,18 +366,11 @@ class CoverPiece:
     ratio: Number  # linear contraction applied to the model shape
 
 
-def rect_branch(theta, eps: int, letter: str, x, y, w, h):
-    """Image (x, y, w, h) of a rectangle under one step of the map, for a
-    rectangle inside the square (letter 'a') or the rectangle ('b'). Exact
-    numbers and numpy float arrays alike."""
-    if letter == "b":
-        return x - 1, 1 - (y + h), w, h
-    return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
-
-
 def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha, hb):
-    """`rect_branch` in `pet.psi_inverse_ints`' frame: theta as (R, d, ta,
-    tb) and x, y, w and h as pairs (a, b), all meaning (a + b*sqrt(d))/R."""
+    """Image (x, y, w, h) of a rectangle under one step of the map, for a
+    rectangle inside the square (letter 'a') or the rectangle ('b'), in
+    `pet.psi_inverse_ints`' frame: theta as (R, d, ta, tb) and x, y, w and h
+    as pairs (a, b), all meaning (a + b*sqrt(d))/R."""
     R, _, ta, tb = theta
     if letter == "b":
         return xa - R, xb, R - (ya + ha), -(yb + hb), wa, wb, ha, hb
@@ -418,14 +411,15 @@ def check_budget(levels: list[Level], q: Param, budget: int) -> None:
 
 def cover_level(level: Level, pull, push, blocks):
     """One level of the cover recursion. A block (rect, tag, letter) is one
-    exact piece in pairs (`lift_blocks`), or all pieces of one letter as
-    numpy float arrays (`fractal._fold`); the letter is the side, square 'a'
-    or rectangle 'b', that its pieces lie in, and the tag (the piece shape
-    of covers, the orbit depth of `pet.islands`) is carried untouched. Each
-    block is pulled back, pull(*rect), and spread along its return orbit: at
-    step i it lies on side sigma(letter)[i], yielded as (rect, tag, side),
-    and takes its branch, push(side, *rect); pull and push are the level's
-    `psi_inverse` and `rect_branch` in the block's form."""
+    exact piece (`lift_blocks`), or all pieces of one letter as numpy float
+    arrays (`fractal._fold`), its rect in pairs either way; the letter is
+    the side, square 'a' or rectangle 'b', that its pieces lie in, and the
+    tag (the piece shape of covers, the orbit depth of `pet.islands`) is
+    carried untouched. Each block is pulled back, pull(*rect), and spread
+    along its return orbit: at step i it lies on side sigma(letter)[i],
+    yielded as (rect, tag, side), and takes its branch, push(side, *rect);
+    pull and push are `pet.psi_inverse_ints` and `rect_branch_ints` in the
+    level's frame."""
     images = {"a": str(level.sigma.image_a), "b": str(level.sigma.image_b)}
     for r, tag, letter in blocks:
         r = pull(*r)

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from sqrect.exactnum import make_surd
-from sqrect.pet import Param, Point, code_orbit, islands, psi_inverse
+from sqrect.pet import Param, Point, code_orbit, islands
 from sqrect.renorm import (
     Level,
     incidence_matrix,
@@ -47,6 +47,7 @@ from sqrect.render import (
     render_discontinuities,
     render_islands,
 )
+from oracle_maps import psi_inverse
 from test_cfrac import generic_branch_sum, s_interval
 from test_lyap import divergence_profile, slow_norm_integral
 from test_render import pixel_set_distance

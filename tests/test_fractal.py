@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sqrect.errors import Degenerate, NotTerminated
 from sqrect.exactnum import make_surd, parse_number
-from sqrect.pet import Param, psi_inverse
+from sqrect.pet import Param
 from sqrect.renorm import (
     RIGHT,
     UNIT,
@@ -18,7 +18,6 @@ from sqrect.renorm import (
     descend,
     incidence_matrix,
     piece_count,
-    rect_branch,
     renorm_step,
 )
 from sqrect.lyap import cocycle_product
@@ -39,6 +38,8 @@ from sqrect.fractal import (
     selfsimilar_dimension,
     selfsimilar_parameter,
 )
+from oracle_maps import psi_inverse, rect_branch
+from test_pet import exact_params
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -145,6 +146,7 @@ class TestRatioSequenceEstimator:
             assert val == pytest.approx(r ** (-l), rel=1e-9)
 
 
+# the six self-similar parameters, which the bench covers, first
 FOLD_PARAMS = [
     *((f"-{n}+sqrt({n * n + 1})", -1) for n in (1, 2, 3)),
     *((f"-{n}+sqrt({n * (n + 2)})", 1) for n in (1, 2, 3)),
@@ -152,6 +154,8 @@ FOLD_PARAMS = [
     ("(sqrt(7)-1)/3", 1),
     ("3/8", -1),
     (0.3183098861837907, 1),
+    (0.4142135623730951, -1),
+    (0.4142135623730951, 1),
 ]
 
 
@@ -195,6 +199,20 @@ def _oracle_fold(qs, arrays):
                 for o, a in zip(arrays, (*rect, s, letter == "a")):
                     o[lo:hi] = a
     return arrays
+
+
+def _oracle_cover_arrays(p, l):
+    """The depth-l cover of p as `_cover`'s six arrays, by `_oracle_fold`."""
+    params = param_chain(p, l)
+    seed = cover_seed(float(params[-1].theta))
+    rects = np.array([r for r, _ in seed], dtype=float).T
+    letters = np.array([letter == "a" for _, letter in seed])
+    return _oracle_fold(params[:-1], (*rects, letters, letters))
+
+
+def _assert_same_arrays(got, want):
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestCoverArrays:
@@ -242,23 +260,38 @@ class TestCoverArrays:
 
     @pytest.mark.parametrize("theta, eps", FOLD_PARAMS)
     def test_matches_letter_major_fold(self, theta, eps):
-        # all six arrays, dtype and bits, at every depth up to about 10**5
-        # pieces
+        # all six arrays, dtype and bits, at every depth up to 10**6 pieces,
+        # the bench's largest cover
         p = Param(parse_number(theta) if isinstance(theta, str) else theta, eps)
         l = 0
         while True:
-            params = param_chain(p, l)
-            seed = cover_seed(float(params[-1].theta))
-            rects = np.array([r for r, _ in seed], dtype=float).T
-            letters = np.array([letter == "a" for _, letter in seed])
-            want = _oracle_fold(params[:-1], (*rects, letters, letters))
-            got = _cover(*descend(p, l))
-            assert [a.dtype for a in got] == [a.dtype for a in want]
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            if params[-1].theta == 0 or piece_count(*descend(p, l + 1)) > 10**5:
+            _assert_same_arrays(_cover(*descend(p, l)), _oracle_cover_arrays(p, l))
+            if descend(p, l)[1].theta == 0 or piece_count(*descend(p, l + 1)) > 10**6:
                 break
             l += 1
         assert l >= 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                Param,
+                st.floats(0, 1, exclude_max=True, allow_subnormal=False),
+                st.sampled_from([-1, 1]),
+            ),
+            exact_params(),
+        ),
+        st.integers(0, 20),
+    )
+    def test_matches_plain_number_fold_at_random_parameters(self, p, l):
+        # depth l or less: at most 20,000 pieces, down to a chain's end at
+        # theta = 0
+        depth = 0
+        while depth < l and descend(p, depth)[1].theta != 0 and (
+            piece_count(*descend(p, depth + 1)) <= 20_000
+        ):
+            depth += 1
+        _assert_same_arrays(cover_arrays(p, depth), _oracle_cover_arrays(p, depth)[:5])
 
     def test_piece_budget(self):
         p = Param(SQRT2M1, -1)

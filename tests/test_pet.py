@@ -24,12 +24,12 @@ from sqrect.pet import (
     code_orbit,
     discontinuity_segments,
     islands,
-    psi_inverse,
     step,
     walk,
 )
 from sqrect.renorm import RIGHT, UNIT, Mat2, seed_periods
 from sqrect.words import Word
+from oracle_maps import psi_inverse
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -454,6 +454,35 @@ class TestWalk:
         got = pet.psi_inverse_ints((T, d, ta, tb), eps, R, *xywh)
         want = psi_inverse(theta, eps, *rect)
         assert [value(a, b, T * R) for a, b in zip(got[::2], got[1::2])] == [*want]
+
+    @settings(max_examples=300)
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(1, 10**6), st.sampled_from([-1, 1]), st.integers(1, 1 << 24),
+           st.lists(st.integers(-10**9, 10**9), min_size=8, max_size=8), st.booleans())
+    def test_psi_inverse_ints_without_sqrt_part(self, ta, tb, T, eps, R, xywh,
+                                                rational):
+        # at d = 0 a pair (a, b) means a, so the image is the full pair
+        # formula's a parts with every b part 0; and at a rational theta,
+        # every b 0, the full formula's tuple itself
+        if rational:
+            tb, xywh[1::2] = 0, [0] * 4
+        d = 0
+        if eps == -1:
+            ma, mb, oa, ob = ta, tb, 0, 0
+            xa, xb, ya, yb, wa, wb, ha, hb = (
+                *xywh[2:4], *xywh[:2], *xywh[6:], *xywh[4:6])
+        else:
+            ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
+            xa, xb, ya, yb, wa, wb, ha, hb = xywh
+        full = (
+            ma * xa + mb * xb * d, ma * xb + mb * xa,
+            oa + ma * ya + mb * yb * d, ob + ma * yb + mb * ya,
+            ma * wa + mb * wb * d, ma * wb + mb * wa,
+            ma * ha + mb * hb * d, ma * hb + mb * ha,
+        )
+        got = pet.psi_inverse_ints((T, 0, ta, tb), eps, R, *xywh)
+        assert got[::2] == full[::2] and got[1::2] == (0, 0, 0, 0)
+        assert got == full or not rational
 
 
 ISLAND_PARAMS = [

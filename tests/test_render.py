@@ -44,6 +44,32 @@ def pixel_set_distance(a: Image, b: Image, color=None) -> float:
     return float(max(db[ma].max(), da[mb].max()))
 
 
+def bresenham(img: Image, x0, y0, x1, y1):
+    """The pixels (row, col) inside the image of the 1px Bresenham line
+    between the nearest pixel centers of two points: the reference of
+    `Image.draw_segment` on axis-parallel segments."""
+    ca, ra = img.to_pixel(x0, y0)
+    cb, rb = img.to_pixel(x1, y1)
+    c, r = int(round(ca)), int(round(ra))
+    ce, re = int(round(cb)), int(round(rb))
+    dc, dr = abs(ce - c), -abs(re - r)
+    sc = 1 if c < ce else -1
+    sr = 1 if r < re else -1
+    err = dc + dr
+    while True:
+        if 0 <= r < img.height and 0 <= c < img.width:
+            yield r, c
+        if c == ce and r == re:
+            return
+        e2 = 2 * err
+        if e2 >= dr:
+            err += dr
+            c += sc
+        if e2 <= dc:
+            err += dc
+            r += sr
+
+
 class TestImage:
     def test_min_size_enforced(self):
         with pytest.raises(ValueError):
@@ -81,6 +107,26 @@ class TestImage:
             xs, ys = to_world(round(c), round(r))
             assert abs(xs - x) * img.scale <= 0.5 + 1e-9
             assert abs(ys - y) * img.scale <= 0.5 + 1e-9
+
+    def test_segment_matches_bresenham(self):
+        # axis-parallel segments either way round, some of length 0, some
+        # partly or wholly off the image; half of them end on pixel edges,
+        # where the nearest center is a tie
+        img = Image.for_domain(1.5, 64)
+        rng = random.Random(2)
+        for _ in range(20_000):
+            if rng.random() < 0.5:
+                x, y = rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 1.5)
+                length = rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+            else:
+                x, y, length = (rng.randrange(-40, 140) / img.scale for _ in range(3))
+            x1, y1 = (x + length, y) if rng.random() < 0.5 else (x, y + length)
+            img.pixels[:] = 0
+            img.draw_segment(x, y, x1, y1, (1, 1, 1))
+            want = np.zeros(img.pixels.shape[:2], dtype=bool)
+            for r, c in bresenham(img, x, y, x1, y1):
+                want[r, c] = True
+            assert np.array_equal(img.pixels[..., 0] == 1, want), (x, y, x1, y1)
 
     def test_fill_rect_is_half_open(self):
         img = Image.for_domain(1.0, 64)

@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 import time
 from dataclasses import astuple
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +17,7 @@ from sqrect.fractal import box_count_deep, cover_arrays
 from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, OutOfDomain, Terminal
 from sqrect.exactnum import Surd, is_exact, make_surd, parse_number
 from sqrect.pet import (
-    Param, Point, Rect, code_orbit, islands, psi_inverse, step, walk,
+    Param, Point, Rect, code_orbit, islands, step, walk,
 )
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
@@ -36,10 +38,10 @@ from sqrect.renorm import (
     lift_blocks,
     period_sequence,
     piece_count,
-    rect_branch,
     renorm_step,
     similitude,
 )
+from oracle_maps import psi_inverse, rect_branch
 from test_pet import assert_same_cells, exact_params, oracle_islands
 from test_words import abelianization
 
@@ -136,7 +138,7 @@ class TestSimilitude:
 
 
 def pull_back(p: Param, z: Point) -> Point:
-    """psi^-1 of a point: the point form of `pet.psi_inverse`."""
+    """psi^-1 of a point: the point form of `psi_inverse`."""
     return Point(*psi_inverse(p.theta, p.eps, *z)[:2])
 
 
@@ -670,6 +672,39 @@ def _assert_same_cover(got, want):
         return [(type(v), v) for v in (r.x, r.y, r.w, r.h, c.ratio)], c.shape
 
     assert [fields(c) for c in got] == [fields(c) for c in want]
+
+
+def test_psi_inverse_and_the_rectangle_step_written_once():
+    # psi^-1 and the rectangle step of the map are defined once, in pairs:
+    # the float fold binds those, and the seed orbit of the islands writes
+    # its one step out rather than borrow it from renorm
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(renorm.__file__).parent.glob("*.py")
+    }
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"psi_inverse", "rect_branch"}
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["fractal"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {"psi_inverse_ints", "rect_branch_ints"} <= bound
+    seed_cells = next(
+        node for node in trees["pet"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_seed_cells"
+    )
+    imports = [
+        ast.unparse(node) for node in ast.walk(seed_cells)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not [line for line in imports if "renorm" in line]
 
 
 class TestCover:
