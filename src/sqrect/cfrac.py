@@ -24,7 +24,6 @@ from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
     family_coefficients, middle_image, odd, slow_image,
 )
-from .words import Substitution
 
 LN6 = math.log(6)
 
@@ -111,7 +110,7 @@ class AccelStep:
     n: int
 
     @cached_property
-    def sigma_bold(self) -> Substitution:
+    def sigma_bold(self) -> tuple[str, str]:
         # built on demand: the letter images have length ~ branch index,
         # which can be astronomical for orbits close to the interval ends
         return self.family.sigma(self.n)

@@ -113,7 +113,7 @@ def _cmd_expand(args):
 def _cmd_orbit(args):
     p = parse_param(args.param)
     z = parse_point(args.point)
-    word = str(code_orbit(p, z, _given(args.depth, 100)))
+    word = code_orbit(p, z, _given(args.depth, 100))
     report = {"param": str(p), "coding": word, "length": len(word)}
     return report, [("coding",), (word,)], [word]
 

@@ -34,11 +34,8 @@ from .errors import MixedSurdFields
 Exact = Union[int, Fraction, "Surd"]
 Number = Union[int, Fraction, "Surd", float]
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-# Trial division past _SMALL_PRIMES runs up to the square root of what is
-# left, so the cofactor is capped to keep construction from input bounded.
+# Trial division runs up to the square root of what is left, so the cofactor
+# left by the primes below 49 is capped to keep construction from input bounded.
 _MAX_COFACTOR = 10**12
 
 
@@ -46,27 +43,18 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s**2 * f and f square-free.
 
     Raises ValueError when n is not positive, or when the cofactor left
-    after removing _SMALL_PRIMES exceeds 10**12 (too costly to factor).
+    after removing the primes below 49 exceeds 10**12 (too costly to factor).
+    Trial division by 2 and the odd numbers up to the square root of what
+    is left: the cofactor left at the end is 1 or a prime.
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
-    s, f = 1, 1
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        if n % p == 0:
-            n //= p
-            f *= p
-    if n > _MAX_COFACTOR:
-        raise ValueError(
-            f"radicand too large: cofactor {n} exceeds {_MAX_COFACTOR}"
-        )
-    # remaining n has no small square factors; check for a large square
-    p = 49
+    s, f, p = 1, 1, 2
     while p * p <= n:
+        if p == 49 and n > _MAX_COFACTOR:
+            raise ValueError(
+                f"radicand too large: cofactor {n} exceeds {_MAX_COFACTOR}"
+            )
         if n % p == 0:
             while n % (p * p) == 0:
                 n //= p * p
@@ -74,10 +62,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if n % p == 0:
                 n //= p
                 f *= p
-        p += 2
-    r = math.isqrt(n)
-    if r * r == n:
-        return s * r, f
+        p += 1 if p == 2 else 2
     return s, f * n
 
 

@@ -20,7 +20,6 @@ from itertools import groupby
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
 from .exactnum import Number, Surd, _canon, _sign, format_number, is_exact
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,13 @@ class Cell:
     orbit share its code, each from its own offset."""
 
     rect: Rect
-    code: Word
+    code: str
     offset: int
     orbit_period: int
 
     @property
-    def code_period(self) -> Word:
-        return self.code.rotate(self.offset)
+    def code_period(self) -> str:
+        return self.code[self.offset :] + self.code[: self.offset]
 
 
 # -- the map -------------------------------------------------------------
@@ -198,7 +197,7 @@ def step(p: Param, z: Point) -> Point:
 ORBIT_STEP_BUDGET = 4_000_000
 
 
-def code_orbit(p: Param, z: Point, n: int) -> Word:
+def code_orbit(p: Param, z: Point, n: int) -> str:
     """The first n letters of the coding of z's orbit, read off `walk`. Raises
     NotTerminated, before the first step, above ORBIT_STEP_BUDGET letters. A
     float theta or coordinate makes the surds among them floats, converted
@@ -215,7 +214,7 @@ def code_orbit(p: Param, z: Point, n: int) -> Word:
         p, z = Param(th, p.eps), Point(x, y)
     letters = []
     walk(p, z, n - 1, letters)
-    return Word("".join(letters))
+    return "".join(letters)
 
 
 # -- periodic islands ----------------------------------------------------
@@ -297,7 +296,7 @@ def islands(p: Param, max_period: int) -> list[Cell]:
         # the cells come from the pair steps; one exact step checks the closure
         if step(p, rects[-1].center) != rects[0].center:
             raise NotTerminated("orbit did not close up at its computed period")
-        code = Word("".join(sides))
+        code = "".join(sides)
         out.extend(Cell(r, code, i, len(rects)) for i, r in enumerate(rects))
     return out
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
 from .exactnum import Number, _canon
 from .pet import Param, Point, Rect, _lift, _steps, psi_inverse_ints
-from .words import Substitution, Word
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,9 @@ class BranchFamily:
     accumulate; the branch index is n = floor(1/gap(x)). `A(n)` gives the
     entries (m11, m12, m21, m22) of the Moebius matrix (branch n maps x to
     A(n).x), `M(n)` those of the cocycle matrix, `ends(n)` the ends of the
-    domain of branch n, and `sigma(n)` its substitution. All but `sigma` are
-    plain arithmetic, so they take exact numbers and Python ints as well as
-    numpy float arrays.
+    domain of branch n, and `sigma(n)` its substitution, the images of `a`
+    and `b` as a pair of strings. All but `sigma` are plain arithmetic, so
+    they take exact numbers and Python ints as well as numpy float arrays.
 
     On unit and right branches the Moebius denominator is the gap itself,
     and A(n).x = 1/gap(x) - n + n % 2 (`slow_image`; middle: `middle_image`).
@@ -92,7 +91,7 @@ UNIT = BranchFamily(
     A=lambda n: (n % 2 - n, 1, 1, 0),
     M=lambda n: (2 * n - 1, 2, n, 1),
     ends=lambda n: (1 / (n + 1), 1 / n),
-    sigma=lambda n: Substitution(Word("ab" + "aab" * (n - 1)), Word("aab")),
+    sigma=lambda n: ("ab" + "aab" * (n - 1), "aab"),
 )
 # x in (1, 3/2): branch n on (1 + 1/(n+1), 1 + 1/n] is right branch 1 taken
 # n - 1 times, so A, M and sigma are those of right branch 1 to the n - 1
@@ -102,7 +101,7 @@ MIDDLE = BranchFamily(
     A=lambda n: (2 - n, n - 1, 1 - n, n),
     M=lambda n: (1, 2 * (n - 1), 0, 1),
     ends=lambda n: (1 + 1 / (n + 1), 1 + 1 / n),
-    sigma=lambda n: Substitution(Word("a"), Word("a" * (2 * (n - 1)) + "b")),
+    sigma=lambda n: ("a", "a" * (2 * (n - 1)) + "b"),
 )
 # x in [3/2, 2): branch n on [2 - 1/n, 2 - 1/(n+1)), left-closed so that it
 # mirrors the unit branches through x -> 2 - x; the slow map also takes the
@@ -113,7 +112,7 @@ RIGHT = BranchFamily(
     A=lambda n: (n - n % 2, 1 + 2 * (n % 2 - n), -1, 2),
     M=lambda n: (2 * n - 1, 2, n - 1, 1),
     ends=lambda n: (2 - 1 / n, 2 - 1 / (n + 1)),
-    sigma=lambda n: Substitution(Word("a" + "aab" * (n - 1)), Word("aab")),
+    sigma=lambda n: ("a" + "aab" * (n - 1), "aab"),
 )
 FAMILIES = (UNIT, MIDDLE, RIGHT)
 # the lower ends of the middle and right families: for a float array x,
@@ -210,7 +209,7 @@ class Level:
         )
 
     @cached_property
-    def sigma(self) -> Substitution:
+    def sigma(self) -> tuple[str, str]:
         # built on demand: its images have about 3n letters
         return self.family.sigma(self.n)
 
@@ -420,7 +419,7 @@ def cover_level(level: Level, pull, push, blocks):
     yielded as (rect, tag, side), and takes its branch, push(side, *rect);
     pull and push are `pet.psi_inverse_ints` and `rect_branch_ints` in the
     level's frame."""
-    images = {"a": str(level.sigma.image_a), "b": str(level.sigma.image_b)}
+    images = dict(zip("ab", level.sigma))
     for r, tag, letter in blocks:
         r = pull(*r)
         word = images[letter]

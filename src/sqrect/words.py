@@ -1,4 +1,6 @@
-"""Words over {a,b}, substitutions, limit words and tower statistics."""
+"""Limit words, their factor complexity and tower statistics, read off the
+accelerated walk (`cfrac.accel_walk`) and the cocycle walk
+(`lyap.cocycle_walk`). Substitutions are `renorm`'s pairs of letter images."""
 
 from __future__ import annotations
 
@@ -7,7 +9,10 @@ from itertools import islice
 
 import numpy as np
 
+from .cfrac import accel_walk, param_to_x
 from .errors import NotTerminated, PrefixTooShort, Terminal, WindowTooShort
+from .lyap import cocycle_walk
+from .renorm import Mat2
 
 # Letters of a limit-word prefix, checked before anything is expanded. The
 # factor counts peak at about 17 bytes per letter, so this is about 0.6 GB.
@@ -15,7 +20,8 @@ LETTER_BUDGET = 1 << 25
 
 
 class Word:
-    """Immutable finite word over the alphabet {a, b}."""
+    """Immutable finite word over the alphabet {a, b}: a limit word, which
+    keeps the factor counts `complexity` has made of it."""
 
     # _factors caches complexity's refinement; it is not part of the value
     __slots__ = ("_s", "_factors")
@@ -53,26 +59,6 @@ class Word:
 
     def __str__(self) -> str:
         return self._s
-
-    def rotate(self, i: int) -> "Word":
-        i %= max(len(self._s), 1)
-        return Word(self._s[i:] + self._s[:i])
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """Morphism of the free monoid on {a, b}, given by the letter images."""
-
-    image_a: Word
-    image_b: Word
-
-    def __post_init__(self):
-        if len(self.image_a) == 0 or len(self.image_b) == 0:
-            raise ValueError("substitution images must be nonempty")
-
-    def __call__(self, w: Word) -> Word:
-        table = {"a": str(self.image_a), "b": str(self.image_b)}
-        return Word("".join(table[c] for c in w))
 
 
 def _refine(classes: np.ndarray, last: np.ndarray, count: int):
@@ -138,8 +124,6 @@ def limit_word(p, length: int) -> Word:
     using the accelerated substitution at each expansion step; every
     image of `a` starts with `a`, so prefixes stabilize.
     """
-    from .cfrac import param_to_x
-
     return limit_word_x(param_to_x(p), length)
 
 
@@ -155,10 +139,6 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
         raise ValueError(f"depth must be at least 0, got {l}")
     # block lengths are the column sums of the depth-l cocycle matrix;
     # the blocks themselves are never needed, and can be astronomically long
-    from .cfrac import param_to_x
-    from .lyap import cocycle_walk
-    from .renorm import Mat2
-
     M = Mat2.identity()
     for st, _ in cocycle_walk(param_to_x(p), l + 1):  # factors 0..l
         M = M @ st.M_bold
@@ -189,28 +169,25 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
 
 
 def limit_word_x(x, length: int) -> Word:
-    """Limit-word prefix for a parameter given in interval form."""
-    from .cfrac import accel_walk
-
+    """Limit-word prefix for a parameter given in interval form. Each
+    substitution is a translation table, applied by `str.translate`."""
     if length < 1:
         raise ValueError(f"prefix length must be at least 1, got {length}")
     if length > LETTER_BUDGET:
         raise NotTerminated(
             f"{length} letters exceed the budget of {LETTER_BUDGET} (about 0.6 GB)"
         )
-    subs = []
+    tables = []
     # safety cap; growth makes far fewer needed. accel_walk raises Terminal
     # at rational ends
     for step in islice(accel_walk(x), 4 * length):
-        subs.append(step.sigma_bold)
+        tables.append(str.maketrans(dict(zip("ab", step.sigma_bold))))
         # enough depth once the innermost seed expands past `length`
-        w = Word("a")
-        for s in reversed(subs):
-            w = s(w)
+        w = "a"
+        for table in reversed(tables):
+            w = w.translate(table)
             # stops before sigma_0: the returned word is a prefix of
             # sigma_j ∘ ... (a) for some j > 0, a known defect
             if len(w) >= length:
-                break
-        if len(w) >= length:
-            return w[:length]
+                return Word(w[:length])
     raise Terminal(f"expansion too short to generate {length} letters")

@@ -19,6 +19,13 @@ from sqrect.exactnum import (
 )
 
 
+def squarefree_oracle(n: int) -> tuple[int, int]:
+    """(s, n / s**2) for the largest s whose square divides n, by trying
+    every s up to the square root."""
+    s = max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
+
+
 def surd2(p, q, r=1):
     return make_surd(p, q, r, 2)
 
@@ -44,6 +51,27 @@ class TestConstruction:
         assert squarefree_decompose(12) == (2, 3)
         assert squarefree_decompose(49) == (7, 1)
         assert squarefree_decompose(30) == (1, 30)
+
+    def test_squarefree_decompose_matches_oracle_below_5000(self):
+        for n in range(1, 5000):
+            assert squarefree_decompose(n) == squarefree_oracle(n), n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 1000), st.integers(1, 1000))
+    def test_squarefree_decompose_matches_oracle(self, s, f):
+        n = s * s * f
+        assert squarefree_decompose(n) == squarefree_oracle(n)
+
+    def test_squarefree_decompose_refuses_large_cofactor(self):
+        # the cofactor left by the primes below 49 is capped at 10**12
+        big = 10**12 + 39  # no prime below 49 divides it
+        for n in (big, 49 * big, 2 * 3 * 47 * big, 47**2 * big, 1_000_003**2):
+            with pytest.raises(ValueError, match="radicand too large"):
+                squarefree_decompose(n)
+        prime = 999_999_999_989  # the largest prime below 10**12
+        assert squarefree_decompose(10**12) == (10**6, 1)
+        assert squarefree_decompose(prime) == (1, prime)
+        assert squarefree_decompose(47**2 * 6 * prime) == (47, 6 * prime)
 
 
 class TestArithmetic:

@@ -186,7 +186,7 @@ def _oracle_fold(qs, arrays):
         th = float(q.theta)
         sigma = substitution(q)
         x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
-        groups = ((str(sigma.image_a), side), (str(sigma.image_b), ~side))
+        groups = ((sigma[0], side), (sigma[1], ~side))
         size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
         arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
         hi = 0

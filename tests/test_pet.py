@@ -28,8 +28,8 @@ from sqrect.pet import (
     walk,
 )
 from sqrect.renorm import RIGHT, UNIT, Mat2, seed_periods
-from sqrect.words import Word
 from oracle_maps import psi_inverse
+from test_words import apply
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -92,16 +92,16 @@ class Orbit:
     """One periodic orbit of cells, by a representative square."""
 
     rect: Rect
-    code: Word  # coding along the orbit, starting at the representative
+    code: str  # coding along the orbit, starting at the representative
 
 
 def _oracle_seed_orbits(p: Param) -> list[Orbit]:
     th = p.theta
     if th == 0:
-        return [Orbit(Rect(0, 0, 1, 1), Word("a"))]
+        return [Orbit(Rect(0, 0, 1, 1), "a")]
     if p.eps == -1:
-        return [Orbit(Rect(th, th, 1 - th, 1 - th), Word("a"))]
-    return [Orbit(Rect(0, 0, th, th), Word("ab"))]
+        return [Orbit(Rect(th, th, 1 - th, 1 - th), "a")]
+    return [Orbit(Rect(0, 0, th, th), "ab")]
 
 
 def _oracle_orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
@@ -125,7 +125,7 @@ def _oracle_orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
         for o in orbits:
             r = o.rect
             rect = Rect(*psi_inverse(q.theta, q.eps, r.x, r.y, r.w, r.h))
-            lifted.append(Orbit(rect, sigma(o.code)))
+            lifted.append(Orbit(rect, apply(sigma, o.code)))
         orbits = lifted
     return orbits
 
@@ -251,13 +251,13 @@ class TestCoding:
     def test_letters(self):
         p = Param(SQRT2M1, -1)
         w = code_orbit(p, Point(Fraction(1, 7), Fraction(2, 7)), 8)
-        assert str(w)[0] == "a"
-        assert set(str(w)) <= {"a", "b"}
+        assert type(w) is str and w[0] == "a"
+        assert set(w) <= {"a", "b"}
 
     def test_float_point_at_surd_param(self):
         # the surd theta is converted to a float once, before the first step
         w = code_orbit(Param(SQRT2M1, -1), Point(0.3, 0.2), 1000)
-        digest = hashlib.sha256(str(w).encode()).hexdigest()
+        digest = hashlib.sha256(w.encode()).hexdigest()
         assert digest.startswith("188d78595d2dd691")
 
     def test_float_point_converts_surds_of_any_field(self):
@@ -304,7 +304,7 @@ def old_walk(p: Param, z: Point, k: int) -> Point:
     return z
 
 
-def old_code_orbit(p: Param, z: Point, n: int) -> Word:
+def old_code_orbit(p: Param, z: Point, n: int) -> str:
     if not all(map(is_exact, (p.theta, *z))):
         try:
             th, x, y = (float(v) if isinstance(v, Surd) else v for v in (p.theta, *z))
@@ -321,7 +321,7 @@ def old_code_orbit(p: Param, z: Point, n: int) -> Word:
                 z = old_step(p, z)
         except OnDiscontinuity as e:
             raise OnDiscontinuity(str(e), step=k) from None
-    return Word("".join(letters))
+    return "".join(letters)
 
 
 def outcome(f, *args):
@@ -558,13 +558,13 @@ class TestIslands:
 
         def cells(max_period):
             return sorted(
-                (c.orbit_period, str(c.code_period), c.rect)
+                (c.orbit_period, c.code_period, c.rect)
                 for c in deep if c.orbit_period <= max_period
             )
 
         for max_period in (1, 2, 5, 13, 21, 60):
             assert cells(max_period) == sorted(
-                (c.orbit_period, str(c.code_period), c.rect)
+                (c.orbit_period, c.code_period, c.rect)
                 for c in islands(p, max_period)
             )
 
@@ -573,6 +573,13 @@ class TestIslands:
             assert detect_period(
                 Param(SQRT2M1, -1), cell.rect.center, 6
             ) == cell.orbit_period
+
+    def test_code_period_rotates_the_code(self):
+        # each cell of an orbit reads the orbit's code from its own offset
+        r = Rect(0, 0, 1, 1)
+        assert [Cell(r, "abb", i, 3).code_period for i in range(3)] == [
+            "abb", "bba", "bab",
+        ]
 
     def test_coding_constant_on_cell(self):
         p = Param(SQRT2M1, -1)

@@ -43,7 +43,7 @@ from sqrect.renorm import (
 )
 from oracle_maps import psi_inverse, rect_branch
 from test_pet import assert_same_cells, exact_params, oracle_islands
-from test_words import abelianization
+from test_words import abelianization, apply
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -582,9 +582,9 @@ class TestCodingCommutation:
                 w_dn = code_orbit(q, z1, 200)
             except OnDiscontinuity:
                 continue
-            img = sigma(w_dn)
+            img = apply(sigma, w_dn)
             n = min(len(img), 300)
-            assert str(img)[:n] == str(w_up)[:n]
+            assert img[:n] == w_up[:n]
             done += 1
 
 
@@ -639,8 +639,7 @@ def param_chain(p, l):
 # The cover recursion as it was written piece by piece, a CoverPiece and a
 # division per piece and level: the oracle of `cover`'s pieces and order.
 def _oracle_cover_level(q, pieces):
-    sigma = substitution(q)
-    images = {"a": str(sigma.image_a), "b": str(sigma.image_b)}
+    images = dict(zip("ab", substitution(q)))
     ratio_q = ratio(q)
     out = []
     for piece, letter in pieces:

@@ -1,8 +1,10 @@
+import ast
 import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +14,8 @@ from sqrect.cfrac import accel, param_to_x
 from sqrect.errors import NotTerminated, PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
-from sqrect.words import (
-    LETTER_BUDGET,
-    Substitution,
-    Word,
-    complexity,
-    limit_word,
-    tower_stats,
-)
+from sqrect.renorm import FAMILIES
+from sqrect.words import LETTER_BUDGET, Word, complexity, limit_word, tower_stats
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -32,29 +28,35 @@ SURD_FAMILIES = [
 ]
 
 
-def counts(w: Word) -> tuple[int, int]:
+def counts(w: str) -> tuple[int, int]:
     """(number of a's, number of b's)."""
     na = str(w).count("a")
     return na, len(w) - na
 
 
-def abelianization(s: Substitution) -> tuple[int, int, int, int]:
+def apply(sigma: tuple[str, str], w: str) -> str:
+    """sigma(w) for sigma the pair of images of a and b: the image of each
+    letter of w, concatenated."""
+    images = dict(zip("ab", sigma))
+    return "".join(images[c] for c in w)
+
+
+def abelianization(sigma: tuple[str, str]) -> tuple[int, int, int, int]:
     """(m11, m12, m21, m22): column j counts letters in image of letter j."""
-    a_in_a, b_in_a = counts(s.image_a)
-    a_in_b, b_in_b = counts(s.image_b)
+    a_in_a, b_in_a = counts(sigma[0])
+    a_in_b, b_in_b = counts(sigma[1])
     return a_in_a, a_in_b, b_in_a, b_in_b
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
+def compose(s1: tuple[str, str], s2: tuple[str, str]) -> tuple[str, str]:
     """s1 after s2: (s1*s2)(w) = s1(s2(w))."""
-    return Substitution(s1(s2.image_a), s1(s2.image_b))
+    return apply(s1, s2[0]), apply(s1, s2[1])
 
 
-words = st.text(alphabet="ab", max_size=30).map(Word)
-substitutions = st.builds(
-    Substitution,
-    st.text(alphabet="ab", min_size=1, max_size=6).map(Word),
-    st.text(alphabet="ab", min_size=1, max_size=6).map(Word),
+words = st.text(alphabet="ab", max_size=30)
+substitutions = st.tuples(
+    st.text(alphabet="ab", min_size=1, max_size=6),
+    st.text(alphabet="ab", min_size=1, max_size=6),
 )
 
 
@@ -66,23 +68,18 @@ class TestWord:
     def test_counts(self):
         assert counts(Word("aabab")) == (3, 2)
 
-    def test_rotate(self):
-        assert Word("abb").rotate(1) == Word("bba")
-        assert Word("abb").rotate(3) == Word("abb")
-
     def test_slice_is_word(self):
         w = Word("abab")[1:3]
         assert isinstance(w, Word) and w == Word("ba")
 
 
 class TestSubstitution:
-    def test_empty_image_rejected(self):
-        with pytest.raises(ValueError):
-            Substitution(Word(""), Word("a"))
+    """Substitutions as pairs of letter images, as `renorm`'s table gives
+    them, and the test helpers on those pairs."""
 
     @given(substitutions, substitutions, words)
     def test_compose_is_application_order(self, s1, s2, w):
-        assert compose(s1, s2)(w) == s1(s2(w))
+        assert apply(compose(s1, s2), w) == apply(s1, apply(s2, w))
 
     @given(substitutions, substitutions)
     def test_abelianization_multiplicative(self, s1, s2):
@@ -100,7 +97,19 @@ class TestSubstitution:
     def test_abelianization_counts_letters(self, s, w):
         m11, m12, m21, m22 = abelianization(s)
         na, nb = counts(w)
-        assert counts(s(w)) == (m11 * na + m12 * nb, m21 * na + m22 * nb)
+        assert counts(apply(s, w)) == (m11 * na + m12 * nb, m21 * na + m22 * nb)
+
+    @given(words)
+    def test_branch_table_images(self, w):
+        # at every branch n <= 40 of the three families, the translation
+        # table limit_word builds gives sigma(w) letter by letter, and the
+        # image pair counts the letters of the cocycle matrix M(n)
+        for family in FAMILIES:
+            for n in range(family.first, 41):
+                sigma = family.sigma(n)
+                table = str.maketrans(dict(zip("ab", sigma)))
+                assert w.translate(table) == apply(sigma, w)
+                assert abelianization(sigma) == family.M(n)
 
 
 def factor_count(w: Word, n: int) -> int:
@@ -220,11 +229,10 @@ class TestLimitWord:
     def test_silver_mean_prefix(self):
         # fixed substitution a -> abaab, b -> aab applied to a
         w = limit_word(Param(SQRT2M1, -1), 25)
-        s = Substitution(Word("abaab"), Word("aab"))
-        expanded = Word("a")
+        expanded = "a"
         for _ in range(4):
-            expanded = s(expanded)
-        assert str(expanded)[:25] == str(w)
+            expanded = apply(("abaab", "aab"), expanded)
+        assert expanded[:25] == str(w)
 
 
 def full_composition_prefix(p, length):
@@ -234,9 +242,9 @@ def full_composition_prefix(p, length):
         st_ = accel(x)
         subs.append(st_.sigma_bold)
         x = st_.y
-        w = Word("a")
+        w = "a"
         for s in reversed(subs):
-            w = s(w)
+            w = apply(s, w)
         if len(w) >= length:
             return w[:length]
 
@@ -248,7 +256,7 @@ def full_composition_prefix(p, length):
 def test_limit_word_starts_with_sigma0():
     p = Param(make_surd(-13, 4, 4, 13), -1)
     oracle = full_composition_prefix(p, 1000)
-    assert str(oracle).startswith("abaab")  # sigma_0(a)
+    assert oracle.startswith("abaab")  # sigma_0(a)
     assert limit_word(p, 1000) == oracle
 
 
@@ -302,3 +310,48 @@ class TestTowerStats:
         tower_stats(Param(x, -1), 4)
         assert len(seen) > 5
         assert seen == [x, *(step(y).y for y in seen[:-1])]
+
+
+def _imports_words(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "sqrect.words" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("words", "sqrect.words") or node.module in (
+            None, "sqrect",
+        ) and any(alias.name == "words" for alias in node.names)
+    return False
+
+
+def test_words_sits_above_the_walks_it_reads():
+    # words reads cfrac, lyap and renorm, imported at its top, and no module
+    # below the CLI reads words: substitutions are renorm's pairs of
+    # strings and codings are strings, so no Substitution type is left
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(cfrac.__file__).parent.glob("*.py")
+    }
+    importers = {
+        stem for stem, tree in trees.items()
+        for node in ast.walk(tree) if _imports_words(node)
+    }
+    assert importers == {"cli"}
+    top = {
+        node.module for node in trees["words"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert {"cfrac", "lyap", "renorm"} <= top
+    nested = [
+        ast.unparse(node)
+        for fn in ast.walk(trees["words"])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+    naming = {
+        stem for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        for attr in ("id", "attr", "name", "asname", "value")
+        if getattr(node, attr, None) == "Substitution"
+    }
+    assert naming == set()
