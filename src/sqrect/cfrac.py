@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import Degenerate, NotTerminated, Terminal
-from .exactnum import Number, is_exact
+from .exactnum import Number, Surd, _canon, is_exact
 from .pet import Param
 from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
@@ -128,8 +128,10 @@ def accel(x: Number) -> AccelStep:
     return AccelStep(1, slow_image(inv, n), inv, M, fam, n)
 
 
-# Rows (slope, const) by FAMILIES of the gap, read off the branch table
+# Rows (slope, const) by FAMILIES of the gap, read off the branch table, and
+# gap(x) = s x + c of each family as (s, s c) in ints
 _GAP_COEFFICIENTS = family_coefficients("gap")[:, 0]
+_PQ_GAP = {f: (f.gap(1) - f.gap(0), (f.gap(1) - f.gap(0)) * f.gap(0)) for f in FAMILIES}
 _MIDDLE = FAMILIES.index(MIDDLE)
 
 
@@ -156,11 +158,37 @@ def accel_lanes(x: np.ndarray):
 
 def accel_walk(x: Number) -> Iterator[AccelStep]:
     """The accelerated steps of the orbit of x, on demand; Terminal where
-    the orbit ends."""
+    the orbit ends. A Surd steps in integers (`_surd_walk`)."""
+    if type(x) is Surd:
+        yield from _surd_walk(x)
     while True:
         st = accel(x)
         yield st
         x = st.y
+
+
+def _surd_walk(x: Surd) -> Iterator[AccelStep]:
+    """`accel` along the orbit of a Surd, on x = (P + sqrt(D))/Q, Q | D - P^2
+    (the PQa form): x < 1 and 2x < 3 compare integers with floor(sqrt(D))
+    and floor(2 sqrt(D)), 1/gap is (-P_e + sqrt(D))/((D - P_e^2)/Q_e), and
+    y = A(n).x and r_bold = 1/(c x + e), (c, e) A(n)'s lower row, keep D."""
+    if not 0 <= x < 2:
+        raise ValueError("x must lie in [0,2)")
+    k, d, sign = abs(x.q) * x.r, x.d, 1 if x.q > 0 else -1  # sqrt(D) = k sqrt(d)
+    D, P, Q = k * k * d, sign * x.p * x.r, sign * x.r * x.r
+    root, root2 = math.isqrt(D), math.isqrt(4 * D)
+    while True:
+        fam = (UNIT if (root < Q - P) != (Q < 0)
+               else MIDDLE if (root2 < 3 * Q - 2 * P) != (Q < 0) else RIGHT)
+        s, sc = _PQ_GAP[fam]
+        pe = P + sc * Q  # the gap is (pe + sqrt(D))/(s Q)
+        qi = (D - pe * pe) // (s * Q)
+        n = (root - pe + (qi < 0)) // qi
+        a, b, c, e = fam.A(n)
+        det, u, v = a * e - b * c, a * P + b * Q, c * P + e * Q
+        P, Q = det * (u * v - a * c * D) // Q, det * (v * v - c * c * D) // Q
+        yield AccelStep(n - 1 if fam is MIDDLE else 1, _canon(P, k, Q, d),
+                        _canon(det * v, -det * c * k, Q, d), Mat2(*fam.M(n)), fam, n)
 
 
 def accel_orbit(x: Number, l: int) -> list[AccelStep]:

@@ -56,9 +56,9 @@ def cocycle_product(p: Param, l: int) -> tuple[Mat2, float]:
 
 # Accelerated steps per walk. An exact matrix product gains a few bits a
 # step, so its steps cost more the deeper they are: on a 2-core VM the
-# silver mean's cocycle_product takes 5.8 s at 10**5 steps and 19 s at
-# 2 * 10**5, and tower_stats walks the same product; dimension_estimate,
-# which keeps no exact product, takes 2.1 s there
+# silver mean's cocycle_product takes 4.7-5.4 s at 10**5 steps and 18-19 s
+# at 2 * 10**5, and tower_stats walks the same product; dimension_estimate,
+# which keeps no exact product, takes 1.2 s there
 ACCEL_STEP_BUDGET = 200_000
 
 

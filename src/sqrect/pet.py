@@ -114,12 +114,12 @@ class Cell:
 # -- the map -------------------------------------------------------------
 
 
-def _lift(values, R: int = 1) -> tuple:
+def _lift(values) -> tuple:
     """(R, d, pairs, exact): the values as integers (a, b) meaning
-    (a + b*sqrt(d))/R, R a multiple of the given one, when they are ints,
-    Fractions and surds of one radicand d; else the given-values frame, each
-    value as (v, 0) with R = 1 and d = 0, and exact False."""
-    d, parts = 0, []
+    (a + b*sqrt(d))/R when they are ints, Fractions and surds of one
+    radicand d; else the given-values frame, each value as (v, 0) with
+    R = 1 and d = 0, and exact False."""
+    R, d, parts = 1, 0, []
     for v in values:
         if type(v) is Surd and d in (0, v.d):
             d, part = v.d, (v.p, v.q, v.r)
@@ -259,8 +259,8 @@ def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
 
 # Cells of one `islands` call, and the depths it walks. Lifting costs more
 # per cell the deeper the orbit: on a 2-core VM the 9,900 cells of
-# (1/100, +1) at max period 198 take 0.5-0.9 s and peak at 10.8 MiB, and one
-# orbit of 9,998 cells at (1/3333, -1) takes 0.08 s and 4.4 MiB (tracemalloc)
+# (1/100, +1) at max period 198 take 0.3 s and peak at 3.9 MiB, and one
+# orbit of 9,998 cells at (1/3333, -1) takes 0.06 s and 4.2 MiB (tracemalloc)
 ISLAND_CELL_BUDGET = 10_000
 
 
@@ -293,8 +293,11 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     for _, orbit in groupby(lift_blocks(levels, seeds), key=lambda block: block[1]):
         coords, _, sides = zip(*orbit)
         rects = [Rect(*r) for r in coords]
-        # the cells come from the pair steps; one exact step checks the closure
-        if step(p, rects[-1].center) != rects[0].center:
+        try:  # one exact step checks the closure; a cell off the pieces fails it
+            closed = step(p, rects[-1].center) == rects[0].center
+        except (OnDiscontinuity, OutOfDomain):
+            closed = False
+        if not closed:
             raise NotTerminated("orbit did not close up at its computed period")
         code = "".join(sides)
         out.extend(Cell(r, code, i, len(rects)) for i, r in enumerate(rects))

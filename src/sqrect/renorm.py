@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -358,8 +358,7 @@ def period_sequence(p: Param, k: int) -> list[int]:
 # -- covers --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverPiece:
+class CoverPiece(NamedTuple):
     rect: Rect
     shape: str  # 'C' or 'R'
     ratio: Number  # linear contraction applied to the model shape
@@ -378,6 +377,29 @@ def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha,
     return R + ta - (ya + ha), tb - (yb + hb), R - (xa + wa), -(xb + wb), ha, hb, wa, wb
 
 
+def psi_inverse_lattice(n: int, eps: int, xi, xj, yi, yj, wi, wj, hi, hj) -> tuple:
+    """`pet.psi_inverse_ints` of the level (n, eps) on the lattice: pairs
+    (i, j) meaning i + j*theta(S(p)) pulled back as pairs meaning i + j*theta."""
+    if eps == -1:  # theta*(i + j*theta') = j + (i - n*j)*theta, x and y swapped
+        return yj, yi - n * yj, xj, xi - n * xj, hj, hi - n * hj, wj, wi - n * wj
+    # (1 - theta)*(i + j*theta') = (i + (1 - n)*j) + (n*j - i)*theta, theta on y
+    return (xi - (n - 1) * xj, n * xj - xi, yi - (n - 1) * yj, n * yj - yi + 1,
+            wi - (n - 1) * wj, n * wj - wi, hi - (n - 1) * hj, n * hj - hi)
+
+
+def _lattice(theta, values) -> list[tuple]:
+    """Values of the lattice Z + Z*theta as integer pairs (i, j), value
+    i + j*theta: j from the sqrt(d) parts, or from i*R + j*ta = va at a
+    rational theta; floats in the given-values frame, as (v, 0)."""
+    R, d, ((ta, tb), *pairs), exact = _lift((theta, *values))
+    if not exact:
+        return pairs
+    g = math.gcd(ta, R)
+    inv = 0 if d else pow(ta // g, -1, R // g)  # ta/g modulo R/g
+    js = [vb // tb if d else va // g * inv % (R // g) for va, vb in pairs]
+    return [((va - j * ta) // R, j) for (va, _), j in zip(pairs, js)]
+
+
 def cover_seed(theta) -> list[tuple[tuple, str]]:
     """Depth-0 cover as ((x, y, w, h), letter) rows: the square ('a') and the
     rectangle R_theta ('b'), which is empty at theta = 0."""
@@ -394,9 +416,9 @@ def piece_count(levels: list[Level], q: Param) -> int:
     return sum(v)
 
 
-# exact CoverPieces share their coordinates and take 0.21-0.23 KB each once
-# built, 0.40-0.49 KB at the peak of `cover` (tracemalloc, 27k-70k pieces at
-# four surd parameters): about 0.5 GB at this budget, near the float one's 0.6 GB
+# exact CoverPieces share their coordinates and take 0.19-0.22 KB each once
+# built, 0.37-0.45 KB at the peak of `cover` (tracemalloc, 27k-70k pieces at
+# four surd parameters): about 0.45 GB at this budget, near the float one's 0.6 GB
 EXACT_PIECE_BUDGET = 1 << 20
 
 
@@ -432,26 +454,31 @@ def cover_level(level: Level, pull, push, blocks):
 def lift_blocks(levels: list[Level], seeds: dict) -> list:
     """Blocks (rect, tag, letter) of exact numbers through `cover_level` up
     to depth 0, deepest first: seeds[k], rows in the domain of S^k(p), join
-    at depth k <= len(levels). Below depth 0 a rect is pairs (a, b) meaning
-    (a + b*sqrt(d))/D, with one D per level, which each psi^-1 multiplies
-    by its theta's denominator. Each distinct pair is converted back once;
-    depth-0 seeds go out as given."""
-    blocks, D, d = [], 1, 0
+    at depth k <= len(levels). Below depth 0 a coordinate is a pair (i, j),
+    i + j*theta_k at depth k (`_lattice`), moved by `psi_inverse_lattice` and
+    `rect_branch_ints` in the frame (1, 0, 0, 1) and converted once per pair,
+    as i + j*theta_0; floats keep the given-values frame. Depth-0 seeds go
+    out as given."""
+    blocks = []
+    T, d, ((ta, tb),), exact = _lift((levels[0].q.theta if levels else 0,))
     for k, level in reversed([*enumerate(levels, 1)]):
-        if rows := seeds.get(k):  # over D, which their denominators divide
-            D, d, pairs, _ = _lift([v for r, _, _ in rows for v in r], D)
+        if rows := seeds.get(k):
+            pairs = _lattice(level.next.theta, [v for r, _, _ in rows for v in r])
             blocks = [(sum(pairs[4 * i : 4 * i + 4], ()), tag, letter)
                       for i, (_, tag, letter) in enumerate(rows)] + blocks
         if blocks:
-            T, d, ((ta, tb),), _ = _lift((level.q.theta,))
-            pull = partial(psi_inverse_ints, (T, d, ta, tb), level.q.eps, D)
-            push = partial(rect_branch_ints, (T * D, d, ta * D, tb * D), level.q.eps)
-            blocks, D = list(cover_level(level, pull, push, blocks)), T * D
+            eps = level.q.eps
+            frame = (1, 0, 0, 1) if exact else (1, 0, level.q.theta, 0)
+            pull = (partial(psi_inverse_lattice, level.n, eps) if exact
+                    else partial(psi_inverse_ints, frame, eps, 1))
+            push = partial(rect_branch_ints, frame, eps)
+            blocks = list(cover_level(level, pull, push, blocks))
     # canonical surds; a rational theta's coordinates stay Fractions, floats floats
-    value = cache(lambda a, b: _canon(a, b, D, d) if d else a / Fraction(D))
+    value = cache(lambda i, j: _canon(i * T + j * ta, j * tb, T, d) if d
+                  else Fraction(i * T + j * ta, T)) if exact else lambda a, b: a
     return list(seeds.get(0, ())) + [
-        ((value(xa, xb), value(ya, yb), value(wa, wb), value(ha, hb)), tag, letter)
-        for (xa, xb, ya, yb, wa, wb, ha, hb), tag, letter in blocks
+        ((value(xi, xj), value(yi, yj), value(wi, wj), value(hi, hj)), tag, letter)
+        for (xi, xj, yi, yj, wi, wj, hi, hj), tag, letter in blocks
     ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sqrect.errors import NotTerminated, Terminal
-from sqrect.exactnum import make_surd
+from sqrect.exactnum import Surd, make_surd
 from sqrect import cfrac
 from sqrect.cfrac import (
     NATEXT_BATCH,
@@ -302,6 +302,59 @@ surd_xs = st.builds(
     make_surd, st.integers(-40, 40), st.integers(-12, 12).filter(bool),
     st.integers(1, 12), st.sampled_from([2, 3, 5, 7]),
 ).map(lambda x: x - 2 * math.floor(x / 2))  # into [0, 2)
+
+
+# surds with coefficients up to 10**12 and radicands up to 9973, either sign
+# of q, moved into [0, 2); and points 1 + 1/(n + u), u a surd in (0, 1),
+# whose first step is middle branch n > 1000
+big_surd_xs = st.builds(
+    make_surd, st.integers(-10**12, 10**12),
+    st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**12),
+    st.integers(2, 9973),
+).filter(lambda x: isinstance(x, Surd)).map(lambda x: x - 2 * math.floor(x / 2))
+middle_surd_xs = st.builds(
+    lambda n, u: 1 + 1 / (n + u - math.floor(u)), st.integers(1001, 10**12), big_surd_xs
+)
+
+
+def step_fields(s):
+    return [(type(v), v) for v in (s.m, s.y, s.r_bold, s.M_bold, s.family, s.n)]
+
+
+class TestSurdWalk:
+    """A Surd walks in integers (`cfrac._surd_walk`), with `accel`, which
+    steps on Surd arithmetic, as its oracle."""
+
+    @given(st.one_of(big_surd_xs, middle_surd_xs, surd_xs))
+    @example(SQRT2M1)
+    @example(1 + 1 / (10**9 + SQRT2M1))
+    @example(1 + 1 / (10**12 + make_surd(-4, 1, 1, 9973)))  # middle branch 10**12 + 95
+    @example(make_surd(-1, 12, 6, 3) - 3)
+    # 1/gap = (P' + sqrt(D))/Q' with Q' < 0 dividing P' + floor(sqrt(D)),
+    # where the floor takes its other form: at the first and second step
+    @example(make_surd(20, 1, 18, 3))
+    @example(make_surd(29, -1, 32, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_steps_match_accel(self, x):
+        # every field of 300 steps, and its type
+        want, y = [], x
+        for _ in range(300):
+            want.append(accel(y))
+            y = want[-1].y
+        got = list(islice(accel_walk(x), 300))
+        assert [step_fields(s) for s in got] == [step_fields(s) for s in want]
+
+    def test_calls_no_accel(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cfrac, "accel", seen.append)
+        assert len(accel_orbit(SQRT3M1, 100)) == 100 and seen == []
+
+    @pytest.mark.parametrize(
+        "x", [SQRT2M1 + 2, SQRT2M1 - 1, -SQRT3M1, make_surd(0, 1, 1, 5)]
+    )
+    def test_outside_the_interval_raises(self, x):
+        with pytest.raises(ValueError, match=r"\[0,2\)"):
+            next(accel_walk(x))
 
 
 def level_route(x):

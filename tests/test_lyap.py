@@ -101,8 +101,10 @@ class TestCocycleProduct:
     def test_walk_above_step_budget_fails_fast(self, walk, monkeypatch):
         # refused before the first step; the depth above takes 100,001
         assert ACCEL_STEP_BUDGET >= 100_001
+        # a surd walk steps in `_surd_walk`, any other in `accel`
         steps = []
         monkeypatch.setattr(cfrac, "accel", steps.append)
+        monkeypatch.setattr(cfrac, "_surd_walk", steps.append)
         with pytest.raises(NotTerminated):
             walk(ACCEL_STEP_BUDGET + 1)
         assert steps == []

@@ -622,6 +622,20 @@ class TestIslands:
         with pytest.raises(NotTerminated, match=f"{n} cells"):
             islands(p, max_period=21)
 
+    def test_long_rational_chain_stays_small(self):
+        # 99 levels of (1/100, +1) down to max period 198: lifted over one
+        # denominator per level, whose product reached 100!, this peaked at
+        # 10.8 MiB; lattice pairs keep to the 6.4 MiB it took before that
+        p = Param(Fraction(1, 100), 1)
+        islands(p, max_period=1)  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            cells = islands(p, max_period=198)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 9_900 and peak <= 6.4 * 2**20
+
     def test_over_cap_refused_before_any_cell(self):
         # one orbit of period 29,999: unfolded with a rotated code per cell
         # it took 13 s and 900 MB before the cap was seen; the periods are

@@ -17,7 +17,7 @@ from sqrect.fractal import box_count_deep, cover_arrays
 from sqrect.errors import Degenerate, NotTerminated, OnDiscontinuity, OutOfDomain, Terminal
 from sqrect.exactnum import Surd, is_exact, make_surd, parse_number
 from sqrect.pet import (
-    Param, Point, Rect, code_orbit, islands, step, walk,
+    Param, Point, Rect, _lift, code_orbit, islands, psi_inverse_ints, step, walk,
 )
 from sqrect.renorm import (
     EXACT_PIECE_BUDGET,
@@ -38,6 +38,7 @@ from sqrect.renorm import (
     lift_blocks,
     period_sequence,
     piece_count,
+    psi_inverse_lattice,
     renorm_step,
     similitude,
 )
@@ -695,6 +696,22 @@ def test_psi_inverse_and_the_rectangle_step_written_once():
         for alias in node.names
     }
     assert {"psi_inverse_ints", "rect_branch_ints"} <= bound
+    # the lattice psi^-1 is defined once, and the lattice takes the one
+    # rectangle step in the frame (1, 0, 0, 1) rather than a copy of it
+    names = [
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert names.count("psi_inverse_lattice") == 1
+    assert [n for n in names if "rect" in n and "branch" in n] == ["rect_branch_ints"]
+    lift = next(
+        node for node in trees["renorm"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "lift_blocks"
+    )
+    named = {node.id for node in ast.walk(lift) if isinstance(node, ast.Name)}
+    assert {"psi_inverse_lattice", "rect_branch_ints"} <= named
     seed_cells = next(
         node for node in trees["pet"].body
         if isinstance(node, ast.FunctionDef) and node.name == "_seed_cells"
@@ -704,6 +721,43 @@ def test_psi_inverse_and_the_rectangle_step_written_once():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not [line for line in imports if "renorm" in line]
+
+
+@st.composite
+def lattice_levels(draw):
+    """(n, eps, theta, theta') with theta in the interval of branch n of
+    eps's family and theta' = theta(S(theta, eps)): 0, a rational or a surd."""
+    n, eps = draw(st.integers(1, 10**6)), draw(st.sampled_from([-1, 1]))
+    u = draw(st.one_of(
+        st.fractions(0, 1, max_denominator=10**6),
+        st.builds(make_surd, st.integers(-10**6, 10**6),
+                  st.integers(-99, 99).filter(bool), st.integers(1, 10**6),
+                  st.sampled_from([2, 3, 5, 13, 9973])),
+    ))
+    u -= math.floor(u)
+    theta = 1 / (n + u) if eps == -1 else 1 - 1 / (n + u)
+    assume(0 < theta < 1)  # u = 0 at n = 1 gives theta = 1 or 0
+    return n, eps, theta, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_levels(), st.lists(st.integers(-10**9, 10**9), min_size=8, max_size=8))
+@example((2, 1, Fraction(5, 8), Fraction(2, 3)), [3, -1, 0, 2, 7, 5, -4, 1])
+def test_lattice_psi_inverse_is_psi_inverse_ints(case, ij):
+    # each pair (i, j) of the lattice psi^-1, evaluated as i + j*theta, is
+    # the value psi_inverse_ints gives for the values i + j*theta' in the
+    # integer frame of theta
+    n, eps, theta, u = case
+    level = Level(Param(theta, eps))
+    assert (level.n, level.next.theta) == (n, u)
+    values = [i + j * u for i, j in zip(ij[::2], ij[1::2])]
+    R, d, ((ta, tb), *pairs), exact = _lift((theta, *values))
+    want = psi_inverse_ints((R, d, ta, tb), eps, R, *sum(pairs, ()))
+    got = psi_inverse_lattice(n, eps, *ij)
+    assert exact and [i + j * theta for i, j in zip(got[::2], got[1::2])] == [
+        exactnum._canon(a, b, R * R, d) if d else Fraction(a, R * R)
+        for a, b in zip(want[::2], want[1::2])
+    ]
 
 
 class TestCover:

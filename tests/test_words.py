@@ -302,9 +302,18 @@ class TestTowerStats:
         # the matrix, the default prefix and the depth-(l + 1) point come
         # from one walk, and the limit word below it walks on from there:
         # every accelerated step is taken at the next point of one orbit
+        # a surd orbit steps in `_surd_walk`, observed at each point it steps from
         seen = []
-        step = cfrac.accel
+        step, surd_walk = cfrac.accel, cfrac._surd_walk
+
+        def observed(x):
+            for st in surd_walk(x):
+                seen.append(x)
+                yield st
+                x = st.y
+
         monkeypatch.setattr(cfrac, "accel", lambda x: seen.append(x) or step(x))
+        monkeypatch.setattr(cfrac, "_surd_walk", observed)
         x = make_surd(-1, 12, 6, 3)  # its slow expansion has period 390
         x -= math.floor(x)
         tower_stats(Param(x, -1), 4)
