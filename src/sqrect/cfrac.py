@@ -128,10 +128,9 @@ def accel(x: Number) -> AccelStep:
     return AccelStep(1, slow_image(inv, n), inv, M, fam, n)
 
 
-# Rows (slope, const) by FAMILIES of the gap, read off the branch table, and
-# gap(x) = s x + c of each family as (s, s c) in ints
+# By FAMILIES, the gap's rows (slope, const) off the table and (family, s, s c) in ints
 _GAP_COEFFICIENTS = family_coefficients("gap")[:, 0]
-_PQ_GAP = {f: (f.gap(1) - f.gap(0), (f.gap(1) - f.gap(0)) * f.gap(0)) for f in FAMILIES}
+_PQ_GAP = [(f, f.gap(1) - f.gap(0), (f.gap(1) - f.gap(0)) * f.gap(0)) for f in FAMILIES]
 _MIDDLE = FAMILIES.index(MIDDLE)
 
 
@@ -168,19 +167,16 @@ def accel_walk(x: Number) -> Iterator[AccelStep]:
 
 
 def _surd_walk(x: Surd) -> Iterator[AccelStep]:
-    """`accel` along the orbit of a Surd, on x = (P + sqrt(D))/Q, Q | D - P^2
-    (the PQa form): x < 1 and 2x < 3 compare integers with floor(sqrt(D))
-    and floor(2 sqrt(D)), 1/gap is (-P_e + sqrt(D))/((D - P_e^2)/Q_e), and
-    y = A(n).x and r_bold = 1/(c x + e), (c, e) A(n)'s lower row, keep D."""
+    """`accel` along a Surd's orbit in the PQa form x = (P + sqrt(D))/Q, Q | D - P^2:
+    integer branch tests, and y = A(n).x and r_bold = 1/(c x + e) keep D."""
     if not 0 <= x < 2:
         raise ValueError("x must lie in [0,2)")
     k, d, sign = abs(x.q) * x.r, x.d, 1 if x.q > 0 else -1  # sqrt(D) = k sqrt(d)
     D, P, Q = k * k * d, sign * x.p * x.r, sign * x.r * x.r
     root, root2 = math.isqrt(D), math.isqrt(4 * D)
     while True:
-        fam = (UNIT if (root < Q - P) != (Q < 0)
-               else MIDDLE if (root2 < 3 * Q - 2 * P) != (Q < 0) else RIGHT)
-        s, sc = _PQ_GAP[fam]
+        fam, s, sc = _PQ_GAP[0 if (root < Q - P) != (Q < 0)  # UNIT, MIDDLE, RIGHT
+                             else 1 if (root2 < 3 * Q - 2 * P) != (Q < 0) else 2]
         pe = P + sc * Q  # the gap is (pe + sqrt(D))/(s Q)
         qi = (D - pe * pe) // (s * Q)
         n = (root - pe + (qi < 0)) // qi

@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
@@ -367,8 +367,8 @@ class CoverPiece(NamedTuple):
 def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha, hb):
     """Image (x, y, w, h) of a rectangle under one step of the map, for a
     rectangle inside the square (letter 'a') or the rectangle ('b'), in
-    `pet.psi_inverse_ints`' frame: theta as (R, d, ta, tb) and x, y, w and h
-    as pairs (a, b), all meaning (a + b*sqrt(d))/R."""
+    `pet.psi_inverse_ints`' frame: theta as (R, d, ta, tb) and x, y, w, h as
+    pairs (a, b) meaning (a + b*sqrt(d))/R, or a + b*theta in (1, 0, 0, 1)."""
     R, _, ta, tb = theta
     if letter == "b":
         return xa - R, xb, R - (ya + ha), -(yb + hb), wa, wb, ha, hb
@@ -387,17 +387,14 @@ def psi_inverse_lattice(n: int, eps: int, xi, xj, yi, yj, wi, wj, hi, hj) -> tup
             wi - (n - 1) * wj, n * wj - wi, hi - (n - 1) * hj, n * hj - hi)
 
 
-def _lattice(theta, values) -> list[tuple]:
-    """Values of the lattice Z + Z*theta as integer pairs (i, j), value
-    i + j*theta: j from the sqrt(d) parts, or from i*R + j*ta = va at a
-    rational theta; floats in the given-values frame, as (v, 0)."""
+def _lattice(theta, values) -> tuple:
+    """Values of Z + Z*theta as flat pairs (i, j), i + j*theta: j from the sqrt(d)
+    parts, or from i*R + j*ta = va at a rational theta = ta/R; floats as (v, 0)."""
     R, d, ((ta, tb), *pairs), exact = _lift((theta, *values))
     if not exact:
-        return pairs
-    g = math.gcd(ta, R)
-    inv = 0 if d else pow(ta // g, -1, R // g)  # ta/g modulo R/g
-    js = [vb // tb if d else va // g * inv % (R // g) for va, vb in pairs]
-    return [((va - j * ta) // R, j) for (va, _), j in zip(pairs, js)]
+        return sum(pairs, ())
+    js = [vb // tb if d else va * pow(ta, -1, R) % R for va, vb in pairs]
+    return sum((((va - j * ta) // R, j) for (va, _), j in zip(pairs, js)), ())
 
 
 def cover_seed(theta) -> list[tuple[tuple, str]]:
@@ -438,9 +435,8 @@ def cover_level(level: Level, pull, push, blocks):
     tag (the piece shape of covers, the orbit depth of `pet.islands`) is
     carried untouched. Each block is pulled back, pull(*rect), and spread
     along its return orbit: at step i it lies on side sigma(letter)[i],
-    yielded as (rect, tag, side), and takes its branch, push(side, *rect);
-    pull and push are `pet.psi_inverse_ints` and `rect_branch_ints` in the
-    level's frame."""
+    yielded as (rect, tag, side), and takes its branch, push(side, *rect),
+    each in the level's frame."""
     images = dict(zip("ab", level.sigma))
     for r, tag, letter in blocks:
         r = pull(*r)
@@ -453,26 +449,21 @@ def cover_level(level: Level, pull, push, blocks):
 
 def lift_blocks(levels: list[Level], seeds: dict) -> list:
     """Blocks (rect, tag, letter) of exact numbers through `cover_level` up
-    to depth 0, deepest first: seeds[k], rows in the domain of S^k(p), join
-    at depth k <= len(levels). Below depth 0 a coordinate is a pair (i, j),
-    i + j*theta_k at depth k (`_lattice`), moved by `psi_inverse_lattice` and
-    `rect_branch_ints` in the frame (1, 0, 0, 1) and converted once per pair,
-    as i + j*theta_0; floats keep the given-values frame. Depth-0 seeds go
-    out as given."""
+    to depth 0, deepest first: seeds[k], rows with values in Z + Z*theta_k of
+    S^k(p), join at depth k <= len(levels). Below depth 0 a coordinate is a
+    pair (`_lattice`), moved by `psi_inverse_lattice` and `rect_branch_ints`
+    in the frame (1, 0, 0, 1) and converted once per pair, as i + j*theta_0;
+    floats keep the given-values frame. Depth-0 seeds go out as given."""
     blocks = []
     T, d, ((ta, tb),), exact = _lift((levels[0].q.theta if levels else 0,))
     for k, level in reversed([*enumerate(levels, 1)]):
-        if rows := seeds.get(k):
-            pairs = _lattice(level.next.theta, [v for r, _, _ in rows for v in r])
-            blocks = [(sum(pairs[4 * i : 4 * i + 4], ()), tag, letter)
-                      for i, (_, tag, letter) in enumerate(rows)] + blocks
-        if blocks:
-            eps = level.q.eps
-            frame = (1, 0, 0, 1) if exact else (1, 0, level.q.theta, 0)
-            pull = (partial(psi_inverse_lattice, level.n, eps) if exact
-                    else partial(psi_inverse_ints, frame, eps, 1))
-            push = partial(rect_branch_ints, frame, eps)
-            blocks = list(cover_level(level, pull, push, blocks))
+        blocks = [(_lattice(level.next.theta, r), tag, letter)
+                  for r, tag, letter in seeds.get(k, ())] + blocks
+        eps, frame = level.q.eps, (1, 0, 0, 1) if exact else (1, 0, level.q.theta, 0)
+        pull = (partial(psi_inverse_lattice, level.n, eps) if exact
+                else partial(psi_inverse_ints, frame, eps, 1))
+        push = partial(rect_branch_ints, frame, eps)
+        blocks = list(cover_level(level, pull, push, blocks))
     # canonical surds; a rational theta's coordinates stay Fractions, floats floats
     value = cache(lambda i, j: _canon(i * T + j * ta, j * tb, T, d) if d
                   else Fraction(i * T + j * ta, T)) if exact else lambda a, b: a
@@ -486,13 +477,11 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
     """Depth-l cover of the aperiodic set by similitude images of the
     square and of the renormalized rectangle, piece by piece in orbit
     order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
-    one-piece blocks of integer pairs (`lift_blocks`). Covers above
+    one-piece blocks of lattice pairs (`lift_blocks`). Covers above
     EXACT_PIECE_BUDGET pieces raise NotTerminated."""
     levels, q = descend(p, l)
     check_budget(levels, q, EXACT_PIECE_BUDGET)
     seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
-    contraction = 1
-    for level in reversed(levels):
-        contraction = contraction / level.ratio
+    contraction = reduce(lambda c, level: c / level.ratio, reversed(levels), 1)
     blocks = lift_blocks(levels, {len(levels): seed})
     return [CoverPiece(Rect(*r), shape, contraction) for r, shape, _ in blocks]

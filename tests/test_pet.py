@@ -703,15 +703,15 @@ class TestIslands:
             assert_same_cells(islands(p, 21), oracle_islands(p, 21))
 
     def test_orbit_that_does_not_close_raises(self, monkeypatch):
-        # a lift whose square-branch images drift, by 1/R in the pair step:
-        # the cells still come out, but the last one no longer maps onto the
-        # first. At the silver mean R is 1, too far a drift; here it is 3 or
-        # more, the denominator of theta
+        # a lift whose square-branch images drift by 11*theta - 6, about
+        # 0.035 at theta = (sqrt(7) - 1)/3, as the lattice pair (-6, 11): the
+        # cells still come out on the pieces, but the last one no longer maps
+        # onto the first
         branch = renorm.rect_branch_ints
 
-        def drifting(theta, eps, letter, xa, *rest):
-            xa, *rest = branch(theta, eps, letter, xa, *rest)
-            return (xa + 1 if letter == "a" else xa), *rest
+        def drifting(theta, eps, letter, xi, xj, *rest):
+            xi, xj, *rest = branch(theta, eps, letter, xi, xj, *rest)
+            return *((xi - 6, xj + 11) if letter == "a" else (xi, xj)), *rest
 
         monkeypatch.setattr(renorm, "rect_branch_ints", drifting)
         with pytest.raises(NotTerminated, match="did not close"):

@@ -2,8 +2,7 @@
 tree in alternating pairs of runs.
 
     python3 tools/bench_record.py [CHECKOUT]
-    python3 tools/bench_record.py --against REV [--pairs 10] [--trace 0|1]
-        [--workloads exact,cover,float]
+    python3 tools/bench_record.py --against REV [--trace 0|1]
 
 Without `--against`, CHECKOUT defaults to the repository holding this
 script. For each workload and seeds 1, 2 and 3 the script runs
@@ -19,7 +18,7 @@ With `--against REV`, REV and the working tree of the repository holding
 this script (its tracked files, staged new files included, as
 `git stash create` sees them) are unpacked by `git archive` into sibling
 directories of a temporary folder. For each workload the script runs
-`bench/run.py --seconds 20` on both sides in `--pairs` pairs: the two runs
+`bench/run.py --seconds 20` on both sides in 10 pairs: the two runs
 of pair i share seed i + 1, and REV runs first in even pairs, the working
 tree in odd ones. For each metric it prints REV's median and quartiles,
 the working tree's median, the change in per cent, and in how many pairs
@@ -46,6 +45,7 @@ from pathlib import Path
 WORKLOADS = ("exact", "cover", "float")
 SEEDS = (1, 2, 3)
 SECONDS = 20
+PAIRS = 10
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -136,29 +136,29 @@ def directions() -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def paired_runs(sides: dict, workload: str, pairs: int, trace: int) -> dict:
+def paired_runs(sides: dict, workload: str, trace: int) -> dict:
     """Side: its results, pair by pair; the two sides alternate in going first."""
     runs = {side: [] for side in sides}
-    for i in range(pairs):
+    for i in range(PAIRS):
         for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
             runs[side].append(bench(sides[side], workload, i + 1, trace))
-        print(f"{workload} pair {i + 1}/{pairs} done", file=sys.stderr, flush=True)
+        print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr, flush=True)
     return runs
 
 
-def compare(rev: str, pairs: int, trace: int, workloads: list[str]) -> int:
+def compare(rev: str, trace: int) -> int:
     head = run(REPO, "git", "rev-parse", "HEAD").strip()
     revs = {"against": run(REPO, "git", "rev-parse", rev).strip(),
             "change": run(REPO, "git", "stash", "create").strip() or head}
     better = directions()
-    rec = {**revs, "head": head, "pairs": pairs, "seconds": SECONDS, "trace": trace,
+    rec = {**revs, "head": head, "pairs": PAIRS, "seconds": SECONDS, "trace": trace,
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
         sides = {side: Path(tmp) / side for side in revs}
         for side, path in sides.items():
             unpack(revs[side], path)
-        for workload in workloads:
-            runs = paired_runs(sides, workload, pairs, trace)
+        for workload in WORKLOADS:
+            runs = paired_runs(sides, workload, trace)
             results = {side: [res for res, _ in rs] for side, rs in runs.items()}
             env = runs["change"][0][1]
             rec.setdefault("env", {k: v for k, v in env.items()
@@ -197,16 +197,11 @@ def main(argv: list[str]) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("checkout", nargs="?", type=Path, default=REPO)
     ap.add_argument("--against", metavar="REV")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     args = ap.parse_args(argv)
     if args.against is None:
         return record(args.checkout.resolve())
-    workloads = args.workloads.split(",")
-    if args.pairs < 1 or not set(workloads) <= set(WORKLOADS):
-        ap.error(f"--pairs must be positive, --workloads among {','.join(WORKLOADS)}")
-    return compare(args.against, args.pairs, args.trace, workloads)
+    return compare(args.against, args.trace)
 
 
 if __name__ == "__main__":
