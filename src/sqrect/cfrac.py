@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -100,20 +99,23 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
 # -- acceleration --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccelStep:
+class AccelStep(NamedTuple):
     m: int  # slow-map steps taken
     y: Number
     r_bold: Number
     M_bold: Mat2
-    family: BranchFamily = field(repr=False)
+    family: BranchFamily
     n: int
 
-    @cached_property
+    @property
     def sigma_bold(self) -> tuple[str, str]:
         # built on demand: the letter images have length ~ branch index,
         # which can be astronomical for orbits close to the interval ends
         return self.family.sigma(self.n)
+
+    def __repr__(self) -> str:  # without the family, which n and M_bold name
+        return (f"AccelStep(m={self.m!r}, y={self.y!r}, r_bold={self.r_bold!r}, "
+                f"M_bold={self.M_bold!r}, n={self.n!r})")
 
 
 def accel(x: Number) -> AccelStep:

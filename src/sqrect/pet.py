@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
 from .exactnum import Number, Surd, _canon, _sign, format_number, is_exact
@@ -81,8 +82,7 @@ def _half(v: Number) -> Number:
     return Fraction(v, 2) if isinstance(v, int) else v / 2
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     x: Number
     y: Number
     w: Number

@@ -20,8 +20,7 @@ from .exactnum import Number, _canon
 from .pet import Param, Point, Rect, _lift, _steps, psi_inverse_ints
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Integer 2x2 matrix."""
 
     m11: int

@@ -4,7 +4,9 @@ accelerated walk (`cfrac.accel_walk`) and the cocycle walk
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -15,7 +17,7 @@ from .lyap import cocycle_walk
 from .renorm import Mat2
 
 # Letters of a limit-word prefix, checked before anything is expanded. The
-# factor counts peak at about 17 bytes per letter, so this is about 0.6 GB.
+# factor counts peak at 17 bytes per letter, sorting 8-byte windows: 0.6 GB.
 LETTER_BUDGET = 1 << 25
 
 
@@ -23,7 +25,7 @@ class Word:
     """Immutable finite word over the alphabet {a, b}: a limit word, which
     keeps the factor counts `complexity` has made of it."""
 
-    # _factors caches complexity's refinement; it is not part of the value
+    # _factors caches complexity's counts and ids; it is not part of the value
     __slots__ = ("_s", "_factors")
 
     def __init__(self, letters: str = ""):
@@ -61,6 +63,55 @@ class Word:
         return self._s
 
 
+# 2**(64 - n) for n = 1..64: windows share n letters iff their XOR is below it
+_SPAN = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def _windows(bits: np.ndarray) -> np.ndarray:
+    """Each position's 64 letters in a uint64, first on top, zeros past the end."""
+    v = bits.astype(np.uint64)
+    v <<= 63
+    for s in (1, 2, 4, 8, 16, 32):
+        v[:-s] |= v[s:] >> s
+    return v
+
+
+def _window_counts(bits: np.ndarray) -> list:
+    """The counts [p(0), ..., p(k)] for k = min(64, |w|), from one sort."""
+    v = _windows(bits)
+    m = max(len(v) - 63, 0)
+    full, tail = v[:m], v[m:]  # windows of 64 real letters, and of fewer
+    full.sort()
+    xor = full[1:] ^ full[:-1]
+    xor.sort()
+    counts = m - np.searchsorted(xor, _SPAN[: len(bits)])
+    # tail window i holds r = |tail| - i letters, its first `near` those of a
+    # full window, a neighbour in sorted order; each longer prefix is new
+    r, near = np.arange(len(tail), 0, -1), 0
+    if m:
+        at = np.searchsorted(full, tail) - np.array([[1], [0]])
+        xor = (tail ^ full[at.clip(0, m - 1)]).min(0)  # frees the sorted XORs
+        near = 64 - np.searchsorted(_SPAN[::-1], xor, "right")
+    more = np.maximum(r - near, 0)
+    pos = np.repeat(np.arange(len(tail)), more)
+    col = np.arange(len(pos)) - np.repeat(np.cumsum(more) - more - near, more)
+    low = _SPAN[col] - 1  # below the prefix of length col + 1
+    key = tail[pos] & ~low | (low >> 1) + 1  # and one bit to mark its end
+    _, first = np.unique(key, return_index=True)
+    counts += np.bincount(col[first], minlength=len(counts))
+    return [1, *counts.tolist()]
+
+
+def _window_ranks(bits: np.ndarray) -> np.ndarray:
+    """The class ids of length 64: the ranks of the full windows."""
+    full = _windows(bits)[: len(bits) - 63]
+    full.sort()
+    distinct = full[np.r_[True, full[1:] != full[:-1]]]
+    del full  # made again, unsorted, in its place
+    ranks = np.searchsorted(distinct, _windows(bits)[: len(bits) - 63])
+    return ranks.astype(np.int32 if len(bits) < 2**31 - 1 else np.int64)
+
+
 def _refine(classes: np.ndarray, last: np.ndarray, count: int):
     """The class ids and the count of the factors one letter longer: the
     ranks of class*2 + last letter among the keys present."""
@@ -76,18 +127,18 @@ def _refine(classes: np.ndarray, last: np.ndarray, count: int):
 def complexity(w: Word, n: int) -> int:
     """Number of distinct length-n factors of w.
 
-    The factors are counted by refining classes: two length-m factors are
-    equal iff their length-(m-1) prefixes are and their last letters are,
-    so the class ids of length m are the ranks of class(m-1)*2 + letter.
-    The ranks come from a table of the keys present, without a sort, and
-    the count is the number of classes. Ids are at most |w|, so int32
-    holds them for any |w| below 2**31 - 1 (int64 above). `w` keeps the
-    classes of the longest length computed so far and the count at every
-    shorter length: a first call at n costs O(n*|w|) over all lengths up
-    to n, and a later one at or below a computed length reads a list.
-    The cache holds 5 bytes per letter (a bool and an int32 id). A step
-    adds 8-byte keys, the next ids and a table of 10 bytes per distinct
-    factor, so a Sturmian prefix peaks near 17 bytes per letter.
+    The first call counts every length up to 64 from one sort (Manber &
+    Myers 1993) of the 64-letter windows, one uint64 each: sorted neighbours
+    share n letters iff their XOR is below 2**(64-n), so one sort of the
+    XORs and one search count them at every length. Past 64, the ids of
+    length m are the ranks of class(m-1)*2 + letter among the keys present,
+    from the int32 ranks of the full windows; once each factor occurs once,
+    so does each longer one. So the first call pays one sort, O(|w| log |w|),
+    and each length past 64 one refinement, O(|w|); a later call at or below
+    a length made reads a list. The sort holds 17 bytes per letter: the
+    letters, the windows and an 8-byte temporary. The cache keeps 1 byte per
+    letter, 5 past 64; a refinement adds 8-byte keys, the next ids and 10
+    bytes per distinct factor, so a Sturmian prefix peaks near 17 bytes.
     """
     if n < 0:
         raise ValueError(f"factor length must be >= 0, got {n}")
@@ -95,12 +146,14 @@ def complexity(w: Word, n: int) -> int:
         raise WindowTooShort(f"need |w| >= {20 * n} for factor length {n}")
     if w._factors is None:
         bits = np.frombuffer(w._s.encode(), dtype=np.uint8) == ord("b")
-        ids = np.int32 if len(w) < 2**31 - 1 else np.int64
-        # length 0: the empty word is the one factor, at each of |w|+1 places
-        w._factors = bits, np.zeros(len(w) + 1, dtype=ids), [1]
+        w._factors = bits, None, _window_counts(bits)
     bits, classes, counts = w._factors
     for m in range(len(counts), n + 1):
-        classes, count = _refine(classes, bits[m - 1 :], counts[-1])
+        if counts[-1] == len(bits) - m + 2:  # every factor occurs once
+            count = counts[-1] - 1
+        else:
+            classes = _window_ranks(bits) if classes is None else classes
+            classes, count = _refine(classes, bits[m - 1 :], counts[-1])
         counts = [*counts, count]
         # the cache moves one whole length at a time, freeing the old ids
         w._factors = bits, classes, counts
@@ -149,16 +202,12 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
     # decompose a prefix of the limit word into depth-l blocks: the level-l
     # coding is itself a limit word of the shifted parameter sequence
     deep = limit_word_x(st.y, max(prefix_len // min(N_a, N_b) + 2, 200))
-    blocks_a = blocks_b = letters = 0
-    for c in deep:
-        if letters >= prefix_len:
-            break
-        if c == "a":
-            blocks_a += 1
-            letters += N_a
-        else:
-            blocks_b += 1
-            letters += N_b
+    # the fewest blocks k whose N_a A(k) + N_b (k - A(k)) letters reach prefix_len
+    a_blocks = partial(deep._s.count, "a", 0)
+    k = bisect_left(range(len(deep)), prefix_len,
+                    key=lambda k: N_b * k + (N_a - N_b) * a_blocks(k))
+    blocks_a, blocks_b = a_blocks(k), k - a_blocks(k)
+    letters = N_a * blocks_a + N_b * blocks_b
     if blocks_a + blocks_b < 100:
         raise PrefixTooShort(
             f"only {blocks_a + blocks_b} blocks decompose; raise prefix_len"

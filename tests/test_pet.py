@@ -518,8 +518,8 @@ def assert_same_cells(cells, expected):
     type too, so that the CLI prints them alike."""
     assert cells == expected
     for c, e in zip(cells, expected):
-        assert [type(v) for v in vars(c.rect).values()] == [
-            type(v) for v in vars(e.rect).values()
+        assert [type(v) for v in c.rect._asdict().values()] == [
+            type(v) for v in e.rect._asdict().values()
         ]
 
 

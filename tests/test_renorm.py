@@ -890,7 +890,7 @@ class TestCover:
             got = f(p, arg)
             same(got, oracle)
             rects = [c.rect for c in got]
-            distinct = {(type(v), v) for r in rects for v in astuple(r)}
+            distinct = {(type(v), v) for r in rects for v in tuple(r)}
             assert 0 < len(calls) <= len(distinct) < 4 * len(rects)
             calls.clear()
 

@@ -6,10 +6,11 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sqrect import cfrac
+from sqrect import cfrac, words as words_module
 from sqrect.cfrac import accel, param_to_x
 from sqrect.errors import NotTerminated, PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
@@ -122,6 +123,18 @@ def random_word(rng: random.Random, length: int) -> Word:
     return Word("".join(rng.choice("ab") for _ in range(length)))
 
 
+# words up to 300 letters with long runs of one letter, and periodic ones
+skewed_words = st.one_of(
+    st.text(alphabet="ab", max_size=300),
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 90)), max_size=40).map(
+        lambda runs: "".join(c * k for c, k in runs)[:300]
+    ),
+    st.tuples(st.text(alphabet="ab", min_size=1, max_size=9), st.integers(0, 300)).map(
+        lambda t: (t[0] * 300)[: t[1]]
+    ),
+)
+
+
 class TestComplexity:
     """The refined, cached counts against slicing every factor."""
 
@@ -169,6 +182,35 @@ class TestComplexity:
         for n in (80, 3, 40, 80, 100, 0, 99, 1):
             assert complexity(w, n) == factor_count(w, n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(skewed_words)
+    @example("a" * 300)  # every XOR zero
+    @example("a" * 250 + "b")  # factors only the last window holds
+    @example("ab" * 40 + "b" * 70 + "a" * 63)
+    @example("")
+    def test_window_pass_counts_every_length(self, s):
+        # all lengths n <= min(64, |w|) from the one sort, against slicing
+        bits = np.frombuffer(s.encode(), dtype=np.uint8) == ord("b")
+        want = [factor_count(Word(s), n) for n in range(min(64, len(s)) + 1)]
+        assert words_module._window_counts(bits) == want
+
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("length", [1300, 2000])
+    def test_lengths_around_64(self, length, order):
+        # the window pass and the refinement it hands its ranks to, both
+        # ways round; the random word's 64-letter factors all differ
+        rng = random.Random(length)
+        runs = "".join(rng.choice("ab") * rng.randint(1, 90) for _ in range(length))
+        for s in (
+            str(limit_word(Param(SQRT3M1, 1), length)),
+            str(random_word(rng, length)),
+            runs[:length],
+            ("aab" * length)[:length],
+        ):
+            w = Word(s)
+            for n in [n for n in (63, 64, 65, 100) if 20 * n <= length][::order]:
+                assert complexity(w, n) == factor_count(w, n)
+
     @pytest.mark.parametrize("n", [1, 2, 17, 50])
     def test_window_exactly_20n(self, n):
         w = random_word(random.Random(n), 20 * n)
@@ -189,13 +231,19 @@ class TestComplexity:
         assert cached[:10] == fresh[:10]
         assert complexity(fresh, 50) == complexity(cached, 50)
 
-    def test_memory_per_letter(self):
-        # int32 ids and the cache moving one length at a time: about 17
-        # bytes per letter at the peak, 5 kept (intp ids took about 25)
-        w = limit_word(Param(SQRT2M1, -1), 200_000)
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("kind", ["sturmian", "random"])
+    def test_memory_per_letter(self, kind, n):
+        # one sort of 8-byte windows and an 8-byte temporary: 17 bytes per
+        # letter at the peak; 1 kept, 5 past 64 with int32 ids. A random
+        # word's 64-letter factors all differ, so it needs no ids past 64
+        if kind == "sturmian":
+            w = limit_word(Param(SQRT2M1, -1), 200_000)
+        else:
+            w = random_word(random.Random(200), 200_000)
         tracemalloc.start()
         try:
-            complexity(w, 50)
+            complexity(w, n)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
