@@ -163,8 +163,10 @@ def _cover(levels, q):
     """The cover over levels down to q as arrays (x, y, w, h, is_square,
     letter == 'a'), after a check of its piece count against PIECE_BUDGET."""
     check_budget(levels, q, PIECE_BUDGET)
-    seed = cover_seed(float(q.theta))
-    rects = np.array([r for r, _ in seed], dtype=float).T
+    seed = cover_seed(q.theta)
+    # the lattice rows i + j*theta at the float theta: i, j are 0 or 1, so exact
+    rows = np.array([r for r, _ in seed], dtype=float)
+    rects = (rows[:, ::2] + rows[:, 1::2] * float(q.theta)).T
     letters = np.array([letter == "a" for _, letter in seed])
     return _fold(levels, (*rects, letters, letters))
 

@@ -243,20 +243,6 @@ def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
     )
 
 
-def _seed_cells(q: Param) -> list[tuple[tuple, str]]:
-    """The shortest orbit at q as ((x, y, w, h), letter) rows in orbit
-    order, with the letters `renorm.seed_periods` counts. Its origin is 0
-    in theta's arithmetic: a Fraction at a rational theta, int 0 included,
-    like every other coordinate there."""
-    th, o = q.theta, _half(q.theta) - _half(q.theta)
-    if th == 0:
-        return [((o, o, 1, 1), "a")]
-    if q.eps == -1:
-        return [((th, th, 1 - th, 1 - th), "a")]
-    # the square's image under the map, eps = +1
-    return [((o, o, th, th), "a"), ((1 + th - (o + th), 1 - (o + th), th, th), "b")]
-
-
 # Cells of one `islands` call, and the depths it walks. Lifting costs more
 # per cell the deeper the orbit: on a 2-core VM the 9,900 cells of
 # (1/100, +1) at max period 198 take 0.3 s and peak at 3.9 MiB, and one
@@ -267,10 +253,11 @@ ISLAND_CELL_BUDGET = 10_000
 def islands(p: Param, max_period: int) -> list[Cell]:
     """All periodic cells of period <= max_period, for exact theta, orbit by
     orbit in order of depth. The orbit of depth k is the seed orbit of
-    S^k(p) pulled back in pairs by `renorm.lift_blocks`. Its period comes from
-    `renorm.seed_periods` first, so more than ISLAND_CELL_BUDGET cells raise
-    NotTerminated before any is made."""
-    from .renorm import lift_blocks, seed_periods
+    S^k(p) (`renorm.island_seed`) pulled back in pairs by
+    `renorm.lift_blocks`. Its period comes from `renorm.seed_periods` first,
+    so more than ISLAND_CELL_BUDGET cells raise NotTerminated before any is
+    made."""
+    from .renorm import island_seed, lift_blocks, seed_periods
 
     if not is_exact(p.theta):
         raise ValueError("island enumeration needs an exact parameter")
@@ -281,7 +268,7 @@ def islands(p: Param, max_period: int) -> list[Cell]:
         if k >= ISLAND_CELL_BUDGET:
             raise NotTerminated("renormalization depth cap exceeded")
         if period <= max_period:
-            seeds[k] = [(r, k, side) for r, side in _seed_cells(q)]
+            seeds[k] = [(r, k, side) for r, side in island_seed(q)]
             total += period
         if level is None or M.m11 + M.m21 > max_period:
             break
@@ -289,8 +276,9 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     if total > ISLAND_CELL_BUDGET:
         raise NotTerminated(f"{total} cells, above the cap of {ISLAND_CELL_BUDGET}")
 
-    out = []  # from blocks (rect, depth of its orbit, side)
-    for _, orbit in groupby(lift_blocks(levels, seeds), key=lambda block: block[1]):
+    blocks = lift_blocks(p.theta, levels, seeds)  # (rect, depth of its orbit, side)
+    out = []
+    for _, orbit in groupby(blocks, key=lambda block: block[1]):
         coords, _, sides = zip(*orbit)
         rects = [Rect(*r) for r in coords]
         # the cells come from the pair steps; one exact step checks the closure

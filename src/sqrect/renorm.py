@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
-from .exactnum import Number, _canon
+from .exactnum import Number, _canon, is_exact
 from .pet import Param, Point, Rect, _lift, _steps, psi_inverse_ints
 
 
@@ -335,12 +335,12 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
 def seed_periods(p: Param):
     """For q = S^k(p), k = 0, 1, ...: (q, period, level, M) with q's Level,
     M = M_0...M_k and the period at p of q's shortest orbit
-    (`pet._seed_cells`): ||M_0...M_{k-1} v||_1 for its letter counts v, the
-    square alone (1, 0) where eps = -1 or theta = 0, else the square and its
-    image (1, 1). At theta = 0 level and M are None; past it, Terminal."""
+    (`island_seed`): ||M_0...M_{k-1} v||_1 for its letter counts v, the
+    square alone (1, 0) or the square and its image (1, 1). At theta = 0
+    level and M are None; past it, Terminal."""
     levels, M, q = chain(p), Mat2.identity(), p
     while True:
-        period = sum(M.apply((1, 0) if q.eps == -1 or q.theta == 0 else (1, 1)))
+        period = sum(M.apply((1, len(island_seed(q)) - 1)))
         if q.theta == 0:
             yield q, period, None, None
         level = next(levels)
@@ -386,21 +386,22 @@ def psi_inverse_lattice(n: int, eps: int, xi, xj, yi, yj, wi, wj, hi, hj) -> tup
             wi - (n - 1) * wj, n * wj - wi, hi - (n - 1) * hj, n * hj - hi)
 
 
-def _lattice(theta, values) -> tuple:
-    """Values of Z + Z*theta as flat pairs (i, j), i + j*theta: j from the sqrt(d)
-    parts, or from i*R + j*ta = va at a rational theta = ta/R; floats as (v, 0)."""
-    R, d, ((ta, tb), *pairs), exact = _lift((theta, *values))
-    if not exact:
-        return sum(pairs, ())
-    js = [vb // tb if d else va * pow(ta, -1, R) % R for va, vb in pairs]
-    return sum((((va - j * ta) // R, j) for (va, _), j in zip(pairs, js)), ())
-
-
 def cover_seed(theta) -> list[tuple[tuple, str]]:
-    """Depth-0 cover as ((x, y, w, h), letter) rows: the square ('a') and the
-    rectangle R_theta ('b'), which is empty at theta = 0."""
-    seed = [((0, 0, 1, 1), "a"), ((1, 0, theta, 1), "b")]
+    """Depth-0 cover as lattice rows ((xi, xj, yi, yj, wi, wj, hi, hj),
+    letter), each pair meaning i + j*theta: the square [0, 1]^2 ('a') and
+    the rectangle R_theta = [1, 1 + theta] x [0, 1] ('b'), empty at theta = 0."""
+    seed = [((0, 0, 0, 0, 1, 0, 1, 0), "a"), ((1, 0, 0, 0, 0, 1, 1, 0), "b")]
     return seed if theta != 0 else seed[:1]
+
+
+def island_seed(q: Param) -> list[tuple[tuple, str]]:
+    """The shortest orbit at q as lattice rows, as `cover_seed`'s, in orbit
+    order: where eps = -1 the square [theta, 1]^2 ('a'), which the map fixes
+    and which at theta = 0 is [0, 1]^2 for either eps; else the square
+    [0, theta]^2 and its image [1, 1 + theta] x [1 - theta, 1] ('b')."""
+    if q.eps == -1 or q.theta == 0:
+        return [((0, 1, 0, 1, 1, -1, 1, -1), "a")]
+    return [((0, 0, 0, 0, 0, 1, 0, 1), "a"), ((1, 0, 1, -1, 0, 1, 0, 1), "b")]
 
 
 def piece_count(levels: list[Level], q: Param) -> int:
@@ -446,27 +447,23 @@ def cover_level(level: Level, pull, push, blocks):
             yield r, tag, side
 
 
-def lift_blocks(levels: list[Level], seeds: dict) -> list:
-    """Blocks (rect, tag, letter) of exact numbers through `cover_level` up
-    to depth 0, deepest first: seeds[k], rows with values in Z + Z*theta_k of
-    S^k(p), join at depth k <= len(levels). Below depth 0 a coordinate is a
-    pair (`_lattice`), moved by `psi_inverse_lattice` and `rect_branch_ints`
-    in the frame (1, 0, 0, 1) and converted once per pair, as i + j*theta_0;
-    floats keep the given-values frame. Depth-0 seeds go out as given."""
-    blocks = []
-    T, d, ((ta, tb),), exact = _lift((levels[0].q.theta if levels else 0,))
-    for k, level in reversed([*enumerate(levels, 1)]):
-        blocks = [(_lattice(level.next.theta, r), tag, letter)
-                  for r, tag, letter in seeds.get(k, ())] + blocks
-        eps, frame = level.q.eps, (1, 0, 0, 1) if exact else (1, 0, level.q.theta, 0)
-        pull = (partial(psi_inverse_lattice, level.n, eps) if exact
-                else partial(psi_inverse_ints, frame, eps, 1))
-        push = partial(rect_branch_ints, frame, eps)
-        blocks = list(cover_level(level, pull, push, blocks))
-    # canonical surds; a rational theta's coordinates stay Fractions, floats floats
+def lift_blocks(theta, levels: list[Level], seeds: dict) -> list:
+    """Blocks (rect, tag, letter) through `cover_level` up to depth 0 of the
+    exact theta = theta_0, deepest first: seeds[k], rows of lattice pairs
+    (i, j) meaning i + j*theta_k of S^k(p), join at depth k <= len(levels).
+    The pairs are moved by `psi_inverse_lattice` and `rect_branch_ints` in
+    the frame (1, 0, 0, 1), and each distinct pair is converted once, as
+    i + j*theta_0."""
+    blocks = list(seeds.get(len(levels), ()))
+    for k, level in reversed([*enumerate(levels)]):
+        pull = partial(psi_inverse_lattice, level.n, level.q.eps)
+        push = partial(rect_branch_ints, (1, 0, 0, 1), level.q.eps)
+        blocks = [*seeds.get(k, ()), *cover_level(level, pull, push, blocks)]
+    # canonical surds; a rational theta's coordinates stay Fractions
+    T, d, ((ta, tb),), _ = _lift((theta,))
     value = cache(lambda i, j: _canon(i * T + j * ta, j * tb, T, d) if d
-                  else Fraction(i * T + j * ta, T)) if exact else lambda a, b: a
-    return list(seeds.get(0, ())) + [
+                  else Fraction(i * T + j * ta, T))
+    return [
         ((value(xi, xj), value(yi, yj), value(wi, wj), value(hi, hj)), tag, letter)
         for (xi, xj, yi, yj, wi, wj, hi, hj), tag, letter in blocks
     ]
@@ -477,10 +474,13 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
     square and of the renormalized rectangle, piece by piece in orbit
     order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
     one-piece blocks of lattice pairs (`lift_blocks`). Covers above
-    EXACT_PIECE_BUDGET pieces raise NotTerminated."""
+    EXACT_PIECE_BUDGET pieces raise NotTerminated; a float theta, ValueError
+    (`fractal.cover_arrays` covers it)."""
+    if not is_exact(p.theta):
+        raise ValueError("an exact cover needs an exact parameter")
     levels, q = descend(p, l)
     check_budget(levels, q, EXACT_PIECE_BUDGET)
     seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
     contraction = reduce(lambda c, level: c / level.ratio, reversed(levels), 1)
-    blocks = lift_blocks(levels, {len(levels): seed})
+    blocks = lift_blocks(p.theta, levels, {len(levels): seed})
     return [CoverPiece(Rect(*r), shape, contraction) for r, shape, _ in blocks]

@@ -17,7 +17,9 @@ from .lyap import cocycle_walk
 from .renorm import Mat2
 
 # Letters of a limit-word prefix, checked before anything is expanded. The
-# factor counts peak at 17 bytes per letter, sorting 8-byte windows: 0.6 GB.
+# factor counts of a limit word, which is Sturmian, peak at 17 bytes per
+# letter, sorting 8-byte windows: 0.6 GB. A word whose factors past length 64
+# repeat, such as a random word written twice, peaks at 22: 0.74 GB.
 LETTER_BUDGET = 1 << 25
 
 
@@ -138,7 +140,9 @@ def complexity(w: Word, n: int) -> int:
     a length made reads a list. The sort holds 17 bytes per letter: the
     letters, the windows and an 8-byte temporary. The cache keeps 1 byte per
     letter, 5 past 64; a refinement adds 8-byte keys, the next ids and 10
-    bytes per distinct factor, so a Sturmian prefix peaks near 17 bytes.
+    bytes per distinct factor, so a Sturmian prefix peaks near 17 bytes, and
+    a word with many repeated factors past 64 (a random word written twice)
+    at 22 (tracemalloc).
     """
     if n < 0:
         raise ValueError(f"factor length must be >= 0, got {n}")

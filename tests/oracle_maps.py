@@ -1,7 +1,12 @@
 """The similitude psi^-1 and the rectangle step of the map on plain numbers:
 exact numbers, floats or numpy float arrays alike. The oracles of the pair
 forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
-library runs on every frame."""
+library runs on every frame; and a seed row of lattice pairs as numbers."""
+
+
+def seed_values(theta, row):
+    """A row (xi, xj, yi, yj, ...) of lattice pairs as the numbers i + j*theta."""
+    return tuple(i + j * theta for i, j in zip(row[::2], row[1::2]))
 
 
 def psi_inverse(theta, eps: int, x, y, w=0, h=0):

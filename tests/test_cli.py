@@ -107,6 +107,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_islands_at_a_float_parameter_is_two(self, capsys):
+        # islands are enumerated exactly; a float theta is a domain error
+        code, out, err = run(
+            capsys, "islands", "--param", "0.4142135623730951,-1"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+        assert "exact parameter" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("length", ["0", "-3"])
     def test_sturmian_without_a_positive_length_is_two(self, capsys, length):
         # a surd's expansion never terminates: the length itself is wrong

@@ -38,7 +38,7 @@ from sqrect.fractal import (
     selfsimilar_dimension,
     selfsimilar_parameter,
 )
-from oracle_maps import psi_inverse, rect_branch
+from oracle_maps import psi_inverse, rect_branch, seed_values
 from test_pet import exact_params
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -204,8 +204,9 @@ def _oracle_fold(qs, arrays):
 def _oracle_cover_arrays(p, l):
     """The depth-l cover of p as `_cover`'s six arrays, by `_oracle_fold`."""
     params = param_chain(p, l)
-    seed = cover_seed(float(params[-1].theta))
-    rects = np.array([r for r, _ in seed], dtype=float).T
+    th = float(params[-1].theta)
+    seed = cover_seed(th)
+    rects = np.array([seed_values(th, r) for r, _ in seed], dtype=float).T
     letters = np.array([letter == "a" for _, letter in seed])
     return _oracle_fold(params[:-1], (*rects, letters, letters))
 

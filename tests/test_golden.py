@@ -39,6 +39,8 @@ COMMANDS = [
     ("orbit", ["orbit", "--param", SILVER, "--point", "1/3,2/7", "--depth", "50"]),
     ("islands", ["islands", "--param", SILVER, "--max-period", "21"]),
     ("islands-none", ["islands", "--param", SILVER, "--max-period", "0"]),
+    # theta = 0: the seed square [0, 1]^2 in Fractions, as every island there
+    ("islands-zero", ["islands", "--param", "0,1", "--max-period", "5"]),
     ("induction-check", ["induction-check", "--param", SILVER, "--trials", "100"]),
     ("induction-check-float",
      ["induction-check", "--param", "0.4142135623730951,-1", "--trials", "50"]),

@@ -97,9 +97,7 @@ class Orbit:
 
 def _oracle_seed_orbits(p: Param) -> list[Orbit]:
     th = p.theta
-    if th == 0:
-        return [Orbit(Rect(0, 0, 1, 1), "a")]
-    if p.eps == -1:
+    if p.eps == -1 or th == 0:  # at theta = 0 the square [theta, 1]^2 is [0, 1]^2
         return [Orbit(Rect(th, th, 1 - th, 1 - th), "a")]
     return [Orbit(Rect(0, 0, th, th), "ab")]
 
@@ -605,8 +603,11 @@ class TestIslands:
                 assert sep_x or sep_y
 
     def test_float_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            islands(Param(0.4142, -1), max_period=1)
+        for theta, eps, max_period in [
+            (0.4142, -1, 1), (0.4142135623730951, -1, 21), (0.4142135623730951, 1, 5),
+        ]:
+            with pytest.raises(ValueError, match="exact parameter"):
+                islands(Param(theta, eps), max_period)
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(pet, "ISLAND_CELL_BUDGET", 50)

@@ -42,7 +42,7 @@ from sqrect.renorm import (
     renorm_step,
     similitude,
 )
-from oracle_maps import psi_inverse, rect_branch
+from oracle_maps import psi_inverse, rect_branch, seed_values
 from test_pet import assert_same_cells, exact_params, oracle_islands
 from test_words import abelianization, apply
 
@@ -657,9 +657,10 @@ def _oracle_cover_level(q, pieces):
 
 def _oracle_cover(p, l):
     params = param_chain(p, l)
+    th = params[-1].theta
     pieces = [
-        (CoverPiece(Rect(*r), "C" if letter == "a" else "R", 1), letter)
-        for r, letter in cover_seed(params[-1].theta)
+        (CoverPiece(Rect(*seed_values(th, r)), "C" if letter == "a" else "R", 1), letter)
+        for r, letter in cover_seed(th)
     ]
     for q in reversed(params[:-1]):
         pieces = _oracle_cover_level(q, pieces)
@@ -676,8 +677,8 @@ def _assert_same_cover(got, want):
 
 def test_psi_inverse_and_the_rectangle_step_written_once():
     # psi^-1 and the rectangle step of the map are defined once, in pairs:
-    # the float fold binds those, and the seed orbit of the islands writes
-    # its one step out rather than borrow it from renorm
+    # the float fold binds those, and no src function turns values into
+    # lattice pairs
     trees = {
         path.stem: ast.parse(path.read_text())
         for path in Path(renorm.__file__).parent.glob("*.py")
@@ -712,15 +713,23 @@ def test_psi_inverse_and_the_rectangle_step_written_once():
     )
     named = {node.id for node in ast.walk(lift) if isinstance(node, ast.Name)}
     assert {"psi_inverse_lattice", "rect_branch_ints"} <= named
-    seed_cells = next(
-        node for node in trees["pet"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "_seed_cells"
-    )
-    imports = [
-        ast.unparse(node) for node in ast.walk(seed_cells)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+    # both seeds are rows of integer literals, and lift_blocks lifts theta
+    # alone, to convert the pairs it made
+    for name in ("cover_seed", "island_seed"):
+        seed = next(
+            node for node in trees["renorm"].body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+        rows = [node for node in ast.walk(seed) if isinstance(node, ast.Tuple)
+                and len(node.elts) == 8]
+        assert rows and all(
+            type(v) is int for row in rows for v in ast.literal_eval(row)
+        )
+    lifted = [
+        ast.unparse(node) for node in ast.walk(lift)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_lift"
     ]
-    assert not [line for line in imports if "renorm" in line]
+    assert lifted == ["_lift((theta,))"]
 
 
 @st.composite
@@ -816,7 +825,7 @@ class TestCover:
         seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(last.theta)]
         checked = 0
         for k in reversed(range(l)):  # the cover at depth k of the levels' chain
-            blocks = lift_blocks(levels[k:], {l - k: seed})
+            blocks = lift_blocks(levels[k].q.theta, levels[k:], {l - k: seed})
             for (x, _, w, _), _, letter in blocks:
                 assert (x + w <= 1) if letter == "a" else (x >= 1)
             checked += len(blocks)
@@ -824,13 +833,11 @@ class TestCover:
             piece_count(levels[i:], last) for i in range(l)
         )
 
-    @pytest.mark.parametrize("theta, eps", [
-        *COVER_PARAMS, ("3/8", -1), ("0.4142135623730951", 1), ("0.3", -1),
-    ])
+    @pytest.mark.parametrize("theta, eps", [*COVER_PARAMS, ("3/8", -1)])
     def test_matches_piecewise_recursion(self, theta, eps):
         # every piece, in orbit order, with the scalar type of each
         # coordinate and of the contraction; 3/8 renormalizes to 0 at
-        # depth 3. A float parameter gives the recursion's floats bit for bit
+        # depth 3
         p = Param(parse_number(theta), eps)
         for l in range(_depth_within(p, 500) + 1):
             _assert_same_cover(cover(p, l), _oracle_cover(p, l))
@@ -902,7 +909,7 @@ class TestCover:
         assert [level.q.theta for level in levels] + [last.theta] == [
             Fraction(3, 8), Fraction(2, 3), Fraction(1, 2), 0
         ]
-        assert cover_seed(0) == [((0, 0, 1, 1), "a")]
+        assert cover_seed(0) == [((0, 0, 0, 0, 1, 0, 1, 0), "a")]
         ps = period_sequence(p, 4)
         cells = islands(p, max_period=ps[3] - 1)
         for l, n in enumerate((2, 8, 21, 37)):
@@ -923,6 +930,12 @@ class TestCover:
         with pytest.raises(NotTerminated):
             cover(p, 12)
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_float_parameter_rejected(self, l):
+        # exact covers need an exact theta; float covers are fractal.cover_arrays
+        with pytest.raises(ValueError, match="exact parameter"):
+            cover(Param(0.4142135623730951, -1), l)
 
     def test_ratio_matches_depth(self):
         p = Param(SQRT2M1, -1)

@@ -231,23 +231,31 @@ class TestComplexity:
         assert cached[:10] == fresh[:10]
         assert complexity(fresh, 50) == complexity(cached, 50)
 
-    @pytest.mark.parametrize("n", [50, 100])
-    @pytest.mark.parametrize("kind", ["sturmian", "random"])
+    @pytest.mark.parametrize("kind, n", [
+        ("sturmian", 50), ("sturmian", 100), ("random", 50), ("random", 100),
+        ("doubled-random", 100),
+    ])
     def test_memory_per_letter(self, kind, n):
         # one sort of 8-byte windows and an 8-byte temporary: 17 bytes per
         # letter at the peak; 1 kept, 5 past 64 with int32 ids. A random
-        # word's 64-letter factors all differ, so it needs no ids past 64
+        # word's 64-letter factors all differ, so it needs no ids past 64; one
+        # written twice repeats them, and each refinement past 64 holds 8-byte
+        # keys and a table per distinct factor beside the ids: 22 bytes
         if kind == "sturmian":
             w = limit_word(Param(SQRT2M1, -1), 200_000)
-        else:
+        elif kind == "random":
             w = random_word(random.Random(200), 200_000)
+        else:
+            half = str(random_word(random.Random(200), 100_000))
+            w = Word(half + half)
         tracemalloc.start()
         try:
             complexity(w, n)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 19 * len(w) and kept < 6 * len(w)
+        bound = 23 if kind == "doubled-random" else 19
+        assert peak < bound * len(w) and kept < 6 * len(w)
 
 
 class TestLimitWord:

@@ -22,8 +22,11 @@ directories of a temporary folder. For each workload the script runs
 of pair i share seed i + 1, and REV runs first in even pairs, the working
 tree in odd ones. For each metric it prints REV's median and quartiles,
 the working tree's median, the change in per cent, and in how many pairs
-the working tree was better, the direction read from BENCHMARK.json; with
-`--trace 1` the metrics are the per-layer ones. The record, with every run, goes to
+the working tree was better, the direction read from BENCHMARK.json. A
+metric whose bound there is narrower than REV's interquartile range, as a
+fraction of REV's median, is marked unresolved unless every run of the
+working tree beats every run of REV. With `--trace 1` the metrics are the
+per-layer ones. The record, with every run, goes to
 BENCH_against_<short-rev>_trace<0|1>.json at the repository root.
 Standard library only.
 """
@@ -118,22 +121,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(base: list[float], change: list[float], better: str) -> dict:
+def verdict(base: list[float], change: list[float], better: str,
+            bound: float | None) -> dict:
     """Both sides' spreads, the change of the median in per cent, the pairs
     in which the change was strictly better, and whether the medians differ
-    by more than REV's interquartile range."""
+    by more than REV's interquartile range. A metric with a `bound`, a
+    fraction of REV's median, is unresolved where REV's interquartile range
+    is wider than the bound, unless every run of the change is better than
+    every run of REV: its runs spread too widely to tell a change within it."""
     wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
     a, b = spread(base), spread(change)
     pct = 100 * (b["median"] / a["median"] - 1) if a["median"] else None
+    sweep = max(change) < min(base) if better == "lower" else min(change) > max(base)
+    wide = bound is not None and a["q3"] - a["q1"] > bound * abs(a["median"])
     return {"better": better, "against": a, "change": b, "change_pct": pct,
             "better_in": wins, "pairs": len(base),
-            "beyond_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"]}
+            "beyond_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+            "unresolved": wide and not sweep}
 
 
-def directions() -> dict:
-    """Metric name: 'lower' or 'higher', from BENCHMARK.json."""
+def metric_specs() -> dict:
+    """Metric name: its entry in BENCHMARK.json, with `better` and, for the
+    end-to-end metrics, `bound`."""
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def paired_runs(sides: dict, workload: str, trace: int) -> dict:
@@ -150,7 +161,7 @@ def compare(rev: str, trace: int) -> int:
     head = run(REPO, "git", "rev-parse", "HEAD").strip()
     revs = {"against": run(REPO, "git", "rev-parse", rev).strip(),
             "change": run(REPO, "git", "stash", "create").strip() or head}
-    better = directions()
+    specs = metric_specs()
     rec = {**revs, "head": head, "pairs": PAIRS, "seconds": SECONDS, "trace": trace,
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
@@ -170,7 +181,8 @@ def compare(rev: str, trace: int) -> int:
             res["metrics"] = {
                 name: verdict(*([r["metrics"][name]["value"] for r in results[side]]
                                 for side in ("against", "change")),
-                              better.get(name, "lower"))
+                              specs.get(name, {}).get("better", "lower"),
+                              specs.get(name, {}).get("bound"))
                 for name in results["against"][0]["metrics"]
             }
             print_verdicts(workload, res)
@@ -187,9 +199,10 @@ def print_verdicts(workload: str, res: dict) -> None:
         a, b = v["against"], v["change"]
         pct = "n/a" if v["change_pct"] is None else f"{v['change_pct']:+.1f} %"
         beyond = ", beyond the IQR" if v["beyond_iqr"] else ""
+        unresolved = ", unresolved: the IQR exceeds the bound" if v["unresolved"] else ""
         print(f"  {name:32s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}]"
               f" -> {b['median']:.6g} ({pct}), better in {v['better_in']} of"
-              f" {v['pairs']} ({v['better']} is better{beyond})")
+              f" {v['pairs']} ({v['better']} is better{beyond}){unresolved}")
 
 
 def main(argv: list[str]) -> int:
