@@ -107,12 +107,6 @@ class AccelStep(NamedTuple):
     family: BranchFamily
     n: int
 
-    @property
-    def sigma_bold(self) -> tuple[str, str]:
-        # built on demand: the letter images have length ~ branch index,
-        # which can be astronomical for orbits close to the interval ends
-        return self.family.sigma(self.n)
-
     def __repr__(self) -> str:  # without the family, which n and M_bold name
         return (f"AccelStep(m={self.m!r}, y={self.y!r}, r_bold={self.r_bold!r}, "
                 f"M_bold={self.M_bold!r}, n={self.n!r})")

@@ -396,14 +396,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, rows, text = HANDLERS[args.command](args)
-    # a float orbit can land on a pole of a branch map: a domain error too
-    except (SqrectError, ValueError, ZeroDivisionError) as exc:
+        _emit(args, report, rows, text)
+        _write_manifest(args)
+    # a float orbit can land on a pole of a branch map: a domain error too;
+    # an output that cannot be written is a usage error
+    except (SqrectError, ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return 1 if isinstance(exc, ParseError) else 2
-    _emit(args, report, rows, text)
-    _write_manifest(args)
+        return 1 if isinstance(exc, (ParseError, OSError)) else 2
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
 from .exactnum import Number, Surd, _canon, _sign, format_number, is_exact
@@ -55,27 +55,6 @@ class Point:
 
     def dist_max(self, other: "Point") -> float:
         return max(abs(float(self.x - other.x)), abs(float(self.y - other.y)))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Axis-parallel segment from (x, y), extending `length` along
-    `orientation` ('H' rightwards, 'V' upwards)."""
-
-    x: Number
-    y: Number
-    length: Number
-    orientation: str
-
-    def __post_init__(self):
-        if self.orientation not in ("H", "V"):
-            raise ValueError("orientation must be 'H' or 'V'")
-
-    @property
-    def end(self) -> Point:
-        if self.orientation == "H":
-            return Point(self.x + self.length, self.y)
-        return Point(self.x, self.y + self.length)
 
 
 def _half(v: Number) -> Number:
@@ -292,59 +271,41 @@ def islands(p: Param, max_period: int) -> list[Cell]:
 # -- discontinuity segments ----------------------------------------------
 
 
-def boundary_segments(p: Param) -> list[Segment]:
-    """The 7 maximal boundary segments of the two pieces (x=1 once)."""
+def boundary_segments(p: Param) -> list[Rect]:
+    """The 7 maximal boundary segments of the two pieces (x=1 once), each a
+    Rect of height 0 (horizontal) or width 0 (vertical)."""
     th = p.theta
-    segs = [
-        Segment(0, 0, 1, "H"),
-        Segment(0, 1, 1, "H"),
-        Segment(0, 0, 1, "V"),
-        Segment(1, 0, 1, "V"),
-    ]
+    segs = [Rect(0, 0, 1, 0), Rect(0, 1, 1, 0), Rect(0, 0, 0, 1), Rect(1, 0, 0, 1)]
     if th > 0:
-        segs += [
-            Segment(1, 0, th, "H"),
-            Segment(1, 1, th, "H"),
-            Segment(1 + th, 0, 1, "V"),
-        ]
+        segs += [Rect(1, 0, th, 0), Rect(1, 1, th, 0), Rect(1 + th, 0, 0, 1)]
     return segs
 
 
-def _pullback_segment(p: Param, s: Segment) -> list[Segment]:
-    """Apply the inverse map to a segment, splitting at x = theta."""
-    th = p.theta
-    out = []
-    if s.orientation == "H":
-        x0, x1, c = s.x, s.x + s.length, s.y
-        # part over the image of the rectangle: x in [0, theta]
-        lo, hi = x0, min(x1, th)
-        if lo < hi:
-            out.append(Segment(lo + 1, 1 - c, hi - lo, "H"))
-        # part over the image of the square: x in [theta, 1+theta]
-        lo, hi = max(x0, th), x1
-        if lo < hi:
-            out.append(Segment(p.f(c), 1 + th - hi, hi - lo, "V"))
-    else:
-        y0, y1, c = s.y, s.y + s.length, s.x
-        if c <= th:
-            out.append(Segment(c + 1, 1 - y1, y1 - y0, "V"))
-        if c >= th:
-            if p.eps == -1:
-                out.append(Segment(y0, 1 + th - c, y1 - y0, "H"))
-            else:
-                out.append(Segment(1 - y1, 1 + th - c, y1 - y0, "H"))
-    return out
+def _pullback_segments(p: Param, segments: list[Rect]) -> Iterator[Rect]:
+    """The inverse map on each segment, split at x = theta: the part over
+    [0, theta] comes from the rectangle, the part over [theta, 1 + theta]
+    from the square. A part is kept when it has length along x, or, with
+    width 0, when the segment is vertical: one on x = theta maps to both."""
+    th, top, flip = p.theta, 1 + p.theta, p.eps == 1
+    for x, y, w, h in segments:
+        x1 = x + w
+        lo, hi = x, min(x1, th)
+        if (wide := lo < hi) or h and not hi < lo:
+            yield Rect(lo + 1, 1 - (y + h), hi - lo if wide else 0, h)
+        lo, hi = max(x, th), x1
+        if (wide := lo < hi) or h and not hi < lo:
+            yield Rect(1 - (y + h) if flip else y, top - hi, h, hi - lo if wide else 0)
 
 
 # Segments of one discontinuity set, counted as each level is added. On a
-# 2-core VM an exact segment at the silver or golden mean costs 10-13 us to
-# make and about 26 us made and drawn at --px 1000, and tracemalloc puts the
-# set at 460-530 bytes a segment: the silver mean reaches the budget at depth
-# 38,000, whose render takes 5.1 s and peaks at 123 MiB
+# 2-core VM an exact segment at the silver or golden mean costs 12-15 us to
+# make and about 30 us made and drawn at --px 1000, and tracemalloc puts the
+# set at 250-275 bytes a segment: the silver mean reaches the budget at depth
+# 38,000, whose render takes 5.1-6.2 s and peaks at 92 MiB RSS
 SEGMENT_BUDGET = 200_000
 
 
-def discontinuity_segments(p: Param, depth: int) -> list[Segment]:
+def discontinuity_segments(p: Param, depth: int) -> list[Rect]:
     """Segments of the union of inverse images of the boundary up to depth,
     or up to the first level that adds none. Raises NotTerminated once the
     levels hold more than SEGMENT_BUDGET segments."""
@@ -354,11 +315,10 @@ def discontinuity_segments(p: Param, depth: int) -> list[Segment]:
         if not level:
             break
         nxt = []
-        for s in level:
-            for t in _pullback_segment(p, s):
-                if t not in seen:
-                    seen[t] = None
-                    nxt.append(t)
+        for t in _pullback_segments(p, level):
+            if t not in seen:
+                seen[t] = None
+                nxt.append(t)
         if len(seen) > SEGMENT_BUDGET:
             raise NotTerminated(f"over {SEGMENT_BUDGET} segments by depth {k + 1}")
         level = nxt

@@ -132,8 +132,8 @@ def render_discontinuities(p: Param, depth: int, px: int) -> Image:
     """Backward orbit of the piece boundaries, drawn over the tinted domain."""
     img = Image.for_domain(float(p.width), px)
     _tint_domain(img, p)
-    for seg in discontinuity_segments(p, depth):
-        img.draw_segment(seg.x, seg.y, *seg.end, PALETTE["discontinuity"])
+    for x, y, w, h in discontinuity_segments(p, depth):
+        img.draw_segment(x, y, x + w, y + h, PALETTE["discontinuity"])
     return img
 
 

@@ -231,16 +231,24 @@ def limit_word_x(x, length: int) -> Word:
             f"{length} letters exceed the budget of {LETTER_BUDGET} (about 0.6 GB)"
         )
     tables = []
+    # past branch length // 2 + 2, an image's first `length` letters stay
+    # fixed (unit and right sigma(a) grow by prefix, middle sigma(b) starts
+    # with at least `length` a's), and they are all the word can read of it
+    cap = length // 2 + 2
     # safety cap; growth makes far fewer needed. accel_walk raises Terminal
     # at rational ends
     for step in islice(accel_walk(x), 4 * length):
-        tables.append(str.maketrans(dict(zip("ab", step.sigma_bold))))
+        a, b = (image[:length] for image in step.family.sigma(min(step.n, cap)))
+        tables.append((str.maketrans({"a": a, "b": b}), len(a), len(b)))
         # enough depth once the innermost seed expands past `length`
         w = "a"
-        for table in reversed(tables):
-            w = w.translate(table)
+        for table, la, lb in reversed(tables):
             # stops before sigma_0: the returned word is a prefix of
             # sigma_j ∘ ... (a) for some j > 0, a known defect
-            if len(w) >= length:
-                return Word(w[:length])
+            if la * w.count("a") + lb * w.count("b") >= length:
+                # only the fewest letters whose images reach `length`
+                k = bisect_left(range(len(w)), length,
+                                key=lambda k: lb * k + (la - lb) * w.count("a", 0, k))
+                return Word(w[:k].translate(table)[:length])
+            w = w.translate(table)
     raise Terminal(f"expansion too short to generate {length} letters")

@@ -1,7 +1,9 @@
 """The similitude psi^-1 and the rectangle step of the map on plain numbers:
 exact numbers, floats or numpy float arrays alike. The oracles of the pair
 forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
-library runs on every frame; and a seed row of lattice pairs as numbers."""
+library runs on every frame; a seed row of lattice pairs as numbers; and
+the discontinuity set built from oriented segments, with the inverse map
+written once per orientation, the oracle of `pet.discontinuity_segments`."""
 
 
 def seed_values(theta, row):
@@ -26,3 +28,43 @@ def rect_branch(theta, eps: int, letter: str, x, y, w, h):
     if letter == "b":
         return x - 1, 1 - (y + h), w, h
     return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
+
+
+def _segment_pullback(theta, eps: int, s: tuple) -> list:
+    """The inverse map on a segment (x, y, length, orientation), extending
+    `length` from (x, y) rightwards ('H') or upwards ('V'), split at x =
+    theta."""
+    x, y, length, orientation = s
+    out = []
+    if orientation == "H":
+        x0, x1, c = x, x + length, y
+        # part over the image of the rectangle: x in [0, theta]
+        lo, hi = x0, min(x1, theta)
+        if lo < hi:
+            out.append((lo + 1, 1 - c, hi - lo, "H"))
+        # part over the image of the square: x in [theta, 1+theta]
+        lo, hi = max(x0, theta), x1
+        if lo < hi:
+            out.append((c if eps == -1 else 1 - c, 1 + theta - hi, hi - lo, "V"))
+    else:
+        y0, y1, c = y, y + length, x
+        if c <= theta:
+            out.append((c + 1, 1 - y1, y1 - y0, "V"))
+        if c >= theta:
+            out.append((y0 if eps == -1 else 1 - y1, 1 + theta - c, y1 - y0, "H"))
+    return out
+
+
+def discontinuity_endpoints(theta, eps: int, depth: int) -> list:
+    """The end points (x0, y0, x1, y1) of the discontinuity set's segments to
+    `depth`, in order of discovery: the boundary, then each level's new
+    inverse images."""
+    level = [(0, 0, 1, "H"), (0, 1, 1, "H"), (0, 0, 1, "V"), (1, 0, 1, "V")]
+    if theta > 0:
+        level += [(1, 0, theta, "H"), (1, 1, theta, "H"), (1 + theta, 0, 1, "V")]
+    seen = dict.fromkeys(level)
+    for _ in range(depth):
+        nxt = [t for s in level for t in _segment_pullback(theta, eps, s)]
+        level = [t for t in dict.fromkeys(nxt) if t not in seen]
+        seen.update(dict.fromkeys(level))
+    return [(x, y, x + n, y) if o == "H" else (x, y, x, y + n) for x, y, n, o in seen]

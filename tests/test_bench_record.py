@@ -1,6 +1,7 @@
 """The paired verdicts of tools/bench_record.py, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -38,13 +39,55 @@ def test_verdict_marks_spread_wider_than_the_bound(base, change, better, bound,
 
 
 def test_unresolved_is_printed(capsys):
-    res = {"correct": {"against": [True], "change": [True]}, "metrics": {
+    res = {"correct": {"against": [True], "change": [True]},
+           "speed": {"against": [1.0], "change": [1.0]}, "metrics": {
         "op_p50_s": bench_record.verdict(WIDE, WIDE[::-1], "lower", 0.25),
         "ops_per_s": bench_record.verdict(NARROW, NARROW, "higher", 0.25),
     }}
     bench_record.print_verdicts("float", res)
     lines = capsys.readouterr().out.splitlines()
-    assert [("unresolved" in line) for line in lines] == [False, True, False]
+    assert [("unresolved" in line) for line in lines] == [False, False, True, False]
+
+
+def test_speed_medians_are_printed_per_side(capsys):
+    res = {"correct": {"against": [True] * 3, "change": [True] * 3},
+           "speed": {"against": [0.9, 1.2, 1.0], "change": [0.7, 0.75, 0.8]},
+           "metrics": {}}
+    bench_record.print_verdicts("exact", res)
+    speed_line = capsys.readouterr().out.splitlines()[1]
+    assert "speed-probe factor" in speed_line
+    assert "'against': 1.0" in speed_line and "'change': 0.75" in speed_line
+
+
+def fake_result(root, workload, seed, speed):
+    """A result file as bench/run.py writes it, and its last output line."""
+    out = root / "bench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-{workload}-seed{seed}-trace0.json").write_text(json.dumps(
+        {"env": {"seed": seed, "python": "3"}, "as_measured": {"speed": speed}}))
+    return json.dumps({"correct": True, "failed": 0, "attempted": 5, "metrics": {
+        "ops_per_s": {"value": 10.0 * seed, "unit": "1/s"}}})
+
+
+def test_record_keeps_each_runs_speed(tmp_path, monkeypatch, capsys):
+    speeds = {1: 0.8, 2: 1.1, 3: 0.9}
+
+    def run(root, *cmd, env=None):
+        if cmd[:2] == ("git", "rev-parse"):
+            return "0123456789abcdef\n"
+        workload, seed = cmd[cmd.index("--workload") + 1], int(cmd[cmd.index("--seed") + 1])
+        return "report\n" + fake_result(root, workload, seed, speeds[seed]) + "\n"
+
+    monkeypatch.setattr(bench_record, "run", run)
+    monkeypatch.setattr(bench_record, "tier1", lambda root: {"wall_s": 1.0})
+    assert bench_record.record(tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_0123456.json").read_text())
+    for workload in bench_record.WORKLOADS:
+        w = rec["workloads"][workload]
+        assert w["speed"] == {"median": 0.9, "runs": [0.8, 1.1, 0.9]}
+        assert w["metrics"]["ops_per_s"]["runs"] == [10.0, 20.0, 30.0]
+    assert rec["env"] == {"python": "3"}
+    assert "exact: speed-probe factor 0.900 (median)" in capsys.readouterr().out
 
 
 def test_bounds_come_from_the_benchmark():

@@ -225,7 +225,7 @@ class TestAcceleration:
     @given(exact_xs)
     def test_substitution_matches_matrix(self, x):
         st_ = accel(x)
-        assert abelianization(st_.sigma_bold) == (
+        assert abelianization(st_.family.sigma(st_.n)) == (
             st_.M_bold.m11,
             st_.M_bold.m12,
             st_.M_bold.m21,
@@ -458,7 +458,7 @@ class TestBranchTable:
         assume(theta != 0 and not 1 < x < Fraction(3, 2))
         st_ = accel(x)
         assert incidence_matrix(p) == st_.M_bold
-        assert Level(p).sigma == st_.sigma_bold
+        assert Level(p).sigma == st_.family.sigma(st_.n)
 
 
 def generic_branch_sum(which: str, dens, y: float, n_terms: int = 20_000) -> float:

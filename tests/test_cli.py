@@ -357,6 +357,38 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "OutOfDomain"
 
+    @pytest.mark.parametrize("theta", ["0.1", "0.2", "0.3", "0.6", "0.7", "0.9",
+                                       "0.3333333333333333"])
+    @pytest.mark.parametrize("eps", ["-1", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["sturmian", "--length", "200", "--n-max", "5"],
+        ["tower", "--depth", "2", "--prefix-len", "10000"],
+    ], ids=["sturmian", "tower"])
+    def test_decimal_parameters_end_in_a_result_or_a_typed_error(
+            self, capsys, theta, eps, argv):
+        # float orbits of round decimals reach unit branches near 2**48 in
+        # a few steps, whose images the limit word built whole: MemoryError
+        code, out, err = run(capsys, *argv, "--param", f"{theta},{eps}")
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and json.loads(err)["error"] in (
+                "Terminal", "PrefixTooShort")
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--param", "x=sqrt(2)-1"],
+        ["render", "islands", "--param", "sqrt(2)-1,-1", "--periods", "1,5",
+         "--px", "64"],
+    ], ids=["expand", "render"])
+    @pytest.mark.parametrize("where, error", [
+        ("missing/x.out", "FileNotFoundError"), (".", "IsADirectoryError"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv, where, error):
+        # the output is written outside the handler (or, for render, by it):
+        # an OSError there was a traceback
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / where))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+
 
 SILVER = "sqrt(2)-1,-1"
 # every flag whose default is not 0, given as 0: (argv, module and name of the

@@ -28,7 +28,7 @@ from sqrect.pet import (
     walk,
 )
 from sqrect.renorm import RIGHT, UNIT, Mat2, seed_periods
-from oracle_maps import psi_inverse
+from oracle_maps import discontinuity_endpoints, psi_inverse
 from test_words import apply
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -735,10 +735,50 @@ class TestSegments:
 
     def test_segments_inside_domain(self):
         p = Param(Fraction(3, 5), -1)
-        for s in discontinuity_segments(p, 12):
-            end = s.end
-            for v, hi in ((s.x, p.width), (end.x, p.width), (s.y, 1), (end.y, 1)):
+        for x, y, w, h in discontinuity_segments(p, 12):
+            for v, hi in ((x, p.width), (x + w, p.width), (y, 1), (y + h, 1)):
                 assert 0 <= v <= hi
+
+    def test_a_segment_is_a_rect_of_width_or_height_zero(self):
+        for p in (Param(Fraction(3, 5), -1), Param(SQRT2M1, 1), Param(0.3, -1)):
+            for s in discontinuity_segments(p, 30):
+                assert isinstance(s, Rect)
+                assert (s.w == 0) != (s.h == 0) and s.w >= 0 and s.h >= 0
+
+    @staticmethod
+    def endpoints(segs):
+        return [(s.x, s.y, s.x + s.w, s.y + s.h) for s in segs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_params(), st.integers(0, 30))
+    def test_matches_oriented_segment_oracle(self, p, depth):
+        # the one step on rects gives the oriented pullback's end points,
+        # value for value and in the same order
+        got = self.endpoints(discontinuity_segments(p, depth))
+        assert got == discontinuity_endpoints(p.theta, p.eps, depth)
+
+    @pytest.mark.parametrize("theta, eps", [
+        ("3/5", -1), ("3/8", -1), ("2/7", 1), ("1/2", 1), ("0", 1), ("0", -1),
+        ("sqrt(2)-1", 1), ("sqrt(2)-1", -1), ("(sqrt(5)-1)/2", -1),
+        ("(sqrt(7)-1)/3", 1), ("(-13+4*sqrt(13))/4", -1),
+    ])
+    def test_matches_oriented_segment_oracle_at_depth_60(self, theta, eps):
+        p = Param(parse_number(theta), eps)
+        got = self.endpoints(discontinuity_segments(p, 60))
+        assert got == discontinuity_endpoints(p.theta, eps, 60)
+
+    def test_bytes_per_segment(self):
+        # a Rect of four fields, no per-segment dict: 244 B a kept segment
+        # here on CPython 3.11, where the frozen dataclass with an
+        # orientation field took 316
+        p = Param(SQRT2M1, -1)
+        tracemalloc.start()
+        try:
+            segs = discontinuity_segments(p, 1000)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept / len(segs) < 300
 
     def test_rational_parameter_stabilizes(self):
         # at a rational parameter the expansion terminates, so the backward

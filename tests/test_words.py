@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 import time
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sqrect import cfrac, words as words_module
-from sqrect.cfrac import accel, param_to_x
+from sqrect.cfrac import accel, accel_walk, param_to_x
 from sqrect.errors import NotTerminated, PrefixTooShort, WindowTooShort
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 from sqrect.renorm import FAMILIES
-from sqrect.words import LETTER_BUDGET, Word, complexity, limit_word, tower_stats
+from sqrect.words import (
+    LETTER_BUDGET, Word, complexity, limit_word, limit_word_x, tower_stats,
+)
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -291,12 +294,108 @@ class TestLimitWord:
         assert expanded[:25] == str(w)
 
 
+def uncapped_limit_word_x(x, length: int, max_letters: int):
+    """`limit_word_x` without its caps: every image in full, every word
+    translated whole. None where a word would pass max_letters."""
+    tables = []
+    for step in accel_walk(x):
+        sigma = step.family.sigma(step.n) if 3 * step.n < max_letters else None
+        if sigma is None:
+            return None
+        tables.append(sigma)
+        w = "a"
+        for a, b in reversed(tables):
+            if len(a) * w.count("a") + len(b) * w.count("b") > max_letters:
+                return None
+            w = w.translate(str.maketrans({"a": a, "b": b}))
+            if len(w) >= length:
+                return w[:length]
+
+
+def outcome(f, *args):
+    """f's word as a str, or the name of the error it raised."""
+    try:
+        return str(f(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def middle_then_right(n0: int, n1: int) -> Fraction:
+    """An x whose accelerated walk takes middle branch n0, then right
+    branch n1: bisected on the middle branch for an image inside right
+    branch n1."""
+    lo, hi = 1 + Fraction(1, n0 + 1), 1 + Fraction(1, n0)
+    target = 2 - Fraction(2, 2 * n1 + 1)
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if accel(mid).y < target else (lo, mid)
+    return lo
+
+
+# parameters as the CLI reads them: rationals, surds, decimals and round
+# decimals, whose float orbits reach huge branches within a few steps
+limit_word_params = st.one_of(
+    st.fractions(0, Fraction(999, 1000), max_denominator=1000),
+    st.builds(lambda a, b, c, d: (lambda x: x - math.floor(x))(make_surd(a, b, c, d)),
+              st.integers(-20, 20), st.sampled_from([-3, -1, 1, 2]),
+              st.integers(1, 9), st.sampled_from([2, 3, 5, 7, 13])),
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 0.3333333333333333]),
+)
+
+
+class TestCappedImages:
+    @settings(max_examples=200, deadline=None)
+    @given(limit_word_params, st.sampled_from([-1, 1]), st.integers(1, 3000))
+    @example(Fraction(1, 1000), -1, 10)  # unit branch 1000, capped at 7
+    @example(Fraction(1, 1000), 1, 10)  # middle branch 1000, capped at 7
+    @example(0.3, 1, 200)
+    @example(0.9, -1, 10_000)
+    def test_capped_images_give_the_uncapped_word(self, theta, eps, length):
+        # past branch length // 2 + 2 the images' first `length` letters no
+        # longer change, so where the uncapped composition is affordable the
+        # words, or the errors, agree
+        x = param_to_x(Param(theta, eps))
+        uncapped = outcome(uncapped_limit_word_x, x, length, 10**6)
+        if uncapped != "None":
+            assert outcome(limit_word_x, x, length) == uncapped
+
+    def test_huge_branch_at_a_short_prefix(self):
+        # sigma(a) of unit branch 10**7 has 3 * 10**7 letters; the uncapped
+        # composition built them for a 10-letter prefix (60 MB)
+        tracemalloc.start()
+        try:
+            w = limit_word(Param(Fraction(1, 10**7), -1), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(w) == "ab" + "aab" * 2 + "aa"
+        assert peak < 16_000
+
+    def test_long_image_of_a_frequent_letter(self):
+        # middle branch 8,000 sends b to 15,998 a's and a b, and right branch
+        # 2,000 gives about 6,000 letters with 2,000 b's: translated whole,
+        # that word had 2,000 * 8,000 letters for an 8,000-letter prefix
+        x = middle_then_right(8_000, 2_000)
+        assert [st_.n for st_ in itertools.islice(accel_walk(x), 2)] == [8_000, 2_000]
+        tracemalloc.start()
+        try:
+            w = limit_word_x(x, 8_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(w)
+        # the same word, where the whole translation is affordable
+        x = middle_then_right(800, 200)
+        assert str(limit_word_x(x, 800)) == uncapped_limit_word_x(x, 800, 10**6)
+
+
 def full_composition_prefix(p, length):
     """Prefix of sigma_0 ∘ ... ∘ sigma_k (a), composing all factors."""
     x, subs = param_to_x(p), []
     while True:
         st_ = accel(x)
-        subs.append(st_.sigma_bold)
+        subs.append(st_.family.sigma(st_.n))
         x = st_.y
         w = "a"
         for s in reversed(subs):

@@ -8,9 +8,10 @@ Without `--against`, CHECKOUT defaults to the repository holding this
 script. For each workload and seeds 1, 2 and 3 the script runs
 `bench/run.py --workload W --seed S --seconds 20` there, with the
 interpreter that runs the script, and reads the JSON of its last output
-line and the `env` block of the result file it writes. Then it times the
-Tier-1 suite. The record holds, per workload, the median and the runs of
-each end-to-end metric and the failed and attempted op counts; the
+line and the `env` block and speed-probe factor (`as_measured.speed`) of
+the result file it writes. Then it times the Tier-1 suite. The record
+holds, per workload, the median and the runs of each end-to-end metric and
+of the speed-probe factor, and the failed and attempted op counts; the
 environment of the runs, without its seed; and the Tier-1 wall time with
 pytest's summary line. It is written to BENCH_<short-rev>.json.
 
@@ -22,7 +23,8 @@ directories of a temporary folder. For each workload the script runs
 of pair i share seed i + 1, and REV runs first in even pairs, the working
 tree in odd ones. For each metric it prints REV's median and quartiles,
 the working tree's median, the change in per cent, and in how many pairs
-the working tree was better, the direction read from BENCHMARK.json. A
+the working tree was better, the direction read from BENCHMARK.json, and
+each side's median speed-probe factor, beside its runs in the record. A
 metric whose bound there is narrower than REV's interquartile range, as a
 fraction of REV's median, is marked unresolved unless every run of the
 working tree beats every run of REV. With `--trace 1` the metrics are the
@@ -57,11 +59,15 @@ def run(root: Path, *cmd: str, env=None) -> str:
                           check=True).stdout
 
 
-def bench(root: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
+def bench(root: Path, workload: str, seed: int,
+          trace: int = 0) -> tuple[dict, dict, float]:
+    """A run's last output line, and the environment and the speed-probe
+    factor (the machine's speed over nominal) of the result file it wrote."""
     out = run(root, sys.executable, "bench/run.py", "--workload", workload,
               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace))
-    result = root / "bench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
-    return json.loads(out.splitlines()[-1]), json.loads(result.read_text())["env"]
+    path = root / "bench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    result = json.loads(path.read_text())
+    return json.loads(out.splitlines()[-1]), result["env"], result["as_measured"]["speed"]
 
 
 def tier1(root: Path) -> dict:
@@ -81,19 +87,21 @@ def record(root: Path) -> int:
            "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     envs = []
     for workload in WORKLOADS:
-        runs = [bench(root, workload, seed) for seed in SEEDS]
-        envs += [env for _, env in runs]
+        results, run_envs, speeds = zip(*(bench(root, workload, seed) for seed in SEEDS))
+        envs += run_envs
         metrics = {}
-        for name, m in runs[0][0]["metrics"].items():
-            values = [res["metrics"][name]["value"] for res, _ in runs]
+        for name, m in results[0]["metrics"].items():
+            values = [res["metrics"][name]["value"] for res in results]
             metrics[name] = {"median": statistics.median(values), "unit": m["unit"],
                              "runs": values}
         rec["workloads"][workload] = {
-            "correct": all(res["correct"] for res, _ in runs),
-            "failed": [res["failed"] for res, _ in runs],
-            "attempted": [res["attempted"] for res, _ in runs],
+            "correct": all(res["correct"] for res in results),
+            "failed": [res["failed"] for res in results],
+            "attempted": [res["attempted"] for res in results],
             "metrics": metrics,
+            "speed": {"median": statistics.median(speeds), "runs": list(speeds)},
         }
+        print(f"{workload}: speed-probe factor {statistics.median(speeds):.3f} (median)")
     rec["env"] = {k: v for k, v in envs[0].items() if k != "seed"}
     rec["tier1"] = tier1(root)
     path = root / f"BENCH_{rec['rev'][:7]}.json"
@@ -170,7 +178,7 @@ def compare(rev: str, trace: int) -> int:
             unpack(revs[side], path)
         for workload in WORKLOADS:
             runs = paired_runs(sides, workload, trace)
-            results = {side: [res for res, _ in rs] for side, rs in runs.items()}
+            results = {side: [res for res, _, _ in rs] for side, rs in runs.items()}
             env = runs["change"][0][1]
             rec.setdefault("env", {k: v for k, v in env.items()
                                    if k not in ("seed", "git_rev", "git_dirty")})
@@ -178,6 +186,7 @@ def compare(rev: str, trace: int) -> int:
                 key: {side: [r[key] for r in rs] for side, rs in results.items()}
                 for key in ("correct", "failed", "attempted")
             }
+            res["speed"] = {side: [speed for *_, speed in rs] for side, rs in runs.items()}
             res["metrics"] = {
                 name: verdict(*([r["metrics"][name]["value"] for r in results[side]]
                                 for side in ("against", "change")),
@@ -195,6 +204,8 @@ def compare(rev: str, trace: int) -> int:
 def print_verdicts(workload: str, res: dict) -> None:
     correct = {side: all(c) for side, c in res["correct"].items()}
     print(f"{workload}: correct {correct}")
+    speed = {side: round(statistics.median(s), 3) for side, s in res["speed"].items()}
+    print(f"  speed-probe factor (median) {speed}")
     for name, v in res["metrics"].items():
         a, b = v["against"], v["change"]
         pct = "n/a" if v["change_pct"] is None else f"{v['change_pct']:+.1f} %"
