@@ -15,12 +15,12 @@ square-free, ``d >= 2``.  This representation is canonical, so equality
 is structural and hashing works.
 
 Each operator takes an ``int`` on a direct path and has one formula for
-an operand of its field: a Surd of the same radicand, tested inline, or
-the ``(p, q, r)`` that ``Surd._parts`` reads off any other operand, with
-q = 0 for an int subclass or a Fraction.  The int paths rest on the
-invariant: gcd(p + k*r, q, r) = gcd(p, q, r) = 1, so s + k, s - k and
-k - s are canonical without a gcd, and gcd(k*p, k*q, r) = gcd(k, r), so
-s*k divides out only that.
+any other operand of its field: the ``(p, q, r)`` that ``Surd._parts``
+reads off a Surd of the same radicand, or off an int subclass or a
+Fraction with q = 0.  The int paths rest on the invariant:
+gcd(p + k*r, q, r) = gcd(p, q, r) = 1, so s + k, s - k and k - s are
+canonical without a gcd, and gcd(k*p, k*q, r) = gcd(k, r), so s*k
+divides out only that.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ class Surd:
         self.r = r
         self.d = d
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def of_sqrt(n: int) -> Exact:
-        """sqrt(n) for a nonnegative integer n."""
-        if n == 0:
-            return 0
-        s, f = squarefree_decompose(n)
-        if f == 1:
-            return s
-        return Surd(0, s, 1, f)
-
     # -- compare, float -------------------------------------------------
 
     def __float__(self) -> float:
@@ -111,11 +99,13 @@ class Surd:
         return ((self.p << 65) + self.q * (2 * n + 1)) / (self.r << 65)
 
     def _parts(self, other) -> tuple[int, int, int] | None:
-        """(p, q, r) of an operand that the int path and the same-field test
-        did not take: q = 0 for an int subclass or a Fraction. A Surd here
-        has another radicand and raises MixedSurdFields; a bool or a
-        non-exact operand gives None: a float is refused, never converted."""
+        """(p, q, r) of an operand that the int path did not take: a Surd of
+        this radicand, or q = 0 for an int subclass or a Fraction. A Surd of
+        another radicand raises MixedSurdFields; a bool or a non-exact
+        operand gives None: a float is refused, never converted."""
         if type(other) is Surd:
+            if other.d == self.d:
+                return other.p, other.q, other.r
             raise MixedSurdFields(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
         if isinstance(other, bool):
             return None
@@ -129,12 +119,9 @@ class Surd:
         """Sign of self - other for an exact operand of this field."""
         if type(other) is int:
             return _sign(self.p - other * self.r, self.q, self.d)
-        if type(other) is Surd and other.d == self.d:
-            p2, q2, r2 = other.p, other.q, other.r
-        elif parts := self._parts(other):
-            p2, q2, r2 = parts
-        else:
+        if not (parts := self._parts(other)):
             raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+        p2, q2, r2 = parts
         # both denominators are positive, so scaling by r*r2 keeps the sign
         return _sign(self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.d)
 
@@ -177,12 +164,9 @@ class Surd:
     def __add__(self, other):
         if type(other) is int:
             return Surd(self.p + other * self.r, self.q, self.r, self.d)
-        if type(other) is Surd and other.d == self.d:
-            p2, q2, r2 = other.p, other.q, other.r
-        elif parts := self._parts(other):
-            p2, q2, r2 = parts
-        else:
+        if not (parts := self._parts(other)):
             return NotImplemented
+        p2, q2, r2 = parts
         return _canon(
             self.p * r2 + p2 * self.r, self.q * r2 + q2 * self.r, self.r * r2, self.d
         )
@@ -195,12 +179,9 @@ class Surd:
     def __sub__(self, other):
         if type(other) is int:
             return Surd(self.p - other * self.r, self.q, self.r, self.d)
-        if type(other) is Surd and other.d == self.d:
-            p2, q2, r2 = other.p, other.q, other.r
-        elif parts := self._parts(other):
-            p2, q2, r2 = parts
-        else:
+        if not (parts := self._parts(other)):
             return self + (-other)  # a bool negates to an int
+        p2, q2, r2 = parts
         return _canon(
             self.p * r2 - p2 * self.r, self.q * r2 - q2 * self.r, self.r * r2, self.d
         )
@@ -222,12 +203,9 @@ class Surd:
                 return 0
             g = math.gcd(other, self.r)
             return Surd(self.p * other // g, self.q * other // g, self.r // g, self.d)
-        if type(other) is Surd and other.d == self.d:
-            p2, q2, r2 = other.p, other.q, other.r
-        elif parts := self._parts(other):
-            p2, q2, r2 = parts
-        else:
+        if not (parts := self._parts(other)):
             return NotImplemented
+        p2, q2, r2 = parts
         return _canon(
             self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2,
             self.r * r2, self.d,
@@ -243,12 +221,9 @@ class Surd:
     def __truediv__(self, other):
         if type(other) is int:
             return _canon(self.p, self.q, self.r * other, self.d)  # 0 raises
-        if type(other) is Surd and other.d == self.d:
-            p2, q2, r2 = other.p, other.q, other.r
-        elif parts := self._parts(other):
-            p2, q2, r2 = parts
-        else:
+        if not (parts := self._parts(other)):
             return NotImplemented
+        p2, q2, r2 = parts
         # r2 (p + q sqrt d)(p2 - q2 sqrt d) / (r (p2^2 - q2^2 d))
         p, q, d = self.p, self.q, self.d
         return _canon(
@@ -438,8 +413,9 @@ def _parse_atom(tk: _Tokens) -> Number:
         frac = Fraction(arg)
         if frac < 0:
             raise ValueError("sqrt of a negative number")
-        root = Surd.of_sqrt(frac.numerator * frac.denominator)
-        return root / frac.denominator if frac.denominator != 1 else root
+        # sqrt(n/m) = sqrt(n*m)/m, which make_surd folds when n*m is a square
+        n, m = frac.numerator, frac.denominator
+        return make_surd(0, 1, m, n * m) if n else 0
     if "." in t:
         return float(t)
     if t.isdigit():

@@ -45,13 +45,9 @@ class Param:
         return f"({format_number(self.theta)},{self.eps:+d})"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Number
     y: Number
-
-    def __iter__(self):
-        return iter((self.x, self.y))
 
     def dist_max(self, other: "Point") -> float:
         return max(abs(float(self.x - other.x)), abs(float(self.y - other.y)))

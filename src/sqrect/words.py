@@ -23,46 +23,22 @@ from .renorm import Mat2
 LETTER_BUDGET = 1 << 25
 
 
-class Word:
-    """Immutable finite word over the alphabet {a, b}: a limit word, which
-    keeps the factor counts `complexity` has made of it."""
+class Word(str):
+    """Immutable finite word over the alphabet {a, b}: a limit word, a str
+    that keeps the factor counts `complexity` has made of it."""
 
-    # _factors caches complexity's counts and ids; it is not part of the value
-    __slots__ = ("_s", "_factors")
+    # complexity's counts and ids, cached in the instance's __dict__ (a str
+    # subclass cannot have nonempty __slots__); not part of the value
+    _factors = None
 
-    def __init__(self, letters: str = ""):
+    def __new__(cls, letters: str = ""):
         if letters.strip("ab"):
             raise ValueError("word letters must be 'a' or 'b'")
-        self._s = letters
-        self._factors = None
-
-    def __len__(self) -> int:
-        return len(self._s)
-
-    def __iter__(self):
-        return iter(self._s)
+        return super().__new__(cls, letters)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(self._s[i])
-        return self._s[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Word):
-            return self._s == other._s
-        if isinstance(other, str):
-            return self._s == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._s)
-
-    def __repr__(self) -> str:
-        s = self._s if len(self._s) <= 40 else self._s[:37] + "..."
-        return f"Word({s!r})"
-
-    def __str__(self) -> str:
-        return self._s
+        letters = super().__getitem__(i)
+        return Word(letters) if isinstance(i, slice) else letters
 
 
 # 2**(64 - n) for n = 1..64: windows share n letters iff their XOR is below it
@@ -149,7 +125,7 @@ def complexity(w: Word, n: int) -> int:
     if len(w) < 20 * n:
         raise WindowTooShort(f"need |w| >= {20 * n} for factor length {n}")
     if w._factors is None:
-        bits = np.frombuffer(w._s.encode(), dtype=np.uint8) == ord("b")
+        bits = np.frombuffer(w.encode(), dtype=np.uint8) == ord("b")
         w._factors = bits, None, _window_counts(bits)
     bits, classes, counts = w._factors
     for m in range(len(counts), n + 1):
@@ -207,7 +183,7 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
     # coding is itself a limit word of the shifted parameter sequence
     deep = limit_word_x(st.y, max(prefix_len // min(N_a, N_b) + 2, 200))
     # the fewest blocks k whose N_a A(k) + N_b (k - A(k)) letters reach prefix_len
-    a_blocks = partial(deep._s.count, "a", 0)
+    a_blocks = partial(deep.count, "a", 0)
     k = bisect_left(range(len(deep)), prefix_len,
                     key=lambda k: N_b * k + (N_a - N_b) * a_blocks(k))
     blocks_a, blocks_b = a_blocks(k), k - a_blocks(k)

@@ -116,6 +116,12 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "ValueError"
         assert "exact parameter" in json.loads(err)["message"]
 
+    def test_islands_at_the_root_of_a_square_fraction(self, capsys):
+        # sqrt(1/4) parses to the exact 1/2, not to the float 0.5
+        code, out, err = run(capsys, "islands", "--param", "sqrt(1/4),-1")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "islands", "--param", "1/2,-1")[1]
+
     @pytest.mark.parametrize("length", ["0", "-3"])
     def test_sturmian_without_a_positive_length_is_two(self, capsys, length):
         # a surd's expansion never terminates: the length itself is wrong

@@ -157,10 +157,16 @@ class TestParser:
             ("-1/2", Fraction(-1, 2)),
             ("sqrt(9)", 3),
             ("sqrt(1/2)", make_surd(0, 1, 2, 2)),
+            # the square root of a square fraction stays exact
+            ("sqrt(1/4)", Fraction(1, 2)),
+            ("sqrt(4/9)", Fraction(2, 3)),
+            ("sqrt(2/8)", Fraction(1, 2)),
+            ("sqrt(9/4)", Fraction(3, 2)),
         ],
     )
     def test_exact(self, text, value):
         assert parse_number(text) == value
+        assert type(parse_number(text)) is type(value)
 
     def test_decimal_is_float(self):
         x = parse_number("0.7071")

@@ -190,6 +190,16 @@ class TestStep:
         w = step(p, Point(Fraction(11, 10), Fraction(1, 4)))
         assert w == Point(Fraction(1, 10), Fraction(3, 4))
 
+    def test_point_is_a_pair(self):
+        z = Point(Fraction(1, 3), Fraction(2, 7))
+        x, y = z
+        assert (x, y) == (z[0], z[1]) == (z.x, z.y) == z
+        p = Param(SQRT2M1, -1)
+        assert type(walk(p, z, 3)) is Point and type(step(p, z)) is Point
+        assert type(walk(Param(0.4, 1), Point(0.3, 0.2), 2)) is Point
+        assert Rect(0, 0, 1, SQRT2M1).center == Point(Fraction(1, 2), SQRT2M1 / 2)
+        assert type(Rect(0, 0, 1, 1).center) is Point
+
     def test_eps_flips_second_coordinate(self):
         th = Fraction(3, 5)
         z = Point(Fraction(1, 4), Fraction(1, 2))

@@ -76,6 +76,23 @@ class TestWord:
         w = Word("abab")[1:3]
         assert isinstance(w, Word) and w == Word("ba")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab", max_size=300), st.data())
+    @example("", None)
+    def test_word_is_its_string(self, s, data):
+        w = Word(s)
+        assert len(w) == len(s) and list(w) == list(s)
+        assert w.count("a") == s.count("a") and w.count("ab") == s.count("ab")
+        assert w.encode() == s.encode()
+        assert w == s and hash(w) == hash(s)
+        assert type(str(w)) is str and str(w) == s
+        if data is not None:
+            i, j = data.draw(st.integers(-310, 310)), data.draw(st.integers(-310, 310))
+            assert type(w[i:j]) is Word and w[i:j] == s[i:j]
+            assert type(w[::-1]) is Word and w[::-1] == s[::-1]
+        for n in range(len(w) // 20 + 1):
+            assert complexity(w, n) == factor_count(w, n)
+
 
 class TestSubstitution:
     """Substitutions as pairs of letter images, as `renorm`'s table gives
