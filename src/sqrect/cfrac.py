@@ -212,21 +212,36 @@ def density(which: str, x) -> float:
 
 
 PAIR_TERMS = 20_000  # terms of each pair sum added before its digamma tail
+# Cephes' psi above 10 (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989) is ln x - 1/(2x) - z P(z), z = 1/x^2; P's coefficients:
+_PSI_ASYMPTOTIC = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
+                   7.57575757575757575758e-3, -4.16666666666666666667e-3,
+                   3.96825396825396825397e-3, -8.33333333333333333333e-3,
+                   8.33333333333333333333e-2)
+
+
+def _digamma(x: float) -> float:
+    """scipy.special.digamma, which calls Cephes' psi, bit for bit above 10:
+    the same operations in the same order. ValueError at x <= 10, where
+    Cephes sums the harmonic series (x = 10) or recurs."""
+    if not x > 10:
+        raise ValueError("the asymptotic digamma needs x > 10")
+    z, p = 1 / (x * x), 0.0
+    for a in _PSI_ASYMPTOTIC:  # Horner's rule, highest coefficient first
+        p = p * z + a
+    return math.log(x) - 0.5 / x - z * p
 
 
 def _pair_sum(alpha: float, beta: float, n_min: int, parity: int) -> float:
     """Sum of 1/(n+alpha) - 1/(n+beta) over n >= n_min with n % 2 == parity.
 
     Adds the first PAIR_TERMS terms directly and closes the remainder with
-    digamma values, so the result is exact up to rounding. The direct terms
-    are summed left to right by np.add.accumulate, each rounded as the
+    `_digamma` values, so the result is exact up to rounding. The direct
+    terms are summed left to right by np.add.accumulate, each rounded as the
     scalar expression rounds it (every n < 2**53 converts exactly), so the
     sum is bit for bit that of a term-by-term loop; np.sum, which sums
     pairwise, would change the last bits.
     """
-    # imported here so that importing the package does not load scipy.special
-    from scipy.special import digamma
-
     n = n_min if n_min % 2 == parity else n_min + 1
     if n + alpha == 0 or n + beta == 0:
         # alpha, beta >= -1 here: only the first term can have a zero pole
@@ -235,7 +250,7 @@ def _pair_sum(alpha: float, beta: float, n_min: int, parity: int) -> float:
     total = np.add.accumulate(1.0 / (k + alpha) - 1.0 / (k + beta))[-1]
     m0 = (n - parity) // 2 + PAIR_TERMS  # tail starts at n = 2*m0 + parity
     total += 0.5 * (
-        digamma(m0 + (parity + beta) / 2) - digamma(m0 + (parity + alpha) / 2)
+        _digamma(m0 + (parity + beta) / 2) - _digamma(m0 + (parity + alpha) / 2)
     )
     return total
 

@@ -223,9 +223,22 @@ def _f(m11, m12, m21, m22):
     return np.sqrt(m11 * m22) + np.sqrt(m12 * m21)
 
 
-# series terms: tracemalloc puts the peak at 48, 104 and 80 bytes per term
-# (integral_ln_M, integral_ln_r, lower_bound_f), so this is about 0.52 GB
+# series terms: tracemalloc puts the peak at this budget at 8.3, 16.6 and 8.5
+# bytes per term (integral_ln_M, integral_ln_r, lower_bound_f), so about 80 MiB
 TERM_BUDGET = 5_000_000
+# Terms a series computes at once. Block by block it fills the one full-length
+# array its np.sum reads, which thus adds what the whole-array expression added,
+# in its order. On a 2-core VM 2**14 to 2**16 ran alike; the peak grows with it
+SERIES_BLOCK = 1 << 15
+
+
+def _blocks(first: int, stop: int, width: int = 1):
+    """Slices of a full-length array of the indices first, ..., stop - 1,
+    SERIES_BLOCK // width a block, each with its indices as floats."""
+    step = max(SERIES_BLOCK // width, 1)
+    for lo in range(first, stop, step):
+        hi = min(lo + step, stop)
+        yield slice(lo - first, hi - first), np.arange(lo, hi, dtype=float)
 
 
 def _check_terms(terms: int) -> None:
@@ -241,10 +254,13 @@ def integral_ln_M(terms: int) -> SeriesValue:
     the un-normalized invariant density, as one branch series per family."""
     _check_terms(terms)
     total = 0.0
+    buffer = np.empty(terms)  # one array for the three families' terms
     for fam in FAMILIES:
-        n = np.arange(fam.first, terms + 1.0)
-        m11, m12, _, _ = fam.M(n)  # the first row has the larger sum
-        total += float(np.sum(np.log(m11 + m12) * _MASS[fam](n)))
+        series = buffer[: terms + 1 - fam.first]
+        for s, n in _blocks(fam.first, terms + 1):
+            m11, m12, _, _ = fam.M(n)  # the first row has the larger sum
+            series[s] = np.log(m11 + m12) * _MASS[fam](n)
+        total += float(np.sum(series))
     return SeriesValue(total, len(FAMILIES) * _log_tail(3.0, terms), terms)
 
 
@@ -274,35 +290,36 @@ def _middle_lnr_branches(terms: int) -> tuple[np.ndarray, np.ndarray]:
     terms shrink with k, so the lanes still taking terms are a prefix
     (dead lanes inside it keep taking terms, which changes nothing). Both
     arrays stay at full length, so that the caller's pairwise np.sum adds
-    in the same order."""
-    k = np.arange(MIDDLE.first, terms + 1.0)
-    a = 1.0 / k
-    b = 2.0 / (k + 1.0)
-    q = b / k
-    ln_a, ln_b = np.log(a), np.log(b)
+    in the same order. Lanes are independent, so they are taken in
+    `_blocks`, each block with its own prefix of live lanes."""
 
     def prim(t, ln_t, j):
         # integral of -t^j ln t
         return t ** (j + 1) * (-(j + 1) * ln_t + 1) / (j + 1) ** 2
 
-    acc = np.zeros_like(k)
-    scale = 1.0 / k
-    rem = _geometric_remainder(k, a, b, 0)  # bound on the terms j, j+1, ...
-    live = k.size
-    for j in range(EXPANSION_TERMS):
-        kept = np.flatnonzero(rem[:live] >= np.spacing(acc[:live]) / 4)
-        if not kept.size:
-            break
-        live = kept[-1] + 1
-        h = slice(live)
-        acc[h] += scale[h] * (prim(b[h], ln_b[h], j) - prim(a[h], ln_a[h], j))
-        scale[h] /= k[h]
-        rem[h] *= q[h]
-    # q**EXPANSION_TERMS underflows to +0 once q = b/k < 2**-18, and q falls
-    # with k, so only that head of the bounds can be nonzero
-    head = np.count_nonzero(q >= 2.0**-18)
-    trunc = np.zeros_like(k)
-    trunc[:head] = _geometric_remainder(k[:head], a[:head], b[:head], EXPANSION_TERMS)
+    acc = np.zeros(terms + 1 - MIDDLE.first)
+    trunc = np.zeros_like(acc)
+    for s, k in _blocks(MIDDLE.first, terms + 1):
+        a, b = 1.0 / k, 2.0 / (k + 1.0)
+        q = b / k
+        ln_a, ln_b = np.log(a), np.log(b)
+        block = acc[s]
+        scale = 1.0 / k
+        rem = _geometric_remainder(k, a, b, 0)  # bound on the terms j, j+1, ...
+        live = k.size
+        for j in range(EXPANSION_TERMS):
+            kept = np.flatnonzero(rem[:live] >= np.spacing(block[:live]) / 4)
+            if not kept.size:
+                break
+            live = kept[-1] + 1
+            h = slice(live)
+            block[h] += scale[h] * (prim(b[h], ln_b[h], j) - prim(a[h], ln_a[h], j))
+            scale[h] /= k[h]
+            rem[h] *= q[h]
+        # q**EXPANSION_TERMS underflows to +0 once q = b/k < 2**-18, and q
+        # falls with k, so only that head of the bounds can be nonzero
+        h = slice(np.count_nonzero(q >= 2.0**-18))
+        trunc[s][h] = _geometric_remainder(k[h], a[h], b[h], EXPANSION_TERMS)
     return acc, trunc
 
 
@@ -341,14 +358,17 @@ def _pair_block(pred, c, F, M1, succ) -> float:
     cylinder, for predecessor branches (column c) against one successor
     table."""
     lo2, hi2, M2 = succ
-    w = np.abs(F(pred(c, hi2[None, :])) - F(pred(c, lo2[None, :])))
-    a11, a12, a21, a22 = (m[:, None] for m in M1)
     b11, b12, b21, b22 = (m[None, :] for m in M2)
-    c11 = a11 * b11 + a12 * b21
-    c12 = a11 * b12 + a12 * b22
-    c21 = a21 * b11 + a22 * b21
-    c22 = a21 * b12 + a22 * b22
-    return float(np.sum(np.log(_f(c11, c12, c21, c22)) * w))
+    series = np.empty((len(c), hi2.size))
+    for s, _ in _blocks(0, len(c), hi2.size):
+        w = np.abs(F(pred(c[s], hi2[None, :])) - F(pred(c[s], lo2[None, :])))
+        a11, a12, a21, a22 = (m[s, None] for m in M1)
+        c11 = a11 * b11 + a12 * b21
+        c12 = a11 * b12 + a12 * b22
+        c21 = a21 * b11 + a22 * b21
+        c22 = a21 * b12 + a22 * b22
+        series[s] = np.log(_f(c11, c12, c21, c22)) * w
+    return float(np.sum(series))
 
 
 def lower_bound_f(terms: int) -> SeriesValue:

@@ -423,8 +423,8 @@ def check_budget(levels: list[Level], q: Param, budget: int) -> None:
     """Raise NotTerminated, before anything is allocated, when the cover
     over levels down to q has more than `budget` pieces."""
     n = piece_count(levels, q)
-    if n > budget:
-        raise NotTerminated(f"{n} cover pieces, above the budget of {budget}")
+    if n > budget:  # n can pass the 4,300 digits that int -> str allows
+        raise NotTerminated(f"cover pieces above the budget of {budget}")
 
 
 def cover_level(level: Level, pull, push, blocks):

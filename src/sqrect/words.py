@@ -4,6 +4,7 @@ accelerated walk (`cfrac.accel_walk`) and the cocycle walk
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -194,6 +195,9 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
         )
     alpha = blocks_a / letters
     beta = blocks_b / letters
+    tiny = sys.float_info.min  # a positive count's measure below it lost bits
+    if (blocks_a and alpha < tiny) or (blocks_b and beta < tiny):
+        raise NotTerminated(f"the depth-{l} measures are below the normal floats")
     return TowerStats(l, N_a, N_b, N, alpha, beta)
 
 

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -526,6 +527,40 @@ class TestDensities:
                             cfrac._pair_sum(*args)
                         continue
                     assert cfrac._pair_sum(*args) == expected, args
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(min_value=10, max_value=1e17, exclude_min=True))
+    @example(math.nextafter(10.0, 11.0))
+    @example(19999.5)
+    @example(1e17)
+    def test_digamma_is_scipys(self, x):
+        # Cephes' asymptotic series, operation for operation: bit for bit
+        from scipy.special import digamma
+
+        assert cfrac._digamma(x) == digamma(x)
+
+    @pytest.mark.parametrize("x", [10.0, 9.999999999999998, 1.0, 0.0, -3.5, math.nan])
+    def test_digamma_refused_at_or_below_ten(self, x):
+        # Cephes sums the harmonic series at x = 10 and recurs below it
+        with pytest.raises(ValueError):
+            cfrac._digamma(x)
+
+    def test_digamma_at_the_pair_sum_arguments(self, monkeypatch):
+        # every argument _pair_sum builds at the bench's y values, read from
+        # its float reference, and at the y values of the scalar-loop test
+        from scipy.special import digamma
+
+        ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "float.json"
+        ys = {float(op["args"]["y"]) for op in json.loads(ref.read_text())["ops"].values()
+              if "y" in op["args"]}
+        ys |= {*np.random.default_rng(12).uniform(0, 2, 24), 1e-12, 1 + 1e-9, 2 - 1e-9}
+        real, seen = cfrac._digamma, []
+        monkeypatch.setattr(cfrac, "_digamma", lambda x: seen.append(x) or real(x))
+        for y in sorted(ys):
+            for which in ("nu", "bold_nu"):
+                transfer_residual(which, y)
+        assert len(seen) == 8 * len(ys)
+        assert all(real(x) == digamma(x) for x in seen)
 
     @pytest.mark.parametrize("which", ["nu", "bold_nu"])
     @pytest.mark.parametrize("test_density", [None, lambda x: 1.0])

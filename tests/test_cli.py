@@ -288,6 +288,48 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NotTerminated"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, from os.wait4")
+    def test_series_at_the_term_budget_stay_small(self):
+        # each series fills one full-length array of terms block by block:
+        # 531 MiB peak RSS when every temporary was full-length. A child's
+        # ru_maxrss counts its parent's peak at the fork, so a small
+        # interpreter, not this one, starts the command
+        proc = run_python("-c", """if True:
+            import os, subprocess, sys
+            argv = [sys.executable, "-m", "sqrect.cli", "integrals", "--terms", "5000000"]
+            child = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            print(child.returncode, usage.ru_maxrss)
+            """, timeout=60)
+        code, maxrss_kib = map(int, proc.stdout.split())
+        assert code == 0 and maxrss_kib < 200 * 1024
+
+    def test_cover_count_past_the_int_str_limit(self, capsys, tmp_path):
+        # the depth-100000 cover at sqrt(3)-1 has a 254,312-bit piece count,
+        # past the 4,300 digits that int -> str allows: the refusal names
+        # the budget, not the count
+        out = tmp_path / "cover.ppm"
+        code, stdout, err = run(
+            capsys, "render", "cover", "--param", "sqrt(3)-1,1", "--depth", "100000",
+            "--px", "64", "--out", str(out),
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        obj = json.loads(err)
+        assert obj["error"] == "NotTerminated" and len(obj["message"]) <= 200
+
+    @pytest.mark.parametrize("depth", ["500", "3000", "12000"])
+    def test_tower_measures_below_the_normal_floats(self, capsys, depth):
+        # at the silver mean alpha and beta go subnormal from about depth
+        # 490, print as 0.0 from about 520, and N passes 4,300 digits
+        # from about 6,800
+        code, out, err = run(
+            capsys, "tower", "--param", "sqrt(2)-1,-1", "--depth", depth
+        )
+        assert code == 2 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "NotTerminated" and len(obj["message"]) <= 200
+
     def test_dimension_table_above_row_budget_fails_fast(self):
         # 2 * 10^12 rows: refused before the first one is formatted
         proc = run_python(
@@ -592,6 +634,23 @@ def test_cli_import_skips_scipy_special():
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_float_kernels_skip_scipy():
+    # the digamma tails of transfer_residual are Cephes' series in stdlib
+    # floats, so no float kernel loads scipy
+    proc = run_python("-c", """if True:
+        import sys
+        from sqrect import cfrac, lyap
+        for which, y in (("nu", 0.3), ("bold_nu", 1.7)):
+            cfrac.transfer_residual(which, y)
+        for series in (lyap.integral_ln_M, lyap.integral_ln_r, lyap.lower_bound_f):
+            series(1000)
+        lyap.birkhoff_estimate(1, 10, 50)
+        cfrac.natural_extension_check(200, 0)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 class TestExpand:

@@ -13,7 +13,7 @@ from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 from sqrect.renorm import FAMILIES, MIDDLE, RIGHT, UNIT, Mat2, slow_image
-from sqrect import cfrac
+from sqrect import cfrac, lyap
 from sqrect.cfrac import accel, accel_lanes, density
 from sqrect.fractal import dimension_estimate, selfsimilar_parameter
 from sqrect.words import tower_stats
@@ -500,6 +500,32 @@ class TestSeriesValues:
             integral_ln_M(5)
         with pytest.raises(ValueError):
             lower_bound_f(5)
+
+    @pytest.mark.parametrize("series", [integral_ln_M, integral_ln_r, lower_bound_f])
+    def test_block_size_changes_no_bit(self, series, monkeypatch):
+        # one block of 2**40 terms is the whole-array expression; the
+        # others cut every series, and every row of the two-step cylinders,
+        # at many places
+        want = {terms: series(terms) for terms in (10_000, 40_001)}
+        for block in (7, 1000, 2**40):
+            monkeypatch.setattr(lyap, "SERIES_BLOCK", block)
+            for terms, sv in want.items():
+                assert repr(series(terms)) == repr(sv), block
+
+    @pytest.mark.parametrize("series", [integral_ln_M, integral_ln_r, lower_bound_f])
+    def test_bytes_per_term(self, series):
+        # one full-length array of terms (two for integral_ln_r's branches
+        # and bounds), filled block by block: 48, 104 and 64 bytes a term
+        # when every temporary was full-length
+        terms = 1_000_000
+        series(terms)
+        tracemalloc.start()
+        try:
+            series(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * terms
 
     @pytest.mark.parametrize("series", [integral_ln_M, integral_ln_r, lower_bound_f])
     @pytest.mark.parametrize("terms", [TERM_BUDGET + 1, 10**12])
