@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, NotTerminated, Terminal
+from .errors import Degenerate, Terminal, check_budget
 from .exactnum import Number, Surd, _canon, is_exact
 from .pet import Param
 from .renorm import (
@@ -74,14 +74,23 @@ class Expansion:
     period: int = 0
 
 
+# Slow steps per expansion. On a 2-core VM an exact step near 1, as at
+# 999999/1000000, costs about 16 us and keeps 270 bytes (tracemalloc: x in
+# `seen` and its digit), so a walk refused here has run about 0.25 s; the
+# CLI refuses it 0.5-0.6 s after it starts
+EXPAND_STEP_BUDGET = 15_000
+
+
 def expand(x: Number, max_steps: int = 1000) -> Expansion:
     """The digits (n, eps) of the slow map's branches along the orbit of x,
     the chain's levels at x_to_param(x). A float walk keeps the rounding of
-    theta + 1 at every step, which walking S(q) would skip."""
+    theta + 1 at every step, which walking S(q) would skip. A walk that
+    neither ends nor closes up within EXPAND_STEP_BUDGET steps raises
+    NotTerminated when more steps were asked."""
     exact = is_exact(x)
     seen: dict = {}
     steps: list[Digit] = []
-    for k in range(max_steps):
+    for k in range(min(max_steps, EXPAND_STEP_BUDGET)):
         if exact:
             if x in seen:
                 i = seen[x]
@@ -93,6 +102,7 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
             return Expansion(steps, "finite")
         steps.append(Digit(n, -1 if fam is UNIT else 1))
         x = slow_image(inv, n)
+    check_budget(max_steps, EXPAND_STEP_BUDGET, "slow steps")
     return Expansion(steps, "truncated")
 
 
@@ -418,10 +428,7 @@ def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtRepo
     Raises NotTerminated, before the first batch, above NATEXT_SAMPLE_BUDGET."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if samples > NATEXT_SAMPLE_BUDGET:
-        raise NotTerminated(
-            f"{samples} samples exceed the budget of {NATEXT_SAMPLE_BUDGET}"
-        )
+    check_budget(samples, NATEXT_SAMPLE_BUDGET, "samples")
     rng = random.Random(seed)
     stayed = 0
     done = 0

@@ -42,6 +42,16 @@ class NotTerminated(SqrectError):
     budget."""
 
 
+def check_budget(count: int, budget: int, unit: str) -> None:
+    """Raise NotTerminated when count passes budget, naming the unit and the
+    budget. The count is shown below 10**20 and by its bit length above, so
+    the message stays short (and an int past the 4,300 digits that int -> str
+    allows is never formatted)."""
+    if count > budget:
+        shown = count if count < 10**20 else f"a {count.bit_length()}-bit number of"
+        raise NotTerminated(f"{shown} {unit}, above the budget of {budget}")
+
+
 class WindowTooShort(SqrectError):
     """Word too short for a stable factor count."""
 

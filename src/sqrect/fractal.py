@@ -11,13 +11,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, NotTerminated
+from .errors import Degenerate, check_budget
 from .cfrac import param_to_x
 from .exactnum import make_surd
 from .lyap import cocycle_walk
 from .pet import Param, psi_inverse_ints
 from .renorm import (
-    Level, check_budget, cover_level, cover_seed, descend, rect_branch_ints,
+    Level, cover_level, cover_seed, descend, rect_branch_ints, within_budget,
 )
 
 
@@ -75,10 +75,7 @@ def dimension_table(n_max: int = 5) -> list[str]:
     and NotTerminated above TABLE_ROW_BUDGET rows, before the first row."""
     if n_max < 1:
         raise ValueError("n must be positive")
-    if 2 * n_max > TABLE_ROW_BUDGET:
-        raise NotTerminated(
-            f"{2 * n_max} table rows exceed the budget of {TABLE_ROW_BUDGET}"
-        )
+    check_budget(2 * n_max, TABLE_ROW_BUDGET, "table rows")
     rows = ["family,n,value"]
     for family in ("minus", "plus"):
         for n in range(1, n_max + 1):
@@ -161,8 +158,7 @@ def _fold(levels, arrays):
 
 def _cover(levels, q):
     """The cover over levels down to q as arrays (x, y, w, h, is_square,
-    letter == 'a'), after a check of its piece count against PIECE_BUDGET."""
-    check_budget(levels, q, PIECE_BUDGET)
+    letter == 'a'); its callers check the levels against PIECE_BUDGET."""
     seed = cover_seed(q.theta)
     # the lattice rows i + j*theta at the float theta: i, j are 0 or 1, so exact
     rows = np.array([r for r, _ in seed], dtype=float)
@@ -172,8 +168,9 @@ def _cover(levels, q):
 
 
 def cover_arrays(p: Param, l: int):
-    """Depth-l cover as float arrays (x, y, w, h, is_square)."""
-    return _cover(*descend(p, l))[:5]
+    """Depth-l cover as float arrays (x, y, w, h, is_square); NotTerminated
+    above PIECE_BUDGET (`renorm.within_budget`)."""
+    return _cover(*descend(p, l, PIECE_BUDGET))[:5]
 
 
 BOX_CHUNK = 1 << 22  # pieces coded at once by box_count
@@ -371,7 +368,7 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     level = Level(p)
     if level.next != p:
         raise Degenerate("deep streaming requires a fixed parameter")
-    base = _cover([level] * min(l, base_l), p)
+    base = _cover([*within_budget([level] * min(l, base_l), PIECE_BUDGET)], p)
     if l <= base_l:
         return box_count(base, r)
     chunks = _subtrees([level] * (l - base_l), base, DEEP_PIECES)

@@ -10,7 +10,7 @@ from itertools import islice
 import numpy as np
 
 from .cfrac import LN6, accel_lanes, accel_walk, param_to_x
-from .errors import NotTerminated
+from .errors import check_budget
 from .pet import Param
 from .renorm import FAMILIES, MIDDLE, RIGHT, UNIT, Mat2, family_coefficients
 
@@ -67,10 +67,7 @@ def cocycle_walk(x, steps: int):
     the l1-norm of (1,1) times the product of their matrices, kept in a
     float row vector renormalized at every step. Raises NotTerminated,
     before the first step, above ACCEL_STEP_BUDGET steps."""
-    if steps > ACCEL_STEP_BUDGET:
-        raise NotTerminated(
-            f"{steps} accelerated steps exceed the budget of {ACCEL_STEP_BUDGET}"
-        )
+    check_budget(steps, ACCEL_STEP_BUDGET, "accelerated steps")
     u1 = u2 = 1.0
     log_norm = 0.0
     for st in islice(accel_walk(x), max(steps, 0)):  # Terminal propagates
@@ -152,15 +149,9 @@ def birkhoff_estimate(
     ln 6 so they estimate the un-normalized integrals."""
     if trials < 1 or l < 1:
         raise ValueError("trials and l must be positive")
-    if trials > LANE_BUDGET:
-        raise NotTerminated(
-            f"{trials} lanes exceed the budget of {LANE_BUDGET} (about 0.6 GB)"
-        )
-    if l > STEP_BUDGET or trials * l > LANE_STEP_BUDGET:
-        raise NotTerminated(
-            f"{trials} lanes of {l} steps exceed the budget of {STEP_BUDGET}"
-            f" steps and {LANE_STEP_BUDGET} lane-steps"
-        )
+    check_budget(trials, LANE_BUDGET, "lanes")
+    check_budget(l, STEP_BUDGET, "steps per lane")
+    check_budget(trials * l, LANE_STEP_BUDGET, "lane-steps")
     rng = np.random.default_rng(seed)
     x = _sanitize(_sample_x(rng, trials))
     u1 = np.ones(trials)
@@ -245,8 +236,7 @@ def _check_terms(terms: int) -> None:
     """ValueError below 10 terms, NotTerminated above TERM_BUDGET."""
     if terms < 10:
         raise ValueError("terms must be at least 10")
-    if terms > TERM_BUDGET:
-        raise NotTerminated(f"{terms} terms exceed the budget of {TERM_BUDGET}")
+    check_budget(terms, TERM_BUDGET, "terms")
 
 
 def integral_ln_M(terms: int) -> SeriesValue:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, NamedTuple
 
-from .errors import NotTerminated, OnDiscontinuity, OutOfDomain
+from .errors import NotTerminated, OnDiscontinuity, OutOfDomain, check_budget
 from .exactnum import Number, Surd, _canon, _sign, format_number, is_exact
 
 
@@ -177,10 +177,7 @@ def code_orbit(p: Param, z: Point, n: int) -> str:
     NotTerminated, before the first step, above ORBIT_STEP_BUDGET letters. A
     float theta or coordinate makes the surds among them floats, converted
     once; one beyond the float range lies outside the domain (OutOfDomain)."""
-    if n > ORBIT_STEP_BUDGET:
-        raise NotTerminated(
-            f"{n} orbit steps exceed the budget of {ORBIT_STEP_BUDGET}"
-        )
+    check_budget(n, ORBIT_STEP_BUDGET, "orbit steps")
     if not all(map(is_exact, (p.theta, *z))):
         try:
             th, x, y = (float(v) if isinstance(v, Surd) else v for v in (p.theta, *z))
@@ -240,16 +237,14 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     # k has period at least ||M_0 ... M_k (1,0)^t||_1
     levels, seeds, total = [], {}, 0
     for k, (q, period, level, M) in enumerate(seed_periods(p)):
-        if k >= ISLAND_CELL_BUDGET:
-            raise NotTerminated("renormalization depth cap exceeded")
+        check_budget(k + 1, ISLAND_CELL_BUDGET, "renormalization levels")
         if period <= max_period:
             seeds[k] = [(r, k, side) for r, side in island_seed(q)]
             total += period
         if level is None or M.m11 + M.m21 > max_period:
             break
         levels.append(level)
-    if total > ISLAND_CELL_BUDGET:
-        raise NotTerminated(f"{total} cells, above the cap of {ISLAND_CELL_BUDGET}")
+    check_budget(total, ISLAND_CELL_BUDGET, "cells")
 
     blocks = lift_blocks(p.theta, levels, seeds)  # (rect, depth of its orbit, side)
     out = []
@@ -315,7 +310,6 @@ def discontinuity_segments(p: Param, depth: int) -> list[Rect]:
             if t not in seen:
                 seen[t] = None
                 nxt.append(t)
-        if len(seen) > SEGMENT_BUDGET:
-            raise NotTerminated(f"over {SEGMENT_BUDGET} segments by depth {k + 1}")
+        check_budget(len(seen), SEGMENT_BUDGET, f"segments by depth {k + 1}")
         level = nxt
     return list(seen)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTerminated
+from .errors import check_budget
 from .pet import Param, discontinuity_segments, islands
 
 # Bytes of one image (3 per pixel), checked before it is allocated. A render
@@ -49,11 +49,7 @@ class Image:
             raise ValueError("px must be at least 64")
         # a row alone above the budget is refused before px meets a float
         rows = max(round(px / float(world_width)), 1) if px <= RASTER_BUDGET else px
-        if 3 * px * rows > RASTER_BUDGET:
-            raise NotTerminated(
-                f"a {px} x {rows} image exceeds the budget of {RASTER_BUDGET} "
-                "bytes (about 0.6 GB at the render's peak)"
-            )
+        check_budget(3 * px * rows, RASTER_BUDGET, "image bytes")
         scale = px / float(world_width)
         height = max(int(round(scale)), 1)
         pixels = np.empty((height, px, 3), dtype=np.uint8)

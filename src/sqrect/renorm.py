@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, NotTerminated, OnDiscontinuity, Terminal
+from .errors import Degenerate, OnDiscontinuity, Terminal, check_budget
 from .exactnum import Number, _canon, is_exact
 from .pet import Param, Point, Rect, _lift, _steps, psi_inverse_ints
 
@@ -221,9 +221,12 @@ def chain(p: Param) -> Iterator[Level]:
         p = level.next
 
 
-def descend(p: Param, l: int) -> tuple[list[Level], Param]:
-    """The first l levels of the chain of p, and S^l(p) below them."""
-    levels = list(islice(chain(p), max(l, 0)))  # a negative depth is depth 0
+def descend(p: Param, l: int, budget: int | None = None) -> tuple[list[Level], Param]:
+    """The first l levels of the chain of p, and S^l(p) below them; with a
+    budget, walked through `within_budget`."""
+    # range, unlike islice, takes a depth past sys.maxsize; below 0 it is empty
+    levels = (level for _, level in zip(range(l), chain(p)))
+    levels = list(levels if budget is None else within_budget(levels, budget))
     return levels, levels[-1].next if levels else p
 
 
@@ -294,11 +297,7 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
         raise ValueError(f"samples must be at least 1, got {samples}")
     level = Level(p)
     q, longest = level.next, max(level.times)
-    if samples * longest > VERIFY_STEP_BUDGET:
-        raise NotTerminated(
-            f"{samples} samples of return time up to {longest} exceed the"
-            f" budget of {VERIFY_STEP_BUDGET} steps"
-        )
+    check_budget(samples * longest, VERIFY_STEP_BUDGET, "map steps")
     # theta(p) and theta(S(p)) lifted once, with draws as numerators over
     # D = 2**24 and every value over F; float ones as given, R = D = F = 1
     R, d, ((ta, tb), (ua, ub)), exact = _lift((p.theta, q.theta))
@@ -404,27 +403,30 @@ def island_seed(q: Param) -> list[tuple[tuple, str]]:
     return [((0, 0, 0, 0, 0, 1, 0, 1), "a"), ((1, 0, 1, -1, 0, 1, 0, 1), "b")]
 
 
-def piece_count(levels: list[Level], q: Param) -> int:
-    """Pieces of the cover built over levels down to q: the seed's letter
-    counts pushed through the incidence matrices, ||M_0...M_{l-1} v||_1."""
-    v = (1, len(cover_seed(q.theta)) - 1)
-    for level in reversed(levels):
-        v = level.M.apply(v)
-    return sum(v)
-
-
 # exact CoverPieces share their coordinates and take 0.19-0.22 KB each once
 # built, 0.37-0.45 KB at the peak of `cover` (tracemalloc, 27k-70k pieces at
 # four surd parameters): about 0.45 GB at this budget, near the float one's 0.6 GB
 EXACT_PIECE_BUDGET = 1 << 20
 
 
-def check_budget(levels: list[Level], q: Param, budget: int) -> None:
-    """Raise NotTerminated, before anything is allocated, when the cover
-    over levels down to q has more than `budget` pieces."""
-    n = piece_count(levels, q)
-    if n > budget:  # n can pass the 4,300 digits that int -> str allows
-        raise NotTerminated(f"cover pieces above the budget of {budget}")
+def within_budget(levels: Iterable[Level], budget: int) -> Iterator[Level]:
+    """The levels one by one, each checked before the next is made:
+    NotTerminated once their cover passes `budget` pieces, ||P_k v||_1 with
+    P_k = M_0...M_{k-1} and v the seed's letter counts (`cover_seed`), or
+    its fold 2 * budget piece-steps, ||S_k v||_1 with S_{k+1} = (S_k + I) M_k
+    (the deepest surd covers admitted take 1.2-1.7 a piece). Neither count
+    falls with depth, as M(n) (1, 1) >= (1, 1) and, on the last level before
+    theta = 0, M(n) (1, 0) >= (1, 1): stopping early refuses exactly the
+    covers whose counts at full depth pass the budget."""
+    a, b, c, d = 1, 1, 0, 0  # (a, b) = (1, 1) P_k, (c, d) = (1, 1) S_k
+    for level in levels:
+        m11, m12, m21, m22 = level.M
+        a, b = a * m11 + b * m21, a * m12 + b * m22
+        c, d = (c + 1) * m11 + (d + 1) * m21, (c + 1) * m12 + (d + 1) * m22
+        rect = level.next.theta != 0  # the seed's rectangle, v = (1, rect)
+        check_budget(a + b * rect, budget, "cover pieces")
+        check_budget(c + d * rect, 2 * budget, "cover piece-steps")
+        yield level
 
 
 def cover_level(level: Level, pull, push, blocks):
@@ -474,12 +476,11 @@ def cover(p: Param, l: int) -> list[CoverPiece]:
     square and of the renormalized rectangle, piece by piece in orbit
     order. Depth 0 is [C, R_theta]; each level is a `cover_level` on
     one-piece blocks of lattice pairs (`lift_blocks`). Covers above
-    EXACT_PIECE_BUDGET pieces raise NotTerminated; a float theta, ValueError
-    (`fractal.cover_arrays` covers it)."""
+    EXACT_PIECE_BUDGET (`within_budget`) raise NotTerminated; a float theta,
+    ValueError (`fractal.cover_arrays` covers it)."""
     if not is_exact(p.theta):
         raise ValueError("an exact cover needs an exact parameter")
-    levels, q = descend(p, l)
-    check_budget(levels, q, EXACT_PIECE_BUDGET)
+    levels, q = descend(p, l, EXACT_PIECE_BUDGET)
     seed = [(r, "CR"[letter == "b"], letter) for r, letter in cover_seed(q.theta)]
     contraction = reduce(lambda c, level: c / level.ratio, reversed(levels), 1)
     blocks = lift_blocks(p.theta, levels, {len(levels): seed})

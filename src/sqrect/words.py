@@ -13,7 +13,7 @@ from itertools import islice
 import numpy as np
 
 from .cfrac import accel_walk, param_to_x
-from .errors import NotTerminated, PrefixTooShort, Terminal, WindowTooShort
+from .errors import NotTerminated, PrefixTooShort, Terminal, WindowTooShort, check_budget
 from .lyap import cocycle_walk
 from .renorm import Mat2
 
@@ -206,10 +206,7 @@ def limit_word_x(x, length: int) -> Word:
     substitution is a translation table, applied by `str.translate`."""
     if length < 1:
         raise ValueError(f"prefix length must be at least 1, got {length}")
-    if length > LETTER_BUDGET:
-        raise NotTerminated(
-            f"{length} letters exceed the budget of {LETTER_BUDGET} (about 0.6 GB)"
-        )
+    check_budget(length, LETTER_BUDGET, "letters")
     tables = []
     # past branch length // 2 + 2, an image's first `length` letters stay
     # fixed (unit and right sigma(a) grow by prefix, middle sigma(b) starts

@@ -3,7 +3,18 @@ exact numbers, floats or numpy float arrays alike. The oracles of the pair
 forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
 library runs on every frame; a seed row of lattice pairs as numbers; and
 the discontinuity set built from oriented segments, with the inverse map
-written once per orientation, the oracle of `pet.discontinuity_segments`."""
+written once per orientation, the oracle of `pet.discontinuity_segments`;
+and the piece count of a cover, the oracle of `renorm.within_budget`."""
+
+
+def piece_count(levels, q) -> int:
+    """Pieces of the cover built over levels down to q: the seed's letter
+    counts (the square, and the rectangle unless theta = 0) pushed through
+    the incidence matrices, ||M_0...M_{l-1} v||_1."""
+    v = (1, int(q.theta != 0))
+    for level in reversed(levels):
+        v = level.M.apply(v)
+    return sum(v)
 
 
 def seed_values(theta, row):

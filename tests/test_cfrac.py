@@ -162,6 +162,20 @@ class TestExpand:
         e = expand(math.pi - 3, max_steps=10)
         assert e.status == "truncated" and len(e.steps) == 10
 
+    def test_step_budget_is_checked_as_the_walk_goes(self, monkeypatch):
+        # 99/100 walks 99 slow steps down to 0: past a budget of 50 steps it
+        # is refused when more were asked, and its periodic and finite
+        # neighbours, which stop first, are not
+        monkeypatch.setattr(cfrac, "EXPAND_STEP_BUDGET", 50)
+        near_one = Fraction(99, 100)
+        assert expand(near_one, max_steps=50).status == "truncated"
+        with pytest.raises(NotTerminated, match="51 slow steps"):
+            expand(near_one, max_steps=51)
+        with pytest.raises(NotTerminated, match="a 100-bit number of slow steps"):
+            expand(math.pi - 3, max_steps=10**30)
+        assert expand(SQRT2M1, max_steps=10**18).status == "periodic"
+        assert expand(Fraction(3, 8), max_steps=10**18).status == "finite"
+
     @given(st.one_of(exact_xs, float_xs))
     @settings(max_examples=300)
     def test_digits_are_slow_branches(self, x):

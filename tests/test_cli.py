@@ -19,6 +19,10 @@ from sqrect.exactnum import make_surd
 from sqrect.pet import Param
 
 
+SILVER = "sqrt(2)-1,-1"
+BIG = "9" * 4001  # a count of 4,001 digits or more
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -310,11 +314,68 @@ class TestExitCodes:
         # past the 4,300 digits that int -> str allows: the refusal names
         # the budget, not the count
         out = tmp_path / "cover.ppm"
+        start = time.perf_counter()
         code, stdout, err = run(
             capsys, "render", "cover", "--param", "sqrt(3)-1,1", "--depth", "100000",
             "--px", "64", "--out", str(out),
         )
+        assert time.perf_counter() - start < 1
         assert code == 2 and stdout == "" and not out.exists()
+        obj = json.loads(err)
+        assert obj["error"] == "NotTerminated" and len(obj["message"]) <= 200
+
+    @pytest.mark.parametrize("argv", [
+        # 77M pieces at depth 10; the whole descent took 3.9 s at depth 10**5
+        ["render", "cover", "--param", "sqrt(3)-1,1", "--depth", "1000000", "--px", "64"],
+        # right branch 1 adds 2 pieces a level, but the fold's work grows as
+        # the square of the depth: its piece-steps pass 2**25 at depth 5,792
+        ["render", "cover", "--param", "1/1000000,1", "--depth", "999000", "--px", "64"],
+        # about 10**6 slow steps, each kept in the walk's dict of exact x
+        ["expand", "--param", "999999/1000000,-1", "--depth", "1000000000000000000"],
+        # 2 * n has 4,301 digits, one past what int -> str allows
+        ["dimension", "--table", "--n", "9" * 4300],
+    ], ids=["surd-cover", "right-branch-1-cover", "expand", "table"])
+    def test_walk_past_its_budget_is_refused_within_a_second(self, argv, tmp_path):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        proc = run_python("-m", "sqrect.cli", *argv, "--out", str(out), timeout=10)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert json.loads(proc.stderr)["error"] == "NotTerminated"
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--param", SILVER, "--point", "1/3,2/7", "--depth", BIG],
+        ["render", "islands", "--param", SILVER, "--px", BIG],
+        ["natext-check", "--trials", BIG],
+        ["dimension", "--table", "--n", BIG],
+        ["dimension", "--table", "--n", "9" * 4300],
+        ["lyapunov", "--trials", BIG],
+        ["lyapunov", "--trials", "1", "--l", BIG],
+        ["lyapunov", "--trials", "1000", "--l", "1000000"],
+        ["expand", "--param", "999999/1000000,-1", "--depth", BIG],
+        ["islands", "--param", "1/100000,-1", "--max-period", "1000000"],
+        ["islands", "--param", "1/1000000,1", "--max-period", "30000"],
+        ["induction-check", "--param", SILVER, "--trials", BIG],
+        ["sturmian", "--param", SILVER, "--length", BIG],
+        ["tower", "--param", SILVER, "--depth", "3", "--prefix-len", BIG],
+        ["tower", "--param", SILVER, "--depth", BIG],
+        ["dimension", "--param", SILVER, "--depth", BIG],
+        ["integrals", "--terms", BIG],
+        ["render", "discontinuities", "--param", SILVER, "--depth", BIG, "--px", "100"],
+        ["render", "cover", "--param", SILVER, "--depth", "1", "--px", BIG],
+        ["render", "cover", "--param", "sqrt(3)-1,1", "--depth", BIG, "--px", "64"],
+        ["render", "cover", "--param", "1/1000000,1", "--depth", "999000", "--px", "64"],
+    ])
+    def test_every_budget_refuses_in_a_short_message(self, capsys, tmp_path,
+                                                     monkeypatch, argv):
+        # a count past 10**20 is given by its bit length: a refused count
+        # once put all of its 4,000 digits into the message, or, past 4,300,
+        # failed to format with a ValueError. The segment budget is cut so
+        # that the silver mean's segments pass it within 200 levels
+        monkeypatch.setattr(pet, "SEGMENT_BUDGET", 1000)
+        out = ["--out", str(tmp_path / "x.ppm")] if argv[0] == "render" else []
+        code, stdout, err = run(capsys, *argv, *out)
+        assert code == 2 and stdout == ""
         obj = json.loads(err)
         assert obj["error"] == "NotTerminated" and len(obj["message"]) <= 200
 
@@ -438,7 +499,6 @@ class TestExitCodes:
         assert json.loads(err)["error"] == error
 
 
-SILVER = "sqrt(2)-1,-1"
 # every flag whose default is not 0, given as 0: (argv, module and name of the
 # library function that gets the flag, and its position or keyword there)
 ZERO_FLAGS = [

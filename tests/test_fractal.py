@@ -17,7 +17,6 @@ from sqrect.renorm import (
     cover_seed,
     descend,
     incidence_matrix,
-    piece_count,
     renorm_step,
 )
 from sqrect.lyap import cocycle_product
@@ -38,7 +37,7 @@ from sqrect.fractal import (
     selfsimilar_dimension,
     selfsimilar_parameter,
 )
-from oracle_maps import psi_inverse, rect_branch, seed_values
+from oracle_maps import piece_count, psi_inverse, rect_branch, seed_values
 from test_pet import exact_params
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)

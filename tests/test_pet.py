@@ -107,7 +107,9 @@ def _oracle_orbits(p: Param, max_period: int, cap: int) -> list[Orbit]:
     M = Mat2.identity()
     while True:
         if len(params) > cap:
-            raise NotTerminated("renormalization depth cap exceeded")
+            raise NotTerminated(
+                f"{len(params)} renormalization levels, above the budget of {cap}"
+            )
         last = params[-1]
         if last.theta == 0:
             break
@@ -159,7 +161,7 @@ def oracle_islands(p: Param, max_period: int, cap: int = 10_000) -> list[Cell]:
         if len(o.code) <= max_period:
             out.extend(_oracle_unfold(p, o))
         if len(out) > cap:
-            raise NotTerminated("cell count cap exceeded")
+            raise NotTerminated(f"{len(out)} cells, above the budget of {cap}")
     return out
 
 params = st.builds(

@@ -37,12 +37,11 @@ from sqrect.renorm import (
     induction_verify,
     lift_blocks,
     period_sequence,
-    piece_count,
     psi_inverse_lattice,
     renorm_step,
     similitude,
 )
-from oracle_maps import psi_inverse, rect_branch, seed_values
+from oracle_maps import piece_count, psi_inverse, rect_branch, seed_values
 from test_pet import assert_same_cells, exact_params, oracle_islands
 from test_words import abelianization, apply
 
@@ -238,10 +237,11 @@ def old_induction_verify(p: Param, samples: int = 10_000, seed: int = 0):
         raise ValueError(f"samples must be at least 1, got {samples}")
     level = renorm.Level(p)
     q, longest = level.next, max(level.times)
-    if samples * longest > renorm.VERIFY_STEP_BUDGET:
+    steps = samples * longest
+    if steps > renorm.VERIFY_STEP_BUDGET:
+        shown = steps if steps < 10**20 else f"a {steps.bit_length()}-bit number of"
         raise NotTerminated(
-            f"{samples} samples of return time up to {longest} exceed the"
-            f" budget of {renorm.VERIFY_STEP_BUDGET} steps"
+            f"{shown} map steps, above the budget of {renorm.VERIFY_STEP_BUDGET}"
         )
     exact = is_exact(p.theta)
     rng = renorm.random.Random(seed)
@@ -343,6 +343,8 @@ class TestInductionVerify:
     # psi^-1 of T_{S(p)} z1 equals T_ind(psi^-1 z1) in floats, yet psi of the
     # latter is 2**-53 off T_{S(p)} z1: a float sample is measured all the same
     @example(Param(0.5, 1), 1, 4049654480, 0, False)
+    # a return time past 10**20 steps: refused by the bit length of the count
+    @example(Param(1.663472251167883e-147, -1), 1, 0, 0, False)
     def test_frame_path_is_the_point_oracle(self, p, samples, seed, extra, coarse):
         # reports equal field by field, errors alike; return times made too
         # long and draws on a grid of eighths make errors and resamples
@@ -930,6 +932,44 @@ class TestCover:
         with pytest.raises(NotTerminated):
             cover(p, 12)
         assert time.perf_counter() - start < 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_params(), st.integers(0, 40))
+    @example(Param(Fraction(3, 8), -1), 3)  # unit 2, unit 1, right 2, theta = 0
+    @example(Param(Fraction(1, 100), 1), 40)  # right branch 1: 2 pieces a level
+    @example(Param(Fraction(1, 7), 1), 40)  # right 1 five times, right 2, theta = 0
+    def test_descent_counts_its_cover_as_it_walks(self, p, l):
+        # each check of within_budget against the oracle: the pieces of the
+        # cover down to that level, and the work of the fold, the pieces of
+        # all its stages. The descent stops where the chain reaches 0
+        levels, last, counts = [], p, []
+        while len(levels) < l and last.theta != 0:
+            levels.append(Level(last))
+            last = levels[-1].next
+        depth = len(levels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(renorm, "check_budget", lambda count, *_: counts.append(count))
+            assert descend(p, depth, 1) == (levels, last)
+        pieces, work = counts[::2], counts[1::2]
+        assert pieces == [piece_count(levels[:k], levels[k - 1].next)
+                          for k in range(1, depth + 1)]
+        assert work == [sum(piece_count(levels[i:k], levels[k - 1].next) for i in range(k))
+                        for k in range(1, depth + 1)]
+        assert pieces == sorted(pieces) and work == sorted(work)
+        # at the least budget that admits both counts the cover is made, one
+        # below it refused
+        assume(depth and pieces[-1] <= 2_000)
+        least = max(pieces[-1], -(-work[-1] // 2))
+        for module, name, make, size in (
+            (renorm, "EXACT_PIECE_BUDGET", cover, len),
+            (fractal, "PIECE_BUDGET", cover_arrays, lambda arrays: arrays[0].size),
+        ):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, name, least)
+                assert size(make(p, depth)) == pieces[-1]
+                mp.setattr(module, name, least - 1)
+                with pytest.raises(NotTerminated):
+                    make(p, depth)
 
     @pytest.mark.parametrize("l", [0, 3])
     def test_float_parameter_rejected(self, l):
