@@ -222,6 +222,7 @@ def density(which: str, x) -> float:
 
 
 PAIR_TERMS = 20_000  # terms of each pair sum added before its digamma tail
+PAIR_BLOCK = 4096  # of them made at once: 32 KiB arrays (see lyap.SERIES_BLOCK)
 # Cephes' psi above 10 (S. L. Moshier, Methods and Programs for Mathematical
 # Functions, 1989) is ln x - 1/(2x) - z P(z), z = 1/x^2; P's coefficients:
 _PSI_ASYMPTOTIC = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
@@ -247,17 +248,22 @@ def _pair_sum(alpha: float, beta: float, n_min: int, parity: int) -> float:
 
     Adds the first PAIR_TERMS terms directly and closes the remainder with
     `_digamma` values, so the result is exact up to rounding. The direct
-    terms are summed left to right by np.add.accumulate, each rounded as the
-    scalar expression rounds it (every n < 2**53 converts exactly), so the
-    sum is bit for bit that of a term-by-term loop; np.sum, which sums
-    pairwise, would change the last bits.
+    terms are summed left to right by np.add.accumulate, PAIR_BLOCK at a time
+    from the sum so far, each rounded as the scalar expression rounds it (n <
+    2**53 is an exact float), so the sum is bit for bit that of a term-by-term
+    loop; np.sum, which sums pairwise, would change the last bits.
     """
     n = n_min if n_min % 2 == parity else n_min + 1
     if n + alpha == 0 or n + beta == 0:
         # alpha, beta >= -1 here: only the first term can have a zero pole
         raise ZeroDivisionError("float division by zero")
-    k = np.arange(n, n + 2 * PAIR_TERMS, 2)
-    total = np.add.accumulate(1.0 / (k + alpha) - 1.0 / (k + beta))[-1]
+    total, end = 0.0, n + 2 * PAIR_TERMS
+    for start in range(n, end, 2 * PAIR_BLOCK):
+        k = np.arange(start, min(start + 2 * PAIR_BLOCK, end), 2, dtype=float)
+        terms = 1.0 / (k + alpha)
+        terms -= 1.0 / (k + beta)
+        terms[0] += total
+        total = np.add.accumulate(terms)[-1]
     m0 = (n - parity) // 2 + PAIR_TERMS  # tail starts at n = 2*m0 + parity
     total += 0.5 * (
         _digamma(m0 + (parity + beta) / 2) - _digamma(m0 + (parity + alpha) / 2)

@@ -214,13 +214,14 @@ def _f(m11, m12, m21, m22):
     return np.sqrt(m11 * m22) + np.sqrt(m12 * m21)
 
 
-# series terms: tracemalloc puts the peak at this budget at 8.3, 16.6 and 8.5
-# bytes per term (integral_ln_M, integral_ln_r, lower_bound_f), so about 80 MiB
+# series terms: tracemalloc puts the peak at this budget at 8.1, 16.2 and 8.2
+# bytes per term (integral_ln_M, integral_ln_r, lower_bound_f), so about 77 MiB
 TERM_BUDGET = 5_000_000
-# Terms a series computes at once. Block by block it fills the one full-length
-# array its np.sum reads, which thus adds what the whole-array expression added,
-# in its order. On a 2-core VM 2**14 to 2**16 ran alike; the peak grows with it
-SERIES_BLOCK = 1 << 15
+# Terms a series computes at once, into the one full-length array its np.sum
+# reads. 64 KiB blocks come from malloc's heap. Larger ones are mmapped, and
+# page-fault on every call until a larger free raises glibc's threshold: a first
+# integral_ln_M(300_000) took 24 ms at 2**15, not 9 (2-core VM)
+SERIES_BLOCK = 1 << 13
 
 
 def _blocks(first: int, stop: int, width: int = 1):

@@ -542,6 +542,25 @@ class TestDensities:
                         continue
                     assert cfrac._pair_sum(*args) == expected, args
 
+    @pytest.mark.parametrize("block", [1, 7, 4095, 20_000, 1 << 40])
+    def test_pair_block_changes_no_bit(self, monkeypatch, block):
+        # 1 << 40 is one block of every term, the whole-array form
+        args = [(0.3, 1.3, 1, 0), (-0.7, 0.3, 2, 1), (0.999, 1.999, 1, 1)]
+        expected = [cfrac._pair_sum(*a) for a in args]
+        monkeypatch.setattr(cfrac, "PAIR_BLOCK", block)
+        assert [cfrac._pair_sum(*a) for a in args] == expected
+
+    def test_pair_sum_allocates_no_full_length_array(self):
+        # a full-length temporary (160 KB) is mmapped, and page-faults on every
+        # call until a larger array raises malloc's mmap threshold
+        tracemalloc.start()
+        try:
+            cfrac._pair_sum(0.3, 1.3, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cfrac.PAIR_TERMS
+
     @settings(max_examples=2000, deadline=None)
     @given(st.floats(min_value=10, max_value=1e17, exclude_min=True))
     @example(math.nextafter(10.0, 11.0))
