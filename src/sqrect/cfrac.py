@@ -21,7 +21,7 @@ from .exactnum import Number, Surd, _canon, is_exact
 from .pet import Param
 from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
-    family_coefficients, middle_image, odd, slow_image,
+    ONE, family_coefficients, middle_image, odd, slow_image,
 )
 
 LN6 = math.log(6)
@@ -137,28 +137,40 @@ def accel(x: Number) -> AccelStep:
 # By FAMILIES, the gap's rows (slope, const) off the table and (family, s, s c) in ints
 _GAP_COEFFICIENTS = family_coefficients("gap")[:, 0]
 _PQ_GAP = [(f, f.gap(1) - f.gap(0), (f.gap(1) - f.gap(0)) * f.gap(0)) for f in FAMILIES]
-_MIDDLE = FAMILIES.index(MIDDLE)
+_MIDDLE = np.array(FAMILIES.index(MIDDLE))
 
 
-def accel_lanes(x: np.ndarray):
-    """`accel` on a float array of lanes: (f, n, y, den), each lane's index
-    f in FAMILIES, branch index, image and den = 1/r_bold, bit for bit
-    where `accel` takes a step. The family comes from FAMILY_EDGES: in
-    floats, the right branch 1 that `accel` groups into the middle family is
-    exactly x < 3/2, where 1/(2 - x) rounds below 2. The gap's integer
-    coefficients make it round once, as x, x - 1 and 2 - x do. Both images
-    are taken on every lane and np.where keeps the family's own. No
-    np.errstate is set, as it would cost every Monte-Carlo step: lanes with
-    a gap of 2**-52 or more stay finite, and other callers set their own."""
-    f = FAMILY_EDGES.searchsorted(x, "right")
-    slope, const = _GAP_COEFFICIENTS.take(f, axis=1)
-    e = slope * x + const
-    inv = 1.0 / e
-    n = np.floor(inv)
-    mid_y, mid_den = middle_image(e, n)
-    middle = f == _MIDDLE
-    y = np.where(middle, mid_y, slow_image(inv, n))
-    return f, n, y, np.where(middle, mid_den, e)
+class LaneScratch:
+    """The arrays `accel_lanes` writes on `lanes` lanes, allocated once a walk:
+    outputs f, n, y and den, which a caller may repoint, and temporaries."""
+
+    def __init__(self, lanes: int):
+        self.f = np.empty(lanes, dtype=np.intp)
+        self.n, self.y, self.den, self.e, self.inv, self.t = np.empty((6, lanes))
+        self.coef, self.slow = np.empty((2, lanes)), np.empty(lanes, dtype=bool)
+
+
+def accel_lanes(x: np.ndarray, scratch: LaneScratch | None = None):
+    """`accel` on a float array of lanes, into the arrays of `scratch` (new by
+    default): (f, n, y, den), each lane's index f in FAMILIES, branch index,
+    image and den = 1/r_bold, bit for bit where `accel` takes a step. The
+    family comes from FAMILY_EDGES: in floats, the right branch 1 that `accel`
+    groups into the middle family is exactly x < 3/2, where 1/(2 - x) rounds
+    below 2. The gap's integer coefficients make it round once, as x, x - 1
+    and 2 - x do. Both images are taken on every lane and each lane keeps its
+    family's own. No np.errstate is set, as it would cost every Monte-Carlo
+    step: lanes with a gap of 2**-52 or more stay finite, and other callers
+    set their own."""
+    s = LaneScratch(x.size) if scratch is None else scratch
+    np.copyto(s.f, FAMILY_EDGES.searchsorted(x, "right"))
+    slope, const = _GAP_COEFFICIENTS.take(s.f, axis=1, out=s.coef, mode="clip")
+    np.add(np.multiply(slope, x, s.e), const, s.e)
+    np.floor(np.divide(ONE, s.e, s.inv), s.n)
+    middle_image(s.e, s.n, out=(s.y, s.den))
+    np.not_equal(s.f, _MIDDLE, s.slow)
+    np.copyto(s.y, slow_image(s.inv, s.n, out=s.t), where=s.slow)
+    np.copyto(s.den, s.e, where=s.slow)
+    return s.f, s.n, s.y, s.den
 
 
 def accel_walk(x: Number) -> Iterator[AccelStep]:

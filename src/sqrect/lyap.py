@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 
-from .cfrac import LN6, accel_lanes, accel_walk, param_to_x
+from .cfrac import LN6, LaneScratch, accel_lanes, accel_walk, param_to_x
 from .errors import check_budget
 from .pet import Param
 from .renorm import FAMILIES, MIDDLE, RIGHT, UNIT, Mat2, family_coefficients
@@ -96,13 +96,20 @@ def _sample_x(rng: np.random.Generator, trials: int) -> np.ndarray:
     )
 
 
-def _sanitize(x: np.ndarray) -> np.ndarray:
-    """Keep lanes strictly inside the branch intervals; float round-off can
-    park an iterate exactly on an endpoint where the next digit blows up."""
-    np.maximum(x, 1e-12, out=x)
-    np.minimum(x, 2 - 1e-12, out=x)
-    x[np.abs(x - 1.0) < 1e-12] = 1.0 + 1e-12
-    x[np.abs(x - 1.5) < 1e-15] = 1.5 + 1e-14
+# _sanitize's bounds, and (point, radius, moved) of the lanes it moves off 1, 3/2
+_LOW, _HIGH = np.array(1e-12), np.array(2 - 1e-12)
+_NEAR = [tuple(map(np.array, r))  # 0-d: a ufunc takes a (1,) array at twice the cost
+         for r in ((1.0, 1e-12, 1 + 1e-12), (1.5, 1e-15, 1.5 + 1e-14))]
+
+
+def _sanitize(x: np.ndarray, t=None, near=None) -> np.ndarray:
+    """Keep lanes strictly inside the branch intervals, where round-off can park
+    one on an end; in place, with temporaries t and near (new if not given)."""
+    t, near = (np.empty_like(x), np.empty(x.shape, bool)) if t is None else (t, near)
+    np.minimum(np.maximum(x, _LOW, out=x), _HIGH, out=x)
+    for point, radius, moved in _NEAR:
+        np.less(np.abs(np.subtract(x, point, t), t), radius, near)
+        np.copyto(x, moved, where=near)
     return x
 
 
@@ -110,35 +117,52 @@ def _sanitize(x: np.ndarray) -> np.ndarray:
 # cocycle matrix of each family, read off the branch table
 _M_COEFFICIENTS = family_coefficients("M")
 
-
-def _vector_step(x, u1, u2, log_norm, lnR):
-    """One accelerated step applied to every lane (`cfrac.accel_lanes`),
-    updating the renormalized row vectors and both log accumulators in
-    place. The entries of M(n) are a[f] n + b[f], with the rows (a, b) of
-    each lane's family f from `family_coefficients`: integers below 2**53
-    (n is at most 1e12 on sanitized lanes), which float arithmetic holds
-    exactly."""
-    f, n, x1, den = accel_lanes(x)
-    a, b = _M_COEFFICIENTS.take(f, axis=2)
-    M = a * n + b  # rows m11, m12, m21, m22
-    lnR -= np.log(den)
-
-    v = u1 * M[:2] + u2 * M[2:]  # the row (u1, u2) times M
-    s = v[0] + v[1]
-    log_norm += np.log(s)
-    v /= s
-    return _sanitize(x1), v[0], v[1]
-
-
-# Monte-Carlo lanes per estimate: tracemalloc puts the peak of
-# birkhoff_estimate at 249 bytes per lane, so this is about 0.6 GB
+# Monte-Carlo lanes per estimate: tracemalloc puts the peak of birkhoff_estimate
+# at 194-198 bytes per lane (5 * 10**4 to 2 * 10**5 lanes), so about 0.48 GB
 LANE_BUDGET = 2_400_000
-# Steps and lane-steps per estimate. On a 2-core VM a step costs about 22 us
-# of numpy dispatch plus 55-165 ns per lane: the slowest run both budgets
-# admit, 200 lanes of 10**6 steps, takes about 33 s, and the default 1000
-# lanes of 10,000 steps take 0.8 s
+# Steps and lane-steps per estimate. On a 2-core VM a step costs about 30-37 us
+# of numpy dispatch plus 65-140 ns per lane: the slowest run both budgets
+# admit, 200 lanes of 10**6 steps, took 57 s, and the default 1000 lanes of
+# 10,000 steps take 1.3-1.4 s
 STEP_BUDGET = 1_000_000
 LANE_STEP_BUDGET = 200_000_000
+# Lane-steps a block of the walk takes its matrices and logs for, 72 bytes each: 2**13
+# to 2**15 ran within 8 % at 200 to 5,000 lanes, 2**11 up to 15 % slower (2-core VM)
+WALK_BLOCK = 1 << 13
+
+
+def _lane_blocks(x: np.ndarray, l: int):
+    """Step every lane l times from x (overwritten) by `accel_lanes`, K steps a
+    block kept as rows, and yield after each block (steps so far, u, sums),
+    arrays the next block overwrites: the row vector (u1, u2), renormalized
+    each step, and the sums (log_norm, lnR) of ln s, the l1-norm of u times
+    the step's M, and of ln r_bold = -ln den. M's entries a[f] n + b[f] are
+    integers below 2**53 (n <= 1e12 on sanitized lanes), exact in floats. Logs
+    are added in step order, a step at a time: np.add.accumulate down the rows
+    loops lane by lane, 2.7 ms a block at 50,000 lanes."""
+    K = max(1, min(WALK_BLOCK // x.size, l))
+    scratch, t, near = LaneScratch(x.size), np.empty(x.size), np.empty(x.size, bool)
+    f, buf = np.empty((K, x.size), dtype=np.intp), np.empty((8, K, x.size))
+    n, b, M, logs = buf[0], buf[1], buf[2:6], buf[6:]  # M: m11 m12 m21 m22; s, den
+    u, sums = np.ones((2, x.size)), np.zeros((2, x.size))
+    for first in range(0, l, K):
+        rows = min(K, l - first)
+        fs, ns, bs, Ms = f[:rows], n[:rows], b[:rows], M[:, :rows]
+        s_rows, den_rows = logs[:, :rows]  # each contiguous
+        for scratch.f, scratch.n, scratch.den in zip(fs, ns, den_rows):
+            accel_lanes(x, scratch)
+            x, scratch.y = _sanitize(scratch.y, t, near), x
+        for m, (slope, const) in zip(Ms, _M_COEFFICIENTS.transpose(1, 0, 2)):
+            slope.take(fs, out=m, mode="clip")
+            np.add(np.multiply(m, ns, m), const.take(fs, out=bs, mode="clip"), m)
+        for top, bottom, s in zip(Ms[:2].swapaxes(0, 1), Ms[2:].swapaxes(0, 1), s_rows):
+            np.add(np.multiply(top, u[0], top), np.multiply(bottom, u[1], bottom), u)
+            np.divide(u, np.add(u[0], u[1], s), u)
+        np.log(s_rows, s_rows)
+        np.negative(np.log(den_rows, den_rows), den_rows)
+        for step in logs[:, :rows].swapaxes(0, 1):
+            np.add(sums, step, sums)
+        yield first + rows, u, sums
 
 
 def birkhoff_estimate(
@@ -153,13 +177,8 @@ def birkhoff_estimate(
     check_budget(l, STEP_BUDGET, "steps per lane")
     check_budget(trials * l, LANE_STEP_BUDGET, "lane-steps")
     rng = np.random.default_rng(seed)
-    x = _sanitize(_sample_x(rng, trials))
-    u1 = np.ones(trials)
-    u2 = np.ones(trials)
-    log_norm = np.zeros(trials)
-    lnR = np.zeros(trials)
-    for _ in range(l):
-        x, u1, u2 = _vector_step(x, u1, u2, log_norm, lnR)
+    for _, _, (log_norm, lnR) in _lane_blocks(_sanitize(_sample_x(rng, trials)), l):
+        pass  # the sums after the last block
     lam = LN6 * log_norm / l
     lnr = LN6 * lnR / l
     lambda_hat = float(lam.mean())

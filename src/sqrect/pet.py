@@ -228,7 +228,7 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     S^k(p) (`renorm.island_seed`) pulled back in pairs by
     `renorm.lift_blocks`. Its period comes from `renorm.seed_periods` first,
     so more than ISLAND_CELL_BUDGET cells raise NotTerminated before any is
-    made."""
+    made, at the level where the periods summed so far pass it."""
     from .renorm import island_seed, lift_blocks, seed_periods
 
     if not is_exact(p.theta):
@@ -241,10 +241,10 @@ def islands(p: Param, max_period: int) -> list[Cell]:
         if period <= max_period:
             seeds[k] = [(r, k, side) for r, side in island_seed(q)]
             total += period
+            check_budget(total, ISLAND_CELL_BUDGET, "cells")
         if level is None or M.m11 + M.m21 > max_period:
             break
         levels.append(level)
-    check_budget(total, ISLAND_CELL_BUDGET, "cells")
 
     blocks = lift_blocks(p.theta, levels, seeds)  # (rect, depth of its orbit, side)
     out = []

@@ -4,7 +4,14 @@ forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
 library runs on every frame; a seed row of lattice pairs as numbers; and
 the discontinuity set built from oriented segments, with the inverse map
 written once per orientation, the oracle of `pet.discontinuity_segments`;
-and the piece count of a cover, the oracle of `renorm.within_budget`."""
+the piece count of a cover, the oracle of `renorm.within_budget`; and the
+Monte-Carlo lanes stepped one step at a time, the oracle of the blocked walk
+`lyap._lane_blocks`."""
+
+import numpy as np
+
+from sqrect.cfrac import accel_lanes
+from sqrect.lyap import _M_COEFFICIENTS, _sanitize
 
 
 def piece_count(levels, q) -> int:
@@ -79,3 +86,31 @@ def discontinuity_endpoints(theta, eps: int, depth: int) -> list:
         level = [t for t in dict.fromkeys(nxt) if t not in seen]
         seen.update(dict.fromkeys(level))
     return [(x, y, x + n, y) if o == "H" else (x, y, x, y + n) for x, y, n, o in seen]
+
+
+def vector_step(x, u1, u2, log_norm, lnR):
+    """One accelerated step applied to every lane (`cfrac.accel_lanes`),
+    updating the renormalized row vectors and both log accumulators in
+    place. The entries of M(n) are a[f] n + b[f], with the rows (a, b) of
+    each lane's family f from `family_coefficients`."""
+    f, n, x1, den = accel_lanes(x)
+    a, b = _M_COEFFICIENTS.take(f, axis=2)
+    M = a * n + b  # rows m11, m12, m21, m22
+    lnR -= np.log(den)
+
+    v = u1 * M[:2] + u2 * M[2:]  # the row (u1, u2) times M
+    s = v[0] + v[1]
+    log_norm += np.log(s)
+    v /= s
+    return _sanitize(x1), v[0], v[1]
+
+
+def lane_states(x, l: int):
+    """Yield after each of l steps from x (steps so far, u, sums), as
+    `lyap._lane_blocks` yields them after each block: the row vector (u1,
+    u2) and the rows (log_norm, lnR), stepped by `vector_step`."""
+    u1, u2 = np.ones(x.size), np.ones(x.size)
+    sums = np.zeros((2, x.size))
+    for step in range(1, l + 1):
+        x, u1, u2 = vector_step(x, u1, u2, *sums)
+        yield step, np.array([u1, u2]), sums

@@ -863,6 +863,24 @@ class TestNatextKernel:
         assert skipped == 5
         assert natext_step(1 + 2.0**-52, 0.3)[0] == 2.0
 
+    def test_steps_through_a_reused_scratch(self):
+        # a walk reuses one LaneScratch from step to step: accel_lanes gives
+        # the bits of a fresh one each call, and natext_steps, whose scratch
+        # is its own, returns arrays that a later call leaves as they are
+        rng = random.Random(6)
+        x, y = np.array([cfrac._sample_theta_domain(rng) for _ in range(1000)]).T
+        kept = natext_steps(x, y)
+        want = [a.copy() for a in kept]
+        natext_steps(2 - x, y)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, want))
+        scratch = cfrac.LaneScratch(x.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(20):
+                fresh = [a.copy() for a in accel_lanes(x)]
+                got = accel_lanes(x, scratch)
+                assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, fresh))
+                x = got[2].copy()
+
     @pytest.mark.parametrize("seed", [*range(10), 885180465])
     def test_reports_match_scalar_loop(self, monkeypatch, seed):
         rep, got = _batched_natext(monkeypatch, 2000, seed)

@@ -2,10 +2,11 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import spence
 
@@ -25,16 +26,18 @@ from sqrect.lyap import (
     LANE_STEP_BUDGET,
     STEP_BUDGET,
     TERM_BUDGET,
+    WALK_BLOCK,
+    _lane_blocks,
     _middle_lnr_branches,
     _sample_x,
     _sanitize,
-    _vector_step,
     birkhoff_estimate,
     cocycle_product,
     integral_ln_M,
     integral_ln_r,
     lower_bound_f,
 )
+from oracle_maps import lane_states, vector_step
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 
@@ -147,7 +150,7 @@ class TestVectorStep:
         rows = []
         for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):
             log_norm, lnR = np.zeros_like(x), np.zeros_like(x)
-            _, v1, v2 = _vector_step(
+            _, v1, v2 = vector_step(
                 x, np.full_like(x, u1), np.full_like(x, u2), log_norm, lnR
             )
             rows.append((v1, v2, log_norm))
@@ -174,7 +177,7 @@ def _reference_sanitize(x):
 
 
 def _reference_step(x, u1, u2, log_norm, lnR):
-    """The masked `lyap._vector_step` that the one-pass kernel replaced: a
+    """The masked step that the one-pass kernel replaced: a
     boolean-mask gather of each family's lanes, its own formulas on them,
     and a masked scatter of the results."""
     left = x < 1.0
@@ -211,17 +214,78 @@ EDGE_LANES = [
 ]
 
 
+def _family(x):
+    """Index in FAMILIES of each lane as `_reference_step` masks it."""
+    return np.where(x < 1.0, 0, np.where(x >= RIGHT.ends(RIGHT.first)[0], 2, 1))
+
+
 class TestOnePassKernel:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_lanes_match_masked_reference(self, seed):
+    @pytest.mark.parametrize("seed, rows", [
+        *[pytest.param(seed, None, id=str(seed)) for seed in range(10)],
+        *[(seed, rows) for seed in range(10) for rows in (1, 7)],
+    ])
+    def test_lanes_match_masked_reference(self, seed, rows, monkeypatch):
+        # the blocked walk, `rows` steps a block (None: WALK_BLOCK's), against
+        # the masked step: each step's lanes x and families, and u and both
+        # log sums at each block end
         x = np.concatenate([_sample_x(np.random.default_rng(seed), 200), EDGE_LANES])
+        if rows:
+            monkeypatch.setattr(lyap, "WALK_BLOCK", rows * x.size)
+        K = lyap.WALK_BLOCK // x.size
+        stepped = []
+
+        def recording(x, scratch):
+            out = accel_lanes(x, scratch)
+            stepped.append((x.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(lyap, "accel_lanes", recording)
         ones, zeros = np.ones(x.size), np.zeros(x.size)
-        lanes = [[x.copy(), ones, ones, zeros.copy(), zeros.copy()] for _ in range(2)]
+        state = [x.copy(), ones, ones, zeros.copy(), zeros.copy()]
+        reference = []
         for _ in range(300):
-            for state, step in zip(lanes, (_vector_step, _reference_step)):
-                state[:3] = step(*state)
-            for got, want in zip(*lanes):
-                assert np.array_equal(got, want)
+            lanes = state[0]
+            state[:3] = _reference_step(*state)
+            reference.append((lanes, [state[1], state[2]], [state[3].copy(), state[4].copy()]))
+        ends = []
+        for steps, u, sums in _lane_blocks(x.copy(), 300):
+            _, want_u, want_sums = reference[steps - 1]
+            assert np.array_equal(u, want_u) and np.array_equal(sums, want_sums)
+            ends.append(steps)
+        assert ends == [*range(K, 300, K), 300]
+        assert len(stepped) == 300
+        for (lanes, f), (want, _, _) in zip(stepped, reference):
+            assert np.array_equal(lanes, want) and np.array_equal(f, _family(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lanes=st.integers(1, 3 * WALK_BLOCK),
+        at=st.sampled_from(["0", "1", "K-1", "K", "K+1", "3K+1"]),
+        edges=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lanes=1, at="K+1", edges=False, seed=0)
+    @example(lanes=1, at="3K+1", edges=True, seed=1)
+    @example(lanes=200, at="3K+1", edges=False, seed=904876487)
+    @example(lanes=WALK_BLOCK + 1, at="K+1", edges=True, seed=2)
+    def test_blocked_walk_is_the_step_by_step_oracle(self, lanes, at, edges, seed):
+        # every block end and the estimate, bit for bit, as the walk stepped
+        # one step at a time gives them, with the block's end on either side
+        x = _sample_x(np.random.default_rng(seed), lanes)
+        if edges:
+            x = np.concatenate([x, EDGE_LANES])
+        K = max(1, WALK_BLOCK // x.size)
+        l = {"0": 0, "1": 1, "K-1": K - 1, "K": K, "K+1": K + 1, "3K+1": 3 * K + 1}[at]
+        want = {steps: sums.copy() for steps, _, sums in lane_states(x.copy(), l)}
+        ends = []
+        for steps, _, sums in _lane_blocks(x.copy(), l):
+            assert np.array_equal(sums, want[steps])
+            ends.append(steps)
+        assert ends == ([*range(K, l, K), l] if l else [])
+        if l:
+            est = birkhoff_estimate(seed, lanes, l)
+            with mock.patch.object(lyap, "_lane_blocks", lane_states):
+                assert repr(est) == repr(birkhoff_estimate(seed, lanes, l))
 
     def test_sanitize_matches_clip(self):
         x = np.array([
@@ -248,6 +312,17 @@ class TestOnePassKernel:
             " stderr_lambda=0.0032035887475716854, stderr_lnR=0.002892100362883748,"
             " stderr_s=0.0003235169739257244)"
         )
+
+    def test_peak_bytes_per_lane(self):
+        # LANE_BUDGET's comment rests on this peak: at most 200 bytes a lane
+        lanes = 50_000
+        tracemalloc.start()
+        try:
+            birkhoff_estimate(MASTER_SEED, lanes, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * lanes
 
     def test_lanes_above_budget_fail_fast(self):
         tracemalloc.start()

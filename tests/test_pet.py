@@ -667,6 +667,17 @@ class TestIslands:
         assert peak < 1 << 20
         assert elapsed < 0.1
 
+    def test_cells_refused_while_periods_are_summed(self):
+        # right branch 1 adds orbits of period 2, 4, 6, ...: the cells pass
+        # the budget 100 levels in, where a check after the walk came only
+        # after its 10,000 levels, refused by the level budget in 0.6 s
+        p = Param(Fraction(1, 10**6), 1)
+        islands(Param(SQRT2M1, -1), max_period=1)  # imports outside the measurement
+        t0 = time.perf_counter()
+        with pytest.raises(NotTerminated, match="cells"):
+            islands(p, max_period=30_000)
+        assert time.perf_counter() - t0 < 0.1
+
     def test_cells_of_an_orbit_share_its_code(self):
         # one orbit of 9,998 cells plus the fixed square: with a rotated copy
         # of the code per cell it peaked at 101 MiB
