@@ -141,13 +141,13 @@ _MIDDLE = np.array(FAMILIES.index(MIDDLE))
 
 
 class LaneScratch:
-    """The arrays `accel_lanes` writes on `lanes` lanes, allocated once a walk:
-    outputs f, n, y and den, which a caller may repoint, and temporaries."""
+    """Arrays `accel_lanes` writes, allocated once a walk: outputs f, n and den,
+    given, y, which a caller may repoint, and temporaries, free between calls."""
 
-    def __init__(self, lanes: int):
-        self.f = np.empty(lanes, dtype=np.intp)
-        self.n, self.y, self.den, self.e, self.inv, self.t = np.empty((6, lanes))
-        self.coef, self.slow = np.empty((2, lanes)), np.empty(lanes, dtype=bool)
+    def __init__(self, f: np.ndarray, n: np.ndarray, den: np.ndarray):
+        self.f, self.n, self.den = f, n, den
+        self.y, self.e, self.inv, self.t = np.empty((4, f.size))
+        self.coef, self.slow = np.empty((2, f.size)), np.empty(f.size, dtype=bool)
 
 
 def accel_lanes(x: np.ndarray, scratch: LaneScratch | None = None):
@@ -161,7 +161,7 @@ def accel_lanes(x: np.ndarray, scratch: LaneScratch | None = None):
     family's own. No np.errstate is set, as it would cost every Monte-Carlo
     step: lanes with a gap of 2**-52 or more stay finite, and other callers
     set their own."""
-    s = LaneScratch(x.size) if scratch is None else scratch
+    s = scratch or LaneScratch(np.empty(x.size, dtype=np.intp), *np.empty((2, x.size)))
     np.copyto(s.f, FAMILY_EDGES.searchsorted(x, "right"))
     slope, const = _GAP_COEFFICIENTS.take(s.f, axis=1, out=s.coef, mode="clip")
     np.add(np.multiply(slope, x, s.e), const, s.e)

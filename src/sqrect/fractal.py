@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +144,7 @@ def _fold(levels, arrays):
         n_a, n_b = (s.size for _, s, _ in blocks)
         t_a, t_b = level.times
         dtypes = [a.dtype for a in arrays]
-        del x, y, w, h, sq, side  # release the inputs before the output is allocated
+        del x, y, w, h, sq, side, arrays  # the inputs go before the outputs come
         arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
         hi = 0
         theta, eps = (1, 0, float(level.q.theta), 0), level.q.eps
@@ -174,6 +175,7 @@ def cover_arrays(p: Param, l: int):
 
 
 BOX_CHUNK = 1 << 22  # pieces coded at once by box_count
+BOX_BLOCK = 1 << 16  # pieces floored at once by the box coder, in one scratch
 DEEP_PIECES = 1 << 18  # at most this many pieces expanded at once by box_count_deep
 DEEP_BUCKETS = 256  # code ranges that _count_chunks sorts one at a time
 
@@ -200,74 +202,100 @@ class _Window(NamedTuple):
         )
 
 
-def _window(arrays, r: float, pad: int = 0) -> _Window:
-    """The smallest window holding every cell met by the rectangles, widened
-    by pad cells on each side. Rounding and floor are monotone, so the
-    extreme cells are those of the extreme edges."""
-    x, y, w, h = arrays[:4]
-    eps = 1e-12
-    ends = [
-        (float(x.min()) + eps) / r,
-        (float((x + w).max()) - eps) / r,
-        (float(y.min()) + eps) / r,
-        (float((y + h).max()) - eps) / r,
-    ]
-    # below 2**51 every index and difference of indices is an exact float
-    if not all(abs(v) < 2.0**51 for v in ends):
-        raise ValueError("rectangles must be finite, with cell indices below 2**51")
-    lo_x, hi_x, lo_y, hi_y = (math.floor(v) for v in ends)
-    ix, iy = lo_x - pad, lo_y - pad
-    window = _Window(ix, iy, hi_x + pad + 1 - ix, hi_y + pad + 1 - iy)
-    if window.nx * window.ny >= 1 << 63:
-        raise ValueError("the rectangles span 2**63 grid cells or more")
-    return window
+class _Blocks:
+    """The rectangles of arrays in the fewest blocks of one size up to
+    BOX_BLOCK, each floored in turn into one float scratch as the rows (ix0,
+    sx, iy0, sy) of its rectangles that meet a cell: a rectangle meets cells
+    ix0 = floor(x0) .. ix0 + sx = floor(x1), x0 = (x + 1e-12) / r and x1 =
+    (x + w - 1e-12) / r, and likewise in y; one thinner than the inset meets
+    none. Rounding and floor are monotone, so the extreme cells are those of
+    the extreme (x0, y0) and (x1, y1)."""
+
+    def __init__(self, arrays, r: float):
+        self.arrays, self.r, n = arrays[:4], r, arrays[0].size
+        self.starts = range(0, n, size := -(-n // -(-n // BOX_BLOCK)))
+        self.scratch = np.empty((4, size))
+        self.low, self.high = np.full(2, np.inf), np.full(2, -np.inf)
+
+    def _floor(self, lo: int) -> np.ndarray:
+        x, y, w, h = (a[lo : lo + self.scratch.shape[1]] for a in self.arrays)
+        cells = self.scratch[:, : x.size]
+        ix0, sx, iy0, sy = cells
+        np.add(x, 1e-12, out=ix0)
+        np.add(x, w, out=sx)
+        np.add(y, 1e-12, out=iy0)
+        np.add(y, h, out=sy)
+        cells[1::2] -= 1e-12
+        with np.errstate(over="ignore"):  # refused below
+            cells /= self.r
+        np.minimum(self.low, cells[::2].min(axis=1), out=self.low)
+        np.maximum(self.high, cells[1::2].max(axis=1), out=self.high)
+        # below 2**51 every index and difference of indices is an exact float
+        if not (abs(np.r_[self.low, self.high]) < 2.0**51).all():
+            raise ValueError("rectangles must be finite, with cell indices below 2**51")
+        np.floor(cells, out=cells)
+        sx -= ix0
+        sy -= iy0
+        if sx.min() < 0 or sy.min() < 0:
+            cells = cells[:, (sx >= 0) & (sy >= 0)]
+        return cells
+
+    def scan(self, pad: int = 0) -> tuple[_Window, int]:
+        """Pass 1, first block to last: the smallest window holding every cell
+        met, widened by pad cells on each side, and the number of `codes`."""
+        count = 0
+        for lo in self.starts:
+            _, sx, _, sy = self.cells = self._floor(lo)
+            mx, my = sx.max(initial=0) - 1, sy.max(initial=0) - 1
+            if mx > 0 or my > 0:
+                fx, fy = np.minimum(sx, mx) + 2, np.minimum(sy, my) + 2
+                count += int((fx * fy).sum())
+            else:  # spans up to 1: every piece emits the same number of codes
+                count += sx.size * int((mx + 2) * (my + 2))
+        ix, iy, jx, jy = map(math.floor, (*self.low, *self.high))
+        window = _Window(ix - pad, iy - pad, jx - ix + 2*pad + 1, jy - iy + 2*pad + 1)
+        if window.nx * window.ny >= 1 << 63:
+            raise ValueError("the rectangles span 2**63 grid cells or more")
+        return window, count
+
+    def codes(self, window: _Window | None = None) -> np.ndarray:
+        """Sorted window codes of the side-r cells met by the rectangles, in
+        their own window or in window; RuntimeError if they leave it. Pass 2
+        goes last block to first, so the last is floored once. At each offset
+        (dx, dy) up to a block's largest spans, each of its rectangles with
+        sx >= dx - 1 and sy >= dy - 1 emits base + min(dx, sx) * ny +
+        min(dy, sy): every cell it meets, some twice, at most (sx + 2) *
+        (sy + 2) codes in all, and 4 where the block's largest spans are 1."""
+        own, count = self.scan()
+        if not (window := window or own).holds(own):
+            raise RuntimeError("the rectangles leave the cell window of the count")
+        dt = window.dtype
+        ny = dt.type(window.ny)
+        codes = np.empty(count, dt)
+        hi = 0
+        back = chain([self.cells], map(self._floor, self.starts[-2::-1]))
+        for ix0, sx, iy0, sy in back:
+            mx, my = int(sx.max(initial=0)), int(sy.max(initial=0))
+            base = (ix0 - window.ix).astype(dt) * ny + (iy0 - window.iy).astype(dt)
+            sx, sy = sx.astype(dt), sy.astype(dt)
+            for dx in range(mx + 1):
+                if dx > 1:
+                    keep = sx >= dx - 1
+                    base, sx, sy = base[keep], sx[keep], sy[keep]
+                row, s = base + _clip(sx, dx, mx) * ny, sy
+                for dy in range(my + 1):
+                    if dy > 1:
+                        keep = s >= dy - 1
+                        row, s = row[keep], s[keep]
+                    lo, hi = hi, hi + s.size
+                    np.add(row, _clip(s, dy, my), out=codes[lo:hi])
+        codes.sort()
+        return codes
 
 
-def _box_codes(arrays, r: float, window: _Window) -> np.ndarray:
-    """Window codes of the side-r cells met by the rectangles, one per
-    (rectangle, cell) pair, unsorted: a rectangle meets the cells
-    floor((x + 1e-12) / r) .. floor((x + w - 1e-12) / r), and likewise in
-    y. Offset (dx, dy) from a rectangle's first cell is emitted only for
-    the rectangles with ix0 + dx <= ix1 and iy0 + dy <= iy1."""
-    x, y, w, h = arrays[:4]
-    eps = 1e-12
-    cells = np.empty((4, x.size))
-    ix0, sx, iy0, sy = cells
-    np.add(x, eps, out=ix0)
-    np.add(x, w, out=sx)
-    np.add(y, eps, out=iy0)
-    np.add(y, h, out=sy)
-    cells[1::2] -= eps
-    cells /= r
-    np.floor(cells, out=cells)
-    sx -= ix0
-    sy -= iy0
-    if sx.min(initial=0) < 0 or sy.min(initial=0) < 0:
-        # rectangles thinner than the inset meet no cell
-        ix0, sx, iy0, sy = cells = cells[:, (sx >= 0) & (sy >= 0)]
-    ix0 -= window.ix
-    iy0 -= window.iy
-    dt = window.dtype
-    base = ix0.astype(dt)
-    base *= dt.type(window.ny)
-    base += iy0.astype(dt)
-    sx, sy = sx.astype(dt), sy.astype(dt)
-    del cells, ix0, iy0  # the float cell ranges go before the codes come
-    # a rectangle's (sx + 1) * (sy + 1) cells lie in the window
-    codes = np.empty(int(np.sum((sx + 1) * (sy + 1), dtype=np.int64)), dt)
-    hi = 0
-    for dx in range(int(sx.max(initial=0)) + 1):
-        keep = sx >= dx
-        if not keep.all():
-            base, sx, sy = base[keep], sx[keep], sy[keep]
-        b, s = base, sy
-        for dy in range(int(s.max(initial=0)) + 1):
-            keep = s >= dy
-            if not keep.all():
-                b, s = b[keep], s[keep]
-            lo, hi = hi, hi + b.size
-            np.add(b, dt.type(dx * window.ny + dy), out=codes[lo:hi])
-    return codes
+def _clip(s: np.ndarray, d: int, top: int):
+    """min(s, d) for spans s whose largest is top."""
+    return s if d == top else np.minimum(s, d) if d else 0
 
 
 def _distinct(a: np.ndarray) -> int:
@@ -306,11 +334,7 @@ def _count_chunks(chunks, r: float, window: _Window) -> int:
     edges = (np.arange(1, DEEP_BUCKETS) * width).astype(window.dtype)
     buckets: list[list[np.ndarray]] = [[] for _ in range(DEEP_BUCKETS)]
     for part in chunks:
-        if not window.holds(_window(part, r)):
-            raise RuntimeError("a chunk left the cell window of the count")
-        codes = _box_codes(part, r, window)
-        codes.sort()
-        codes = _compact(codes)
+        codes = _compact(_Blocks(part, r).codes(window))
         for runs, run in zip(buckets, np.split(codes, np.searchsorted(codes, edges))):
             if run.size:
                 runs.append(run)
@@ -331,28 +355,24 @@ def box_count(arrays, r: float) -> int:
     reaches 2**51 or the rectangles span 2**63 cells or more.
 
     A box is coded by its place in the window of cells the rectangles span
-    (`_Window`): uint32 below 2**32 cells, else int64. Each rectangle emits
-    one code per cell it meets; the codes are sorted in place and their
-    distinct values counted. Above BOX_CHUNK pieces, the chunks are counted
-    together by code range (`_count_chunks`). Beyond the pieces, a call
-    holds 32 bytes per piece of cell ranges while it takes first cells and
-    spans, then 12 bytes per piece of those and the codes: at a cover's
-    natural radius, about 3.6 uint32 codes per piece, the peak is about 45
-    bytes per piece."""
+    (`_Window`): uint32 below 2**32 cells, else int64. The block coder
+    (`_Blocks`) counts the codes in one pass over the rectangles, at most
+    BOX_BLOCK at a time, and writes them in a second; they are sorted in
+    place and their distinct values counted. Above BOX_CHUNK pieces, the
+    chunks are counted together by code range (`_count_chunks`). At a
+    cover's natural radius each piece emits 4 uint32 codes: tracemalloc puts
+    the peak beyond the pieces at 20.6 bytes per piece at 832,040 pieces."""
     if r <= 0:
         raise ValueError("box side must be positive")
     arrays = arrays[:4]
     n = arrays[0].size
     if n == 0:
         return 0
-    window = _window(arrays, r)
     if n <= BOX_CHUNK:
-        codes = _box_codes(arrays, r, window)
-        codes.sort()
-        return _distinct(codes)
+        return _distinct(_Blocks(arrays, r).codes())
     chunks = (tuple(a[lo : lo + BOX_CHUNK] for a in arrays)
               for lo in range(0, n, BOX_CHUNK))
-    return _count_chunks(chunks, r, window)
+    return _count_chunks(chunks, r, _Blocks(arrays, r).scan()[0])
 
 
 def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
@@ -372,4 +392,4 @@ def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     if l <= base_l:
         return box_count(base, r)
     chunks = _subtrees([level] * (l - base_l), base, DEEP_PIECES)
-    return _count_chunks(chunks, r, _window(base, r, pad=1))
+    return _count_chunks(chunks, r, _Blocks(base, r).scan(pad=1)[0])

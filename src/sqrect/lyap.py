@@ -118,7 +118,7 @@ def _sanitize(x: np.ndarray, t=None, near=None) -> np.ndarray:
 _M_COEFFICIENTS = family_coefficients("M")
 
 # Monte-Carlo lanes per estimate: tracemalloc puts the peak of birkhoff_estimate
-# at 194-198 bytes per lane (5 * 10**4 to 2 * 10**5 lanes), so about 0.48 GB
+# at 169 bytes per lane (5 * 10**4 to 2 * 10**5 lanes), so about 0.41 GB
 LANE_BUDGET = 2_400_000
 # Steps and lane-steps per estimate. On a 2-core VM a step costs about 30-37 us
 # of numpy dispatch plus 65-140 ns per lane: the slowest run both budgets
@@ -141,9 +141,9 @@ def _lane_blocks(x: np.ndarray, l: int):
     are added in step order, a step at a time: np.add.accumulate down the rows
     loops lane by lane, 2.7 ms a block at 50,000 lanes."""
     K = max(1, min(WALK_BLOCK // x.size, l))
-    scratch, t, near = LaneScratch(x.size), np.empty(x.size), np.empty(x.size, bool)
     f, buf = np.empty((K, x.size), dtype=np.intp), np.empty((8, K, x.size))
     n, b, M, logs = buf[0], buf[1], buf[2:6], buf[6:]  # M: m11 m12 m21 m22; s, den
+    scratch = LaneScratch(f[0], n[0], logs[1, 0])  # its outputs go to the rows
     u, sums = np.ones((2, x.size)), np.zeros((2, x.size))
     for first in range(0, l, K):
         rows = min(K, l - first)
@@ -151,7 +151,7 @@ def _lane_blocks(x: np.ndarray, l: int):
         s_rows, den_rows = logs[:, :rows]  # each contiguous
         for scratch.f, scratch.n, scratch.den in zip(fs, ns, den_rows):
             accel_lanes(x, scratch)
-            x, scratch.y = _sanitize(scratch.y, t, near), x
+            x, scratch.y = _sanitize(scratch.y, scratch.t, scratch.slow), x
         for m, (slope, const) in zip(Ms, _M_COEFFICIENTS.transpose(1, 0, 2)):
             slope.take(fs, out=m, mode="clip")
             np.add(np.multiply(m, ns, m), const.take(fs, out=bs, mode="clip"), m)

@@ -873,7 +873,7 @@ class TestNatextKernel:
         want = [a.copy() for a in kept]
         natext_steps(2 - x, y)
         assert all(np.array_equal(a, b) for a, b in zip(kept, want))
-        scratch = cfrac.LaneScratch(x.size)
+        scratch = cfrac.LaneScratch(np.empty(x.size, np.intp), *np.empty((2, x.size)))
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(20):
                 fresh = [a.copy() for a in accel_lanes(x)]

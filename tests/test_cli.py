@@ -696,6 +696,19 @@ def test_cli_import_skips_scipy_special():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: importing every sqrect module leaves it out
+    proc = run_python("-c", """if True:
+        import importlib, pkgutil, sys, sqrect
+        names = [m.name for m in pkgutil.iter_modules(sqrect.__path__)]
+        for name in names:
+            importlib.import_module(f"sqrect.{name}")
+        print(len(names), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """, timeout=60)
+    modules = {p.stem for p in Path(sqrect.__file__).parent.glob("*.py")} - {"__init__"}
+    assert proc.returncode == 0 and proc.stdout.strip() == f"{len(modules)} []"
+
+
 def test_float_kernels_skip_scipy():
     # the digamma tails of transfer_residual are Cephes' series in stdlib
     # floats, so no float kernel loads scipy

@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sqrect.errors import Degenerate, NotTerminated
 from sqrect.exactnum import make_surd, parse_number
@@ -23,11 +25,10 @@ from sqrect.lyap import cocycle_product
 from sqrect import fractal
 from sqrect.fractal import (
     PIECE_BUDGET,
-    _box_codes,
+    _Blocks,
     _compact,
     _cover,
     _fold,
-    _window,
     box_count,
     box_count_deep,
     cover_arrays,
@@ -315,6 +316,16 @@ RECT = st.tuples(
 )
 
 
+# rectangles (i r, j r, w r, h r) at r = 0.01: on grid lines, where one
+# thinner than the 1e-12 inset meets no cell, with spans 0, 1 and above
+CELL_RECT = st.tuples(
+    st.integers(-300, 300),
+    st.integers(-300, 300),
+    st.sampled_from([1e-13, 0.3, 0.999, 1.0, 1.7, 3.2]),
+    st.sampled_from([1e-13, 0.5, 1.0, 2.4]),
+)
+
+
 def _columns(rects):
     return tuple(np.array(col, dtype=float) for col in zip(*rects))
 
@@ -329,6 +340,17 @@ def _brute_force_cells(rects, r):
         ys = range(math.floor((y + eps) / r), math.floor((y + h - eps) / r) + 1)
         cells.update((ix, iy) for ix in xs for iy in ys)
     return cells
+
+
+def _spans(rect, r):
+    """A rectangle's spans (sx, sy): it meets sx + 1 columns and sy + 1 rows
+    of cells (-1: none)."""
+    x, y, w, h = rect
+    eps = 1e-12
+    return tuple(
+        math.floor((a + b - eps) / r) - math.floor((a + eps) / r)
+        for a, b in ((x, w), (y, h))
+    )
 
 
 class TestBoxCount:
@@ -399,8 +421,8 @@ class TestBoxCount:
             box_count(_columns(rects), 1.0)
 
     def test_code_dtype_follows_the_window(self):
-        small = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-4)
-        large = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-5)
+        small, _ = _Blocks(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-4).scan()
+        large, _ = _Blocks(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-5).scan()
         assert (small.nx * small.ny, small.dtype) == (10**8, np.uint32)
         assert (large.nx * large.ny, large.dtype) == (10**10, np.int64)
 
@@ -408,23 +430,73 @@ class TestBoxCount:
         p = Param(SQRT2M1, -1)
         for l, r in ((3, 0.05), (6, radius_sequence(p, 6)[5])):
             arrays = cover_arrays(p, l)
-            codes = _compact(np.sort(_box_codes(arrays, r, _window(arrays, r))))
+            codes = _compact(_Blocks(arrays, r).codes())
             assert codes.size > 1 and np.all(np.diff(codes.astype(np.int64)) > 0)
 
     @given(rects=st.lists(RECT, min_size=1, max_size=30), r=st.floats(0.02, 0.5))
-    def test_one_code_per_rectangle_and_cell(self, rects, r):
+    def test_codes_cover_each_cell_at_most_four_times_per_pair(self, rects, r):
         arrays = _columns(rects)
-        window = _window(arrays, r)
-        codes = _box_codes(arrays, r, window).astype(np.int64)
+        window, count = _Blocks(arrays, r).scan()
+        codes = _Blocks(arrays, r).codes().astype(np.int64)
+        assert codes.size == count
         ix, iy = np.divmod(codes, window.ny)
-        pairs = sorted(zip((ix + window.ix).tolist(), (iy + window.iy).tolist()))
-        assert pairs == sorted(
-            cell for rect in rects for cell in _brute_force_cells([rect], r)
-        )
+        cells = set(zip((ix + window.ix).tolist(), (iy + window.iy).tolist()))
+        assert cells == _brute_force_cells(rects, r)
         # the window is the smallest that holds every cell
-        xs, ys = zip(*pairs)
+        xs, ys = zip(*cells)
         assert (window.ix, window.iy) == (min(xs), min(ys))
         assert (window.nx, window.ny) == (max(xs) + 1 - min(xs), max(ys) + 1 - min(ys))
+        # a rectangle emits each of its cells at least once and at most 4
+        # codes a cell; with every span at most 1, each emits as many codes
+        # as the largest spans allow: 4 when some span is 1 in each direction
+        spans = [_spans(rect, r) for rect in rects]
+        pairs = sum((sx + 1) * (sy + 1) for sx, sy in spans)
+        assert pairs <= codes.size <= 4 * pairs
+        if max(max(s) for s in spans) <= 1:
+            mx, my = (max(s[k] for s in spans) for k in (0, 1))
+            assert codes.size == len(rects) * (mx + 1) * (my + 1)
+
+    @pytest.mark.parametrize("family, n, l", [("minus", 1, 6), ("plus", 2, 5), ("plus", 3, 3)])
+    def test_four_codes_a_piece_at_the_natural_radius(self, family, n, l):
+        # every span of a cover at its natural radius is 0 or 1, and each
+        # block has pieces of span 1 both ways
+        p = selfsimilar_parameter(family, n)
+        arrays = cover_arrays(p, l)
+        r = radius_sequence(p, l)[l - 1]
+        spans = {_spans(rect, r) for rect in zip(*(a.tolist() for a in arrays[:4]))}
+        assert {0, 1} == {s for pair in spans for s in pair}
+        assert _Blocks(arrays, r).codes().size == 4 * arrays[0].size
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.lists(CELL_RECT, min_size=1, max_size=40), far=st.booleans())
+    @example(cells=[(0, 0, 1e-13, 2.4), (3, 4, 0.3, 0.5), (-2, 7, 3.2, 1.0)], far=True)
+    def test_block_size_changes_no_count(self, cells, far):
+        # far: two more squares, 2**17 cells out on each side, make a window
+        # of 2**36 cells, coded in int64
+        r = 0.01
+        cells = cells + [(-(2**17), -(2**17), 0.5, 0.5), (2**17, 2**17, 0.5, 0.5)][: 2 * far]
+        rects = [(i * r, j * r, w * r, h * r) for i, j, w, h in cells]
+        want = len(_brute_force_cells(rects, r))
+        arrays = _columns(rects)
+        if want:
+            assert _Blocks(arrays, r).scan()[0].dtype == (np.int64 if far else np.uint32)
+        for block in (1, 3, 64, fractal.BOX_BLOCK):
+            with mock.patch.object(fractal, "BOX_BLOCK", block):
+                assert box_count(arrays, r) == want
+
+    def test_peak_bytes_per_piece(self):
+        # box_count's docstring rests on this peak: at most 24 bytes a piece
+        # above the cover at the natural radius
+        p = selfsimilar_parameter("minus", 1)
+        arrays = cover_arrays(p, 9)
+        r = radius_sequence(p, 9)[8]
+        tracemalloc.start()
+        try:
+            box_count(arrays, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrays[0].size == 832_040 and peak <= 24 * arrays[0].size
 
     def test_chunked_merge_matches_one_chunk(self, monkeypatch):
         p = Param(SQRT2M1, -1)
@@ -476,12 +548,12 @@ class TestBoxCount:
         p = selfsimilar_parameter(family, n)
         base = _cover(*descend(p, base_l))
         for r in (radius_sequence(p, l)[l - 1], 0.003):
-            window = _window(base, r)
+            window, _ = _Blocks(base, r).scan()
             for lo in range(0, base[0].size, 50):
                 part = _fold(
                     [Level(p)] * (l - base_l), tuple(a[lo : lo + 50] for a in base)
                 )
-                assert window.holds(_window(part, r))
+                assert window.holds(_Blocks(part, r).scan()[0])
 
     def test_deep_rejects_a_subtree_outside_its_window(self, monkeypatch):
         p = Param(SQRT2M1, -1)
