@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -131,21 +130,23 @@ PIECE_BUDGET = 1 << 24  # float cover pieces, about 0.6 GB of arrays
 
 def _fold(levels, arrays):
     """`renorm.cover_level` for each of levels, deepest first, on arrays
-    (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks
-    go out letter by letter, step by step of their return orbit, each step
-    into its output slice. The blocks are pairs in the given-values frame
-    (1, 0, theta, 0), each sqrt(d) part the scalar 0."""
+    (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks,
+    copies, go out letter by letter, step by step of their return orbit,
+    each step into its slice of one set of arrays sized from the letter
+    counts (sigma(a) has m11 a's and m21 b's). The blocks are pairs in the
+    given-values frame (1, 0, theta, 0), each sqrt(d) part the scalar 0."""
+    n_a, n_b = (np.count_nonzero(s) for s in (arrays[5], ~arrays[5]))
+    for m11, m12, m21, m22 in (level.M for level in reversed(levels)):
+        n_a, n_b = m11 * n_a + m12 * n_b, m21 * n_a + m22 * n_b
+    out = tuple(np.empty(n_a + n_b, a.dtype) for a in arrays)
     for level in reversed(levels):
         x, y, w, h, sq, side = arrays
         blocks = [
             ((x[m], 0, y[m], 0, w[m], 0, h[m], 0), sq[m], letter)
             for m, letter in ((side, "a"), (~side, "b"))
         ]
-        n_a, n_b = (s.size for _, s, _ in blocks)
-        t_a, t_b = level.times
-        dtypes = [a.dtype for a in arrays]
-        del x, y, w, h, sq, side, arrays  # the inputs go before the outputs come
-        arrays = tuple(np.empty(t_a * n_a + t_b * n_b, t) for t in dtypes)
+        (t_a, t_b), (n_a, n_b) = level.times, (s.size for _, s, _ in blocks)
+        arrays = tuple(o[: t_a * n_a + t_b * n_b] for o in out)
         hi = 0
         theta, eps = (1, 0, float(level.q.theta), 0), level.q.eps
         pull = partial(psi_inverse_ints, theta, eps, 1)
@@ -174,15 +175,19 @@ def cover_arrays(p: Param, l: int):
     return _cover(*descend(p, l, PIECE_BUDGET))[:5]
 
 
-BOX_CHUNK = 1 << 22  # pieces coded at once by box_count
-BOX_BLOCK = 1 << 16  # pieces floored at once by the box coder, in one scratch
+BOX_CHUNK = 1 << 22  # pieces keyed at once by box_count
+BOX_BLOCK = 1 << 16  # pieces floored, or keys counted, at once by the box coder
 DEEP_PIECES = 1 << 18  # at most this many pieces expanded at once by box_count_deep
-DEEP_BUCKETS = 256  # code ranges that _count_chunks sorts one at a time
+DEEP_BUCKETS = 256  # column ranges that _count_chunks sorts one at a time
+# depth-l pieces of box_count_deep, about 0.56 GB: at the natural radius, 5.6 bytes
+# and 80 ns a piece (silver mean, depth 12: 63.2M pieces, 353 MB traced, 5 s, 2-core VM)
+DEEP_BUDGET = 100_000_000
 
 
 class _Window(NamedTuple):
-    """The grid cells [ix, ix + nx) x [iy, iy + ny). Cell (i, j) has the
-    code (i - ix) * ny + (j - iy): uint32 below 2**32 cells, else int64."""
+    """The grid cells [ix, ix + nx) x [iy, iy + ny). Cell (i, j) has the code
+    (i - ix) * ny + (j - iy), and the run of one or two cells up its column
+    from it the key 2 * code + length - 1: uint32 below 2**31 cells, else uint64."""
 
     ix: int
     iy: int
@@ -191,7 +196,7 @@ class _Window(NamedTuple):
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(np.uint32 if self.nx * self.ny < 1 << 32 else np.int64)
+        return np.dtype(np.uint32 if self.nx * self.ny < 1 << 31 else np.uint64)
 
     def holds(self, other: _Window) -> bool:
         return (
@@ -202,113 +207,108 @@ class _Window(NamedTuple):
         )
 
 
-class _Blocks:
-    """The rectangles of arrays in the fewest blocks of one size up to
-    BOX_BLOCK, each floored in turn into one float scratch as the rows (ix0,
-    sx, iy0, sy) of its rectangles that meet a cell: a rectangle meets cells
-    ix0 = floor(x0) .. ix0 + sx = floor(x1), x0 = (x + 1e-12) / r and x1 =
-    (x + w - 1e-12) / r, and likewise in y; one thinner than the inset meets
-    none. Rounding and floor are monotone, so the extreme cells are those of
-    the extreme (x0, y0) and (x1, y1)."""
+def _window(arrays, r: float, pad: int = 0) -> _Window:
+    """The smallest window holding every side-r cell that the rectangles
+    meet (`_keys`), and the cells of those thinner than the inset, widened
+    by pad cells on each side. Rounding and floor are monotone, so its
+    corners are the cells of the least x and y and of the greatest x + w
+    and y + h: nothing is floored. ValueError if a cell index reaches 2**51
+    or the window 2**63 cells."""
+    x, y, w, h = arrays[:4]
+    blocks = [slice(lo, lo + BOX_BLOCK) for lo in range(0, x.size, BOX_BLOCK)]
+    with np.errstate(over="ignore"):  # refused below
+        # the greatest x + w and y + h, a block at a time; np.max keeps a NaN
+        ends = [np.max([np.max(a[s] + b[s]) for s in blocks])
+                for a, b in ((x, w), (y, h))]
+        low = (np.array([x.min(), y.min()]) + 1e-12) / r
+        high = (np.array(ends) - 1e-12) / r
+    # below 2**51 every index and difference of indices is an exact float
+    if not (abs(np.r_[low, high]) < 2.0**51).all():
+        raise ValueError("rectangles must be finite, with cell indices below 2**51")
+    ix, iy, jx, jy = map(math.floor, (*low, *high))
+    window = _Window(ix - pad, iy - pad, jx - ix + 2*pad + 1, jy - iy + 2*pad + 1)
+    if window.nx * window.ny >= 1 << 63:
+        raise ValueError("the rectangles span 2**63 grid cells or more")
+    return window
 
-    def __init__(self, arrays, r: float):
-        self.arrays, self.r, n = arrays[:4], r, arrays[0].size
-        self.starts = range(0, n, size := -(-n // -(-n // BOX_BLOCK)))
-        self.scratch = np.empty((4, size))
-        self.low, self.high = np.full(2, np.inf), np.full(2, -np.inf)
 
-    def _floor(self, lo: int) -> np.ndarray:
-        x, y, w, h = (a[lo : lo + self.scratch.shape[1]] for a in self.arrays)
-        cells = self.scratch[:, : x.size]
+def _keys(arrays, r: float, window: _Window) -> np.ndarray:
+    """Sorted keys (`_Window`) of runs covering the side-r cells met by the
+    rectangles, in window, which must hold them. Each rectangle is floored
+    once, in the fewest blocks of one size up to BOX_BLOCK, in one scratch:
+    it meets cells ix0 = floor(x0) .. ix0 + sx = floor(x1), x0 = (x + 1e-12)
+    / r and x1 = (x + w - 1e-12) / r, and likewise in y; one thinner than
+    the inset meets none. In column ix0 + dx for each dx up to the block's
+    largest sx (ix0 + min(dx, sx) at dx <= 1) it emits a key for each pair
+    of rows iy0 + 2k, 2k <= sy: 2 keys a rectangle where the block's spans
+    are at most 1, into one array of that size, grown only past it."""
+    n, dt = arrays[0].size, window.dtype
+    two, four, col = dt.type(2), dt.type(4), dt.type(2 * window.ny)
+    keys, hi = np.empty(2 * n, dt), 0
+    scratch = np.empty((4, size := -(-n // -(-n // BOX_BLOCK))))
+    for lo in range(0, n, size):
+        x, y, w, h = (a[lo : lo + size] for a in arrays[:4])
+        cells = scratch[:, : x.size]
         ix0, sx, iy0, sy = cells
         np.add(x, 1e-12, out=ix0)
         np.add(x, w, out=sx)
         np.add(y, 1e-12, out=iy0)
         np.add(y, h, out=sy)
         cells[1::2] -= 1e-12
-        with np.errstate(over="ignore"):  # refused below
-            cells /= self.r
-        np.minimum(self.low, cells[::2].min(axis=1), out=self.low)
-        np.maximum(self.high, cells[1::2].max(axis=1), out=self.high)
-        # below 2**51 every index and difference of indices is an exact float
-        if not (abs(np.r_[self.low, self.high]) < 2.0**51).all():
-            raise ValueError("rectangles must be finite, with cell indices below 2**51")
+        with np.errstate(over="ignore"):  # only past a far negative w or h: no cell
+            cells /= r
         np.floor(cells, out=cells)
         sx -= ix0
         sy -= iy0
+        cells[::2] -= [[window.ix], [window.iy]]  # exact: integers below 2**52
         if sx.min() < 0 or sy.min() < 0:
-            cells = cells[:, (sx >= 0) & (sy >= 0)]
-        return cells
-
-    def scan(self, pad: int = 0) -> tuple[_Window, int]:
-        """Pass 1, first block to last: the smallest window holding every cell
-        met, widened by pad cells on each side, and the number of `codes`."""
-        count = 0
-        for lo in self.starts:
-            _, sx, _, sy = self.cells = self._floor(lo)
-            mx, my = sx.max(initial=0) - 1, sy.max(initial=0) - 1
-            if mx > 0 or my > 0:
-                fx, fy = np.minimum(sx, mx) + 2, np.minimum(sy, my) + 2
-                count += int((fx * fy).sum())
-            else:  # spans up to 1: every piece emits the same number of codes
-                count += sx.size * int((mx + 2) * (my + 2))
-        ix, iy, jx, jy = map(math.floor, (*self.low, *self.high))
-        window = _Window(ix - pad, iy - pad, jx - ix + 2*pad + 1, jy - iy + 2*pad + 1)
-        if window.nx * window.ny >= 1 << 63:
-            raise ValueError("the rectangles span 2**63 grid cells or more")
-        return window, count
-
-    def codes(self, window: _Window | None = None) -> np.ndarray:
-        """Sorted window codes of the side-r cells met by the rectangles, in
-        their own window or in window; RuntimeError if they leave it. Pass 2
-        goes last block to first, so the last is floored once. At each offset
-        (dx, dy) up to a block's largest spans, each of its rectangles with
-        sx >= dx - 1 and sy >= dy - 1 emits base + min(dx, sx) * ny +
-        min(dy, sy): every cell it meets, some twice, at most (sx + 2) *
-        (sy + 2) codes in all, and 4 where the block's largest spans are 1."""
-        own, count = self.scan()
-        if not (window := window or own).holds(own):
-            raise RuntimeError("the rectangles leave the cell window of the count")
-        dt = window.dtype
-        ny = dt.type(window.ny)
-        codes = np.empty(count, dt)
-        hi = 0
-        back = chain([self.cells], map(self._floor, self.starts[-2::-1]))
-        for ix0, sx, iy0, sy in back:
-            mx, my = int(sx.max(initial=0)), int(sy.max(initial=0))
-            base = (ix0 - window.ix).astype(dt) * ny + (iy0 - window.iy).astype(dt)
-            sx, sy = sx.astype(dt), sy.astype(dt)
-            for dx in range(mx + 1):
-                if dx > 1:
-                    keep = sx >= dx - 1
-                    base, sx, sy = base[keep], sx[keep], sy[keep]
-                row, s = base + _clip(sx, dx, mx) * ny, sy
-                for dy in range(my + 1):
-                    if dy > 1:
-                        keep = s >= dy - 1
-                        row, s = row[keep], s[keep]
-                    lo, hi = hi, hi + s.size
-                    np.add(row, _clip(s, dy, my), out=codes[lo:hi])
-        codes.sort()
-        return codes
+            ix0, sx, iy0, sy = cells[:, (sx >= 0) & (sy >= 0)]
+        mx, my = int(sx.max(initial=0)), int(sy.max(initial=0))
+        base = ix0.astype(dt) * col + iy0.astype(dt) * two
+        sx, sy = sx.astype(dt), sy.astype(dt)
+        for dx in range(mx + 1):
+            if dx > 1:
+                keep = sx >= dx
+                base, sx, sy = base[keep], sx[keep], sy[keep]
+            row, s = base + _clip(sx, dx, mx) * col if dx else base, sy
+            for k in range(my // 2 + 1):
+                if k:
+                    keep = s >= 2
+                    row, s = row[keep] + four, s[keep] - two
+                if hi + s.size > keys.size:
+                    keys = np.concatenate((keys[:hi], np.empty(keys.size, dt)))
+                hi += s.size
+                np.add(row, _clip(s, 1, my - 2 * k), out=keys[hi - s.size : hi])
+    keys[:hi].sort()
+    return keys[:hi]
 
 
 def _clip(s: np.ndarray, d: int, top: int):
     """min(s, d) for spans s whose largest is top."""
-    return s if d == top else np.minimum(s, d) if d else 0
+    return s if top <= d else np.minimum(s, d)
 
 
-def _distinct(a: np.ndarray) -> int:
-    """Number of distinct values of a sorted array."""
-    return int(a.size and 1 + np.count_nonzero(a[1:] != a[:-1]))
+def _ends(keys: np.ndarray) -> np.ndarray:
+    """The end code + length of each run key, (key + 3) // 2."""
+    return (keys + keys.dtype.type(3)) >> keys.dtype.type(1)
 
 
-def _compact(a: np.ndarray) -> np.ndarray:
-    """Distinct values of a sorted array."""
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+def _run_count(keys: np.ndarray) -> int:
+    """Number of cells in the runs of sorted keys, BOX_BLOCK keys at a time.
+    In key order the runs start no lower, at the same start are no
+    shorter, and are at most 2 long, so their ends e never fall: run k
+    adds min(length, e_k - e_{k-1}) cells, the first its length."""
+    total, last, one = 0, keys.dtype.type(0), keys.dtype.type(1)
+    for lo in range(0, keys.size, BOX_BLOCK):
+        e = _ends(k := keys[lo : lo + BOX_BLOCK])
+        total += int(np.minimum(np.diff(e, prepend=last), e - (k >> one)).sum())
+        last = e[-1]
+    return total
+
+
+def _compact(keys: np.ndarray) -> np.ndarray:
+    """The sorted keys without the runs that add no cell (`_run_count`)."""
+    return keys[np.diff(_ends(keys), prepend=keys.dtype.type(0)) > 0]
 
 
 def _subtrees(levels, base, budget: int):
@@ -324,27 +324,34 @@ def _subtrees(levels, base, budget: int):
 
 
 def _count_chunks(chunks, r: float, window: _Window) -> int:
-    """Number of side-r boxes met by the rectangles of all chunks, each
-    coded in window: a chunk's distinct codes split by value into
-    DEEP_BUCKETS code ranges, and each range is sorted and counted on its
-    own. RuntimeError if a chunk leaves the window. What is kept costs
-    about 4 bytes per box (8 above 2**32 cells), plus a box's code again
-    for each further chunk that meets it."""
-    width = -(-window.nx * window.ny // DEEP_BUCKETS)
-    edges = (np.arange(1, DEEP_BUCKETS) * width).astype(window.dtype)
+    """Number of side-r boxes met by the rectangles of all chunks, in
+    window, counted in DEEP_BUCKETS column ranges, as no run crosses a
+    column. A chunk is keyed from the first column of the range it starts
+    in; its keys that add a cell (`_compact`) are kept by range, from the
+    range's first column. RuntimeError if a chunk leaves the window. What
+    is kept costs at most 4 bytes per box below 2**31 cells a range, plus a
+    key again for each further chunk that meets a box."""
+    width = -(-window.nx // DEEP_BUCKETS)
+    dt = window._replace(nx=width).dtype
     buckets: list[list[np.ndarray]] = [[] for _ in range(DEEP_BUCKETS)]
     for part in chunks:
-        codes = _compact(_Blocks(part, r).codes(window))
-        for runs, run in zip(buckets, np.split(codes, np.searchsorted(codes, edges))):
+        if not window.holds(own := _window(part, r)):
+            raise RuntimeError("the rectangles leave the cell window of the count")
+        ix = window.ix + (first := (own.ix - window.ix) // width) * width
+        sub = window._replace(ix=ix, nx=own.ix + own.nx - ix)
+        keys = _compact(_keys(part, r, sub))
+        starts = range(0, 2 * sub.nx * sub.ny, 2 * width * sub.ny)
+        parts = np.split(keys, np.searchsorted(keys, np.array(starts[1:], sub.dtype)))
+        for runs, start, run in zip(buckets[first:], starts, parts):
             if run.size:
-                runs.append(run)
+                runs.append((run - keys.dtype.type(start)).astype(dt))
     total = 0
     for runs in buckets:
         if runs:
-            codes = np.concatenate(runs)
+            keys = np.concatenate(runs)
             runs.clear()
-            codes.sort()
-            total += _distinct(codes)
+            keys.sort()
+            total += _run_count(keys)
     return total
 
 
@@ -354,42 +361,45 @@ def box_count(arrays, r: float) -> int:
     any finite rectangles, wherever they lie; ValueError if a cell index
     reaches 2**51 or the rectangles span 2**63 cells or more.
 
-    A box is coded by its place in the window of cells the rectangles span
-    (`_Window`): uint32 below 2**32 cells, else int64. The block coder
-    (`_Blocks`) counts the codes in one pass over the rectangles, at most
-    BOX_BLOCK at a time, and writes them in a second; they are sorted in
-    place and their distinct values counted. Above BOX_CHUNK pieces, the
-    chunks are counted together by code range (`_count_chunks`). At a
-    cover's natural radius each piece emits 4 uint32 codes: tracemalloc puts
-    the peak beyond the pieces at 20.6 bytes per piece at 832,040 pieces."""
+    The window of cells the rectangles span comes from their extremes
+    (`_window`). Each rectangle is floored once and emits a key, a run of
+    one or two cells, for each column and pair of rows it meets (`_keys`).
+    The keys are sorted in place and the cells of their runs counted
+    (`_run_count`); above BOX_CHUNK pieces, chunk by chunk, by column range
+    (`_count_chunks`). At a cover's natural radius each piece emits 2
+    uint32 keys: tracemalloc puts the peak beyond the pieces at 12.3 bytes
+    per piece at 832,040 pieces."""
     if r <= 0:
         raise ValueError("box side must be positive")
     arrays = arrays[:4]
     n = arrays[0].size
     if n == 0:
         return 0
+    window = _window(arrays, r)
     if n <= BOX_CHUNK:
-        return _distinct(_Blocks(arrays, r).codes())
+        return _run_count(_keys(arrays, r, window))
     chunks = (tuple(a[lo : lo + BOX_CHUNK] for a in arrays)
               for lo in range(0, n, BOX_CHUNK))
-    return _count_chunks(chunks, r, _Blocks(arrays, r).scan()[0])
+    return _count_chunks(chunks, r, window)
 
 
 def box_count_deep(p: Param, l: int, r: float, base_l: int = 9) -> int:
     """Box count of a deep cover at a renormalization fixed point, without
     materializing the cover: one level, reused at every depth. The
     subtrees of the depth-base_l pieces are expanded at most DEEP_PIECES
-    pieces at a time (`_subtrees`) and counted together by code range
-    (`_count_chunks`). Their cells are coded in the window of the base
+    pieces at a time (`_subtrees`) and counted together by column range
+    (`_count_chunks`). Their cells are keyed in the window of the base
     cover, whose pieces contain their subtrees, widened by one cell for
-    the rounding of the pulled-back edges."""
+    the rounding of the pulled-back edges. NotTerminated, before the first
+    fold, above DEEP_BUDGET depth-l pieces (`renorm.within_budget`)."""
     if r <= 0:
         raise ValueError("box side must be positive")
     level = Level(p)
     if level.next != p:
         raise Degenerate("deep streaming requires a fixed parameter")
-    base = _cover([*within_budget([level] * min(l, base_l), PIECE_BUDGET)], p)
+    levels = [*within_budget((level for _ in range(l)), DEEP_BUDGET)]
+    base = _cover([*within_budget(levels[:base_l], PIECE_BUDGET)], p)
     if l <= base_l:
         return box_count(base, r)
-    chunks = _subtrees([level] * (l - base_l), base, DEEP_PIECES)
-    return _count_chunks(chunks, r, _Blocks(base, r).scan(pad=1)[0])
+    chunks = _subtrees(levels[base_l:], base, DEEP_PIECES)
+    return _count_chunks(chunks, r, _window(base, r, pad=1))

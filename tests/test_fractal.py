@@ -24,11 +24,14 @@ from sqrect.renorm import (
 from sqrect.lyap import cocycle_product
 from sqrect import fractal
 from sqrect.fractal import (
+    DEEP_BUDGET,
     PIECE_BUDGET,
-    _Blocks,
     _compact,
     _cover,
     _fold,
+    _keys,
+    _run_count,
+    _window,
     box_count,
     box_count_deep,
     cover_arrays,
@@ -326,6 +329,27 @@ CELL_RECT = st.tuples(
 )
 
 
+# CELL_RECT's rectangles with spans up to 10, each perhaps with a copy or a
+# rectangle nested inside it, off the grid lines
+WIDE_RECT = st.tuples(
+    st.tuples(
+        st.integers(-300, 300),
+        st.integers(-300, 300),
+        st.sampled_from([1e-13, 0.5, 1.0, 2.4, 7.0, 10.0]),
+        st.sampled_from([1e-13, 0.5, 1.0, 3.0, 6.5, 10.0]),
+    ),
+    st.sampled_from(["", "copy", "nested"]),
+)
+
+# rectangles (x, y, w, h) as RECT, some thinner than the 1e-12 inset
+THIN_OR_RECT = st.tuples(
+    st.floats(-3, 3),
+    st.floats(-3, 3),
+    st.one_of(st.just(0.0), st.just(1e-13), st.floats(1e-6, 0.6)),
+    st.one_of(st.just(0.0), st.just(1e-13), st.floats(1e-6, 0.6)),
+)
+
+
 def _columns(rects):
     return tuple(np.array(col, dtype=float) for col in zip(*rects))
 
@@ -420,44 +444,102 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count(_columns(rects), 1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(WIDE_RECT, min_size=1, max_size=30),
+        far=st.sampled_from([0, 2**15, 2**17]),
+    )
+    @example(cells=[((0, 0, 10.0, 10.0), "nested"), ((5, 5, 1.0, 7.0), "copy")], far=2**15)
+    def test_run_count_matches_brute_force_cells(self, cells, far):
+        # far: two more squares, far cells out, make a window of 2**31 cells
+        # or more, keyed in uint64
+        r = 0.01
+        grid = []
+        for (i, j, w, h), extra in cells:
+            grid.append((i, j, w, h))
+            if extra == "copy":
+                grid.append((i, j, w, h))
+            if extra == "nested":
+                grid.append((i + w / 4, j + h / 4, w / 2, h / 2))
+        if far:
+            grid += [(-far, -far // 2, 0.5, 0.5), (far, far // 2, 0.5, 0.5)]
+        rects = [(i * r, j * r, w * r, h * r) for i, j, w, h in grid]
+        arrays = _columns(rects)
+        window = _window(arrays, r)
+        assert window.dtype == (np.uint64 if far else np.uint32)
+        assert (window.nx * window.ny >= 2**31) == bool(far)
+        want = len(_brute_force_cells(rects, r))
+        assert _run_count(_keys(arrays, r, window)) == want == box_count(arrays, r)
+
+    @given(
+        rects=st.lists(THIN_OR_RECT, min_size=1, max_size=30),
+        r=st.floats(0.02, 0.5),
+        pad=st.integers(0, 2),
+    )
+    def test_window_from_extremes_is_the_floored_window(self, rects, r, pad):
+        # every rectangle floored, thin ones included
+        eps = 1e-12
+        ix = min(math.floor((x + eps) / r) for x, _, _, _ in rects)
+        iy = min(math.floor((y + eps) / r) for _, y, _, _ in rects)
+        jx = max(math.floor((x + w - eps) / r) for x, _, w, _ in rects)
+        jy = max(math.floor((y + h - eps) / r) for _, y, _, h in rects)
+        want = (ix - pad, iy - pad, jx - ix + 1 + 2 * pad, jy - iy + 1 + 2 * pad)
+        assert _window(_columns(rects), r, pad) == want
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(c, b) for c in range(4) for b in (math.nan, math.inf, 1e30)]
+        + [(0, -math.inf), (1, -math.inf)],
+    )
+    def test_window_refuses_nan_and_huge_coordinates(self, column, bad):
+        rect = [0.0, 0.0, 0.1, 0.1]
+        rect[column] = bad
+        arrays = _columns([(0.0, 0.0, 0.1, 0.1), tuple(rect)])
+        for count in (lambda: _window(arrays, 0.1), lambda: box_count(arrays, 0.1)):
+            with pytest.raises(ValueError, match=r"cell indices below 2\*\*51"):
+                count()
+
     def test_code_dtype_follows_the_window(self):
-        small, _ = _Blocks(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-4).scan()
-        large, _ = _Blocks(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-5).scan()
+        small = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-4)
+        large = _window(_columns([(0.0, 0.0, 1.0, 1.0)]), 1e-5)
         assert (small.nx * small.ny, small.dtype) == (10**8, np.uint32)
-        assert (large.nx * large.ny, large.dtype) == (10**10, np.int64)
+        assert (large.nx * large.ny, large.dtype) == (10**10, np.uint64)
 
     def test_codes_strictly_increasing(self):
         p = Param(SQRT2M1, -1)
         for l, r in ((3, 0.05), (6, radius_sequence(p, 6)[5])):
             arrays = cover_arrays(p, l)
-            codes = _compact(_Blocks(arrays, r).codes())
+            codes = _compact(_keys(arrays, r, _window(arrays, r)))
             assert codes.size > 1 and np.all(np.diff(codes.astype(np.int64)) > 0)
 
     @given(rects=st.lists(RECT, min_size=1, max_size=30), r=st.floats(0.02, 0.5))
-    def test_codes_cover_each_cell_at_most_four_times_per_pair(self, rects, r):
+    def test_run_keys_cover_each_cell_once_per_column_and_row_pair(self, rects, r):
         arrays = _columns(rects)
-        window, count = _Blocks(arrays, r).scan()
-        codes = _Blocks(arrays, r).codes().astype(np.int64)
-        assert codes.size == count
+        window = _window(arrays, r)
+        keys = _keys(arrays, r, window)
+        codes, lengths = np.divmod(keys.astype(np.int64), 2)
+        lengths += 1
         ix, iy = np.divmod(codes, window.ny)
+        # a run of two cells stays in its column
+        assert np.all(iy + lengths <= window.ny)
         cells = set(zip((ix + window.ix).tolist(), (iy + window.iy).tolist()))
+        cells |= set(zip((ix + window.ix)[lengths == 2].tolist(),
+                         (iy + window.iy + 1)[lengths == 2].tolist()))
         assert cells == _brute_force_cells(rects, r)
         # the window is the smallest that holds every cell
         xs, ys = zip(*cells)
         assert (window.ix, window.iy) == (min(xs), min(ys))
         assert (window.nx, window.ny) == (max(xs) + 1 - min(xs), max(ys) + 1 - min(ys))
-        # a rectangle emits each of its cells at least once and at most 4
-        # codes a cell; with every span at most 1, each emits as many codes
-        # as the largest spans allow: 4 when some span is 1 in each direction
+        # a rectangle emits one key for each column and pair of rows it
+        # meets, and column 0 again where its sx is 0 and another's is not:
+        # 2 keys a rectangle where every span is at most 1 and some sx is 1
         spans = [_spans(rect, r) for rect in rects]
-        pairs = sum((sx + 1) * (sy + 1) for sx, sy in spans)
-        assert pairs <= codes.size <= 4 * pairs
-        if max(max(s) for s in spans) <= 1:
-            mx, my = (max(s[k] for s in spans) for k in (0, 1))
-            assert codes.size == len(rects) * (mx + 1) * (my + 1)
+        mx = min(1, max(sx for sx, _ in spans))
+        assert keys.size == sum((max(sx, mx) + 1) * (sy // 2 + 1) for sx, sy in spans)
+        assert _run_count(keys) == len(cells)
 
     @pytest.mark.parametrize("family, n, l", [("minus", 1, 6), ("plus", 2, 5), ("plus", 3, 3)])
-    def test_four_codes_a_piece_at_the_natural_radius(self, family, n, l):
+    def test_two_keys_a_piece_at_the_natural_radius(self, family, n, l):
         # every span of a cover at its natural radius is 0 or 1, and each
         # block has pieces of span 1 both ways
         p = selfsimilar_parameter(family, n)
@@ -465,28 +547,29 @@ class TestBoxCount:
         r = radius_sequence(p, l)[l - 1]
         spans = {_spans(rect, r) for rect in zip(*(a.tolist() for a in arrays[:4]))}
         assert {0, 1} == {s for pair in spans for s in pair}
-        assert _Blocks(arrays, r).codes().size == 4 * arrays[0].size
+        keys = _keys(arrays, r, _window(arrays, r))
+        assert keys.size == 2 * arrays[0].size and keys.dtype == np.uint32
 
     @settings(max_examples=60, deadline=None)
     @given(cells=st.lists(CELL_RECT, min_size=1, max_size=40), far=st.booleans())
     @example(cells=[(0, 0, 1e-13, 2.4), (3, 4, 0.3, 0.5), (-2, 7, 3.2, 1.0)], far=True)
     def test_block_size_changes_no_count(self, cells, far):
         # far: two more squares, 2**17 cells out on each side, make a window
-        # of 2**36 cells, coded in int64
+        # of 2**36 cells, keyed in uint64
         r = 0.01
         cells = cells + [(-(2**17), -(2**17), 0.5, 0.5), (2**17, 2**17, 0.5, 0.5)][: 2 * far]
         rects = [(i * r, j * r, w * r, h * r) for i, j, w, h in cells]
         want = len(_brute_force_cells(rects, r))
         arrays = _columns(rects)
         if want:
-            assert _Blocks(arrays, r).scan()[0].dtype == (np.int64 if far else np.uint32)
+            assert _window(arrays, r).dtype == (np.uint64 if far else np.uint32)
         for block in (1, 3, 64, fractal.BOX_BLOCK):
             with mock.patch.object(fractal, "BOX_BLOCK", block):
                 assert box_count(arrays, r) == want
 
     def test_peak_bytes_per_piece(self):
-        # box_count's docstring rests on this peak: at most 24 bytes a piece
-        # above the cover at the natural radius
+        # box_count's docstring rests on this peak: 12.3 bytes a piece above
+        # the cover at the natural radius (8 of them keys), and 14 with margin
         p = selfsimilar_parameter("minus", 1)
         arrays = cover_arrays(p, 9)
         r = radius_sequence(p, 9)[8]
@@ -496,7 +579,7 @@ class TestBoxCount:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert arrays[0].size == 832_040 and peak <= 24 * arrays[0].size
+        assert arrays[0].size == 832_040 and peak <= 14 * arrays[0].size
 
     def test_chunked_merge_matches_one_chunk(self, monkeypatch):
         p = Param(SQRT2M1, -1)
@@ -548,12 +631,12 @@ class TestBoxCount:
         p = selfsimilar_parameter(family, n)
         base = _cover(*descend(p, base_l))
         for r in (radius_sequence(p, l)[l - 1], 0.003):
-            window, _ = _Blocks(base, r).scan()
+            window = _window(base, r)
             for lo in range(0, base[0].size, 50):
                 part = _fold(
                     [Level(p)] * (l - base_l), tuple(a[lo : lo + 50] for a in base)
                 )
-                assert window.holds(_Blocks(part, r).scan()[0])
+                assert window.holds(_window(part, r))
 
     def test_deep_rejects_a_subtree_outside_its_window(self, monkeypatch):
         p = Param(SQRT2M1, -1)
@@ -568,6 +651,15 @@ class TestBoxCount:
         monkeypatch.setattr(fractal, "_fold", shifted)
         with pytest.raises(RuntimeError):
             box_count_deep(p, 6, radius_sequence(p, 6)[5], base_l=3)
+
+    def test_deep_refuses_a_depth_above_its_budget_before_folding(self):
+        p = selfsimilar_parameter("minus", 1)
+        assert piece_count(*descend(p, 12)) <= DEEP_BUDGET < piece_count(*descend(p, 13))
+        for l in (13, 14, 10**30):
+            start = time.perf_counter()
+            with pytest.raises(NotTerminated):
+                box_count_deep(p, l, 1e-6)
+            assert time.perf_counter() - start < 0.1
 
     def test_deep_requires_fixed_parameter(self):
         with pytest.raises(Degenerate):
