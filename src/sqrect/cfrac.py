@@ -137,40 +137,39 @@ def accel(x: Number) -> AccelStep:
 # By FAMILIES, the gap's rows (slope, const) off the table and (family, s, s c) in ints
 _GAP_COEFFICIENTS = family_coefficients("gap")[:, 0]
 _PQ_GAP = [(f, f.gap(1) - f.gap(0), (f.gap(1) - f.gap(0)) * f.gap(0)) for f in FAMILIES]
-_MIDDLE = np.array(FAMILIES.index(MIDDLE))
+_UNIT_END, _MIDDLE_END, _RIGHT = map(np.array, (*FAMILY_EDGES, FAMILIES.index(RIGHT)))
 
 
-class LaneScratch:
+class LaneScratch(tuple):
     """Arrays `accel_lanes` writes, allocated once a walk: outputs f, n and den,
-    given, y, which a caller may repoint, and temporaries, free between calls."""
+    given, then y and temporaries, free between calls, which tuples may share."""
 
-    def __init__(self, f: np.ndarray, n: np.ndarray, den: np.ndarray):
-        self.f, self.n, self.den = f, n, den
-        self.y, self.e, self.inv, self.t = np.empty((4, f.size))
-        self.coef, self.slow = np.empty((2, f.size)), np.empty(f.size, dtype=bool)
+    def __new__(cls, f: np.ndarray, n: np.ndarray, den: np.ndarray):
+        return super().__new__(cls, (f, n, den, *np.empty((2, f.size)),  # y e; inv t
+                                     np.empty((2, f.size)), *np.empty((2, f.size), bool)))
 
 
-def accel_lanes(x: np.ndarray, scratch: LaneScratch | None = None):
-    """`accel` on a float array of lanes, into the arrays of `scratch` (new by
-    default): (f, n, y, den), each lane's index f in FAMILIES, branch index,
-    image and den = 1/r_bold, bit for bit where `accel` takes a step. The
-    family comes from FAMILY_EDGES: in floats, the right branch 1 that `accel`
-    groups into the middle family is exactly x < 3/2, where 1/(2 - x) rounds
-    below 2. The gap's integer coefficients make it round once, as x, x - 1
-    and 2 - x do. Both images are taken on every lane and each lane keeps its
-    family's own. No np.errstate is set, as it would cost every Monte-Carlo
-    step: lanes with a gap of 2**-52 or more stay finite, and other callers
-    set their own."""
-    s = scratch or LaneScratch(np.empty(x.size, dtype=np.intp), *np.empty((2, x.size)))
-    np.copyto(s.f, FAMILY_EDGES.searchsorted(x, "right"))
-    slope, const = _GAP_COEFFICIENTS.take(s.f, axis=1, out=s.coef, mode="clip")
-    np.add(np.multiply(slope, x, s.e), const, s.e)
-    np.floor(np.divide(ONE, s.e, s.inv), s.n)
-    middle_image(s.e, s.n, out=(s.y, s.den))
-    np.not_equal(s.f, _MIDDLE, s.slow)
-    np.copyto(s.y, slow_image(s.inv, s.n, out=s.t), where=s.slow)
-    np.copyto(s.den, s.e, where=s.slow)
-    return s.f, s.n, s.y, s.den
+def accel_lanes(x: np.ndarray, scratch: tuple | None = None):
+    """`accel` on a float array of lanes, by ufuncs on arrays of their length and
+    0-d constants, into the arrays of `scratch` (a new LaneScratch by default):
+    (f, n, y, den), each lane's index f in FAMILIES, branch index, image and den
+    = 1/r_bold, bit for bit where `accel` takes a step. f counts down from RIGHT
+    by x < 1 and x < 3/2 (NaN is RIGHT): right branch 1, which `accel` takes as
+    middle, is x < 3/2 in floats, where 1/(2 - x) rounds below 2. The gap's
+    coefficients round it once, as x, x - 1 and 2 - x do; each lane keeps its
+    family's image. No np.errstate is set: gaps of 2**-52 or more stay finite."""
+    f, n, den, y, e, coef, unit, low = scratch or LaneScratch(
+        np.empty(x.size, dtype=np.intp), *np.empty((2, x.size)))
+    np.less(x, _UNIT_END, unit)
+    np.subtract(np.subtract(_RIGHT, unit, f), np.less(x, _MIDDLE_END, low), f)
+    inv, t = _GAP_COEFFICIENTS.take(f, axis=1, out=coef, mode="clip")  # slope, const
+    np.add(np.multiply(inv, x, e), t, e)
+    np.floor(np.divide(ONE, e, inv), n)
+    middle_image(e, n, out=(y, den))
+    np.less_equal(low, unit, low)  # not middle
+    np.putmask(y, low, slow_image(inv, n, out=t))
+    np.putmask(den, low, e)
+    return f, n, y, den
 
 
 def accel_walk(x: Number) -> Iterator[AccelStep]:

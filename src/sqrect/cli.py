@@ -2,14 +2,15 @@
 machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (JSON error object on
-stderr). Parameters are accepted as "theta,eps" or in interval form
-"x=1.2929"; numbers use the exact syntax (e.g. "sqrt(2)-1", "3/8").
+stderr), 141 when stdout closes early. Parameters are accepted as "theta,eps"
+or in interval form "x=1.2929"; numbers use the exact syntax ("sqrt(2)-1", "3/8").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, astuple
 
@@ -370,7 +371,7 @@ def _emit(args, report, rows, text) -> None:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:
-        print(out)
+        print(out, flush=True)  # a closed pipe raises here, not at exit
 
 
 def _write_manifest(args) -> None:
@@ -398,6 +399,9 @@ def main(argv=None) -> int:
         report, rows, text = HANDLERS[args.command](args)
         _emit(args, report, rows, text)
         _write_manifest(args)
+    except BrokenPipeError:  # the reader is gone: end as SIGPIPE ends a writer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # a float orbit can land on a pole of a branch map: a domain error too;
     # an output that cannot be written is a usage error
     except (SqrectError, ValueError, ZeroDivisionError, OSError) as exc:

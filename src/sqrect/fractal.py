@@ -220,8 +220,10 @@ def _window(arrays, r: float, pad: int = 0) -> _Window:
         # the greatest x + w and y + h, a block at a time; np.max keeps a NaN
         ends = [np.max([np.max(a[s] + b[s]) for s in blocks])
                 for a, b in ((x, w), (y, h))]
-        low = (np.array([x.min(), y.min()]) + 1e-12) / r
-        high = (np.array(ends) - 1e-12) / r
+        corners = np.array([x.min(), y.min(), *ends])
+        low, high = (corners[:2] + 1e-12) / r, (corners[2:] - 1e-12) / r
+    if (high < low - 1).any() and np.isfinite(corners).all():
+        return _Window(0, 0, 0, 0)  # r < 2e-12: the insets pass a cell, none is met
     # below 2**51 every index and difference of indices is an exact float
     if not (abs(np.r_[low, high]) < 2.0**51).all():
         raise ValueError("rectangles must be finite, with cell indices below 2**51")
@@ -335,7 +337,9 @@ def _count_chunks(chunks, r: float, window: _Window) -> int:
     dt = window._replace(nx=width).dtype
     buckets: list[list[np.ndarray]] = [[] for _ in range(DEEP_BUCKETS)]
     for part in chunks:
-        if not window.holds(own := _window(part, r)):
+        if not (own := _window(part, r)).nx * own.ny:
+            continue
+        if not window.holds(own):
             raise RuntimeError("the rectangles leave the cell window of the count")
         ix = window.ix + (first := (own.ix - window.ix) // width) * width
         sub = window._replace(ix=ix, nx=own.ix + own.nx - ix)
@@ -373,9 +377,9 @@ def box_count(arrays, r: float) -> int:
         raise ValueError("box side must be positive")
     arrays = arrays[:4]
     n = arrays[0].size
-    if n == 0:
+    window = _window(arrays, r) if n else _Window(0, 0, 0, 0)
+    if not window.nx * window.ny:
         return 0
-    window = _window(arrays, r)
     if n <= BOX_CHUNK:
         return _run_count(_keys(arrays, r, window))
     chunks = (tuple(a[lo : lo + BOX_CHUNK] for a in arrays)

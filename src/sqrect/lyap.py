@@ -102,15 +102,15 @@ _NEAR = [tuple(map(np.array, r))  # 0-d: a ufunc takes a (1,) array at twice the
          for r in ((1.0, 1e-12, 1 + 1e-12), (1.5, 1e-15, 1.5 + 1e-14))]
 
 
-def _sanitize(x: np.ndarray, t=None, near=None) -> np.ndarray:
-    """Keep lanes strictly inside the branch intervals, where round-off can park
-    one on an end; in place, with temporaries t and near (new if not given)."""
+def _sanitize(x: np.ndarray, t=None, near=None, out=None) -> np.ndarray:
+    """Keep lanes strictly inside the branch intervals, where round-off can park one
+    on an end; into out, with temporaries t and near (each new if not given)."""
     t, near = (np.empty_like(x), np.empty(x.shape, bool)) if t is None else (t, near)
-    np.minimum(np.maximum(x, _LOW, out=x), _HIGH, out=x)
+    out = np.minimum(np.maximum(x, _LOW, out=out), _HIGH, out=out)
     for point, radius, moved in _NEAR:
-        np.less(np.abs(np.subtract(x, point, t), t), radius, near)
-        np.copyto(x, moved, where=near)
-    return x
+        np.less(np.abs(np.subtract(out, point, t), t), radius, near)
+        np.copyto(out, moved, where=near)
+    return out
 
 
 # Rows (slope, const) by entries (m11, m12, m21, m22) by FAMILIES: the
@@ -118,16 +118,16 @@ def _sanitize(x: np.ndarray, t=None, near=None) -> np.ndarray:
 _M_COEFFICIENTS = family_coefficients("M")
 
 # Monte-Carlo lanes per estimate: tracemalloc puts the peak of birkhoff_estimate
-# at 169 bytes per lane (5 * 10**4 to 2 * 10**5 lanes), so about 0.41 GB
+# at 163 bytes per lane at 2 * 10**5 lanes (179 at 5 * 10**4), so about 0.39 GB
 LANE_BUDGET = 2_400_000
-# Steps and lane-steps per estimate. On a 2-core VM a step costs about 30-37 us
-# of numpy dispatch plus 65-140 ns per lane: the slowest run both budgets
-# admit, 200 lanes of 10**6 steps, took 57 s, and the default 1000 lanes of
-# 10,000 steps take 1.3-1.4 s
+# Steps and lane-steps per estimate. On a 2-core VM a step costs about 17-20 us
+# of numpy dispatch (27-29 at one lane) plus 35-45 ns per lane: the slowest run both
+# budgets admit, 200 lanes of 10**6 steps, took 27 s, and the default 1000 lanes
+# of 10,000 steps take 0.7-0.9 s
 STEP_BUDGET = 1_000_000
 LANE_STEP_BUDGET = 200_000_000
-# Lane-steps a block of the walk takes its matrices and logs for, 72 bytes each: 2**13
-# to 2**15 ran within 8 % at 200 to 5,000 lanes, 2**11 up to 15 % slower (2-core VM)
+# Lane-steps a block of the walk takes its matrices and logs for, 72 bytes each: 2**11
+# to 2**15 ran within 10 % of it at 50 to 5,000 lanes (2-core VM)
 WALK_BLOCK = 1 << 13
 
 
@@ -137,31 +137,35 @@ def _lane_blocks(x: np.ndarray, l: int):
     arrays the next block overwrites: the row vector (u1, u2), renormalized
     each step, and the sums (log_norm, lnR) of ln s, the l1-norm of u times
     the step's M, and of ln r_bold = -ln den. M's entries a[f] n + b[f] are
-    integers below 2**53 (n <= 1e12 on sanitized lanes), exact in floats. Logs
-    are added in step order, a step at a time: np.add.accumulate down the rows
-    loops lane by lane, 2.7 ms a block at 50,000 lanes."""
+    integers below 2**53 (n <= 1e12 on sanitized lanes), exact in floats. A
+    step's calls take 1-D rows viewed once a walk, and one reduction, looping
+    along the rows, adds a block's logs to the sums in step order."""
     K = max(1, min(WALK_BLOCK // x.size, l))
-    f, buf = np.empty((K, x.size), dtype=np.intp), np.empty((8, K, x.size))
-    n, b, M, logs = buf[0], buf[1], buf[2:6], buf[6:]  # M: m11 m12 m21 m22; s, den
-    scratch = LaneScratch(f[0], n[0], logs[1, 0])  # its outputs go to the rows
-    u, sums = np.ones((2, x.size)), np.zeros((2, x.size))
+    f, buf = np.empty((K, x.size), dtype=np.intp), np.empty((6, K, x.size))
+    n, b, M = buf[0], buf[1], buf[2:]  # M: m11 m12 m21 m22
+    logs = np.zeros((K + 1, 2, x.size))  # the sums so far, then (s, den) a step
+    y, _, (_, t), _, near = temps = LaneScratch(f[0], n[0], logs[1, 1])[3:]
+    steps = [(*out, *temps) for out in zip(f, n, logs[1:, 1])]
+    rows_u = list(zip(logs[1:, 0], *M))
+    u1, u2 = u = np.ones((2, x.size))
+    sums = np.empty((2, x.size))
     for first in range(0, l, K):
         rows = min(K, l - first)
-        fs, ns, bs, Ms = f[:rows], n[:rows], b[:rows], M[:, :rows]
-        s_rows, den_rows = logs[:, :rows]  # each contiguous
-        for scratch.f, scratch.n, scratch.den in zip(fs, ns, den_rows):
+        for scratch in steps[:rows]:
             accel_lanes(x, scratch)
-            x, scratch.y = _sanitize(scratch.y, scratch.t, scratch.slow), x
-        for m, (slope, const) in zip(Ms, _M_COEFFICIENTS.transpose(1, 0, 2)):
+            _sanitize(y, t, near, x)
+        fs, ns, bs = f[:rows], n[:rows], b[:rows]
+        for m, (slope, const) in zip(M[:, :rows], _M_COEFFICIENTS.transpose(1, 0, 2)):
             slope.take(fs, out=m, mode="clip")
             np.add(np.multiply(m, ns, m), const.take(fs, out=bs, mode="clip"), m)
-        for top, bottom, s in zip(Ms[:2].swapaxes(0, 1), Ms[2:].swapaxes(0, 1), s_rows):
-            np.add(np.multiply(top, u[0], top), np.multiply(bottom, u[1], bottom), u)
-            np.divide(u, np.add(u[0], u[1], s), u)
-        np.log(s_rows, s_rows)
-        np.negative(np.log(den_rows, den_rows), den_rows)
-        for step in logs[:, :rows].swapaxes(0, 1):
-            np.add(sums, step, sums)
+        for s, m11, m12, m21, m22 in rows_u[:rows]:
+            np.add(np.multiply(m11, u1, m11), np.multiply(m21, u2, m21), m11)
+            np.add(np.multiply(m12, u1, m12), np.multiply(m22, u2, m22), m12)
+            np.divide(m11, np.add(m11, m12, s), u1)
+            np.divide(m12, s, u2)
+        np.log(block := logs[1 : rows + 1], block)
+        np.negative(block[:, 1], block[:, 1])
+        logs[0] = np.add.reduce(logs[: rows + 1], axis=0, out=sums)
         yield first + rows, u, sums
 
 
@@ -184,9 +188,10 @@ def birkhoff_estimate(
     lambda_hat = float(lam.mean())
     lnR_hat = float(lnr.mean())
     s_hat = lambda_hat / lnR_hat
-    se_l = float(lam.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    se_r = float(lnr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se_l = se_r = se_s = 0.0
     if trials > 1:
+        se_l = float(lam.std(ddof=1) / math.sqrt(trials))
+        se_r = float(lnr.std(ddof=1) / math.sqrt(trials))
         cov = float(np.cov(lam, lnr)[0, 1]) / trials
         var_s = (
             (se_l / lnR_hat) ** 2
@@ -194,8 +199,6 @@ def birkhoff_estimate(
             - 2 * lambda_hat * cov / lnR_hat**3
         )
         se_s = math.sqrt(max(var_s, 0.0))
-    else:
-        se_s = 0.0
     return CocycleEstimate(
         lambda_hat, lnR_hat, s_hat, l, trials, seed, se_l, se_r, se_s
     )

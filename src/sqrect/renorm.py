@@ -114,9 +114,8 @@ RIGHT = BranchFamily(
     sigma=lambda n: ("a" + "aab" * (n - 1), "aab"),
 )
 FAMILIES = (UNIT, MIDDLE, RIGHT)
-# the lower ends of the middle and right families: for a float array x,
-# np.searchsorted(FAMILY_EDGES, x, "right") is the index in FAMILIES of the
-# family holding each x (x < 1, 1 <= x < 3/2, x >= 3/2)
+# the lower ends 1 and 3/2 of the middle and right families, which hold x:
+# x < 1 the unit family, 1 <= x < 3/2 the middle and x >= 3/2 the right
 FAMILY_EDGES = np.array([UNIT.ends(UNIT.first)[1], RIGHT.ends(RIGHT.first)[0]])
 # 1 and 2 as arrays, which a ufunc with `out` takes at 2/3 the cost of a number
 ONE, TWO = np.array(1.0), np.array(2.0)
@@ -149,10 +148,12 @@ def family_coefficients(name: str, with_parity: bool = False) -> np.ndarray:
 
 
 def odd(n, out=None):
-    """n % 2 of branch indices n >= 0: 1 where n is odd. On float arrays it
-    is np.fmod, which gives the same values as % there at a quarter of the
-    cost."""
-    return np.fmod(n, TWO, out) if isinstance(n, np.ndarray) else n % 2
+    """n % 2 of branch indices n >= 0: 1 where n is odd. On float arrays, np.fmod's
+    values at every n, from n - 2 trunc(n/2), each step exact."""
+    if not isinstance(n, np.ndarray):
+        return n % 2
+    t = np.divide(n, TWO, out)
+    return np.subtract(n, np.multiply(np.trunc(t, t), TWO, t), t)
 
 
 def slow_image(inv, n, out=None):
@@ -166,17 +167,16 @@ def slow_image(inv, n, out=None):
 
 def middle_image(e, n, out=None):
     """A(n).x on middle branch n from its gap e = x - 1, and its Moebius
-    denominator (1 - n) x + n = 1 - (n - 1) e. In floats the Moebius
-    quotient cancels at large n and can divide by 0. In the gap, for a float
-    x in (1, 3/2), both terms are exact and n <= 1/e keeps the denominator
-    at e or more, so the image rounds into (3/2, 2]. A pair `out` takes both."""
+    denominator (1 - n) x + n = 1 - (n - 1) e. In floats the Moebius quotient
+    cancels at large n and can divide by 0. In the gap, for a float x in (1,
+    3/2), den and den + e = 1 - (n - 2) e are exact and n <= 1/e keeps den at
+    e or more, so the image rounds into (3/2, 2]. A pair `out` takes both."""
     if out is None:
         den = 1 - (n - 1) * e
-        return (1 - (n - 2) * e) / den, den
+        return (den + e) / den, den
     y, den = out
     np.subtract(ONE, np.multiply(np.subtract(n, ONE, den), e, den), den)
-    np.subtract(ONE, np.multiply(np.subtract(n, TWO, y), e, y), y)
-    return np.divide(y, den, y), den
+    return np.divide(np.add(den, e, y), den, y), den
 
 
 # -- the renormalization chain -------------------------------------------

@@ -4,14 +4,16 @@ forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
 library runs on every frame; a seed row of lattice pairs as numbers; and
 the discontinuity set built from oriented segments, with the inverse map
 written once per orientation, the oracle of `pet.discontinuity_segments`;
-the piece count of a cover, the oracle of `renorm.within_budget`; and the
-Monte-Carlo lanes stepped one step at a time, the oracle of the blocked walk
-`lyap._lane_blocks`."""
+the piece count of a cover, the oracle of `renorm.within_budget`; the
+accelerated step on float lanes as it was first vectorised, the oracle of
+`cfrac.accel_lanes`; and the Monte-Carlo lanes stepped one step at a time by
+it, the oracle of the blocked walk `lyap._lane_blocks`."""
 
 import numpy as np
 
-from sqrect.cfrac import accel_lanes
+from sqrect.cfrac import _GAP_COEFFICIENTS
 from sqrect.lyap import _M_COEFFICIENTS, _sanitize
+from sqrect.renorm import FAMILIES, FAMILY_EDGES, MIDDLE
 
 
 def piece_count(levels, q) -> int:
@@ -88,8 +90,26 @@ def discontinuity_endpoints(theta, eps: int, depth: int) -> list:
     return [(x, y, x + n, y) if o == "H" else (x, y, x, y + n) for x, y, n, o in seen]
 
 
+def accel_lanes(x):
+    """(f, n, y, den) of `cfrac.accel_lanes`, as it took them with fresh
+    arrays: the family by FAMILY_EDGES.searchsorted (NaN past both edges),
+    the gap from its coefficients, the middle image's numerator as 1 - (n - 2) e,
+    and n % 2 by np.fmod."""
+    f = FAMILY_EDGES.searchsorted(x, "right")
+    slope, const = _GAP_COEFFICIENTS.take(f, axis=1, mode="clip")
+    e = slope * x + const
+    inv = 1 / e
+    n = np.floor(inv)
+    den = 1 - (n - 1) * e
+    y = (1 - (n - 2) * e) / den
+    slow = f != FAMILIES.index(MIDDLE)
+    y[slow] = (inv - n + np.fmod(n, 2))[slow]
+    den[slow] = e[slow]
+    return f, n, y, den
+
+
 def vector_step(x, u1, u2, log_norm, lnR):
-    """One accelerated step applied to every lane (`cfrac.accel_lanes`),
+    """One accelerated step applied to every lane (`accel_lanes`),
     updating the renormalized row vectors and both log accumulators in
     place. The entries of M(n) are a[f] n + b[f], with the rows (a, b) of
     each lane's family f from `family_coefficients`."""

@@ -46,6 +46,7 @@ from sqrect.renorm import (
     FAMILIES, MIDDLE, RIGHT, UNIT, Level, Mat2, incidence_matrix, slow_image,
 )
 from test_words import abelianization, compose
+import oracle_maps
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
 SQRT3M1 = make_surd(-1, 1, 1, 3)
@@ -833,6 +834,38 @@ NATEXT_REPORT = (
     "NatExtReport(samples={}, stayed={}, fiber_square_ok=True,"
     " fiber_middle_ok=True, disjoint_checked=1000, disjoint_ok=1000)"
 )
+
+
+def _kernel_lanes():
+    """Lanes for the kernel's oracle: random ones; every branch end up to n =
+    1000 and middle branch up to 2**52, each with its neighbours; and what
+    natext_steps feeds it, points of the domain and off it: negatives, values
+    of 2 and more, +-0, +-inf, NaN and subnormals."""
+    rng = random.Random(12)
+    ends = [e for fam in FAMILIES for n in range(fam.first, 1001) for e in fam.ends(n)]
+    ends += [1 + 2.0**-k for k in range(1, 53)]
+    off = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-53, 1e-300, -1e-300,
+           -0.5, -1.0, -3.0, -1e300, 1.0, 2.0, 2.5, 3.0, 4.0, 1e300,
+           math.inf, -math.inf, math.nan]
+    return np.array([
+        *(rng.uniform(-0.5, 2.5) for _ in range(4000)),
+        *(math.nextafter(e, to) for e in ends for to in (0, e, 2)),
+        *(cfrac._sample_theta_domain(rng)[0] for _ in range(4000)),
+        *off, *(2 - x for x in off), *(1 + x for x in off[:10]),
+    ])
+
+
+class TestLaneKernel:
+    def test_kernel_is_the_searchsorted_and_fmod_form(self):
+        # bit for bit, NaN included, with fresh arrays and through one scratch,
+        # and on the lanes reversed, so each meets other neighbours
+        x = _kernel_lanes()
+        scratch = cfrac.LaneScratch(np.empty(x.size, np.intp), *np.empty((2, x.size)))
+        with np.errstate(all="ignore"):
+            for lanes, out in ((x, None), (x, scratch), (x[::-1].copy(), scratch)):
+                want = oracle_maps.accel_lanes(lanes)
+                for a, b in zip(accel_lanes(lanes, out), want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
 class TestNatextKernel:

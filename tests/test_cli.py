@@ -284,6 +284,29 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--depth", "6")
         assert code == 2 and json.loads(err)["error"] == "NotTerminated"
 
+    @pytest.mark.parametrize("argv, reads", [
+        (["expand", "--param", "sqrt(2)-1,-1"], 0),  # 121 bytes, and no reader
+        # 2.8 MB, as `| head -1` reads it
+        (["islands", "--param", "sqrt(2)-1,-1", "--max-period", "5000"], 1),
+    ])
+    def test_closed_pipe_ends_quietly(self, argv, reads):
+        # a reader that closes stdout early is no usage error: no JSON object,
+        # no traceback, and the status a shell gives a writer SIGPIPE ends
+        read, write = os.pipe()
+        if not reads:
+            os.close(read)  # before the child's first write
+        src = str(Path(sqrect.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(  # stdout block-buffered, as a pipe has it by default
+            [sys.executable, "-m", "sqrect.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src),
+        )
+        os.close(write)
+        if reads:  # then close it, with most of the output unread
+            with os.fdopen(read, "rb") as out:
+                assert [out.readline() for _ in range(reads)] == [b"{\n"] * reads
+        assert child.wait(timeout=60) == 141 and child.stderr.read() == b""
+
     def test_series_above_term_budget_fails_fast(self):
         # 10^12 terms are 7.28 TiB of arange: refused before it is allocated
         proc = run_python(

@@ -597,6 +597,26 @@ class TestBoxCount:
             rects = zip(*(a.tolist() for a in arrays))
             assert chunked == one_chunk == len(_brute_force_cells(rects, r))
 
+    @pytest.mark.parametrize("r", [1e-13, 1e-15, 5e-324])
+    def test_no_box_where_the_inset_passes_whole_cells(self, r):
+        # below r = 1e-12 the 1e-12 inset of a point's edges spans cells: its
+        # last cell lies before its first, and neither the window nor the
+        # count may wrap around (an OverflowError at 1e-13 and 1e-15)
+        point = _columns([(0.0, 0.0, 0.0, 0.0)])
+        assert _window(point, r) == (0, 0, 0, 0)
+        assert box_count(point, r) == 0
+        # an end at -inf lies before the start too, and is refused, not counted
+        with pytest.raises(ValueError, match=r"cell indices below 2\*\*51"):
+            box_count(_columns([(0.0, 0.0, -math.inf, 0.0)]), r)
+
+    def test_chunks_without_a_cell_are_skipped(self, monkeypatch):
+        # at r = 1e-13 a square of 5e-12 meets 31 x 31 cells and a point
+        # beside it none, in a chunk of its own
+        rects = [(0.5, 0.5, 0.0, 0.0), (0.5, 0.5, 5e-12, 5e-12), (0.5, 0.5, 1e-12, 0.0)]
+        monkeypatch.setattr(fractal, "BOX_CHUNK", 1)
+        want = len(_brute_force_cells(rects, 1e-13))
+        assert box_count(_columns(rects), 1e-13) == want == 31 * 31
+
     def test_deep_streaming_agrees_with_direct(self):
         p = Param(SQRT2M1, -1)
         r = radius_sequence(p, 6)[5]

@@ -36,6 +36,7 @@ from sqrect.renorm import (
     incidence_matrix,
     induction_verify,
     lift_blocks,
+    odd,
     period_sequence,
     psi_inverse_lattice,
     renorm_step,
@@ -76,6 +77,25 @@ class TestFamilyCoefficients:
     def test_rejects_other_shapes(self):
         with pytest.raises(ValueError):
             family_coefficients("A")  # A has a term in n % 2
+
+    def test_odd_is_fmod_on_float_indices(self):
+        # n - 2 trunc(n/2) against np.fmod(n, 2): integers from 0 up to
+        # 2**53 + 2, their negatives, +-inf and NaN. Values only: at an even
+        # n < 0 fmod gives -0.0 and odd +0.0, which n's fractional part, the
+        # one term they are added to, does not see
+        rng = np.random.default_rng(8)
+        n = np.concatenate([
+            np.arange(10_000.0),
+            [2.0**k + d for k in range(1, 54) for d in (-2, -1, 0, 1, 2)],
+            np.floor(rng.uniform(0, 2**53, 10_000)),
+            [2.0**53 + 2, 2.0**60, 1e300],
+        ])
+        n = np.concatenate([n, -n, [math.inf, -math.inf, math.nan]])
+        out = np.empty_like(n)
+        with np.errstate(invalid="ignore"):
+            want = np.fmod(n, 2)
+            for got in (odd(n), odd(n, out)):
+                assert np.array_equal(got, want, equal_nan=True)
 
     def test_edges_index_the_families(self):
         below_1, below_3_2 = np.nextafter(1.0, 0), np.nextafter(1.5, 0)
