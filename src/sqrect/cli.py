@@ -249,10 +249,9 @@ def _cmd_render(args):
         img = render_islands(p, parse_periods(_given(args.periods, "1,5,21")), px)
     else:
         img = render_cover(p, _given(args.depth, 6), px)
-    if args.palette == "mono":
-        px16 = img.pixels.astype("u2")
-        lum = (px16[..., 0] * 299 + px16[..., 1] * 587 + px16[..., 2] * 114) // 1000
-        img.pixels[:] = lum.astype("u1")[..., None]
+    if args.palette == "mono":  # luma (299 R + 587 G + 114 B) // 1000, in int64
+        luma = img.pixels @ [299, 587, 114] // 1000
+        img.pixels[:] = luma.astype("u1")[..., None]
     img.save(args.out)
     report = {
         "out": args.out,

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -132,13 +131,16 @@ def _fold(levels, arrays):
     """`renorm.cover_level` for each of levels, deepest first, on arrays
     (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks,
     copies, go out letter by letter, step by step of their return orbit,
-    each step into its slice of one set of arrays sized from the letter
-    counts (sigma(a) has m11 a's and m21 b's). The blocks are pairs in the
-    given-values frame (1, 0, theta, 0), each sqrt(d) part the scalar 0."""
+    into one set of arrays sized from the letter counts (sigma(a) has m11
+    a's and m21 b's). Each pull and push writes its step (`out=`) straight
+    into the slices after the step yielded last, so a level allocates only
+    its blocks, and the arrays passed in are only read. The blocks are pairs
+    in the given-values frame (1, 0, theta, 0), every sqrt(d) part 0."""
     n_a, n_b = (np.count_nonzero(s) for s in (arrays[5], ~arrays[5]))
     for m11, m12, m21, m22 in (level.M for level in reversed(levels)):
         n_a, n_b = m11 * n_a + m12 * n_b, m21 * n_a + m22 * n_b
-    out = tuple(np.empty(n_a + n_b, a.dtype) for a in arrays)
+    rects = [np.empty(n_a + n_b) for _ in range(4)]  # x, y, w, h
+    tags = np.empty((2, n_a + n_b), bool)  # is_square, letter == 'a'
     for level in reversed(levels):
         x, y, w, h, sq, side = arrays
         blocks = [
@@ -146,15 +148,18 @@ def _fold(levels, arrays):
             for m, letter in ((side, "a"), (~side, "b"))
         ]
         (t_a, t_b), (n_a, n_b) = level.times, (s.size for _, s, _ in blocks)
-        arrays = tuple(o[: t_a * n_a + t_b * n_b] for o in out)
+        n = t_a * n_a + t_b * n_b
+        arrays = (*(o[:n] for o in rects), *tags[:, :n])
         hi = 0
         theta, eps = (1, 0, float(level.q.theta), 0), level.q.eps
-        pull = partial(psi_inverse_ints, theta, eps, 1)
-        push = partial(rect_branch_ints, theta, eps)
-        for r, s, letter in cover_level(level, pull, push, blocks):
+        # the slice of a step's rect r, from hi, the end of the step yielded last
+        at = lambda r: [o[hi : hi + r[0].size] for o in rects]
+        pull = lambda *r: psi_inverse_ints(theta, eps, 1, *r, out=at(r))
+        push = lambda c, *r: rect_branch_ints(theta, eps, c, *r, out=at(r))
+        for _, s, letter in cover_level(level, pull, push, blocks):
             lo, hi = hi, hi + s.size
-            for o, a in zip(arrays, (*r[::2], s, letter == "a")):
-                o[lo:hi] = a
+            tags[0, lo:hi], tags[1, lo:hi] = s, letter == "a"
+        del blocks  # before the next level's copies are made
     return arrays
 
 

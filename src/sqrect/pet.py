@@ -193,18 +193,25 @@ def code_orbit(p: Param, z: Point, n: int) -> str:
 
 
 def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
-                     wa=0, wb=0, ha=0, hb=0) -> tuple:
+                     wa=0, wb=0, ha=0, hb=0, out=None) -> tuple:
     """psi^-1 pulls the rectangle (x, y, w, h) of the renormalized domain
     back into this one; a point when w = h = 0. In `walk`'s integer frame:
     theta as (T, d, ta, tb), meaning (ta + tb*sqrt(d))/T, and x, y, w and h
     as pairs (a, b) over R; the image (x, y, w, h) as pairs over T*R. Floats
-    and numpy float arrays take the given-values frame (1, 0, theta, 0)."""
+    and numpy float arrays take the given-values frame (1, 0, theta, 0); there
+    arrays `out` (x, y, w, h) take the a parts in place, each b part 0."""
     T, d, ta, tb = theta
     if eps == -1:  # (theta*y, theta*x, theta*h, theta*w)
         ma, mb, oa, ob = ta, tb, 0, 0
         xa, xb, ya, yb, wa, wb, ha, hb = ya, yb, xa, xb, ha, hb, wa, wb
     else:  # (s*x, theta + s*y, s*w, s*h) with s = 1 - theta
         ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
+    if out is not None:
+        for o, a in zip(out, (xa, ya, wa, ha)):
+            o[...] = a
+            o *= ma
+        out[1] += oa
+        return out[0], 0, out[1], 0, out[2], 0, out[3], 0
     if not d:  # no sqrt(d) part, as (a + b*sqrt(0))/R is a/R
         return ma * xa, 0, oa + ma * ya, 0, ma * wa, 0, ma * ha, 0
     return (

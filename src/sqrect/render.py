@@ -18,8 +18,8 @@ from .pet import Param, discontinuity_segments, islands
 
 # Bytes of one image (3 per pixel), checked before it is allocated. A render
 # peaks at up to about 62 bytes per pixel (render_cover of a depth-0 cover,
-# by tracemalloc), so this is about 0.6 GB at the peak: px 3,760 at the
-# silver mean.
+# whose two pieces cover every pixel, by tracemalloc), so this is about 0.6 GB
+# at the peak: px 3,760 at the silver mean. Cover pieces add 82 bytes each.
 RASTER_BUDGET = 30_000_000
 
 PALETTE = {
@@ -52,8 +52,8 @@ class Image:
         check_budget(3 * px * rows, RASTER_BUDGET, "image bytes")
         scale = px / float(world_width)
         height = max(int(round(scale)), 1)
-        pixels = np.empty((height, px, 3), dtype=np.uint8)
-        pixels[:] = PALETTE["background"]
+        pattern = bytearray(PALETTE["background"]) * (height * px)  # not a 3-byte loop
+        pixels = np.frombuffer(pattern, np.uint8).reshape(height, px, 3)
         return Image(px, height, scale, pixels)
 
     # -- transform -------------------------------------------------------
@@ -66,24 +66,25 @@ class Image:
 
     def pixel_bounds(self, x0, x1, y0, y1):
         """Half-open column range [c0, c1) and row range [r0, r1) of the
-        pixels whose centers lie in [x0, x1) x [y0, y1), clipped to the
-        image. Takes float scalars or arrays alike."""
+        pixels whose centers lie in [x0, x1) x [y0, y1), clipped to the image,
+        as float arrays (0-d from scalars) of integers, each rounded in place:
+        c = ceil(x * scale - 0.5) and r = floor((1 - y) * scale - 0.5) + 1,
+        their arguments first clipped to [0, width] and [-1, height - 1]."""
         s = self.scale
-        c0 = np.maximum(np.ceil(x0 * s - 0.5).astype(np.int64), 0)
-        c1 = np.minimum(np.ceil(x1 * s - 0.5).astype(np.int64), self.width)
-        r0 = np.maximum(np.floor((1.0 - y1) * s - 0.5).astype(np.int64) + 1, 0)
-        r1 = np.minimum(
-            np.floor((1.0 - y0) * s - 0.5).astype(np.int64) + 1, self.height
-        )
+        c0, c1 = (np.asarray(x * s - 0.5) for x in (x0, x1))
+        r0, r1 = (np.asarray((1.0 - y) * s - 0.5) for y in (y1, y0))
+        for c in c0, c1:
+            np.ceil(np.clip(c, 0, self.width, out=c), c)
+        for r in r0, r1:
+            np.floor(np.clip(r, -1, self.height - 1, out=r), r)
+            r += 1.0
         return c0, c1, r0, r1
 
     def fill_rect(self, x, y, w, h, color) -> None:
         """Color every pixel whose center lies in [x,x+w) x [y,y+h)."""
-        c0, c1, r0, r1 = self.pixel_bounds(
-            float(x), float(x + w), float(y), float(y + h)
-        )
-        if c0 < c1 and r0 < r1:
-            self.pixels[r0:r1, c0:c1] = color
+        bounds = self.pixel_bounds(float(x), float(x + w), float(y), float(y + h))
+        c0, c1, r0, r1 = map(int, bounds)
+        self.pixels[r0:r1, c0:c1] = color  # none unless c0 < c1 and r0 < r1
 
     def draw_segment(self, x0, y0, x1, y1, color) -> None:
         """The 1px row or column between the nearest pixel centers of the
@@ -159,16 +160,19 @@ def render_islands(p: Param, periods: list, px: int) -> Image:
 
 def render_cover(p: Param, l: int, px: int) -> Image:
     """Depth-l cover pieces filled dark blue (square pieces) and dark red
-    (rectangle pieces): an outer approximation of the aperiodic set."""
+    (rectangle pieces): an outer approximation of the aperiodic set. Only
+    pieces whose float `Image.pixel_bounds` hold a pixel center are painted."""
     from .fractal import cover_arrays
 
     img = Image.for_domain(float(p.width), px)
     x, y, w, h, sq = cover_arrays(p, l)
     c0, c1, r0, r1 = img.pixel_bounds(x, x + w, y, y + h)
-    ncols = np.maximum(c1 - c0, 0)
-    npix = ncols * np.maximum(r1 - r0, 0)
+    keep = np.flatnonzero((c0 < c1) & (r0 < r1))
+    c0, c1, r0, r1 = (a[keep].astype(np.int64) for a in (c0, c1, r0, r1))
+    ncols = c1 - c0
+    npix = ncols * (r1 - r0)
     # one entry per (piece, covered pixel), pieces in paint order
-    piece = np.repeat(np.arange(x.size), npix)
+    piece = np.repeat(np.arange(keep.size), npix)
     k = np.arange(piece.size) - np.repeat(np.cumsum(npix) - npix, npix)
     nc = ncols[piece]
     flat = (r0[piece] + k // nc) * img.width + c0[piece] + k % nc
@@ -179,6 +183,6 @@ def render_cover(p: Param, l: int, px: int) -> Image:
     colors = np.array(
         [PALETTE["cover_rectangle"], PALETTE["cover_square"]], dtype=np.uint8
     )
-    img.pixels.reshape(-1, 3)[painted] = colors[sq[owner[painted]].astype(np.intp)]
+    img.pixels.reshape(-1, 3)[painted] = colors[sq[keep][owner[painted]].astype(np.intp)]
     return img
 

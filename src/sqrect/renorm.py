@@ -371,12 +371,28 @@ class CoverPiece(NamedTuple):
     ratio: Number  # linear contraction applied to the model shape
 
 
-def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha, hb):
+def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha, hb,
+                     out=None):
     """Image (x, y, w, h) of a rectangle under one step of the map, for a
     rectangle inside the square (letter 'a') or the rectangle ('b'), in
     `pet.psi_inverse_ints`' frame: theta as (R, d, ta, tb) and x, y, w, h as
-    pairs (a, b) meaning (a + b*sqrt(d))/R, or a + b*theta in (1, 0, 0, 1)."""
+    pairs (a, b) meaning (a + b*sqrt(d))/R, or a + b*theta in (1, 0, 0, 1).
+    In the given-values frame (1, 0, theta, 0) of float arrays, arrays `out`
+    (x, y, w, h) take the a parts, each b part 0."""
     R, _, ta, tb = theta
+    if out is not None:
+        x, y, w, h = out
+        if letter == "b":
+            np.subtract(xa, R, x)
+            np.subtract(R, np.add(ya, ha, y), y)
+        else:
+            np.subtract(R + ta, np.add(ya, ha, x), x)
+            if eps == -1:
+                y[...] = xa
+            else:
+                np.subtract(R, np.add(xa, wa, y), y)
+        w[...], h[...] = (wa, ha) if letter == "b" else (ha, wa)
+        return x, 0, y, 0, w, 0, h, 0
     if letter == "b":
         return xa - R, xb, R - (ya + ha), -(yb + hb), wa, wb, ha, hb
     if eps == -1:

@@ -894,6 +894,30 @@ class TestRender:
         px = memoryview(body)
         assert all(px[i] == px[i + 1] == px[i + 2] for i in range(0, 300, 3))
 
+    def test_mono_is_the_integer_luma_of_every_palette_color(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # one pixel of each palette color, grayed by the mono palette; in
+        # 16 bits 255 * 587 wrapped, and white came out 58
+        import numpy as np
+        from sqrect import render
+
+        colors = [
+            c for v in render.PALETTE.values() for c in (v if isinstance(v, list) else [v])
+        ]
+        img = render.Image(len(colors), 1, 1.0, np.array([colors], dtype=np.uint8))
+        monkeypatch.setattr(render, "render_islands", lambda p, periods, px: img)
+        out = tmp_path / "mono.ppm"
+        run(
+            capsys,
+            "render", "islands", "--param", "sqrt(2)-1,-1",
+            "--palette", "mono", "--out", str(out),
+        )
+        want = [(299 * r + 587 * g + 114 * b) // 1000 for r, g, b in colors]
+        assert list(out.read_bytes().split(b"\n", 3)[3]) == [v for v in want for _ in "rgb"]
+        assert want[colors.index(render.PALETTE["background"])] == 255
+        assert want[colors.index(render.PALETTE["cover_rectangle"])] == 70
+
 
 class TestOutFiles:
     def test_out_writes_payload_and_manifest(self, capsys, tmp_path):

@@ -1,10 +1,14 @@
 import gzip
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sqrect.fractal
 from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.fractal import cover_arrays, selfsimilar_parameter
@@ -277,8 +281,6 @@ class TestCover:
     def test_overlaps_go_to_the_last_piece(self, monkeypatch):
         # cover pieces never share a pixel, so overlaps and clipping at the
         # image edge are checked on random rectangles instead
-        import sqrect.fractal
-
         rng = np.random.default_rng(5)
         n = 300
         pieces = (
@@ -292,6 +294,45 @@ class TestCover:
         p = Param(SQRT2M1, -1)
         expected = _paint_by_fill_rect(p, pieces, 128).to_p6()
         assert render_cover(p, 1, 128).to_p6() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_fill_rect_loop_on_random_rectangles(self, data):
+        # render_cover paints only the rectangles whose float pixel bounds
+        # hold a pixel center: edges on pixel centers, often those at the
+        # image's edges (exactly at the scales 64 to 512, powers of 2, of a
+        # domain 1.25 wide), rectangles of width or height 0, off the image
+        # or larger than it, overlapping in paint order
+        p = Param(Fraction(1, 4), -1)
+        px = data.draw(st.one_of(st.sampled_from([80, 160, 320, 640]),
+                                 st.integers(64, 1000)))
+        img = Image.for_domain(1.25, px)
+
+        def centers(n):  # pixel-center indices, near 0 and n - 1 or anywhere
+            near = st.sampled_from([-1, 0, 1, n - 2, n - 1, n])
+            return st.one_of(near, st.integers(-n // 4, n * 5 // 4))
+
+        s = img.scale
+        cols = st.one_of(centers(img.width).map(lambda i: (i + 0.5) / s),
+                         st.floats(-0.5, 2.0))
+        rows = st.one_of(centers(img.height).map(lambda i: 1 - (i + 0.5) / s),
+                         st.floats(-0.5, 1.5))
+        rects = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            x0, x1 = sorted(data.draw(cols) for _ in "01")
+            y0, y1 = sorted(data.draw(rows) for _ in "01")
+            w, h = (data.draw(st.sampled_from([d, 0.0])) for d in (x1 - x0, y1 - y0))
+            rects.append((x0, y0, w, h, data.draw(st.booleans())))
+        pieces = tuple(np.array(a) for a in zip(*rects))
+        # the float bounds of arrays are those of each rectangle alone
+        x, y, w, h, _ = pieces
+        bounds = img.pixel_bounds(x, x + w, y, y + h)
+        for i, rect in enumerate(rects):
+            one = img.pixel_bounds(rect[0], rect[0] + rect[2], rect[1], rect[1] + rect[3])
+            assert [b[i] for b in bounds] == [b.item() for b in one]
+        expected = _paint_by_fill_rect(p, pieces, px).to_p6()
+        with mock.patch.object(sqrect.fractal, "cover_arrays", lambda p, l: pieces):
+            assert render_cover(p, 1, px).to_p6() == expected
 
     def test_cover_nests_inside_coarser_cover(self):
         p = Param(SQRT2M1, -1)
