@@ -286,8 +286,10 @@ def transfer_residual(which: str, y: float) -> float:
     """|sum over inverse branches of density/|map'| - density(y)|, with
     certified digamma tails. Both densities jump at y = 1, where the branch
     sums take the right-hand limit (a pole for 'nu'), so y = 1 is refused
-    with ValueError.
+    with ValueError, as is y outside (0, 2), NaN included, before any sum.
     """
+    if not 0 < y < 2:
+        raise ValueError("y must lie in (0,2)")
     if y == 1:
         raise ValueError("the densities jump at y = 1; the residual is undefined")
     parity = 0 if y < 1 else 1

@@ -174,10 +174,10 @@ def _cover(levels, q):
     return _fold(levels, (*rects, letters, letters))
 
 
-def cover_arrays(p: Param, l: int):
-    """Depth-l cover as float arrays (x, y, w, h, is_square); NotTerminated
-    above PIECE_BUDGET (`renorm.within_budget`)."""
-    return _cover(*descend(p, l, PIECE_BUDGET))[:5]
+def cover_arrays(p: Param, l: int, budget: int | None = None):
+    """Depth-l cover as float arrays (x, y, w, h, is_square); NotTerminated above
+    `budget` (PIECE_BUDGET) pieces (`renorm.within_budget`), before any array."""
+    return _cover(*descend(p, l, PIECE_BUDGET if budget is None else budget))[:5]
 
 
 BOX_CHUNK = 1 << 22  # pieces keyed at once by box_count

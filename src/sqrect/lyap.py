@@ -226,17 +226,12 @@ def _mass_right(n: np.ndarray) -> np.ndarray:
 _MASS = {UNIT: _mass_unit, MIDDLE: _mass_unit, RIGHT: _mass_right}
 
 
-def _matrix(fam, n: np.ndarray) -> tuple:
-    """Cocycle matrix entries of branches n, each an array of n's shape."""
-    return tuple(np.broadcast_to(np.asarray(m, dtype=float), n.shape) for m in fam.M(n))
+def _matrix(fam, n: np.ndarray) -> np.ndarray:
+    """Cocycle matrices of branches n: entry (i, j) of branch k at [i, j, k]."""
+    return np.array(np.broadcast_arrays(*fam.M(n)), dtype=float).reshape(2, 2, -1)
 
 
-def _f(m11, m12, m21, m22):
-    """The super-multiplicative function f(M) = sqrt(m11 m22) + sqrt(m12 m21)."""
-    return np.sqrt(m11 * m22) + np.sqrt(m12 * m21)
-
-
-# series terms: tracemalloc puts the peak at this budget at 8.1, 16.2 and 8.2
+# series terms: tracemalloc puts the peak at this budget at 8.1, 16.2 and 8.3
 # bytes per term (integral_ln_M, integral_ln_r, lower_bound_f), so about 77 MiB
 TERM_BUDGET = 5_000_000
 # Terms a series computes at once, into the one full-length array its np.sum
@@ -366,21 +361,28 @@ _PREDECESSORS = (
 )
 
 
-def _pair_block(pred, c, F, M1, succ) -> float:
+def _pair_block(pred, c, F, A, succ) -> float:
     """Sum of ln f(M1 M2) weighted by the invariant mass of the two-step
-    cylinder, for predecessor branches (column c) against one successor
-    table."""
-    lo2, hi2, M2 = succ
-    b11, b12, b21, b22 = (m[None, :] for m in M2)
-    series = np.empty((len(c), hi2.size))
-    for s, _ in _blocks(0, len(c), hi2.size):
-        w = np.abs(F(pred(c[s], hi2[None, :])) - F(pred(c[s], lo2[None, :])))
-        a11, a12, a21, a22 = (m[s, None] for m in M1)
-        c11 = a11 * b11 + a12 * b21
-        c12 = a11 * b12 + a12 * b22
-        c21 = a21 * b11 + a22 * b21
-        c22 = a21 * b12 + a22 * b22
-        series[s] = np.log(_f(c11, c12, c21, c22)) * w
+    cylinder, for predecessor branches (column c; rows (m11, m12) of M1 in
+    A[0], (m21, m22) in A[1]) against one successor table: branch k lies on
+    ends[k], ends[k + 1], and G = F(pred(c, ends)), taken once per row and
+    end, gives its weight |G[:, k + 1] - G[:, k]|, the same float either way
+    round. A block's one matmul with B gives (c11 | c12) and (c22 | c21), then
+    f goes into it through `out=`. The entries are integers below 2**26 at
+    TERM_BUDGET, so they, c11 c22 and c12 c21 are exact in any order: each term
+    is bit for bit that of `tests/oracle_maps.pair_block`."""
+    ends, B = succ
+    K = ends.size - 1
+    series = np.empty((len(c), K))
+    blocks = list(_blocks(0, len(c), K))
+    C = np.empty((2, blocks[0][0].stop, 2 * K))
+    for s, _ in blocks:
+        G = F(pred(c[s], ends[None, :]))
+        w = np.abs(np.subtract(G[:, 1:], G[:, :-1], series[s]), series[s])
+        p = np.matmul(A[:, s], B, out=C[:, : s.stop - s.start])
+        p = np.sqrt(np.multiply(p[0], p[1], p[0]), p[0])  # sqrt(c11 c22) | sqrt(c12 c21)
+        f = np.add(p[:, :K], p[:, K:], p[:, :K])
+        np.multiply(np.log(f, f), w, w)
     return float(np.sum(series))
 
 
@@ -391,24 +393,26 @@ def lower_bound_f(terms: int) -> SeriesValue:
     branches of each family, weighted by the invariant mass of their
     cylinders. The products are strictly positive (one-step middle matrices
     have an off-diagonal zero), and truncation only drops nonnegative terms,
-    so the partial sum stays a certified lower bound."""
+    so the partial sum stays a certified lower bound. Each successor family's
+    N - first + 2 branch ends are made once: neighbouring branches share one."""
     _check_terms(terms)
     N = max(int(math.isqrt(terms)), 10)
     succ = {}
     for fam in FAMILIES:
-        n = np.arange(fam.first, N + 1.0)
-        succ[fam] = (*fam.ends(n), _matrix(fam, n))
+        n = np.arange(fam.first, N + 2.0)
+        # branch n's lower end is n + 1's upper one (right: the other way round)
+        lo, hi = fam.ends(n)
+        M = _matrix(fam, n[:-1])  # B: (b11 | b12; b21 | b22), (b12 | b11; b22 | b21)
+        succ[fam] = (hi if lo[0] == hi[1] else lo, np.stack([M, M[:, ::-1]]).reshape(2, 2, -1))
     total = 0.0
     for fam, F, pred, splits in _PREDECESSORS:
         n = np.arange(fam.first, N + 1.0)
-        M1 = _matrix(fam, n)
+        A = _matrix(fam, n).transpose(0, 2, 1)
         for parity, targets in splits:
             rows = slice(None) if parity is None else n % 2 == parity
             c = (n[rows] - (parity or 0))[:, None]
             for target in targets:
-                total += _pair_block(
-                    pred, c, F, tuple(m[rows] for m in M1), succ[target]
-                )
+                total += _pair_block(pred, c, F, A[:, rows], succ[target])
     # one-sided truncation: omitted cylinders contribute >= 0, and at most
     # (ln 4 + ln|M1| + ln|M2|) x their mass; both factors give a series
     # tail of the usual ln(cN)/N shape

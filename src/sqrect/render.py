@@ -19,8 +19,12 @@ from .pet import Param, discontinuity_segments, islands
 # Bytes of one image (3 per pixel), checked before it is allocated. A render
 # peaks at up to about 62 bytes per pixel (render_cover of a depth-0 cover,
 # whose two pieces cover every pixel, by tracemalloc), so this is about 0.6 GB
-# at the peak: px 3,760 at the silver mean. Cover pieces add 82 bytes each.
+# at the peak: px 3,760 at the silver mean.
 RASTER_BUDGET = 30_000_000
+# Cover pieces of a render: each adds about 82 bytes to its peak (its cover
+# arrays, their right and top edges and four float bounds, by tracemalloc at
+# 0.83M and 3.5M pieces), so about 0.57 GB here, as RASTER_BUDGET aims at
+COVER_PIECE_BUDGET = 7_000_000
 
 PALETTE = {
     "background": (255, 255, 255),
@@ -161,11 +165,12 @@ def render_islands(p: Param, periods: list, px: int) -> Image:
 def render_cover(p: Param, l: int, px: int) -> Image:
     """Depth-l cover pieces filled dark blue (square pieces) and dark red
     (rectangle pieces): an outer approximation of the aperiodic set. Only
-    pieces whose float `Image.pixel_bounds` hold a pixel center are painted."""
+    pieces whose float `Image.pixel_bounds` hold a pixel center are painted.
+    NotTerminated above COVER_PIECE_BUDGET pieces, before the cover's arrays."""
     from .fractal import cover_arrays
 
     img = Image.for_domain(float(p.width), px)
-    x, y, w, h, sq = cover_arrays(p, l)
+    x, y, w, h, sq = cover_arrays(p, l, COVER_PIECE_BUDGET)
     c0, c1, r0, r1 = img.pixel_bounds(x, x + w, y, y + h)
     keep = np.flatnonzero((c0 < c1) & (r0 < r1))
     c0, c1, r0, r1 = (a[keep].astype(np.int64) for a in (c0, c1, r0, r1))

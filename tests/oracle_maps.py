@@ -6,13 +6,17 @@ the discontinuity set built from oriented segments, with the inverse map
 written once per orientation, the oracle of `pet.discontinuity_segments`;
 the piece count of a cover, the oracle of `renorm.within_budget`; the
 accelerated step on float lanes as it was first vectorised, the oracle of
-`cfrac.accel_lanes`; and the Monte-Carlo lanes stepped one step at a time by
-it, the oracle of the blocked walk `lyap._lane_blocks`."""
+`cfrac.accel_lanes`; the Monte-Carlo lanes stepped one step at a time by
+it, the oracle of the blocked walk `lyap._lane_blocks`; and the certified
+lower bound with both ends of every cylinder taken apart, the oracle of
+`lyap.lower_bound_f`."""
+
+import math
 
 import numpy as np
 
 from sqrect.cfrac import _GAP_COEFFICIENTS
-from sqrect.lyap import _M_COEFFICIENTS, _sanitize
+from sqrect.lyap import _M_COEFFICIENTS, _PREDECESSORS, _blocks, _sanitize
 from sqrect.renorm import FAMILIES, FAMILY_EDGES, MIDDLE
 
 
@@ -134,3 +138,46 @@ def lane_states(x, l: int):
     for step in range(1, l + 1):
         x, u1, u2 = vector_step(x, u1, u2, *sums)
         yield step, np.array([u1, u2]), sums
+
+
+def pair_block(pred, c, F, M1, succ) -> float:
+    """`lyap._pair_block` as it was first blocked: succ holds each successor
+    branch's own ends (lo, hi), F(pred(c, .)) is taken at both, and the
+    products M1 M2 entry by entry."""
+    lo2, hi2, M2 = succ
+    b11, b12, b21, b22 = (m[None, :] for m in M2)
+    series = np.empty((len(c), hi2.size))
+    for s, _ in _blocks(0, len(c), hi2.size):
+        w = np.abs(F(pred(c[s], hi2[None, :])) - F(pred(c[s], lo2[None, :])))
+        a11, a12, a21, a22 = (m[s, None] for m in M1)
+        c11 = a11 * b11 + a12 * b21
+        c12 = a11 * b12 + a12 * b22
+        c21 = a21 * b11 + a22 * b21
+        c22 = a21 * b12 + a22 * b22
+        series[s] = np.log(np.sqrt(c11 * c22) + np.sqrt(c12 * c21)) * w
+    return float(np.sum(series))
+
+
+def _matrix(fam, n):
+    """Cocycle matrix entries of branches n, each an array of n's shape."""
+    return tuple(np.broadcast_to(np.asarray(m, dtype=float), n.shape) for m in fam.M(n))
+
+
+def lower_bound_f(terms: int) -> float:
+    """The value of `lyap.lower_bound_f(terms)`, each successor branch's ends
+    from `ends(n)`, summed by `pair_block`."""
+    N = max(math.isqrt(terms), 10)
+    succ = {}
+    for fam in FAMILIES:
+        n = np.arange(fam.first, N + 1.0)
+        succ[fam] = (*fam.ends(n), _matrix(fam, n))
+    total = 0.0
+    for fam, F, pred, splits in _PREDECESSORS:
+        n = np.arange(fam.first, N + 1.0)
+        M1 = _matrix(fam, n)
+        for parity, targets in splits:
+            rows = slice(None) if parity is None else n % 2 == parity
+            c = (n[rows] - (parity or 0))[:, None]
+            for target in targets:
+                total += pair_block(pred, c, F, tuple(m[rows] for m in M1), succ[target])
+    return total / 2

@@ -607,6 +607,14 @@ class TestDensities:
             else:
                 generic_branch_sum(which, test_density, 1.0)
 
+    @pytest.mark.parametrize("which", ["nu", "bold_nu"])
+    @pytest.mark.parametrize("y", [0.0, 2.0, -0.5, 3.0, math.nan, math.inf])
+    def test_residual_refuses_y_off_the_domain(self, which, y, monkeypatch):
+        # before any sum: NaN once ran every pair sum and failed in _digamma
+        monkeypatch.setattr(cfrac, "_pair_sum", None)
+        with pytest.raises(ValueError, match=r"^y must lie in \(0,2\)$"):
+            transfer_residual(which, y)
+
     @pytest.mark.parametrize("y", [0.3, 0.7, 1.45, 1.8])
     def test_uniform_negative_control(self, y):
         assert abs(generic_branch_sum("bold_nu", lambda x: 1.0, y) - 1.0) > 1e-2

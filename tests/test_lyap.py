@@ -37,6 +37,7 @@ from sqrect.lyap import (
     integral_ln_r,
     lower_bound_f,
 )
+import oracle_maps
 from oracle_maps import lane_states, vector_step
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -355,6 +356,8 @@ class TestPinnedOutputs:
     def test_bench_reference_bits(self):
         # values of bench/reference/*.json: a refactor must keep every bit
         assert repr(lower_bound_f(10_000).value) == "2.577436104147107"
+        assert repr(lower_bound_f(100_000).value) == "2.6876222049200873"
+        assert repr(lower_bound_f(300_000).value) == "2.7120091480625304"
         est = birkhoff_estimate(904876487, 200, 2000)
         assert repr(est.lambda_hat) == "3.1759154616767966"
         p = selfsimilar_parameter("minus", 1)
@@ -562,6 +565,25 @@ class TestSeriesValues:
     def test_f_bound_exceeds_requirement(self):
         sv = lower_bound_f(2_000_000)
         assert sv.value >= 2.66
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(10, 10**5))
+    @example(300_000)
+    @example(2_000_000)
+    @example(TERM_BUDGET)
+    def test_f_bound_is_the_two_end_oracle(self, terms):
+        # F at each shared cylinder end once and the products by one matmul,
+        # against F at both ends of every branch and the products entry by
+        # entry, bit for bit, up to the largest products the budget admits
+        assert lower_bound_f(terms).value == oracle_maps.lower_bound_f(terms)
+
+    def test_neighbouring_branches_share_an_end(self):
+        # the lower end of branch n is the upper end of n + 1, bit for bit
+        # (right branches: the other way round), which lower_bound_f takes once
+        for fam in FAMILIES:
+            n = np.arange(fam.first, 3000.0)
+            (lo, hi), (lo1, hi1) = fam.ends(n), fam.ends(n + 1)
+            assert np.array_equal(hi1, lo) != np.array_equal(lo1, hi), fam
 
     def test_values_monotone_in_terms(self):
         assert integral_ln_M(4000).value > integral_ln_M(400).value

@@ -1,6 +1,7 @@
 import gzip
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,9 @@ from sqrect.errors import NotTerminated
 from sqrect.exactnum import make_surd
 from sqrect.fractal import cover_arrays, selfsimilar_parameter
 from sqrect.pet import Param
+from sqrect.renorm import descend
 from sqrect.render import (
+    COVER_PIECE_BUDGET,
     PALETTE,
     RASTER_BUDGET,
     Image,
@@ -290,7 +293,7 @@ class TestCover:
             rng.uniform(0.0, 0.4, n),
             rng.random(n) < 0.5,
         )
-        monkeypatch.setattr(sqrect.fractal, "cover_arrays", lambda p, l: pieces)
+        monkeypatch.setattr(sqrect.fractal, "cover_arrays", lambda p, l, budget: pieces)
         p = Param(SQRT2M1, -1)
         expected = _paint_by_fill_rect(p, pieces, 128).to_p6()
         assert render_cover(p, 1, 128).to_p6() == expected
@@ -331,8 +334,22 @@ class TestCover:
             one = img.pixel_bounds(rect[0], rect[0] + rect[2], rect[1], rect[1] + rect[3])
             assert [b[i] for b in bounds] == [b.item() for b in one]
         expected = _paint_by_fill_rect(p, pieces, px).to_p6()
-        with mock.patch.object(sqrect.fractal, "cover_arrays", lambda p, l: pieces):
+        with mock.patch.object(sqrect.fractal, "cover_arrays", lambda p, l, budget: pieces):
             assert render_cover(p, 1, px).to_p6() == expected
+
+    def test_piece_budget_checked_before_allocating(self):
+        # about 82 bytes a piece: depth 10 of the silver mean (3.5M pieces) is
+        # admitted, depth 11 (14.9M, under fractal.PIECE_BUDGET) refused
+        p = Param(SQRT2M1, -1)
+        descend(p, 10, COVER_PIECE_BUDGET)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotTerminated, match="14930352 cover pieces"):
+                render_cover(p, 11, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_cover_nests_inside_coarser_cover(self):
         p = Param(SQRT2M1, -1)
