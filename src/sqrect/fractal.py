@@ -176,7 +176,8 @@ def _cover(levels, q):
 
 def cover_arrays(p: Param, l: int, budget: int | None = None):
     """Depth-l cover as float arrays (x, y, w, h, is_square); NotTerminated above
-    `budget` (PIECE_BUDGET) pieces (`renorm.within_budget`), before any array."""
+    `budget` pieces (`renorm.within_budget`), before any array. By default the
+    budget is PIECE_BUDGET as it stands at the call, not at import."""
     return _cover(*descend(p, l, PIECE_BUDGET if budget is None else budget))[:5]
 
 

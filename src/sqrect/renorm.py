@@ -157,13 +157,11 @@ def odd(n, out=None):
 
 
 def slow_image(inv, n, out=None):
-    """A(n).x on unit or right branch n = floor(inv), from inv = 1/gap(x): the
-    fractional part of inv, plus 1 when n is odd. Float callers keep this form
-    rather than the Moebius quotient, which rounds differently. A number takes
-    inv - 2 (n // 2), exact for inv >= 1 as inv - n + n % 2 is. An array `out`
-    takes the latter, whose bits off the domain it keeps; inv gets inv - n."""
+    """A(n).x on unit or right branch n, from inv = 1/gap(x): the fractional part of
+    inv, plus 1 when n is odd. Float callers keep this form rather than the Moebius
+    quotient, which rounds differently. An array `out` takes it; inv gets inv - n."""
     if out is None:
-        return inv - 2 * (n // 2)
+        return inv - n + odd(n)
     return np.add(np.subtract(inv, n, inv), odd(n, out), out)
 
 

@@ -98,25 +98,8 @@ class TestFamilyCoefficients:
             for got in (odd(n), odd(n, out)):
                 assert np.array_equal(got, want, equal_nan=True)
 
-    @settings(max_examples=300)
-    @given(st.one_of(
-        st.floats(1, 2.0**60),
-        st.integers(1, 2**60).map(float),
-        st.fractions(1, 10**6),
-        st.builds(make_surd, st.integers(-99, 99), st.integers(1, 99),
-                  st.integers(1, 99), st.integers(2, 99)).filter(lambda v: v >= 1),
-    ))
-    @example(2.0**53 + 2)
-    @example(2.0**53 - 0.5)
-    def test_slow_image_is_inv_minus_n_plus_parity(self, inv):
-        # a number steps as inv - 2 (n // 2): for inv >= 1 exact, as
-        # inv - n + n % 2 is, at n past 2**53 too, and in exact types alike
-        n = math.floor(inv)
-        got, want = slow_image(inv, n), inv - n + n % 2
-        assert type(got) is type(want) and repr(got) == repr(want)
-
     def test_slow_image_on_lanes(self):
-        # both forms on float arrays against inv - n + fmod(n, 2), at n up to
+        # the out= form on float arrays against inv - n + fmod(n, 2), at n up to
         # 2**53 and past it, and at inv = inf, which natext_steps meets at x = 0
         rng = np.random.default_rng(9)
         inv = np.concatenate([
@@ -127,7 +110,6 @@ class TestFamilyCoefficients:
         n = np.floor(inv)
         with np.errstate(invalid="ignore"):
             want = inv - n + np.fmod(n, 2)
-            assert np.array_equal(slow_image(inv, n), want, equal_nan=True)
             got = slow_image(inv.copy(), n, out=np.empty_like(inv))
             assert np.array_equal(got, want, equal_nan=True)
 
