@@ -21,7 +21,7 @@ from .exactnum import Number, Surd, _canon, is_exact
 from .pet import Param
 from .renorm import (
     FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, BranchFamily, Mat2,
-    ONE, family_coefficients, middle_image, odd, slow_image,
+    ONE, family_coefficients, middle_image, slow_image,
 )
 
 LN6 = math.log(6)
@@ -86,7 +86,9 @@ def expand(x: Number, max_steps: int = 1000) -> Expansion:
     the chain's levels at x_to_param(x). A float walk keeps the rounding of
     theta + 1 at every step, which walking S(q) would skip. A walk that
     neither ends nor closes up within EXPAND_STEP_BUDGET steps raises
-    NotTerminated when more steps were asked."""
+    NotTerminated when more steps were asked, and a negative count ValueError."""
+    if max_steps < 0:
+        raise ValueError(f"depth must be at least 0, got {max_steps}")
     exact = is_exact(x)
     seen: dict = {}
     steps: list[Digit] = []
@@ -315,22 +317,17 @@ def transfer_residual(which: str, y: float) -> float:
 # -- natural extension ---------------------------------------------------
 
 
-def _mobius_y(A: Mat2, y: float) -> float:
-    """-1 / (A . (-1/y)) computed projectively."""
-    # -1/y = (-1 : y) as (p : q)
-    p, q = -1.0, y
-    p, q = A.m11 * p + A.m12 * q, A.m21 * p + A.m22 * q
-    # -1/(p/q) = -q/p
-    return -q / p
+def _mobius_y(a11, a12, a21, a22, y):
+    """(p, -1 / (A . (-1/y))) for A = (a11, a12, a21, a22), numbers or arrays:
+    (-1 : y) goes to (p : q) by A, and -q/p is the image; on numbers, p = 0 raises."""
+    p = a11 * -1.0 + a12 * y
+    q = a21 * -1.0 + a22 * y
+    return p, -q / p
 
 
 def natext_step(x: float, y: float) -> tuple[float, float]:
     st = accel(x)
-    return st.y, _mobius_y(Mat2(*st.family.A(st.n)), y)
-
-
-# Rows (slope, parity, const) by entries of A(n) by FAMILIES, off the table
-_NATEXT_COEFFICIENTS = family_coefficients("A", with_parity=True)
+    return st.y, _mobius_y(*st.family.A(st.n), y)[1]
 
 
 def natext_steps(x: np.ndarray, y: np.ndarray):
@@ -339,19 +336,16 @@ def natext_steps(x: np.ndarray, y: np.ndarray):
     or a zero projective denominator p, where the scalar step raises
     ZeroDivisionError. Elsewhere x1 and y1 are the scalar values, bit for bit.
 
-    x1 is `accel_lanes`' image. The entries of A(n), which move y, are
-    integers that float arithmetic holds exactly: below 2**53 in magnitude,
-    or, on unit branches beyond that, an even n itself. So every product and
-    sum rounds as the scalar one does with Python ints."""
+    x1 is `accel_lanes`' image. A(n), read off FAMILIES family by family, has
+    integer entries that floats hold exactly: below 2**53 in magnitude, or -n
+    on unit branches beyond that. So `_mobius_y` rounds as on Python ints."""
     with np.errstate(divide="ignore", invalid="ignore"):
         # on the skipped points and unit branches beyond 2**52 only
         f, n, x1, _ = accel_lanes(x)
-        slope, par, const = _NATEXT_COEFFICIENTS.take(f, axis=2)
-        a11, a12, a21, a22 = slope * n + par * odd(n) + const
-        # _mobius_y: -1/y as (-1 : y) through A, then -q/p
-        p = a11 * -1.0 + a12 * y
-        q = a21 * -1.0 + a22 * y
-        y1 = -q / p
+        A = np.empty((4, x.size))
+        for i, fam in enumerate(FAMILIES):
+            A[:, f == i] = np.broadcast_arrays(*fam.A(n[f == i]))
+        p, y1 = _mobius_y(*A, y)
     ok = (0 < x) & (x < 2) & (x != 1) & (p != 0)
     return x1, y1, ok
 
@@ -415,7 +409,7 @@ def fiber_integral_right(x: Fraction) -> Fraction:
 
     The antiderivative -1/(x(1+xy)) gives 1/(x(x-1)) on the negative ray
     and 1/x on the positive one; the sum is the marginal 1/(x-1)."""
-    return 1 / (x * (x - 1)) + 1 / x
+    return 1 / (x * (x - 1)) + fiber_integral_halfline(x)
 
 
 NATEXT_BATCH = 1 << 14  # sample points drawn and stepped together
@@ -438,7 +432,8 @@ NATEXT_SAMPLE_BUDGET = 30_000_000
 def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtReport:
     """Steps `samples` points of the invariant domain and counts those that
     stay in it; then checks the fiber integrals and, on 1000 more draws, that
-    the branch images are disjoint.
+    the branch images are disjoint. Each fiber integral, in Fractions, is
+    compared with the marginal density("bold_nu", x) at points of its fiber.
 
     Points are drawn one at a time from random.Random(seed) and stepped in
     batches. A point the step skips is made up by a later draw, as in a
@@ -449,19 +444,16 @@ def natural_extension_check(samples: int = 100_000, seed: int = 0) -> NatExtRepo
         raise ValueError("samples must be positive")
     check_budget(samples, NATEXT_SAMPLE_BUDGET, "samples")
     rng = random.Random(seed)
-    stayed = 0
-    done = 0
+    stayed = done = 0
     while done < samples:
         x1, y1, ok = _natext_batch(rng, min(samples - done, NATEXT_BATCH))
         done += int(np.count_nonzero(ok))
         stayed += int(np.count_nonzero(ok & in_theta_domain(x1, y1)))
-    sq = all(
-        fiber_integral_square(Fraction(k, 10)) == Fraction(1, 1) / (1 + Fraction(k, 10))
-        for k in range(1, 10)
-    )
+    sq = all(fiber_integral_square(x) == density("bold_nu", x)
+             for x in (Fraction(k, 10) for k in range(1, 10)))
     mid = all(
-        fiber_integral_halfline(x) == 1 / x
-        and fiber_integral_right(x + Fraction(1, 2)) == 1 / (x - Fraction(1, 2))
+        fiber_integral_halfline(x) == density("bold_nu", x)
+        and fiber_integral_right(r := x + Fraction(1, 2)) == density("bold_nu", r)
         for x in (Fraction(11, 10), Fraction(5, 4), Fraction(7, 5))
     )
     dch, dok = _disjointness_check(rng, 1000)
@@ -518,25 +510,23 @@ def _branch_hits(x1: np.ndarray, y1: np.ndarray, lo: int, hi: int) -> np.ndarray
     of each family. The arithmetic is the scalar one, operation by
     operation: the inverse of A(n) from its adjugate and determinant in
     int64 (exact for n below 3e9), x0 = inverse.x1, the test
-    left < x0 <= right against the ends of the branch's domain, and
-    y0 = _mobius_y(inverse, y1) on the branches that pass it, where a zero
-    projective denominator raises ZeroDivisionError as the scalar one does."""
+    left < x0 <= right against the ends of the branch's domain, and y0 =
+    `_mobius_y(*inverse, y1)` on the branches that pass it; a zero p raises
+    ZeroDivisionError as the scalar one does."""
     hits = np.zeros(x1.shape[0], dtype=np.int64)
     for fam in FAMILIES:
         n = np.arange(max(lo, fam.first), hi)
         a11, a12, a21, a22 = fam.A(n)
         det = a11 * a22 - a12 * a21
         i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
-        with np.errstate(divide="ignore", invalid="ignore"):
+        left, right = fam.ends(n)
+        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 raised below
             denom = i21 * x1 + i22
             x0 = (i11 * x1 + i12) / denom
-        left, right = fam.ends(n)
-        rows, cols = np.nonzero((denom != 0) & (left < x0) & (x0 <= right))
-        # _mobius_y: -1/y as (-1 : y), through the inverse, then -q/p
-        p = i11[cols] * -1.0 + i12[cols] * y1[rows, 0]
-        q = i21[cols] * -1.0 + i22[cols] * y1[rows, 0]
+            rows, cols = np.nonzero((denom != 0) & (left < x0) & (x0 <= right))
+            p, y0 = _mobius_y(i11[cols], i12[cols], i21[cols], i22[cols], y1[rows, 0])
         if np.any(p == 0):
             raise ZeroDivisionError("float division by zero")
-        inside = in_theta_domain(x0[rows, cols], -q / p)
+        inside = in_theta_domain(x0[rows, cols], y0)
         hits += np.bincount(rows[inside], minlength=hits.size)
     return hits

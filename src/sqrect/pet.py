@@ -174,9 +174,11 @@ ORBIT_STEP_BUDGET = 4_000_000
 
 def code_orbit(p: Param, z: Point, n: int) -> str:
     """The first n letters of the coding of z's orbit, read off `walk`. Raises
-    NotTerminated, before the first step, above ORBIT_STEP_BUDGET letters. A
-    float theta or coordinate makes the surds among them floats, converted
-    once; one beyond the float range lies outside the domain (OutOfDomain)."""
+    ValueError below 0 and NotTerminated, before the first step, above
+    ORBIT_STEP_BUDGET letters. A float theta or coordinate makes the surds among
+    them floats, converted once; one beyond the float range is OutOfDomain."""
+    if n < 0:
+        raise ValueError(f"depth must be at least 0, got {n}")
     check_budget(n, ORBIT_STEP_BUDGET, "orbit steps")
     if not all(map(is_exact, (p.theta, *z))):
         try:
@@ -306,7 +308,9 @@ SEGMENT_BUDGET = 200_000
 def discontinuity_segments(p: Param, depth: int) -> list[Rect]:
     """Segments of the union of inverse images of the boundary up to depth,
     or up to the first level that adds none. Raises NotTerminated once the
-    levels hold more than SEGMENT_BUDGET segments."""
+    levels hold more than SEGMENT_BUDGET segments, and ValueError below depth 0."""
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     level = boundary_segments(p)
     seen = dict.fromkeys(level)  # in order of insertion: the result
     for k in range(depth):

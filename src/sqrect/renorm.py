@@ -121,29 +121,24 @@ FAMILY_EDGES = np.array([UNIT.ends(UNIT.first)[1], RIGHT.ends(RIGHT.first)[0]])
 ONE, TWO = np.array(1.0), np.array(2.0)
 
 
-def family_coefficients(name: str, with_parity: bool = False) -> np.ndarray:
-    """Coefficients of the table function `name` ("gap", "A" or "M") of all
-    three families, for float kernels that step lanes of every family at
-    once: an array c of shape (terms, entries, len(FAMILIES)) with
+def family_coefficients(name: str) -> np.ndarray:
+    """Coefficients of the table function `name` ("gap" or "M") of all three
+    families, for float kernels that step lanes of every family at once: an
+    array c of shape (2, entries, len(FAMILIES)) with
 
-        FAMILIES[f].<name>(t)[i] = c[0, i, f] t + c[-1, i, f],
+        FAMILIES[f].<name>(t)[i] = c[0, i, f] t + c[1, i, f].
 
-    plus c[1, i, f] (t % 2) when `with_parity` is set. The coefficients are
-    read off the table at t = 0, 1, 2 in Python ints and checked at t = 3, 4
-    and 5; a function of another shape raises ValueError."""
+    The rows are read off the table in Python ints, the slope as g(1) - g(0),
+    and checked up to t = 5; a function of another shape, as A with its term
+    in t % 2, raises ValueError."""
     rows = []
     for fam in FAMILIES:
         fn = getattr(fam, name)
         g = [v if isinstance(v, tuple) else (v,) for v in map(fn, range(6))]
-        slope = [(b - a) // 2 for a, b in zip(g[0], g[2])]
-        par = [b - s - a for a, b, s in zip(g[0], g[1], slope)]
-        fits = all(
-            g[t] == tuple(s * t + q * (t % 2) + a for s, q, a in zip(slope, par, g[0]))
-            for t in (3, 4, 5)
-        )
-        if not fits or (any(par) and not with_parity):
+        slope = [b - a for a, b in zip(g[0], g[1])]
+        if g != [tuple(s * t + a for s, a in zip(slope, g[0])) for t in range(6)]:
             raise ValueError(f"{name} of the branch table is not of the affine form")
-        rows.append((slope, par, g[0]) if with_parity else (slope, g[0]))
+        rows.append((slope, g[0]))
     return np.array(rows, dtype=float).transpose(1, 2, 0)
 
 
@@ -232,8 +227,10 @@ def chain(p: Param) -> Iterator[Level]:
 
 def descend(p: Param, l: int, budget: int | None = None) -> tuple[list[Level], Param]:
     """The first l levels of the chain of p, and S^l(p) below them; with a
-    budget, walked through `within_budget`."""
-    # range, unlike islice, takes a depth past sys.maxsize; below 0 it is empty
+    budget, walked through `within_budget`. ValueError below depth 0."""
+    if l < 0:
+        raise ValueError(f"depth must be at least 0, got {l}")
+    # range, unlike islice, takes a depth past sys.maxsize
     levels = (level for _, level in zip(range(l), chain(p)))
     levels = list(levels if budget is None else within_budget(levels, budget))
     return levels, levels[-1].next if levels else p
@@ -432,6 +429,9 @@ def island_seed(q: Param) -> list[tuple[tuple, str]]:
 # built, 0.37-0.45 KB at the peak of `cover` (tracemalloc, 27k-70k pieces at
 # four surd parameters): about 0.45 GB at this budget, near the float one's 0.6 GB
 EXACT_PIECE_BUDGET = 1 << 20
+# letters of sigma over a cover's levels: the float fold takes a Python step
+# each, 6-9 us on a 2-core VM (unit branch 10**5, 300,002 of them, 1.8 s)
+FOLD_STEP_BUDGET = 1_000_000
 
 
 def within_budget(levels: Iterable[Level], budget: int) -> Iterator[Level]:
@@ -439,18 +439,20 @@ def within_budget(levels: Iterable[Level], budget: int) -> Iterator[Level]:
     NotTerminated once their cover passes `budget` pieces, ||P_k v||_1 with
     P_k = M_0...M_{k-1} and v the seed's letter counts (`cover_seed`), or
     its fold 2 * budget piece-steps, ||S_k v||_1 with S_{k+1} = (S_k + I) M_k
-    (the deepest surd covers admitted take 1.2-1.7 a piece). Neither count
-    falls with depth, as M(n) (1, 1) >= (1, 1) and, on the last level before
-    theta = 0, M(n) (1, 0) >= (1, 1): stopping early refuses exactly the
-    covers whose counts at full depth pass the budget."""
-    a, b, c, d = 1, 1, 0, 0  # (a, b) = (1, 1) P_k, (c, d) = (1, 1) S_k
+    (the deepest surd covers admitted take 1.2-1.7 a piece), or FOLD_STEP_BUDGET
+    steps, sum(level.times) summed. No count falls with depth, as M(n) (1, 1)
+    >= (1, 1) and, on the last level before theta = 0, M(n) (1, 0) >= (1, 1):
+    stopping early refuses exactly the covers whose counts at full depth pass."""
+    a, b, c, d, steps = 1, 1, 0, 0, 0  # (a, b) = (1, 1) P_k, (c, d) = (1, 1) S_k
     for level in levels:
         m11, m12, m21, m22 = level.M
         a, b = a * m11 + b * m21, a * m12 + b * m22
         c, d = (c + 1) * m11 + (d + 1) * m21, (c + 1) * m12 + (d + 1) * m22
+        steps += sum(level.times)
         rect = level.next.theta != 0  # the seed's rectangle, v = (1, rect)
         check_budget(a + b * rect, budget, "cover pieces")
         check_budget(c + d * rect, 2 * budget, "cover piece-steps")
+        check_budget(steps, FOLD_STEP_BUDGET, "fold steps")
         yield level
 
 

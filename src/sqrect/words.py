@@ -166,11 +166,13 @@ def tower_stats(p, l: int, prefix_len: int | None = None) -> TowerStats:
 
     alpha (beta) is the count of depth-l a-blocks (b-blocks) per letter in
     a generated prefix of the limit word, decomposed along block boundaries
-    known from generation. The prefix spans `prefix_len` letters, by default
+    known from generation. The prefix spans `prefix_len` >= 1 letters, by default
     at least 200 depth-l blocks: 200 times the entry sum of the matrix.
     """
     if l < 0:
         raise ValueError(f"depth must be at least 0, got {l}")
+    if prefix_len is not None and prefix_len < 1:
+        raise ValueError(f"prefix_len must be positive, got {prefix_len}")
     # block lengths are the column sums of the depth-l cocycle matrix;
     # the blocks themselves are never needed, and can be astronomically long
     M = Mat2.identity()

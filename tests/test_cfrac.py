@@ -732,7 +732,7 @@ def _reference_hits(x1: float, y1: float) -> int:
         x0 = (i11 * x1 + i12) / denom
         if not (lo < x0 <= hi):
             continue
-        # _mobius_y(Mat2(i11, i12, i21, i22), y1), written out
+        # _mobius_y(i11, i12, i21, i22, y1), written out
         p, q = i11 * -1.0 + i12 * y1, i21 * -1.0 + i22 * y1
         if _reference_in_domain(x0, -q / p):
             hits += 1
@@ -903,6 +903,25 @@ class TestNatextKernel:
                 assert ok[i] and (x1[i], y1[i]) == want
         assert skipped == 5
         assert natext_step(1 + 2.0**-52, 0.3)[0] == 2.0
+
+    def test_one_y_action(self, monkeypatch):
+        # the scalar step, its array form and the disjointness check each move
+        # the past coordinate by cfrac._mobius_y, and by nothing else
+        calls, mobius = [], cfrac._mobius_y
+
+        def counting(*args):
+            calls.append(args)
+            return mobius(*args)
+
+        monkeypatch.setattr(cfrac, "_mobius_y", counting)
+        rng = random.Random(7)
+        x, y = np.array([cfrac._sample_theta_domain(rng) for _ in range(50)]).T
+        x1, y1, ok = natext_steps(x, y)
+        for step in (lambda: natext_step(x[0], y[0]), lambda: natext_steps(x, y),
+                     lambda: _preimage_hits(x1[ok], y1[ok])):
+            calls.clear()
+            step()
+            assert calls
 
     def test_steps_through_a_reused_scratch(self):
         # a walk reuses one LaneScratch from step to step: accel_lanes gives

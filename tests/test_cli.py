@@ -141,13 +141,23 @@ class TestExitCodes:
             ["induction-check", "--param", "sqrt(2)-1,-1", "--trials", "-1"],
             ["induction-check", "--param", "sqrt(2)-1,-1", "--trials", "0"],
             ["tower", "--param", "sqrt(2)-1,-1", "--depth", "-1"],
+            ["expand", "--param", "sqrt(2)-1,-1", "--depth", "-1"],
+            ["orbit", "--param", "sqrt(2)-1,-1", "--point", "1/3,2/7", "--depth", "-1"],
+            ["render", "cover", "--param", "sqrt(2)-1,-1", "--depth", "-1",
+             "--px", "64", "--out", "never-written.ppm"],
+            ["render", "discontinuities", "--param", "sqrt(2)-1,-1", "--depth", "-1",
+             "--px", "64", "--out", "never-written.ppm"],
+            ["tower", "--param", "sqrt(2)-1,-1", "--prefix-len", "0"],
+            ["tower", "--param", "sqrt(2)-1,-1", "--prefix-len", "-5"],
         ],
     )
-    def test_vacuous_certificate_is_two(self, capsys, argv):
-        # no sample, or a negative depth, would certify nothing
+    def test_vacuous_certificate_is_two(self, capsys, tmp_path, monkeypatch, argv):
+        # no sample, a negative depth or an empty prefix would certify nothing
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

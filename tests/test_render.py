@@ -1,6 +1,7 @@
 import gzip
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -350,6 +351,21 @@ class TestCover:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    def test_fold_steps_checked_before_allocating(self):
+        # the fold takes one step a letter of sigma: unit branch 2,000,000 at
+        # depth 1 has 6,000,002 letters, about a minute of folding, for pieces
+        # under both piece budgets; refused at once. Branch 100,000 (300,002) passes
+        descend(Param(Fraction(1, 100_000), -1), 1, COVER_PIECE_BUDGET)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NotTerminated, match="6000002 fold steps"):
+                render_cover(Param(Fraction(1, 2_000_000), -1), 1, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0 and peak < 100_000
 
     def test_cover_nests_inside_coarser_cover(self):
         p = Param(SQRT2M1, -1)

@@ -60,19 +60,14 @@ params = st.builds(
 
 
 class TestFamilyCoefficients:
-    @pytest.mark.parametrize(
-        "name, with_parity", [("gap", False), ("M", False), ("A", True)]
-    )
-    def test_reproduces_the_table(self, name, with_parity):
+    @pytest.mark.parametrize("name", ["gap", "M"])
+    def test_reproduces_the_table(self, name):
         # in Python ints, at indices up to 2**51 as well as small ones
-        slope, *par, const = family_coefficients(name, with_parity).astype(int).tolist()
+        slope, const = family_coefficients(name).astype(int).tolist()
         for f, fam in enumerate(FAMILIES):
             for t in (0, 1, 2, 5, 6, 999, 1000, 2**40 + 1, 2**51):
                 want = getattr(fam, name)(t)
-                got = [
-                    s[f] * t + (par[0][i][f] * (t % 2) if par else 0) + c[f]
-                    for i, (s, c) in enumerate(zip(slope, const))
-                ]
+                got = [s[f] * t + c[f] for s, c in zip(slope, const)]
                 assert got == list(want if isinstance(want, tuple) else (want,))
 
     def test_rejects_other_shapes(self):
@@ -976,8 +971,9 @@ class TestCover:
     @example(Param(Fraction(1, 7), 1), 40)  # right 1 five times, right 2, theta = 0
     def test_descent_counts_its_cover_as_it_walks(self, p, l):
         # each check of within_budget against the oracle: the pieces of the
-        # cover down to that level, and the work of the fold, the pieces of
-        # all its stages. The descent stops where the chain reaches 0
+        # cover down to that level, the work of the fold, the pieces of all
+        # its stages, and the fold's steps. The descent stops where the chain
+        # reaches 0
         levels, last, counts = [], p, []
         while len(levels) < l and last.theta != 0:
             levels.append(Level(last))
@@ -986,11 +982,14 @@ class TestCover:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(renorm, "check_budget", lambda count, *_: counts.append(count))
             assert descend(p, depth, 1) == (levels, last)
-        pieces, work = counts[::2], counts[1::2]
+        pieces, work, steps = counts[::3], counts[1::3], counts[2::3]
         assert pieces == [piece_count(levels[:k], levels[k - 1].next)
                           for k in range(1, depth + 1)]
         assert work == [sum(piece_count(levels[i:k], levels[k - 1].next) for i in range(k))
                         for k in range(1, depth + 1)]
+        # the fold's steps, one a letter of each level's substitution images
+        assert steps == [sum(len(a + b) for a, b in (lv.sigma for lv in levels[:k]))
+                         for k in range(1, depth + 1)]
         assert pieces == sorted(pieces) and work == sorted(work)
         # at the least budget that admits both counts the cover is made, one
         # below it refused
@@ -1076,12 +1075,13 @@ class TestChain:
         induction_verify(Param(SQRT2M1, -1), samples=20)
         assert len(built) == 1
 
-    def test_negative_depth_is_depth_zero(self, built):
+    def test_negative_depth_is_refused(self, built):
+        # a depth below 0 covers nothing: refused before any level is made
         p = Param(SQRT2M1, -1)
-        _assert_same_cover(cover(p, -1), cover(p, 0))
-        assert all(
-            np.array_equal(a, b) for a, b in zip(cover_arrays(p, -2), cover_arrays(p, 0))
-        )
+        for call in (lambda: cover(p, -1), lambda: cover_arrays(p, -2),
+                     lambda: descend(p, -1, EXACT_PIECE_BUDGET)):
+            with pytest.raises(ValueError, match="depth must be at least 0"):
+                call()
         assert period_sequence(p, -1) == [] and built == []
 
     @pytest.mark.parametrize("call", [
