@@ -124,69 +124,82 @@ def radius_sequence(p: Param, l: int) -> list[float]:
 # -- covers as flat arrays -----------------------------------------------
 
 
-PIECE_BUDGET = 1 << 24  # float cover pieces, about 0.6 GB of arrays
+PIECE_BUDGET = 1 << 24  # float cover pieces, 0.6 GB at the fold's and box_count's peaks
+TURNS = (np.uint8([0, 1, 2]), np.uint8([0, 2, 1]))  # kinds after a step from 'b', from 'a'
 
 
 def _fold(levels, arrays):
-    """`renorm.cover_level` for each of levels, deepest first, on arrays
-    (x, y, w, h, is_square, letter == 'a'), one block per letter: the blocks,
-    copies, go out letter by letter, step by step of their return orbit,
-    into one set of arrays sized from the letter counts (sigma(a) has m11
-    a's and m21 b's). Each pull and push writes its step (`out=`) straight
-    into the slices after the step yielded last, so a level allocates only
-    its blocks, and the arrays passed in are only read. The blocks are pairs
-    in the given-values frame (1, 0, theta, 0), every sqrt(d) part 0."""
-    n_a, n_b = (np.count_nonzero(s) for s in (arrays[5], ~arrays[5]))
+    """`renorm.cover_level` for each of levels, deepest first, on a cover
+    (x, y, kind, size, letter == 'a'), one block per letter: the blocks,
+    copies of (x, y, kind), go out letter by letter, step by step of their
+    return orbit, into one set of arrays sized from the letter counts
+    (sigma(a) has m11 a's and m21 b's). Each pull and push writes its step
+    (`out=`) straight into the slices after the step yielded last, so a level
+    allocates only its blocks: x and y in the given-values frame (1, 0,
+    theta, 0), every sqrt(d) part 0, after a push has gathered there the h
+    (and w) it reads from size, which psi^-1 scales once a level. The
+    arrays passed in are only read."""
+    n_a, n_b = (np.count_nonzero(s) for s in (arrays[4], ~arrays[4]))
     for m11, m12, m21, m22 in (level.M for level in reversed(levels)):
         n_a, n_b = m11 * n_a + m12 * n_b, m21 * n_a + m22 * n_b
-    rects = [np.empty(n_a + n_b) for _ in range(4)]  # x, y, w, h
-    tags = np.empty((2, n_a + n_b), bool)  # is_square, letter == 'a'
+    out = [np.empty(n_a + n_b, t) for t in (float, float, np.uint8, bool)]
     for level in reversed(levels):
-        x, y, w, h, sq, side = arrays
-        blocks = [
-            ((x[m], 0, y[m], 0, w[m], 0, h[m], 0), sq[m], letter)
-            for m, letter in ((side, "a"), (~side, "b"))
-        ]
-        (t_a, t_b), (n_a, n_b) = level.times, (s.size for _, s, _ in blocks)
+        x, y, kind, size, side = arrays
+        blocks = [((x[m], y[m], kind[m]), None, letter)
+                  for m, letter in ((side, "a"), (~side, "b"))]
+        (t_a, t_b), (n_a, n_b) = level.times, (r[2].size for r, _, _ in blocks)
         n = t_a * n_a + t_b * n_b
-        arrays = (*(o[:n] for o in rects), *tags[:, :n])
-        hi = 0
         theta, eps = (1, 0, float(level.q.theta), 0), level.q.eps
-        # the slice of a step's rect r, from hi, the end of the step yielded last
-        at = lambda r: [o[hi : hi + r[0].size] for o in rects]
-        pull = lambda *r: psi_inverse_ints(theta, eps, 1, *r, out=at(r))
-        push = lambda c, *r: rect_branch_ints(theta, eps, c, *r, out=at(r))
-        for _, s, letter in cover_level(level, pull, push, blocks):
-            lo, hi = hi, hi + s.size
-            tags[0, lo:hi], tags[1, lo:hi] = s, letter == "a"
+        w, h = size.T
+        size = np.column_stack(psi_inverse_ints(theta, eps, 1, 0, 0, 0, 0, w, 0, h, 0)[4::2])
+        arrays = (*(o[:n] for o in out[:3]), size, out[3][:n])
+        hi = 0
+        at = lambda k: [o[hi : hi + k.size] for o in out[:3]]
+
+        def pull(x, y, k):
+            *xy, kinds = at(k)
+            kinds[...] = k
+            return (*psi_inverse_ints(theta, eps, 1, x, 0, y, 0, out=xy), kinds)
+
+        def push(c, x, y, k):
+            *xy, kinds = at(k)
+            h = size[:, 1].take(k, out=xy[c == "b"], mode="clip")
+            w = size[:, 0].take(k, out=xy[1], mode="clip") if c == "a" and eps == 1 else 0
+            TURNS[c == "a"].take(k, out=kinds, mode="clip")
+            return (*rect_branch_ints(theta, eps, c, x, 0, y, 0, w, 0, h, 0, out=xy), kinds)
+
+        for r, _, letter in cover_level(level, pull, push, blocks):
+            lo, hi = hi, hi + r[2].size
+            out[3][lo:hi] = letter == "a"
         del blocks  # before the next level's copies are made
     return arrays
 
 
 def _cover(levels, q):
-    """The cover over levels down to q as arrays (x, y, w, h, is_square,
-    letter == 'a'); its callers check the levels against PIECE_BUDGET."""
+    """The cover over levels down to q as (x, y, kind, size, letter == 'a');
+    its callers check the levels against PIECE_BUDGET."""
     seed = cover_seed(q.theta)
     # the lattice rows i + j*theta at the float theta: i, j are 0 or 1, so exact
     rows = np.array([r for r, _ in seed], dtype=float)
-    rects = (rows[:, ::2] + rows[:, 1::2] * float(q.theta)).T
+    x, y, w, h = (rows[:, ::2] + rows[:, 1::2] * float(q.theta)).T
+    size = np.array([(w[0], h[0]), (w[-1], h[-1]), (h[-1], w[-1])])
     letters = np.array([letter == "a" for _, letter in seed])
-    return _fold(levels, (*rects, letters, letters))
+    return _fold(levels, (x, y, np.arange(x.size, dtype=np.uint8), size, letters))
 
 
 def cover_arrays(p: Param, l: int, budget: int | None = None):
-    """Depth-l cover as float arrays (x, y, w, h, is_square); NotTerminated above
-    `budget` pieces (`renorm.within_budget`), before any array. By default the
-    budget is PIECE_BUDGET as it stands at the call, not at import."""
-    return _cover(*descend(p, l, PIECE_BUDGET if budget is None else budget))[:5]
+    """Depth-l cover (x, y, kind, size): piece i at (x[i], y[i]) of (w, h)
+    size[kind[i]], the square at kind 0. NotTerminated above `budget` pieces
+    (`renorm.within_budget`), before any array; PIECE_BUDGET, read at the call."""
+    return _cover(*descend(p, l, PIECE_BUDGET if budget is None else budget))[:4]
 
 
 BOX_CHUNK = 1 << 22  # pieces keyed at once by box_count
 BOX_BLOCK = 1 << 16  # pieces floored, or keys counted, at once by the box coder
 DEEP_PIECES = 1 << 18  # at most this many pieces expanded at once by box_count_deep
 DEEP_BUCKETS = 256  # column ranges that _count_chunks sorts one at a time
-# depth-l pieces of box_count_deep, about 0.56 GB: at the natural radius, 5.6 bytes
-# and 80 ns a piece (silver mean, depth 12: 63.2M pieces, 353 MB traced, 5 s, 2-core VM)
+# depth-l pieces of box_count_deep, about 0.53 GB: at the natural radius, 5.3 bytes
+# and 80 ns a piece (silver mean, depth 12: 63.2M pieces, 336 MB traced, 5 s, 2-core VM)
 DEEP_BUDGET = 100_000_000
 
 
@@ -220,12 +233,12 @@ def _window(arrays, r: float, pad: int = 0) -> _Window:
     corners are the cells of the least x and y and of the greatest x + w
     and y + h: nothing is floored. ValueError if a cell index reaches 2**51
     or the window 2**63 cells."""
-    x, y, w, h = arrays[:4]
+    x, y, kind, size = arrays[:4]
     blocks = [slice(lo, lo + BOX_BLOCK) for lo in range(0, x.size, BOX_BLOCK)]
     with np.errstate(over="ignore"):  # refused below
         # the greatest x + w and y + h, a block at a time; np.max keeps a NaN
-        ends = [np.max([np.max(a[s] + b[s]) for s in blocks])
-                for a, b in ((x, w), (y, h))]
+        ends = [np.max([np.max(a[s] + size[:, i].take(kind[s], mode="clip"))
+                        for s in blocks]) for a, i in ((x, 0), (y, 1))]
         corners = np.array([x.min(), y.min(), *ends])
         low, high = (corners[:2] + 1e-12) / r, (corners[2:] - 1e-12) / r
     if (high < low - 1).any() and np.isfinite(corners).all():
@@ -250,18 +263,16 @@ def _keys(arrays, r: float, window: _Window) -> np.ndarray:
     largest sx (ix0 + min(dx, sx) at dx <= 1) it emits a key for each pair
     of rows iy0 + 2k, 2k <= sy: 2 keys a rectangle where the block's spans
     are at most 1, into one array of that size, grown only past it."""
-    n, dt = arrays[0].size, window.dtype
+    n, dt, size = arrays[0].size, window.dtype, arrays[3]
     two, four, col = dt.type(2), dt.type(4), dt.type(2 * window.ny)
     keys, hi = np.empty(2 * n, dt), 0
-    scratch = np.empty((4, size := -(-n // -(-n // BOX_BLOCK))))
-    for lo in range(0, n, size):
-        x, y, w, h = (a[lo : lo + size] for a in arrays[:4])
-        cells = scratch[:, : x.size]
-        ix0, sx, iy0, sy = cells
-        np.add(x, 1e-12, out=ix0)
-        np.add(x, w, out=sx)
-        np.add(y, 1e-12, out=iy0)
-        np.add(y, h, out=sy)
+    scratch = np.empty((4, block := -(-n // -(-n // BOX_BLOCK))))
+    for lo in range(0, n, block):
+        x, y, kind = (a[lo : lo + block] for a in arrays[:3])
+        ix0, sx, iy0, sy = cells = scratch[:, : x.size]
+        for a, i, start, end in ((x, 0, ix0, sx), (y, 1, iy0, sy)):
+            np.add(a, 1e-12, out=start)
+            np.add(a, size[:, i].take(kind, out=end, mode="clip"), out=end)
         cells[1::2] -= 1e-12
         with np.errstate(over="ignore"):  # only past a far negative w or h: no cell
             cells /= r
@@ -328,7 +339,8 @@ def _subtrees(levels, base, budget: int):
     growth = math.prod(max(level.times) for level in levels)
     chunk = max(1, budget // growth)
     for lo in range(0, base[0].size, chunk):
-        yield _fold(levels, tuple(a[lo : lo + chunk] for a in base))
+        s = slice(lo, lo + chunk)
+        yield _fold(levels, (*(a[s] for a in base[:3]), base[3], base[4][s]))
 
 
 def _count_chunks(chunks, r: float, window: _Window) -> int:
@@ -349,7 +361,9 @@ def _count_chunks(chunks, r: float, window: _Window) -> int:
             raise RuntimeError("the rectangles leave the cell window of the count")
         ix = window.ix + (first := (own.ix - window.ix) // width) * width
         sub = window._replace(ix=ix, nx=own.ix + own.nx - ix)
-        keys = _compact(_keys(part, r, sub))
+        keys = _keys(part, r, sub)
+        del part  # before the keys are compacted and the next chunk folded
+        keys = _compact(keys)
         starts = range(0, 2 * sub.nx * sub.ny, 2 * width * sub.ny)
         parts = np.split(keys, np.searchsorted(keys, np.array(starts[1:], sub.dtype)))
         for runs, start, run in zip(buckets[first:], starts, parts):
@@ -367,9 +381,10 @@ def _count_chunks(chunks, r: float, window: _Window) -> int:
 
 def box_count(arrays, r: float) -> int:
     """Number of side-r grid boxes meeting at least one of the rectangles
-    (x, y, w, h, ...) of arrays, computed from their extents. Exact for
-    any finite rectangles, wherever they lie; ValueError if a cell index
-    reaches 2**51 or the rectangles span 2**63 cells or more.
+    of a cover (x, y, kind, size, ...) (`cover_arrays`), computed from their
+    extents; any n rectangles are (x, y, np.arange(n), np.column_stack((w,
+    h))). Exact for any finite rectangles, wherever they lie; ValueError if
+    a cell index reaches 2**51 or the rectangles span 2**63 cells or more.
 
     The window of cells the rectangles span comes from their extremes
     (`_window`). Each rectangle is floored once and emits a key, a run of
@@ -381,15 +396,14 @@ def box_count(arrays, r: float) -> int:
     per piece at 832,040 pieces."""
     if r <= 0:
         raise ValueError("box side must be positive")
-    arrays = arrays[:4]
-    n = arrays[0].size
-    window = _window(arrays, r) if n else _Window(0, 0, 0, 0)
+    x, y, kind, size = arrays[:4]
+    window = _window(arrays, r) if x.size else _Window(0, 0, 0, 0)
     if not window.nx * window.ny:
         return 0
-    if n <= BOX_CHUNK:
+    if x.size <= BOX_CHUNK:
         return _run_count(_keys(arrays, r, window))
-    chunks = (tuple(a[lo : lo + BOX_CHUNK] for a in arrays)
-              for lo in range(0, n, BOX_CHUNK))
+    chunks = ((x[s], y[s], kind[s], size) for s in
+              (slice(lo, lo + BOX_CHUNK) for lo in range(0, x.size, BOX_CHUNK)))
     return _count_chunks(chunks, r, window)
 
 

@@ -108,14 +108,16 @@ def _lift(values) -> tuple:
 
 
 def _steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
-    """k steps from (x, y) in a frame (R, d, wa, wb, flip, value) of pairs
-    (a, b) meaning (a + b*sqrt(d))/R, with 1 + theta as (wa, wb) and value(a,
+    """k steps from (x, y) in a frame (R, d, wa, wb, flip, value, exact) of
+    pairs (a, b) meaning (a + b*sqrt(d))/R, 1 + theta as (wa, wb), value(a,
     b) the number of a pair. Given values (R = 1, d = 0, every b 0) are
     compared, never subtracted, so a huge int meets a float. Returns the
     point; `letters` gets its letters, k + 1 when all k steps are taken. A
     point that leaves the open pieces earlier raises OnDiscontinuity on the
-    closed domain and OutOfDomain off it."""
-    R, d, wa, wb, flip, value = frame
+    closed domain and OutOfDomain off it. Past the first step an exact
+    orbit is in the open domain, the image of the open pieces, and tested
+    only at x = 1; given values can round onto its edge."""
+    R, d, wa, wb, flip, value, exact = frame
     for i in range(k + (letters is not None)):
         cx = (-1 if xa < R else 1 if R < xa else 0) if not xb else _sign(xa - R, xb, d)
         if letters is not None:
@@ -124,13 +126,14 @@ def _steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
             letters.append("a" if cx < 0 else "b")
             if i == k:
                 break
-        if (0 < ya < R) if not yb else _sign(ya, yb, d) > 0 > _sign(ya - R, yb, d):
-            if cx < 0 and (0 < xa if not xb else _sign(xa, xb, d) > 0):  # the square
+        inside = exact and i
+        if inside or ((0 < ya < R) if not yb else _sign(ya, yb, d) > 0 > _sign(ya - R, yb, d)):
+            if cx < 0 and (inside or (0 < xa if not xb else _sign(xa, xb, d) > 0)):  # the square
                 if flip:
                     xa, xb = R - xa, -xb
                 xa, xb, ya, yb = wa - ya, wb - yb, xa, xb  # onto the right
                 continue
-            if cx > 0 and (xa < wa if xb == wb else _sign(xa - wa, xb - wb, d) < 0):
+            if cx > 0 and (inside or (xa < wa if xb == wb else _sign(xa - wa, xb - wb, d) < 0)):
                 xa, ya, yb = xa - R, R - ya, -yb  # the rectangle, back
                 continue
         x, y = value(xa, xb), value(ya, yb)
@@ -157,7 +160,7 @@ def walk(p: Param, z: Point, k: int, letters: list | None = None) -> Point:
         value = lambda a, b: _canon(a, b, R, d) if b or tb else Fraction(a, R)
     else:
         value = lambda a, b: a
-    frame = (R, d, R + ta, tb, p.eps == 1, value)
+    frame = (R, d, R + ta, tb, p.eps == 1, value, exact)
     xa, xb, ya, yb = _steps(frame, xa, xb, ya, yb, k, letters)
     return Point(value(xa, xb), value(ya, yb)) if k > 0 else z
 
@@ -201,7 +204,7 @@ def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
     theta as (T, d, ta, tb), meaning (ta + tb*sqrt(d))/T, and x, y, w and h
     as pairs (a, b) over R; the image (x, y, w, h) as pairs over T*R. Floats
     and numpy float arrays take the given-values frame (1, 0, theta, 0); there
-    arrays `out` (x, y, w, h) take the a parts in place, each b part 0."""
+    arrays `out` (x, y) take the a parts of x and y, each b part 0."""
     T, d, ta, tb = theta
     if eps == -1:  # (theta*y, theta*x, theta*h, theta*w)
         ma, mb, oa, ob = ta, tb, 0, 0
@@ -209,11 +212,11 @@ def psi_inverse_ints(theta: tuple, eps: int, R: int, xa, xb, ya, yb,
     else:  # (s*x, theta + s*y, s*w, s*h) with s = 1 - theta
         ma, mb, oa, ob = T - ta, -tb, ta * R, tb * R
     if out is not None:
-        for o, a in zip(out, (xa, ya, wa, ha)):
+        for o, a in zip(out, (xa, ya)):
             o[...] = a
             o *= ma
         out[1] += oa
-        return out[0], 0, out[1], 0, out[2], 0, out[3], 0
+        return out
     if not d:  # no sqrt(d) part, as (a + b*sqrt(0))/R is a/R
         return ma * xa, 0, oa + ma * ya, 0, ma * wa, 0, ma * ha, 0
     return (
@@ -240,6 +243,8 @@ def islands(p: Param, max_period: int) -> list[Cell]:
     made, at the level where the periods summed so far pass it."""
     from .renorm import island_seed, lift_blocks, seed_periods
 
+    if max_period < 1:  # no period is below 1: an empty list would certify nothing
+        raise ValueError(f"max period must be at least 1, got {max_period}")
     if not is_exact(p.theta):
         raise ValueError("island enumeration needs an exact parameter")
     # depth of renormalization needed: any orbit pulled up from below level

@@ -17,13 +17,13 @@ from .errors import check_budget
 from .pet import Param, discontinuity_segments, islands
 
 # Bytes of one image (3 per pixel), checked before it is allocated. A render
-# peaks at up to about 62 bytes per pixel (render_cover of a depth-0 cover,
+# peaks at up to about 60 bytes per pixel (render_cover of a depth-0 cover,
 # whose two pieces cover every pixel, by tracemalloc), so this is about 0.6 GB
 # at the peak: px 3,760 at the silver mean.
 RASTER_BUDGET = 30_000_000
-# Cover pieces of a render: each adds about 82 bytes to its peak (its cover
+# Cover pieces of a render: each adds about 65 bytes to its peak (its cover
 # arrays, their right and top edges and four float bounds, by tracemalloc at
-# 0.83M and 3.5M pieces), so about 0.57 GB here, as RASTER_BUDGET aims at
+# 0.83M and 3.5M pieces), so about 0.46 GB here, within RASTER_BUDGET's 0.6 GB
 COVER_PIECE_BUDGET = 7_000_000
 
 PALETTE = {
@@ -170,8 +170,9 @@ def render_cover(p: Param, l: int, px: int) -> Image:
     from .fractal import cover_arrays
 
     img = Image.for_domain(float(p.width), px)
-    x, y, w, h, sq = cover_arrays(p, l, COVER_PIECE_BUDGET)
-    c0, c1, r0, r1 = img.pixel_bounds(x, x + w, y, y + h)
+    x, y, kind, size = cover_arrays(p, l, COVER_PIECE_BUDGET)
+    c0, c1, r0, r1 = img.pixel_bounds(x, x + size[:, 0].take(kind, mode="clip"),
+                                      y, y + size[:, 1].take(kind, mode="clip"))
     keep = np.flatnonzero((c0 < c1) & (r0 < r1))
     c0, c1, r0, r1 = (a[keep].astype(np.int64) for a in (c0, c1, r0, r1))
     ncols = c1 - c0
@@ -185,9 +186,9 @@ def render_cover(p: Param, l: int, px: int) -> Image:
     owner = np.full(img.width * img.height, -1, dtype=np.int64)
     np.maximum.at(owner, flat, piece)
     painted = np.flatnonzero(owner >= 0)
-    colors = np.array(
-        [PALETTE["cover_rectangle"], PALETTE["cover_square"]], dtype=np.uint8
+    colors = np.array(  # by kind: 0 the square, any other a rectangle
+        [PALETTE["cover_square"], PALETTE["cover_rectangle"]], dtype=np.uint8
     )
-    img.pixels.reshape(-1, 3)[painted] = colors[sq[keep][owner[painted]].astype(np.intp)]
+    img.pixels.reshape(-1, 3)[painted] = colors[np.minimum(kind[keep][owner[painted]], 1)]
     return img
 

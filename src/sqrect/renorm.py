@@ -310,8 +310,8 @@ def induction_verify(p: Param, samples: int = 10_000, seed: int = 0) -> VerifyRe
     D = _DEN if exact else 1
     F, pull = R * D, partial(psi_inverse_ints, (R, d, ta, tb), p.eps)
     value = (lambda a, b: _canon(a, b, F, d)) if exact else (lambda a, b: a)
-    fp = (F, d, F + ta * D, tb * D, p.eps == 1, value)
-    fq = (F, d, F + ua * D, ub * D, q.eps == 1, value)
+    fp = (F, d, F + ta * D, tb * D, p.eps == 1, value, exact)
+    fq = (F, d, F + ua * D, ub * D, q.eps == 1, value, exact)
     rng, width = random.Random(seed), float(1 + q.theta)
     resampled, max_err, done = 0, 0.0, 0
     while done < samples:
@@ -375,10 +375,11 @@ def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha,
     `pet.psi_inverse_ints`' frame: theta as (R, d, ta, tb) and x, y, w, h as
     pairs (a, b) meaning (a + b*sqrt(d))/R, or a + b*theta in (1, 0, 0, 1).
     In the given-values frame (1, 0, theta, 0) of float arrays, arrays `out`
-    (x, y, w, h) take the a parts, each b part 0."""
+    (x, y) take the a parts of x and y, each b part 0; w and h may be read
+    from out's own arrays, each from the one it alone makes."""
     R, _, ta, tb = theta
     if out is not None:
-        x, y, w, h = out
+        x, y = out
         if letter == "b":
             np.subtract(xa, R, x)
             np.subtract(R, np.add(ya, ha, y), y)
@@ -388,8 +389,7 @@ def rect_branch_ints(theta: tuple, eps: int, letter, xa, xb, ya, yb, wa, wb, ha,
                 y[...] = xa
             else:
                 np.subtract(R, np.add(xa, wa, y), y)
-        w[...], h[...] = (wa, ha) if letter == "b" else (ha, wa)
-        return x, 0, y, 0, w, 0, h, 0
+        return out
     if letter == "b":
         return xa - R, xb, R - (ya + ha), -(yb + hb), wa, wb, ha, hb
     if eps == -1:

@@ -1,10 +1,15 @@
 """The similitude psi^-1 and the rectangle step of the map on plain numbers:
 exact numbers, floats or numpy float arrays alike. The oracles of the pair
 forms `pet.psi_inverse_ints` and `renorm.rect_branch_ints`, which the
-library runs on every frame; a seed row of lattice pairs as numbers; and
+library runs on every frame; the map's loop testing every piece edge at
+every step, exact frames and float ones alike, the oracle of `pet._steps`,
+which tests an exact orbit only at x = 1 past its first step; a seed row of lattice pairs as numbers; and
 the discontinuity set built from oriented segments, with the inverse map
 written once per orientation, the oracle of `pet.discontinuity_segments`;
 the piece count of a cover, the oracle of `renorm.within_budget`; the
+float cover level on whole arrays (x, y, w, h, is_square, letter == 'a'),
+letter by letter, with its own parameter chain, the oracle of the compact
+cover of `fractal._fold` and `fractal.cover_arrays`; the
 accelerated step on float lanes as it was first vectorised, the oracle of
 `cfrac.accel_lanes`; the Monte-Carlo lanes stepped one step at a time by
 it, the oracle of the blocked walk `lyap._lane_blocks`; and the certified
@@ -17,7 +22,9 @@ import numpy as np
 
 from sqrect.cfrac import _GAP_COEFFICIENTS
 from sqrect.lyap import _M_COEFFICIENTS, _PREDECESSORS, _blocks, _sanitize
-from sqrect.renorm import FAMILIES, FAMILY_EDGES, MIDDLE
+from sqrect.errors import OnDiscontinuity, OutOfDomain
+from sqrect.pet import Param, _sign
+from sqrect.renorm import FAMILIES, FAMILY_EDGES, MIDDLE, RIGHT, UNIT, cover_seed
 
 
 def piece_count(levels, q) -> int:
@@ -28,6 +35,38 @@ def piece_count(levels, q) -> int:
     for level in reversed(levels):
         v = level.M.apply(v)
     return sum(v)
+
+
+def steps(frame: tuple, xa, xb, ya, yb, k: int, letters: list | None = None):
+    """`pet._steps` with every test at every step: k steps from (x, y) in a
+    frame (R, d, wa, wb, flip, value, ...) of pairs (a, b) meaning
+    (a + b*sqrt(d))/R, 1 + theta as (wa, wb)."""
+    R, d, wa, wb, flip, value = frame[:6]
+    for i in range(k + (letters is not None)):
+        cx = (-1 if xa < R else 1 if R < xa else 0) if not xb else _sign(xa - R, xb, d)
+        if letters is not None:
+            if xa == R and not xb:
+                raise OnDiscontinuity("x = 1 is uncoded", step=i)
+            letters.append("a" if cx < 0 else "b")
+            if i == k:
+                break
+        if (0 < ya < R) if not yb else _sign(ya, yb, d) > 0 > _sign(ya - R, yb, d):
+            if cx < 0 and (0 < xa if not xb else _sign(xa, xb, d) > 0):  # the square
+                if flip:
+                    xa, xb = R - xa, -xb
+                xa, xb, ya, yb = wa - ya, wb - yb, xa, xb  # onto the right
+                continue
+            if cx > 0 and (xa < wa if xb == wb else _sign(xa - wa, xb - wb, d) < 0):
+                xa, ya, yb = xa - R, R - ya, -yb  # the rectangle, back
+                continue
+        x, y = value(xa, xb), value(ya, yb)
+        if 0 <= x <= value(wa, wb) and 0 <= y <= 1:
+            raise OnDiscontinuity(
+                f"({x}, {y}) lies on the discontinuity set",
+                step=None if letters is None else i,
+            )
+        raise OutOfDomain(f"({x}, {y}) outside the domain")
+    return xa, xb, ya, yb
 
 
 def seed_values(theta, row):
@@ -52,6 +91,59 @@ def rect_branch(theta, eps: int, letter: str, x, y, w, h):
     if letter == "b":
         return x - 1, 1 - (y + h), w, h
     return 1 + theta - (y + h), x if eps == -1 else 1 - (x + w), h, w
+
+
+# The parameter chain and substitutions as they were written before
+# `renorm.Level`, each working out f(theta) and 1/f again.
+def n_omega(p):
+    return math.floor(1 / p.f(p.theta))
+
+
+def substitution(p):
+    return (UNIT if p.eps == -1 else RIGHT).sigma(n_omega(p))
+
+
+def param_chain(p, l):
+    params = [p]
+    for _ in range(l):
+        q = params[-1]
+        n = n_omega(q)
+        params.append(Param(1 / q.f(q.theta) - n, -1 if n % 2 == 0 else 1))
+    return params
+
+
+def fold(qs, arrays):
+    """The float cover level as it was written beside `renorm.cover_level`,
+    on whole arrays (x, y, w, h, is_square, letter == 'a'), letter by letter,
+    for each parameter of qs, deepest first."""
+    for q in reversed(qs):
+        x, y, w, h, sq, side = arrays
+        th = float(q.theta)
+        sigma = substitution(q)
+        x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
+        groups = ((sigma[0], side), (sigma[1], ~side))
+        size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
+        arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
+        hi = 0
+        for word, mask in groups:
+            rect, s = tuple(a[mask] for a in (x, y, w, h)), sq[mask]
+            for i, letter in enumerate(word):
+                if i:
+                    rect = rect_branch(th, q.eps, word[i - 1], *rect)
+                lo, hi = hi, hi + s.size
+                for o, a in zip(arrays, (*rect, s, letter == "a")):
+                    o[lo:hi] = a
+    return arrays
+
+
+def cover_arrays(p, l):
+    """The depth-l cover of p as the six arrays of `fold`."""
+    params = param_chain(p, l)
+    th = float(params[-1].theta)
+    seed = cover_seed(th)
+    rects = np.array([seed_values(th, r) for r, _ in seed], dtype=float).T
+    letters = np.array([letter == "a" for _, letter in seed])
+    return fold(params[:-1], (*rects, letters, letters))
 
 
 def _segment_pullback(theta, eps: int, s: tuple) -> list:

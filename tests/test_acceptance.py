@@ -316,10 +316,8 @@ def test_criterion_10_structural():
     from sqrect.fractal import cover_arrays
 
     for l in (2, 5, 8):
-        arrays = cover_arrays(p, l)
-        assert float(max(arrays[2].max(), arrays[3].max())) <= radii[l - 1] * (
-            1 + 1e-9
-        )
+        x, y, kind, size = cover_arrays(p, l)
+        assert float(size[kind].max()) <= radii[l - 1] * (1 + 1e-9)
     for l in (4, 8, 12):
         M, _ = cocycle_product(p, l - 1)
         n_pieces = sum(M.apply((1, 1)))

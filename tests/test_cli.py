@@ -149,10 +149,13 @@ class TestExitCodes:
              "--px", "64", "--out", "never-written.ppm"],
             ["tower", "--param", "sqrt(2)-1,-1", "--prefix-len", "0"],
             ["tower", "--param", "sqrt(2)-1,-1", "--prefix-len", "-5"],
+            ["islands", "--param", "sqrt(2)-1,-1", "--max-period", "0"],
+            ["islands", "--param", "sqrt(2)-1,-1", "--max-period", "-1"],
         ],
     )
     def test_vacuous_certificate_is_two(self, capsys, tmp_path, monkeypatch, argv):
-        # no sample, a negative depth or an empty prefix would certify nothing
+        # no sample, a negative depth, an empty prefix or a period bound
+        # below 1 would certify nothing
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

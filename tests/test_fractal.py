@@ -12,8 +12,6 @@ from sqrect.errors import Degenerate, NotTerminated
 from sqrect.exactnum import make_surd, parse_number
 from sqrect.pet import Param
 from sqrect.renorm import (
-    RIGHT,
-    UNIT,
     Level,
     cover,
     cover_seed,
@@ -41,7 +39,7 @@ from sqrect.fractal import (
     selfsimilar_dimension,
     selfsimilar_parameter,
 )
-from oracle_maps import piece_count, psi_inverse, rect_branch, seed_values
+from oracle_maps import cover_arrays as oracle_cover_arrays, piece_count
 from test_pet import exact_params
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -162,61 +160,36 @@ FOLD_PARAMS = [
 ]
 
 
-# The parameter chain and substitutions as they were written before
-# `renorm.Level`, each working out f(theta) and 1/f again.
-def n_omega(p):
-    return math.floor(1 / p.f(p.theta))
-
-
-def substitution(p):
-    return (UNIT if p.eps == -1 else RIGHT).sigma(n_omega(p))
-
-
-def param_chain(p, l):
-    params = [p]
-    for _ in range(l):
-        q = params[-1]
-        n = n_omega(q)
-        params.append(Param(1 / q.f(q.theta) - n, -1 if n % 2 == 0 else 1))
-    return params
-
-
-# The float cover level as it was written beside `renorm.cover_level`, on
-# whole arrays, letter by letter: the oracle of `_fold`'s arrays and order.
-def _oracle_fold(qs, arrays):
-    for q in reversed(qs):
-        x, y, w, h, sq, side = arrays
-        th = float(q.theta)
-        sigma = substitution(q)
-        x, y, w, h = psi_inverse(th, q.eps, x, y, w, h)
-        groups = ((sigma[0], side), (sigma[1], ~side))
-        size = sum(len(word) * int(np.count_nonzero(m)) for word, m in groups)
-        arrays = tuple(np.empty(size, a.dtype) for a in (x, y, w, h, sq, side))
-        hi = 0
-        for word, mask in groups:
-            rect, s = tuple(a[mask] for a in (x, y, w, h)), sq[mask]
-            for i, letter in enumerate(word):
-                if i:
-                    rect = rect_branch(th, q.eps, word[i - 1], *rect)
-                lo, hi = hi, hi + s.size
-                for o, a in zip(arrays, (*rect, s, letter == "a")):
-                    o[lo:hi] = a
-    return arrays
-
-
-def _oracle_cover_arrays(p, l):
-    """The depth-l cover of p as `_cover`'s six arrays, by `_oracle_fold`."""
-    params = param_chain(p, l)
-    th = float(params[-1].theta)
-    seed = cover_seed(th)
-    rects = np.array([seed_values(th, r) for r, _ in seed], dtype=float).T
-    letters = np.array([letter == "a" for _, letter in seed])
-    return _oracle_fold(params[:-1], (*rects, letters, letters))
+def _assert_same_cover(got, want):
+    """A compact cover (x, y, kind, size, ...) against the oracle's arrays
+    (x, y, w, h, is_square, ...), bit for bit and in order; the sides too
+    where both carry them."""
+    x, y, kind, size, *side = got
+    w, h = size[kind].T
+    assert kind.dtype == np.uint8 and size.shape == (3, 2)
+    _assert_same_arrays((x, y, w, h, kind == 0, *side), want[: 5 + len(side)])
 
 
 def _assert_same_arrays(got, want):
     assert [a.dtype for a in got] == [a.dtype for a in want]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _rects(arrays):
+    """The rectangles (x, y, w, h) of a cover, as tuples of floats."""
+    x, y, kind, size = arrays[:4]
+    return list(zip(x.tolist(), y.tolist(), *size[kind].T.tolist()))
+
+
+def _capped_depth(p, l, cap):
+    """Depth l or less: the deepest whose cover has at most cap pieces, down
+    to a chain's end at theta = 0."""
+    depth = 0
+    while depth < l and descend(p, depth)[1].theta != 0 and (
+        piece_count(*descend(p, depth + 1)) <= cap
+    ):
+        depth += 1
+    return depth
 
 
 class TestCoverArrays:
@@ -235,9 +208,7 @@ class TestCoverArrays:
                 ),
                 key=key,
             )
-            got = sorted(
-                zip(arrays[0], arrays[1], arrays[2], arrays[3]), key=key
-            )
+            got = sorted(_rects(arrays), key=key)
             assert np.allclose(np.array(got), np.array(exact), atol=1e-9)
 
     def test_terminal_seed_matches_exact(self):
@@ -246,7 +217,9 @@ class TestCoverArrays:
         # with the exact ones at every depth
         p = Param(Fraction(3, 8), -1)
         for l in range(4):
-            x, y, w, h, sq = cover_arrays(p, l)
+            x, y, kind, size = cover_arrays(p, l)
+            w, h = size[kind].T
+            sq = kind == 0
             # sort on rounded keys so float noise cannot reorder near-ties
             key = lambda t: tuple(round(float(v), 9) for v in t)
             exact = sorted(
@@ -264,12 +237,12 @@ class TestCoverArrays:
 
     @pytest.mark.parametrize("theta, eps", FOLD_PARAMS)
     def test_matches_letter_major_fold(self, theta, eps):
-        # all six arrays, dtype and bits, at every depth up to 10**6 pieces,
-        # the bench's largest cover
+        # x, y, every piece's (w, h) and shape and its side, dtype and bits,
+        # at every depth up to 10**6 pieces, the bench's largest cover
         p = Param(parse_number(theta) if isinstance(theta, str) else theta, eps)
         l = 0
         while True:
-            _assert_same_arrays(_cover(*descend(p, l)), _oracle_cover_arrays(p, l))
+            _assert_same_cover(_cover(*descend(p, l)), oracle_cover_arrays(p, l))
             if descend(p, l)[1].theta == 0 or piece_count(*descend(p, l + 1)) > 10**6:
                 break
             l += 1
@@ -288,14 +261,32 @@ class TestCoverArrays:
         st.integers(0, 20),
     )
     def test_matches_plain_number_fold_at_random_parameters(self, p, l):
-        # depth l or less: at most 20,000 pieces, down to a chain's end at
-        # theta = 0
-        depth = 0
-        while depth < l and descend(p, depth)[1].theta != 0 and (
-            piece_count(*descend(p, depth + 1)) <= 20_000
-        ):
-            depth += 1
-        _assert_same_arrays(cover_arrays(p, depth), _oracle_cover_arrays(p, depth)[:5])
+        depth = _capped_depth(p, l, 20_000)
+        _assert_same_cover(cover_arrays(p, depth), oracle_cover_arrays(p, depth))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            # from 1e-300: below 2**-1023 1/theta overflows (Degenerate)
+            st.floats(1e-300, 1, exclude_max=True),
+            st.floats(1e-300, 1e-6),
+            st.floats(1 - 1e-6, 1, exclude_max=True),
+        ),
+        st.sampled_from([-1, 1]),
+        st.integers(0, 8),
+    )
+    @example(theta=float(SQRT2M1), eps=-1, l=8)
+    @example(theta=float(SQRT3M1), eps=1, l=8)
+    def test_compact_cover_is_the_oracle_s_bit_for_bit(self, theta, eps, l):
+        # float theta anywhere in (0, 1), tiny and near 1 included, at depth
+        # l or less, at most 20,000 pieces: each piece's x, y, size[kind]
+        # and kind == 0 are the oracle's x, y, (w, h) and is_square, in
+        # order, and its side too; the bench's self-similar covers, in full,
+        # are test_matches_letter_major_fold's first cases
+        p = Param(theta, eps)
+        depth = _capped_depth(p, l, 20_000)
+        cover = _cover(*descend(p, depth))
+        _assert_same_cover(cover, oracle_cover_arrays(p, depth))
 
     def test_fold_leaves_its_inputs_untouched(self):
         # each level reads its arrays only through the copies of its blocks
@@ -310,18 +301,20 @@ class TestCoverArrays:
         _assert_same_arrays(base, before)
 
     def test_fold_peak_bytes_per_piece(self):
-        # the fold allocates its output, 34 bytes a piece, and per level the
-        # copies of that level's blocks, and nothing per step: 42.1 bytes a
-        # piece in all at depth 9 of the silver mean, where one temporary
-        # array of a step would add 0.9
+        # the fold allocates its output, 18 bytes a piece (x, y, kind and
+        # side), and per level the copies of that level's blocks, and nothing
+        # per step: 23.2 bytes a piece in all at depth 9 of the silver mean,
+        # where one temporary array of a step would add 0.9. The returned
+        # arrays keep 17: x, y and kind, and the size table
         p = Param(SQRT2M1, -1)
         tracemalloc.start()
         try:
             arrays = cover_arrays(p, 9)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert arrays[0].size == 832_040 and peak <= 42.5 * arrays[0].size
+        n = arrays[0].size
+        assert n == 832_040 and peak <= 24 * n and kept <= 17.1 * n
 
     def test_piece_budget(self):
         p = Param(SQRT2M1, -1)
@@ -377,7 +370,9 @@ THIN_OR_RECT = st.tuples(
 
 
 def _columns(rects):
-    return tuple(np.array(col, dtype=float) for col in zip(*rects))
+    """n rectangles (x, y, w, h) in box_count's form (x, y, arange(n), sizes)."""
+    x, y, w, h = np.array(rects, dtype=float).reshape(-1, 4).T
+    return x, y, np.arange(x.size), np.column_stack((w, h))
 
 
 def _brute_force_cells(rects, r):
@@ -405,13 +400,7 @@ def _spans(rect, r):
 
 class TestBoxCount:
     def test_unit_square_oracle(self):
-        square = (
-            np.array([0.0]),
-            np.array([0.0]),
-            np.array([1.0]),
-            np.array([1.0]),
-            np.array([True]),
-        )
+        square = _columns([(0.0, 0.0, 1.0, 1.0)])
         for k in (1, 3, 7, 20):
             assert box_count(square, 1 / k) == k * k
 
@@ -425,7 +414,7 @@ class TestBoxCount:
             box_count(cover_arrays(Param(SQRT2M1, -1), 2), 0.0)
 
     def test_no_pieces_count_zero(self):
-        assert box_count(tuple(np.empty(0) for _ in range(5)), 0.1) == 0
+        assert box_count(_columns([]), 0.1) == 0
 
     @given(
         rects=st.lists(RECT, min_size=1, max_size=30).flatmap(
@@ -436,7 +425,7 @@ class TestBoxCount:
         r=st.floats(0.02, 0.5),
     )
     def test_matches_brute_force_cells(self, rects, r):
-        arrays = tuple(np.array(col) for col in zip(*rects))
+        arrays = _columns(rects)
         assert box_count(arrays, r) == len(_brute_force_cells(rects, r))
 
     @pytest.mark.parametrize(
@@ -571,7 +560,7 @@ class TestBoxCount:
         p = selfsimilar_parameter(family, n)
         arrays = cover_arrays(p, l)
         r = radius_sequence(p, l)[l - 1]
-        spans = {_spans(rect, r) for rect in zip(*(a.tolist() for a in arrays[:4]))}
+        spans = {_spans(rect, r) for rect in _rects(arrays)}
         assert {0, 1} == {s for pair in spans for s in pair}
         keys = _keys(arrays, r, _window(arrays, r))
         assert keys.size == 2 * arrays[0].size and keys.dtype == np.uint32
@@ -611,16 +600,18 @@ class TestBoxCount:
         p = Param(SQRT2M1, -1)
         rng = np.random.default_rng(9)
         corners, sides = rng.uniform(-3, 3, (2, 500)), rng.uniform(1e-3, 0.3, (2, 500))
-        arrays = tuple(
-            np.concatenate(pair)
-            for pair in zip(cover_arrays(p, 6), (*corners, *sides))
+        x, y, kind, size = cover_arrays(p, 6)
+        arrays = (
+            *(np.concatenate(pair) for pair in zip((x, y), corners)),
+            np.concatenate((kind, 3 + np.arange(500))),
+            np.concatenate((size, sides.T)),
         )
         for r in (radius_sequence(p, 6)[5], 0.01):
             one_chunk = box_count(arrays, r)
             with monkeypatch.context() as m:
                 m.setattr(fractal, "BOX_CHUNK", 1000)
                 chunked = box_count(arrays, r)
-            rects = zip(*(a.tolist() for a in arrays))
+            rects = _rects(arrays)
             assert chunked == one_chunk == len(_brute_force_cells(rects, r))
 
     @pytest.mark.parametrize("r", [1e-13, 1e-15, 5e-324])
@@ -678,10 +669,10 @@ class TestBoxCount:
         base = _cover(*descend(p, base_l))
         for r in (radius_sequence(p, l)[l - 1], 0.003):
             window = _window(base, r)
-            for lo in range(0, base[0].size, 50):
-                part = _fold(
-                    [Level(p)] * (l - base_l), tuple(a[lo : lo + 50] for a in base)
-                )
+            x, y, kind, size, side = base
+            for lo in range(0, x.size, 50):
+                s = slice(lo, lo + 50)
+                part = _fold([Level(p)] * (l - base_l), (x[s], y[s], kind[s], size, side[s]))
                 assert window.holds(_window(part, r))
 
     def test_deep_rejects_a_subtree_outside_its_window(self, monkeypatch):

@@ -38,7 +38,8 @@ COMMANDS = [
     ("expand-no-digits", ["expand", "--param", SILVER, "--depth", "0"]),
     ("orbit", ["orbit", "--param", SILVER, "--point", "1/3,2/7", "--depth", "50"]),
     ("islands", ["islands", "--param", SILVER, "--max-period", "21"]),
-    ("islands-none", ["islands", "--param", SILVER, "--max-period", "0"]),
+    # a bound below the shortest period, 2 at eps = +1: no cell
+    ("islands-none", ["islands", "--param", "sqrt(2)-1,1", "--max-period", "1"]),
     # theta = 0: the seed square [0, 1]^2 in Fractions, as every island there
     ("islands-zero", ["islands", "--param", "0,1", "--max-period", "5"]),
     ("induction-check", ["induction-check", "--param", SILVER, "--trials", "100"]),

@@ -27,8 +27,8 @@ from sqrect.pet import (
     step,
     walk,
 )
-from sqrect.renorm import RIGHT, UNIT, Mat2, seed_periods
-from oracle_maps import discontinuity_endpoints, psi_inverse
+from sqrect.renorm import RIGHT, UNIT, Mat2, induction_verify, seed_periods
+from oracle_maps import discontinuity_endpoints, psi_inverse, steps as oracle_steps
 from test_words import apply
 
 SQRT2M1 = make_surd(-1, 1, 1, 2)
@@ -392,7 +392,64 @@ WALK_EXAMPLES = [
 ]
 
 
+def outcome_of_every_test(f, *args):
+    """`outcome` with `pet._steps` the oracle's loop, which tests every piece
+    edge at every step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pet, "_steps", oracle_steps)
+        mp.setattr(renorm, "_steps", oracle_steps)
+        return outcome(f, *args)
+
+
+# points of exact orbits that reach x = 1 past their first step: the square
+# sends y = theta to x = 1 + theta - theta, for either eps
+ONTO_X_1 = [
+    (Param(SQRT2M1, -1), Point(Fraction(1, 2), SQRT2M1)),
+    (Param(SQRT2M1, 1), Point(Fraction(1, 3), SQRT2M1)),
+    (Param(Fraction(2, 5), 1), Point(Fraction(1, 2), Fraction(2, 5))),
+    # the rectangle first, then the square
+    (Param(Fraction(1, 3), -1), Point(Fraction(7, 6), Fraction(2, 3))),
+]
+# a float orbit that rounds onto y = 1: the rectangle's 1 - y is 1.0
+ONTO_Y_1 = (Param(0.5, -1), Point(1.25, 1e-17))
+
+
 class TestWalk:
+    @given(walk_cases(), st.integers(0, 80))
+    @settings(max_examples=400, deadline=None)
+    @example(ONTO_X_1[0], 3)
+    @example(ONTO_X_1[1], 1)
+    @example(ONTO_X_1[2], 5)
+    @example(ONTO_X_1[3], 4)
+    @example(ONTO_Y_1, 2)
+    def test_walk_and_coding_are_the_every_edge_loop(self, case, k):
+        # past its first step an exact orbit is tested only at x = 1; starts
+        # inside, on x = 1, on an edge or outside, rational, surd and float
+        # theta, both eps: the same point, letters, error, message and step
+        p, z = case
+        for f in (walk, code_orbit):
+            assert outcome(f, p, z, k) == outcome_of_every_test(f, p, z, k)
+
+    @pytest.mark.parametrize("p, z", ONTO_X_1)
+    def test_exact_orbits_stop_on_x_1(self, p, z):
+        with pytest.raises(OnDiscontinuity, match="lies on the discontinuity set"):
+            walk(p, z, 3)
+        with pytest.raises(OnDiscontinuity, match="x = 1 is uncoded"):
+            code_orbit(p, z, 4)
+
+    def test_float_orbits_stop_on_the_boundary(self):
+        with pytest.raises(OnDiscontinuity, match=r"\(0.25, 1.0\) lies on"):
+            walk(*ONTO_Y_1, 2)
+
+    @given(WALK_THETAS, st.sampled_from([-1, 1]), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_induction_check_is_the_every_edge_loop(self, theta, eps, seed):
+        # the report, resamples included, or the error, as the oracle's
+        p = Param(theta, eps)
+        assert outcome(induction_verify, p, 20, seed) == outcome_of_every_test(
+            induction_verify, p, 20, seed
+        )
+
     @given(walk_cases(), st.integers(0, 80))
     @settings(max_examples=400, deadline=None)
     def test_walk_is_the_old_step_loop(self, case, k):
@@ -696,11 +753,20 @@ class TestIslands:
     @pytest.mark.parametrize("theta, eps", ISLAND_PARAMS)
     def test_matches_orbit_oracle(self, theta, eps):
         p = Param(parse_number(theta), eps)
-        for max_period in (0, 1, 2, 5, 21, 100, 500):
+        for max_period in (1, 2, 5, 21, 100, 500):
             assert_same_cells(islands(p, max_period), oracle_islands(p, max_period))
 
+    @pytest.mark.parametrize("max_period", [0, -1, -10**9])
+    def test_vacuous_max_period_is_refused(self, monkeypatch, max_period):
+        # no cell has a period below 1, so no list would certify anything;
+        # refused before the parameter is looked at or a level is made
+        monkeypatch.setattr(renorm, "seed_periods", None)
+        for p in (Param(SQRT2M1, -1), Param(0.25, 1)):
+            with pytest.raises(ValueError, match="max period must be at least 1"):
+                islands(p, max_period)
+
     @settings(max_examples=80, deadline=None)
-    @given(exact_params(), st.integers(0, 400))
+    @given(exact_params(), st.integers(1, 400))
     @example(Param(Fraction(0), -1), 5)  # theta = 0: one seed, no level
     @example(Param(Fraction(3, 8), 1), 400)  # the chain ends at theta = 0
     def test_matches_orbit_oracle_at_random_parameters(self, p, max_period):

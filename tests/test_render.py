@@ -256,13 +256,20 @@ class TestIslands:
 
 
 def _paint_by_fill_rect(p, pieces, px):
-    """Reference painter: one fill_rect per piece, in order."""
+    """Reference painter: one fill_rect per piece (x, y, kind, size), in
+    order, kind 0 the square."""
     img = Image.for_domain(float(p.width), px)
-    x, y, w, h, sq = pieces
+    x, y, kind, size = pieces
     for i in range(x.size):
-        color = PALETTE["cover_square"] if sq[i] else PALETTE["cover_rectangle"]
-        img.fill_rect(x[i], y[i], w[i], h[i], color)
+        color = PALETTE["cover_square"] if kind[i] == 0 else PALETTE["cover_rectangle"]
+        img.fill_rect(x[i], y[i], *size[kind[i]], color)
     return img
+
+
+def _pieces(x, y, w, h, square):
+    """Rectangles as a cover: each its own kind, but those marked square
+    take kind 0 and the size of the first."""
+    return x, y, np.where(square, 0, np.arange(x.size)), np.column_stack((w, h))
 
 
 # both families at n = 1..3, and the silver mean at every depth up to 8;
@@ -287,7 +294,7 @@ class TestCover:
         # image edge are checked on random rectangles instead
         rng = np.random.default_rng(5)
         n = 300
-        pieces = (
+        pieces = _pieces(
             rng.uniform(-0.3, 1.5, n),
             rng.uniform(-0.3, 1.0, n),
             rng.uniform(0.0, 0.4, n),
@@ -327,11 +334,12 @@ class TestCover:
             y0, y1 = sorted(data.draw(rows) for _ in "01")
             w, h = (data.draw(st.sampled_from([d, 0.0])) for d in (x1 - x0, y1 - y0))
             rects.append((x0, y0, w, h, data.draw(st.booleans())))
-        pieces = tuple(np.array(a) for a in zip(*rects))
+        pieces = _pieces(*(np.array(a) for a in zip(*rects)))
         # the float bounds of arrays are those of each rectangle alone
-        x, y, w, h, _ = pieces
+        x, y, kind, size = pieces
+        w, h = size[kind].T
         bounds = img.pixel_bounds(x, x + w, y, y + h)
-        for i, rect in enumerate(rects):
+        for i, rect in enumerate(zip(x, y, w, h)):
             one = img.pixel_bounds(rect[0], rect[0] + rect[2], rect[1], rect[1] + rect[3])
             assert [b[i] for b in bounds] == [b.item() for b in one]
         expected = _paint_by_fill_rect(p, pieces, px).to_p6()
@@ -339,7 +347,7 @@ class TestCover:
             assert render_cover(p, 1, px).to_p6() == expected
 
     def test_piece_budget_checked_before_allocating(self):
-        # about 82 bytes a piece: depth 10 of the silver mean (3.5M pieces) is
+        # about 65 bytes a piece: depth 10 of the silver mean (3.5M pieces) is
         # admitted, depth 11 (14.9M, under fractal.PIECE_BUDGET) refused
         p = Param(SQRT2M1, -1)
         descend(p, 10, COVER_PIECE_BUDGET)

@@ -992,16 +992,19 @@ class TestCover:
                          for k in range(1, depth + 1)]
         assert pieces == sorted(pieces) and work == sorted(work)
         # at the least budget that admits both counts the cover is made, one
-        # below it refused
-        assume(depth and pieces[-1] <= 2_000)
-        least = max(pieces[-1], -(-work[-1] // 2))
+        # below it refused: at the deepest level, 1 or more, whose cover has
+        # at most 2,000 pieces, as no count falls along the chain
+        depth = sum(count <= 2_000 for count in pieces)
+        if not depth:
+            return  # no level, or 2,000 pieces passed at the first
+        least = max(pieces[depth - 1], -(-work[depth - 1] // 2))
         for module, name, make, size in (
             (renorm, "EXACT_PIECE_BUDGET", cover, len),
             (fractal, "PIECE_BUDGET", cover_arrays, lambda arrays: arrays[0].size),
         ):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(module, name, least)
-                assert size(make(p, depth)) == pieces[-1]
+                assert size(make(p, depth)) == pieces[depth - 1]
                 mp.setattr(module, name, least - 1)
                 with pytest.raises(NotTerminated):
                     make(p, depth)
