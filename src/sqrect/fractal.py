@@ -235,11 +235,9 @@ def _window(arrays, r: float, pad: int = 0) -> _Window:
     or the window 2**63 cells."""
     x, y, kind, size = arrays[:4]
     blocks = [slice(lo, lo + BOX_BLOCK) for lo in range(0, x.size, BOX_BLOCK)]
-    with np.errstate(over="ignore"):  # refused below
-        # the greatest x + w and y + h, a block at a time; np.max keeps a NaN
-        ends = [np.max([np.max(a[s] + size[:, i].take(kind[s], mode="clip"))
-                        for s in blocks]) for a, i in ((x, 0), (y, 1))]
-        corners = np.array([x.min(), y.min(), *ends])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        corners = np.array([x.min(), y.min(), *(_top_end(a, size[:, i], kind, blocks)
+                                                 for a, i in ((x, 0), (y, 1)))])
         low, high = (corners[:2] + 1e-12) / r, (corners[2:] - 1e-12) / r
     if (high < low - 1).any() and np.isfinite(corners).all():
         return _Window(0, 0, 0, 0)  # r < 2e-12: the insets pass a cell, none is met
@@ -251,6 +249,15 @@ def _window(arrays, r: float, pad: int = 0) -> _Window:
     if window.nx * window.ny >= 1 << 63:
         raise ValueError("the rectangles span 2**63 grid cells or more")
     return window
+
+
+def _top_end(a, side, kind, blocks):
+    """The greatest a + side[kind] (NaN kept) from the pieces not below max(a) -
+    ptp(side) rounded up: rounding is monotone, and no float is between v and fl(v)."""
+    low = a.max() - np.nextafter(np.ptp(side), np.inf)
+    near = [~(a[s] < low) for s in blocks]  # NaN < low and a < NaN are False
+    return np.max([np.max(a[s][m] + side.take(kind[s][m], mode="clip"), initial=-np.inf)
+                   for s, m in zip(blocks, near)])
 
 
 def _keys(arrays, r: float, window: _Window) -> np.ndarray:

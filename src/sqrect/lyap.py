@@ -103,8 +103,8 @@ _NEAR = [tuple(map(np.array, r))  # 0-d: a ufunc takes a (1,) array at twice the
 
 
 def _sanitize(x: np.ndarray, t=None, near=None, out=None) -> np.ndarray:
-    """Keep lanes strictly inside the branch intervals, where round-off can park one
-    on an end; into out, with temporaries t and near (each new if not given)."""
+    """Keep lanes, a row or a block of rows, strictly inside the branch intervals, where
+    round-off can park one on an end; into out, with temporaries t and near (or new)."""
     t, near = (np.empty_like(x), np.empty(x.shape, bool)) if t is None else (t, near)
     out = np.minimum(np.maximum(x, _LOW, out=out), _HIGH, out=out)
     for point, radius, moved in _NEAR:
@@ -117,43 +117,55 @@ def _sanitize(x: np.ndarray, t=None, near=None, out=None) -> np.ndarray:
 # cocycle matrix of each family, read off the branch table
 _M_COEFFICIENTS = family_coefficients("M")
 
-# Monte-Carlo lanes per estimate: tracemalloc puts the peak of birkhoff_estimate
-# at 163 bytes per lane at 2 * 10**5 lanes (179 at 5 * 10**4), so about 0.39 GB
+# Monte-Carlo lanes per estimate: tracemalloc puts the peak of birkhoff_estimate at
+# 171 bytes per lane at 5 * 10**4 and 2 * 10**5 lanes (186 at a first call), 0.41 GB
 LANE_BUDGET = 2_400_000
-# Steps and lane-steps per estimate. On a 2-core VM a step costs about 17-20 us
-# of numpy dispatch (27-29 at one lane) plus 35-45 ns per lane: the slowest run both
-# budgets admit, 200 lanes of 10**6 steps, took 27 s, and the default 1000 lanes
-# of 10,000 steps take 0.7-0.9 s
+# Steps and lane-steps per estimate. On a 2-core VM a step costs about 14 us of numpy
+# dispatch (24 at one lane) plus 42 ns per lane: the slowest run both budgets admit,
+# 200 lanes of 10**6 steps, took 32 s on a slow moment of a shared host, and the
+# default 1000 lanes of 10,000 steps take 0.8-0.9 s as a whole command
 STEP_BUDGET = 1_000_000
 LANE_STEP_BUDGET = 200_000_000
-# Lane-steps a block of the walk takes its matrices and logs for, 72 bytes each: 2**11
-# to 2**15 ran within 10 % of it at 50 to 5,000 lanes (2-core VM)
+# Lane-steps a block of the walk takes its matrices, logs and check for, 81 bytes each:
+# 2**12 to 2**15 ran within 9 % of it at 50 to 2,000 lanes, 2**11 within 20 % (2-core VM)
 WALK_BLOCK = 1 << 13
 
 
 def _lane_blocks(x: np.ndarray, l: int):
-    """Step every lane l times from x (overwritten) by `accel_lanes`, K steps a
-    block kept as rows, and yield after each block (steps so far, u, sums),
-    arrays the next block overwrites: the row vector (u1, u2), renormalized
-    each step, and the sums (log_norm, lnR) of ln s, the l1-norm of u times
-    the step's M, and of ln r_bold = -ln den. M's entries a[f] n + b[f] are
-    integers below 2**53 (n <= 1e12 on sanitized lanes), exact in floats. A
-    step's calls take 1-D rows viewed once a walk, and one reduction, looping
-    along the rows, adds a block's logs to the sums in step order."""
+    """Step every lane l times from x by `accel_lanes`, K steps a block kept as
+    rows, and yield after each block (steps so far, u, sums), arrays the next
+    block overwrites: the row vector (u1, u2), renormalized each step, and the
+    sums (log_norm, lnR) of ln s, the l1-norm of u times the step's M, and of
+    ln r_bold = -ln den. A step reads the image row the step before wrote, and
+    `_sanitize` runs once over a block's rows; where it moves a lane, the block
+    is stepped again from that row, sanitized each step as the step-by-step walk
+    is. M's entries a[f] n + b[f] are integers below 2**53 (n <= 1e12 sanitized)."""
     K = max(1, min(WALK_BLOCK // x.size, l))
     f, buf = np.empty((K, x.size), dtype=np.intp), np.empty((6, K, x.size))
     n, b, M = buf[0], buf[1], buf[2:]  # M: m11 m12 m21 m22
     logs = np.zeros((K + 1, 2, x.size))  # the sums so far, then (s, den) a step
-    y, _, (_, t), _, near = temps = LaneScratch(f[0], n[0], logs[1, 1])[3:]
-    steps = [(*out, *temps) for out in zip(f, n, logs[1:, 1])]
+    xs = np.empty((K + 1, x.size))  # the block's x, then each step's image
+    xs[0], moved = x, np.empty((K, x.size), bool)
+    _, (_, t), _, near = temps = LaneScratch(f[0], n[0], logs[1, 1], xs[1])[4:]
+    steps = [(*out, *temps) for out in zip(f, n, logs[1:, 1], xs[1:])]
     rows_u = list(zip(logs[1:, 0], *M))
     u1, u2 = u = np.ones((2, x.size))
     sums = np.empty((2, x.size))
     for first in range(0, l, K):
         rows = min(K, l - first)
-        for scratch in steps[:rows]:
-            accel_lanes(x, scratch)
-            _sanitize(y, t, near, x)
+        with np.errstate(all="ignore"):  # a step from a row _sanitize moves is redone
+            for x, scratch in zip(xs, steps[:rows]):
+                accel_lanes(x, scratch)
+        redo = read = rows - 1  # the images ys the block reads
+        if read:  # through _sanitize into b, with M[0] as a temporary
+            sane = _sanitize(ys := xs[1:rows], M[0, :read], moved[:read], b[:read])
+            if np.count_nonzero(np.not_equal(sane, ys, moved[:read])):  # or a NaN
+                redo = next((k for k in range(read)
+                             if not np.array_equal(sane[k], ys[k], equal_nan=True)), read)
+        for k in range(redo, read):  # sanitized each step, as the walk was
+            _sanitize(xs[k + 1], t, near, xs[k + 1])
+            accel_lanes(xs[k + 1], steps[k + 1])
+        _sanitize(xs[rows], t, near, xs[0])  # the next block's x
         fs, ns, bs = f[:rows], n[:rows], b[:rows]
         for m, (slope, const) in zip(M[:, :rows], _M_COEFFICIENTS.transpose(1, 0, 2)):
             slope.take(fs, out=m, mode="clip")

@@ -59,12 +59,13 @@ def test_speed_medians_are_printed_per_side(capsys):
     assert "'against': 1.0" in speed_line and "'change': 0.75" in speed_line
 
 
-def fake_result(root, workload, seed, speed):
+def fake_result(root, workload, seed, speed, probes=((0.00125, 0.00125),)):
     """A result file as bench/run.py writes it, and its last output line."""
     out = root / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     (out / f"result-{workload}-seed{seed}-trace0.json").write_text(json.dumps(
-        {"env": {"seed": seed, "python": "3"}, "as_measured": {"speed": speed}}))
+        {"env": {"seed": seed, "python": "3"}, "as_measured": {"speed": speed},
+         "probes": probes}))
     return json.dumps({"correct": True, "failed": 0, "attempted": 5, "metrics": {
         "ops_per_s": {"value": 10.0 * seed, "unit": "1/s"}}})
 
@@ -94,3 +95,34 @@ def test_bounds_come_from_the_benchmark():
     specs = bench_record.metric_specs()
     assert specs["op_p50_s"]["bound"] == 0.25 and specs["op_p50_s"]["better"] == "lower"
     assert "bound" not in specs["renorm.cover_s"]
+
+
+def test_pairs_whose_probes_spread_are_marked(tmp_path, monkeypatch, capsys):
+    # pair 2 ran its second side under a load that slowed the probes by half;
+    # the other pairs, probes within 2 %, pass
+    sides = {side: tmp_path / side for side in ("against", "change")}
+    quiet = [[0.00125, 0.00126, 0.00124], [0.00125, 0.00127]]
+    loaded = [[0.0019, 0.00188, 0.0019], [0.00185, 0.0019]]
+
+    def run(root, *cmd, env=None):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        probes = loaded if seed == 2 and root == sides["change"] else quiet
+        return fake_result(root, "float", seed, 1.0, probes) + "\n"
+
+    monkeypatch.setattr(bench_record, "run", run)
+    runs = bench_record.paired_runs(sides, "float", 0)
+    assert runs["change"][1][3] == [v for p in loaded for v in p]
+    spread = bench_record.probe_spread(runs)
+    assert spread["limit"] == bench_record.PROBE_SPREAD
+    assert len(spread["pairs"]) == bench_record.PAIRS and spread["loaded"] == [2]
+    assert max(spread["pairs"][:1] + spread["pairs"][2:]) < 0.02 < 0.3 < spread["pairs"][1]
+    bench_record.print_load(spread)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("  speed-probe spread by pair (IQR / median, %) 1.2 41.7 1.2")
+    assert len(lines[0].split()) == 8 + bench_record.PAIRS
+    assert "LOADED: pairs [2] spread past 10 %" in lines[1]
+
+
+def test_a_quiet_workload_is_not_marked(capsys):
+    bench_record.print_load({"limit": 0.1, "pairs": [0.03, 0.099], "loaded": []})
+    assert capsys.readouterr().out == "  speed-probe spread by pair (IQR / median, %) 3.0 9.9\n"

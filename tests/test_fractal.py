@@ -29,6 +29,7 @@ from sqrect.fractal import (
     _fold,
     _keys,
     _run_count,
+    _top_end,
     _window,
     box_count,
     box_count_deep,
@@ -360,6 +361,13 @@ WIDE_RECT = st.tuples(
     st.sampled_from(["", "copy", "nested"]),
 )
 
+# coordinates and sides for the greatest end, drawn to tie and to sit at the
+# extremes of the floats
+ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1 + 2.0**-52, 5e-324, 1e-300, 1e300,
+                     -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 # rectangles (x, y, w, h) as RECT, some thinner than the 1e-12 inset
 THIN_OR_RECT = st.tuples(
     st.floats(-3, 3),
@@ -500,6 +508,34 @@ class TestBoxCount:
         jy = max(math.floor((y + h - eps) / r) for _, y, _, h in rects)
         want = (ix - pad, iy - pad, jx - ix + 1 + 2 * pad, jy - iy + 1 + 2 * pad)
         assert _window(_columns(rects), r, pad) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(ENDS, min_size=1, max_size=40),
+        sides=st.lists(ENDS, min_size=1, max_size=4),
+        block=st.integers(1, 8),
+        data=st.data(),
+    )
+    @example(x=[1.0, 1.0, 0.5], sides=[0.25, 0.25], block=1, data=None)
+    @example(x=[-1e308, 1e308], sides=[1e308, -1e308], block=1, data=None)
+    @example(x=[math.nan, 0.0], sides=[1.0], block=2, data=None)
+    # ptp(sides) = 2**53 + 1 rounds to 2**53: a bound of 14, not 13, would drop
+    # the piece at 13.25, whose end 2**53 + 18 is the greatest
+    @example(x=[2.0**53 + 14, 13.25], sides=[3.0, 2.0**53 + 4], block=1, data=None)
+    def test_top_end_is_the_gather_of_every_piece(self, x, sides, block, data):
+        # the greatest x + w (and y + h) that _window reads, as gathering every
+        # piece's side gives it: ties, equal, negative, huge and tiny sides, NaN
+        # and infinities, over blocks some of which hold no piece near the top
+        kind = [min(i, len(sides) - 1) for i in range(len(x))]
+        kind = kind if data is None else data.draw(st.lists(
+            st.integers(0, len(sides) - 1), min_size=len(x), max_size=len(x)))
+        kind = np.array(kind, dtype=np.uint8 if block % 2 else np.intp)
+        a, side = np.array(x), np.array(sides)
+        blocks = [slice(lo, lo + block) for lo in range(0, a.size, block)]
+        with np.errstate(all="ignore"):
+            want = np.max(a + side.take(kind))
+            got = _top_end(a, side, kind, blocks)
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize(
         "column, bad",

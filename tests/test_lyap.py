@@ -1,6 +1,8 @@
+import functools
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -215,6 +217,32 @@ EDGE_LANES = [
 ]
 
 
+def _moves(x, l: int) -> np.ndarray:
+    """Where `_sanitize` moves the image of each lane at each of l steps of the
+    step-by-step walk from x: a (l, lanes) bool array."""
+    moved = np.empty((l, x.size), bool)
+    for step in range(l):
+        with np.errstate(all="ignore"):  # x as given may sit on a branch end
+            image = oracle_maps.accel_lanes(x)[2]
+        x = _sanitize(image.copy())
+        moved[step] = (x != image) & ~np.isnan(image)
+    return moved
+
+
+# lanes p/q, which reach a branch end after a few steps, unless rounding
+# takes them past it
+_RATIONALS = np.array([p / q for q in range(2, 200) for p in range(1, 2 * q)
+                       if math.gcd(p, q) == 1])
+
+
+@functools.cache
+def _lane_first_moved_at(step: int) -> float:
+    """A lane whose image `_sanitize` first moves at this step."""
+    moved = _moves(_RATIONALS, step + 1)
+    first = moved.any(axis=0) & ~moved[:-1].any(axis=0)
+    return float(_RATIONALS[first.argmax()]) if first.any() else math.nan
+
+
 def _family(x):
     """Index in FAMILIES of each lane as `_reference_step` masks it."""
     return np.where(x < 1.0, 0, np.where(x >= RIGHT.ends(RIGHT.first)[0], 2, 1))
@@ -233,11 +261,12 @@ class TestOnePassKernel:
         if rows:
             monkeypatch.setattr(lyap, "WALK_BLOCK", rows * x.size)
         K = lyap.WALK_BLOCK // x.size
-        stepped = []
+        stepped, block = [], {}
 
         def recording(x, scratch):
+            # a step stepped again overwrites its first try, which the walk drops
             out = accel_lanes(x, scratch)
-            stepped.append((x.copy(), out[0].copy()))
+            block[id(scratch)] = (x.copy(), out[0].copy())
             return out
 
         monkeypatch.setattr(lyap, "accel_lanes", recording)
@@ -253,6 +282,8 @@ class TestOnePassKernel:
             _, want_u, want_sums = reference[steps - 1]
             assert np.array_equal(u, want_u) and np.array_equal(sums, want_sums)
             ends.append(steps)
+            stepped += block.values()  # in row order, the order of first tries
+            block.clear()
         assert ends == [*range(K, 300, K), 300]
         assert len(stepped) == 300
         for (lanes, f), (want, _, _) in zip(stepped, reference):
@@ -287,6 +318,71 @@ class TestOnePassKernel:
             est = birkhoff_estimate(seed, lanes, l)
             with mock.patch.object(lyap, "_lane_blocks", lane_states):
                 assert repr(est) == repr(birkhoff_estimate(seed, lanes, l))
+
+    @pytest.mark.parametrize("K", [1, 7, None])
+    @pytest.mark.parametrize("where", ["row 0", "mid-block", "last row", "past the end"])
+    def test_redo_from_the_first_moved_row(self, K, where, monkeypatch):
+        # one lane whose image _sanitize first moves at the given row, among
+        # sampled lanes it never moves, K rows a block (None: WALK_BLOCK's):
+        # every block end as the step-by-step walk gives it, bit for bit
+        lanes = 1000
+        if K:
+            monkeypatch.setattr(lyap, "WALK_BLOCK", K * lanes)
+        K = lyap.WALK_BLOCK // lanes
+        step = {"row 0": 0, "mid-block": K // 2, "last row": K - 1,
+                "past the end": K}[where]  # past: the first row of the next block
+        x = np.append(_sample_x(np.random.default_rng(step), lanes - 1),
+                      _lane_first_moved_at(step))
+        l = 3 * K + 1
+        moved = _moves(x, l)
+        assert moved.any(axis=1).argmax() == step
+        want = {steps: (u.copy(), sums.copy()) for steps, u, sums in lane_states(x.copy(), l)}
+        ends = []
+        for steps, u, sums in _lane_blocks(x.copy(), l):
+            assert np.array_equal(u, want[steps][0]) and np.array_equal(sums, want[steps][1])
+            ends.append(steps)
+        assert ends == [*range(K, l, K), l]
+
+    @pytest.mark.parametrize("K", [1, 7])
+    def test_only_the_steps_after_a_moved_row_run_twice(self, K, monkeypatch):
+        # a block that _sanitize leaves as it is takes each step once; one it
+        # moves steps every row after its first moved row twice, no other
+        x = np.append(_sample_x(np.random.default_rng(K), 200), _lane_first_moved_at(3))
+        monkeypatch.setattr(lyap, "WALK_BLOCK", K * x.size)
+        rows, calls, row_of = [], [], {}
+
+        def counting(x, scratch):
+            # a step's scratch is its own; the first block meets them in row order
+            calls.append(row_of.setdefault(id(scratch), len(row_of)))
+            return accel_lanes(x, scratch)
+
+        monkeypatch.setattr(lyap, "accel_lanes", counting)
+        l = 6 * K + 1
+        for steps, _, _ in _lane_blocks(_sanitize(x), l):
+            rows.append(sorted(calls))
+            calls.clear()
+        blocks = set()
+        moves = _moves(_sanitize(x), l).any(axis=1)
+        for start, got in zip(range(0, l, K), rows):
+            moved = moves[start : start + K]
+            r = moved.argmax() if moved.any() else len(moved)
+            blocks.add("none" if r == len(moved) else "last" if r == len(moved) - 1 else "redo")
+            assert got == sorted([*range(len(moved)), *range(r + 1, len(moved))])
+        assert {"none", "redo" if K > 1 else "last"} <= blocks
+
+    def test_no_warning_from_a_step_that_is_stepped_again(self):
+        # the first try steps from images at 0, 1, 3/2 and 2 exactly, and the
+        # walk starts from those ends sanitized: no RuntimeWarning escapes
+        x = np.array([0.5, 1 / 3, 2 / 3, 1.25])
+        assert oracle_maps.accel_lanes(x)[2].tolist() == [0.0, 1.0, 1.5, 2.0]
+        x = np.concatenate([x, _sanitize(np.array([0.0, 1.0, 1.5, 2.0]))])
+        want = [sums.copy() for _, _, sums in lane_states(x.copy(), 20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (1, 7):
+                with mock.patch.object(lyap, "WALK_BLOCK", K * x.size):
+                    for steps, _, sums in _lane_blocks(x.copy(), 20):
+                        assert np.array_equal(sums, want[steps - 1])
 
     def test_sanitize_matches_clip(self):
         x = np.array([

@@ -256,13 +256,35 @@ class TestIslands:
 
 
 def _paint_by_fill_rect(p, pieces, px):
-    """Reference painter: one fill_rect per piece (x, y, kind, size), in
-    order, kind 0 the square."""
+    """One fill_rect per piece (x, y, kind, size), in order, kind 0 the square."""
     img = Image.for_domain(float(p.width), px)
     x, y, kind, size = pieces
     for i in range(x.size):
         color = PALETTE["cover_square"] if kind[i] == 0 else PALETTE["cover_rectangle"]
         img.fill_rect(x[i], y[i], *size[kind[i]], color)
+    return img
+
+
+def _paint_by_slices(p, pieces, px):
+    """Reference painter, from fill_rect's contract: in order, each piece (x, y,
+    kind, size), kind 0 the square, colors the pixels whose centers lie in [x, x
+    + w) x [y, y + h), columns ceil(x s - 1/2) up to ceil((x + w) s - 1/2) and
+    rows floor((1 - y') s - 1/2) + 1 from y' = y + h up to y' = y, at scale s,
+    clipped to the image, by scalar math on Python floats and one slice."""
+    img = Image.for_domain(float(p.width), px)
+    s, width, height = img.scale, img.width, img.height
+    x, y, kind, size = pieces
+    w, h = size[kind].T
+    colors = [PALETTE["cover_square"], PALETTE["cover_rectangle"]]
+    for x0, x1, y1, y0, k in zip(*(a.tolist() for a in (x, x + w, y + h, y, kind))):
+        c0 = math.ceil(min(max(x0 * s - 0.5, 0), width))
+        c1 = math.ceil(min(max(x1 * s - 0.5, 0), width))
+        if c0 >= c1:
+            continue
+        r0 = math.floor(min(max((1.0 - y1) * s - 0.5, -1), height - 1)) + 1
+        r1 = math.floor(min(max((1.0 - y0) * s - 0.5, -1), height - 1)) + 1
+        if r0 < r1:
+            img.pixels[r0:r1, c0:c1] = colors[k > 0]
     return img
 
 
@@ -286,7 +308,7 @@ class TestCover:
     @pytest.mark.parametrize("px", [64, 128, 500, 1000])
     @pytest.mark.parametrize("p, l", COVER_CASES)
     def test_matches_fill_rect_loop(self, p, l, px):
-        expected = _paint_by_fill_rect(p, cover_arrays(p, l), px).to_p6()
+        expected = _paint_by_slices(p, cover_arrays(p, l), px).to_p6()
         assert render_cover(p, l, px).to_p6() == expected
 
     def test_overlaps_go_to_the_last_piece(self, monkeypatch):
@@ -303,7 +325,8 @@ class TestCover:
         )
         monkeypatch.setattr(sqrect.fractal, "cover_arrays", lambda p, l, budget: pieces)
         p = Param(SQRT2M1, -1)
-        expected = _paint_by_fill_rect(p, pieces, 128).to_p6()
+        expected = _paint_by_slices(p, pieces, 128).to_p6()
+        assert _paint_by_fill_rect(p, pieces, 128).to_p6() == expected
         assert render_cover(p, 1, 128).to_p6() == expected
 
     @settings(max_examples=200, deadline=None)
@@ -342,7 +365,8 @@ class TestCover:
         for i, rect in enumerate(zip(x, y, w, h)):
             one = img.pixel_bounds(rect[0], rect[0] + rect[2], rect[1], rect[1] + rect[3])
             assert [b[i] for b in bounds] == [b.item() for b in one]
-        expected = _paint_by_fill_rect(p, pieces, px).to_p6()
+        expected = _paint_by_slices(p, pieces, px).to_p6()
+        assert _paint_by_fill_rect(p, pieces, px).to_p6() == expected
         with mock.patch.object(sqrect.fractal, "cover_arrays", lambda p, l, budget: pieces):
             assert render_cover(p, 1, px).to_p6() == expected
 

@@ -24,7 +24,12 @@ of pair i share seed i + 1, and REV runs first in even pairs, the working
 tree in odd ones. For each metric it prints REV's median and quartiles,
 the working tree's median, the change in per cent, and in how many pairs
 the working tree was better, the direction read from BENCHMARK.json, and
-each side's median speed-probe factor, beside its runs in the record. A
+each side's median speed-probe factor, beside its runs in the record. It
+reads the speed probes of every run from its result file and prints, and
+records, the spread of each pair's probes, both runs pooled: their
+interquartile range over their median. A pair whose spread passes
+PROBE_SPREAD ran under a load that changed within it, and the workload is
+marked loaded, with those pairs. A
 metric whose bound there is narrower than REV's interquartile range, as a
 fraction of REV's median, is marked unresolved unless every run of the
 working tree beats every run of REV. With `--trace 1` the metrics are the
@@ -51,6 +56,9 @@ WORKLOADS = ("exact", "cover", "float")
 SEEDS = (1, 2, 3)
 SECONDS = 20
 PAIRS = 10
+# The interquartile range of a run's speed probes is about 4 % of their median on a
+# quiet 2-core VM; a pair whose probes spread past this ran under a changing load
+PROBE_SPREAD = 0.10
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -60,14 +68,16 @@ def run(root: Path, *cmd: str, env=None) -> str:
 
 
 def bench(root: Path, workload: str, seed: int,
-          trace: int = 0) -> tuple[dict, dict, float]:
-    """A run's last output line, and the environment and the speed-probe
-    factor (the machine's speed over nominal) of the result file it wrote."""
+          trace: int = 0) -> tuple[dict, dict, float, list[float]]:
+    """A run's last output line, and the environment, the speed-probe factor
+    (the machine's speed over nominal) and the speed probes, in seconds, of
+    the result file it wrote."""
     out = run(root, sys.executable, "bench/run.py", "--workload", workload,
               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace))
     path = root / "bench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
     result = json.loads(path.read_text())
-    return json.loads(out.splitlines()[-1]), result["env"], result["as_measured"]["speed"]
+    return (json.loads(out.splitlines()[-1]), result["env"], result["as_measured"]["speed"],
+            [v for probes in result["probes"] for v in probes])
 
 
 def tier1(root: Path) -> dict:
@@ -87,7 +97,7 @@ def record(root: Path) -> int:
            "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     envs = []
     for workload in WORKLOADS:
-        results, run_envs, speeds = zip(*(bench(root, workload, seed) for seed in SEEDS))
+        results, run_envs, speeds, _ = zip(*(bench(root, workload, seed) for seed in SEEDS))
         envs += run_envs
         metrics = {}
         for name, m in results[0]["metrics"].items():
@@ -155,6 +165,18 @@ def metric_specs() -> dict:
     return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def probe_spread(runs: dict) -> dict:
+    """Each pair's spread of speed probes, both sides' runs pooled: their
+    interquartile range as a fraction of their median; and the pairs, from
+    1, whose spread passes PROBE_SPREAD."""
+    pairs = []
+    for pair in zip(*runs.values()):
+        q1, median, q3 = statistics.quantiles([v for *_, probes in pair for v in probes], n=4)
+        pairs.append((q3 - q1) / median)
+    return {"limit": PROBE_SPREAD, "pairs": pairs,
+            "loaded": [i + 1 for i, v in enumerate(pairs) if v > PROBE_SPREAD]}
+
+
 def paired_runs(sides: dict, workload: str, trace: int) -> dict:
     """Side: its results, pair by pair; the two sides alternate in going first."""
     runs = {side: [] for side in sides}
@@ -178,7 +200,7 @@ def compare(rev: str, trace: int) -> int:
             unpack(revs[side], path)
         for workload in WORKLOADS:
             runs = paired_runs(sides, workload, trace)
-            results = {side: [res for res, _, _ in rs] for side, rs in runs.items()}
+            results = {side: [res for res, *_ in rs] for side, rs in runs.items()}
             env = runs["change"][0][1]
             rec.setdefault("env", {k: v for k, v in env.items()
                                    if k not in ("seed", "git_rev", "git_dirty")})
@@ -186,7 +208,8 @@ def compare(rev: str, trace: int) -> int:
                 key: {side: [r[key] for r in rs] for side, rs in results.items()}
                 for key in ("correct", "failed", "attempted")
             }
-            res["speed"] = {side: [speed for *_, speed in rs] for side, rs in runs.items()}
+            res["speed"] = {side: [speed for _, _, speed, _ in rs] for side, rs in runs.items()}
+            res["probe_spread"] = probe_spread(runs)
             res["metrics"] = {
                 name: verdict(*([r["metrics"][name]["value"] for r in results[side]]
                                 for side in ("against", "change")),
@@ -195,6 +218,7 @@ def compare(rev: str, trace: int) -> int:
                 for name in results["against"][0]["metrics"]
             }
             print_verdicts(workload, res)
+            print_load(res["probe_spread"])
     path = REPO / f"BENCH_against_{revs['against'][:7]}_trace{trace}.json"
     path.write_text(json.dumps(rec, indent=1) + "\n")
     print(f"wrote {path}")
@@ -214,6 +238,14 @@ def print_verdicts(workload: str, res: dict) -> None:
         print(f"  {name:32s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}]"
               f" -> {b['median']:.6g} ({pct}), better in {v['better_in']} of"
               f" {v['pairs']} ({v['better']} is better{beyond}){unresolved}")
+
+
+def print_load(spread: dict) -> None:
+    pairs = " ".join(f"{100 * v:.1f}" for v in spread["pairs"])
+    print(f"  speed-probe spread by pair (IQR / median, %) {pairs}")
+    if spread["loaded"]:
+        print(f"  LOADED: pairs {spread['loaded']} spread past {100 * spread['limit']:.0f} %;"
+              " the load changed within them")
 
 
 def main(argv: list[str]) -> int:
