@@ -143,12 +143,11 @@ _UNIT_END, _MIDDLE_END, _RIGHT = map(np.array, (*FAMILY_EDGES, FAMILIES.index(RI
 
 
 class LaneScratch(tuple):
-    """Arrays `accel_lanes` writes, allocated once a walk: outputs f, n, den and y
-    (new if not given), then temporaries, free between calls, which tuples may share."""
+    """Arrays `accel_lanes` writes, allocated once a walk: outputs f, n and den,
+    given, then y and temporaries, free between calls, which tuples may share."""
 
-    def __new__(cls, f: np.ndarray, n: np.ndarray, den: np.ndarray, y=None):
-        y = np.empty(f.size) if y is None else y
-        return super().__new__(cls, (f, n, den, y, np.empty(f.size),  # e; inv t
+    def __new__(cls, f: np.ndarray, n: np.ndarray, den: np.ndarray):
+        return super().__new__(cls, (f, n, den, *np.empty((2, f.size)),  # y e; inv t
                                      np.empty((2, f.size)), *np.empty((2, f.size), bool)))
 
 

@@ -146,7 +146,7 @@ def _lane_blocks(x: np.ndarray, l: int):
     logs = np.zeros((K + 1, 2, x.size))  # the sums so far, then (s, den) a step
     xs = np.empty((K + 1, x.size))  # the block's x, then each step's image
     xs[0], moved = x, np.empty((K, x.size), bool)
-    _, (_, t), _, near = temps = LaneScratch(f[0], n[0], logs[1, 1], xs[1])[4:]
+    _, (_, t), _, near = temps = LaneScratch(f[0], n[0], logs[1, 1])[4:]
     steps = [(*out, *temps) for out in zip(f, n, logs[1:, 1], xs[1:])]
     rows_u = list(zip(logs[1:, 0], *M))
     u1, u2 = u = np.ones((2, x.size))

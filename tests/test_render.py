@@ -308,6 +308,9 @@ class TestCover:
     @pytest.mark.parametrize("px", [64, 128, 500, 1000])
     @pytest.mark.parametrize("p, l", COVER_CASES)
     def test_matches_fill_rect_loop(self, p, l, px):
+        # against fill_rect's contract as _paint_by_slices paints it; the
+        # fill_rect loop itself is held to that painter on random rectangles
+        # (test_matches_fill_rect_loop_on_random_rectangles)
         expected = _paint_by_slices(p, cover_arrays(p, l), px).to_p6()
         assert render_cover(p, l, px).to_p6() == expected
 
